@@ -238,7 +238,7 @@ func main() {
 		if *debug {
 			log.Printf("silkroadd: debug surface on http://%s/debug/silkroad/ (pprof at /debug/pprof/)", *metricsAddr)
 		}
-		srv = &http.Server{Addr: *metricsAddr, Handler: newMux(sw, telemetry, src, *debug)}
+		srv = &http.Server{Addr: *metricsAddr, Handler: newMux(sw, telemetry, tun, src, *debug)}
 		go func() {
 			log.Printf("silkroadd: serving Prometheus metrics on http://%s/metrics", *metricsAddr)
 			if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -247,8 +247,8 @@ func main() {
 		}()
 	}
 
-	// The tunnel loop: batched reads feeding ProcessFrames, in-place
-	// rewrite or encap at TX. Blocks until the context falls.
+	// The tunnel loop: whatever the socket has queued feeds ProcessFrames,
+	// in-place rewrite or encap at TX. Blocks until the context falls.
 	if err := tun.Run(ctx); err != nil {
 		log.Printf("silkroadd: tunnel: %v", err)
 	}
@@ -273,7 +273,7 @@ func main() {
 	fmt.Printf("final stats: packets=%d hits=%d misses=%d inserted=%d conns=%d rx=%d fwd=%d drop=%d\n",
 		st.Dataplane.Packets, st.Dataplane.ConnHits, st.Dataplane.ConnMisses,
 		st.Controlplane.Inserted, st.Connections, ts.RxPackets, ts.Forwarded, ts.Dropped)
-	if err := silkroad.WritePrometheus(os.Stdout, telemetry.Snapshot(sw.Now())); err != nil {
+	if err := silkroad.WritePrometheus(os.Stdout, metricsSnapshot(sw, telemetry, tun)); err != nil {
 		log.Printf("silkroadd: final metrics snapshot: %v", err)
 	}
 }

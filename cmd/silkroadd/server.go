@@ -15,14 +15,34 @@ import (
 	silkroad "repro"
 )
 
+// metricsSnapshot is what /metrics exposes: the telemetry registry's
+// instruments plus, when the daemon runs a tunnel, its I/O loop's counters
+// as silkroad_tunnel_* (mean batch fill is rx_packets / rx_batches).
+func metricsSnapshot(sw *silkroad.Switch, reg *silkroad.Telemetry, tun *silkroad.Tunnel) silkroad.TelemetrySnapshot {
+	snap := reg.Snapshot(sw.Now())
+	if tun != nil {
+		st := tun.Stats()
+		snap.Counters["silkroad_tunnel_rx_packets_total"] = st.RxPackets
+		snap.Counters["silkroad_tunnel_rx_bytes_total"] = st.RxBytes
+		snap.Counters["silkroad_tunnel_rx_batches_total"] = st.RxBatches
+		snap.Counters["silkroad_tunnel_undecodable_total"] = st.Undecodable
+		snap.Counters["silkroad_tunnel_forwarded_total"] = st.Forwarded
+		snap.Counters["silkroad_tunnel_dropped_total"] = st.Dropped
+		snap.Counters["silkroad_tunnel_tx_errors_total"] = st.TxErrors
+		snap.Counters["silkroad_tunnel_tx_batches_total"] = st.TxBatches
+	}
+	return snap
+}
+
 // newMux wires every silkroadd HTTP endpoint onto a fresh mux. reg is the
-// switch's telemetry registry (always non-nil in silkroadd); debug adds
-// the flight-recorder and pprof surfaces.
-func newMux(sw *silkroad.Switch, reg *silkroad.Telemetry, src *specSource, debug bool) *http.ServeMux {
+// switch's telemetry registry (always non-nil in silkroadd); tun is the
+// tunnel whose counters /metrics exports (nil: none); debug adds the
+// flight-recorder and pprof surfaces.
+func newMux(sw *silkroad.Switch, reg *silkroad.Telemetry, tun *silkroad.Tunnel, src *specSource, debug bool) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := silkroad.WritePrometheus(w, reg.Snapshot(sw.Now())); err != nil {
+		if err := silkroad.WritePrometheus(w, metricsSnapshot(sw, reg, tun)); err != nil {
 			log.Printf("silkroadd: metrics write: %v", err)
 		}
 	})

@@ -1,12 +1,16 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	silkroad "repro"
 	"repro/internal/netproto"
@@ -47,7 +51,7 @@ func newTestServer(t *testing.T, mutate func(*silkroad.Config)) *testServer {
 	}
 	src := &specSource{}
 	src.set("flags", "")
-	return &testServer{sw: sw, reg: reg, mux: newMux(sw, reg, src, true)}
+	return &testServer{sw: sw, reg: reg, mux: newMux(sw, reg, nil, src, true)}
 }
 
 func (ts *testServer) get(t *testing.T, path string) *httptest.ResponseRecorder {
@@ -103,6 +107,97 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics lacks %s", want)
 		}
+	}
+}
+
+// TestMetricsExportsTunnelCounters: the I/O loop's counters reach /metrics
+// as silkroad_tunnel_* — here after one undecodable datagram, one verdict
+// drop and one forward over loopback sockets.
+func TestMetricsExportsTunnelCounters(t *testing.T) {
+	ts := newTestServer(t, nil)
+	backend, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer backend.Close()
+	spec := &silkroad.ClusterSpec{Version: silkroad.SpecVersion, VIPs: []silkroad.VIPSpec{
+		{VIP: "20.0.0.1:80", Pool: []string{backend.LocalAddr().String()}},
+	}}
+	if _, err := ts.sw.Apply(0, spec); err != nil {
+		t.Fatal(err)
+	}
+	tun, err := silkroad.NewTunnel(silkroad.TunnelConfig{Switch: ts.sw, Listen: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tun.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- tun.Run(ctx) }()
+
+	client, err := net.DialUDP("udp", nil, net.UDPAddrFromAddrPort(tun.LocalAddr()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	syn := func(dst string) []byte {
+		p := &netproto.Packet{
+			Tuple: netproto.FiveTuple{
+				Src: netip.MustParseAddr("198.51.100.7"), Dst: netip.MustParseAddr(dst),
+				SrcPort: 4242, DstPort: 80, Proto: netproto.ProtoTCP,
+			},
+			TCPFlags: netproto.FlagSYN,
+		}
+		raw, err := p.Marshal(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	for _, pkt := range [][]byte{[]byte("not an IP packet"), syn("203.0.113.9"), syn("20.0.0.1")} {
+		if _, err := client.Write(pkt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if st := tun.Stats(); st.Undecodable+st.Dropped+st.Forwarded+st.TxErrors == 3 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("tunnel accounted for %+v, want 3 datagrams", tun.Stats())
+		}
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("tunnel Run: %v", err)
+	}
+
+	w := httptest.NewRecorder()
+	newMux(ts.sw, ts.reg, tun, &specSource{}, false).ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	body := w.Body.String()
+	st := tun.Stats()
+	if st.RxBatches == 0 || st.TxBatches != 1 {
+		t.Errorf("tunnel stats %+v: want at least one read batch and exactly one send batch", st)
+	}
+	for name, want := range map[string]uint64{
+		"silkroad_tunnel_rx_packets_total":  3,
+		"silkroad_tunnel_rx_bytes_total":    st.RxBytes,
+		"silkroad_tunnel_rx_batches_total":  st.RxBatches,
+		"silkroad_tunnel_undecodable_total": 1,
+		"silkroad_tunnel_forwarded_total":   1,
+		"silkroad_tunnel_dropped_total":     1,
+		"silkroad_tunnel_tx_errors_total":   0,
+		"silkroad_tunnel_tx_batches_total":  1,
+	} {
+		line := name + " " + strconv.FormatUint(want, 10) + "\n"
+		if !strings.Contains(body, "# TYPE "+name+" counter\n"+line) {
+			t.Errorf("/metrics lacks counter %q", strings.TrimSpace(line))
+		}
+	}
+	// Without a tunnel the exposition carries none of them.
+	if strings.Contains(ts.get(t, "/metrics").Body.String(), "silkroad_tunnel_") {
+		t.Error("/metrics exports tunnel counters with no tunnel attached")
 	}
 }
 

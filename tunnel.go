@@ -2,12 +2,16 @@ package silkroad
 
 // The UDP-encap tunnel: the switch's first real I/O loop. Each UDP
 // datagram's payload is one raw IPv4/IPv6 packet (the encapsulation a ToR
-// would feed a software LB), read in batches into reusable frame buffers,
-// parsed once, pushed through ProcessFrames, and transmitted to the chosen
-// DIP — rewritten in place (DNAT) or IP-in-IP encapsulated (DSR), both
-// straight off the frame's cached offsets. The loop is unprivileged (plain
-// UDP sockets, no raw-socket capability) and allocation-free in steady
-// state, which is what lets CI run a real client → LB → backend path.
+// would feed a software LB). The loop blocks only while the ingress socket
+// is empty and never waits once it is not: it takes whatever is already
+// queued (up to BatchSize) into reusable frame buffers, parses each once,
+// pushes the batch through ProcessFrames, and transmits it to the chosen
+// DIPs — rewritten in place (DNAT) or IP-in-IP encapsulated (DSR), both
+// straight off the frame's cached offsets. Under load the queue refills
+// while a batch is in the pipeline, so batches size themselves; a lone
+// datagram is a batch of one. The loop is unprivileged (plain UDP sockets,
+// no raw-socket capability) and allocation-free in steady state, which is
+// what lets CI run a real client → LB → backend path.
 
 import (
 	"context"
@@ -15,9 +19,10 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
+	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
+	"syscall"
 
 	"repro/internal/dataplane"
 	"repro/internal/netproto"
@@ -44,53 +49,73 @@ type TunnelConfig struct {
 	Mode string
 	// Self is the outer source address for TunnelIPIP.
 	Self netip.Addr
-	// BatchSize bounds how many datagrams one read pass collects before
-	// processing (default 64). Bigger batches amortize pipe hand-off under
-	// load; the first read always blocks, so idle tunnels add no latency.
+	// BatchSize bounds how many already-queued datagrams one read pass
+	// takes before processing (default 64). Bigger batches amortize
+	// syscalls and pipe hand-off under load; the loop only ever blocks on
+	// an empty socket, so an idle tunnel adds no latency at any size.
 	BatchSize int
 	// MaxPacket bounds one datagram's payload (default 65535).
 	MaxPacket int
-	// BatchWait bounds how long the read loop waits for follow-up
-	// datagrams after the first of a batch (default 200µs). Zero keeps the
-	// default; latency-sensitive callers can shrink it.
-	BatchWait time.Duration
 	// Logf receives operational log lines (nil discards them).
 	Logf func(format string, args ...any)
 }
 
-// TunnelStats is a snapshot of the tunnel's datagram counters.
+// TunnelStats is a snapshot of the tunnel's datagram counters. The loop
+// publishes them once per batch, so at every batch boundary (and whenever
+// Run has returned) Forwarded + Dropped + TxErrors + Undecodable ==
+// RxPackets; RxPackets / RxBatches is the mean batch fill.
 type TunnelStats struct {
 	RxPackets   uint64 // datagrams received
 	RxBytes     uint64 // payload bytes received
+	RxBatches   uint64 // read passes that returned datagrams
 	Undecodable uint64 // payloads that were not parseable IP packets
 	Forwarded   uint64 // packets transmitted to a DIP
 	Dropped     uint64 // verdict drops (no VIP, meter, empty pool)
-	TxErrors    uint64 // socket send failures
+	TxErrors    uint64 // packets that could not be encoded or sent
+	TxBatches   uint64 // batched sends handed to the egress socket
 }
 
 // Tunnel is a running UDP-encap forwarding loop over one Switch. Create
 // with NewTunnel, drive with Run, stop by cancelling Run's context (or
 // Close). Stats may be read concurrently.
 type Tunnel struct {
-	sw        *Switch
-	mode      string
-	self      netip.Addr
-	batch     int
-	maxPkt    int
-	batchWait time.Duration
-	logf      func(format string, args ...any)
+	sw     *Switch
+	mode   string
+	self   netip.Addr
+	batch  int
+	maxPkt int
+	logf   func(format string, args ...any)
 
 	rx *net.UDPConn // ingress (encapsulated packets in)
 	tx *net.UDPConn // egress (forwarded packets out)
+	io batchIO      // how batches cross the two sockets
 
 	closeOnce sync.Once
 
 	rxPackets   atomic.Uint64
 	rxBytes     atomic.Uint64
+	rxBatches   atomic.Uint64
 	undecodable atomic.Uint64
 	forwarded   atomic.Uint64
 	dropped     atomic.Uint64
 	txErrors    atomic.Uint64
+	txBatches   atomic.Uint64
+}
+
+// batchIO is the seam between the forwarding loop and its two sockets. The
+// linux build fills it with recvmmsg/sendmmsg (one syscall per batch each
+// way); portableIO, compiled everywhere, is used wherever that pair is
+// unavailable.
+type batchIO interface {
+	// recv parks until the ingress socket is readable, then takes what is
+	// already queued — at most len(bufs) datagrams, datagram i into bufs[i]
+	// with its length in sizes[i] — without waiting for more. It returns
+	// either n > 0 or an error; net.ErrClosed once the socket is closed.
+	recv(bufs [][]byte, sizes []int) (n int, err error)
+	// send transmits pkts[i] to dsts[i] in order and returns how many
+	// leading packets went out. sent < len(pkts) means packet number sent
+	// failed with err; the caller resumes after it.
+	send(pkts [][]byte, dsts []netip.AddrPort) (sent int, err error)
 }
 
 // NewTunnel binds the tunnel's sockets and prepares its buffers. The
@@ -108,13 +133,12 @@ func NewTunnel(cfg TunnelConfig) (*Tunnel, error) {
 		return nil, errors.New("silkroad: tunnel mode ipip needs an IPv4 Self address")
 	}
 	t := &Tunnel{
-		sw:        cfg.Switch,
-		mode:      cfg.Mode,
-		self:      cfg.Self,
-		batch:     cfg.BatchSize,
-		maxPkt:    cfg.MaxPacket,
-		batchWait: cfg.BatchWait,
-		logf:      cfg.Logf,
+		sw:     cfg.Switch,
+		mode:   cfg.Mode,
+		self:   cfg.Self,
+		batch:  cfg.BatchSize,
+		maxPkt: cfg.MaxPacket,
+		logf:   cfg.Logf,
 	}
 	if t.mode == "" {
 		t.mode = TunnelRewrite
@@ -124,9 +148,6 @@ func NewTunnel(cfg TunnelConfig) (*Tunnel, error) {
 	}
 	if t.maxPkt <= 0 {
 		t.maxPkt = 65535
-	}
-	if t.batchWait <= 0 {
-		t.batchWait = 200 * time.Microsecond
 	}
 	if t.logf == nil {
 		t.logf = func(string, ...any) {}
@@ -145,6 +166,9 @@ func NewTunnel(cfg TunnelConfig) (*Tunnel, error) {
 		return nil, fmt.Errorf("silkroad: tunnel egress socket: %w", err)
 	}
 	t.rx, t.tx = rx, tx
+	if t.io = newMmsgIO(rx, tx, t.batch); t.io == nil {
+		t.io = newPortableIO(rx, tx)
+	}
 	return t, nil
 }
 
@@ -169,10 +193,12 @@ func (t *Tunnel) Stats() TunnelStats {
 	return TunnelStats{
 		RxPackets:   t.rxPackets.Load(),
 		RxBytes:     t.rxBytes.Load(),
+		RxBatches:   t.rxBatches.Load(),
 		Undecodable: t.undecodable.Load(),
 		Forwarded:   t.forwarded.Load(),
 		Dropped:     t.dropped.Load(),
 		TxErrors:    t.txErrors.Load(),
+		TxBatches:   t.txBatches.Load(),
 	}
 }
 
@@ -184,28 +210,15 @@ func (t *Tunnel) Stats() TunnelStats {
 // allocated here once; the steady-state loop reads, parses, balances and
 // transmits without allocating.
 func (t *Tunnel) Run(ctx context.Context) error {
-	// Cancellation closes the ingress socket: every blocked or future read
-	// returns net.ErrClosed, with no race against deadline manipulation.
-	// The egress socket stays open so the batch in flight still transmits.
+	// Cancellation closes the ingress socket: a read parked in the poller
+	// and every later one return net.ErrClosed, with no timer involved. The
+	// egress socket stays open so the batch in flight still transmits.
 	stop := context.AfterFunc(ctx, func() { t.rx.Close() })
 	defer stop()
 
-	bufs := make([][]byte, t.batch)
-	for i := range bufs {
-		bufs[i] = make([]byte, t.maxPkt)
-	}
-	frames := make([]netproto.Frame, t.batch)
-	results := make([]Result, t.batch)
-	var encBuf []byte // TunnelIPIP TX scratch, reused across packets
-
+	b := t.newBatch()
 	for {
-		n, err := t.fill(ctx, bufs, frames)
-		if n > 0 {
-			now := t.sw.Now()
-			t.sw.ProcessFramesInto(now, frames[:n], results[:n])
-			t.transmit(frames[:n], results[:n], &encBuf)
-		}
-		if err != nil {
+		if err := t.step(b); err != nil {
 			if ctx.Err() != nil || errors.Is(err, net.ErrClosed) {
 				return nil
 			}
@@ -214,72 +227,206 @@ func (t *Tunnel) Run(ctx context.Context) error {
 	}
 }
 
-// fill reads one batch: a blocking read for the first datagram, then a
-// short-deadline drain for follow-ups until the batch is full or the wire
-// goes quiet. Unparseable payloads are counted and their slots reused, so
-// frames[:n] is dense. The returned error (if any) ends the loop after the
-// collected frames are processed.
-func (t *Tunnel) fill(ctx context.Context, bufs [][]byte, frames []netproto.Frame) (int, error) {
-	n := 0
-	for n < t.batch {
-		if n == 0 {
-			// Idle: block until traffic arrives. Cancellation closes the
-			// socket (see Run), so this cannot block past shutdown.
-			t.rx.SetReadDeadline(time.Time{})
-		} else {
-			t.rx.SetReadDeadline(time.Now().Add(t.batchWait))
-		}
-		sz, _, err := t.rx.ReadFromUDPAddrPort(bufs[n])
-		if err != nil {
-			var ne net.Error
-			if n > 0 && errors.As(err, &ne) && ne.Timeout() {
-				return n, nil // batch closed by silence, not failure
-			}
-			return n, err
-		}
-		t.rxPackets.Add(1)
-		t.rxBytes.Add(uint64(sz))
-		if perr := netproto.ParseFrame(bufs[n][:sz], &frames[n]); perr != nil {
-			t.undecodable.Add(1)
+// tunnelBatch is the loop's working set, sized once for BatchSize packets.
+type tunnelBatch struct {
+	bufs    [][]byte         // RX buffers, one datagram each
+	sizes   []int            // datagram lengths of the last read pass
+	frames  []netproto.Frame // parsed views into bufs, dense
+	results []Result
+
+	pkts [][]byte         // TX gather list: frame data or enc slots
+	dsts []netip.AddrPort // the DIP of each gathered packet
+	enc  [][]byte         // TunnelIPIP scratch, one slot per packet of the batch
+}
+
+func (t *Tunnel) newBatch() *tunnelBatch {
+	b := &tunnelBatch{
+		bufs:    make([][]byte, t.batch),
+		sizes:   make([]int, t.batch),
+		frames:  make([]netproto.Frame, t.batch),
+		results: make([]Result, t.batch),
+		pkts:    make([][]byte, 0, t.batch),
+		dsts:    make([]netip.AddrPort, 0, t.batch),
+	}
+	for i := range b.bufs {
+		b.bufs[i] = make([]byte, t.maxPkt)
+	}
+	if t.mode == TunnelIPIP {
+		b.enc = make([][]byte, t.batch)
+	}
+	return b
+}
+
+// step is one turn of the loop: park until the socket has datagrams, take
+// all that are queued, and carry that batch through the switch and out
+// before looking at the socket again. Unparseable payloads are counted and
+// skipped, so frames[:n] is dense. Counters are published once per batch
+// on each side, the RX ones before the batch is processed.
+func (t *Tunnel) step(b *tunnelBatch) error {
+	got, err := t.io.recv(b.bufs, b.sizes)
+	if err != nil {
+		return err
+	}
+	n, rxBytes := 0, 0
+	for i, sz := range b.sizes[:got] {
+		rxBytes += sz
+		if perr := netproto.ParseFrame(b.bufs[i][:sz], &b.frames[n]); perr != nil {
 			t.logf("silkroad: tunnel: undecodable payload (%d B): %v", sz, perr)
 			continue
 		}
 		n++
 	}
-	return n, nil
+	t.rxBatches.Add(1)
+	t.rxPackets.Add(uint64(got))
+	t.rxBytes.Add(uint64(rxBytes))
+	t.undecodable.Add(uint64(got - n))
+	if n > 0 {
+		t.sw.ProcessFramesInto(t.sw.Now(), b.frames[:n], b.results[:n])
+		t.transmit(b, n)
+	}
+	return nil
 }
 
-// transmit applies each verdict on the TX side: in-place destination
-// rewrite or IP-in-IP encapsulation via the frame's cached offsets, then
-// one UDP send to the DIP.
-func (t *Tunnel) transmit(frames []netproto.Frame, results []Result, encBuf *[]byte) {
-	for i := range frames {
-		res := &results[i]
+// transmit applies each verdict on the TX side — in-place destination
+// rewrite or IP-in-IP encapsulation via the frame's cached offsets — and
+// hands all forwards of the batch to the egress socket together. A packet
+// counts as forwarded only once the send that delivers it has returned.
+func (t *Tunnel) transmit(b *tunnelBatch, n int) {
+	var forwarded, dropped, txErrors, txBatches uint64
+	pkts, dsts := b.pkts[:0], b.dsts[:0]
+	for i := range b.frames[:n] {
+		res := &b.results[i]
 		if res.Verdict != dataplane.VerdictForward {
-			t.dropped.Add(1)
+			dropped++
 			continue
 		}
-		f := &frames[i]
+		f := &b.frames[i]
 		payload := f.Data
 		if t.mode == TunnelIPIP {
-			enc, err := netproto.EncapIPIP((*encBuf)[:0], t.self, res.DIP.Addr(), f.Data)
+			slot := &b.enc[len(pkts)]
+			enc, err := netproto.EncapIPIP((*slot)[:0], t.self, res.DIP.Addr(), f.Data)
 			if err != nil {
-				t.txErrors.Add(1)
+				txErrors++
 				t.logf("silkroad: tunnel: encap for %v: %v", res.DIP, err)
 				continue
 			}
-			*encBuf = enc
-			payload = enc
+			*slot, payload = enc, enc
 		} else if err := f.RewriteDst(res.DIP); err != nil {
-			t.txErrors.Add(1)
+			txErrors++
 			t.logf("silkroad: tunnel: rewrite for %v: %v", res.DIP, err)
 			continue
 		}
-		if _, err := t.tx.WriteToUDPAddrPort(payload, res.DIP); err != nil {
-			t.txErrors.Add(1)
-			t.logf("silkroad: tunnel: forward to %v: %v", res.DIP, err)
+		pkts, dsts = append(pkts, payload), append(dsts, res.DIP)
+	}
+	for len(pkts) > 0 {
+		sent, err := t.io.send(pkts, dsts)
+		txBatches++
+		forwarded += uint64(sent)
+		if sent == len(pkts) {
+			break
+		}
+		txErrors++
+		t.logf("silkroad: tunnel: forward to %v: %v", dsts[sent], err)
+		pkts, dsts = pkts[sent+1:], dsts[sent+1:]
+	}
+	t.forwarded.Add(forwarded)
+	t.dropped.Add(dropped)
+	t.txErrors.Add(txErrors)
+	t.txBatches.Add(txBatches)
+}
+
+// portableIO is the batchIO built on what every platform has. On unix,
+// where a socket is a non-blocking descriptor read(2) works on, it parks in
+// the runtime poller until the socket is readable and then reads, one
+// non-blocking read per datagram, until the queue is empty; elsewhere a
+// batch is the one datagram a blocking read returns. Sends are one
+// WriteToUDPAddrPort per packet.
+type portableIO struct {
+	rx, tx *net.UDPConn
+	raw    syscall.RawConn // nil where batches are single blocking reads
+
+	// drain is bound once and works through these fields: a closure per
+	// call would allocate per batch.
+	drainFn func(fd uintptr) bool
+	bufs    [][]byte
+	sizes   []int
+	n       int   // datagrams read by the pass in progress
+	rerr    error // what stopped it, other than an empty queue
+}
+
+func newPortableIO(rx, tx *net.UDPConn) *portableIO {
+	p := &portableIO{rx: rx, tx: tx}
+	switch runtime.GOOS {
+	case "windows", "plan9", "js", "wasip1":
+		// Not unix: RawConn.Read may exist (windows) but hands out no
+		// descriptor a non-blocking read(2) can drain.
+	default:
+		p.raw, _ = rx.SyscallConn() // an error leaves raw nil: blocking reads
+	}
+	p.drainFn = p.drain
+	return p
+}
+
+func (p *portableIO) recv(bufs [][]byte, sizes []int) (int, error) {
+	if p.raw == nil {
+		sz, _, err := p.rx.ReadFromUDPAddrPort(bufs[0])
+		if err != nil {
+			return 0, err
+		}
+		sizes[0] = sz
+		return 1, nil
+	}
+	p.bufs, p.sizes, p.n, p.rerr = bufs, sizes, 0, nil
+	err := p.raw.Read(p.drainFn)
+	switch {
+	case p.n > 0:
+		return p.n, nil // a read error behind these datagrams shows on the next pass
+	case p.rerr != nil:
+		return 0, &net.OpError{Op: "read", Net: "udp", Err: p.rerr}
+	}
+	return 0, err // the socket was closed while parked
+}
+
+// drain is recv's poller callback: it reads until the queue is empty or
+// the batch full, and returns false (park until readable) only when the
+// queue was empty from the start.
+func (p *portableIO) drain(fd uintptr) bool {
+	for p.n < len(p.bufs) {
+		sz, err := readFD(syscall.Read, fd, p.bufs[p.n])
+		if err == nil {
+			p.sizes[p.n] = sz
+			p.n++
 			continue
 		}
-		t.forwarded.Add(1)
+		// EAGAIN and EINTR by the errno's own classification: the
+		// constants do not exist on every platform this compiles for.
+		if ne, ok := err.(net.Error); ok {
+			if ne.Timeout() {
+				return p.n > 0
+			}
+			if ne.Temporary() {
+				continue
+			}
+		}
+		p.rerr = err
+		break
 	}
+	return true
+}
+
+// readFD calls syscall.Read with the descriptor RawConn hands out. The
+// parameter is an int on unix and a Handle on windows; inferring its type
+// from syscall.Read lets this untagged file compile for both, though only
+// unix ever gets here.
+func readFD[FD ~int | ~uintptr](read func(FD, []byte) (int, error), fd uintptr, p []byte) (int, error) {
+	return read(FD(fd), p)
+}
+
+func (p *portableIO) send(pkts [][]byte, dsts []netip.AddrPort) (int, error) {
+	for i, pkt := range pkts {
+		if _, err := p.tx.WriteToUDPAddrPort(pkt, dsts[i]); err != nil {
+			return i, err
+		}
+	}
+	return len(pkts), nil
 }

@@ -9,7 +9,10 @@ import (
 	"context"
 	"net"
 	"net/netip"
+	"runtime"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -77,16 +80,43 @@ func rewriteCheck(d *mockDIP, pkt []byte) (uint16, bool) {
 	return f.Tuple.SrcPort, true
 }
 
-// tunnelHarness bundles one running switch+tunnel with its client socket.
+// eachTunnelIO runs fn once per batch-I/O implementation: the one NewTunnel
+// selects on this platform (recvmmsg/sendmmsg on linux) and the portable
+// one, which otherwise only runs where the first is unavailable.
+func eachTunnelIO(t *testing.T, fn func(t *testing.T, portable bool)) {
+	t.Run("native", func(t *testing.T) { fn(t, false) })
+	t.Run("portable", func(t *testing.T) { fn(t, true) })
+}
+
+// mmsgSyscalls returns how many recvmmsg and sendmmsg calls have moved (or
+// failed) a message for the tunnel so far; ok is false when the tunnel runs
+// on the portable implementation. Where NewTunnel is expected to have
+// chosen the mmsg pair and did not, the test fails.
+func (h *tunnelHarness) mmsgSyscalls(t *testing.T, portable bool) (recv, send uint64, ok bool) {
+	t.Helper()
+	if c, isMmsg := h.tun.io.(interface{ syscalls() (recv, send uint64) }); isMmsg {
+		recv, send = c.syscalls()
+		return recv, send, true
+	}
+	if !portable && runtime.GOOS == "linux" && (runtime.GOARCH == "amd64" || runtime.GOARCH == "arm64") {
+		t.Errorf("NewTunnel chose %T on %s/%s, want recvmmsg/sendmmsg", h.tun.io, runtime.GOOS, runtime.GOARCH)
+	}
+	return 0, 0, false
+}
+
+// tunnelHarness bundles one switch+tunnel with its client socket.
 type tunnelHarness struct {
 	sw     *Switch
 	tun    *Tunnel
 	client *net.UDPConn
+	ctx    context.Context
 	cancel context.CancelFunc
 	done   chan struct{} // closed when Run returned
 }
 
-func startTunnel(t *testing.T, sw *Switch, mode string) *tunnelHarness {
+// newTunnelHarness builds the tunnel and its client but does not start the
+// forwarding loop: datagrams sent before start queue on the ingress socket.
+func newTunnelHarness(t *testing.T, sw *Switch, mode string, portable bool) *tunnelHarness {
 	t.Helper()
 	tcfg := TunnelConfig{
 		Switch: sw,
@@ -101,27 +131,17 @@ func startTunnel(t *testing.T, sw *Switch, mode string) *tunnelHarness {
 	if err != nil {
 		t.Fatalf("NewTunnel: %v", err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if err := tun.Run(ctx); err != nil {
-			t.Errorf("tunnel Run: %v", err)
-		}
-	}()
-	go sw.Run(ctx)
+	if portable {
+		tun.io = newPortableIO(tun.rx, tun.tx)
+	}
 	client, err := net.DialUDP("udp", nil, net.UDPAddrFromAddrPort(tun.LocalAddr()))
 	if err != nil {
 		t.Fatalf("client socket: %v", err)
 	}
-	h := &tunnelHarness{sw: sw, tun: tun, client: client, cancel: cancel, done: done}
+	ctx, cancel := context.WithCancel(context.Background())
+	h := &tunnelHarness{sw: sw, tun: tun, client: client, ctx: ctx, cancel: cancel, done: make(chan struct{})}
 	t.Cleanup(func() {
 		cancel()
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
-			t.Error("tunnel Run did not return after cancellation")
-		}
 		client.Close()
 		tun.Close()
 		sw.Close()
@@ -129,13 +149,53 @@ func startTunnel(t *testing.T, sw *Switch, mode string) *tunnelHarness {
 	return h
 }
 
-// send marshals one TCP packet for the VIP from client source port src and
-// writes it to the tunnel.
-func (h *tunnelHarness) send(t *testing.T, vip VIP, src uint16, flags uint8) {
+// start launches the forwarding loop and the switch's runtime; both stop
+// when the harness is cancelled, at the latest when the test ends.
+func (h *tunnelHarness) start(t *testing.T) {
+	go func() {
+		defer close(h.done)
+		if err := h.tun.Run(h.ctx); err != nil {
+			t.Errorf("tunnel Run: %v", err)
+		}
+	}()
+	go h.sw.Run(h.ctx)
+	t.Cleanup(func() {
+		h.cancel()
+		select {
+		case <-h.done:
+		case <-time.After(5 * time.Second):
+			t.Error("tunnel Run did not return after cancellation")
+		}
+	})
+}
+
+// startOnBacklog starts the loop over datagrams the test has already sent,
+// so that they are its first batch. Loopback delivers inside the sender's
+// write unless the kernel has deferred its softirqs to a thread; there is
+// no event to wait on for that case, only time.
+func (h *tunnelHarness) startOnBacklog(t *testing.T) {
+	time.Sleep(10 * time.Millisecond)
+	h.start(t)
+}
+
+func startTunnel(t *testing.T, sw *Switch, mode string, portable bool) *tunnelHarness {
 	t.Helper()
+	h := newTunnelHarness(t, sw, mode, portable)
+	h.start(t)
+	return h
+}
+
+// tcpPacket marshals one TCP packet for the VIP from client source port
+// src; the client address takes the VIP's family.
+func tcpPacket(t *testing.T, vip VIP, src uint16, flags uint8) []byte {
+	t.Helper()
+	client := netip.MustParseAddr("10.1.0.1")
+	if vip.Addr.Is6() {
+		client = netip.MustParseAddr("2001:db8:1::1")
+	}
 	p := Packet{
 		Tuple: FiveTuple{
-			Src:     netip.MustParseAddr("10.1.0.1"),
+			Src:     client,
 			Dst:     vip.Addr,
 			SrcPort: src,
 			DstPort: vip.Port,
@@ -148,25 +208,42 @@ func (h *tunnelHarness) send(t *testing.T, vip VIP, src uint16, flags uint8) {
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
-	if _, err := h.client.Write(raw); err != nil {
+	return raw
+}
+
+// send writes one TCP packet for the VIP to the tunnel. Test goroutine only.
+func (h *tunnelHarness) send(t *testing.T, vip VIP, src uint16, flags uint8) {
+	t.Helper()
+	if _, err := h.client.Write(tcpPacket(t, vip, src, flags)); err != nil {
 		t.Fatalf("client send: %v", err)
 	}
 }
 
-// waitForwarded polls until the tunnel has forwarded at least want packets
-// (UDP on loopback does not reorder or drop in practice, but the tunnel is
+// reconciled fails the test unless every received datagram is accounted
+// for; call it once Run has returned or the tunnel is known to be idle.
+func (h *tunnelHarness) reconciled(t *testing.T) TunnelStats {
+	t.Helper()
+	st := h.tun.Stats()
+	if st.Forwarded+st.Dropped+st.TxErrors+st.Undecodable != st.RxPackets {
+		t.Errorf("tunnel counters do not reconcile: %+v", st)
+	}
+	return st
+}
+
+// waitForwarded polls until the tunnel has forwarded, dropped or failed to
+// send at least want packets (UDP on loopback does not reorder or drop in practice, but the tunnel is
 // asynchronous, so counts need a grace period).
 func (h *tunnelHarness) waitForwarded(t *testing.T, want uint64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		st := h.tun.Stats()
-		if st.Forwarded+st.Dropped >= want {
+		if st.Forwarded+st.Dropped+st.TxErrors >= want {
 			return
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	t.Fatalf("timeout: forwarded+dropped = %+v, want >= %d", h.tun.Stats(), want)
+	t.Fatalf("timeout: tunnel has accounted for %+v, want >= %d packets", h.tun.Stats(), want)
 }
 
 // waitReceived polls until the mock DIPs have drained want packets off
@@ -202,7 +279,9 @@ func waitReceived(t *testing.T, dips []*mockDIP, want int) {
 // middle of traffic. Per-connection consistency must hold on the wire:
 // every connection's packets arrive at exactly one backend, across the
 // update, including connections pinned to the DIP being removed.
-func TestTunnelLoopbackPCC(t *testing.T) {
+func TestTunnelLoopbackPCC(t *testing.T) { eachTunnelIO(t, testTunnelLoopbackPCC) }
+
+func testTunnelLoopbackPCC(t *testing.T, portable bool) {
 	var wg sync.WaitGroup
 	dips := make([]*mockDIP, 3)
 	for i := range dips {
@@ -225,13 +304,15 @@ func TestTunnelLoopbackPCC(t *testing.T) {
 	if err := sw.AddVIP(sw.Now(), vip, pool); err != nil {
 		t.Fatal(err)
 	}
-	h := startTunnel(t, sw, TunnelRewrite)
+	h := startTunnel(t, sw, TunnelRewrite, portable)
 
 	const (
 		preConns  = 30
+		midConns  = 10
 		postConns = 30
 		acks      = 3
 		basePort  = uint16(20000)
+		midPort   = uint16(21000)
 	)
 	var sent uint64
 
@@ -254,11 +335,30 @@ func TestTunnelLoopbackPCC(t *testing.T) {
 		t.Fatalf("RemoveDIP: %v", err)
 	}
 
-	// Phase 2: established connections keep talking, new ones arrive.
+	// Phase 2: established connections keep talking and new ones open while
+	// the update is in flight. The update flips new connections to the new
+	// pool at its second step, once the connections pending at its start are
+	// installed; until then a new connection still (correctly) draws from
+	// the old pool, so these are held to PCC only.
+	for c := 0; c < midConns; c++ {
+		h.send(t, vip, midPort+uint16(c), FlagSYN)
+		sent++
+	}
 	for a := 0; a < acks; a++ {
 		for c := 0; c < preConns; c++ {
 			h.send(t, vip, basePort+uint16(c), FlagACK)
 			sent++
+		}
+		for c := 0; c < midConns; c++ {
+			h.send(t, vip, midPort+uint16(c), FlagACK)
+			sent++
+		}
+	}
+	// Phase 3: connections opened after the update has completed. The
+	// removed backend is off limits to these.
+	for deadline := time.Now().Add(10 * time.Second); sw.PendingWork() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("pool update still in flight: %d control-plane items pending", sw.PendingWork())
 		}
 	}
 	for c := 0; c < postConns; c++ {
@@ -303,16 +403,16 @@ func TestTunnelLoopbackPCC(t *testing.T) {
 	if violations != 0 {
 		t.Fatalf("%d PCC violations across pool update", violations)
 	}
-	if len(owner) != preConns+postConns {
-		t.Errorf("backends saw %d distinct connections, want %d", len(owner), preConns+postConns)
+	if want := preConns + midConns + postConns; len(owner) != want {
+		t.Errorf("backends saw %d distinct connections, want %d", len(owner), want)
 	}
 	if uint64(received) != st.Forwarded {
 		t.Errorf("backends received %d packets, tunnel forwarded %d", received, st.Forwarded)
 	}
-	// New connections must avoid the removed backend.
+	// Connections opened after the update must avoid the removed backend.
 	dips[2].mu.Lock()
 	for src := range dips[2].byConn {
-		if src >= basePort+preConns {
+		if src >= basePort+preConns && src < midPort {
 			t.Errorf("post-update connection src=%d landed on the removed dip", src)
 		}
 	}
@@ -322,7 +422,9 @@ func TestTunnelLoopbackPCC(t *testing.T) {
 // TestTunnelLoopbackIPIP drives the encapsulating mode end to end: the
 // backend receives IP-in-IP datagrams whose outer header names the LB and
 // the DIP and whose inner packet still carries the VIP destination (DSR).
-func TestTunnelLoopbackIPIP(t *testing.T) {
+func TestTunnelLoopbackIPIP(t *testing.T) { eachTunnelIO(t, testTunnelLoopbackIPIP) }
+
+func testTunnelLoopbackIPIP(t *testing.T, portable bool) {
 	self := netip.MustParseAddr("192.0.2.1")
 	var wg sync.WaitGroup
 	vipAddr := netip.MustParseAddr("20.0.0.1")
@@ -353,7 +455,7 @@ func TestTunnelLoopbackIPIP(t *testing.T) {
 	if err := sw.AddVIP(sw.Now(), vip, []DIP{d.addr}); err != nil {
 		t.Fatal(err)
 	}
-	h := startTunnel(t, sw, TunnelIPIP)
+	h := startTunnel(t, sw, TunnelIPIP, portable)
 
 	const conns = 10
 	var sent uint64
@@ -385,7 +487,9 @@ func TestTunnelLoopbackIPIP(t *testing.T) {
 // TestTunnelGracefulShutdown cancels the tunnel in the middle of a traffic
 // stream: Run must return promptly, nothing may panic or race, and the
 // already-read batch still transmits (graceful, not abrupt).
-func TestTunnelGracefulShutdown(t *testing.T) {
+func TestTunnelGracefulShutdown(t *testing.T) { eachTunnelIO(t, testTunnelGracefulShutdown) }
+
+func testTunnelGracefulShutdown(t *testing.T, portable bool) {
 	var wg sync.WaitGroup
 	d := startMockDIP(t, &wg, rewriteCheck)
 	defer func() {
@@ -401,23 +505,38 @@ func TestTunnelGracefulShutdown(t *testing.T) {
 	if err := sw.AddVIP(sw.Now(), vip, []DIP{d.addr}); err != nil {
 		t.Fatal(err)
 	}
-	h := startTunnel(t, sw, TunnelRewrite)
+	h := startTunnel(t, sw, TunnelRewrite, portable)
 
-	// Traffic source: hammer the tunnel until told to stop.
+	// Traffic source: hammer the tunnel until told to stop. Cancellation
+	// closes the ingress socket, after which the connected client's writes
+	// are refused: the sender ends on a write error that follows the
+	// cancellation request and reports any other to the test goroutine.
 	stop := make(chan struct{})
+	var cancelled atomic.Bool
+	sendErr := make(chan error, 1)
 	var senderWG sync.WaitGroup
 	senderWG.Add(1)
+	pkt := tcpPacket(t, vip, 40000, FlagSYN)
+	var f netproto.Frame
+	if err := netproto.ParseFrame(pkt, &f); err != nil {
+		t.Fatal(err)
+	}
 	go func() {
 		defer senderWG.Done()
-		src := uint16(40000)
-		for {
+		for src := uint16(40000); ; src++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			h.send(t, vip, src, FlagSYN)
-			src++
+			// A fresh connection per datagram: patch the source port.
+			pkt[f.L4], pkt[f.L4+1] = byte(src>>8), byte(src)
+			if _, err := h.client.Write(pkt); err != nil {
+				if !cancelled.Load() {
+					sendErr <- err
+				}
+				return
+			}
 		}
 	}()
 
@@ -429,6 +548,7 @@ func TestTunnelGracefulShutdown(t *testing.T) {
 	if h.tun.Stats().Forwarded == 0 {
 		t.Fatal("no traffic flowed before shutdown")
 	}
+	cancelled.Store(true)
 	h.cancel()
 	select {
 	case <-h.done:
@@ -437,10 +557,279 @@ func TestTunnelGracefulShutdown(t *testing.T) {
 	}
 	close(stop)
 	senderWG.Wait()
+	select {
+	case err := <-sendErr:
+		t.Fatalf("client send before cancellation: %v", err)
+	default:
+	}
 
-	st := h.tun.Stats()
+	// The batch in hand when cancellation landed was still transmitted.
+	st := h.reconciled(t)
 	if st.Forwarded == 0 {
 		t.Fatal("nothing forwarded")
 	}
 	t.Logf("shutdown stats: %+v", st)
+}
+
+// tunnelSink is a backend the test goroutine reads itself, for tests that
+// await individual datagrams.
+type tunnelSink struct {
+	conn *net.UDPConn
+	addr netip.AddrPort
+	buf  []byte
+}
+
+// listenSink binds a sink on the loopback address of the given family
+// ("udp4" or "udp6"), skipping the test where the host has no such address.
+func listenSink(t *testing.T, network string) *tunnelSink {
+	t.Helper()
+	ip := net.IPv4(127, 0, 0, 1)
+	if network == "udp6" {
+		ip = net.IPv6loopback
+	}
+	conn, err := net.ListenUDP(network, &net.UDPAddr{IP: ip})
+	if err != nil {
+		if network == "udp6" {
+			t.Skipf("no IPv6 loopback on this host: %v", err)
+		}
+		t.Fatalf("sink listen: %v", err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	return &tunnelSink{conn: conn, addr: conn.LocalAddr().(*net.UDPAddr).AddrPort(), buf: make([]byte, 65536)}
+}
+
+// next awaits one datagram and returns it parsed; the frame aliases the
+// sink's buffer until the following call.
+func (s *tunnelSink) next(t *testing.T) *netproto.Frame {
+	t.Helper()
+	s.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	n, err := s.conn.Read(s.buf)
+	if err != nil {
+		t.Fatalf("sink %v: %v", s.addr, err)
+	}
+	var f netproto.Frame
+	if err := netproto.ParseFrame(s.buf[:n], &f); err != nil {
+		t.Fatalf("sink %v: forwarded packet does not parse: %v", s.addr, err)
+	}
+	if f.Tuple.Dst != s.addr.Addr() || f.Tuple.DstPort != s.addr.Port() {
+		t.Fatalf("sink %v received a packet rewritten to %v:%d", s.addr, f.Tuple.Dst, f.Tuple.DstPort)
+	}
+	return &f
+}
+
+// sinkSwitch returns a switch announcing one VIP per sink, each with that
+// sink as its whole pool; VIP i takes sink i's address family.
+func sinkSwitch(t *testing.T, sinks ...*tunnelSink) (*Switch, []VIP) {
+	t.Helper()
+	sw, err := NewSwitch(Defaults(10_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vips := make([]VIP, len(sinks))
+	for i, s := range sinks {
+		vips[i] = NewVIP("20.0.0.1", 80+uint16(i), TCP)
+		if s.addr.Addr().Is6() {
+			vips[i] = NewVIP("2001:db8::1", 80+uint16(i), TCP)
+		}
+		if err := sw.AddVIP(sw.Now(), vips[i], []DIP{s.addr}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return sw, vips
+}
+
+// TestTunnelLoneDatagram: a datagram that arrives alone is forwarded at
+// once. The loop it replaced armed a read deadline for follow-ups after the
+// first datagram of a batch, so a lone one waited out a timer (~1.1 ms with
+// the poller's granularity) before it was even parsed.
+func TestTunnelLoneDatagram(t *testing.T) { eachTunnelIO(t, testTunnelLoneDatagram) }
+
+func testTunnelLoneDatagram(t *testing.T, portable bool) {
+	if testing.Short() {
+		t.Skip("timing test")
+	}
+	sink := listenSink(t, "udp4")
+	sw, vips := sinkSwitch(t, sink)
+	h := startTunnel(t, sw, TunnelRewrite, portable)
+
+	const n = 200
+	rtt := make([]time.Duration, n)
+	for i := range rtt {
+		pkt := tcpPacket(t, vips[0], 50000+uint16(i), FlagSYN)
+		t0 := time.Now()
+		if _, err := h.client.Write(pkt); err != nil {
+			t.Fatalf("client send: %v", err)
+		}
+		sink.next(t)
+		rtt[i] = time.Since(t0)
+	}
+	sort.Slice(rtt, func(i, j int) bool { return rtt[i] < rtt[j] })
+	t.Logf("lone datagram send->receive: p50 %v, p90 %v, max %v", rtt[n/2], rtt[n*9/10], rtt[n-1])
+	if rtt[n/2] >= 500*time.Microsecond {
+		t.Errorf("median lone-datagram latency %v, want < 500us: something waits on the lone path", rtt[n/2])
+	}
+	h.waitForwarded(t, n) // the sink can see the last datagram before the loop has counted it
+	if st := h.reconciled(t); st.RxBatches != n || st.Forwarded != n {
+		t.Errorf("%d lone datagrams: %+v, want %d batches of one, all forwarded", n, st, n)
+	}
+}
+
+// TestTunnelBacklogOneBatch: datagrams already queued when the loop looks
+// at the socket are one read pass and one send pass through either
+// implementation, and on linux one recvmmsg and one sendmmsg, counted where
+// the syscalls are made.
+func TestTunnelBacklogOneBatch(t *testing.T) { eachTunnelIO(t, testTunnelBacklogOneBatch) }
+
+func testTunnelBacklogOneBatch(t *testing.T, portable bool) {
+	sink := listenSink(t, "udp4")
+	sw, vips := sinkSwitch(t, sink)
+	h := newTunnelHarness(t, sw, TunnelRewrite, portable)
+
+	const n = 64 // the default BatchSize
+	for i := 0; i < n; i++ {
+		h.send(t, vips[0], 51000+uint16(i), FlagSYN)
+	}
+	h.startOnBacklog(t)
+	seen := make(map[uint16]bool)
+	for i := 0; i < n; i++ {
+		seen[sink.next(t).Tuple.SrcPort] = true
+	}
+	if len(seen) != n {
+		t.Errorf("sink saw %d distinct connections, want %d", len(seen), n)
+	}
+	h.waitForwarded(t, n)
+	st := h.reconciled(t)
+	if st.Forwarded != n {
+		t.Errorf("forwarded %d of a %d-datagram backlog: %+v", st.Forwarded, n, st)
+	}
+	// Off unix the portable read pass is one blocking read, not a drain.
+	if p, isPortable := h.tun.io.(*portableIO); (!isPortable || p.raw != nil) && (st.RxBatches != 1 || st.TxBatches != 1) {
+		t.Errorf("a %d-datagram backlog took %d read and %d send passes, want 1 and 1", n, st.RxBatches, st.TxBatches)
+	}
+	if recv, send, ok := h.mmsgSyscalls(t, portable); ok && (recv != 1 || send != 1) {
+		t.Errorf("a %d-datagram backlog cost %d recvmmsg and %d sendmmsg calls, want 1 and 1", n, recv, send)
+	}
+}
+
+// TestTunnelPartialSendFailure: one unsendable destination in the middle of
+// a batch costs exactly that packet. No socket can send to port 0,
+// whichever way the datagram is handed over.
+func TestTunnelPartialSendFailure(t *testing.T) { eachTunnelIO(t, testTunnelPartialSendFailure) }
+
+func testTunnelPartialSendFailure(t *testing.T, portable bool) {
+	sink := listenSink(t, "udp4")
+	sw, vips := sinkSwitch(t, sink)
+	bad := NewVIP("20.0.0.2", 80, TCP)
+	if err := sw.AddVIP(sw.Now(), bad, []DIP{netip.MustParseAddrPort("127.0.0.1:0")}); err != nil {
+		t.Fatal(err)
+	}
+	h := newTunnelHarness(t, sw, TunnelRewrite, portable)
+
+	// Queued before the loop starts, so all five are one batch.
+	for i, vip := range []VIP{vips[0], vips[0], bad, vips[0], vips[0]} {
+		h.send(t, vip, 52000+uint16(i), FlagSYN)
+	}
+	h.startOnBacklog(t)
+	for _, want := range []uint16{52000, 52001, 52003, 52004} {
+		if got := sink.next(t).Tuple.SrcPort; got != want {
+			t.Fatalf("sink received connection %d, want %d (in order, skipping only the failed one)", got, want)
+		}
+	}
+	h.waitForwarded(t, 5)
+	if st := h.reconciled(t); st.Forwarded != 4 || st.TxErrors != 1 || st.Dropped != 0 {
+		t.Errorf("after one failed send in a batch of five: %+v, want 4 forwarded, 1 tx error", st)
+	} else if st.TxBatches != 2 {
+		t.Errorf("%d send passes around one failed packet, want 2 (up to it, then after it)", st.TxBatches)
+	}
+	// Two messages out, the third's errno, the last two out.
+	if _, send, ok := h.mmsgSyscalls(t, portable); ok && send != 3 {
+		t.Errorf("%d sendmmsg calls around one failed message, want 3", send)
+	}
+}
+
+// TestTunnelMixedFamilies: one batch forwards to an IPv4 and an IPv6 DIP
+// through the single egress socket (dual-stack: IPv4 leaves v4-mapped).
+func TestTunnelMixedFamilies(t *testing.T) { eachTunnelIO(t, testTunnelMixedFamilies) }
+
+func testTunnelMixedFamilies(t *testing.T, portable bool) {
+	sink4, sink6 := listenSink(t, "udp4"), listenSink(t, "udp6")
+	sw, vips := sinkSwitch(t, sink4, sink6)
+	h := newTunnelHarness(t, sw, TunnelRewrite, portable)
+
+	const perFamily = 4
+	for i := 0; i < perFamily; i++ {
+		h.send(t, vips[0], 53000+uint16(i), FlagSYN)
+		h.send(t, vips[1], 53000+uint16(i), FlagSYN)
+	}
+	h.startOnBacklog(t)
+	for i := 0; i < perFamily; i++ {
+		for _, s := range []*tunnelSink{sink4, sink6} {
+			if got := s.next(t).Tuple.SrcPort; got != 53000+uint16(i) {
+				t.Fatalf("sink %v received connection %d, want %d", s.addr, got, 53000+i)
+			}
+		}
+	}
+	h.waitForwarded(t, 2*perFamily)
+	if st := h.reconciled(t); st.Forwarded != 2*perFamily || st.TxErrors != 0 {
+		t.Errorf("mixed-family batch: %+v, want %d forwarded and no tx errors", st, 2*perFamily)
+	}
+}
+
+// TestTunnelStepZeroAlloc: one steady-state turn of the loop — read a
+// batch, parse, balance, rewrite, send — allocates nothing, through either
+// I/O implementation.
+func TestTunnelStepZeroAlloc(t *testing.T) { eachTunnelIO(t, testTunnelStepZeroAlloc) }
+
+func testTunnelStepZeroAlloc(t *testing.T, portable bool) {
+	sink := listenSink(t, "udp4")
+	sw, vips := sinkSwitch(t, sink)
+	h := newTunnelHarness(t, sw, TunnelRewrite, portable)
+
+	// The loop is stepped by hand, so nothing else runs (or allocates)
+	// beside it. One turn: 8 queued datagrams in, 8 out.
+	const conns = 8
+	var pkts [conns][]byte
+	for i := range pkts {
+		pkts[i] = tcpPacket(t, vips[0], 54000+uint16(i), FlagSYN)
+	}
+	b := h.tun.newBatch()
+	turn := func() {
+		for _, p := range pkts {
+			if _, err := h.client.Write(p); err != nil {
+				t.Fatalf("client send: %v", err)
+			}
+		}
+		for got := 0; got < conns; {
+			before := h.tun.Stats().RxPackets
+			if err := h.tun.step(b); err != nil {
+				t.Fatalf("step: %v", err)
+			}
+			got += int(h.tun.Stats().RxPackets - before)
+		}
+		for range pkts {
+			if _, err := sink.conn.Read(sink.buf); err != nil {
+				t.Fatalf("sink: %v", err)
+			}
+		}
+	}
+	// Open the connections and let their insertions land: steady state is
+	// ConnTable hits.
+	turn()
+	for i := range pkts {
+		pkts[i] = tcpPacket(t, vips[0], 54000+uint16(i), FlagACK)
+	}
+	for deadline := time.Now().Add(5 * time.Second); sw.PendingWork() != 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d control-plane items still pending", sw.PendingWork())
+		}
+		time.Sleep(time.Millisecond)
+		turn()
+	}
+	sink.conn.SetReadDeadline(time.Now().Add(30 * time.Second))
+	if allocs := testing.AllocsPerRun(50, turn); allocs != 0 {
+		t.Errorf("one turn of the tunnel loop allocated %.1f times, want 0", allocs)
+	}
+	if st := h.reconciled(t); st.TxErrors != 0 || st.Dropped != 0 {
+		t.Errorf("steady-state turns: %+v", st)
+	}
 }
