@@ -6,6 +6,7 @@ package silkroad
 import (
 	"math/rand"
 	"net/netip"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -288,6 +289,52 @@ func TestFacadeHealthChecker(t *testing.T) {
 	cur, _ = sw.CurrentPool(vip)
 	if len(cur) != 3 {
 		t.Fatalf("pool after recovery = %v", cur)
+	}
+}
+
+// TestHealthRoundsUnderOneLongAdvanceTo pins the registered checker's
+// schedule to its deadlines, not to how the runtime steps: one AdvanceTo
+// across seven probe rounds runs the same rounds, at the same instants, as
+// stepping to each deadline in turn — so a dead backend fails over inside
+// the first catch-up.
+func TestHealthRoundsUnderOneLongAdvanceTo(t *testing.T) {
+	type probe struct {
+		at  Time
+		dip DIP
+	}
+	run := func(step Duration) ([]probe, health.Metrics, int) {
+		sw, _ := NewSwitch(Defaults(10000))
+		vip := NewVIP("20.0.0.1", 80, TCP)
+		pool := Pool("10.0.0.1:20", "10.0.0.2:20", "10.0.0.3:20")
+		sw.AddVIP(0, vip, pool)
+		var probes []probe
+		hc := sw.NewHealthChecker(health.DefaultConfig(), func(now Time, d DIP) bool {
+			probes = append(probes, probe{now, d})
+			return d != pool[1]
+		})
+		for _, d := range pool {
+			hc.Watch(vip, d)
+		}
+		end := Time(60 * Second)
+		for now := Time(step); now <= end; now += Time(step) {
+			sw.AdvanceTo(now)
+		}
+		cur, _ := sw.CurrentPool(vip)
+		return probes, hc.Metrics(), len(cur)
+	}
+	stepped, sm, spool := run(Duration(10 * Second)) // one round per AdvanceTo
+	long, lm, lpool := run(Duration(60 * Second))    // all seven under one
+	if want := uint64(7 * 3); sm.ProbesSent != want || lm.ProbesSent != want {
+		t.Fatalf("ProbesSent stepped=%d long=%d, want %d", sm.ProbesSent, lm.ProbesSent, want)
+	}
+	if !reflect.DeepEqual(stepped, long) {
+		t.Fatalf("probe schedule differs:\nstepped %v\nlong    %v", stepped, long)
+	}
+	if sm != lm || lm.Failovers != 1 {
+		t.Fatalf("metrics stepped=%+v long=%+v, want equal with one failover", sm, lm)
+	}
+	if spool != 2 || lpool != 2 {
+		t.Fatalf("pool size stepped=%d long=%d, want 2", spool, lpool)
 	}
 }
 

@@ -154,12 +154,19 @@ func (is intentSource) NextEventTime() (Time, bool) {
 	return st.rec.NextDue()
 }
 
+// Advance runs every reconcile round due at or before now, each at its own
+// deadline: a retry's backoff is measured from when it was due, not from
+// how far the scheduler's step horizon reached.
 func (is intentSource) Advance(now Time) {
 	st := is.s.intent
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if due, ok := st.rec.NextDue(); ok && !now.Before(due) {
-		st.rec.Reconcile(now)
+	for {
+		due, ok := st.rec.NextDue()
+		if !ok || now.Before(due) {
+			return
+		}
+		st.rec.Reconcile(due)
 	}
 }
 

@@ -1,8 +1,6 @@
 package ctrlplane
 
 import (
-	"sort"
-
 	"repro/internal/cuckoo"
 	"repro/internal/dataplane"
 	"repro/internal/netproto"
@@ -37,18 +35,16 @@ func (f filterSource) Advance(now simtime.Time) {
 type insertSource struct{ cp *ControlPlane }
 
 func (q insertSource) NextEventTime() (simtime.Time, bool) {
-	if len(q.cp.queue) == 0 {
+	if q.cp.queue.len() == 0 {
 		return 0, false
 	}
-	return q.cp.queue[0].completeAt, true
+	return q.cp.queue.at(0).completeAt, true
 }
 
 func (q insertSource) Advance(now simtime.Time) {
 	cp := q.cp
-	for len(cp.queue) > 0 && !cp.queue[0].completeAt.After(now) {
-		pi := cp.queue[0]
-		cp.queue = cp.queue[1:]
-		cp.install(pi)
+	for cp.queue.len() > 0 && !cp.queue.at(0).completeAt.After(now) {
+		cp.install(cp.queue.pop())
 	}
 }
 
@@ -56,10 +52,30 @@ func (q insertSource) Advance(now simtime.Time) {
 // drains, ConnTable insertions at the CPU's bounded rate, update state
 // transitions, and (optionally) connection aging. It is a thin shim over
 // the internal scheduler, which executes drains and insertions in strict
-// time order. Callers must invoke it with non-decreasing times; drivers
-// typically call it before processing each packet and whenever
-// NextEventTime falls due.
+// time order — each source retiring its whole due backlog per scheduler
+// step, every installation still stamped with its own completion time.
+// Callers must invoke it with non-decreasing times; drivers typically call
+// it before processing each packet and whenever NextEventTime falls due.
+//
+// Aging is the one piece of work outside the scheduler that frees ConnTable
+// slots, so with aging enabled a long step stops at every wheel deadline on
+// the way: an expiry due before a queued full-table retry runs before it, as
+// it would if the driver had stepped to each deadline in turn.
 func (cp *ControlPlane) Advance(now simtime.Time) {
+	for {
+		ag, ok := cp.NextAging()
+		if !ok || !ag.Before(now) {
+			break
+		}
+		if last := cp.rt.Now(); ag.Before(last) {
+			ag = last // a wheel that idled behind the clock never pulls time back
+		}
+		cp.advanceTo(ag)
+	}
+	cp.advanceTo(now)
+}
+
+func (cp *ControlPlane) advanceTo(now simtime.Time) {
 	cp.rt.RunUntil(now)
 	// Update states can cascade: finishing one update starts the next
 	// queued one, which may itself be immediately executable when no
@@ -83,7 +99,7 @@ func (cp *ControlPlane) drainFilter(flushAt simtime.Time) {
 	}
 	room := len(batch)
 	if bound := cp.cfg.MaxInsertQueue; bound > 0 {
-		if room = bound - len(cp.queue); room < 0 {
+		if room = bound - cp.queue.len(); room < 0 {
 			room = 0
 		}
 	}
@@ -101,28 +117,15 @@ func (cp *ControlPlane) drainFilter(flushAt simtime.Time) {
 			continue
 		}
 		accepted++
-		cp.enqueue(pendingInsert{
+		cp.queue.push(pendingInsert{
 			ev:         ev,
 			completeAt: start.Add(per * simtime.Duration(accepted)),
 		})
 	}
 	cp.cpuFreeAt = start.Add(per * simtime.Duration(accepted))
-	if len(cp.queue) > cp.metrics.MaxInsertQueue {
-		cp.metrics.MaxInsertQueue = len(cp.queue)
+	if cp.queue.len() > cp.metrics.MaxInsertQueue {
+		cp.metrics.MaxInsertQueue = cp.queue.len()
 	}
-}
-
-// enqueue inserts pi into the CPU queue at its completion-time position.
-// Drained batches land behind cpuFreeAt and append at the tail; retried
-// insertions carry backoff deadlines that may interleave with later
-// drains, so insertion keeps the head-pop execution order correct.
-func (cp *ControlPlane) enqueue(pi pendingInsert) {
-	i := sort.Search(len(cp.queue), func(i int) bool {
-		return cp.queue[i].completeAt.After(pi.completeAt)
-	})
-	cp.queue = append(cp.queue, pendingInsert{})
-	copy(cp.queue[i+1:], cp.queue[i:])
-	cp.queue[i] = pi
 }
 
 // requeueWithBackoff re-schedules a full-table insertion: attempt n waits
@@ -147,7 +150,7 @@ func (cp *ControlPlane) requeueWithBackoff(pi pendingInsert) {
 	cp.metrics.InsertRetries++
 	cp.traceInsert(pi.completeAt, dataplane.VIPOf(pi.ev.Tuple), telemetry.InsertLearned,
 		telemetry.InsertRetry, pi.ev.At, pi.ev.Tuple, pi.ev.Version)
-	cp.enqueue(pi)
+	cp.queue.push(pi)
 }
 
 // traceInsert emits one OnInsert event (no-op when untraced).
@@ -164,7 +167,7 @@ func (cp *ControlPlane) traceInsert(now simtime.Time, vip dataplane.VIP,
 		Kind:       kind,
 		Outcome:    outcome,
 		ArrivedAt:  arrivedAt,
-		QueueDepth: len(cp.queue),
+		QueueDepth: cp.queue.len(),
 		Tuple:      tuple,
 		Version:    ver,
 	})
@@ -174,7 +177,7 @@ func (cp *ControlPlane) traceInsert(now simtime.Time, vip dataplane.VIP,
 func (cp *ControlPlane) install(pi pendingInsert) {
 	ev := pi.ev
 	vip := dataplane.VIPOf(ev.Tuple)
-	if sh, seen := cp.conns[ev.KeyHash]; seen && sh.installed {
+	if sh := cp.conns.get(ev.KeyHash); sh != nil && sh.installed {
 		cp.metrics.DuplicateLearns++
 		cp.traceInsert(pi.completeAt, vip, telemetry.InsertLearned, telemetry.InsertDuplicate, ev.At, ev.Tuple, ev.Version)
 		return
@@ -189,17 +192,15 @@ func (cp *ControlPlane) install(pi pendingInsert) {
 		// the current version instead.
 		ev.Version = vc.curVer
 	}
-	err := cp.sw.InsertConnAt(pi.completeAt, ev.Tuple, ev.Version)
+	err := cp.sw.InsertConnAt(pi.completeAt, ev.KeyHash, ev.Digest, ev.Version)
 	switch {
 	case err == nil:
-		sh := &connShadow{
+		sh := cp.conns.put(ev.KeyHash, connShadow{
 			tuple:     ev.Tuple,
-			vip:       vip,
 			version:   ev.Version,
 			installed: true,
 			lastSeen:  pi.completeAt,
-		}
-		cp.conns[ev.KeyHash] = sh
+		})
 		vc.connsPerVer[ev.Version]++
 		cp.metrics.Inserted++
 		cp.metrics.InsertDelaySum += pi.completeAt.Sub(ev.At)
@@ -262,6 +263,9 @@ func (cp *ControlPlane) NextAging() (simtime.Time, bool) {
 // explicitly — like NextAging, it is merged into the switch runtime's
 // deadline and kept out of NextEventTime's simulation semantics.
 func (cp *ControlPlane) NextTransition() (simtime.Time, bool) {
+	if cp.activeUpdates == 0 {
+		return 0, false // no VIP is recording or in transition
+	}
 	var best simtime.Time
 	found := false
 	consider := func(t simtime.Time) {
@@ -319,9 +323,7 @@ func (cp *ControlPlane) HandleTupleResultInto(now simtime.Time, tuple netproto.F
 		// lastSeen only feeds the aging wheel; with aging disabled the
 		// shadow lookup would be pure per-packet overhead on the hot path.
 		if cp.wheel != nil {
-			if sh, ok := cp.conns[res.KeyHash]; ok {
-				sh.lastSeen = now
-			}
+			cp.touch(res.KeyHash, now)
 		}
 	}
 }
@@ -340,9 +342,7 @@ func (cp *ControlPlane) resolveConnSYN(now simtime.Time, tuple netproto.FiveTupl
 	}
 	if !fixed {
 		cp.metrics.RetransmittedSYNs++
-		if sh, ok := cp.conns[res.KeyHash]; ok {
-			sh.lastSeen = now
-		}
+		cp.touch(res.KeyHash, now)
 		res.Verdict = dataplane.VerdictForward
 		return res
 	}
@@ -374,9 +374,9 @@ func (cp *ControlPlane) pendingVersion(keyHash uint64) (uint32, bool) {
 	if ev, ok := cp.sw.LearnFilter().Get(keyHash); ok {
 		return ev.Version, true
 	}
-	for i := range cp.queue {
-		if cp.queue[i].ev.KeyHash == keyHash {
-			return cp.queue[i].ev.Version, true
+	for i := 0; i < cp.queue.len(); i++ {
+		if ev := &cp.queue.at(i).ev; ev.KeyHash == keyHash {
+			return ev.Version, true
 		}
 	}
 	return 0, false
@@ -398,12 +398,9 @@ func (cp *ControlPlane) installInline(now simtime.Time, tuple netproto.FiveTuple
 		res.Verdict = dataplane.VerdictNoBackend
 		return res
 	}
-	switch insErr := cp.sw.InsertConnAt(now, tuple, ver); insErr {
+	switch insErr := cp.sw.InsertConnAt(now, res.KeyHash, res.Digest, ver); insErr {
 	case nil:
-		sh := &connShadow{
-			tuple: tuple, vip: vc.vip, version: ver, installed: true, lastSeen: now,
-		}
-		cp.conns[res.KeyHash] = sh
+		sh := cp.conns.put(res.KeyHash, connShadow{tuple: tuple, version: ver, installed: true, lastSeen: now})
 		vc.connsPerVer[ver]++
 		cp.metrics.Inserted++
 		cp.scheduleAging(res.KeyHash, now)
@@ -432,11 +429,10 @@ func (cp *ControlPlane) resolveTransitSYN(now simtime.Time, tuple netproto.FiveT
 	if !ok {
 		return res
 	}
-	if sh, known := cp.conns[res.KeyHash]; known {
+	if cp.touch(res.KeyHash, now) {
 		// Installed connection whose SYN was retransmitted: the old
 		// version the bloom filter chose is correct.
 		cp.metrics.RetransmittedSYNs++
-		sh.lastSeen = now
 		res.Verdict = dataplane.VerdictForward
 		return res
 	}
@@ -475,27 +471,40 @@ func (cp *ControlPlane) chargeCPU(now simtime.Time) {
 // pool version's refcount drops, possibly retiring the version.
 func (cp *ControlPlane) EndConnection(now simtime.Time, tuple netproto.FiveTuple) {
 	kh := cp.sw.KeyHash(tuple)
-	sh, ok := cp.conns[kh]
-	if !ok {
+	sh := cp.conns.get(kh)
+	if sh == nil {
 		return
 	}
 	cp.releaseShadow(now, kh, sh)
 	cp.metrics.ConnsEnded++
 }
 
+// touch records traffic on a tracked connection (its aging timer is lazy
+// and re-reads lastSeen when it fires); it reports whether kh is tracked.
+func (cp *ControlPlane) touch(kh uint64, now simtime.Time) bool {
+	sh := cp.conns.get(kh)
+	if sh != nil {
+		sh.lastSeen = now
+	}
+	return sh != nil
+}
+
+// releaseShadow deletes the connection keyed kh, whose shadow is sh, from
+// ConnTable and the shadow table, using the key hash the table is indexed
+// by instead of hashing the tuple again.
 func (cp *ControlPlane) releaseShadow(now simtime.Time, kh uint64, sh *connShadow) {
 	if cp.wheel != nil {
 		cp.wheel.Cancel(kh)
 	}
 	if sh.installed {
-		cp.sw.DeleteConnAt(now, sh.tuple)
+		cp.sw.DeleteConnAt(now, kh, sh.tuple)
 		cp.noteConnDelete(sh)
-		if vc, ok := cp.vips[sh.vip]; ok {
+		if vc, ok := cp.vips[sh.vip()]; ok {
 			vc.connsPerVer[sh.version]--
 			cp.retireIfIdle(vc, sh.version)
 		}
 	}
-	delete(cp.conns, kh)
+	cp.conns.delete(kh)
 }
 
 // scheduleAging arms a connection's idle timer.
@@ -513,8 +522,8 @@ func (cp *ControlPlane) age(now simtime.Time) {
 		return
 	}
 	for _, kh := range cp.wheel.Advance(now) {
-		sh, ok := cp.conns[kh]
-		if !ok {
+		sh := cp.conns.get(kh)
+		if sh == nil {
 			continue
 		}
 		if now.Sub(sh.lastSeen) >= cp.cfg.AgingTimeout {

@@ -157,14 +157,6 @@ func (m Metrics) MeanInsertDelay() simtime.Duration {
 	return m.InsertDelaySum / simtime.Duration(m.Inserted)
 }
 
-type connShadow struct {
-	tuple     netproto.FiveTuple
-	vip       dataplane.VIP
-	version   uint32
-	installed bool
-	lastSeen  simtime.Time
-}
-
 type pendingInsert struct {
 	ev         learnfilter.Event
 	completeAt simtime.Time
@@ -220,13 +212,13 @@ type ControlPlane struct {
 	rt *sched.Scheduler
 
 	cpuFreeAt simtime.Time
-	queue     []pendingInsert
+	queue     insertQueue
 
 	// insertScale (fault injection) multiplies the configured InsertRate:
 	// 0 or 1 = nominal speed, 0.25 = a browned-out CPU at quarter rate.
 	insertScale float64
 
-	conns map[uint64]*connShadow // keyHash -> shadow
+	conns shadowTable // keyHash -> shadow
 	vips  map[dataplane.VIP]*vipCtl
 
 	activeUpdates int
@@ -255,7 +247,7 @@ func New(sw *dataplane.Switch, cfg Config) *ControlPlane {
 		sw:     sw,
 		cfg:    cfg,
 		rt:     sched.New(),
-		conns:  make(map[uint64]*connShadow),
+		conns:  newShadowTable(),
 		vips:   make(map[dataplane.VIP]*vipCtl),
 		tracer: sw.Tracer(),
 		pipe:   sw.PipeIndex(),
@@ -282,7 +274,7 @@ func (cp *ControlPlane) Switch() *dataplane.Switch { return cp.sw }
 func (cp *ControlPlane) Metrics() Metrics { return cp.metrics }
 
 // TrackedConns returns the number of connections in the software shadow.
-func (cp *ControlPlane) TrackedConns() int { return len(cp.conns) }
+func (cp *ControlPlane) TrackedConns() int { return cp.conns.len() }
 
 // perInsert returns the CPU time of one ConnTable insertion.
 func (cp *ControlPlane) perInsert() simtime.Duration {
@@ -312,9 +304,9 @@ func (cp *ControlPlane) StallCPU(now simtime.Time, d simtime.Duration) {
 	if d <= 0 {
 		return
 	}
-	for i := range cp.queue {
-		if cp.queue[i].completeAt.After(now) {
-			cp.queue[i].completeAt = cp.queue[i].completeAt.Add(d)
+	for i := 0; i < cp.queue.len(); i++ {
+		if pi := cp.queue.at(i); pi.completeAt.After(now) {
+			pi.completeAt = pi.completeAt.Add(d)
 		}
 	}
 	if cp.cpuFreeAt.Before(now) {
@@ -324,7 +316,7 @@ func (cp *ControlPlane) StallCPU(now simtime.Time, d simtime.Duration) {
 }
 
 // QueueDepth returns the current CPU insertion queue length.
-func (cp *ControlPlane) QueueDepth() int { return len(cp.queue) }
+func (cp *ControlPlane) QueueDepth() int { return cp.queue.len() }
 
 // ActiveUpdates returns the number of VIPs with a 3-step pool update in
 // flight.
@@ -345,7 +337,7 @@ func (cp *ControlPlane) QueuedUpdates() int {
 // events, queued CPU insertions, and in-flight or queued pool updates.
 // Zero means the switch is drained in the §4.2 pending-insert sense.
 func (cp *ControlPlane) PendingWork() int {
-	n := len(cp.queue) + cp.activeUpdates + cp.QueuedUpdates()
+	n := cp.queue.len() + cp.activeUpdates + cp.QueuedUpdates()
 	if lf := cp.sw.LearnFilter(); lf != nil {
 		n += lf.Len()
 	}
@@ -390,13 +382,13 @@ func (cp *ControlPlane) RemoveVIP(now simtime.Time, vip dataplane.VIP) error {
 	if vc.state != updIdle {
 		cp.finishUpdate(now, vc)
 	}
-	for kh, sh := range cp.conns {
-		if sh.vip == vip {
+	for kh, i := range cp.conns.slot {
+		if sh := &cp.conns.slab[i]; sh.vip() == vip {
 			if sh.installed {
 				cp.sw.DeleteConn(sh.tuple)
 				cp.noteConnDelete(sh)
 			}
-			delete(cp.conns, kh)
+			cp.conns.delete(kh)
 		}
 	}
 	delete(cp.vips, vip)

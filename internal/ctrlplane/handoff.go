@@ -43,23 +43,23 @@ type ExportSession struct {
 func (cp *ControlPlane) BeginExport(now simtime.Time) *ExportSession {
 	s := &ExportSession{cp: cp, cursor: cp.journalCursor()}
 	pools := make(map[dataplane.VIP]map[uint32][]dataplane.DIP)
-	keys := make([]uint64, 0, len(cp.conns))
-	for kh, sh := range cp.conns {
-		if sh.installed {
+	keys := make([]uint64, 0, cp.conns.len())
+	for kh, i := range cp.conns.slot {
+		if cp.conns.slab[i].installed {
 			keys = append(keys, kh)
 		}
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	s.entries = make([]handoff.Entry, 0, len(keys))
 	for _, kh := range keys {
-		sh := cp.conns[kh]
+		sh := cp.conns.get(kh)
 		e := cp.exportEntry(sh, handoff.OpUpsert)
 		// Share one pool clone per (vip, version): snapshots are large and
 		// most entries pin the same few versions.
-		byVer := pools[sh.vip]
+		byVer := pools[e.VIP]
 		if byVer == nil {
 			byVer = make(map[uint32][]dataplane.DIP)
-			pools[sh.vip] = byVer
+			pools[e.VIP] = byVer
 		}
 		if p, ok := byVer[sh.version]; ok {
 			e.Pool = p
@@ -75,19 +75,20 @@ func (cp *ControlPlane) BeginExport(now simtime.Time) *ExportSession {
 // exportEntry renders one shadow as a transferable entry. Delete entries
 // skip the pool and DIP (the receiver removes by tuple).
 func (cp *ControlPlane) exportEntry(sh *connShadow, op handoff.Op) handoff.Entry {
+	vip := sh.vip()
 	e := handoff.Entry{
 		Op:      op,
 		Tuple:   sh.tuple,
 		KeyHash: cp.sw.KeyHash(sh.tuple),
 		Digest:  cp.sw.ConnDigest(sh.tuple),
-		VIP:     sh.vip,
+		VIP:     vip,
 		Version: sh.version,
 	}
 	if op == handoff.OpUpsert {
-		if vc, ok := cp.vips[sh.vip]; ok {
+		if vc, ok := cp.vips[vip]; ok {
 			e.Pool = clone(vc.pools[sh.version])
 		}
-		if dip, err := cp.sw.SelectDIP(sh.vip, sh.version, sh.tuple); err == nil {
+		if dip, err := cp.sw.SelectDIP(vip, sh.version, sh.tuple); err == nil {
 			e.DIP = dip
 		}
 	}
@@ -229,7 +230,7 @@ func (cp *ControlPlane) MapVersion(now simtime.Time, vip dataplane.VIP, donorPoo
 // A connection the receiver already tracks is a no-op (nil).
 func (cp *ControlPlane) ImportEntry(now simtime.Time, tuple netproto.FiveTuple, ver uint32) error {
 	kh := cp.sw.KeyHash(tuple)
-	if sh, ok := cp.conns[kh]; ok && sh.installed {
+	if sh := cp.conns.get(kh); sh != nil && sh.installed {
 		return nil
 	}
 	vip := dataplane.VIPOf(tuple)
@@ -240,7 +241,7 @@ func (cp *ControlPlane) ImportEntry(now simtime.Time, tuple netproto.FiveTuple, 
 	if _, ok := vc.pools[ver]; !ok {
 		return ErrUnknownImportVersion
 	}
-	if bound := cp.cfg.MaxInsertQueue; bound > 0 && len(cp.queue) >= bound {
+	if bound := cp.cfg.MaxInsertQueue; bound > 0 && cp.queue.len() >= bound {
 		return handoff.ErrBackpressure
 	}
 	start := cp.cpuFreeAt
@@ -248,7 +249,7 @@ func (cp *ControlPlane) ImportEntry(now simtime.Time, tuple netproto.FiveTuple, 
 		start = now
 	}
 	per := cp.perInsert()
-	cp.enqueue(pendingInsert{
+	cp.queue.push(pendingInsert{
 		ev: learnfilter.Event{
 			Tuple:   tuple,
 			KeyHash: kh,
@@ -260,8 +261,8 @@ func (cp *ControlPlane) ImportEntry(now simtime.Time, tuple netproto.FiveTuple, 
 		imported:   true,
 	})
 	cp.cpuFreeAt = start.Add(per)
-	if len(cp.queue) > cp.metrics.MaxInsertQueue {
-		cp.metrics.MaxInsertQueue = len(cp.queue)
+	if cp.queue.len() > cp.metrics.MaxInsertQueue {
+		cp.metrics.MaxInsertQueue = cp.queue.len()
 	}
 	return nil
 }
@@ -330,13 +331,13 @@ func (im *Importer) Unwind(now simtime.Time) {
 // was never tracked.
 func (cp *ControlPlane) EndImported(now simtime.Time, tuple netproto.FiveTuple) {
 	kh := cp.sw.KeyHash(tuple)
-	sh, ok := cp.conns[kh]
-	if !ok {
+	sh := cp.conns.get(kh)
+	if sh == nil {
 		// The entry may still sit in the import queue: cancel it there so a
 		// delta delete racing the snapshot import cannot resurrect it.
-		for i := range cp.queue {
-			if cp.queue[i].ev.KeyHash == kh && cp.queue[i].imported {
-				cp.queue = append(cp.queue[:i], cp.queue[i+1:]...)
+		for i := 0; i < cp.queue.len(); i++ {
+			if pi := cp.queue.at(i); pi.ev.KeyHash == kh && pi.imported {
+				cp.queue.remove(i)
 				break
 			}
 		}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/dataplane"
 	"repro/internal/netproto"
 	"repro/internal/simtime"
+	"repro/internal/telemetry"
 )
 
 func us(n int) simtime.Duration { return simtime.Duration(n) * simtime.Microsecond }
@@ -153,5 +154,73 @@ func TestInlineInstallTableFull(t *testing.T) {
 	}
 	if h.violations != 0 {
 		t.Fatalf("PCC violations = %d", h.violations)
+	}
+}
+
+// TestAgingFreesSlotBeforeQueuedRetry pins the order of one long Advance
+// step: an aging expiry due before a queued full-table retry runs before
+// it, exactly as if the driver had stepped to each deadline in turn.
+func TestAgingFreesSlotBeforeQueuedRetry(t *testing.T) {
+	ccfg := DefaultConfig()
+	ccfg.AgingTimeout = simtime.Duration(800 * simtime.Millisecond) // wheel tick: 100ms
+	ccfg.InsertRetryBackoff = simtime.Duration(200 * simtime.Millisecond)
+	ccfg.InsertRetryMax = simtime.Duration(400 * simtime.Millisecond)
+	ccfg.MaxInsertRetries = 3
+	h := fullHarness(t, ccfg)
+
+	// Attempts at ~4, ~204 and ~604 ms fail against the capped table; conn 1
+	// (idle since ~1 ms) ages out on the 900 ms tick, so the attempt at
+	// ~1004 ms — the last one allowed — must find its slot free.
+	h.send(ms(3), tupleN(2), netproto.FlagSYN)
+	h.cp.Advance(ms(1500))
+	m := h.cp.Metrics()
+	if m.AgedOut != 1 || m.InsertRetries != 3 || m.Overflows != 0 || m.Inserted != 2 {
+		t.Fatalf("AgedOut=%d InsertRetries=%d Overflows=%d Inserted=%d, want 1 3 0 2",
+			m.AgedOut, m.InsertRetries, m.Overflows, m.Inserted)
+	}
+	if _, ok := h.sw.LookupConn(tupleN(2)); !ok {
+		t.Fatal("retried conn not installed after the aged slot freed")
+	}
+}
+
+// stepTimes records the instant of every update step event.
+type stepTimes struct {
+	telemetry.NopTracer
+	seen *[]simtime.Time
+}
+
+func (s stepTimes) OnUpdateStep(e telemetry.UpdateStepEvent) { *s.seen = append(*s.seen, e.Now) }
+
+// TestAgingStepsNeverPullTimeBack covers a wheel that idled behind the
+// clock: the first connection arrives long after the epoch, so the wheel's
+// own deadline lies in the past, and the aging steps inside Advance must
+// clamp to the last instant already run instead of replaying it.
+func TestAgingStepsNeverPullTimeBack(t *testing.T) {
+	ccfg := DefaultConfig()
+	ccfg.AgingTimeout = simtime.Duration(800 * simtime.Millisecond)
+	var seen []simtime.Time
+	dcfg := dataplane.DefaultConfig(10000)
+	dcfg.Tracer = stepTimes{seen: &seen}
+	h := newHarness(t, dcfg, ccfg)
+	if err := h.cp.AddVIP(0, testVIP(), poolN(4), 0); err != nil {
+		t.Fatal(err)
+	}
+	start := ms(100_000)
+	h.send(start, tupleN(1), netproto.FlagSYN)
+	h.cp.Advance(start.Add(simtime.Duration(2 * simtime.Millisecond)))
+	if err := h.cp.RequestUpdate(start.Add(simtime.Duration(3*simtime.Millisecond)), testVIP(), poolN(3)); err != nil {
+		t.Fatal(err)
+	}
+	h.cp.Advance(start.Add(simtime.Duration(500 * simtime.Millisecond)))
+	if len(seen) == 0 {
+		t.Fatal("update emitted no step events")
+	}
+	for _, at := range seen {
+		if at.Before(start) {
+			t.Fatalf("update step stamped %v, before the clock's %v", at, start)
+		}
+	}
+	if m := h.cp.Metrics(); m.AgedOut != 0 || m.Inserted != 1 {
+		t.Fatalf("AgedOut=%d Inserted=%d, want 0 1", m.AgedOut, m.Inserted)
 	}
 }

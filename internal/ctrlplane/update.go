@@ -290,8 +290,8 @@ func (cp *ControlPlane) noPendingBefore(t simtime.Time) bool {
 	if oldest, any := cp.sw.LearnFilter().OldestAt(); any && oldest.Before(t) {
 		return false
 	}
-	for i := range cp.queue {
-		if cp.queue[i].ev.At.Before(t) {
+	for i := 0; i < cp.queue.len(); i++ {
+		if cp.queue.at(i).ev.At.Before(t) {
 			return false
 		}
 	}

@@ -24,7 +24,7 @@ func TestDegradedModeHysteresis(t *testing.T) {
 	// Cap occupancy at 20 entries: degraded entry at 10, exit below 5.
 	s.SetConnTableLimit(20)
 	for i := 0; i < 10; i++ {
-		if err := s.InsertConnAt(0, clientTuple(i), 0); err != nil {
+		if err := s.InsertConn(clientTuple(i), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -59,7 +59,7 @@ func TestDegradedModeHysteresis(t *testing.T) {
 
 	// Hysteresis: draining to the entry threshold is not enough ...
 	for i := 0; i < 4; i++ {
-		s.DeleteConnAt(4, clientTuple(i))
+		s.DeleteConn(clientTuple(i))
 	}
 	s.Process(5, &netproto.Packet{Tuple: clientTuple(101), TCPFlags: netproto.FlagSYN})
 	if !s.Degraded() {
@@ -67,7 +67,7 @@ func TestDegradedModeHysteresis(t *testing.T) {
 	}
 	// ... but dropping below the low watermark exits and resumes learning.
 	for i := 4; i < 8; i++ {
-		s.DeleteConnAt(6, clientTuple(i))
+		s.DeleteConn(clientTuple(i))
 	}
 	res3 := s.Process(7, &netproto.Packet{Tuple: clientTuple(102), TCPFlags: netproto.FlagSYN})
 	if s.Degraded() {

@@ -258,13 +258,15 @@ func (s *Switch) TransitInserts() int {
 // and digest-alias fixes run as they would on the switch CPU. Telemetry is
 // stamped at virtual time zero; CPU-scheduled callers use InsertConnAt.
 func (s *Switch) InsertConn(t netproto.FiveTuple, ver uint32) error {
-	return s.InsertConnAt(0, t, ver)
+	return s.InsertConnAt(0, s.KeyHash(t), s.ConnDigest(t), ver)
 }
 
-// InsertConnAt is InsertConn with an explicit virtual time for the cuckoo
-// telemetry event (kick-chain length, alias relocations, table occupancy).
-func (s *Switch) InsertConnAt(now simtime.Time, t netproto.FiveTuple, ver uint32) error {
-	keyHash, digest := s.KeyHash(t), s.ConnDigest(t)
+// InsertConnAt is the insertion itself, as the switch software issues it:
+// the connection arrives as the key hash and digest its learn event (or the
+// redirected SYN's result) already carries, so the tuple is hashed once per
+// connection, in the pipeline. now stamps the cuckoo telemetry event
+// (kick-chain length, alias relocations, table occupancy).
+func (s *Switch) InsertConnAt(now simtime.Time, keyHash uint64, digest uint32, ver uint32) error {
 	relocBefore := s.conn.Relocations
 	moves, err := s.conn.Insert(keyHash, digest, ver)
 	if s.tracer != nil {
@@ -290,12 +292,14 @@ func (s *Switch) InsertConnAt(now simtime.Time, t netproto.FiveTuple, ver uint32
 // Telemetry is stamped at virtual time zero; use DeleteConnAt when the
 // caller knows when the CPU performed the delete.
 func (s *Switch) DeleteConn(t netproto.FiveTuple) bool {
-	return s.DeleteConnAt(0, t)
+	return s.DeleteConnAt(0, s.KeyHash(t), t)
 }
 
-// DeleteConnAt is DeleteConn with an explicit virtual time for telemetry.
-func (s *Switch) DeleteConnAt(now simtime.Time, t netproto.FiveTuple) bool {
-	keyHash := s.KeyHash(t)
+// DeleteConnAt is the deletion itself: keyHash (t's, which the switch
+// software keys its shadow by) selects the entry; the tuple only labels the
+// telemetry event, so its digest is computed when a tracer is listening
+// and not otherwise.
+func (s *Switch) DeleteConnAt(now simtime.Time, keyHash uint64, t netproto.FiveTuple) bool {
 	ok := s.conn.Delete(keyHash)
 	if ok && s.tracer != nil {
 		if vs, live := s.vips[VIPOf(t)]; live && vs.tel != nil {

@@ -106,9 +106,8 @@ type Checker struct {
 
 	mu        sync.Mutex
 	targets   map[targetKey]*targetState
-	nextRun   simtime.Time
-	started   bool
-	advancing bool // a probe round is in flight (guards reentrant Advance)
+	nextRun   simtime.Time // next round's deadline; the first is the epoch
+	advancing bool         // a probe round is in flight (guards reentrant Advance)
 	metrics   Metrics
 }
 
@@ -177,7 +176,9 @@ func (c *Checker) NextEventTime() (simtime.Time, bool) {
 	return c.nextRun, true
 }
 
-// Advance runs every probe round due at or before now. Reentrant calls
+// Advance runs every probe round due at or before now, each at its own
+// deadline — the first at the epoch NextEventTime reports, the rest one
+// Interval apart — however far past them now lies. Reentrant calls
 // (a probe or manager callback driving the scheduler back into the
 // checker) are no-ops: the outer round finishes first.
 func (c *Checker) Advance(now simtime.Time) {
@@ -188,10 +189,6 @@ func (c *Checker) Advance(now simtime.Time) {
 	}
 	c.advancing = true
 	defer func() { c.advancing = false }()
-	if !c.started {
-		c.started = true
-		c.nextRun = now
-	}
 	for len(c.targets) > 0 && !c.nextRun.After(now) {
 		at := c.nextRun
 		c.nextRun = c.nextRun.Add(c.cfg.Interval)

@@ -38,6 +38,10 @@ type Filter struct {
 
 	pending map[uint64]int // keyHash -> index in batch
 	batch   []Event
+	// drained is the buffer the last Drain handed out; the next Drain
+	// takes it back as the new batch, so the two alternate and a flush
+	// allocates nothing once both have grown to the batch sizes seen.
+	drained []Event
 	first   simtime.Time // arrival of the oldest buffered event
 	fullAt  simtime.Time // arrival of the event that filled the batch
 
@@ -134,15 +138,17 @@ func (f *Filter) SetTracer(tr telemetry.Tracer, pipe int) {
 }
 
 // Drain hands the buffered batch to the CPU and resets the filter. The
-// returned slice is owned by the caller.
+// returned slice is the filter's own buffer, lent until the next Drain
+// (offers in between do not touch it); a caller that keeps events longer
+// copies them out.
 func (f *Filter) Drain() []Event {
 	if len(f.batch) == 0 {
 		return nil
 	}
 	flushAt, _ := f.NextFlush() // before reset: the batch's delivery time
 	out := f.batch
-	f.batch = nil
-	f.pending = make(map[uint64]int, f.capacity)
+	f.batch, f.drained = f.drained[:0], out
+	clear(f.pending)
 	f.Flushes++
 	full := len(out) >= f.capacity
 	if full {

@@ -147,6 +147,61 @@ func TestDrainResets(t *testing.T) {
 	}
 }
 
+// TestDrainBufferReuse: Drain lends the filter's own buffer. The slice it
+// returns stays intact through the offers that follow, up to the next
+// Drain; Pending and Get keep describing the batch being filled, not the
+// one lent out; and a steady drain cycle allocates nothing.
+func TestDrainBufferReuse(t *testing.T) {
+	f := New(64, simtime.Duration(simtime.Millisecond))
+	fill := func(base uint64, n int) {
+		for i := 0; i < n; i++ {
+			f.Offer(ev(base+uint64(i), simtime.Time(base)))
+		}
+	}
+	check := func(what string, got []Event, base uint64, n int) {
+		t.Helper()
+		if len(got) != n {
+			t.Fatalf("%s: %d events, want %d", what, len(got), n)
+		}
+		for i, e := range got {
+			if e.KeyHash != base+uint64(i) {
+				t.Fatalf("%s: event %d has key %d, want %d", what, i, e.KeyHash, base+uint64(i))
+			}
+		}
+	}
+
+	fill(100, 5)
+	first := f.Drain()
+	fill(200, 7) // lands in the other buffer
+	check("first batch after later offers", first, 100, 5)
+	check("Pending", f.Pending(), 200, 7)
+	if e, ok := f.Get(203); !ok || e.KeyHash != 203 {
+		t.Fatalf("Get(203) = %+v, %v", e, ok)
+	}
+	if _, ok := f.Get(102); ok || f.Contains(102) {
+		t.Fatal("a drained key is still reported pending")
+	}
+
+	second := f.Drain()
+	check("second batch", second, 200, 7)
+	// The first buffer is the filter's again: offers now overwrite it, and
+	// the second batch is the one that must hold.
+	fill(300, 9)
+	check("second batch after later offers", second, 200, 7)
+	check("Pending after reuse", f.Pending(), 300, 9)
+	if e, ok := f.Get(308); !ok || e.KeyHash != 308 {
+		t.Fatalf("Get(308) = %+v, %v", e, ok)
+	}
+	check("third batch", f.Drain(), 300, 9)
+
+	if avg := testing.AllocsPerRun(100, func() {
+		fill(400, 9)
+		f.Drain()
+	}); avg != 0 {
+		t.Fatalf("steady offer/drain cycle allocates %.1f objects per flush, want 0", avg)
+	}
+}
+
 func TestFullFlushCounter(t *testing.T) {
 	f := New(2, simtime.Duration(simtime.Millisecond))
 	f.Offer(ev(1, 0))

@@ -13,6 +13,14 @@
 //     checker, a whole multi-pipe switch). The scheduler interleaves their
 //     background work with timers in strict time order.
 //
+// One stepping rule orders the two: the earliest-due source is advanced
+// not to its own deadline but to its horizon — the last instant before
+// anything else (a live timer, another source) is due, capped at the
+// driver's target. A source retires a whole backlog of its deadlines in one
+// Advance call, in its own time order, and nothing else had work in that
+// span, so the global order is the one per-deadline stepping would give at
+// a fraction of the polling (see stepSource).
+//
 // Two drivers execute a scheduler's work:
 //
 //   - The virtual-time driver (Run/RunUntil) is the discrete-event loop the
@@ -36,7 +44,10 @@ import (
 // Source is a component with self-managed deadlines. Advance(t) must
 // retire all work due at or before t: a source that still reports a
 // NextEventTime at or before t after being advanced to t would spin the
-// drivers forever.
+// drivers forever. Work due at d executes as of d, in deadline order, however
+// far past d the call's t lies — t is a horizon (stepSource), not the
+// source's own deadline, so a source that stamps or paces work by t instead
+// of d changes behaviour with the driver's step size.
 type Source interface {
 	// NextEventTime returns the earliest time the source has work due, and
 	// whether any work is scheduled.
@@ -176,21 +187,61 @@ func (s *Scheduler) pruneStopped() {
 	}
 }
 
+// stepSource advances the earliest-due source (first registered wins ties),
+// provided it is due at or before limit and no later than the next live
+// timer, and reports whether it did. The source is advanced to its horizon:
+// the latest instant up to which nothing else has work — limit, the next
+// timer (sources win ties with timers, so that instant is included), the
+// deadline of every later-registered source (included: this one wins the
+// tie) and the tick before the deadline of every earlier-registered one
+// (which would win it). Work a source schedules on another source while it
+// advances is picked up by the next step's fresh deadline read.
+func (s *Scheduler) stepSource(limit simtime.Time) bool {
+	s.pruneStopped()
+	if len(s.timers) > 0 && s.timers[0].at.Before(limit) {
+		limit = s.timers[0].at
+	}
+	var (
+		due     simtime.Time
+		src     Source
+		horizon = limit
+	)
+	for _, c := range s.sources {
+		at, ok := c.NextEventTime()
+		switch {
+		case !ok:
+		case src == nil:
+			due, src = at, c
+		case at.Before(due):
+			// c displaces an earlier-registered source, which keeps every
+			// instant from its own deadline on.
+			if due-1 < horizon {
+				horizon = due - 1
+			}
+			due, src = at, c
+		case at.Before(horizon):
+			horizon = at
+		}
+	}
+	if src == nil || due.After(limit) {
+		return false
+	}
+	src.Advance(horizon)
+	return true
+}
+
 // RunUntil executes all work due at or before now — source work and timer
 // callbacks interleaved in strict time order, sources winning ties — and
 // advances the high-water mark to now. It is the "catch up to this
 // instant" primitive: the control plane's legacy Advance method and the
-// wall-clock driver are both built on it.
+// wall-clock driver are both built on it. Each source step covers every
+// deadline up to the source's horizon (stepSource), so a backlog of N
+// deadlines with nothing else due between them costs one Advance call.
 func (s *Scheduler) RunUntil(now simtime.Time) {
 	for {
-		s.pruneStopped()
-		bt, src, okSrc := s.earliestSource()
-		srcDue := okSrc && !bt.After(now)
-		timDue := len(s.timers) > 0 && !s.timers[0].at.After(now)
 		switch {
-		case srcDue && (!timDue || !bt.After(s.timers[0].at)):
-			src.Advance(bt)
-		case timDue:
+		case s.stepSource(now):
+		case len(s.timers) > 0 && !s.timers[0].at.After(now):
 			s.fire(s.popTimer())
 		default:
 			if now.After(s.now) {
@@ -205,27 +256,19 @@ func (s *Scheduler) RunUntil(now simtime.Time) {
 // order until the heap empties or the next timer lies beyond until,
 // interleaving source background work exactly as a discrete-event
 // simulation demands — all source work scheduled before the next timer
-// runs first, and every source is advanced to the timer's instant before
-// its callback executes. A timer beyond until is left unexecuted and the
-// loop stops (flush work due exactly at the horizon by scheduling it at
-// until).
+// runs first (by the same horizon steps RunUntil takes, capped at that
+// timer), and every source is advanced to the timer's instant before its
+// callback executes. A timer beyond until is left unexecuted and the loop
+// stops (flush work due exactly at the horizon by scheduling it at until).
 func (s *Scheduler) Run(until simtime.Time) {
 	for {
 		s.pruneStopped()
 		if len(s.timers) == 0 {
 			return
 		}
-		// Drain source work scheduled before the next timer fires.
-		for {
-			bt, src, ok := s.earliestSource()
-			if !ok || len(s.timers) == 0 || bt.After(s.timers[0].at) {
-				break
-			}
-			src.Advance(bt)
-		}
-		s.pruneStopped()
-		if len(s.timers) == 0 {
-			return
+		// Retire source work scheduled before the next timer fires.
+		if s.stepSource(s.timers[0].at) {
+			continue
 		}
 		tm := s.popTimer()
 		if tm.at.After(until) {

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -93,9 +94,17 @@ func (r *recordingSource) Advance(now simtime.Time) {
 	}
 }
 
-// TestRunInterleavesSources mirrors the old flowsim loop semantics: before
-// a timer fires, the source is advanced to each of its earlier deadlines
-// in turn, then advanced to the timer's own instant.
+// wantSeq fails the test unless got is exactly want.
+func wantSeq[T comparable](t *testing.T, what string, got []T, want ...T) {
+	t.Helper()
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s=%v, want %v", what, got, want)
+	}
+}
+
+// TestRunInterleavesSources: before a timer fires, the source's earlier
+// deadlines are retired — in one step to the timer's instant, its horizon —
+// and the source is advanced to that instant again for the callback.
 func TestRunInterleavesSources(t *testing.T) {
 	s := New()
 	src := &recordingSource{deadlines: []simtime.Time{ms(3), ms(7), ms(12)}}
@@ -104,24 +113,117 @@ func TestRunInterleavesSources(t *testing.T) {
 	s.At(ms(10), func(now simtime.Time) { fired = append(fired, now) })
 	s.Run(ms(100))
 
-	if len(fired) != 1 || fired[0] != ms(10) {
-		t.Fatalf("fired=%v, want [10ms]", fired)
-	}
-	// Source advanced at its own deadlines 3ms and 7ms, then to the timer
-	// instant 10ms. The 12ms deadline is beyond the last timer: the loop
-	// ends when the heap empties, leaving it pending.
-	want := []simtime.Time{ms(3), ms(7), ms(10)}
-	if len(src.advances) != len(want) {
-		t.Fatalf("advances=%v, want %v", src.advances, want)
-	}
-	for i := range want {
-		if src.advances[i] != want[i] {
-			t.Fatalf("advances=%v, want %v", src.advances, want)
-		}
-	}
+	wantSeq(t, "fired", fired, ms(10))
+	// The 3ms and 7ms deadlines fall under one horizon, the timer at 10ms.
+	// The 12ms deadline is beyond the last timer: the loop ends when the
+	// heap empties, leaving it pending.
+	wantSeq(t, "advances", src.advances, ms(10), ms(10))
 	if next, ok := s.Next(); !ok || next != ms(12) {
 		t.Fatalf("Next=%v,%v, want 12ms pending from source", next, ok)
 	}
+}
+
+// TestOneAdvancePerHorizon: N deadlines of one source with nothing else due
+// among them cost one Advance call, to the RunUntil target.
+func TestOneAdvancePerHorizon(t *testing.T) {
+	s := New()
+	src := &recordingSource{}
+	for i := int64(1); i <= 100; i++ {
+		src.deadlines = append(src.deadlines, ms(i))
+	}
+	s.AddSource(src)
+	s.RunUntil(ms(50))
+	wantSeq(t, "advances", src.advances, ms(50))
+	if next, _ := s.Next(); next != ms(51) {
+		t.Fatalf("Next=%v, want the first deadline past the target", next)
+	}
+}
+
+// logSource appends "<name>@<deadline>" to a shared log for every deadline
+// an Advance retires, and can schedule work on another source as it does.
+type logSource struct {
+	name      string
+	deadlines []simtime.Time
+	log       *[]string
+	advances  int
+	onRetire  func(at simtime.Time)
+}
+
+func (l *logSource) NextEventTime() (simtime.Time, bool) {
+	if len(l.deadlines) == 0 {
+		return 0, false
+	}
+	return l.deadlines[0], true
+}
+
+func (l *logSource) Advance(now simtime.Time) {
+	l.advances++
+	for len(l.deadlines) > 0 && !l.deadlines[0].After(now) {
+		at := l.deadlines[0]
+		l.deadlines = l.deadlines[1:]
+		*l.log = append(*l.log, l.name+"@"+time.Duration(at).String())
+		if l.onRetire != nil {
+			l.onRetire(at)
+		}
+	}
+}
+
+// TestTimerBetweenSourceDeadlines: a timer due between two deadlines of one
+// source fires between them — the timer bounds the source's horizon.
+func TestTimerBetweenSourceDeadlines(t *testing.T) {
+	s := New()
+	var log []string
+	src := &logSource{name: "a", deadlines: []simtime.Time{ms(2), ms(4), ms(8), ms(9)}, log: &log}
+	s.AddSource(src)
+	s.At(ms(5), func(simtime.Time) { log = append(log, "timer@5ms") })
+	s.RunUntil(ms(20))
+	wantSeq(t, "order", log, "a@2ms", "a@4ms", "timer@5ms", "a@8ms", "a@9ms")
+	if src.advances != 2 {
+		t.Fatalf("%d Advance calls, want 2 (one either side of the timer)", src.advances)
+	}
+}
+
+// TestInterleavedSourcesStrictOrder: two sources with interleaved deadlines
+// run in strict time order, the first registered winning every tie — in
+// both directions: the later-registered source stops a tick short of the
+// earlier one's deadline, the earlier one runs through the shared instant.
+func TestInterleavedSourcesStrictOrder(t *testing.T) {
+	s := New()
+	var log []string
+	a := &logSource{name: "a", deadlines: []simtime.Time{ms(1), ms(4), ms(6), ms(9)}, log: &log}
+	b := &logSource{name: "b", deadlines: []simtime.Time{ms(2), ms(3), ms(4), ms(6), ms(7), ms(9)}, log: &log}
+	s.AddSource(a)
+	s.AddSource(b)
+	s.RunUntil(ms(8))
+	wantSeq(t, "order", log, "a@1ms", "b@2ms", "b@3ms", "a@4ms", "b@4ms", "a@6ms", "b@6ms", "b@7ms")
+	if a.advances != 3 || b.advances != 3 {
+		t.Fatalf("advances a=%d b=%d, want 3 and 3", a.advances, b.advances)
+	}
+	if next, _ := s.Next(); next != ms(9) {
+		t.Fatalf("Next=%v, want 9ms left for both", next)
+	}
+}
+
+// TestSourceSchedulesEarlierWorkElsewhere: work a source creates on another
+// source while it advances — with a deadline inside the span it is being
+// advanced over — is honoured at the very next step, before anything later.
+func TestSourceSchedulesEarlierWorkElsewhere(t *testing.T) {
+	s := New()
+	var log []string
+	b := &logSource{name: "b", log: &log}
+	a := &logSource{name: "a", deadlines: []simtime.Time{ms(1), ms(5)}, log: &log}
+	a.onRetire = func(at simtime.Time) {
+		if at == ms(1) {
+			b.deadlines = append(b.deadlines, ms(2), ms(3))
+		}
+	}
+	s.AddSource(a)
+	s.AddSource(b)
+	s.At(ms(6), func(simtime.Time) { log = append(log, "timer@6ms") })
+	s.RunUntil(ms(10))
+	// a ran to its horizon (the timer) before b had anything; b's 2ms and
+	// 3ms work runs next, still ahead of the timer.
+	wantSeq(t, "order", log, "a@1ms", "a@5ms", "b@2ms", "b@3ms", "timer@6ms")
 }
 
 // TestRunHorizon verifies a timer beyond the horizon is not executed and

@@ -639,13 +639,6 @@ func (s *Switch) AddVIP(now Time, vip VIP, pool []DIP, opts ...VIPOption) error 
 	return st.rec.EditAdd(now, vip, pool, o.meterBytesPerSec)
 }
 
-// AddVIPMetered announces a VIP with a committed-rate meter.
-//
-// Deprecated: use AddVIP with WithMeter instead.
-func (s *Switch) AddVIPMetered(now Time, vip VIP, pool []DIP, meterBytesPerSec float64) error {
-	return s.AddVIP(now, vip, pool, WithMeter(meterBytesPerSec))
-}
-
 // RemoveVIP withdraws a VIP.
 func (s *Switch) RemoveVIP(now Time, vip VIP) error {
 	st := s.intent

@@ -143,7 +143,7 @@ func TestEndConnectionFreesState(t *testing.T) {
 func TestMeteredVIP(t *testing.T) {
 	sw, _ := NewSwitch(Defaults(1000))
 	vip := NewVIP("20.0.0.9", 80, TCP)
-	if err := sw.AddVIPMetered(0, vip, Pool("10.0.0.1:20"), 1000); err != nil {
+	if err := sw.AddVIP(0, vip, Pool("10.0.0.1:20"), WithMeter(1000)); err != nil {
 		t.Fatal(err)
 	}
 	pkt := clientPkt(1, 0)

@@ -66,21 +66,17 @@ func TestForwardSentinelErrors(t *testing.T) {
 	}
 }
 
-// TestAddVIPWithMeter checks the options form of AddVIP configures the
-// meter the way the deprecated AddVIPMetered did.
+// TestAddVIPWithMeter checks both sides of the WithMeter option: a
+// committed rate drops a burst far above it, and a rate of 0 leaves the VIP
+// unmetered.
 func TestAddVIPWithMeter(t *testing.T) {
-	for _, useOption := range []bool{true, false} {
+	for _, rate := range []float64{1000, 0} {
 		sw, err := NewSwitch(Defaults(1000))
 		if err != nil {
 			t.Fatal(err)
 		}
 		vip := NewVIP("20.0.0.9", 80, TCP)
-		if useOption {
-			err = sw.AddVIP(0, vip, Pool("10.0.0.1:20"), WithMeter(1000))
-		} else {
-			err = sw.AddVIPMetered(0, vip, Pool("10.0.0.1:20"), 1000)
-		}
-		if err != nil {
+		if err := sw.AddVIP(0, vip, Pool("10.0.0.1:20"), WithMeter(rate)); err != nil {
 			t.Fatal(err)
 		}
 		pkt := clientPkt(1, 0)
@@ -93,8 +89,8 @@ func TestAddVIPWithMeter(t *testing.T) {
 				drops++
 			}
 		}
-		if drops < 40 {
-			t.Fatalf("option=%v: meter dropped %d of 50 burst packets", useOption, drops)
+		if rate > 0 && drops < 40 || rate == 0 && drops != 0 {
+			t.Fatalf("rate=%v: meter dropped %d of 50 burst packets", rate, drops)
 		}
 	}
 }
