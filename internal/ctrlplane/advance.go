@@ -173,15 +173,11 @@ func (cp *ControlPlane) traceInsert(now simtime.Time, vip dataplane.VIP,
 	})
 }
 
-// install performs one ConnTable insertion (CPU side).
+// install performs one ConnTable insertion (CPU side). The insertion is also
+// the duplicate check: the table refuses a key it already holds.
 func (cp *ControlPlane) install(pi pendingInsert) {
 	ev := pi.ev
 	vip := dataplane.VIPOf(ev.Tuple)
-	if sh := cp.conns.get(ev.KeyHash); sh != nil && sh.installed {
-		cp.metrics.DuplicateLearns++
-		cp.traceInsert(pi.completeAt, vip, telemetry.InsertLearned, telemetry.InsertDuplicate, ev.At, ev.Tuple, ev.Version)
-		return
-	}
 	vc, ok := cp.vips[vip]
 	if !ok {
 		return // VIP withdrawn while the event sat in the queue
@@ -192,24 +188,16 @@ func (cp *ControlPlane) install(pi pendingInsert) {
 		// the current version instead.
 		ev.Version = vc.curVer
 	}
-	err := cp.sw.InsertConnAt(pi.completeAt, ev.KeyHash, ev.Digest, ev.Version)
+	err := cp.pin(pi.completeAt, vc, ev.Tuple, ev.KeyHash, ev.Digest, ev.Version)
 	switch {
 	case err == nil:
-		sh := cp.conns.put(ev.KeyHash, connShadow{
-			tuple:     ev.Tuple,
-			version:   ev.Version,
-			installed: true,
-			lastSeen:  pi.completeAt,
-		})
-		vc.connsPerVer[ev.Version]++
-		cp.metrics.Inserted++
 		cp.metrics.InsertDelaySum += pi.completeAt.Sub(ev.At)
-		cp.scheduleAging(ev.KeyHash, pi.completeAt)
-		cp.noteConnInsert(sh)
 		cp.traceInsert(pi.completeAt, vip, telemetry.InsertLearned, telemetry.InsertOK, ev.At, ev.Tuple, ev.Version)
 	case err == cuckoo.ErrDuplicate:
+		// Reported with the version the event was learned with, re-pinned
+		// or not: the installed entry keeps its own.
 		cp.metrics.DuplicateLearns++
-		cp.traceInsert(pi.completeAt, vip, telemetry.InsertLearned, telemetry.InsertDuplicate, ev.At, ev.Tuple, ev.Version)
+		cp.traceInsert(pi.completeAt, vip, telemetry.InsertLearned, telemetry.InsertDuplicate, ev.At, ev.Tuple, pi.ev.Version)
 	case err == cuckoo.ErrTableFull:
 		if pi.retries < cp.cfg.MaxInsertRetries {
 			if pi.imported && cp.tracer != nil {
@@ -235,6 +223,23 @@ func (cp *ControlPlane) install(pi pendingInsert) {
 	default:
 		panic("ctrlplane: InsertConn: " + err.Error())
 	}
+}
+
+// pin installs tuple -> ver in ConnTable with a fresh record and, when the
+// table took it, does what every installed connection needs: the record
+// written, the version's refcount, the aging timer, the handoff feed.
+func (cp *ControlPlane) pin(now simtime.Time, vc *vipCtl, tuple netproto.FiveTuple, keyHash uint64, digest, ver uint32) error {
+	rec := cp.conns.alloc()
+	if err := cp.sw.InsertConnAt(now, keyHash, digest, ver, rec); err != nil {
+		cp.conns.release(rec)
+		return err
+	}
+	*cp.conns.at(rec) = connRecord{tuple: tuple, lastSeen: now}
+	vc.connsPerVer[ver]++
+	cp.metrics.Inserted++
+	cp.scheduleAging(keyHash, now)
+	cp.noteConnInsert(tuple, ver)
+	return nil
 }
 
 // NextEventTime returns the earliest time at which Advance would perform
@@ -321,9 +326,9 @@ func (cp *ControlPlane) HandleTupleResultInto(now simtime.Time, tuple netproto.F
 		*res = cp.resolveTransitSYN(now, tuple, *res)
 	case dataplane.VerdictForward:
 		// lastSeen only feeds the aging wheel; with aging disabled the
-		// shadow lookup would be pure per-packet overhead on the hot path.
+		// record touch would be pure per-packet overhead on the hot path.
 		if cp.wheel != nil {
-			cp.touch(res.KeyHash, now)
+			cp.touch(res, now)
 		}
 	}
 }
@@ -342,7 +347,7 @@ func (cp *ControlPlane) resolveConnSYN(now simtime.Time, tuple netproto.FiveTupl
 	}
 	if !fixed {
 		cp.metrics.RetransmittedSYNs++
-		cp.touch(res.KeyHash, now)
+		cp.touch(&res, now)
 		res.Verdict = dataplane.VerdictForward
 		return res
 	}
@@ -398,13 +403,8 @@ func (cp *ControlPlane) installInline(now simtime.Time, tuple netproto.FiveTuple
 		res.Verdict = dataplane.VerdictNoBackend
 		return res
 	}
-	switch insErr := cp.sw.InsertConnAt(now, res.KeyHash, res.Digest, ver); insErr {
+	switch insErr := cp.pin(now, vc, tuple, res.KeyHash, res.Digest, ver); insErr {
 	case nil:
-		sh := cp.conns.put(res.KeyHash, connShadow{tuple: tuple, version: ver, installed: true, lastSeen: now})
-		vc.connsPerVer[ver]++
-		cp.metrics.Inserted++
-		cp.scheduleAging(res.KeyHash, now)
-		cp.noteConnInsert(sh)
 		cp.traceInsert(now, vc.vip, kind, telemetry.InsertOK, now, tuple, ver)
 	case cuckoo.ErrTableFull:
 		cp.metrics.Overflows++
@@ -429,7 +429,7 @@ func (cp *ControlPlane) resolveTransitSYN(now simtime.Time, tuple netproto.FiveT
 	if !ok {
 		return res
 	}
-	if cp.touch(res.KeyHash, now) {
+	if cp.touch(&res, now) {
 		// Installed connection whose SYN was retransmitted: the old
 		// version the bloom filter chose is correct.
 		cp.metrics.RetransmittedSYNs++
@@ -470,41 +470,49 @@ func (cp *ControlPlane) chargeCPU(now simtime.Time) {
 // observed or simulator-driven flow end): its entry is deleted and its
 // pool version's refcount drops, possibly retiring the version.
 func (cp *ControlPlane) EndConnection(now simtime.Time, tuple netproto.FiveTuple) {
-	kh := cp.sw.KeyHash(tuple)
-	sh := cp.conns.get(kh)
-	if sh == nil {
+	e, ok := cp.tracked(cp.sw.KeyHash(tuple))
+	if !ok {
 		return
 	}
-	cp.releaseShadow(now, kh, sh)
+	cp.release(now, e)
 	cp.metrics.ConnsEnded++
 }
 
-// touch records traffic on a tracked connection (its aging timer is lazy
-// and re-reads lastSeen when it fires); it reports whether kh is tracked.
-func (cp *ControlPlane) touch(kh uint64, now simtime.Time) bool {
-	sh := cp.conns.get(kh)
-	if sh != nil {
-		sh.lastSeen = now
+// touch records traffic on the tracked connection res belongs to (its aging
+// timer is lazy and re-reads lastSeen when it fires); it reports whether
+// there is one. A ConnTable hit names the entry already, unless the hit was
+// a digest alias — the slot's key hash is another connection's — and then,
+// as after a miss, the exact probe finds it.
+func (cp *ControlPlane) touch(res *dataplane.Result, now simtime.Time) bool {
+	var e cuckoo.Entry
+	if res.ConnHit {
+		e, _ = cp.sw.ConnTable().EntryAt(res.ConnHandle)
 	}
-	return sh != nil
-}
-
-// releaseShadow deletes the connection keyed kh, whose shadow is sh, from
-// ConnTable and the shadow table, using the key hash the table is indexed
-// by instead of hashing the tuple again.
-func (cp *ControlPlane) releaseShadow(now simtime.Time, kh uint64, sh *connShadow) {
-	if cp.wheel != nil {
-		cp.wheel.Cancel(kh)
-	}
-	if sh.installed {
-		cp.sw.DeleteConnAt(now, kh, sh.tuple)
-		cp.noteConnDelete(sh)
-		if vc, ok := cp.vips[sh.vip()]; ok {
-			vc.connsPerVer[sh.version]--
-			cp.retireIfIdle(vc, sh.version)
+	if e.Record == 0 || e.KeyHash != res.KeyHash {
+		var ok bool
+		if e, ok = cp.tracked(res.KeyHash); !ok {
+			return false
 		}
 	}
-	cp.conns.delete(kh)
+	cp.conns.at(e.Record).lastSeen = now
+	return true
+}
+
+// release deletes the tracked connection whose entry is e from ConnTable
+// and vacates its record. The entry says everything the hash of the tuple
+// would: where the connection sits, its key hash and its version.
+func (cp *ControlPlane) release(now simtime.Time, e cuckoo.Entry) {
+	if cp.wheel != nil {
+		cp.wheel.Cancel(e.KeyHash)
+	}
+	tuple := cp.conns.at(e.Record).tuple
+	cp.sw.DeleteConnAt(now, e, tuple)
+	cp.noteConnDelete(tuple, e.Value)
+	if vc, ok := cp.vips[dataplane.VIPOf(tuple)]; ok {
+		vc.connsPerVer[e.Value]--
+		cp.retireIfIdle(vc, e.Value)
+	}
+	cp.conns.release(e.Record)
 }
 
 // scheduleAging arms a connection's idle timer.
@@ -522,15 +530,16 @@ func (cp *ControlPlane) age(now simtime.Time) {
 		return
 	}
 	for _, kh := range cp.wheel.Advance(now) {
-		sh := cp.conns.get(kh)
-		if sh == nil {
+		e, ok := cp.tracked(kh)
+		if !ok {
 			continue
 		}
-		if now.Sub(sh.lastSeen) >= cp.cfg.AgingTimeout {
-			cp.releaseShadow(now, kh, sh)
+		lastSeen := cp.conns.at(e.Record).lastSeen
+		if now.Sub(lastSeen) >= cp.cfg.AgingTimeout {
+			cp.release(now, e)
 			cp.metrics.AgedOut++
 			continue
 		}
-		cp.wheel.Schedule(kh, sh.lastSeen.Add(cp.cfg.AgingTimeout))
+		cp.wheel.Schedule(kh, lastSeen.Add(cp.cfg.AgingTimeout))
 	}
 }

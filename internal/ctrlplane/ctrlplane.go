@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/cuckoo"
 	"repro/internal/dataplane"
 	"repro/internal/learnfilter"
 	"repro/internal/netproto"
@@ -218,7 +219,7 @@ type ControlPlane struct {
 	// 0 or 1 = nominal speed, 0.25 = a browned-out CPU at quarter rate.
 	insertScale float64
 
-	conns shadowTable // keyHash -> shadow
+	conns recordStore // per-connection records, indexed from the ConnTable entries
 	vips  map[dataplane.VIP]*vipCtl
 
 	activeUpdates int
@@ -247,7 +248,6 @@ func New(sw *dataplane.Switch, cfg Config) *ControlPlane {
 		sw:     sw,
 		cfg:    cfg,
 		rt:     sched.New(),
-		conns:  newShadowTable(),
 		vips:   make(map[dataplane.VIP]*vipCtl),
 		tracer: sw.Tracer(),
 		pipe:   sw.PipeIndex(),
@@ -273,8 +273,9 @@ func (cp *ControlPlane) Switch() *dataplane.Switch { return cp.sw }
 // Metrics returns a copy of the counters.
 func (cp *ControlPlane) Metrics() Metrics { return cp.metrics }
 
-// TrackedConns returns the number of connections in the software shadow.
-func (cp *ControlPlane) TrackedConns() int { return cp.conns.len() }
+// TrackedConns returns the number of connections the switch software holds
+// a record for.
+func (cp *ControlPlane) TrackedConns() int { return cp.conns.live }
 
 // perInsert returns the CPU time of one ConnTable insertion.
 func (cp *ControlPlane) perInsert() simtime.Duration {
@@ -379,18 +380,23 @@ func (cp *ControlPlane) RemoveVIP(now simtime.Time, vip dataplane.VIP) error {
 	if !ok {
 		return dataplane.ErrUnknownVIP
 	}
+	// Requests queued behind the in-flight update die with the VIP: finishing
+	// must not start the next one on a VIP that is about to disappear.
+	vc.queued = nil
 	if vc.state != updIdle {
 		cp.finishUpdate(now, vc)
 	}
-	for kh, i := range cp.conns.slot {
-		if sh := &cp.conns.slab[i]; sh.vip() == vip {
-			if sh.installed {
-				cp.sw.DeleteConn(sh.tuple)
-				cp.noteConnDelete(sh)
-			}
-			cp.conns.delete(kh)
+	cp.sw.ConnTable().Walk(func(e cuckoo.Entry) bool {
+		if e.Record == 0 {
+			return true
 		}
-	}
+		if r := cp.conns.at(e.Record); dataplane.VIPOf(r.tuple) == vip {
+			cp.sw.DeleteConnAt(0, e, r.tuple) // unstamped, like DeleteConn
+			cp.noteConnDelete(r.tuple, e.Value)
+			cp.conns.release(e.Record)
+		}
+		return true
+	})
 	delete(cp.vips, vip)
 	return cp.sw.RemoveVIP(vip)
 }

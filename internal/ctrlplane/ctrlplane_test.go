@@ -464,6 +464,37 @@ func TestRemoveVIPCleansUp(t *testing.T) {
 	}
 }
 
+// TestRemoveVIPDropsQueuedUpdates: requests queued behind an in-flight update
+// die with their VIP. Finishing the in-flight one used to start the next on
+// the VIP being deleted, leaving ActiveUpdates (and so PendingWork and the
+// shared TransitTable) stuck at one with no VIP left to finish it.
+func TestRemoveVIPDropsQueuedUpdates(t *testing.T) {
+	h := defaultHarness(t)
+	vip := testVIP()
+	h.send(0, tupleN(1), netproto.FlagSYN) // pending: holds the first update in its recording step
+	for n := 7; n >= 5; n-- {
+		if err := h.cp.RequestUpdate(1000, vip, poolN(n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a, q := h.cp.ActiveUpdates(), h.cp.QueuedUpdates(); a != 1 || q != 2 {
+		t.Fatalf("before RemoveVIP: %d active, %d queued; want 1 and 2", a, q)
+	}
+	if err := h.cp.RemoveVIP(2000, vip); err != nil {
+		t.Fatal(err)
+	}
+	h.cp.Advance(ms(500))
+	if a, q, p := h.cp.ActiveUpdates(), h.cp.QueuedUpdates(), h.cp.PendingWork(); a != 0 || q != 0 || p != 0 {
+		t.Fatalf("after RemoveVIP: %d active, %d queued, %d pending; want none", a, q, p)
+	}
+	if at, ok := h.cp.NextTransition(); ok {
+		t.Fatalf("a transition is still due at %v with no VIP left", at)
+	}
+	if got := h.cp.Metrics().UpdatesCompleted; got != 1 {
+		t.Fatalf("UpdatesCompleted = %d, want only the in-flight one", got)
+	}
+}
+
 func TestNextEventTime(t *testing.T) {
 	h := defaultHarness(t)
 	if _, ok := h.cp.NextEventTime(); ok {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sort"
 
+	"repro/internal/cuckoo"
 	"repro/internal/dataplane"
 	"repro/internal/handoff"
 	"repro/internal/learnfilter"
@@ -24,8 +25,8 @@ var ErrUnknownImportVersion = errors.New("ctrlplane: import version not mapped")
 // connection frozen at BeginExport (sorted by key hash, so chunking is
 // deterministic) plus a delta feed of the inserts and deletes that land
 // while the snapshot drains. The donor's packet path never pauses — the
-// snapshot reads the CPU shadow, and deltas are appended by the normal
-// install/release paths at no extra table cost.
+// snapshot reads the CPU's half of the table and its records, and deltas are
+// appended by the normal install/release paths at no extra table cost.
 //
 // It implements handoff.Exporter.
 type ExportSession struct {
@@ -43,17 +44,21 @@ type ExportSession struct {
 func (cp *ControlPlane) BeginExport(now simtime.Time) *ExportSession {
 	s := &ExportSession{cp: cp, cursor: cp.journalCursor()}
 	pools := make(map[dataplane.VIP]map[uint32][]dataplane.DIP)
-	keys := make([]uint64, 0, cp.conns.len())
-	for kh, i := range cp.conns.slot {
-		if cp.conns.slab[i].installed {
-			keys = append(keys, kh)
-		}
+	type conn struct {
+		keyHash  uint64
+		rec, ver uint32
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	s.entries = make([]handoff.Entry, 0, len(keys))
-	for _, kh := range keys {
-		sh := cp.conns.get(kh)
-		e := cp.exportEntry(sh, handoff.OpUpsert)
+	installed := make([]conn, 0, cp.conns.live)
+	cp.sw.ConnTable().Walk(func(e cuckoo.Entry) bool {
+		if e.Record != 0 {
+			installed = append(installed, conn{e.KeyHash, e.Record, e.Value})
+		}
+		return true
+	})
+	sort.Slice(installed, func(i, j int) bool { return installed[i].keyHash < installed[j].keyHash })
+	s.entries = make([]handoff.Entry, 0, len(installed))
+	for _, in := range installed {
+		e := cp.exportEntry(cp.conns.at(in.rec).tuple, in.ver, handoff.OpUpsert)
 		// Share one pool clone per (vip, version): snapshots are large and
 		// most entries pin the same few versions.
 		byVer := pools[e.VIP]
@@ -61,10 +66,10 @@ func (cp *ControlPlane) BeginExport(now simtime.Time) *ExportSession {
 			byVer = make(map[uint32][]dataplane.DIP)
 			pools[e.VIP] = byVer
 		}
-		if p, ok := byVer[sh.version]; ok {
+		if p, ok := byVer[in.ver]; ok {
 			e.Pool = p
 		} else {
-			byVer[sh.version] = e.Pool
+			byVer[in.ver] = e.Pool
 		}
 		s.entries = append(s.entries, e)
 	}
@@ -72,23 +77,24 @@ func (cp *ControlPlane) BeginExport(now simtime.Time) *ExportSession {
 	return s
 }
 
-// exportEntry renders one shadow as a transferable entry. Delete entries
-// skip the pool and DIP (the receiver removes by tuple).
-func (cp *ControlPlane) exportEntry(sh *connShadow, op handoff.Op) handoff.Entry {
-	vip := sh.vip()
+// exportEntry renders one connection, pinned to pool version ver, as a
+// transferable entry. Delete entries skip the pool and DIP (the receiver
+// removes by tuple).
+func (cp *ControlPlane) exportEntry(tuple netproto.FiveTuple, ver uint32, op handoff.Op) handoff.Entry {
+	vip := dataplane.VIPOf(tuple)
 	e := handoff.Entry{
 		Op:      op,
-		Tuple:   sh.tuple,
-		KeyHash: cp.sw.KeyHash(sh.tuple),
-		Digest:  cp.sw.ConnDigest(sh.tuple),
+		Tuple:   tuple,
+		KeyHash: cp.sw.KeyHash(tuple),
+		Digest:  cp.sw.ConnDigest(tuple),
 		VIP:     vip,
-		Version: sh.version,
+		Version: ver,
 	}
 	if op == handoff.OpUpsert {
 		if vc, ok := cp.vips[vip]; ok {
-			e.Pool = clone(vc.pools[sh.version])
+			e.Pool = clone(vc.pools[ver])
 		}
-		if dip, err := cp.sw.SelectDIP(vip, sh.version, sh.tuple); err == nil {
+		if dip, err := cp.sw.SelectDIP(vip, ver, tuple); err == nil {
 			e.DIP = dip
 		}
 	}
@@ -146,26 +152,23 @@ func (s *ExportSession) Close() {
 
 // noteConnInsert feeds an installed connection into every open export
 // session and bumps the fallback cursor. Called from the install paths
-// after the shadow is recorded.
-func (cp *ControlPlane) noteConnInsert(sh *connShadow) {
-	cp.handoffSeq++
-	if len(cp.exports) == 0 {
-		return
-	}
-	e := cp.exportEntry(sh, handoff.OpUpsert)
-	for _, s := range cp.exports {
-		s.deltas = append(s.deltas, e)
-	}
+// after the record is written.
+func (cp *ControlPlane) noteConnInsert(tuple netproto.FiveTuple, ver uint32) {
+	cp.noteConn(tuple, ver, handoff.OpUpsert)
 }
 
 // noteConnDelete feeds a released connection into every open export
 // session and bumps the fallback cursor.
-func (cp *ControlPlane) noteConnDelete(sh *connShadow) {
+func (cp *ControlPlane) noteConnDelete(tuple netproto.FiveTuple, ver uint32) {
+	cp.noteConn(tuple, ver, handoff.OpDelete)
+}
+
+func (cp *ControlPlane) noteConn(tuple netproto.FiveTuple, ver uint32, op handoff.Op) {
 	cp.handoffSeq++
 	if len(cp.exports) == 0 {
 		return
 	}
-	e := cp.exportEntry(sh, handoff.OpDelete)
+	e := cp.exportEntry(tuple, ver, op)
 	for _, s := range cp.exports {
 		s.deltas = append(s.deltas, e)
 	}
@@ -230,7 +233,7 @@ func (cp *ControlPlane) MapVersion(now simtime.Time, vip dataplane.VIP, donorPoo
 // A connection the receiver already tracks is a no-op (nil).
 func (cp *ControlPlane) ImportEntry(now simtime.Time, tuple netproto.FiveTuple, ver uint32) error {
 	kh := cp.sw.KeyHash(tuple)
-	if sh := cp.conns.get(kh); sh != nil && sh.installed {
+	if _, ok := cp.tracked(kh); ok {
 		return nil
 	}
 	vip := dataplane.VIPOf(tuple)
@@ -331,8 +334,8 @@ func (im *Importer) Unwind(now simtime.Time) {
 // was never tracked.
 func (cp *ControlPlane) EndImported(now simtime.Time, tuple netproto.FiveTuple) {
 	kh := cp.sw.KeyHash(tuple)
-	sh := cp.conns.get(kh)
-	if sh == nil {
+	e, ok := cp.tracked(kh)
+	if !ok {
 		// The entry may still sit in the import queue: cancel it there so a
 		// delta delete racing the snapshot import cannot resurrect it.
 		for i := 0; i < cp.queue.len(); i++ {
@@ -343,6 +346,6 @@ func (cp *ControlPlane) EndImported(now simtime.Time, tuple netproto.FiveTuple) 
 		}
 		return
 	}
-	cp.releaseShadow(now, kh, sh)
+	cp.release(now, e)
 	cp.metrics.ConnsEnded++
 }

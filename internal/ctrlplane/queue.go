@@ -6,9 +6,9 @@ import "sort"
 // completion time in a head-indexed ring, so the steady-state cycle — a
 // drain appends a batch at the tail, insertSource pops from the head —
 // moves no elements and allocates nothing once the ring has grown to the
-// deepest backlog seen. Vacated slots are zeroed: an executed insertion's
-// tuple is unreachable the moment it leaves the queue, and scans (StallCPU,
-// pendingVersion, noPendingBefore) see exactly the live entries.
+// backlogs the workload produces. Vacated slots are zeroed: an executed
+// insertion's tuple is unreachable the moment it leaves the queue, and scans
+// (StallCPU, pendingVersion, noPendingBefore) see exactly the live entries.
 type insertQueue struct {
 	buf  []pendingInsert // len is zero or a power of two
 	head int             // index of the earliest entry
@@ -50,6 +50,7 @@ func (q *insertQueue) pop() pendingInsert {
 	*slot = pendingInsert{}
 	q.head = (q.head + 1) & (len(q.buf) - 1)
 	q.n--
+	q.shed()
 	return pi
 }
 
@@ -60,6 +61,21 @@ func (q *insertQueue) remove(i int) {
 	}
 	*q.at(q.n - 1) = pendingInsert{}
 	q.n--
+	q.shed()
+}
+
+// ringKeep is the largest ring kept once it has drained: a learning-filter
+// flush or two. A deeper backlog is an overload episode — connections
+// arriving faster than the CPU inserts, a stall — and its ring, a hundred
+// bytes a slot, goes back when the episode is over instead of counting
+// against the switch's memory for the rest of its life; the next episode
+// re-grows it at one allocation per doubling.
+const ringKeep = 2048
+
+func (q *insertQueue) shed() {
+	if q.n == 0 && len(q.buf) > ringKeep {
+		q.buf, q.head = nil, 0
+	}
 }
 
 // grow doubles the ring, unwrapping the live entries to the front. The

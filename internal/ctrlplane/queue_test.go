@@ -93,6 +93,47 @@ func TestInsertQueueRing(t *testing.T) {
 	checkQueue(t, &q)
 }
 
+// TestInsertQueueShedsDeepBacklogRing: a ring that a workload's backlogs fit
+// is kept when it drains (the steady state allocates nothing), one that an
+// overload episode grew past ringKeep is given back, and the queue works on
+// from an empty ring.
+func TestInsertQueueShedsDeepBacklogRing(t *testing.T) {
+	var q insertQueue
+	fillAndDrain := func(n int) {
+		for k := 0; k < n; k++ {
+			q.push(queued(uint64(k), simtime.Time(k)))
+		}
+		for k := 0; k < n-1; k++ {
+			q.pop()
+		}
+		if len(q.buf) < n {
+			t.Fatalf("ring of %d slots with an entry still queued after a backlog of %d", len(q.buf), n)
+		}
+		if got := q.pop().ev.KeyHash; got != uint64(n-1) {
+			t.Fatalf("last popped key %d, want %d", got, n-1)
+		}
+	}
+	fillAndDrain(ringKeep)
+	if len(q.buf) != ringKeep {
+		t.Fatalf("a drained %d-entry backlog left a %d-slot ring, want it kept", ringKeep, len(q.buf))
+	}
+	fillAndDrain(ringKeep + 1)
+	if q.buf != nil || q.head != 0 {
+		t.Fatalf("a drained %d-entry backlog left a %d-slot ring (head %d), want it given back", ringKeep+1, len(q.buf), q.head)
+	}
+	for k := 0; k < ringKeep+1; k++ { // cancelling the last entry drains too
+		q.push(queued(uint64(k), simtime.Time(k)))
+	}
+	for q.len() > 0 {
+		q.remove(q.len() - 1)
+	}
+	if q.buf != nil {
+		t.Fatalf("a backlog cancelled to empty left a %d-slot ring", len(q.buf))
+	}
+	q.push(queued(7, 7))
+	checkQueue(t, &q, 7)
+}
+
 // TestRetryOrderAfterWrapAround drives the control plane until its queue
 // has wrapped, then makes a later learn's first retry (1 ms backoff) fall
 // due ahead of an earlier learn's second retry (2 ms): the retried

@@ -16,6 +16,11 @@
 // table exposes the paper's remedy — relocating the aliased entry to a
 // different stage whose hash function separates the two keys — via
 // post-insert verification (VerifyAndFix).
+//
+// An entry has a hardware half, the one word a lookup reads, and a software
+// half only the switch CPU reads — the key hash standing in for the full
+// 5-tuple, and the index of the owner's record of the connection — so the
+// table is also the CPU's only index of what it installed.
 package cuckoo
 
 import (
@@ -70,32 +75,62 @@ type Handle struct {
 	Stage, Bucket, Way int
 }
 
-type slot struct {
-	occupied bool
-	digest   uint32
-	value    uint32
-	// keyHash is the software shadow of the full key (the switch CPU keeps
-	// complete 5-tuples for every installed entry). The hardware lookup
-	// path never consults it; relocation and deletion do.
-	keyHash uint64
+// An entry is split the way the switch splits it. The hardware half is what
+// a lookup reads: one 64-bit word per entry — occupied bit, value, digest —
+// so a 4-way bucket is 32 contiguous bytes. The software half is what only
+// the switch CPU reads: the key hash (its stand-in for the full 5-tuple)
+// and the index of the owner's per-connection record. The halves live in
+// parallel arrays under one position, pos = (stage*buckets+bucket)*ways+way,
+// and every displacement, relocation and delete moves or clears them
+// together, so a record index follows its entry wherever the search puts it.
+//
+//	 63       62 ........ 32 31 ........ 0
+//	[occupied][    value    ][   digest   ]
+//
+// The digest field holds the full DigestBits-wide digest in every stage;
+// a narrower stage compares its top bits only (masks).
+const (
+	occupiedBit = uint64(1) << 63
+	valueShift  = 32
+	maxValue    = 1<<31 - 1
+)
+
+func entryWord(digest, value uint32) uint64 {
+	return occupiedBit | uint64(value)<<valueShift | uint64(digest)
 }
+
+func wordValue(w uint64) uint32  { return uint32(w>>valueShift) & maxValue }
+func wordDigest(w uint64) uint32 { return uint32(w) }
+func occupied(w uint64) bool     { return w&occupiedBit != 0 }
 
 // Table is a multi-stage cuckoo hash table.
 type Table struct {
-	cfg        Config
-	stages     [][]slot // [stage][bucket*ways+way]
-	family     *hashing.Family
+	cfg Config
+
+	words []uint64 // hardware half, by position
+	keys  []uint64 // software half: key hash
+	recs  []uint32 // software half: record index, 0 = none
+
+	seeds      []uint64 // per-stage hash function (hashing.Family seeds)
+	masks      []uint64 // per-stage word bits a lookup compares
+	buckets    uint64   // BucketsPerStage
+	perStage   int      // positions per stage: BucketsPerStage*Ways
 	len        int
 	stageBits  []int // digest width per stage
 	stageOrder []int // stages in descending digest width (insert preference)
 	limit      int   // artificial entry cap (0 = none); see SetOccupancyLimit
 
+	// Insertion-search scratch, kept between inserts: the BFS frontier and
+	// a visited bit per position (every set bit belongs to a queued node,
+	// which is how the search clears them again).
+	queue   []bfsNode
+	visited []uint64
+
 	// metrics
-	TotalMoves     int // displacement moves performed by inserts
-	Relocations    int // alias-resolving relocations (digest collisions)
-	FailedInserts  int
-	AliasesFixed   int
-	lookupsCounter uint64
+	TotalMoves    int // displacement moves performed by inserts
+	Relocations   int // alias-resolving relocations (digest collisions)
+	FailedInserts int
+	AliasesFixed  int
 }
 
 // Errors returned by Insert and relocation.
@@ -105,6 +140,7 @@ var (
 	ErrUnresolved = errors.New("cuckoo: could not resolve digest alias")
 	errBadHandle  = errors.New("cuckoo: invalid handle")
 	ErrDuplicate  = errors.New("cuckoo: key already present")
+	ErrValueWidth = errors.New("cuckoo: value does not fit the entry word")
 )
 
 // New creates a table from cfg.
@@ -114,6 +150,9 @@ func New(cfg Config) *Table {
 	}
 	if cfg.DigestBits <= 0 || cfg.DigestBits > 32 {
 		panic("cuckoo: digest bits must be in 1..32")
+	}
+	if cfg.ValueBits < 0 || cfg.ValueBits > 31 {
+		panic("cuckoo: value bits must be in 0..31 (one entry is one 64-bit word)")
 	}
 	if cfg.MaxBFSNodes == 0 {
 		cfg.MaxBFSNodes = 4096
@@ -147,24 +186,28 @@ func New(cfg Config) *Table {
 			order[j], order[j-1] = order[j-1], order[j]
 		}
 	}
-	t := &Table{
+	family := hashing.NewFamily(cfg.Stages, cfg.Seed)
+	seeds := make([]uint64, cfg.Stages)
+	masks := make([]uint64, cfg.Stages)
+	for s := range seeds {
+		seeds[s] = family.Seed(s)
+		// Hardware stores only the top bits[s] digest bits in stage s.
+		masks[s] = occupiedBit | uint64(^uint32(0)<<uint(cfg.DigestBits-bits[s]))
+	}
+	capacity := cfg.Stages * cfg.BucketsPerStage * cfg.Ways
+	return &Table{
 		cfg:        cfg,
-		stages:     make([][]slot, cfg.Stages),
-		family:     hashing.NewFamily(cfg.Stages, cfg.Seed),
+		words:      make([]uint64, capacity),
+		keys:       make([]uint64, capacity),
+		recs:       make([]uint32, capacity),
+		seeds:      seeds,
+		masks:      masks,
+		buckets:    uint64(cfg.BucketsPerStage),
+		perStage:   cfg.BucketsPerStage * cfg.Ways,
 		stageBits:  bits,
 		stageOrder: order,
+		visited:    make([]uint64, (capacity+63)/64),
 	}
-	for s := range t.stages {
-		t.stages[s] = make([]slot, cfg.BucketsPerStage*cfg.Ways)
-	}
-	return t
-}
-
-// stageDigest truncates a full-width digest to stage s's width (hardware
-// stores only the top bits in narrower stages; software keeps the full
-// digest for relocations).
-func (t *Table) stageDigest(s int, digest uint32) uint32 {
-	return digest >> uint(t.cfg.DigestBits-t.stageBits[s])
 }
 
 // Config returns the table's configuration.
@@ -245,210 +288,297 @@ func (cfg Config) SRAMBytes() int {
 
 // bucketIndex returns the bucket of keyHash in stage s.
 func (t *Table) bucketIndex(s int, keyHash uint64) int {
-	return int(t.family.HashUint64(s, keyHash) % uint64(t.cfg.BucketsPerStage))
+	return int(hashing.HashUint64(t.seeds[s], keyHash) % t.buckets)
+}
+
+// bases appends the position of keyHash's bucket (its way 0) in every stage
+// to buf. A CPU-side operation computes them once and shares them between
+// its duplicate check, placement and verification; callers pass a small
+// stack buffer, so the common stage counts allocate nothing.
+func (t *Table) bases(keyHash uint64, buf []int) []int {
+	for s := range t.seeds {
+		buf = append(buf, s*t.perStage+t.bucketIndex(s, keyHash)*t.cfg.Ways)
+	}
+	return buf
+}
+
+// stackStages sizes the callers' buffers for bases; a table with more stages
+// still works, its buffers just move to the heap.
+const stackStages = 8
+
+// pos validates h and returns its position.
+func (t *Table) pos(h Handle) (int, error) {
+	if h.Stage < 0 || h.Stage >= t.cfg.Stages ||
+		h.Bucket < 0 || h.Bucket >= t.cfg.BucketsPerStage ||
+		h.Way < 0 || h.Way >= t.cfg.Ways {
+		return 0, errBadHandle
+	}
+	return h.Stage*t.perStage + h.Bucket*t.cfg.Ways + h.Way, nil
+}
+
+// occupiedPos is pos for a handle that must name an installed entry.
+func (t *Table) occupiedPos(h Handle) (int, error) {
+	p, err := t.pos(h)
+	if err != nil {
+		return 0, err
+	}
+	if !occupied(t.words[p]) {
+		return 0, ErrNotFound
+	}
+	return p, nil
+}
+
+func (t *Table) handleOf(pos int) Handle {
+	in := pos % t.perStage
+	return Handle{pos / t.perStage, in / t.cfg.Ways, in % t.cfg.Ways}
 }
 
 // Lookup performs the hardware lookup: probe each stage's bucket in
-// pipeline order and return the first slot whose digest matches. The
-// returned handle lets software-side callers inspect the matched entry.
+// pipeline order and return the first slot whose digest matches. It reads
+// the hardware words only. The returned handle lets software-side callers
+// inspect the matched entry.
 func (t *Table) Lookup(keyHash uint64, digest uint32) (value uint32, h Handle, ok bool) {
-	t.lookupsCounter++
-	for s := 0; s < t.cfg.Stages; s++ {
+	want := entryWord(digest, 0)
+	ways := t.cfg.Ways
+	for s, mask := range t.masks {
 		b := t.bucketIndex(s, keyHash)
-		base := b * t.cfg.Ways
-		want := t.stageDigest(s, digest)
-		for w := 0; w < t.cfg.Ways; w++ {
-			sl := &t.stages[s][base+w]
-			if sl.occupied && t.stageDigest(s, sl.digest) == want {
-				return sl.value, Handle{s, b, w}, true
+		base := s*t.perStage + b*ways
+		for w, word := range t.words[base : base+ways] {
+			// Equal occupied bit and equal digest bits at this stage's
+			// width; the value bits are outside every mask.
+			if (word^want)&mask == 0 {
+				return wordValue(word), Handle{s, b, w}, true
 			}
 		}
 	}
 	return 0, Handle{}, false
 }
 
-// EntryKeyHash exposes the software shadow of the entry at h, used by the
+// lookupIn is Lookup over precomputed bucket positions, returning the
+// matching position.
+func (t *Table) lookupIn(cand []int, digest uint32) (int, bool) {
+	want := entryWord(digest, 0)
+	for s, base := range cand {
+		mask := t.masks[s]
+		for w, word := range t.words[base : base+t.cfg.Ways] {
+			if (word^want)&mask == 0 {
+				return base + w, true
+			}
+		}
+	}
+	return 0, false
+}
+
+// findIn locates the entry whose key hash is keyHash among cand's buckets:
+// the CPU's exact probe, which no digest alias can satisfy.
+func (t *Table) findIn(cand []int, keyHash uint64) (int, bool) {
+	for _, base := range cand {
+		for p := base; p < base+t.cfg.Ways; p++ {
+			if t.keys[p] == keyHash && occupied(t.words[p]) {
+				return p, true
+			}
+		}
+	}
+	return 0, false
+}
+
+// find is findIn for a caller with nothing else to do with the positions.
+func (t *Table) find(keyHash uint64) (int, bool) {
+	var buf [stackStages]int
+	return t.findIn(t.bases(keyHash, buf[:0]), keyHash)
+}
+
+// Find is the switch CPU's exact probe: the entry installed for keyHash
+// itself, where Lookup may return any entry whose digest matches.
+func (t *Table) Find(keyHash uint64) (Entry, bool) {
+	p, ok := t.find(keyHash)
+	if !ok {
+		return Entry{}, false
+	}
+	return t.entry(p, t.handleOf(p)), true
+}
+
+// EntryAt returns the entry installed at h.
+func (t *Table) EntryAt(h Handle) (Entry, error) {
+	p, err := t.occupiedPos(h)
+	if err != nil {
+		return Entry{}, err
+	}
+	return t.entry(p, h), nil
+}
+
+// EntryKeyHash exposes the software half of the entry at h, used by the
 // control plane to detect digest false positives (a SYN that matched an
 // entry whose true key differs).
 func (t *Table) EntryKeyHash(h Handle) (uint64, error) {
-	sl, err := t.slotAt(h)
+	p, err := t.occupiedPos(h)
 	if err != nil {
 		return 0, err
 	}
-	if !sl.occupied {
-		return 0, ErrNotFound
-	}
-	return sl.keyHash, nil
+	return t.keys[p], nil
 }
 
 // ValueAt returns the value stored at h.
 func (t *Table) ValueAt(h Handle) (uint32, error) {
-	sl, err := t.slotAt(h)
+	p, err := t.occupiedPos(h)
 	if err != nil {
 		return 0, err
 	}
-	if !sl.occupied {
-		return 0, ErrNotFound
-	}
-	return sl.value, nil
-}
-
-func (t *Table) slotAt(h Handle) (*slot, error) {
-	if h.Stage < 0 || h.Stage >= t.cfg.Stages ||
-		h.Bucket < 0 || h.Bucket >= t.cfg.BucketsPerStage ||
-		h.Way < 0 || h.Way >= t.cfg.Ways {
-		return nil, errBadHandle
-	}
-	return &t.stages[h.Stage][h.Bucket*t.cfg.Ways+h.Way], nil
-}
-
-// findExact locates the entry whose software shadow matches keyHash.
-func (t *Table) findExact(keyHash uint64) (Handle, bool) {
-	for s := 0; s < t.cfg.Stages; s++ {
-		b := t.bucketIndex(s, keyHash)
-		base := b * t.cfg.Ways
-		for w := 0; w < t.cfg.Ways; w++ {
-			if sl := &t.stages[s][base+w]; sl.occupied && sl.keyHash == keyHash {
-				return Handle{s, b, w}, true
-			}
-		}
-	}
-	return Handle{}, false
+	return wordValue(t.words[p]), nil
 }
 
 // Insert installs keyHash->value with the given digest, running the cuckoo
 // BFS if all candidate slots are taken, then verifies that a lookup of the
 // new key actually resolves to the new entry, relocating aliased entries if
-// necessary. Returns the number of displacement moves performed.
+// necessary. Returns the number of displacement moves performed. The entry
+// carries no record (index 0).
 func (t *Table) Insert(keyHash uint64, digest uint32, value uint32) (moves int, err error) {
-	if _, dup := t.findExact(keyHash); dup {
+	return t.InsertRecord(keyHash, digest, value, 0)
+}
+
+// InsertRecord is Insert for an entry that owns a record: rec is stored in
+// the entry's software half and stays with it through every later move.
+func (t *Table) InsertRecord(keyHash uint64, digest, value, rec uint32) (moves int, err error) {
+	if value > maxValue {
+		return 0, ErrValueWidth
+	}
+	var buf [stackStages]int
+	cand := t.bases(keyHash, buf[:0])
+	if _, dup := t.findIn(cand, keyHash); dup {
 		return 0, ErrDuplicate
 	}
 	if t.limit > 0 && t.len >= t.limit {
 		t.FailedInserts++
 		return 0, ErrTableFull
 	}
-	h, moves, err := t.place(keyHash, digest, value)
+	p, moves, err := t.place(cand)
 	if err != nil {
 		t.FailedInserts++
 		return moves, err
 	}
+	t.words[p], t.keys[p], t.recs[p] = entryWord(digest, value), keyHash, rec
 	t.len++
-	if err := t.verifyAndFix(keyHash, digest, h); err != nil {
-		return moves, err
-	}
-	return moves, nil
+	return moves, t.verifyAndFix(cand, keyHash, digest)
 }
 
-// place finds a slot for the new entry, displacing existing entries if
-// needed, and returns the final handle of the new entry.
-func (t *Table) place(keyHash uint64, digest uint32, value uint32) (Handle, int, error) {
+// place frees a position in one of cand's buckets for a new entry,
+// displacing existing entries if needed, and returns it.
+func (t *Table) place(cand []int) (pos, moves int, err error) {
+	ways := t.cfg.Ways
 	// Fast path: a free way in any candidate bucket, preferring
 	// wider-digest stages (lower false-positive probability).
 	for _, s := range t.stageOrder {
-		b := t.bucketIndex(s, keyHash)
-		base := b * t.cfg.Ways
-		for w := 0; w < t.cfg.Ways; w++ {
-			if !t.stages[s][base+w].occupied {
-				t.stages[s][base+w] = slot{occupied: true, digest: digest, value: value, keyHash: keyHash}
-				return Handle{s, b, w}, 0, nil
+		for p := cand[s]; p < cand[s]+ways; p++ {
+			if !occupied(t.words[p]) {
+				return p, 0, nil
 			}
 		}
 	}
-	// BFS over displacement moves: nodes are (handle of an occupied slot we
-	// would vacate). Expanding a node means moving its occupant to one of
-	// its alternative buckets; if that bucket has a free way we found a
-	// path.
-	var queue []bfsNode
-	visited := map[Handle]bool{}
-	for s := 0; s < t.cfg.Stages; s++ {
-		b := t.bucketIndex(s, keyHash)
-		for w := 0; w < t.cfg.Ways; w++ {
-			h := Handle{s, b, w}
-			queue = append(queue, bfsNode{h, -1})
-			visited[h] = true
-		}
+	pos, moves, err = t.search(cand)
+	for _, n := range t.queue {
+		t.visited[n.pos>>6] &^= 1 << uint(n.pos&63)
 	}
-	for i := 0; i < len(queue) && len(queue) < t.cfg.MaxBFSNodes; i++ {
-		cur := queue[i]
-		occ, _ := t.slotAt(cur.h)
-		// Try to move occ's occupant to each of its alternative buckets.
-		for s := 0; s < t.cfg.Stages; s++ {
-			if s == cur.h.Stage {
-				continue
-			}
-			b := t.bucketIndex(s, occ.keyHash)
-			base := b * t.cfg.Ways
-			for w := 0; w < t.cfg.Ways; w++ {
-				dst := Handle{s, b, w}
-				dstSlot := &t.stages[s][base+w]
-				if !dstSlot.occupied {
-					// Found a free slot: unwind the move chain. Move
-					// cur's occupant to dst, then each ancestor's
-					// occupant into the slot its child vacated.
-					moves := t.applyChain(queue, cur, dst)
-					// The root slot (first ancestor) is now free for the
-					// new entry.
-					root := cur
-					for root.parent != -1 {
-						root = queue[root.parent]
-					}
-					rootSlot, _ := t.slotAt(root.h)
-					*rootSlot = slot{occupied: true, digest: digest, value: value, keyHash: keyHash}
-					t.TotalMoves += moves
-					return root.h, moves, nil
-				}
-				if !visited[dst] {
-					visited[dst] = true
-					queue = append(queue, bfsNode{dst, i})
-				}
-			}
-		}
-	}
-	return Handle{}, 0, ErrTableFull
+	return pos, moves, err
 }
 
-// bfsNode is one frontier element of the insertion search: an occupied slot
-// and the index of the node whose expansion reached it.
+// visit marks position p as queued by the running search and reports
+// whether it was not yet.
+func (t *Table) visit(p int) bool {
+	bit := uint64(1) << uint(p&63)
+	fresh := t.visited[p>>6]&bit == 0
+	t.visited[p>>6] |= bit
+	return fresh
+}
+
+// search is the BFS over displacement moves: nodes are occupied positions we
+// would vacate. Expanding a node means moving its occupant to one of its
+// alternative buckets; if that bucket has a free way we found a path. It
+// leaves the frontier in t.queue and a visited bit set for each of its
+// nodes, for place to clear.
+func (t *Table) search(cand []int) (pos, moves int, err error) {
+	ways := t.cfg.Ways
+	t.queue = t.queue[:0]
+	for _, base := range cand {
+		for p := base; p < base+ways; p++ {
+			t.queue = append(t.queue, bfsNode{p, -1})
+			t.visit(p)
+		}
+	}
+	for i := 0; i < len(t.queue) && len(t.queue) < t.cfg.MaxBFSNodes; i++ {
+		cur := t.queue[i]
+		from, kh := cur.pos/t.perStage, t.keys[cur.pos]
+		// Try to move cur's occupant to each of its alternative buckets.
+		for s := 0; s < t.cfg.Stages; s++ {
+			if s == from {
+				continue
+			}
+			base := s*t.perStage + t.bucketIndex(s, kh)*ways
+			for dst := base; dst < base+ways; dst++ {
+				if !occupied(t.words[dst]) {
+					// Found a free slot: unwind the move chain. Move
+					// cur's occupant to dst, then each ancestor's
+					// occupant into the slot its child vacated; the root
+					// (first ancestor) ends up free for the new entry.
+					root, moves := t.applyChain(cur, dst)
+					t.TotalMoves += moves
+					return root, moves, nil
+				}
+				if t.visit(dst) {
+					t.queue = append(t.queue, bfsNode{dst, i})
+				}
+			}
+		}
+	}
+	return 0, 0, ErrTableFull
+}
+
+// bfsNode is one frontier element of the insertion search: an occupied
+// position and the index of the node whose expansion reached it.
 type bfsNode struct {
-	h      Handle
+	pos    int
 	parent int
+}
+
+// move carries the entry at src, both halves, to the free position dst.
+func (t *Table) move(dst, src int) {
+	t.words[dst], t.keys[dst], t.recs[dst] = t.words[src], t.keys[src], t.recs[src]
+	t.clear(src)
+}
+
+// clear empties position p, both halves.
+func (t *Table) clear(p int) {
+	t.words[p], t.keys[p], t.recs[p] = 0, 0, 0
 }
 
 // applyChain moves occupants along the BFS parent chain: the occupant of
 // leaf moves to free, the occupant of leaf's parent moves into leaf's old
-// slot, and so on up to the root. Returns the number of moves.
-func (t *Table) applyChain(queue []bfsNode, leaf bfsNode, free Handle) int {
-	moves := 0
-	cur := leaf
-	dst := free
+// slot, and so on up to the root. Returns the root's position, now free,
+// and the number of moves.
+func (t *Table) applyChain(leaf bfsNode, free int) (root, moves int) {
+	cur, dst := leaf, free
 	for {
-		src, _ := t.slotAt(cur.h)
-		d, _ := t.slotAt(dst)
-		*d = *src
-		src.occupied = false
+		t.move(dst, cur.pos)
 		moves++
 		if cur.parent == -1 {
-			break
+			return cur.pos, moves
 		}
-		dst = cur.h
-		cur = queue[cur.parent]
+		dst = cur.pos
+		cur = t.queue[cur.parent]
 	}
-	return moves
 }
 
-// verifyAndFix ensures that looking up keyHash returns the entry at want.
-// If an entry in an earlier stage aliases (same bucket index for this key,
-// same digest, different key), it is relocated to another stage where the
-// keys separate — the paper's SYN-collision resolution. Bounded retries.
-func (t *Table) verifyAndFix(keyHash uint64, digest uint32, want Handle) error {
+// verifyAndFix ensures that looking up keyHash, whose bucket positions are
+// cand, returns keyHash's own entry. If an entry in an earlier stage aliases
+// (same bucket index for this key, same digest, different key), it is
+// relocated to another stage where the keys separate — the paper's
+// SYN-collision resolution. Bounded retries.
+func (t *Table) verifyAndFix(cand []int, keyHash uint64, digest uint32) error {
 	for attempt := 0; attempt < 8; attempt++ {
-		_, got, ok := t.Lookup(keyHash, digest)
+		got, ok := t.lookupIn(cand, digest)
 		if !ok {
-			return ErrNotFound // cannot happen if want is installed
+			return ErrNotFound // cannot happen while keyHash is installed
 		}
-		sl, _ := t.slotAt(got)
-		if sl.keyHash == keyHash {
+		if t.keys[got] == keyHash {
 			return nil
 		}
 		// got aliases keyHash: relocate the aliasing entry.
@@ -463,76 +593,85 @@ func (t *Table) verifyAndFix(keyHash uint64, digest uint32, want Handle) error {
 // Relocate moves the entry at h to a different stage, resolving a digest
 // collision detected by the control plane (a redirected SYN). The entry's
 // own lookup invariant is re-verified after the move.
-func (t *Table) Relocate(h Handle) error { return t.relocate(h) }
-
-func (t *Table) relocate(h Handle) error {
-	src, err := t.slotAt(h)
+func (t *Table) Relocate(h Handle) error {
+	p, err := t.occupiedPos(h)
 	if err != nil {
 		return err
 	}
-	if !src.occupied {
-		return ErrNotFound
-	}
-	moved := *src
-	for s := 0; s < t.cfg.Stages; s++ {
-		if s == h.Stage {
+	return t.relocate(p)
+}
+
+func (t *Table) relocate(src int) error {
+	keyHash, digest := t.keys[src], wordDigest(t.words[src])
+	var buf [stackStages]int
+	cand := t.bases(keyHash, buf[:0])
+	from := src / t.perStage
+	for s, base := range cand {
+		if s == from {
 			continue
 		}
-		b := t.bucketIndex(s, moved.keyHash)
-		base := b * t.cfg.Ways
-		for w := 0; w < t.cfg.Ways; w++ {
-			if !t.stages[s][base+w].occupied {
-				t.stages[s][base+w] = moved
-				src.occupied = false
+		for dst := base; dst < base+t.cfg.Ways; dst++ {
+			if !occupied(t.words[dst]) {
+				t.move(dst, src)
 				t.Relocations++
 				// The moved entry must still resolve to itself.
-				return t.verifyAndFix(moved.keyHash, moved.digest, Handle{s, b, w})
+				return t.verifyAndFix(cand, keyHash, digest)
 			}
 		}
 	}
 	return ErrTableFull
 }
 
-// Delete removes the entry whose software shadow is keyHash. Returns false
-// if no such entry exists.
+// Delete removes the entry whose key hash is keyHash. Returns false if no
+// such entry exists.
 func (t *Table) Delete(keyHash uint64) bool {
-	h, ok := t.findExact(keyHash)
+	p, ok := t.find(keyHash)
 	if !ok {
 		return false
 	}
-	sl, _ := t.slotAt(h)
-	sl.occupied = false
+	t.clear(p)
 	t.len--
 	return true
 }
 
-// UpdateValue rewrites the action data of the entry for keyHash.
-func (t *Table) UpdateValue(keyHash uint64, value uint32) error {
-	h, ok := t.findExact(keyHash)
-	if !ok {
-		return ErrNotFound
+// DeleteAt removes the entry at h, for a caller that already probed for it.
+func (t *Table) DeleteAt(h Handle) error {
+	p, err := t.occupiedPos(h)
+	if err != nil {
+		return err
 	}
-	sl, _ := t.slotAt(h)
-	sl.value = value
+	t.clear(p)
+	t.len--
 	return nil
 }
 
-// Iterate calls fn for every installed entry until fn returns false.
-func (t *Table) Iterate(fn func(keyHash uint64, digest uint32, value uint32) bool) {
-	for s := range t.stages {
-		for i := range t.stages[s] {
-			sl := &t.stages[s][i]
-			if sl.occupied {
-				if !fn(sl.keyHash, sl.digest, sl.value) {
-					return
-				}
-			}
+// UpdateValue rewrites the action data of the entry for keyHash.
+func (t *Table) UpdateValue(keyHash uint64, value uint32) error {
+	if value > maxValue {
+		return ErrValueWidth
+	}
+	p, ok := t.find(keyHash)
+	if !ok {
+		return ErrNotFound
+	}
+	t.words[p] = entryWord(wordDigest(t.words[p]), value)
+	return nil
+}
+
+// Walk calls fn for every installed entry in physical (stage, bucket, way)
+// order until fn returns false. fn may delete the entry it is shown.
+func (t *Table) Walk(fn func(Entry) bool) {
+	for p, w := range t.words {
+		if occupied(w) && !fn(t.entry(p, t.handleOf(p))) {
+			return
 		}
 	}
 }
 
-// Lookups returns the number of Lookup calls served (hardware probe count).
-func (t *Table) Lookups() uint64 { return t.lookupsCounter }
+// Iterate calls fn for every installed entry until fn returns false.
+func (t *Table) Iterate(fn func(keyHash uint64, digest uint32, value uint32) bool) {
+	t.Walk(func(e Entry) bool { return fn(e.KeyHash, e.Digest, e.Value) })
+}
 
 // StageStats describes the fill level of one physical stage — the raw
 // material for an SRAM occupancy heatmap.
@@ -547,17 +686,17 @@ type StageStats struct {
 // StageOccupancy returns per-stage slot usage in stage (pipeline) order.
 func (t *Table) StageOccupancy() []StageStats {
 	out := make([]StageStats, t.cfg.Stages)
-	for s := range t.stages {
+	for s := range out {
 		used := 0
-		for i := range t.stages[s] {
-			if t.stages[s][i].occupied {
+		for _, w := range t.words[s*t.perStage : (s+1)*t.perStage] {
+			if occupied(w) {
 				used++
 			}
 		}
 		out[s] = StageStats{
 			Stage:      s,
 			Used:       used,
-			Slots:      t.cfg.BucketsPerStage * t.cfg.Ways,
+			Slots:      t.perStage,
 			DigestBits: t.stageBits[s],
 			EntryBits:  t.EntryBitsStage(s),
 		}
@@ -565,8 +704,8 @@ func (t *Table) StageOccupancy() []StageStats {
 	return out
 }
 
-// Entry is the introspection view of one installed entry: its physical
-// location plus the software shadow of its contents.
+// Entry is the switch CPU's view of one installed entry: its physical
+// location, the contents of its hardware word, and its software half.
 type Entry struct {
 	Stage   int    `json:"stage"`
 	Bucket  int    `json:"bucket"`
@@ -574,26 +713,28 @@ type Entry struct {
 	KeyHash uint64 `json:"key_hash"`
 	Digest  uint32 `json:"digest"`
 	Value   uint32 `json:"value"`
+	Record  uint32 `json:"-"` // the owner's record index, 0 = none
+}
+
+// Handle returns e's physical location.
+func (e Entry) Handle() Handle { return Handle{e.Stage, e.Bucket, e.Way} }
+
+// entry reads the entry at position p, which is where h points.
+func (t *Table) entry(p int, h Handle) Entry {
+	w := t.words[p]
+	return Entry{
+		Stage: h.Stage, Bucket: h.Bucket, Way: h.Way,
+		KeyHash: t.keys[p], Digest: wordDigest(w), Value: wordValue(w), Record: t.recs[p],
+	}
 }
 
 // Entries dumps every installed entry in physical (stage, bucket, way)
 // order. Intended for debug surfaces; cost is O(capacity).
 func (t *Table) Entries() []Entry {
 	out := make([]Entry, 0, t.len)
-	for s := range t.stages {
-		for i := range t.stages[s] {
-			sl := &t.stages[s][i]
-			if sl.occupied {
-				out = append(out, Entry{
-					Stage:   s,
-					Bucket:  i / t.cfg.Ways,
-					Way:     i % t.cfg.Ways,
-					KeyHash: sl.keyHash,
-					Digest:  sl.digest,
-					Value:   sl.value,
-				})
-			}
-		}
-	}
+	t.Walk(func(e Entry) bool {
+		out = append(out, e)
+		return true
+	})
 	return out
 }

@@ -297,6 +297,7 @@ func TestNewPanics(t *testing.T) {
 		{Stages: 0, BucketsPerStage: 1, Ways: 1, DigestBits: 16},
 		{Stages: 1, BucketsPerStage: 1, Ways: 1, DigestBits: 0},
 		{Stages: 1, BucketsPerStage: 1, Ways: 1, DigestBits: 33},
+		{Stages: 1, BucketsPerStage: 1, Ways: 1, DigestBits: 32, ValueBits: 32}, // 65 bits with the occupied bit
 	} {
 		func() {
 			defer func() {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/cuckoo"
 	"repro/internal/netproto"
 	"repro/internal/regarray"
 	"repro/internal/simtime"
@@ -256,19 +257,28 @@ func (s *Switch) TransitInserts() int {
 
 // InsertConn installs the connection entry tuple -> ver. The cuckoo search
 // and digest-alias fixes run as they would on the switch CPU. Telemetry is
-// stamped at virtual time zero; CPU-scheduled callers use InsertConnAt.
+// stamped at virtual time zero and the entry carries no record;
+// CPU-scheduled callers use InsertConnAt.
 func (s *Switch) InsertConn(t netproto.FiveTuple, ver uint32) error {
-	return s.InsertConnAt(0, s.KeyHash(t), s.ConnDigest(t), ver)
+	return s.InsertConnAt(0, s.KeyHash(t), s.ConnDigest(t), ver, 0)
 }
 
 // InsertConnAt is the insertion itself, as the switch software issues it:
 // the connection arrives as the key hash and digest its learn event (or the
 // redirected SYN's result) already carries, so the tuple is hashed once per
-// connection, in the pipeline. now stamps the cuckoo telemetry event
-// (kick-chain length, alias relocations, table occupancy).
-func (s *Switch) InsertConnAt(now simtime.Time, keyHash uint64, digest uint32, ver uint32) error {
+// connection, in the pipeline. rec is the index of the software's record of
+// the connection (0 = none); it is stored with the entry and moves with it.
+// now stamps the cuckoo telemetry event (kick-chain length, alias
+// relocations, table occupancy).
+func (s *Switch) InsertConnAt(now simtime.Time, keyHash uint64, digest uint32, ver, rec uint32) error {
 	relocBefore := s.conn.Relocations
-	moves, err := s.conn.Insert(keyHash, digest, ver)
+	moves, err := s.conn.InsertRecord(keyHash, digest, ver, rec)
+	if err == cuckoo.ErrDuplicate {
+		// A connection learned again while installed: the switch software
+		// counts the duplicate; the table searched, moved and refused
+		// nothing, so there is no table operation to report.
+		return err
+	}
 	if s.tracer != nil {
 		s.tracer.OnCuckoo(telemetry.CuckooEvent{
 			Now:         now,
@@ -292,16 +302,19 @@ func (s *Switch) InsertConnAt(now simtime.Time, keyHash uint64, digest uint32, v
 // Telemetry is stamped at virtual time zero; use DeleteConnAt when the
 // caller knows when the CPU performed the delete.
 func (s *Switch) DeleteConn(t netproto.FiveTuple) bool {
-	return s.DeleteConnAt(0, s.KeyHash(t), t)
+	e, ok := s.conn.Find(s.KeyHash(t))
+	return ok && s.DeleteConnAt(0, e, t)
 }
 
-// DeleteConnAt is the deletion itself: keyHash (t's, which the switch
-// software keys its shadow by) selects the entry; the tuple only labels the
-// telemetry event, so its digest is computed when a tracer is listening
-// and not otherwise.
-func (s *Switch) DeleteConnAt(now simtime.Time, keyHash uint64, t netproto.FiveTuple) bool {
-	ok := s.conn.Delete(keyHash)
-	if ok && s.tracer != nil {
+// DeleteConnAt is the deletion itself: e is the connection's entry as the
+// switch software's exact probe just returned it, which already says where
+// it sits and what the telemetry event reports; the tuple only selects the
+// VIP's series. It reports whether the entry was still there.
+func (s *Switch) DeleteConnAt(now simtime.Time, e cuckoo.Entry, t netproto.FiveTuple) bool {
+	if s.conn.DeleteAt(e.Handle()) != nil {
+		return false
+	}
+	if s.tracer != nil {
 		if vs, live := s.vips[VIPOf(t)]; live && vs.tel != nil {
 			vs.tel.ConnsEnded.Inc()
 		}
@@ -309,15 +322,15 @@ func (s *Switch) DeleteConnAt(now simtime.Time, keyHash uint64, t netproto.FiveT
 			Now:       now,
 			Pipe:      s.pipe,
 			Op:        telemetry.CuckooDelete,
-			KeyHash:   keyHash,
-			Digest:    s.ConnDigest(t),
+			KeyHash:   e.KeyHash,
+			Digest:    e.Digest,
 			OK:        true,
 			Len:       s.conn.Len(),
 			Capacity:  s.conn.Capacity(),
 			Effective: s.conn.EffectiveCapacity(),
 		})
 	}
-	return ok
+	return true
 }
 
 // LookupConn returns the installed version for tuple, resolving by the

@@ -230,6 +230,43 @@ func TestRemoveVIP(t *testing.T) {
 	}
 }
 
+// TestRemoveVIPLeavesNoUpdateInFlight: withdrawing a VIP with updates queued
+// behind a recording one leaves no pipe with an update in flight, so a drain
+// waiting on PendingWork ends — on one pipe and on two.
+func TestRemoveVIPLeavesNoUpdateInFlight(t *testing.T) {
+	for _, pipes := range []int{1, 2} {
+		sw := newMultiSwitch(t, pipes)
+		for i := 0; i < 8; i++ { // pending on every pipe: each holds its first update recording
+			sw.Process(0, clientPkt(i, netproto.FlagSYN))
+		}
+		for n := 3; n >= 1; n-- {
+			if err := sw.UpdatePool(1000, testVIP(), Pool("10.0.9.1:20", "10.0.9.2:20", "10.0.9.3:20")[:n]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if sw.PendingWork() == 0 {
+			t.Fatalf("%d pipes: nothing in flight before RemoveVIP", pipes)
+		}
+		if err := sw.RemoveVIP(2000, testVIP()); err != nil {
+			t.Fatal(err)
+		}
+		sw.Advance(Time(500 * Millisecond))
+		if n := sw.PendingWork(); n != 0 {
+			t.Fatalf("%d pipes: PendingWork = %d after RemoveVIP and a 500 ms drain", pipes, n)
+		}
+		for i := 0; i < pipes; i++ {
+			cp := sw.Controlplane()
+			if sw.Engine() != nil {
+				cp = sw.Engine().Controlplane(i)
+			}
+			if n := cp.ActiveUpdates(); n != 0 {
+				t.Fatalf("%d pipes: pipe %d has %d updates in flight", pipes, i, n)
+			}
+		}
+		sw.Close()
+	}
+}
+
 func TestUpdatePoolWholesale(t *testing.T) {
 	sw := newSwitch(t)
 	if err := sw.UpdatePool(0, testVIP(), Pool("10.0.9.1:20", "10.0.9.2:20")); err != nil {
