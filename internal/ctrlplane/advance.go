@@ -225,16 +225,15 @@ func (cp *ControlPlane) install(pi pendingInsert) {
 	}
 }
 
-// pin installs tuple -> ver in ConnTable with a fresh record and, when the
-// table took it, does what every installed connection needs: the record
-// written, the version's refcount, the aging timer, the handoff feed.
+// pin installs tuple -> ver in ConnTable with a fresh record holding it and,
+// when the table took it, does what every installed connection needs: the
+// version's refcount, the aging timer, the handoff feed.
 func (cp *ControlPlane) pin(now simtime.Time, vc *vipCtl, tuple netproto.FiveTuple, keyHash uint64, digest, ver uint32) error {
-	rec := cp.conns.alloc()
+	rec := cp.conns.alloc(tuple, now)
 	if err := cp.sw.InsertConnAt(now, keyHash, digest, ver, rec); err != nil {
 		cp.conns.release(rec)
 		return err
 	}
-	*cp.conns.at(rec) = connRecord{tuple: tuple, lastSeen: now}
 	vc.connsPerVer[ver]++
 	cp.metrics.Inserted++
 	cp.scheduleAging(keyHash, now)
@@ -494,7 +493,7 @@ func (cp *ControlPlane) touch(res *dataplane.Result, now simtime.Time) bool {
 			return false
 		}
 	}
-	cp.conns.at(e.Record).lastSeen = now
+	*cp.conns.lastSeen(e.Record) = now
 	return true
 }
 
@@ -505,7 +504,7 @@ func (cp *ControlPlane) release(now simtime.Time, e cuckoo.Entry) {
 	if cp.wheel != nil {
 		cp.wheel.Cancel(e.KeyHash)
 	}
-	tuple := cp.conns.at(e.Record).tuple
+	tuple := cp.conns.tuple(e.Record)
 	cp.sw.DeleteConnAt(now, e, tuple)
 	cp.noteConnDelete(tuple, e.Value)
 	if vc, ok := cp.vips[dataplane.VIPOf(tuple)]; ok {
@@ -534,7 +533,7 @@ func (cp *ControlPlane) age(now simtime.Time) {
 		if !ok {
 			continue
 		}
-		lastSeen := cp.conns.at(e.Record).lastSeen
+		lastSeen := *cp.conns.lastSeen(e.Record)
 		if now.Sub(lastSeen) >= cp.cfg.AgingTimeout {
 			cp.release(now, e)
 			cp.metrics.AgedOut++

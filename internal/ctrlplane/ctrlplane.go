@@ -390,9 +390,9 @@ func (cp *ControlPlane) RemoveVIP(now simtime.Time, vip dataplane.VIP) error {
 		if e.Record == 0 {
 			return true
 		}
-		if r := cp.conns.at(e.Record); dataplane.VIPOf(r.tuple) == vip {
-			cp.sw.DeleteConnAt(0, e, r.tuple) // unstamped, like DeleteConn
-			cp.noteConnDelete(r.tuple, e.Value)
+		if tuple := cp.conns.tuple(e.Record); dataplane.VIPOf(tuple) == vip {
+			cp.sw.DeleteConnAt(0, e, tuple) // unstamped, like DeleteConn
+			cp.noteConnDelete(tuple, e.Value)
 			cp.conns.release(e.Record)
 		}
 		return true

@@ -58,7 +58,7 @@ func (cp *ControlPlane) BeginExport(now simtime.Time) *ExportSession {
 	sort.Slice(installed, func(i, j int) bool { return installed[i].keyHash < installed[j].keyHash })
 	s.entries = make([]handoff.Entry, 0, len(installed))
 	for _, in := range installed {
-		e := cp.exportEntry(cp.conns.at(in.rec).tuple, in.ver, handoff.OpUpsert)
+		e := cp.exportEntry(cp.conns.tuple(in.rec), in.ver, handoff.OpUpsert)
 		// Share one pool clone per (vip, version): snapshots are large and
 		// most entries pin the same few versions.
 		byVer := pools[e.VIP]

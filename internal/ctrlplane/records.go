@@ -1,78 +1,154 @@
 package ctrlplane
 
 import (
+	"encoding/binary"
+	"net/netip"
+
 	"repro/internal/cuckoo"
 	"repro/internal/netproto"
 	"repro/internal/simtime"
 )
 
-// connRecord is what the switch software keeps about one installed
-// connection beyond its ConnTable entry: the full 5-tuple the entry's key
-// hash stands for, and when traffic was last seen. The pool version is the
-// entry's value and the VIP is the tuple's destination; neither is stored
-// twice.
-type connRecord struct {
-	tuple netproto.FiveTuple
+// record is what the switch software keeps about one installed connection
+// beyond its ConnTable entry: the 5-tuple the entry's key hash stands for,
+// as the wire key the hash was taken over (netproto.FiveTuple.KeyBytes: 13
+// bytes for IPv4, 37 for IPv6), and when traffic was last seen. The pool
+// version is the entry's value and the VIP is the tuple's destination;
+// neither is stored twice.
+//
+// A record holds no pointer, so the collector never scans a chunk of them.
+// That is also why an address zone is not kept: a zone is a pointer inside
+// the address, and KeyBytes and LaneHash leave it out, so it was never part
+// of a connection's identity. A tuple read back is zone-less.
+type record[K wireKey] struct {
 	// lastSeen feeds the aging wheel. A vacated record is zeroed and keeps
-	// the index of the next vacated record here instead.
+	// the number of the next vacated record here instead.
 	lastSeen simtime.Time
+	key      K
 }
 
+// wireKey is a connection's ConnTable match key, by family.
+type wireKey interface{ [13]byte | [37]byte }
+
 // Records are allocated in fixed chunks and never move: slack is at most
-// one chunk however many connections there are, and a test switch with a
-// hundred connections pays for one. A chunk is a whole number of pages and
-// too large for the allocator's size classes, which would round a smaller
-// pointer-carrying chunk up by an eighth (16 KB + its type header lands in
-// the 18 KB class).
+// one chunk per family however many connections there are, and a test
+// switch with a hundred connections pays for one. Neither chunk size is
+// rounded up by the allocator: 1024 IPv4 records are 24 KB, a size class of
+// its own, and 1024 IPv6 records are 48 KB, six whole pages.
 const (
 	recordChunkBits = 10
-	recordChunkLen  = 1 << recordChunkBits // 1024 records, 64 KB
+	recordChunkLen  = 1 << recordChunkBits
+
+	// recordV6 is the bit of a record index that names the family; the rest
+	// numbers the record within it, from 1.
+	recordV6 = 1 << 31
 )
 
-// recordStore holds the connRecords, addressed by the 32-bit index each
+// slab holds one family's records.
+type slab[K wireKey] struct {
+	chunks []*[recordChunkLen]record[K]
+	drawn  uint32 // numbers 1..drawn have been handed out at least once
+	free   uint32 // most recently vacated record, 0 = none
+}
+
+// at returns record n in place; the pointer stays valid for the record's
+// lifetime.
+func (s *slab[K]) at(n uint32) *record[K] {
+	return &s.chunks[n>>recordChunkBits][n%recordChunkLen]
+}
+
+// alloc hands out a zeroed record, the most recently vacated one first.
+func (s *slab[K]) alloc() (uint32, *record[K]) {
+	if n := s.free; n != 0 {
+		r := s.at(n)
+		s.free, r.lastSeen = uint32(r.lastSeen), 0
+		return n, r
+	}
+	s.drawn++
+	if int(s.drawn>>recordChunkBits) == len(s.chunks) {
+		s.chunks = append(s.chunks, new([recordChunkLen]record[K]))
+	}
+	return s.drawn, s.at(s.drawn)
+}
+
+// release vacates record n, zeroing the ended connection's tuple.
+func (s *slab[K]) release(n uint32) {
+	*s.at(n) = record[K]{lastSeen: simtime.Time(s.free)}
+	s.free = n
+}
+
+// recordStore holds the records, addressed by the 32-bit index each
 // ConnTable entry carries in its software half (cuckoo.Entry.Record). The
 // table is the only index: finding a connection's record is the exact probe
 // the CPU makes anyway, and the index moves with the entry. A record exists
 // per connection, not per table slot, so a half-empty table does not pay
-// for its free slots. Index 0 means "no record" and is never handed out.
+// for its free slots, and an IPv4 connection does not pay for an IPv6
+// address. Index 0 means "no record" and is never handed out.
 type recordStore struct {
-	chunks []*[recordChunkLen]connRecord
-	drawn  uint32 // indices 1..drawn have been handed out at least once
-	free   uint32 // most recently vacated record, 0 = none
-	live   int
+	v4   slab[[13]byte]
+	v6   slab[[37]byte]
+	live int
 }
 
-// at returns record i in place; the pointer stays valid for the record's
-// lifetime.
-func (s *recordStore) at(i uint32) *connRecord {
-	return &s.chunks[i>>recordChunkBits][i%recordChunkLen]
-}
-
-// alloc hands out a zeroed record, the most recently vacated one first.
-func (s *recordStore) alloc() uint32 {
+// alloc hands out a record holding tuple, last seen now.
+func (s *recordStore) alloc(tuple netproto.FiveTuple, now simtime.Time) uint32 {
 	s.live++
-	if i := s.free; i != 0 {
-		r := s.at(i)
-		s.free, r.lastSeen = uint32(r.lastSeen), 0
-		return i
+	if tuple.Src.Is4() {
+		n, r := s.v4.alloc()
+		r.lastSeen = now
+		tuple.KeyBytes(r.key[:0])
+		return n
 	}
-	s.drawn++
-	if int(s.drawn>>recordChunkBits) == len(s.chunks) {
-		s.chunks = append(s.chunks, new([recordChunkLen]connRecord))
-	}
-	return s.drawn
+	n, r := s.v6.alloc()
+	r.lastSeen = now
+	tuple.KeyBytes(r.key[:0])
+	return n | recordV6
 }
 
-// release vacates record i, zeroing it so nothing it referenced stays
-// reachable.
+// release vacates record i.
 func (s *recordStore) release(i uint32) {
-	*s.at(i) = connRecord{lastSeen: simtime.Time(s.free)}
-	s.free = i
+	if i&recordV6 == 0 {
+		s.v4.release(i)
+	} else {
+		s.v6.release(i &^ recordV6)
+	}
 	s.live--
 }
 
+// lastSeen returns record i's last-seen time in place.
+func (s *recordStore) lastSeen(i uint32) *simtime.Time {
+	if i&recordV6 == 0 {
+		return &s.v4.at(i).lastSeen
+	}
+	return &s.v6.at(i &^ recordV6).lastSeen
+}
+
+// tuple rebuilds the 5-tuple record i holds.
+func (s *recordStore) tuple(i uint32) netproto.FiveTuple {
+	if i&recordV6 == 0 {
+		k := &s.v4.at(i).key
+		t := keyTail(k[8:])
+		t.Src, t.Dst = netip.AddrFrom4([4]byte(k[0:4])), netip.AddrFrom4([4]byte(k[4:8]))
+		return t
+	}
+	k := &s.v6.at(i &^ recordV6).key
+	t := keyTail(k[32:])
+	t.Src, t.Dst = netip.AddrFrom16([16]byte(k[0:16])), netip.AddrFrom16([16]byte(k[16:32]))
+	return t
+}
+
+// keyTail reads what follows the addresses in a wire key: source port,
+// destination port, protocol.
+func keyTail(b []byte) netproto.FiveTuple {
+	return netproto.FiveTuple{
+		SrcPort: binary.BigEndian.Uint16(b),
+		DstPort: binary.BigEndian.Uint16(b[2:]),
+		Proto:   netproto.Proto(b[4]),
+	}
+}
+
 // tracked is the CPU's exact probe for the connection keyed kh: its
-// ConnTable entry, whose Record indexes its connRecord. ok is false when no
+// ConnTable entry, whose Record indexes its record. ok is false when no
 // entry is installed, or the entry was installed without a record (behind
 // the control plane's back), which the control plane does not track.
 func (cp *ControlPlane) tracked(kh uint64) (e cuckoo.Entry, ok bool) {

@@ -4,7 +4,11 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"math/rand"
+	"net/netip"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/dataplane"
 	"repro/internal/handoff"
@@ -12,47 +16,154 @@ import (
 	"repro/internal/simtime"
 )
 
-// TestRecordStoreReusesSlots: a released record is zeroed and taken by the
-// next alloc, so churn at a steady connection count neither grows the store
-// nor keeps ended connections' tuples reachable; growth is one chunk at a
-// time and index 0 is never handed out.
-func TestRecordStoreReusesSlots(t *testing.T) {
-	var st recordStore
-	var ids [3]uint32
-	for k := range ids {
-		ids[k] = st.alloc()
-		*st.at(ids[k]) = connRecord{tuple: tupleN(k + 1), lastSeen: simtime.Time(k + 1)}
+// storeTuple draws a random tuple of the given family; one IPv6 tuple in
+// four is IPv4-mapped, which must stay a 16-byte record.
+func storeTuple(rng *rand.Rand, v4 bool) netproto.FiveTuple {
+	var a, b [16]byte
+	rng.Read(a[:])
+	rng.Read(b[:])
+	t := netproto.FiveTuple{SrcPort: uint16(rng.Uint32()), DstPort: uint16(rng.Uint32()), Proto: netproto.ProtoTCP}
+	switch {
+	case v4:
+		t.Src, t.Dst = netip.AddrFrom4([4]byte(a[:4])), netip.AddrFrom4([4]byte(b[:4]))
+	case rng.Intn(4) == 0:
+		t.Src = netip.AddrFrom16(netip.AddrFrom4([4]byte(a[:4])).As16())
+		t.Dst = netip.AddrFrom16(netip.AddrFrom4([4]byte(b[:4])).As16())
+	default:
+		t.Src, t.Dst = netip.AddrFrom16(a), netip.AddrFrom16(b)
 	}
-	if ids != [3]uint32{1, 2, 3} || st.live != 3 || len(st.chunks) != 1 {
-		t.Fatalf("first allocs = %v, live %d, %d chunks; want 1 2 3, 3 and 1", ids, st.live, len(st.chunks))
+	return t
+}
+
+// TestRecordStoreDifferential drives the store with a seeded script of
+// allocs, lastSeen writes and releases in both families against a map
+// oracle: every record reads back the tuple and time last written, index 0
+// is never handed out, a vacated record holds nothing but its free-list
+// link and is the next one its family hands out, and live is exact. The
+// population passes 1024 a family, so records cross chunk boundaries.
+func TestRecordStoreDifferential(t *testing.T) {
+	type want struct {
+		tuple    netproto.FiveTuple
+		lastSeen simtime.Time
 	}
-	st.release(2)
-	if *st.at(2) != (connRecord{}) || st.live != 2 {
-		t.Fatalf("vacated record still holds %+v (live %d)", *st.at(2), st.live)
-	}
-	st.release(1)
-	// Most recently vacated first, each handed out zeroed.
-	for _, want := range []uint32{1, 2} {
-		got := st.alloc()
-		if got != want || *st.at(got) != (connRecord{}) {
-			t.Fatalf("alloc after release = %d holding %+v, want a zeroed %d", got, *st.at(got), want)
+	var (
+		st      recordStore
+		rng     = rand.New(rand.NewSource(21))
+		oracle  = map[uint32]want{}
+		live    []uint32    // the oracle's keys, for drawing one at random
+		vacated [2][]uint32 // per family, most recent last
+		drawn   [2]uint32   // per family, fresh numbers handed out
+		family  = func(i uint32) int { return int(i >> 31) }
+	)
+	check := func(op int, i uint32) {
+		t.Helper()
+		if got, w := st.tuple(i), oracle[i]; got != w.tuple || *st.lastSeen(i) != w.lastSeen {
+			t.Fatalf("op %d: record %#x = %v seen %d, want %v seen %d", op, i, got, *st.lastSeen(i), w.tuple, w.lastSeen)
 		}
 	}
-	if got := st.at(3); got.tuple != tupleN(3) || got.lastSeen != 3 {
-		t.Fatalf("record 3 disturbed: %+v", got)
+	for op := 0; op < 100_000; op++ {
+		now := simtime.Time(op + 1)
+		switch r := rng.Intn(10); {
+		case r < 4 || len(live) == 0 || (len(live) < 3000 && r < 6):
+			v4 := rng.Intn(2) == 0
+			tuple := storeTuple(rng, v4)
+			i := st.alloc(tuple, now)
+			f := family(i)
+			if (f == 0) != v4 || i&^recordV6 == 0 {
+				t.Fatalf("op %d: alloc(%v) = %#x: wrong family or number 0", op, tuple, i)
+			}
+			if _, dup := oracle[i]; dup {
+				t.Fatalf("op %d: alloc handed out live record %#x", op, i)
+			}
+			if n := len(vacated[f]); n > 0 {
+				if i != vacated[f][n-1] {
+					t.Fatalf("op %d: alloc = %#x, want the most recently vacated %#x", op, i, vacated[f][n-1])
+				}
+				vacated[f] = vacated[f][:n-1]
+			} else if drawn[f]++; i&^recordV6 != drawn[f] {
+				t.Fatalf("op %d: fresh alloc = %#x, want number %d", op, i, drawn[f])
+			}
+			oracle[i] = want{tuple, now}
+			live = append(live, i)
+			check(op, i)
+		case r < 7:
+			i := live[rng.Intn(len(live))]
+			*st.lastSeen(i) = now
+			oracle[i] = want{oracle[i].tuple, now}
+			check(op, i)
+		default:
+			k := rng.Intn(len(live))
+			i := live[k]
+			live[k] = live[len(live)-1]
+			live = live[:len(live)-1]
+			delete(oracle, i)
+			f := family(i)
+			var link uint32
+			if n := len(vacated[f]); n > 0 {
+				link = vacated[f][n-1] &^ recordV6
+			}
+			st.release(i)
+			vacated[f] = append(vacated[f], i)
+			// Nothing of the ended connection is left: a zero key, and the
+			// free-list link where lastSeen was.
+			if f == 0 {
+				if r := st.v4.at(i); *r != (record[[13]byte]{lastSeen: simtime.Time(link)}) {
+					t.Fatalf("op %d: vacated IPv4 record %d holds %+v, want only link %d", op, i, *r, link)
+				}
+			} else if r := st.v6.at(i &^ recordV6); *r != (record[[37]byte]{lastSeen: simtime.Time(link)}) {
+				t.Fatalf("op %d: vacated IPv6 record %d holds %+v, want only link %d", op, i&^recordV6, *r, link)
+			}
+		}
+		if st.live != len(oracle) {
+			t.Fatalf("op %d: live = %d, oracle holds %d", op, st.live, len(oracle))
+		}
+		if len(live) > 0 {
+			check(op, live[rng.Intn(len(live))])
+		}
+		if op%5000 == 4999 {
+			for i := range oracle {
+				check(op, i)
+			}
+		}
 	}
-	if got := st.alloc(); got != 4 || st.live != 4 {
-		t.Fatalf("alloc with nothing vacated = %d (live %d), want 4", got, st.live)
+	for f, n := range drawn {
+		if n <= recordChunkLen {
+			t.Fatalf("family %d drew only %d records: the script never left the first chunk", f, n)
+		}
 	}
-	// Filling the first chunk exactly does not allocate the second.
-	for st.drawn < recordChunkLen-1 {
-		st.alloc()
+	// Growth is one chunk at a time: no more chunks than the records drawn need.
+	for f, got := range [2]int{len(st.v4.chunks), len(st.v6.chunks)} {
+		if want := int(drawn[f]>>recordChunkBits) + 1; got != want {
+			t.Fatalf("family %d: %d chunks for %d records drawn, want %d", f, got, drawn[f], want)
+		}
 	}
-	if len(st.chunks) != 1 {
-		t.Fatalf("%d chunks for %d records", len(st.chunks), st.live)
+}
+
+// TestRecordsArePointerFree: neither record type holds anything the
+// collector would have to scan, and neither outgrows its chunk arithmetic
+// (24 KB and 48 KB per 1024). A field that adds a pointer, or eight bytes,
+// makes a million-record store scannable or a size class bigger.
+func TestRecordsArePointerFree(t *testing.T) {
+	var walk func(reflect.Type, string)
+	walk = func(ty reflect.Type, path string) {
+		switch ty.Kind() {
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				walk(ty.Field(i).Type, path+"."+ty.Field(i).Name)
+			}
+		case reflect.Array:
+			walk(ty.Elem(), path+"[]")
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64:
+		default:
+			t.Errorf("%s is a %s: the collector would scan every chunk", path, ty.Kind())
+		}
 	}
-	if got := st.alloc(); got != recordChunkLen || len(st.chunks) != 2 {
-		t.Fatalf("alloc %d with %d chunks; want %d opening the second", got, len(st.chunks), recordChunkLen)
+	walk(reflect.TypeOf(record[[13]byte]{}), "record4")
+	walk(reflect.TypeOf(record[[37]byte]{}), "record6")
+	if s4, s6 := unsafe.Sizeof(record[[13]byte]{}), unsafe.Sizeof(record[[37]byte]{}); s4 > 24 || s6 > 48 {
+		t.Errorf("records are %d and %d bytes, want at most 24 and 48", s4, s6)
 	}
 }
 
@@ -83,7 +194,7 @@ func TestRecordsReusedAfterEndConnection(t *testing.T) {
 	h := defaultHarness(t)
 	now := h.learn(0, 0, 300)
 	h.checkTracked(300)
-	drawn := h.cp.conns.drawn
+	drawn := h.cp.conns.v4.drawn
 	for round := 0; round < 5; round++ {
 		for i := 0; i < 300; i += 2 {
 			h.cp.EndConnection(now, tupleN(round*1000+i))
@@ -105,8 +216,8 @@ func TestRecordsReusedAfterEndConnection(t *testing.T) {
 		h.cp.Advance(now)
 		h.checkTracked(300)
 	}
-	if h.cp.conns.drawn != drawn {
-		t.Fatalf("churn at 300 connections drew fresh records: %d -> %d", drawn, h.cp.conns.drawn)
+	if h.cp.conns.v4.drawn != drawn {
+		t.Fatalf("churn at 300 connections drew fresh records: %d -> %d", drawn, h.cp.conns.v4.drawn)
 	}
 	if h.violations != 0 {
 		t.Fatalf("violations = %d", h.violations)
@@ -156,7 +267,7 @@ func TestTrackedConnsMatchesConnTable(t *testing.T) {
 	recv.checkTracked(150)
 	im.Unwind(end)
 	recv.checkTracked(0)
-	if free, drawn := recv.cp.conns.free, recv.cp.conns.drawn; free == 0 || drawn != 150 {
+	if free, drawn := recv.cp.conns.v4.free, recv.cp.conns.v4.drawn; free == 0 || drawn != 150 {
 		t.Fatalf("receiver store after unwind: free head %d, %d drawn; want a free list over 150 records", free, drawn)
 	}
 	h.checkTracked(150)
@@ -202,5 +313,209 @@ func TestExportSnapshotGolden(t *testing.T) {
 	const want = "5d7b0f1047b5406c884be47eb48d1a16fa9579cfa67c68bc7453c73d6529aadc" // captured at the commit before the store
 	if got := hex.EncodeToString(sum[:]); got != want {
 		t.Fatalf("snapshot encoding changed: sha256 %s, want %s (%d bytes)", got, want, len(enc))
+	}
+}
+
+var (
+	vip6      = dataplane.VIP{Addr: netip.MustParseAddr("2001:db8::80"), Port: 80, Proto: netproto.ProtoTCP}
+	vip6Other = dataplane.VIP{Addr: netip.MustParseAddr("2001:db8::81"), Port: 80, Proto: netproto.ProtoTCP}
+)
+
+// tuple6 is connection i of an IPv6 VIP.
+func tuple6(vip dataplane.VIP, i int) netproto.FiveTuple {
+	src := netip.MustParseAddr("2001:db8:c::").As16()
+	src[14], src[15] = byte(i>>8), byte(i)
+	return netproto.FiveTuple{Src: netip.AddrFrom16(src), Dst: vip.Addr, SrcPort: uint16(1024 + i), DstPort: vip.Port, Proto: vip.Proto}
+}
+
+// TestRecordDropsZone: an address zone is no part of a connection's key
+// (KeyBytes and LaneHash leave it out) and the record does not keep one. A
+// zoned link-local tuple installs under the zone-less tuple's key hash and
+// comes back zone-less wherever the CPU reads the record: BeginExport's
+// snapshot, EndConnection's release and RemoveVIP's walk. An IPv4-mapped
+// IPv6 tuple is an IPv6 connection: a 16-byte record, returned as it came.
+func TestRecordDropsZone(t *testing.T) {
+	h := defaultHarness(t)
+	if err := h.cp.AddVIP(0, vip6, pool("[fd00::1]:20", "[fd00::2]:20"), 0); err != nil {
+		t.Fatal(err)
+	}
+	bare := tuple6(vip6, 1)
+	bare.Src = netip.MustParseAddr("fe80::1")
+	zoned := bare
+	zoned.Src = bare.Src.WithZone("eth0")
+	mapped := tuple6(vip6, 2)
+	mapped.Src = netip.MustParseAddr("::ffff:1.2.3.4")
+	if h.sw.KeyHash(zoned) != h.sw.KeyHash(bare) || zoned == bare {
+		t.Fatalf("key hash of %v and %v differ, or the zone was lost before the test began", zoned, bare)
+	}
+
+	install := func(now simtime.Time, tuples ...netproto.FiveTuple) simtime.Time {
+		for _, tup := range tuples {
+			h.send(now, tup, netproto.FlagSYN)
+		}
+		now = now.Add(simtime.Duration(20 * simtime.Millisecond))
+		h.cp.Advance(now)
+		h.checkTracked(len(tuples))
+		return now
+	}
+	now := install(0, zoned, mapped)
+	for _, tup := range []netproto.FiveTuple{zoned, mapped} {
+		if e, ok := h.cp.tracked(h.sw.KeyHash(tup)); !ok || e.Record&recordV6 == 0 {
+			t.Fatalf("%v: tracked %v with record %#x, want an IPv6 record", tup, ok, e.Record)
+		}
+	}
+
+	ses := h.cp.BeginExport(now)
+	defer ses.Close()
+	want := map[netproto.FiveTuple]bool{bare: true, mapped: true}
+	for _, e := range ses.NextChunk(0) {
+		if !want[e.Tuple] || e.KeyHash != h.sw.KeyHash(e.Tuple) {
+			t.Fatalf("snapshot holds %v (zone %q), want the zone-less %v or %v", e.Tuple, e.Tuple.Src.Zone(), bare, mapped)
+		}
+		delete(want, e.Tuple)
+	}
+	if len(want) != 0 {
+		t.Fatalf("snapshot is missing %v", want)
+	}
+
+	// release, reached by the zoned tuple: the delete names the record's.
+	h.cp.EndConnection(now, zoned)
+	h.cp.EndConnection(now, mapped)
+	h.checkTracked(0)
+	now = install(now, zoned)
+	if err := h.cp.RemoveVIP(now, vip6); err != nil {
+		t.Fatal(err)
+	}
+	h.checkTracked(0)
+	var got []netproto.FiveTuple
+	for _, d := range ses.Deltas() {
+		if d.Op == handoff.OpDelete {
+			got = append(got, d.Tuple)
+		}
+	}
+	if !reflect.DeepEqual(got, []netproto.FiveTuple{bare, mapped, bare}) {
+		t.Fatalf("deletes fed to the export session name %v, want %v, %v and %v again", got, bare, mapped, bare)
+	}
+}
+
+// TestMixedFamilyLifecycle takes IPv4 and IPv6 connections, interleaved over
+// two VIPs of each family, through everything the control plane does with a
+// record: learn and install, touch, EndConnection, aging, RemoveVIP, and a
+// handoff to a second control plane. The store and the table agree on the
+// connection count at every step, and every tuple exported — by the donor
+// and again by the receiver — is the tuple that was learned.
+func TestMixedFamilyLifecycle(t *testing.T) {
+	const perVIP = 700 // 1400 a family: both stores leave their first chunk
+	ccfg := DefaultConfig()
+	ccfg.AgingTimeout = simtime.Duration(10 * simtime.Second)
+	ccfg.AgingSweepEvery = simtime.Duration(simtime.Second)
+	h, recv := handoffPair(t, ccfg)
+	v4Other := dataplane.VIP{Addr: tupleOther(0).Dst, Port: 80, Proto: netproto.ProtoTCP}
+	for _, x := range []*harness{h, recv} {
+		for vip, p := range map[dataplane.VIP][]dataplane.DIP{
+			v4Other: poolN(4), vip6: pool("[fd00::1]:20", "[fd00::2]:20"), vip6Other: pool("[fd00::3]:20"),
+		} {
+			if err := x.cp.AddVIP(0, vip, p, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Connection c is on VIP c%4: testVIP, vip6, v4Other, vip6Other.
+	tupleOf := func(c int) netproto.FiveTuple {
+		switch i := c / 4; c % 4 {
+		case 0:
+			return tupleN(i)
+		case 1:
+			return tuple6(vip6, i)
+		case 2:
+			return tupleOther(i)
+		default:
+			return tuple6(vip6Other, i)
+		}
+	}
+	learned := map[uint64]netproto.FiveTuple{}
+	now := simtime.Time(0)
+	for c := 0; c < 4*perVIP; c++ {
+		tup := tupleOf(c)
+		h.send(now, tup, netproto.FlagSYN)
+		learned[h.sw.KeyHash(tup)] = tup
+		now = now.Add(5000)
+	}
+	now = now.Add(simtime.Duration(20 * simtime.Millisecond))
+	h.cp.Advance(now)
+	h.checkTracked(len(learned))
+	if v4, v6 := h.cp.conns.v4.drawn, h.cp.conns.v6.drawn; v4 != 2*perVIP || v6 != 2*perVIP {
+		t.Fatalf("%d IPv4 and %d IPv6 records drawn, want %d of each", v4, v6, 2*perVIP)
+	}
+
+	end := func(c int) {
+		tup := tupleOf(c)
+		h.cp.EndConnection(now, tup)
+		delete(learned, h.sw.KeyHash(tup))
+	}
+	for c := 0; c < 4*perVIP; c += 5 { // every fifth ends: all four VIPs lose some
+		end(c)
+	}
+	h.checkTracked(len(learned))
+
+	// Traffic at 6 s on three connections in four; at 12 s the rest have
+	// been idle past the timeout and only they age out.
+	now = simtime.Time(6 * simtime.Second)
+	for c := 0; c < 4*perVIP; c++ {
+		if kh := h.sw.KeyHash(tupleOf(c)); c%4 == (c/4)%4 {
+			delete(learned, kh)
+		} else if _, live := learned[kh]; live {
+			if res := h.send(now, tupleOf(c), netproto.FlagACK); !res.ConnHit {
+				t.Fatalf("connection %d (%v) missed ConnTable", c, tupleOf(c))
+			}
+		}
+	}
+	aged := h.cp.TrackedConns() - len(learned)
+	now = simtime.Time(12 * simtime.Second)
+	h.cp.Advance(now)
+	h.checkTracked(len(learned))
+	if got := int(h.cp.Metrics().AgedOut); got != aged || aged == 0 {
+		t.Fatalf("AgedOut = %d, want the %d connections left idle", got, aged)
+	}
+
+	for _, vip := range []dataplane.VIP{v4Other, vip6Other} {
+		if err := h.cp.RemoveVIP(now, vip); err != nil {
+			t.Fatal(err)
+		}
+		if err := recv.cp.RemoveVIP(now, vip); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for kh, tup := range learned {
+		if vip := dataplane.VIPOf(tup); vip == v4Other || vip == vip6Other {
+			delete(learned, kh)
+		}
+	}
+	h.checkTracked(len(learned))
+
+	checkExport := func(x *harness) {
+		t.Helper()
+		ses := x.cp.BeginExport(now)
+		defer ses.Close()
+		if ses.Pending() != len(learned) {
+			t.Fatalf("snapshot has %d entries, want %d", ses.Pending(), len(learned))
+		}
+		for _, e := range ses.NextChunk(0) {
+			if want, ok := learned[e.KeyHash]; !ok || e.Tuple != want {
+				t.Fatalf("exported %v under key hash %#x, learned %v (%v)", e.Tuple, e.KeyHash, want, ok)
+			}
+		}
+	}
+	checkExport(h)
+	ses := h.cp.BeginExport(now)
+	tr := handoff.NewTransfer(ses, NewImporter(recv.cp), handoff.Config{ChunkSize: 32})
+	now = pump(t, tr, recv.cp, now)
+	now = now.Add(simtime.Duration(50 * simtime.Millisecond))
+	recv.cp.Advance(now)
+	recv.checkTracked(len(learned))
+	checkExport(recv)
+	h.checkTracked(len(learned))
+	if h.violations != 0 {
+		t.Fatalf("violations = %d", h.violations)
 	}
 }

@@ -261,7 +261,7 @@ func (t *Transfer) Finish(now simtime.Time) {
 	t.closed = true
 	t.cfg.Tracer.OnHandoff(telemetry.HandoffEvent{
 		Now: now, Donor: t.cfg.Donor, Receiver: t.cfg.Receiver,
-		Step: telemetry.HandoffDone,
+		Step:    telemetry.HandoffDone,
 		Entries: int(t.stats.Imported), Deltas: int(t.stats.Deltas),
 		Cursor: t.ex.Cursor(), Duration: now.Sub(t.began),
 	})
@@ -278,7 +278,7 @@ func (t *Transfer) Cancel(now simtime.Time) {
 	t.closed = true
 	t.cfg.Tracer.OnHandoff(telemetry.HandoffEvent{
 		Now: now, Donor: t.cfg.Donor, Receiver: t.cfg.Receiver,
-		Step: telemetry.HandoffCancel,
+		Step:    telemetry.HandoffCancel,
 		Entries: int(t.stats.Imported), Deltas: int(t.stats.Deltas),
 		Duration: now.Sub(t.began),
 	})

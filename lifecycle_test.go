@@ -45,7 +45,13 @@ func lifeTuple(c int) FiveTuple {
 // storage and parses it into f.
 func lifeFrame(tb testing.TB, c int, flags uint8, buf []byte, f *Frame) {
 	tb.Helper()
-	p := Packet{Tuple: lifeTuple(c), TCPFlags: flags}
+	tupleFrame(tb, lifeTuple(c), flags, buf, f)
+}
+
+// tupleFrame is lifeFrame for any tuple.
+func tupleFrame(tb testing.TB, tuple FiveTuple, flags uint8, buf []byte, f *Frame) {
+	tb.Helper()
+	p := Packet{Tuple: tuple, TCPFlags: flags}
 	raw, err := p.Marshal(buf[:0])
 	if err != nil {
 		tb.Fatal(err)
