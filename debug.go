@@ -165,7 +165,7 @@ func (s *Switch) handleConnTable(w http.ResponseWriter, req *http.Request) {
 	}
 	out := make([]pipeEntries, s.Pipes())
 	for i := range out {
-		s.inspect(i, func(dp *dataplane.Switch, _ *ctrlplane.ControlPlane) {
+		s.eng.Inspect(i, func(dp *dataplane.Switch, _ *ctrlplane.ControlPlane) {
 			ct := dp.ConnTable()
 			out[i] = pipeEntries{
 				Pipe:     i,
@@ -195,7 +195,7 @@ func (s *Switch) handleVIPs(w http.ResponseWriter, req *http.Request) {
 	}
 	out := make([]pipeVIPs, s.Pipes())
 	for i := range out {
-		s.inspect(i, func(dp *dataplane.Switch, _ *ctrlplane.ControlPlane) {
+		s.eng.Inspect(i, func(dp *dataplane.Switch, _ *ctrlplane.ControlPlane) {
 			pv := pipeVIPs{Pipe: i, VIPs: []vipInfo{}}
 			for _, vip := range dp.VIPs() {
 				cur, _ := dp.CurrentVersion(vip)
@@ -235,7 +235,7 @@ func (s *Switch) handlePending(w http.ResponseWriter, req *http.Request) {
 	}
 	out := make([]pipePending, s.Pipes())
 	for i := range out {
-		s.inspect(i, func(dp *dataplane.Switch, _ *ctrlplane.ControlPlane) {
+		s.eng.Inspect(i, func(dp *dataplane.Switch, _ *ctrlplane.ControlPlane) {
 			var evs []learnfilter.Event
 			if lf := dp.LearnFilter(); lf != nil {
 				evs = lf.Pending()
@@ -275,7 +275,7 @@ func (s *Switch) handleSRAM(w http.ResponseWriter, req *http.Request) {
 	}
 	out := make([]pipeSRAM, s.Pipes())
 	for i := range out {
-		s.inspect(i, func(dp *dataplane.Switch, _ *ctrlplane.ControlPlane) {
+		s.eng.Inspect(i, func(dp *dataplane.Switch, _ *ctrlplane.ControlPlane) {
 			ct := dp.ConnTable()
 			mem := dp.Memory()
 			occ := 0.0

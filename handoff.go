@@ -41,7 +41,7 @@ var ErrMigrateStalled = errors.New("silkroad: migration stalled")
 func (s *Switch) Export(now Time) *ConnSnapshot {
 	snap := &ConnSnapshot{TakenAt: now, Pipes: s.Pipes()}
 	for i := 0; i < s.Pipes(); i++ {
-		s.inspect(i, func(_ *dataplane.Switch, cp *ctrlplane.ControlPlane) {
+		s.eng.Inspect(i, func(_ *dataplane.Switch, cp *ctrlplane.ControlPlane) {
 			ses := cp.BeginExport(now)
 			for ses.Pending() > 0 {
 				snap.Entries = append(snap.Entries, ses.NextChunk(4096)...)
@@ -65,7 +65,7 @@ func (s *Switch) Export(now Time) *ConnSnapshot {
 func (s *Switch) Import(now Time, snap *ConnSnapshot) (imported, skipped int, err error) {
 	ims := make([]*ctrlplane.Importer, s.Pipes())
 	for i := range ims {
-		s.inspect(i, func(_ *dataplane.Switch, cp *ctrlplane.ControlPlane) {
+		s.eng.Inspect(i, func(_ *dataplane.Switch, cp *ctrlplane.ControlPlane) {
 			ims[i] = ctrlplane.NewImporter(cp)
 		})
 	}
@@ -74,10 +74,10 @@ func (s *Switch) Import(now Time, snap *ConnSnapshot) (imported, skipped int, er
 		if e.Op == handoff.OpDelete {
 			continue // point-in-time snapshots carry no deletes
 		}
-		p := s.pipeOf(e.Tuple)
+		p := s.eng.PipeOf(e.Tuple)
 		for attempt := 0; ; attempt++ {
 			var ierr error
-			s.inspect(p, func(_ *dataplane.Switch, cp *ctrlplane.ControlPlane) {
+			s.eng.Inspect(p, func(_ *dataplane.Switch, cp *ctrlplane.ControlPlane) {
 				ierr = ims[p].Import(t, e)
 			})
 			if ierr == nil {
@@ -99,14 +99,6 @@ func (s *Switch) Import(now Time, snap *ConnSnapshot) (imported, skipped int, er
 	return imported, skipped, nil
 }
 
-// pipeOf returns the pipe owning a tuple's shard.
-func (s *Switch) pipeOf(t FiveTuple) int {
-	if s.multi != nil {
-		return s.multi.PipeOf(t)
-	}
-	return 0
-}
-
 // migrateImporter routes entries into the receiving switch's pipes under
 // their locks.
 type migrateImporter struct {
@@ -115,17 +107,17 @@ type migrateImporter struct {
 }
 
 func (m *migrateImporter) Import(now Time, e handoff.Entry) error {
-	p := m.s.pipeOf(e.Tuple)
+	p := m.s.eng.PipeOf(e.Tuple)
 	var err error
-	m.s.inspect(p, func(_ *dataplane.Switch, cp *ctrlplane.ControlPlane) {
+	m.s.eng.Inspect(p, func(_ *dataplane.Switch, cp *ctrlplane.ControlPlane) {
 		err = m.ims[p].Import(now, e)
 	})
 	return err
 }
 
 func (m *migrateImporter) Delete(now Time, e handoff.Entry) {
-	p := m.s.pipeOf(e.Tuple)
-	m.s.inspect(p, func(_ *dataplane.Switch, cp *ctrlplane.ControlPlane) {
+	p := m.s.eng.PipeOf(e.Tuple)
+	m.s.eng.Inspect(p, func(_ *dataplane.Switch, cp *ctrlplane.ControlPlane) {
 		m.ims[p].Delete(now, e)
 	})
 }
@@ -145,13 +137,13 @@ func (c *Cluster) Migrate(now Time, from, to int) (HandoffStats, error) {
 	donor, recv := c.sws[from], c.sws[to]
 	ri := &migrateImporter{s: recv, ims: make([]*ctrlplane.Importer, recv.Pipes())}
 	for i := range ri.ims {
-		recv.inspect(i, func(_ *dataplane.Switch, cp *ctrlplane.ControlPlane) {
+		recv.eng.Inspect(i, func(_ *dataplane.Switch, cp *ctrlplane.ControlPlane) {
 			ri.ims[i] = ctrlplane.NewImporter(cp)
 		})
 	}
 	trs := make([]*handoff.Transfer, donor.Pipes())
 	for i := range trs {
-		donor.inspect(i, func(dp *dataplane.Switch, cp *ctrlplane.ControlPlane) {
+		donor.eng.Inspect(i, func(dp *dataplane.Switch, cp *ctrlplane.ControlPlane) {
 			trs[i] = handoff.NewTransfer(cp.BeginExport(now), ri, handoff.Config{
 				Tracer: dp.Tracer(), Donor: from, Receiver: to,
 			})
@@ -162,7 +154,7 @@ func (c *Cluster) Migrate(now Time, from, to int) (HandoffStats, error) {
 		allDone := true
 		for i, tr := range trs {
 			var done bool
-			donor.inspect(i, func(*dataplane.Switch, *ctrlplane.ControlPlane) {
+			donor.eng.Inspect(i, func(*dataplane.Switch, *ctrlplane.ControlPlane) {
 				_, done = tr.Step(t, 1024)
 			})
 			if !done {

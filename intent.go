@@ -60,16 +60,16 @@ type intentState struct {
 	lastSpec *ClusterSpec
 }
 
-// intentTarget adapts the switch's raw routing layer (engine fanout or
-// single-pipe control plane) as the reconciler's Target. Reads come from
-// pipe 0 (pipes are kept identical by fanout); ObservedPool reports the
-// newest requested pool (TargetPool), so diffs account for in-flight
-// updates.
+// intentTarget adapts the engine's fanout layer as the reconciler's
+// Target: writes go to every pipe of the chip, with rollback on partial
+// failure. Reads come from pipe 0 (pipes are kept identical by fanout);
+// ObservedPool reports the newest requested pool (TargetPool), so diffs
+// account for in-flight updates.
 type intentTarget struct{ s *Switch }
 
 func (t intentTarget) ObservedVIPs() []VIP {
 	var vips []VIP
-	t.s.inspect(0, func(dp *dataplane.Switch, _ *ctrlplane.ControlPlane) {
+	t.s.eng.Inspect(0, func(dp *dataplane.Switch, _ *ctrlplane.ControlPlane) {
 		vips = dp.VIPs()
 	})
 	return vips
@@ -78,69 +78,30 @@ func (t intentTarget) ObservedVIPs() []VIP {
 func (t intentTarget) ObservedPool(vip VIP) ([]DIP, bool) {
 	var pool []DIP
 	var err error
-	t.s.inspect(0, func(_ *dataplane.Switch, cp *ctrlplane.ControlPlane) {
+	t.s.eng.Inspect(0, func(_ *dataplane.Switch, cp *ctrlplane.ControlPlane) {
 		pool, err = cp.TargetPool(vip)
 	})
 	return pool, err == nil
 }
 
 func (t intentTarget) AddVIP(now Time, vip VIP, pool []DIP, meterBytesPerSec float64) error {
-	return t.s.applyAddVIP(now, vip, pool, meterBytesPerSec)
+	return t.s.eng.AddVIP(now, vip, pool, meterBytesPerSec)
 }
 
-func (t intentTarget) RemoveVIP(now Time, vip VIP) error {
-	return t.s.applyRemoveVIP(now, vip)
-}
+func (t intentTarget) RemoveVIP(now Time, vip VIP) error { return t.s.eng.RemoveVIP(now, vip) }
 
 func (t intentTarget) UpdatePool(now Time, vip VIP, pool []DIP) error {
-	return t.s.applyUpdatePool(now, vip, pool)
+	defer t.s.poke()
+	return t.s.eng.RequestUpdate(now, vip, pool)
 }
 
 func (t intentTarget) PendingWork() int { return t.s.PendingWork() }
-
-// applyAddVIP routes a VIP announcement to the hardware: every pipe on a
-// multi-pipe switch (with rollback on partial failure), or the single
-// control plane.
-func (s *Switch) applyAddVIP(now Time, vip VIP, pool []DIP, meterBytesPerSec float64) error {
-	if s.multi != nil {
-		return s.multi.AddVIP(now, vip, pool, meterBytesPerSec)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cp.AddVIP(now, vip, pool, meterBytesPerSec)
-}
-
-func (s *Switch) applyRemoveVIP(now Time, vip VIP) error {
-	if s.multi != nil {
-		return s.multi.RemoveVIP(now, vip)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cp.RemoveVIP(now, vip)
-}
-
-func (s *Switch) applyUpdatePool(now Time, vip VIP, pool []DIP) error {
-	defer s.poke()
-	if s.multi != nil {
-		return s.multi.RequestUpdate(now, vip, pool)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cp.RequestUpdate(now, vip, pool)
-}
 
 // PendingWork sums the switch's undrained control-plane load across every
 // pipe: learn events awaiting flush, queued CPU insertions, in-flight and
 // queued pool updates. Zero means drained — the §4.2 condition rolling
 // fleet updates gate on before moving to the next switch.
-func (s *Switch) PendingWork() int {
-	if s.multi != nil {
-		return s.multi.PendingWork()
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cp.PendingWork()
-}
+func (s *Switch) PendingWork() int { return s.eng.PendingWork() }
 
 // intentSource runs the reconciler's retry/backoff work on the switch
 // runtime, so failed applies re-fire in time order with all other

@@ -300,23 +300,19 @@ func (cp *ControlPlane) NextTransition() (simtime.Time, bool) {
 // HandleResult performs the CPU side of a packet's outcome: arbitrating
 // redirected SYNs and tracking liveness. It returns the authoritative
 // forwarding decision (for redirects, the decision after software
-// resolution and re-injection).
+// resolution and re-injection). It is the struct-currency edge adapter
+// over HandleTupleResultInto.
 func (cp *ControlPlane) HandleResult(now simtime.Time, pkt *netproto.Packet, res dataplane.Result) dataplane.Result {
-	cp.HandleResultInto(now, pkt, &res)
+	cp.HandleTupleResultInto(now, pkt.Tuple, &res)
 	return res
 }
 
-// HandleResultInto is HandleResult writing the authoritative decision back
-// through *res. The batch path uses it to finish each packet in its result
-// slot without copying the Result through the call chain; redirects — rare
-// by construction — still take the value-based resolvers.
-func (cp *ControlPlane) HandleResultInto(now simtime.Time, pkt *netproto.Packet, res *dataplane.Result) {
-	cp.HandleTupleResultInto(now, pkt.Tuple, res)
-}
-
-// HandleTupleResultInto is the currency-neutral core of HandleResultInto:
-// the CPU side only ever needs the packet's five-tuple, so the frame path
-// calls it directly without materializing a Packet struct.
+// HandleTupleResultInto is the core of HandleResult, writing the
+// authoritative decision back through *res so the batch path finishes each
+// packet in its result slot without copying the Result through the call
+// chain (redirects — rare by construction — still take the value-based
+// resolvers). The CPU side only ever needs the packet's five-tuple, so the
+// frame path calls it without materializing a Packet struct.
 func (cp *ControlPlane) HandleTupleResultInto(now simtime.Time, tuple netproto.FiveTuple, res *dataplane.Result) {
 	switch res.Verdict {
 	case dataplane.VerdictRedirectSYNConn:

@@ -1,6 +1,7 @@
 package ctrlplane
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/dataplane"
@@ -133,5 +134,27 @@ func TestInstallSkipsWithdrawnVIP(t *testing.T) {
 	h.cp.Advance(ms(10)) // must not panic; event dropped
 	if h.cp.Metrics().Inserted != 0 {
 		t.Fatal("event for withdrawn VIP installed")
+	}
+}
+
+// TestMetricsAddOntoZeroIsIdentity guards the aggregation every facade
+// counter flows through, one pipe included: a field added to Metrics and
+// forgotten in Add (MaxInsertQueue's maximum included) would read zero from
+// Switch.Stats with nothing else noticing.
+func TestMetricsAddOntoZeroIsIdentity(t *testing.T) {
+	var want Metrics
+	v := reflect.ValueOf(&want).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Uint64:
+			f.SetUint(uint64(i + 1))
+		default: // int, simtime.Duration
+			f.SetInt(int64(i + 1))
+		}
+	}
+	var got Metrics
+	got.Add(want)
+	if got != want {
+		t.Fatalf("Add onto the zero value lost a field:\n got %+v\nwant %+v", got, want)
 	}
 }

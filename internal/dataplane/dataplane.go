@@ -453,78 +453,46 @@ func (s *Switch) ConnDigest(t netproto.FiveTuple) uint32 {
 	return hashing.Digest(s.digestSeed, s.cfg.DigestBits, t.KeyBytes(buf[:]))
 }
 
-// Process runs one packet through the pipeline (Figure 10) and returns the
-// forwarding decision. It never blocks and performs no CPU-side work; it
-// may enqueue a learn event or redirect a SYN to the CPU.
+// Process runs one decoded packet through the pipeline — the struct-currency
+// edge adapter: the packet becomes a synthetic frame (its fields and its
+// canonical WireLen, no bytes) and takes the frame path.
 func (s *Switch) Process(now simtime.Time, pkt *netproto.Packet) Result {
-	var lane uint64
-	if s.cfg.DerivedHashes {
-		lane = netproto.LaneHash(s.cfg.LaneSeed, &pkt.Tuple)
-	}
-	var res Result
-	s.runInto(now, pkt, lane, &res)
-	return res
+	var f netproto.Frame
+	pkt.Frame(&f)
+	return s.ProcessFrame(now, &f)
 }
 
-// ProcessLane is Process for callers that already computed the packet's
-// chip-level lane hash — the multi-pipe batch path computes it once per
-// packet to pick the pipe and passes it down so the pipeline does not hash
-// the tuple again. lane must equal netproto.LaneHash(Config.LaneSeed,
-// &pkt.Tuple); it is ignored unless Config.DerivedHashes is set.
-func (s *Switch) ProcessLane(now simtime.Time, pkt *netproto.Packet, lane uint64) Result {
-	var res Result
-	s.runInto(now, pkt, lane, &res)
-	return res
-}
-
-// ProcessLaneInto is ProcessLane writing the decision into *out instead of
-// returning it. The multi-pipe batch path uses it to fill each result slot
-// in place — the Result struct is wide enough that the value-returning
-// call chain costs a measurable fraction of the per-packet budget.
-func (s *Switch) ProcessLaneInto(now simtime.Time, pkt *netproto.Packet, lane uint64, out *Result) {
-	s.runInto(now, pkt, lane, out)
-}
-
-// ProcessFrame runs one parsed wire frame through the pipeline. It is
-// Process on the bytes-native currency: the five-tuple, flags and lane
-// hash come from the frame's single parse pass, and the meter charges the
-// frame's actual on-the-wire length rather than a canonical-framing
-// reconstruction.
+// ProcessFrame runs one frame through the pipeline (Figure 10) and returns
+// the forwarding decision. It never blocks and performs no CPU-side work;
+// it may enqueue a learn event or redirect a SYN to the CPU.
 func (s *Switch) ProcessFrame(now simtime.Time, f *netproto.Frame) Result {
-	var lane uint64
-	if s.cfg.DerivedHashes {
-		lane = f.LaneHash(s.cfg.LaneSeed)
-	}
 	var res Result
-	s.frameInto(now, f, lane, &res)
+	s.ProcessFrameInto(now, f, s.laneOf(f), &res)
 	return res
 }
 
-// ProcessFrameInto is ProcessFrame for the multi-pipe batch path: the lane
-// hash was already taken from the frame to pick the pipe and is passed
-// down, and the decision is written into *out in place. lane is ignored
-// unless Config.DerivedHashes is set.
-func (s *Switch) ProcessFrameInto(now simtime.Time, f *netproto.Frame, lane uint64, out *Result) {
-	s.frameInto(now, f, lane, out)
+// laneOf returns the frame's chip-level lane hash when the switch derives
+// its connection hashes from it, and zero (ignored) otherwise.
+func (s *Switch) laneOf(f *netproto.Frame) uint64 {
+	if s.cfg.DerivedHashes {
+		return f.LaneHash(s.cfg.LaneSeed)
+	}
+	return 0
 }
 
-// runInto is the struct-currency entry: it feeds the shared pipeline core
-// with the packet's fields and its canonical WireLen.
-func (s *Switch) runInto(now simtime.Time, pkt *netproto.Packet, lane uint64, res *Result) {
-	s.pipelineInto(now, &pkt.Tuple, pkt.TCPFlags, pkt.WireLen(), lane, false, res)
-}
-
-// frameInto is the wire-currency entry: same core, actual frame length.
-func (s *Switch) frameInto(now simtime.Time, f *netproto.Frame, lane uint64, res *Result) {
-	s.pipelineInto(now, &f.Tuple, f.TCPFlags, f.WireLen(), lane, true, res)
-}
-
-// pipelineInto runs the pipeline body and emits the telemetry event. Both
-// packet currencies (decoded structs and wire frames) funnel through here,
-// so verdicts, hashes, metering and tracing cannot diverge between them;
-// wire marks frame-path packets in the emitted telemetry.
-func (s *Switch) pipelineInto(now simtime.Time, tuple *netproto.FiveTuple, tcpFlags uint8, wireLen int, lane uint64, wire bool, res *Result) {
-	vs := s.process(now, tuple, tcpFlags, wireLen, lane, res)
+// ProcessFrameInto is the pipeline's one entry: it runs the pipeline body
+// on the frame's single-parse fields, writes the decision into *out in
+// place — the Result struct is wide enough that a value-returning call
+// chain costs a measurable fraction of the per-packet budget — and emits
+// the telemetry event. The meter charges f.WireLen(): the bytes that
+// arrived for a parsed frame, the canonical framing for a synthetic one,
+// which the event's Wire flag tells apart. lane is the frame's chip-level
+// lane hash, which the multi-pipe batch path already took to pick the
+// pipe; it must equal f.LaneHash(Config.LaneSeed) and is ignored unless
+// Config.DerivedHashes is set.
+func (s *Switch) ProcessFrameInto(now simtime.Time, f *netproto.Frame, lane uint64, res *Result) {
+	wireLen := f.WireLen()
+	vs := s.process(now, &f.Tuple, f.TCPFlags, wireLen, lane, res)
 	if s.tracer != nil {
 		var tel *telemetry.VIPSeries
 		if vs != nil {
@@ -549,10 +517,10 @@ func (s *Switch) pipelineInto(now simtime.Time, tuple *netproto.FiveTuple, tcpFl
 			VIP:        tel,
 			Verdict:    telemetry.Verdict(res.Verdict),
 			WireLen:    wireLen,
-			Wire:       wire,
+			Wire:       f.Data != nil,
 			ConnHit:    res.ConnHit,
 			Learned:    res.Learned,
-			Tuple:      *tuple,
+			Tuple:      f.Tuple,
 			KeyHash:    res.KeyHash,
 			Digest:     res.Digest,
 			Version:    res.Version,

@@ -5,6 +5,7 @@ package dataplane
 
 import (
 	"net/netip"
+	"reflect"
 	"testing"
 
 	"repro/internal/netproto"
@@ -137,5 +138,22 @@ func TestMeterChargesWireLength(t *testing.T) {
 	if res := sw.Process(simtime.Time(0), pT); res.Verdict != VerdictMeterDrop {
 		t.Fatalf("IPv4 TCP at 42 B vs 41 B burst: verdict = %v, want %v",
 			res.Verdict, VerdictMeterDrop)
+	}
+}
+
+// TestStatsAddOntoZeroIsIdentity guards the aggregation every facade
+// counter flows through, one pipe included: a field added to Stats and
+// forgotten in Add would read zero from Switch.Stats with nothing else
+// noticing.
+func TestStatsAddOntoZeroIsIdentity(t *testing.T) {
+	var want Stats
+	v := reflect.ValueOf(&want).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetUint(uint64(i + 1))
+	}
+	var got Stats
+	got.Add(want)
+	if got != want {
+		t.Fatalf("Add onto the zero value lost a field:\n got %+v\nwant %+v", got, want)
 	}
 }

@@ -81,37 +81,6 @@ type ChaosReport struct {
 	InvariantsOK bool     `json:"invariants_ok"`
 }
 
-// engineTarget adapts the multi-pipe engine to the fault injector's
-// Target: CPU faults hit a pipe's control plane, table and digest faults
-// its data plane, all under the pipe lock via Inspect.
-type engineTarget struct{ eng *pipes.Engine }
-
-func (t engineTarget) NumPipes() int { return t.eng.NumPipes() }
-
-func (t engineTarget) StallCPU(now simtime.Time, pipe int, d simtime.Duration) {
-	t.eng.Inspect(pipe, func(_ *dataplane.Switch, cp *ctrlplane.ControlPlane) {
-		cp.StallCPU(now, d)
-	})
-}
-
-func (t engineTarget) SetInsertRateScale(pipe int, scale float64) {
-	t.eng.Inspect(pipe, func(_ *dataplane.Switch, cp *ctrlplane.ControlPlane) {
-		cp.SetInsertRateScale(scale)
-	})
-}
-
-func (t engineTarget) SetConnTableLimit(pipe int, limit int) {
-	t.eng.Inspect(pipe, func(dp *dataplane.Switch, _ *ctrlplane.ControlPlane) {
-		dp.SetConnTableLimit(limit)
-	})
-}
-
-func (t engineTarget) SetLearnLoss(pipe int, rate float64, seed uint64) {
-	t.eng.Inspect(pipe, func(dp *dataplane.Switch, _ *ctrlplane.ControlPlane) {
-		dp.LearnFilter().SetLoss(rate, seed)
-	})
-}
-
 // chaosFlow tracks one connection two ways. The PCC ground truth is the
 // pinned pool version read through the exact-tuple CPU shadow
 // (LookupConn), which digest false positives cannot touch: once vset, the
@@ -206,7 +175,7 @@ func RunChaosSoak(scale float64, seed int64) (*ChaosReport, error) {
 			Duration: ms(10), Scale: 0.3,
 		},
 	)
-	inj := faults.NewInjector(plan, engineTarget{eng})
+	inj := faults.NewInjector(plan, eng)
 	if reg != nil {
 		inj.SetTracer(reg)
 	}

@@ -53,12 +53,9 @@ type PipesTrendPoint struct {
 	OnePipePPS      float64 `json:"one_pipe_pps"`
 	FourPipePPS     float64 `json:"four_pipe_pps"`
 	WallclockSpeedX float64 `json:"wallclock_speedup"`
-	// FourPipeFramesPPS and FramesVsStructX record the wire-native path at
-	// 4 pipes: its absolute rate and its ratio to the struct path on the
-	// same run (the frames gate's series). Zero on points recorded before
-	// the frame path existed.
+	// FourPipeFramesPPS records the absolute rate of parsed wire frames at
+	// 4 pipes. Zero on points recorded before the frame path existed.
 	FourPipeFramesPPS float64 `json:"four_pipe_frames_pps,omitempty"`
-	FramesVsStructX   float64 `json:"frames_vs_struct,omitempty"`
 }
 
 // maxTrajectory bounds how many trend points the artifact keeps (oldest
@@ -74,12 +71,6 @@ type PipesBenchResult struct {
 	Configs         []PipesBenchConfig `json:"configs"`
 	ModeledSpeedup  float64            `json:"modeled_speedup"`
 	WallclockSpeedX float64            `json:"wallclock_speedup"`
-	// FramesVsStructX is frames-mode wallclock pps over struct-mode
-	// wallclock pps at 4 pipes for this run. The frame path skips the
-	// per-batch tuple hashing the struct path pays (frames carry their lane
-	// hash from the single parse), so this is expected to sit at or above
-	// 1.0; GatePipes fails a run where it falls below 0.9.
-	FramesVsStructX float64 `json:"frames_vs_struct,omitempty"`
 	// Trajectory carries this run's point appended to the points recorded
 	// by previous runs (read back from the existing artifact, if any).
 	Trajectory []PipesTrendPoint `json:"trajectory,omitempty"`
@@ -89,10 +80,10 @@ const pipesBenchNote = "modeled_pps is the aggregate throughput under the ASIC m
 	"forwards its shard at the per-pipe line rate (1e9 pps), so the chip-level rate is " +
 	"total_packets / max_pipe_packets x line rate. wallclock_pps measures this simulator's " +
 	"steady-state batch path on the build host (established traffic only; priming and drains " +
-	"untimed); frames_pps is the same measurement over the wire-native path (pre-parsed raw " +
-	"frames through ProcessFramesInto). wallclock_speedup = 4-pipe pps / 1-pipe pps and " +
-	"frames_vs_struct = 4-pipe frames pps / struct pps are the gated headlines; the " +
-	"trajectory records both per run so CI can fail on a ratio regression."
+	"untimed); frames_pps is the same measurement over pre-parsed raw frames through " +
+	"ProcessFramesInto, the one batch path the struct batch converts onto. wallclock_speedup = " +
+	"4-pipe pps / 1-pipe pps is the gated headline; the trajectory records it per run so CI " +
+	"can fail on a ratio regression."
 
 // pipesMetrics is the METRICS_pipes.json payload: one telemetry snapshot
 // per benchmarked pipe count, taken at end of run in virtual time.
@@ -336,21 +327,12 @@ func priorTrajectory() []PipesTrendPoint {
 // ratio rather than raw pps keeps the gate stable across build hosts of
 // different speeds; comparing at equal scale keeps it honest across
 // workload sizes. With no comparable history the gate passes.
-//
-// It also gates the wire-native path within the run itself: frames-mode
-// wallclock pps at 4 pipes must stay at or above 90% of struct-mode pps
-// (the two modes sweep the same resident connections, so the ratio is
-// host-independent; the 10% band absorbs timer jitter).
 func GatePipes(res PipesBenchResult) error {
 	n := len(res.Trajectory)
 	if n == 0 {
 		return nil
 	}
 	cur := res.Trajectory[n-1]
-	if cur.FramesVsStructX > 0 && cur.FramesVsStructX < 0.9 {
-		return fmt.Errorf("pipes perf gate: frames-mode wallclock is %.2fx of struct mode at 4 pipes, floor is 0.90x",
-			cur.FramesVsStructX)
-	}
 	for i := n - 2; i >= 0; i-- {
 		prev := res.Trajectory[i]
 		if prev.Scale != cur.Scale || prev.WallclockSpeedX <= 0 {
@@ -407,9 +389,6 @@ func PipesBench(scale float64, seed int64) (*Report, error) {
 	if one.WallclockPPS > 0 {
 		result.WallclockSpeedX = four.WallclockPPS / one.WallclockPPS
 	}
-	if four.WallclockPPS > 0 {
-		result.FramesVsStructX = four.FramesPPS / four.WallclockPPS
-	}
 	result.Trajectory = append(priorTrajectory(), PipesTrendPoint{
 		When:              time.Now().UTC().Format(time.RFC3339),
 		Scale:             scale,
@@ -417,7 +396,6 @@ func PipesBench(scale float64, seed int64) (*Report, error) {
 		FourPipePPS:       four.WallclockPPS,
 		WallclockSpeedX:   result.WallclockSpeedX,
 		FourPipeFramesPPS: four.FramesPPS,
-		FramesVsStructX:   result.FramesVsStructX,
 	})
 	if len(result.Trajectory) > maxTrajectory {
 		result.Trajectory = result.Trajectory[len(result.Trajectory)-maxTrajectory:]
@@ -430,10 +408,9 @@ func PipesBench(scale float64, seed int64) (*Report, error) {
 	}
 	rep.Printf("modeled speedup  %.2fx (line-rate model; shard balance bound)", result.ModeledSpeedup)
 	rep.Printf("wallclock speedup %.2fx (steady-state batch path on this host — gated)", result.WallclockSpeedX)
-	rep.Printf("frames vs struct  %.2fx at 4 pipes (wire-native path — gated, floor 0.90x)", result.FramesVsStructX)
 	for _, pt := range result.Trajectory {
-		rep.Printf("trajectory %-28s scale %-6g 1-pipe %10.3g  4-pipe %10.3g  speedup %.2fx  frames %.2fx",
-			pt.When, pt.Scale, pt.OnePipePPS, pt.FourPipePPS, pt.WallclockSpeedX, pt.FramesVsStructX)
+		rep.Printf("trajectory %-28s scale %-6g 1-pipe %10.3g  4-pipe %10.3g  speedup %.2fx",
+			pt.When, pt.Scale, pt.OnePipePPS, pt.FourPipePPS, pt.WallclockSpeedX)
 	}
 
 	art, err := json.MarshalIndent(result, "", "  ")

@@ -81,23 +81,4 @@ func TestGatePipes(t *testing.T) {
 	if err := GatePipes(mk(pt(1, 3.0), pt(0.05, 1.0), pt(1, 2.0))); err == nil {
 		t.Fatal("33% drop across interleaved scales must fail the gate")
 	}
-
-	// The frames gate is in-run: frames-mode pps below 90% of struct mode
-	// fails regardless of history; at or above the floor passes; points
-	// recorded before the frame path existed (ratio 0) are exempt.
-	ptf := func(frames float64) PipesTrendPoint {
-		return PipesTrendPoint{When: "test", Scale: 1, WallclockSpeedX: 2.0, FramesVsStructX: frames}
-	}
-	if err := GatePipes(mk(ptf(1.05))); err != nil {
-		t.Fatalf("frames ahead of struct must pass: %v", err)
-	}
-	if err := GatePipes(mk(ptf(0.93))); err != nil {
-		t.Fatalf("frames within the 10%% band must pass: %v", err)
-	}
-	if err := GatePipes(mk(ptf(0.8))); err == nil {
-		t.Fatal("frames at 0.8x of struct must fail the gate")
-	}
-	if err := GatePipes(mk(ptf(0))); err != nil {
-		t.Fatalf("pre-frames point must pass: %v", err)
-	}
 }

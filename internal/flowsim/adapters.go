@@ -75,50 +75,6 @@ func (a *SilkRoadAdapter) NextEventTime() (simtime.Time, bool) { return a.CP.Nex
 // as packet-level inconsistencies, which the simulator counts itself).
 func (a *SilkRoadAdapter) ExtraBroken() uint64 { return 0 }
 
-// SilkRoadFramesAdapter drives the same switch through the wire-native
-// currency: every simulated packet is marshaled to raw bytes, parsed once
-// into a Frame, and processed via ProcessFrame — the exact path the tunnel
-// runs. Buffers are reused, so the per-packet conversion allocates only
-// while the marshal buffer grows toward its steady-state size.
-type SilkRoadFramesAdapter struct {
-	SilkRoadAdapter
-	buf   []byte
-	frame netproto.Frame
-}
-
-// NewSilkRoadFrames builds a SilkRoad balancer whose simulation traffic
-// travels as wire bytes instead of structs.
-func NewSilkRoadFrames(label string, dcfg dataplane.Config, ccfg ctrlplane.Config) (*SilkRoadFramesAdapter, error) {
-	inner, err := NewSilkRoad(label, dcfg, ccfg)
-	if err != nil {
-		return nil, err
-	}
-	return &SilkRoadFramesAdapter{SilkRoadAdapter: *inner}, nil
-}
-
-// Packet implements Balancer over the frame path: marshal, parse once,
-// ProcessFrame, hand the verdict to the control plane by tuple.
-func (a *SilkRoadFramesAdapter) Packet(now simtime.Time, t netproto.FiveTuple, syn bool) (dataplane.DIP, bool) {
-	a.CP.Advance(now)
-	pkt := netproto.Packet{Tuple: t}
-	if syn {
-		pkt.TCPFlags = netproto.FlagSYN
-	} else {
-		pkt.TCPFlags = netproto.FlagACK
-	}
-	raw, err := pkt.Marshal(a.buf)
-	if err != nil {
-		return dataplane.DIP{}, false
-	}
-	a.buf = raw
-	if err := netproto.ParseFrame(raw, &a.frame); err != nil {
-		return dataplane.DIP{}, false
-	}
-	res := a.SW.ProcessFrame(now, &a.frame)
-	a.CP.HandleTupleResultInto(now, a.frame.Tuple, &res)
-	return res.DIP, res.Verdict == dataplane.VerdictForward
-}
-
 // DuetAdapter wraps the Duet model with its periodic migration policy.
 type DuetAdapter struct {
 	B             *duet.Balancer

@@ -1,7 +1,6 @@
 package flowsim
 
 import (
-	"net/netip"
 	"testing"
 
 	"repro/internal/ctrlplane"
@@ -167,107 +166,6 @@ func TestDeterministicRuns(t *testing.T) {
 	r2 := runSilkRoad(t, cfg, nil, nil)
 	if r1.Conns != r2.Conns || r1.Packets != r2.Packets || r1.UpdatesApplied != r2.UpdatesApplied {
 		t.Fatalf("non-deterministic: %+v vs %+v", r1, r2)
-	}
-}
-
-// TestFramesAdapterMatchesStruct locks the wire currency to the struct
-// currency at the packet level: two identically seeded switches fed the
-// same traffic — one through Process on structs, one through ProcessFrame
-// on marshaled-and-reparsed wire bytes — must select the same DIP with the
-// same verdict for every packet, across SYNs, established ACKs and a DIP
-// pool update. Any divergence means the frame path hashes or meters
-// differently from the struct path.
-func TestFramesAdapterMatchesStruct(t *testing.T) {
-	dcfg := dataplane.DefaultConfig(200000)
-	ccfg := ctrlplane.DefaultConfig()
-	structBal, err := NewSilkRoad("struct", dcfg, ccfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	framesBal, err := NewSilkRoadFrames("frames", dcfg, ccfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	wt, err := workload.NewWireTraffic(workload.WireConfig{
-		Conns: 400,
-		VIP:   netip.MustParseAddrPort("20.0.0.1:80"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vip := dataplane.VIPOf(wt.Packets()[0].Tuple)
-	var pool []dataplane.DIP
-	for d := 0; d < 8; d++ {
-		pool = append(pool, netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 9, 0, byte(d)}), 8080))
-	}
-	if err := structBal.AddVIP(vip, pool); err != nil {
-		t.Fatal(err)
-	}
-	if err := framesBal.AddVIP(vip, pool); err != nil {
-		t.Fatal(err)
-	}
-
-	now := simtime.Time(0)
-	check := func(i int, syn bool) {
-		t.Helper()
-		tup := wt.Packets()[i].Tuple
-		d1, ok1 := structBal.Packet(now, tup, syn)
-		d2, ok2 := framesBal.Packet(now, tup, syn)
-		if d1 != d2 || ok1 != ok2 {
-			t.Fatalf("conn %d (syn=%v): struct -> %v/%v, frames -> %v/%v", i, syn, d1, ok1, d2, ok2)
-		}
-		now = now.Add(simtime.Duration(50 * simtime.Microsecond))
-	}
-
-	for i := 0; i < wt.Len(); i++ {
-		check(i, true)
-	}
-	now = now.Add(simtime.Duration(simtime.Second))
-	structBal.Advance(now)
-	framesBal.Advance(now)
-	for i := 0; i < wt.Len(); i++ {
-		check(i, false)
-	}
-	// Pool update mid-traffic: drop a DIP, keep checking agreement while
-	// the 3-step update is in flight and after it settles.
-	if err := structBal.Update(now, vip, pool[:len(pool)-1]); err != nil {
-		t.Fatal(err)
-	}
-	if err := framesBal.Update(now, vip, pool[:len(pool)-1]); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < wt.Len(); i++ {
-		check(i, false)
-	}
-	now = now.Add(simtime.Duration(simtime.Second))
-	structBal.Advance(now)
-	framesBal.Advance(now)
-	for i := 0; i < wt.Len(); i++ {
-		check(i, false)
-	}
-}
-
-// TestFramesAdapterZeroViolations runs the full simulator over the frames
-// adapter: the wire path must uphold PCC exactly like the struct path.
-func TestFramesAdapterZeroViolations(t *testing.T) {
-	bal, err := NewSilkRoadFrames("SilkRoad/frames", dataplane.DefaultConfig(200000), ctrlplane.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim, err := New(quickCfg(), bal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.AnnounceVIPs(bal.AddVIP); err != nil {
-		t.Fatal(err)
-	}
-	res := sim.Run()
-	if res.Conns < 5000 {
-		t.Fatalf("simulated only %d conns", res.Conns)
-	}
-	if res.BrokenConns != 0 {
-		t.Fatalf("frames path broke %d connections (PCC must hold)", res.BrokenConns)
 	}
 }
 

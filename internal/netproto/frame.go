@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net/netip"
+	"slices"
 )
 
 // Frame is the parse-once view of a raw packet — the wire-native currency
@@ -54,6 +55,11 @@ type Frame struct {
 	laneSeed uint64
 	lane     uint64
 	laneOK   bool
+
+	// synthLen is the wire length of a synthetic frame (Data == nil), set by
+	// Packet.Frame. It sits in the padding after laneOK, so a Frame stays
+	// 128 bytes — two cache lines in the hot batch.
+	synthLen uint32
 }
 
 // ParseFrame parses a raw IPv4/IPv6 packet into f in one pass: five-tuple,
@@ -129,12 +135,18 @@ func ParseFrame(data []byte, f *Frame) error {
 	return nil
 }
 
-// WireLen returns the frame's actual on-the-wire length in bytes — the L3
-// byte count meters and byte counters charge on the wire path. Unlike
-// Packet.WireLen (a canonical-framing reconstruction for synthetic
-// packets), this is the length of the bytes that really arrived; the two
-// agree for canonically framed packets (Marshal output).
-func (f *Frame) WireLen() int { return len(f.Data) }
+// WireLen returns the frame's on-the-wire length in bytes — the L3 byte
+// count meters and byte counters charge. For a parsed frame this is the
+// length of the bytes that really arrived; a synthetic frame (Data == nil,
+// built by Packet.Frame) carries Packet.WireLen's canonical-framing
+// reconstruction instead. The two agree for canonically framed packets
+// (Marshal output).
+func (f *Frame) WireLen() int {
+	if f.Data == nil {
+		return int(f.synthLen)
+	}
+	return len(f.Data)
+}
 
 // Payload returns the transport payload (aliasing Data).
 func (f *Frame) Payload() []byte { return f.Data[f.PayloadOff:] }
@@ -166,6 +178,31 @@ func (f *Frame) Packet(p *Packet) {
 	p.TCPFlags = f.TCPFlags
 	p.Seq = f.Seq
 	p.Payload = f.Data[f.PayloadOff:]
+}
+
+// Frame fills f with the packet's synthetic frame — the one Packet -> Frame
+// conversion, applied at the edge so nothing below it handles two
+// currencies. f carries exactly what the pipeline matches on and charges
+// (tuple, flags, sequence number, the canonical WireLen) and no bytes:
+// Data stays nil and the payload is not referenced. Any previous contents
+// of f, cached lane hash included, are discarded.
+func (p *Packet) Frame(f *Frame) {
+	*f = Frame{}
+	f.Tuple, f.TCPFlags, f.Seq = p.Tuple, p.TCPFlags, p.Seq
+	f.synthLen = uint32(p.WireLen())
+}
+
+// AppendFrames appends each packet's synthetic frame (Packet.Frame) to dst
+// and returns the extended slice — the batch form of the conversion. A
+// caller that passes its previous result resliced to zero length converts
+// allocation-free once the slice has grown to its largest batch.
+func AppendFrames(dst []Frame, pkts []*Packet) []Frame {
+	base := len(dst)
+	dst = slices.Grow(dst, len(pkts))[:base+len(pkts)]
+	for i, p := range pkts {
+		p.Frame(&dst[base+i])
+	}
+	return dst
 }
 
 // RewriteDst rewrites the frame's destination address and port in place to

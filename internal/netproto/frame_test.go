@@ -3,7 +3,9 @@ package netproto
 import (
 	"bytes"
 	"net/netip"
+	"reflect"
 	"testing"
+	"unsafe"
 )
 
 // framePackets returns a spread of canonically framed packets covering both
@@ -315,5 +317,72 @@ func BenchmarkParseFrame(b *testing.B) {
 		if err := ParseFrame(raw, &f); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestPacketFrameAgreesWithWire locks the one Packet -> Frame conversion to
+// the wire: for every family, transport and payload size the synthetic
+// frame carries the same match fields, length and lane hash as the frame
+// parsed from the packet's own Marshal output — and no bytes.
+func TestPacketFrameAgreesWithWire(t *testing.T) {
+	const seed = 0x51_1c_0a_d
+	var pkts []*Packet
+	for _, tuple := range []FiveTuple{tcpTuple4(), tcpTuple6()} {
+		for _, proto := range []Proto{ProtoTCP, ProtoUDP} {
+			for _, payload := range []int{0, 1, 1400} {
+				p := Packet{Tuple: tuple, Payload: make([]byte, payload)}
+				p.Tuple.Proto = proto
+				if proto == ProtoTCP {
+					p.TCPFlags, p.Seq = FlagSYN|FlagACK, 0xdeadbeef
+				}
+				raw, err := p.Marshal(nil)
+				if err != nil {
+					t.Fatalf("Marshal(%v): %v", p.Tuple, err)
+				}
+				var wire, synth Frame
+				if err := ParseFrame(raw, &wire); err != nil {
+					t.Fatalf("ParseFrame(%v): %v", p.Tuple, err)
+				}
+				synth.LaneHash(seed + 1) // a stale cache the conversion must discard
+				p.Frame(&synth)
+				if synth.Data != nil {
+					t.Fatalf("%v/%d: synthetic frame holds %d bytes", p.Tuple, payload, len(synth.Data))
+				}
+				if synth.Tuple != wire.Tuple || synth.TCPFlags != wire.TCPFlags || synth.Seq != wire.Seq {
+					t.Fatalf("%v/%d: synthetic {%v %#x %d} vs wire {%v %#x %d}", p.Tuple, payload,
+						synth.Tuple, synth.TCPFlags, synth.Seq, wire.Tuple, wire.TCPFlags, wire.Seq)
+				}
+				if synth.WireLen() != wire.WireLen() || synth.WireLen() != len(raw) {
+					t.Fatalf("%v/%d: WireLen synthetic %d, wire %d, marshaled %d", p.Tuple, payload,
+						synth.WireLen(), wire.WireLen(), len(raw))
+				}
+				if synth.LaneHash(seed) != wire.LaneHash(seed) {
+					t.Fatalf("%v/%d: lane hash synthetic %#x, wire %#x", p.Tuple, payload,
+						synth.LaneHash(seed), wire.LaneHash(seed))
+				}
+				pkts = append(pkts, &p)
+			}
+		}
+	}
+	// The batch form is the same conversion per element, after whatever the
+	// destination already held.
+	batch := AppendFrames(make([]Frame, 1, 2), pkts)
+	if len(batch) != 1+len(pkts) {
+		t.Fatalf("AppendFrames returned %d frames for %d packets after 1", len(batch), len(pkts))
+	}
+	for i, p := range pkts {
+		var want Frame
+		p.Frame(&want)
+		if !reflect.DeepEqual(batch[1+i], want) {
+			t.Fatalf("AppendFrames[%d] = %+v, Packet.Frame = %+v", i, batch[1+i], want)
+		}
+	}
+}
+
+// TestFrameSize pins the Frame at two cache lines: the hot batch is a
+// []Frame, and the synthetic length rides in what was padding.
+func TestFrameSize(t *testing.T) {
+	if got := unsafe.Sizeof(Frame{}); got != 128 {
+		t.Fatalf("unsafe.Sizeof(Frame{}) = %d, want 128", got)
 	}
 }

@@ -1,8 +1,7 @@
 package pipes
 
-// Tests for the wire-native batch path: frames through the persistent
-// worker rings must behave exactly like structs through ProcessBatch, and
-// the steady-state frames sweep must not allocate.
+// Tests for the batch path on parsed wire frames: the single-frame entry
+// must shard like the batch, and the steady-state sweep must not allocate.
 
 import (
 	"testing"
@@ -35,59 +34,6 @@ func framesN(t *testing.T, n int, flags uint8) []netproto.Frame {
 		}
 	}
 	return frames
-}
-
-// TestFramesBatchMatchesStructBatch runs the same workload — SYN round,
-// established rounds, a DIP pool update in the middle — through a frames
-// engine and a structs twin. Every packet must get the identical verdict,
-// DIP and version: the wire currency and the struct currency are two entry
-// points into one pipeline, never two pipelines.
-func TestFramesBatchMatchesStructBatch(t *testing.T) {
-	framesEng := newTestEngine(t, 4, 10000)
-	structEng := newTestEngine(t, 4, 10000)
-	const conns = 300
-	now := simtime.Time(0)
-	results := make([]dataplane.Result, conns)
-	for round := 0; round < 6; round++ {
-		flags := netproto.FlagACK
-		if round == 0 {
-			flags = netproto.FlagSYN
-		}
-		frames := framesN(t, conns, flags)
-		pkts := make([]*netproto.Packet, conns)
-		for i := 0; i < conns; i++ {
-			pkts[i] = &netproto.Packet{Tuple: tupleN(i), TCPFlags: flags}
-		}
-		framesEng.ProcessFramesInto(now, frames, results)
-		want := structEng.ProcessBatch(now, pkts)
-		for i := range results {
-			if results[i].Verdict != want[i].Verdict || results[i].DIP != want[i].DIP ||
-				results[i].Version != want[i].Version {
-				t.Fatalf("round %d packet %d: frames %+v, structs %+v", round, i, results[i], want[i])
-			}
-		}
-		if round == 2 {
-			// Shrink the pool mid-workload on both engines: the frame path
-			// must ride the 3-step update identically.
-			if err := framesEng.RemoveDIP(now, testVIP(), testPool(8)[7]); err != nil {
-				t.Fatal(err)
-			}
-			if err := structEng.RemoveDIP(now, testVIP(), testPool(8)[7]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		now = now.Add(simtime.Duration(simtime.Second))
-		framesEng.Advance(now)
-		structEng.Advance(now)
-	}
-	// Both engines must have sharded identically (same seeds, same lanes).
-	fs, ss := framesEng.Stats(), structEng.Stats()
-	for pi := range fs.PipePackets {
-		if fs.PipePackets[pi] != ss.PipePackets[pi] {
-			t.Fatalf("pipe %d: frames engine %d packets, struct engine %d — shard divergence",
-				pi, fs.PipePackets[pi], ss.PipePackets[pi])
-		}
-	}
 }
 
 // TestEngineProcessFrameSingle covers the one-at-a-time frame entry point:

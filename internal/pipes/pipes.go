@@ -63,8 +63,9 @@ type Config struct {
 }
 
 // pipe is one forwarding pipeline: a data plane, its control-plane slice,
-// and the lock that serializes access to both (the per-pipe equivalent of
-// the single-pipe facade mutex).
+// and the lock that serializes access to both, the way the one pipeline and
+// its slice of the switch CPU would. Flows are sharded onto pipes, so this
+// one lock per pipe is all the synchronisation the packet path needs.
 type pipe struct {
 	mu        sync.Mutex
 	dp        *dataplane.Switch
@@ -95,6 +96,13 @@ type Engine struct {
 	closed   bool // Close ran; later batches execute on the caller
 	quit     chan struct{}
 	workerWG sync.WaitGroup
+
+	// scratch holds the synthetic frames of a struct-currency batch
+	// (ProcessBatchInto), grown lazily and reused so the adapter allocates
+	// nothing in steady state. scratchMu is held across the whole batch and
+	// is taken before batchMu and the pipe locks.
+	scratchMu sync.Mutex
+	scratch   []netproto.Frame
 }
 
 // Stats aggregates per-pipe hardware and software counters into chip-level
@@ -109,13 +117,17 @@ type Stats struct {
 	PipePackets []uint64
 }
 
-// New builds an engine of cfg.Pipes pipes. Each pipe receives 1/N of the
-// chip SRAM and of the ConnTable sizing target; seeds are diversified per
-// pipe so the pipes' hash functions are independent, as on real hardware.
 // shardSeedSalt diversifies the default shard seed away from the chip
 // seed, so sharding and in-pipe hashing stay independent functions.
 const shardSeedSalt = 0x9155_0a1d_70_4e5
 
+// New builds an engine of cfg.Pipes pipes. Each pipe receives 1/N of the
+// chip SRAM and of the ConnTable sizing target. On a multi-pipe chip the
+// seeds are diversified per pipe, so the pipes' hash functions are
+// independent as on real hardware, and every pipe derives its hashes from
+// the one ingress lane hash. A one-pipe engine is a bare data plane:
+// pipe 0 gets cfg.Dataplane as written — the caller's Seed and hash scheme
+// — so its placement and digests are those of dataplane.New(cfg.Dataplane).
 func New(cfg Config) (*Engine, error) {
 	n := cfg.Pipes
 	if n < 1 {
@@ -142,11 +154,11 @@ func New(cfg Config) (*Engine, error) {
 		dcfg := cfg.Dataplane
 		dcfg.Chip = dcfg.Chip.PerPipe(n)
 		dcfg.ConnTableEntries = (cfg.Dataplane.ConnTableEntries + n - 1) / n
-		dcfg.Seed = cfg.Dataplane.Seed ^ (0x9e3779b97f4a7c15 * uint64(i+1))
 		if n > 1 {
+			dcfg.Seed = cfg.Dataplane.Seed ^ (0x9e3779b97f4a7c15 * uint64(i+1))
 			// Multi-pipe chips hash the tuple once at ingress and let every
 			// pipe derive its key hash and digest from that lane hash; the
-			// single-pipe engine keeps the byte-hashing scheme bit-for-bit.
+			// one-pipe engine keeps the byte-hashing scheme bit-for-bit.
 			dcfg.DerivedHashes = true
 			dcfg.LaneSeed = e.laneSeed
 		}
@@ -229,15 +241,40 @@ func (e *Engine) Inspect(i int, fn func(dp *dataplane.Switch, cp *ctrlplane.Cont
 	fn(p.dp, p.cp)
 }
 
-// process runs one packet on pipe p. Callers hold p.mu.
-func (p *pipe) process(now simtime.Time, pkt *netproto.Packet) dataplane.Result {
-	p.cp.Advance(now)
-	res := p.dp.Process(now, pkt)
-	p.processed++
-	return p.cp.HandleResult(now, pkt, res)
+// The four methods below, with NumPipes, make the engine a fault injector's
+// target (faults.Target): CPU faults hit a pipe's control plane, table and
+// digest faults its data plane, each under that pipe's lock. A fault plan
+// is caller input and may name a pipe the chip does not have; such an
+// event is ignored.
+
+// StallCPU freezes pipe's insertion CPU for d starting at now.
+func (e *Engine) StallCPU(now simtime.Time, pipe int, d simtime.Duration) {
+	e.inject(pipe, func(_ *dataplane.Switch, cp *ctrlplane.ControlPlane) { cp.StallCPU(now, d) })
 }
 
-// processFrame runs one wire frame on pipe p. Callers hold p.mu.
+// SetInsertRateScale multiplies pipe's insertion rate (1 or 0 = normal).
+func (e *Engine) SetInsertRateScale(pipe int, scale float64) {
+	e.inject(pipe, func(_ *dataplane.Switch, cp *ctrlplane.ControlPlane) { cp.SetInsertRateScale(scale) })
+}
+
+// SetConnTableLimit caps pipe's ConnTable occupancy (0 = uncapped).
+func (e *Engine) SetConnTableLimit(pipe, limit int) {
+	e.inject(pipe, func(dp *dataplane.Switch, _ *ctrlplane.ControlPlane) { dp.SetConnTableLimit(limit) })
+}
+
+// SetLearnLoss drops new learn digests on pipe with probability rate from a
+// seed-deterministic stream (rate <= 0 = off).
+func (e *Engine) SetLearnLoss(pipe int, rate float64, seed uint64) {
+	e.inject(pipe, func(dp *dataplane.Switch, _ *ctrlplane.ControlPlane) { dp.LearnFilter().SetLoss(rate, seed) })
+}
+
+func (e *Engine) inject(pipe int, fn func(dp *dataplane.Switch, cp *ctrlplane.ControlPlane)) {
+	if pipe >= 0 && pipe < len(e.pipes) {
+		e.Inspect(pipe, fn)
+	}
+}
+
+// processFrame runs one frame on pipe p. Callers hold p.mu.
 func (p *pipe) processFrame(now simtime.Time, f *netproto.Frame) dataplane.Result {
 	p.cp.Advance(now)
 	res := p.dp.ProcessFrame(now, f)
@@ -246,17 +283,19 @@ func (p *pipe) processFrame(now simtime.Time, f *netproto.Frame) dataplane.Resul
 	return res
 }
 
-// Process runs one packet through its owning pipe.
+// Process runs one decoded packet through its owning pipe (struct-currency
+// edge adapter over ProcessFrame).
 func (e *Engine) Process(now simtime.Time, pkt *netproto.Packet) dataplane.Result {
-	p := e.pipes[e.PipeOf(pkt.Tuple)]
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.process(now, pkt)
+	var f netproto.Frame
+	pkt.Frame(&f)
+	return e.ProcessFrame(now, &f)
 }
 
-// ProcessFrame runs one wire frame through its owning pipe. The frame's
-// cached lane hash doubles as the shard key, so the tuple is hashed at most
-// once across sharding and pipeline.
+// ProcessFrame runs one frame through its owning pipe: background CPU work
+// due by now executes first, then the ASIC pipeline, then any CPU
+// arbitration the pipeline requested (redirected SYNs). The frame's cached
+// lane hash doubles as the shard key, so the tuple is hashed at most once
+// across sharding and pipeline.
 func (e *Engine) ProcessFrame(now simtime.Time, f *netproto.Frame) dataplane.Result {
 	pi := 0
 	if len(e.pipes) > 1 {
@@ -268,12 +307,8 @@ func (e *Engine) ProcessFrame(now simtime.Time, f *netproto.Frame) dataplane.Res
 	return p.processFrame(now, f)
 }
 
-// ProcessBatch runs a batch of packets through the chip: packets are
-// scattered to their owning pipes, each pipe processes its share in
-// arrival order, and results are gathered back in input order. Result i
-// corresponds to pkts[i]. On a multi-pipe engine the shares run as jobs on
-// the per-pipe workers (see ring.go); the call returns once every share
-// has completed.
+// ProcessBatch runs a batch of decoded packets through the chip and returns
+// one Result per packet, in input order (struct-currency edge adapter).
 func (e *Engine) ProcessBatch(now simtime.Time, pkts []*netproto.Packet) []dataplane.Result {
 	results := make([]dataplane.Result, len(pkts))
 	e.ProcessBatchInto(now, pkts, results)
@@ -281,58 +316,45 @@ func (e *Engine) ProcessBatch(now simtime.Time, pkts []*netproto.Packet) []datap
 }
 
 // ProcessBatchInto is ProcessBatch writing into a caller-provided results
-// slice (len(results) >= len(pkts)), the allocation-free form for callers
-// that reuse buffers across batches. results[i] corresponds to pkts[i];
-// slots past len(pkts) are untouched.
+// slice (len(results) >= len(pkts)): the packets become synthetic frames in
+// the engine's scratch — which therefore holds none of the caller's memory
+// between batches — and take ProcessFramesInto. results[i] corresponds to
+// pkts[i]; slots past len(pkts) are untouched.
 func (e *Engine) ProcessBatchInto(now simtime.Time, pkts []*netproto.Packet, results []dataplane.Result) {
-	if len(pkts) == 0 {
-		return
-	}
-	if len(e.pipes) == 1 {
-		// The single-pipe case keeps the plain lock-based loop: there is
-		// nothing to shard and nothing to hand off.
-		p := e.pipes[0]
-		p.mu.Lock()
-		for i, pkt := range pkts {
-			results[i] = p.process(now, pkt)
-		}
-		p.mu.Unlock()
-		return
-	}
-	e.batchMu.Lock()
-	defer e.batchMu.Unlock()
-	// Scatter: one lane hash per packet feeds both the pipe choice and —
-	// via ProcessLane — the pipe's key hash and digest, so the tuple is
-	// hashed exactly once on this path. Index lists preserve arrival order
-	// within a pipe.
-	lanes := e.shard(len(pkts), func(i int) uint64 {
-		return netproto.LaneHash(e.laneSeed, &pkts[i].Tuple)
-	})
-	e.runShards(now, pkts, nil, lanes, results)
+	e.scratchMu.Lock()
+	defer e.scratchMu.Unlock()
+	e.scratch = netproto.AppendFrames(e.scratch[:0], pkts)
+	e.ProcessFramesInto(now, e.scratch, results)
 }
 
-// ProcessFrames is ProcessBatch on the wire-native currency: each frame is
-// routed to its owning pipe by its cached lane hash and processed with zero
-// re-decode. results[i] corresponds to frames[i]. Frames are read, never
-// written, by the pipeline — TX rewrites belong to the caller after the
-// verdicts return.
+// ProcessFrames runs a batch of frames through the chip and returns one
+// Result per frame, in input order.
 func (e *Engine) ProcessFrames(now simtime.Time, frames []netproto.Frame) []dataplane.Result {
 	results := make([]dataplane.Result, len(frames))
 	e.ProcessFramesInto(now, frames, results)
 	return results
 }
 
-// ProcessFramesInto is ProcessFrames writing into a caller-provided results
-// slice (len(results) >= len(frames)), the allocation-free form for the
-// socket RX loop that reuses frame and result buffers across batches.
+// ProcessFramesInto is the one batch path: frames are scattered to their
+// owning pipes by their cached lane hash, each pipe processes its share in
+// arrival order with zero re-decode, and results are gathered back in
+// input order into the caller-provided slice (len(results) >=
+// len(frames)) — allocation-free for the socket RX loop that reuses frame
+// and result buffers across batches. On a multi-pipe engine the shares run
+// as jobs on the per-pipe workers (see ring.go) and the call returns once
+// every share has completed. Frames are read, never written, by the
+// pipeline — TX rewrites belong to the caller after the verdicts return.
 func (e *Engine) ProcessFramesInto(now simtime.Time, frames []netproto.Frame, results []dataplane.Result) {
 	if len(frames) == 0 {
 		return
 	}
 	if len(e.pipes) == 1 {
+		// One pipe: nothing to shard and nothing to hand off, so the batch
+		// runs inline under the pipe lock.
 		p := e.pipes[0]
 		p.mu.Lock()
 		for i := range frames {
+			// Per-frame poll kept: hoisting it is ROADMAP item 2's established/pps claim.
 			results[i] = p.processFrame(now, &frames[i])
 		}
 		p.mu.Unlock()
@@ -340,28 +362,29 @@ func (e *Engine) ProcessFramesInto(now simtime.Time, frames []netproto.Frame, re
 	}
 	e.batchMu.Lock()
 	defer e.batchMu.Unlock()
-	// The frame memoizes its lane hash at first use (the producer computes
+	// Scatter: one lane hash per frame feeds both the pipe choice and the
+	// pipe's key hash and digest, so the tuple is hashed exactly once on
+	// this path. The frame memoizes it at first use (the producer computes
 	// it here, before publication), so re-batching the same frames — e.g. a
 	// retried TX — never re-hashes the tuple.
-	lanes := e.shard(len(frames), func(i int) uint64 {
-		return frames[i].LaneHash(e.laneSeed)
-	})
-	e.runShards(now, nil, frames, lanes, results)
+	lanes := e.shard(frames)
+	e.runShards(now, frames, lanes, results)
 }
 
-// shard fills e.shards with per-pipe packet index lists from one lane hash
-// per packet and returns the reused lane buffer. Callers hold batchMu.
-func (e *Engine) shard(count int, laneOf func(i int) uint64) []uint64 {
-	if cap(e.lanes) < count {
-		e.lanes = make([]uint64, count)
+// shard fills e.shards with per-pipe frame index lists — arrival order
+// preserved within a pipe — from one lane hash per frame and returns the
+// reused lane buffer. Callers hold batchMu.
+func (e *Engine) shard(frames []netproto.Frame) []uint64 {
+	if cap(e.lanes) < len(frames) {
+		e.lanes = make([]uint64, len(frames))
 	}
-	lanes := e.lanes[:count]
+	lanes := e.lanes[:len(frames)]
 	n := uint64(len(e.pipes))
 	for pi := range e.shards {
 		e.shards[pi] = e.shards[pi][:0]
 	}
-	for i := 0; i < count; i++ {
-		lane := laneOf(i)
+	for i := range frames {
+		lane := frames[i].LaneHash(e.laneSeed)
 		lanes[i] = lane
 		pi := hashing.HashUint64(e.seed, lane) % n
 		e.shards[pi] = append(e.shards[pi], int32(i))
@@ -370,10 +393,8 @@ func (e *Engine) shard(count int, laneOf func(i int) uint64) []uint64 {
 }
 
 // runShards publishes one descriptor per non-empty shard, wakes the
-// workers, assists, and waits for batch completion. Exactly one of pkts and
-// frames is non-nil — the descriptor carries whichever currency the batch
-// uses. Callers hold batchMu.
-func (e *Engine) runShards(now simtime.Time, pkts []*netproto.Packet, frames []netproto.Frame, lanes []uint64, results []dataplane.Result) {
+// workers, assists, and waits for batch completion. Callers hold batchMu.
+func (e *Engine) runShards(now simtime.Time, frames []netproto.Frame, lanes []uint64, results []dataplane.Result) {
 	if !e.started && !e.closed {
 		e.started = true
 		for pi := range e.pipes {
@@ -389,7 +410,7 @@ func (e *Engine) runShards(now simtime.Time, pkts []*netproto.Packet, frames []n
 			continue
 		}
 		j := e.jobs[pi]
-		j.now, j.pkts, j.frames, j.idxs, j.lanes, j.results = now, pkts, frames, e.shards[pi], lanes, results
+		j.now, j.frames, j.idxs, j.lanes, j.results = now, frames, e.shards[pi], lanes, results
 		// Order matters: the completion count and the job fields must be in
 		// place before the state reset publishes the job — a worker can
 		// claim it through a stale ring entry the instant state reads
@@ -415,7 +436,7 @@ func (e *Engine) runShards(now simtime.Time, pkts []*netproto.Packet, frames []n
 	// does not pin the last batch's packets between calls.
 	for pi := range e.pipes {
 		j := e.jobs[pi]
-		j.pkts, j.frames, j.idxs, j.lanes, j.results = nil, nil, nil, nil, nil
+		j.frames, j.idxs, j.lanes, j.results = nil, nil, nil, nil
 	}
 }
 
@@ -423,21 +444,10 @@ func (e *Engine) runShards(now simtime.Time, pkts []*netproto.Packet, frames []n
 // configuration is replicated chip-wide). On failure the VIP is rolled back
 // from pipes already programmed, so the pipes never diverge.
 func (e *Engine) AddVIP(now simtime.Time, vip dataplane.VIP, pool []dataplane.DIP, meterBytesPerSec float64) error {
-	for i, p := range e.pipes {
-		p.mu.Lock()
-		err := p.cp.AddVIP(now, vip, pool, meterBytesPerSec)
-		p.mu.Unlock()
-		if err != nil {
-			for j := 0; j < i; j++ {
-				q := e.pipes[j]
-				q.mu.Lock()
-				_ = q.cp.RemoveVIP(now, vip)
-				q.mu.Unlock()
-			}
-			return err
-		}
-	}
-	return nil
+	return e.fanout(
+		func(p *pipe) error { return p.cp.AddVIP(now, vip, pool, meterBytesPerSec) },
+		func(p *pipe) { _ = p.cp.RemoveVIP(now, vip) },
+	)
 }
 
 // RemoveVIP withdraws a VIP from every pipe. Unlike the pool operations
@@ -498,8 +508,8 @@ func (e *Engine) RequestUpdate(now simtime.Time, vip dataplane.VIP, pool []datap
 
 // fanout applies op to the pipes in order; on the first failure it applies
 // undo to the pipes already mutated, in reverse order, and returns the
-// error — the same discipline as AddVIP, so a mid-fanout failure cannot
-// leave the chip with diverged per-pipe pools. Config errors are
+// error, so a mid-fanout failure cannot leave the chip with diverged
+// per-pipe VIPs or pools. Config errors are
 // deterministic across pipes when VIP state is replicated, so in the
 // common case pipe 0 fails and there is nothing to undo; the rollback
 // covers the pathological cases (a pipe diverged through direct

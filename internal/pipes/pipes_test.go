@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/ctrlplane"
 	"repro/internal/dataplane"
+	"repro/internal/faults"
 	"repro/internal/netproto"
 	"repro/internal/simtime"
 )
@@ -348,5 +349,34 @@ func TestConcurrentTrafficAndUpdates(t *testing.T) {
 	e.Advance(now.Add(simtime.Duration(simtime.Second)))
 	if st := e.Stats(); st.Dataplane.Packets != workers*perWorker {
 		t.Fatalf("aggregate packets = %d, want %d", st.Dataplane.Packets, workers*perWorker)
+	}
+}
+
+// TestFaultOnMissingPipeIsNoOp: a fault plan is caller input, so an event
+// naming a pipe the chip does not have must be ignored — not index past
+// the pipes — while events for real pipes in the same plan still land.
+func TestFaultOnMissingPipeIsNoOp(t *testing.T) {
+	e := newTestEngine(t, 2, 10000)
+	_, before := e.Dataplane(0).OccupancyInfo()
+	var evs []faults.Event
+	for _, pipe := range []int{2, 7} {
+		evs = append(evs,
+			faults.Event{Kind: faults.CPUStall, Pipe: pipe, Duration: simtime.Duration(simtime.Second)},
+			faults.Event{Kind: faults.CPUSlow, Pipe: pipe, Scale: 0.5},
+			faults.Event{Kind: faults.TableLimit, Pipe: pipe, Limit: 1},
+			faults.Event{Kind: faults.DigestLoss, Pipe: pipe, Scale: 1},
+		)
+	}
+	evs = append(evs, faults.Event{Kind: faults.TableLimit, Pipe: 1, Limit: 1})
+	inj := faults.NewInjector(faults.Plan{Seed: 1, Events: evs}, e)
+	inj.Advance(0)
+	if got := inj.Metrics().Injected; got != uint64(len(evs)) {
+		t.Fatalf("injector applied %d of %d events", got, len(evs))
+	}
+	if _, c := e.Dataplane(0).OccupancyInfo(); c != before {
+		t.Fatalf("pipe 0 capacity moved %d -> %d: an out-of-range event landed on it", before, c)
+	}
+	if _, c := e.Dataplane(1).OccupancyInfo(); c != 1 {
+		t.Fatalf("pipe 1 capacity = %d, want the injected limit 1", c)
 	}
 }

@@ -39,13 +39,10 @@ const (
 // makes that harmless — each publication is executed exactly once, by
 // exactly one goroutine, whichever entry it was claimed through.
 type batchJob struct {
-	now simtime.Time
-	// Exactly one of pkts and frames is non-nil: the descriptor carries a
-	// struct-currency batch or a wire-frame batch.
-	pkts    []*netproto.Packet
+	now     simtime.Time
 	frames  []netproto.Frame
-	idxs    []int32  // indices into pkts/frames owned by this pipe, arrival order
-	lanes   []uint64 // chip-level lane hash per packet (indexed like pkts)
+	idxs    []int32  // indices into frames owned by this pipe, arrival order
+	lanes   []uint64 // chip-level lane hash per frame (indexed like frames)
 	results []dataplane.Result
 	state   atomic.Uint32
 	wg      *sync.WaitGroup // the engine's batch completion group
@@ -139,20 +136,11 @@ func (e *Engine) runJob(pi int, j *batchJob) {
 	p := e.pipes[pi]
 	p.mu.Lock()
 	p.cp.Advance(j.now)
-	if j.frames != nil {
-		for _, i := range j.idxs {
-			f := &j.frames[i]
-			p.dp.ProcessFrameInto(j.now, f, j.lanes[i], &j.results[i])
-			p.processed++
-			p.cp.HandleTupleResultInto(j.now, f.Tuple, &j.results[i])
-		}
-	} else {
-		for _, i := range j.idxs {
-			pkt := j.pkts[i]
-			p.dp.ProcessLaneInto(j.now, pkt, j.lanes[i], &j.results[i])
-			p.processed++
-			p.cp.HandleResultInto(j.now, pkt, &j.results[i])
-		}
+	for _, i := range j.idxs {
+		f := &j.frames[i]
+		p.dp.ProcessFrameInto(j.now, f, j.lanes[i], &j.results[i])
+		p.processed++
+		p.cp.HandleTupleResultInto(j.now, f.Tuple, &j.results[i])
 	}
 	p.mu.Unlock()
 }

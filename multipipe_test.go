@@ -4,6 +4,7 @@ package silkroad
 // shards traffic across independent pipes behind the same Switch API.
 
 import (
+	"net/netip"
 	"testing"
 
 	"repro/internal/dataplane"
@@ -24,12 +25,70 @@ func newMultiSwitch(t *testing.T, pipes int) *Switch {
 	return sw
 }
 
+// TestOnePipeSwitchIsBareDataplane pins what every single-pipe golden and
+// soak report rests on: with Pipes 0 or 1 the switch runs a one-pipe
+// engine whose pipe is Config.Dataplane as written — the caller's seed,
+// undiversified, under the byte-hash scheme — so keys, digests and DIP
+// choices are those of dataplane.New on the same config.
+func TestOnePipeSwitchIsBareDataplane(t *testing.T) {
+	var tuples []FiveTuple
+	for i := 0; i < 300; i++ {
+		tuples = append(tuples, clientPkt(i, 0).Tuple)
+		t6 := clientPkt(i, 0).Tuple
+		t6.Src = netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, 14: byte(i >> 8), 15: byte(i)})
+		t6.Dst = netip.MustParseAddr("2001:db8::20")
+		tuples = append(tuples, t6)
+	}
+	vips := []VIP{testVIP(), NewVIP("2001:db8::20", 80, TCP)}
+	pools := [][]DIP{Pool("10.0.0.1:20", "10.0.0.2:20", "10.0.0.3:20"), Pool("[2001:db8::a]:20", "[2001:db8::b]:20", "[2001:db8::c]:20")}
+	for _, pipes := range []int{0, 1} {
+		cfg := Defaults(100000)
+		cfg.Pipes = pipes
+		cfg.Dataplane.Seed = 0xfeed_5eed
+		sw, err := NewSwitch(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bare, err := dataplane.New(cfg.Dataplane)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, vip := range vips {
+			if err := sw.AddVIP(0, vip, pools[i]); err != nil {
+				t.Fatal(err)
+			}
+			if err := bare.InstallVIP(vip, 0, pools[i], 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if sw.Engine() == nil || sw.Pipes() != 1 || sw.Engine().NumPipes() != 1 {
+			t.Fatalf("Pipes %d: Engine() = %v, Pipes() = %d", pipes, sw.Engine(), sw.Pipes())
+		}
+		dp := sw.Dataplane()
+		if got := dp.Config(); got.Seed != cfg.Dataplane.Seed || got.DerivedHashes {
+			t.Fatalf("Pipes %d: pipe 0 runs seed %#x, DerivedHashes %v; want the caller's %#x, false",
+				pipes, got.Seed, got.DerivedHashes, cfg.Dataplane.Seed)
+		}
+		for _, tup := range tuples {
+			if dp.KeyHash(tup) != bare.KeyHash(tup) || dp.ConnDigest(tup) != bare.ConnDigest(tup) {
+				t.Fatalf("Pipes %d: %v hashes to %#x/%#x, bare data plane to %#x/%#x", pipes, tup,
+					dp.KeyHash(tup), dp.ConnDigest(tup), bare.KeyHash(tup), bare.ConnDigest(tup))
+			}
+			got, err1 := dp.SelectDIP(dataplane.VIPOf(tup), 0, tup)
+			want, err2 := bare.SelectDIP(dataplane.VIPOf(tup), 0, tup)
+			if err1 != nil || err2 != nil || got != want {
+				t.Fatalf("Pipes %d: %v selects %v (%v), bare data plane %v (%v)", pipes, tup, got, err1, want, err2)
+			}
+		}
+	}
+}
+
 // TestMultiPipeEndToEnd drives the full facade surface against a 4-pipe
 // switch: process, batch, pool updates under PCC, termination, stats.
 func TestMultiPipeEndToEnd(t *testing.T) {
 	sw := newMultiSwitch(t, 4)
-	if sw.Pipes() != 4 || sw.Engine() == nil {
-		t.Fatalf("Pipes() = %d, Engine() = %v", sw.Pipes(), sw.Engine())
+	if sw.Pipes() != 4 || sw.Engine().NumPipes() != 4 {
+		t.Fatalf("Pipes() = %d, Engine().NumPipes() = %d", sw.Pipes(), sw.Engine().NumPipes())
 	}
 
 	const conns = 500

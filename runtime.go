@@ -62,21 +62,7 @@ func (ss switchSource) Advance(now Time)            { ss.s.Advance(now) }
 // nextDue returns the earliest deadline of any kind the switch has:
 // background work or aging-wheel ticks. The wall-clock driver sleeps on
 // this; NextEventTime keeps its narrower simulation semantics.
-func (s *Switch) nextDue() (Time, bool) {
-	if s.multi != nil {
-		return s.multi.NextDue()
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	at, ok := s.cp.NextEventTime()
-	if ag, agOK := s.cp.NextAging(); agOK && (!ok || ag.Before(at)) {
-		at, ok = ag, true
-	}
-	if tr, trOK := s.cp.NextTransition(); trOK && (!ok || tr.Before(at)) {
-		at, ok = tr, true
-	}
-	return at, ok
-}
+func (s *Switch) nextDue() (Time, bool) { return s.eng.NextDue() }
 
 // Now returns the current instant of the switch's clock (Config.Clock, or
 // the wall clock installed at construction).

@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
-	"sync"
 
 	"repro/internal/ctrlplane"
 	"repro/internal/dataplane"
@@ -257,11 +256,12 @@ type Config struct {
 	Controlplane ctrlplane.Config
 	// Pipes is the number of independent forwarding pipelines the chip runs
 	// (Tofino-class ASICs forward through 2-4 pipes, each with its own
-	// stages and SRAM share). Zero or one selects the classic single-pipe
-	// switch. With more pipes, traffic is sharded by 5-tuple hash so each
+	// stages and SRAM share). Zero or one builds a one-pipe engine, whose
+	// pipe is Dataplane exactly as written — the caller's Seed and hash
+	// scheme. With more pipes, traffic is sharded by 5-tuple hash so each
 	// connection is pinned to one pipe's ConnTable, the chip SRAM budget and
-	// ConnTable sizing target divide evenly across pipes, and Stats reports
-	// chip-level aggregates.
+	// ConnTable sizing target divide evenly across pipes, seeds are
+	// diversified per pipe, and Stats reports chip-level aggregates.
 	Pipes int
 	// Telemetry, when non-nil, attaches a metrics registry: the data plane,
 	// control plane and learning filter of every pipe report their events
@@ -311,23 +311,19 @@ type Stats struct {
 	MemoryBytes  int // current SRAM consumption
 }
 
-// Switch is a SilkRoad load-balancing switch: the ASIC data plane plus its
-// management-CPU software, advanced together in virtual time.
+// Switch is a SilkRoad load-balancing switch: a chip of one or more pipes —
+// each an ASIC data plane plus its slice of the management-CPU software —
+// advanced together in virtual time.
 //
-// Switch methods are safe for concurrent use: the single-pipe facade
-// serializes calls the way the single pipeline and the single switch CPU
-// would, and the multi-pipe facade (Config.Pipes > 1) locks per pipe, so
-// packets of different pipes proceed in parallel. (The inner
-// internal/dataplane and internal/ctrlplane types are not independently
-// thread-safe.)
+// Switch methods are safe for concurrent use: the engine locks per pipe,
+// serializing calls to a pipe the way its pipeline and its slice of the
+// switch CPU would, so packets of different pipes proceed in parallel and
+// a one-pipe switch is fully serialized. (The inner internal/dataplane and
+// internal/ctrlplane types are not independently thread-safe.)
 type Switch struct {
-	mu sync.Mutex
-	dp *dataplane.Switch
-	cp *ctrlplane.ControlPlane
-
-	// multi is non-nil when the switch runs more than one pipe; dp/cp are
-	// nil in that mode and every operation routes through the engine.
-	multi *pipes.Engine
+	// eng is the chip: every packet and every table operation routes
+	// through it, whatever the pipe count.
+	eng *pipes.Engine
 
 	// rt is the switch's event runtime (see runtime.go): the scheduler
 	// behind Switch.Run, Every and registered health checkers.
@@ -368,40 +364,16 @@ func NewSwitch(cfg Config) (*Switch, error) {
 		return nil, errors.New("silkroad: Config.SLO requires Config.Telemetry")
 	}
 	tracer := tracerFor(cfg)
-	if cfg.Pipes > 1 {
-		pcfg := pipes.Config{
-			Pipes:        cfg.Pipes,
-			Dataplane:    cfg.Dataplane,
-			Controlplane: cfg.Controlplane,
-		}
-		if tracer != nil {
-			pcfg.Tracer = tracer
-		}
-		eng, err := pipes.New(pcfg)
-		if err != nil {
-			return nil, err
-		}
-		s := &Switch{multi: eng, tel: cfg.Telemetry, rec: cfg.FlightRecorder}
-		s.rt = newRuntime(cfg.Clock, s)
-		s.attachIntent(tracer)
-		s.attachFaults(cfg, tracer)
-		s.attachSLO(cfg)
-		return s, nil
-	}
-	dcfg := cfg.Dataplane
-	if tracer != nil {
-		dcfg.Tracer = tracer
-	}
-	dp, err := dataplane.New(dcfg)
+	eng, err := pipes.New(pipes.Config{
+		Pipes:        cfg.Pipes,
+		Dataplane:    cfg.Dataplane,
+		Controlplane: cfg.Controlplane,
+		Tracer:       tracer,
+	})
 	if err != nil {
 		return nil, err
 	}
-	s := &Switch{
-		dp:  dp,
-		cp:  ctrlplane.New(dp, cfg.Controlplane),
-		tel: cfg.Telemetry,
-		rec: cfg.FlightRecorder,
-	}
+	s := &Switch{eng: eng, tel: cfg.Telemetry, rec: cfg.FlightRecorder}
 	s.rt = newRuntime(cfg.Clock, s)
 	s.attachIntent(tracer)
 	s.attachFaults(cfg, tracer)
@@ -454,7 +426,7 @@ func (s *Switch) attachFaults(cfg Config, tracer telemetry.Tracer) {
 	if cfg.Faults == nil {
 		return
 	}
-	inj := faults.NewInjector(*cfg.Faults, switchTarget{s})
+	inj := faults.NewInjector(*cfg.Faults, s.eng)
 	if tracer != nil {
 		inj.SetTracer(tracer)
 	}
@@ -462,50 +434,6 @@ func (s *Switch) attachFaults(cfg Config, tracer telemetry.Tracer) {
 	s.rt.mu.Lock()
 	s.rt.sched.AddSource(inj)
 	s.rt.mu.Unlock()
-}
-
-// switchTarget adapts the switch as the injector's attack surface: each
-// knob routes to one pipe's control or data plane under that pipe's lock.
-type switchTarget struct{ s *Switch }
-
-func (t switchTarget) valid(pipe int) bool { return pipe >= 0 && pipe < t.s.Pipes() }
-
-func (t switchTarget) NumPipes() int { return t.s.Pipes() }
-
-func (t switchTarget) StallCPU(now Time, pipe int, d Duration) {
-	if !t.valid(pipe) {
-		return
-	}
-	t.s.inspect(pipe, func(_ *dataplane.Switch, cp *ctrlplane.ControlPlane) {
-		cp.StallCPU(now, d)
-	})
-}
-
-func (t switchTarget) SetInsertRateScale(pipe int, scale float64) {
-	if !t.valid(pipe) {
-		return
-	}
-	t.s.inspect(pipe, func(_ *dataplane.Switch, cp *ctrlplane.ControlPlane) {
-		cp.SetInsertRateScale(scale)
-	})
-}
-
-func (t switchTarget) SetConnTableLimit(pipe, limit int) {
-	if !t.valid(pipe) {
-		return
-	}
-	t.s.inspect(pipe, func(dp *dataplane.Switch, _ *ctrlplane.ControlPlane) {
-		dp.SetConnTableLimit(limit)
-	})
-}
-
-func (t switchTarget) SetLearnLoss(pipe int, rate float64, seed uint64) {
-	if !t.valid(pipe) {
-		return
-	}
-	t.s.inspect(pipe, func(dp *dataplane.Switch, _ *ctrlplane.ControlPlane) {
-		dp.LearnFilter().SetLoss(rate, seed)
-	})
 }
 
 // Faults returns the attached fault injector, or nil when the switch was
@@ -533,7 +461,7 @@ type DegradedState struct {
 func (s *Switch) DegradedState() DegradedState {
 	var st DegradedState
 	for i := 0; i < s.Pipes(); i++ {
-		s.inspect(i, func(dp *dataplane.Switch, _ *ctrlplane.ControlPlane) {
+		s.eng.Inspect(i, func(dp *dataplane.Switch, _ *ctrlplane.ControlPlane) {
 			entries, capacity := dp.OccupancyInfo()
 			pd := PipeDegraded{Pipe: i, Degraded: dp.Degraded(), Entries: entries, Capacity: capacity}
 			st.Pipes = append(st.Pipes, pd)
@@ -565,48 +493,22 @@ func (s *Switch) Trace(t FiveTuple) (*Flow, error) {
 	return s.rec.Arm(t), nil
 }
 
-// inspect runs fn against pipe i's data and control plane under that
-// pipe's lock — the shared plumbing for the debug endpoints' table dumps.
-func (s *Switch) inspect(i int, fn func(dp *dataplane.Switch, cp *ctrlplane.ControlPlane)) {
-	if s.multi != nil {
-		s.multi.Inspect(i, fn)
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fn(s.dp, s.cp)
-}
-
 // Pipes returns the number of forwarding pipelines the switch runs.
-func (s *Switch) Pipes() int {
-	if s.multi != nil {
-		return s.multi.NumPipes()
-	}
-	return 1
-}
+func (s *Switch) Pipes() int { return s.eng.NumPipes() }
 
-// Engine exposes the multi-pipe engine, or nil for a single-pipe switch
-// (advanced use: per-pipe inspection, shard mapping).
-func (s *Switch) Engine() *pipes.Engine { return s.multi }
+// Engine exposes the switch's engine — never nil; a single-pipe switch
+// runs a one-pipe engine (advanced use: per-pipe inspection, shard
+// mapping).
+func (s *Switch) Engine() *pipes.Engine { return s.eng }
 
-// Dataplane exposes the underlying data plane (advanced use: resource
-// reports, direct table inspection). On a multi-pipe switch it returns the
-// first pipe's data plane; use Engine for the others.
-func (s *Switch) Dataplane() *dataplane.Switch {
-	if s.multi != nil {
-		return s.multi.Dataplane(0)
-	}
-	return s.dp
-}
+// Dataplane exposes the first pipe's data plane — on a single-pipe switch,
+// the data plane (advanced use: resource reports, direct table
+// inspection). Use Engine for the other pipes.
+func (s *Switch) Dataplane() *dataplane.Switch { return s.eng.Dataplane(0) }
 
-// Controlplane exposes the underlying switch software. On a multi-pipe
-// switch it returns the first pipe's slice; use Engine for the others.
-func (s *Switch) Controlplane() *ctrlplane.ControlPlane {
-	if s.multi != nil {
-		return s.multi.Controlplane(0)
-	}
-	return s.cp
-}
+// Controlplane exposes the first pipe's slice of the switch software — on
+// a single-pipe switch, all of it. Use Engine for the other pipes.
+func (s *Switch) Controlplane() *ctrlplane.ControlPlane { return s.eng.Controlplane(0) }
 
 // VIPOption configures one VIP at announcement time.
 type VIPOption func(*vipOptions)
@@ -697,28 +599,14 @@ func (s *Switch) UpdatePool(now Time, vip VIP, pool []DIP) error {
 }
 
 // CurrentPool returns the pool new connections map to.
-func (s *Switch) CurrentPool(vip VIP) ([]DIP, error) {
-	if s.multi != nil {
-		return s.multi.CurrentPool(vip)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cp.CurrentPool(vip)
-}
+func (s *Switch) CurrentPool(vip VIP) ([]DIP, error) { return s.eng.CurrentPool(vip) }
 
 // Process runs one decoded packet through the switch: background CPU work
 // due by now executes first, then the ASIC pipeline, then any CPU
-// arbitration the pipeline requested (redirected SYNs). On a multi-pipe
-// switch the packet is routed to its connection's pipe.
+// arbitration the pipeline requested (redirected SYNs). The packet is
+// routed to its connection's pipe.
 func (s *Switch) Process(now Time, pkt *Packet) Result {
-	var res Result
-	if s.multi != nil {
-		res = s.multi.Process(now, pkt)
-	} else {
-		s.mu.Lock()
-		res = s.process(now, pkt)
-		s.mu.Unlock()
-	}
+	res := s.eng.Process(now, pkt)
 	if resultSchedulesWork(res) {
 		s.poke()
 	}
@@ -734,19 +622,28 @@ func resultSchedulesWork(res Result) bool {
 	return res.Learned || !res.ConnHit
 }
 
+// pokeForBatch wakes the runtime once if any result of a finished batch
+// scheduled work. One poke covers the whole batch, even when several pipes
+// queued new deadlines: the engine returns only after every pipe's share
+// has completed, so all that work is already scheduled when the scan below
+// runs, and Poke merely makes the wall driver re-read NextDue — the minimum
+// deadline across every pipe — rather than waking it for a specific pipe.
+// Breaking on the first hit is therefore wake-loss-free.
+func (s *Switch) pokeForBatch(results []Result) {
+	for i := range results {
+		if resultSchedulesWork(results[i]) {
+			s.poke()
+			break
+		}
+	}
+}
+
 // ProcessFrame runs one parsed wire frame through the switch — the
 // bytes-native form of Process. The verdict's DIP plus the frame's cached
 // offsets are everything TX needs for an in-place rewrite or encap with
 // zero re-decode.
 func (s *Switch) ProcessFrame(now Time, f *Frame) Result {
-	var res Result
-	if s.multi != nil {
-		res = s.multi.ProcessFrame(now, f)
-	} else {
-		s.mu.Lock()
-		res = s.processFrame(now, f)
-		s.mu.Unlock()
-	}
+	res := s.eng.ProcessFrame(now, f)
 	if resultSchedulesWork(res) {
 		s.poke()
 	}
@@ -759,29 +656,8 @@ func (s *Switch) ProcessFrame(now Time, f *Frame) Result {
 // workers; on a single-pipe switch the batch is processed in order under
 // one lock acquisition.
 func (s *Switch) ProcessBatch(now Time, pkts []*Packet) []Result {
-	var results []Result
-	if s.multi != nil {
-		results = s.multi.ProcessBatch(now, pkts)
-	} else {
-		results = make([]Result, len(pkts))
-		s.mu.Lock()
-		for i, pkt := range pkts {
-			results[i] = s.process(now, pkt)
-		}
-		s.mu.Unlock()
-	}
-	// One poke covers the whole batch, even when several pipes queued new
-	// deadlines: the engine returns only after every pipe's share has
-	// completed, so all that work is already scheduled when the scan below
-	// runs, and Poke merely makes the wall driver re-read NextDue — the
-	// minimum deadline across every pipe — rather than waking it for a
-	// specific pipe. Breaking on the first hit is therefore wake-loss-free.
-	for i := range results {
-		if resultSchedulesWork(results[i]) {
-			s.poke()
-			break
-		}
-	}
+	results := s.eng.ProcessBatch(now, pkts)
+	s.pokeForBatch(results)
 	return results
 }
 
@@ -801,23 +677,8 @@ func (s *Switch) ProcessFrames(now Time, frames []Frame) []Result {
 // the socket RX loop uses, reusing frame and result buffers across
 // batches. results[i] corresponds to frames[i].
 func (s *Switch) ProcessFramesInto(now Time, frames []Frame, results []Result) {
-	if s.multi != nil {
-		s.multi.ProcessFramesInto(now, frames, results)
-	} else {
-		s.mu.Lock()
-		for i := range frames {
-			results[i] = s.processFrame(now, &frames[i])
-		}
-		s.mu.Unlock()
-	}
-	// Same single-poke logic as ProcessBatch: all new deadlines are already
-	// scheduled by the time the engine returns, so one wake-up suffices.
-	for i := range frames {
-		if resultSchedulesWork(results[i]) {
-			s.poke()
-			break
-		}
-	}
+	s.eng.ProcessFramesInto(now, frames, results)
+	s.pokeForBatch(results[:len(frames)])
 }
 
 // Close releases the switch's background machinery: on a multi-pipe
@@ -827,23 +688,8 @@ func (s *Switch) ProcessFramesInto(now Time, frames []Frame, results []Result) {
 // context first. Close is idempotent and safe to call concurrently with
 // the packet path.
 func (s *Switch) Close() error {
-	if s.multi != nil {
-		s.multi.Close()
-	}
+	s.eng.Close()
 	return nil
-}
-
-func (s *Switch) process(now Time, pkt *Packet) Result {
-	s.cp.Advance(now)
-	res := s.dp.Process(now, pkt)
-	return s.cp.HandleResult(now, pkt, res)
-}
-
-func (s *Switch) processFrame(now Time, f *Frame) Result {
-	s.cp.Advance(now)
-	res := s.dp.ProcessFrame(now, f)
-	s.cp.HandleTupleResultInto(now, f.Tuple, &res)
-	return res
 }
 
 // verdictError maps a non-forwarding verdict to its wrapped sentinel, so
@@ -907,36 +753,15 @@ func (s *Switch) ForwardIPIP(now Time, raw []byte, selfAddr netip.Addr) ([]byte,
 // ConnTable entry and possibly retiring a pool version.
 func (s *Switch) EndConnection(now Time, t FiveTuple) {
 	defer s.poke()
-	if s.multi != nil {
-		s.multi.EndConnection(now, t)
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cp.EndConnection(now, t)
+	s.eng.EndConnection(now, t)
 }
 
 // Advance runs background work (learning-filter drains, CPU insertions,
 // update state transitions, aging) due at or before now.
-func (s *Switch) Advance(now Time) {
-	if s.multi != nil {
-		s.multi.Advance(now)
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cp.Advance(now)
-}
+func (s *Switch) Advance(now Time) { s.eng.Advance(now) }
 
 // NextEventTime returns when the switch next has background work due.
-func (s *Switch) NextEventTime() (Time, bool) {
-	if s.multi != nil {
-		return s.multi.NextEventTime()
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cp.NextEventTime()
-}
+func (s *Switch) NextEventTime() (Time, bool) { return s.eng.NextEventTime() }
 
 // lockedManager adapts the switch's locked facade as a health.PoolManager.
 type lockedManager struct{ s *Switch }
@@ -949,44 +774,19 @@ func (m lockedManager) RemoveDIP(now Time, vip VIP, dip DIP) error {
 	return m.s.RemoveDIP(now, vip, dip)
 }
 
-// Stats returns combined counters. On a multi-pipe switch every field is
-// the chip-level aggregate over the pipes (sums; MaxInsertQueue is the
-// per-pipe maximum).
+// Stats returns combined counters: every field is the chip-level aggregate
+// over the pipes (sums; MaxInsertQueue is the per-pipe maximum).
 func (s *Switch) Stats() Stats {
-	if s.multi != nil {
-		agg := s.multi.Stats()
-		return Stats{
-			Dataplane:    agg.Dataplane,
-			Controlplane: agg.Controlplane,
-			Connections:  agg.Connections,
-			MemoryBytes:  agg.MemoryBytes,
-		}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	agg := s.eng.Stats()
 	return Stats{
-		Dataplane:    s.dp.Stats(),
-		Controlplane: s.cp.Metrics(),
-		Connections:  s.cp.TrackedConns(),
-		MemoryBytes:  s.dp.Memory().Total(),
+		Dataplane:    agg.Dataplane,
+		Controlplane: agg.Controlplane,
+		Connections:  agg.Connections,
+		MemoryBytes:  agg.MemoryBytes,
 	}
 }
 
 // PerPipe returns each pipe's individual counters in pipe order. A
 // single-pipe switch reports one entry, so callers inspect per-pipe state
-// the same way regardless of the pipe count (no Engine() != nil branch).
-func (s *Switch) PerPipe() []PipeStats {
-	if s.multi != nil {
-		return s.multi.PerPipe()
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return []PipeStats{{
-		Pipe:         0,
-		Dataplane:    s.dp.Stats(),
-		Controlplane: s.cp.Metrics(),
-		Connections:  s.cp.TrackedConns(),
-		MemoryBytes:  s.dp.Memory().Total(),
-		Packets:      s.dp.Stats().Packets,
-	}}
-}
+// the same way regardless of the pipe count.
+func (s *Switch) PerPipe() []PipeStats { return s.eng.PerPipe() }

@@ -255,11 +255,7 @@ func TestRemoveVIPLeavesNoUpdateInFlight(t *testing.T) {
 			t.Fatalf("%d pipes: PendingWork = %d after RemoveVIP and a 500 ms drain", pipes, n)
 		}
 		for i := 0; i < pipes; i++ {
-			cp := sw.Controlplane()
-			if sw.Engine() != nil {
-				cp = sw.Engine().Controlplane(i)
-			}
-			if n := cp.ActiveUpdates(); n != 0 {
+			if n := sw.Engine().Controlplane(i).ActiveUpdates(); n != 0 {
 				t.Fatalf("%d pipes: pipe %d has %d updates in flight", pipes, i, n)
 			}
 		}
