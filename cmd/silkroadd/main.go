@@ -109,6 +109,7 @@ func main() {
 	sampleEvery := flag.Int("trace-sample", 0, "with -debug, record every Nth packet in the trace ring (0 = armed flows only)")
 	degHigh := flag.Float64("degraded-high", 0.95, "ConnTable occupancy fraction above which new flows are served stateless (0 disables degraded mode)")
 	degLow := flag.Float64("degraded-low", 0.85, "occupancy fraction below which the switch leaves degraded mode")
+	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "free a connection's ConnTable entry after this long without a packet (0 = never: the table only grows)")
 	sloInterval := flag.Duration("slo-interval", time.Second, "SLO evaluation interval for /slo and /alertz (0 disables the evaluator)")
 	flag.Parse()
 
@@ -116,7 +117,14 @@ func main() {
 		log.Fatal("silkroadd: -debug needs -metrics to serve the debug endpoints on")
 	}
 
+	if *idleTimeout < 0 {
+		log.Fatal("silkroadd: -idle-timeout must not be negative")
+	}
+
 	cfg := silkroad.Defaults(*conns)
+	// The tunnel sees packets, not connection ends: idle aging is the only
+	// thing that ever frees an entry.
+	cfg.Controlplane.AgingTimeout = silkroad.Duration((*idleTimeout).Nanoseconds())
 	cfg.Dataplane.DegradedHighWatermark = *degHigh
 	cfg.Dataplane.DegradedLowWatermark = *degLow
 	telemetry := silkroad.NewTelemetry()

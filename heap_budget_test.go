@@ -7,6 +7,9 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
+
+	"repro/internal/hashing"
+	"repro/internal/timewheel"
 )
 
 // raceBuild reports whether the test binary was built with -race, whose
@@ -21,30 +24,59 @@ func raceBuild() bool {
 	return false
 }
 
+// heapAround returns the live heap build leaves behind, keeping its result
+// reachable until measured.
+func heapAround[T any](build func() T) (T, int64) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	v := build()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	return v, int64(after.HeapAlloc) - int64(before.HeapAlloc)
+}
+
 // TestHeapPerConnBudget holds the switch to its per-connection heap budget
-// (DESIGN.md, "The connection store"): a ConnTable slot is 20 bytes — an
-// 8-byte word, an 8-byte key hash, a 4-byte record index — paid per slot, so
-// 20 B / load per connection, and a record is 24 bytes for IPv4 and 48 for
-// IPv6. Everything else a primed switch holds must fit in the 2 B tolerance.
+// (DESIGN.md, "The connection store"): a ConnTable slot is 16 bytes — a
+// 4-byte word, an 8-byte key hash, a 4-byte record index — paid per slot, so
+// 16 B / load per connection; a record is its wire key, 13.25 B for IPv4
+// (13 KB chunks in the 13 568-byte size class) and 40 B for IPv6 (37 KB
+// chunks in five pages). Everything else a primed switch holds must fit in
+// the 1.5 B tolerance.
+//
+// With an AgingTimeout a connection also has its 8-byte last-seen time, and
+// the aging wheel holds its key (a map entry and a slot element). The wheel
+// is not part of the store's budget, so its share is measured on a wheel
+// built and filled the way the control plane fills its own, and the rest is
+// held to the same budget plus 8 B.
 func TestHeapPerConnBudget(t *testing.T) {
 	if testing.Short() || raceBuild() {
 		t.Skip("heap measurement: skipped under -short and -race")
 	}
-	const conns = 200_000
+	const (
+		conns = 200_000
+		// Long enough that nothing ages and every timer lands in one slot.
+		idle = 60 * Minute
+	)
+	v4 := func(c int) netip.Addr {
+		return netip.AddrFrom4([4]byte{1, byte(c >> 16), byte(c >> 8), byte(c)})
+	}
+	v6 := func(c int) netip.Addr {
+		a := netip.MustParseAddr("2001:db8:1::").As16()
+		binary.BigEndian.PutUint32(a[12:], uint32(c))
+		return netip.AddrFrom16(a)
+	}
 	for _, fam := range []struct {
 		name   string
 		vip    netip.Addr
 		src    func(c int) netip.Addr
 		record float64
+		aging  Duration
 	}{
-		{"IPv4", netip.MustParseAddr("20.0.0.1"), func(c int) netip.Addr {
-			return netip.AddrFrom4([4]byte{1, byte(c >> 16), byte(c >> 8), byte(c)})
-		}, 24},
-		{"IPv6", netip.MustParseAddr("2001:db8::1"), func(c int) netip.Addr {
-			a := netip.MustParseAddr("2001:db8:1::").As16()
-			binary.BigEndian.PutUint32(a[12:], uint32(c))
-			return netip.AddrFrom16(a)
-		}, 48},
+		{"IPv4", netip.MustParseAddr("20.0.0.1"), v4, 13.25, 0},
+		{"IPv6", netip.MustParseAddr("2001:db8::1"), v6, 40, 0},
+		{"IPv4-aging", netip.MustParseAddr("20.0.0.1"), v4, 13.25 + 8, idle},
+		{"IPv6-aging", netip.MustParseAddr("2001:db8::1"), v6, 40 + 8, idle},
 	} {
 		t.Run(fam.name, func(t *testing.T) {
 			frames := make([]Frame, lifeBatch)
@@ -53,44 +85,58 @@ func TestHeapPerConnBudget(t *testing.T) {
 			for i := range bufs {
 				bufs[i] = make([]byte, 0, 128)
 			}
-			var before, after runtime.MemStats
-			runtime.GC()
-			runtime.ReadMemStats(&before)
-
-			cfg := Defaults(conns * 5 / 4)
-			cfg.Clock = NewManualClock(0)
-			sw, err := NewSwitch(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sw.Close()
-			vip := VIP{Addr: fam.vip, Port: 80, Proto: TCP}
-			if err := sw.AddVIP(0, vip, lifePool(0, 4)); err != nil {
-				t.Fatal(err)
-			}
-			// Prime at the insertion CPU's pace (5 us a connection), then drain.
-			now := Time(0)
-			for c := 0; c < conns; c += lifeBatch {
-				now = now.Add(lifeBatch * 5 * Microsecond)
-				for j := range frames {
-					tuple := FiveTuple{Src: fam.src(c + j), Dst: vip.Addr, SrcPort: 1024, DstPort: 80, Proto: TCP}
-					tupleFrame(t, tuple, FlagSYN, bufs[j], &frames[j])
+			sw, heap := heapAround(func() *Switch {
+				cfg := Defaults(conns * 5 / 4)
+				cfg.Clock = NewManualClock(0)
+				cfg.Controlplane.AgingTimeout = fam.aging
+				sw, err := NewSwitch(cfg)
+				if err != nil {
+					t.Fatal(err)
 				}
-				sw.ProcessFramesInto(now, frames, results)
-			}
-			sw.AdvanceTo(now.Add(50 * Millisecond))
+				vip := VIP{Addr: fam.vip, Port: 80, Proto: TCP}
+				if err := sw.AddVIP(0, vip, lifePool(0, 4)); err != nil {
+					t.Fatal(err)
+				}
+				// Prime at the insertion CPU's pace (5 us a connection), then drain.
+				now := Time(0)
+				for c := 0; c < conns; c += lifeBatch {
+					now = now.Add(lifeBatch * 5 * Microsecond)
+					for j := range frames {
+						tuple := FiveTuple{Src: fam.src(c + j), Dst: vip.Addr, SrcPort: 1024, DstPort: 80, Proto: TCP}
+						tupleFrame(t, tuple, FlagSYN, bufs[j], &frames[j])
+					}
+					sw.ProcessFramesInto(now, frames, results)
+				}
+				sw.AdvanceTo(now.Add(50 * Millisecond))
+				return sw
+			})
+			defer sw.Close()
 			if got := sw.Stats().Connections; got != conns || sw.PendingWork() != 0 {
 				t.Fatalf("primed %d connections with %d items pending, want %d and 0", got, sw.PendingWork(), conns)
 			}
 
-			runtime.GC()
-			runtime.ReadMemStats(&after)
+			var wheel float64
+			if fam.aging > 0 {
+				// As ctrlplane.New builds it and pin fills it: one key a
+				// connection, due a timeout after its install.
+				w, bytes := heapAround(func() *timewheel.Wheel {
+					w := timewheel.New(fam.aging/8, 64)
+					for c := 0; c < conns; c++ {
+						w.Schedule(hashing.HashUint64(1, uint64(c)), Time(c*5*int(Microsecond)).Add(fam.aging))
+					}
+					return w
+				})
+				if w.Len() != conns {
+					t.Fatalf("reference wheel holds %d keys, want %d", w.Len(), conns)
+				}
+				wheel = float64(bytes) / conns
+			}
 			load := sw.Dataplane().ConnTable().Occupancy()
-			got := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / conns
-			want := 20/load + fam.record
-			t.Logf("%.2f heap B/conn at load %.3f; budget 20/load + %.0f = %.2f", got, load, fam.record, want)
-			if math.Abs(got-want) > 2 {
-				t.Fatalf("%.2f heap B/conn at load %.3f, want within 2 B of %.2f", got, load, want)
+			got := float64(heap)/conns - wheel
+			want := 16/load + fam.record
+			t.Logf("%.2f heap B/conn at load %.3f (aging wheel's %.2f B apart); budget 16/load + %.2f = %.2f", got, load, wheel, fam.record, want)
+			if math.Abs(got-want) > 1.5 {
+				t.Fatalf("%.2f heap B/conn at load %.3f, want within 1.5 B of %.2f", got, load, want)
 			}
 		})
 	}

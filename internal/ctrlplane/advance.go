@@ -473,11 +473,11 @@ func (cp *ControlPlane) EndConnection(now simtime.Time, tuple netproto.FiveTuple
 	cp.metrics.ConnsEnded++
 }
 
-// touch records traffic on the tracked connection res belongs to (its aging
-// timer is lazy and re-reads lastSeen when it fires); it reports whether
-// there is one. A ConnTable hit names the entry already, unless the hit was
-// a digest alias — the slot's key hash is another connection's — and then,
-// as after a miss, the exact probe finds it.
+// touch reports whether res belongs to a tracked connection and, when
+// connections age, records traffic on it (its aging timer is lazy and
+// re-reads lastSeen when it fires). A ConnTable hit names the entry already,
+// unless the hit was a digest alias — the slot's key hash is another
+// connection's — and then, as after a miss, the exact probe finds it.
 func (cp *ControlPlane) touch(res *dataplane.Result, now simtime.Time) bool {
 	var e cuckoo.Entry
 	if res.ConnHit {
@@ -489,7 +489,9 @@ func (cp *ControlPlane) touch(res *dataplane.Result, now simtime.Time) bool {
 			return false
 		}
 	}
-	*cp.conns.lastSeen(e.Record) = now
+	if cp.wheel != nil {
+		*cp.conns.lastSeen(e.Record) = now
+	}
 	return true
 }
 

@@ -263,6 +263,7 @@ func New(sw *dataplane.Switch, cfg Config) *ControlPlane {
 			gran = simtime.Duration(100 * simtime.Millisecond)
 		}
 		cp.wheel = timewheel.New(gran, 64)
+		cp.conns.aging = true
 	}
 	return cp
 }

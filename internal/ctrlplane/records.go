@@ -9,32 +9,28 @@ import (
 	"repro/internal/simtime"
 )
 
-// record is what the switch software keeps about one installed connection
+// A record is what the switch software keeps about one installed connection
 // beyond its ConnTable entry: the 5-tuple the entry's key hash stands for,
 // as the wire key the hash was taken over (netproto.FiveTuple.KeyBytes: 13
-// bytes for IPv4, 37 for IPv6), and when traffic was last seen. The pool
-// version is the entry's value and the VIP is the tuple's destination;
-// neither is stored twice.
+// bytes for IPv4, 37 for IPv6), and nothing else. The pool version is the
+// entry's value and the VIP is the tuple's destination; neither is stored
+// twice. When traffic was last seen is kept beside the records, not in them,
+// and only by a store that ages (slab.seen).
 //
 // A record holds no pointer, so the collector never scans a chunk of them.
 // That is also why an address zone is not kept: a zone is a pointer inside
 // the address, and KeyBytes and LaneHash leave it out, so it was never part
 // of a connection's identity. A tuple read back is zone-less.
-type record[K wireKey] struct {
-	// lastSeen feeds the aging wheel. A vacated record is zeroed and keeps
-	// the number of the next vacated record here instead.
-	lastSeen simtime.Time
-	key      K
-}
-
-// wireKey is a connection's ConnTable match key, by family.
+//
+// wireKey is the record's type, by family.
 type wireKey interface{ [13]byte | [37]byte }
 
 // Records are allocated in fixed chunks and never move: slack is at most
 // one chunk per family however many connections there are, and a test
-// switch with a hundred connections pays for one. Neither chunk size is
-// rounded up by the allocator: 1024 IPv4 records are 24 KB, a size class of
-// its own, and 1024 IPv6 records are 48 KB, six whole pages.
+// switch with a hundred connections pays for one. 1024 IPv4 records are
+// 13 KB, which the allocator rounds to its 13 568-byte class (13.25 B a
+// record); 1024 IPv6 records are 37 KB, five whole pages (40 B a record);
+// 1024 last-seen times are 8 KB exactly.
 const (
 	recordChunkBits = 10
 	recordChunkLen  = 1 << recordChunkBits
@@ -46,34 +42,57 @@ const (
 
 // slab holds one family's records.
 type slab[K wireKey] struct {
-	chunks []*[recordChunkLen]record[K]
-	drawn  uint32 // numbers 1..drawn have been handed out at least once
-	free   uint32 // most recently vacated record, 0 = none
+	chunks []*[recordChunkLen]K
+	// seen holds, under the same numbers, when each connection last saw
+	// traffic: the aging wheel's input, so its chunks exist only in a store
+	// that ages and a touch or a fired timer reads a dense array of times.
+	seen  []*[recordChunkLen]simtime.Time
+	drawn uint32 // numbers 1..drawn have been handed out at least once
+	free  uint32 // most recently vacated record, 0 = none
 }
 
 // at returns record n in place; the pointer stays valid for the record's
 // lifetime.
-func (s *slab[K]) at(n uint32) *record[K] {
+func (s *slab[K]) at(n uint32) *K {
 	return &s.chunks[n>>recordChunkBits][n%recordChunkLen]
 }
 
-// alloc hands out a zeroed record, the most recently vacated one first.
-func (s *slab[K]) alloc() (uint32, *record[K]) {
+// A vacated record is zero but for its first four bytes, which number the
+// record vacated before it (little-endian; 0 ends the list). alloc zeroes
+// them before the record is handed out, so a link never reads as key bytes.
+func link[K wireKey](k *K) uint32 {
+	return uint32((*k)[0]) | uint32((*k)[1])<<8 | uint32((*k)[2])<<16 | uint32((*k)[3])<<24
+}
+
+func setLink[K wireKey](k *K, n uint32) {
+	(*k)[0], (*k)[1], (*k)[2], (*k)[3] = byte(n), byte(n>>8), byte(n>>16), byte(n>>24)
+}
+
+// alloc hands out a zeroed record, the most recently vacated one first. A
+// store that ages grows its last-seen chunks in step with its records.
+func (s *slab[K]) alloc(aging bool) (uint32, *K) {
 	if n := s.free; n != 0 {
-		r := s.at(n)
-		s.free, r.lastSeen = uint32(r.lastSeen), 0
-		return n, r
+		k := s.at(n)
+		s.free = link(k)
+		setLink(k, 0)
+		return n, k
 	}
 	s.drawn++
 	if int(s.drawn>>recordChunkBits) == len(s.chunks) {
-		s.chunks = append(s.chunks, new([recordChunkLen]record[K]))
+		s.chunks = append(s.chunks, new([recordChunkLen]K))
+		if aging {
+			s.seen = append(s.seen, new([recordChunkLen]simtime.Time))
+		}
 	}
 	return s.drawn, s.at(s.drawn)
 }
 
 // release vacates record n, zeroing the ended connection's tuple.
 func (s *slab[K]) release(n uint32) {
-	*s.at(n) = record[K]{lastSeen: simtime.Time(s.free)}
+	k := s.at(n)
+	var zero K
+	*k = zero
+	setLink(k, s.free)
 	s.free = n
 }
 
@@ -88,21 +107,28 @@ type recordStore struct {
 	v4   slab[[13]byte]
 	v6   slab[[37]byte]
 	live int
+	// aging is set, before the first alloc, by a control plane with an
+	// AgingTimeout: only then does a record have a last-seen time.
+	aging bool
 }
 
 // alloc hands out a record holding tuple, last seen now.
 func (s *recordStore) alloc(tuple netproto.FiveTuple, now simtime.Time) uint32 {
 	s.live++
+	var i uint32
 	if tuple.Src.Is4() {
-		n, r := s.v4.alloc()
-		r.lastSeen = now
-		tuple.KeyBytes(r.key[:0])
-		return n
+		n, k := s.v4.alloc(s.aging)
+		tuple.KeyBytes(k[:0])
+		i = n
+	} else {
+		n, k := s.v6.alloc(s.aging)
+		tuple.KeyBytes(k[:0])
+		i = n | recordV6
 	}
-	n, r := s.v6.alloc()
-	r.lastSeen = now
-	tuple.KeyBytes(r.key[:0])
-	return n | recordV6
+	if s.aging {
+		*s.lastSeen(i) = now
+	}
+	return i
 }
 
 // release vacates record i.
@@ -115,23 +141,25 @@ func (s *recordStore) release(i uint32) {
 	s.live--
 }
 
-// lastSeen returns record i's last-seen time in place.
+// lastSeen returns record i's last-seen time in place. Only a store that
+// ages has one.
 func (s *recordStore) lastSeen(i uint32) *simtime.Time {
-	if i&recordV6 == 0 {
-		return &s.v4.at(i).lastSeen
+	seen := s.v4.seen
+	if i&recordV6 != 0 {
+		seen, i = s.v6.seen, i&^recordV6
 	}
-	return &s.v6.at(i &^ recordV6).lastSeen
+	return &seen[i>>recordChunkBits][i%recordChunkLen]
 }
 
 // tuple rebuilds the 5-tuple record i holds.
 func (s *recordStore) tuple(i uint32) netproto.FiveTuple {
 	if i&recordV6 == 0 {
-		k := &s.v4.at(i).key
+		k := s.v4.at(i)
 		t := keyTail(k[8:])
 		t.Src, t.Dst = netip.AddrFrom4([4]byte(k[0:4])), netip.AddrFrom4([4]byte(k[4:8]))
 		return t
 	}
-	k := &s.v6.at(i &^ recordV6).key
+	k := s.v6.at(i &^ recordV6)
 	t := keyTail(k[32:])
 	t.Src, t.Dst = netip.AddrFrom16([16]byte(k[0:16])), netip.AddrFrom16([16]byte(k[16:32]))
 	return t

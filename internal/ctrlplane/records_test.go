@@ -8,7 +8,6 @@ import (
 	"net/netip"
 	"reflect"
 	"testing"
-	"unsafe"
 
 	"repro/internal/dataplane"
 	"repro/internal/handoff"
@@ -37,17 +36,25 @@ func storeTuple(rng *rand.Rand, v4 bool) netproto.FiveTuple {
 
 // TestRecordStoreDifferential drives the store with a seeded script of
 // allocs, lastSeen writes and releases in both families against a map
-// oracle: every record reads back the tuple and time last written, index 0
+// oracle, once as a store that ages and once as one that does not: every
+// record reads back the tuple (and, aging, the time) last written, index 0
 // is never handed out, a vacated record holds nothing but its free-list
 // link and is the next one its family hands out, and live is exact. The
-// population passes 1024 a family, so records cross chunk boundaries.
+// population passes 1024 a family, so records cross chunk boundaries. A
+// store that does not age never allocates a last-seen chunk.
 func TestRecordStoreDifferential(t *testing.T) {
+	for _, aging := range []bool{false, true} {
+		recordStoreScript(t, aging)
+	}
+}
+
+func recordStoreScript(t *testing.T, aging bool) {
 	type want struct {
 		tuple    netproto.FiveTuple
 		lastSeen simtime.Time
 	}
 	var (
-		st      recordStore
+		st      = recordStore{aging: aging}
 		rng     = rand.New(rand.NewSource(21))
 		oracle  = map[uint32]want{}
 		live    []uint32    // the oracle's keys, for drawing one at random
@@ -57,8 +64,12 @@ func TestRecordStoreDifferential(t *testing.T) {
 	)
 	check := func(op int, i uint32) {
 		t.Helper()
-		if got, w := st.tuple(i), oracle[i]; got != w.tuple || *st.lastSeen(i) != w.lastSeen {
-			t.Fatalf("op %d: record %#x = %v seen %d, want %v seen %d", op, i, got, *st.lastSeen(i), w.tuple, w.lastSeen)
+		w := oracle[i]
+		if got := st.tuple(i); got != w.tuple {
+			t.Fatalf("op %d: record %#x = %v, want %v", op, i, got, w.tuple)
+		}
+		if aging && *st.lastSeen(i) != w.lastSeen {
+			t.Fatalf("op %d: record %#x seen %d, want %d", op, i, *st.lastSeen(i), w.lastSeen)
 		}
 	}
 	for op := 0; op < 100_000; op++ {
@@ -85,11 +96,15 @@ func TestRecordStoreDifferential(t *testing.T) {
 			}
 			oracle[i] = want{tuple, now}
 			live = append(live, i)
+			// A reused record round-trips its tuple: the link it held while
+			// vacated is not among its key bytes.
 			check(op, i)
 		case r < 7:
 			i := live[rng.Intn(len(live))]
-			*st.lastSeen(i) = now
-			oracle[i] = want{oracle[i].tuple, now}
+			if aging {
+				*st.lastSeen(i) = now
+				oracle[i] = want{oracle[i].tuple, now}
+			}
 			check(op, i)
 		default:
 			k := rng.Intn(len(live))
@@ -104,14 +119,18 @@ func TestRecordStoreDifferential(t *testing.T) {
 			}
 			st.release(i)
 			vacated[f] = append(vacated[f], i)
-			// Nothing of the ended connection is left: a zero key, and the
-			// free-list link where lastSeen was.
+			// Nothing of the ended connection is left: the free-list link
+			// in the first four bytes, zeroes after.
 			if f == 0 {
-				if r := st.v4.at(i); *r != (record[[13]byte]{lastSeen: simtime.Time(link)}) {
-					t.Fatalf("op %d: vacated IPv4 record %d holds %+v, want only link %d", op, i, *r, link)
+				want := [13]byte{byte(link), byte(link >> 8), byte(link >> 16), byte(link >> 24)}
+				if got := *st.v4.at(i); got != want {
+					t.Fatalf("op %d: vacated IPv4 record %d holds %x, want only link %d", op, i, got, link)
 				}
-			} else if r := st.v6.at(i &^ recordV6); *r != (record[[37]byte]{lastSeen: simtime.Time(link)}) {
-				t.Fatalf("op %d: vacated IPv6 record %d holds %+v, want only link %d", op, i&^recordV6, *r, link)
+			} else {
+				want := [37]byte{byte(link), byte(link >> 8), byte(link >> 16), byte(link >> 24)}
+				if got := *st.v6.at(i &^ recordV6); got != want {
+					t.Fatalf("op %d: vacated IPv6 record %d holds %x, want only link %d", op, i&^recordV6, got, link)
+				}
 			}
 		}
 		if st.live != len(oracle) {
@@ -131,18 +150,71 @@ func TestRecordStoreDifferential(t *testing.T) {
 			t.Fatalf("family %d drew only %d records: the script never left the first chunk", f, n)
 		}
 	}
-	// Growth is one chunk at a time: no more chunks than the records drawn need.
-	for f, got := range [2]int{len(st.v4.chunks), len(st.v6.chunks)} {
-		if want := int(drawn[f]>>recordChunkBits) + 1; got != want {
-			t.Fatalf("family %d: %d chunks for %d records drawn, want %d", f, got, drawn[f], want)
+	// Growth is one chunk at a time: no more chunks than the records drawn
+	// need, and a last-seen chunk beside each only in a store that ages.
+	for f, got := range [2][2]int{{len(st.v4.chunks), len(st.v4.seen)}, {len(st.v6.chunks), len(st.v6.seen)}} {
+		want := int(drawn[f]>>recordChunkBits) + 1
+		wantSeen := 0
+		if aging {
+			wantSeen = want
+		}
+		if got[0] != want || got[1] != wantSeen {
+			t.Fatalf("family %d, aging %v: %d record and %d last-seen chunks for %d records drawn, want %d and %d",
+				f, aging, got[0], got[1], drawn[f], want, wantSeen)
 		}
 	}
 }
 
-// TestRecordsArePointerFree: neither record type holds anything the
-// collector would have to scan, and neither outgrows its chunk arithmetic
-// (24 KB and 48 KB per 1024). A field that adds a pointer, or eight bytes,
-// makes a million-record store scannable or a size class bigger.
+// TestSlabReuseZeroed: a record handed out again after a release reads back
+// all-zero — neither the ended connection's key nor the free-list link it
+// held in between — in both families and across chunk boundaries, and comes
+// back most-recently-vacated first.
+func TestSlabReuseZeroed(t *testing.T) {
+	slabReuse[[13]byte](t)
+	slabReuse[[37]byte](t)
+}
+
+func slabReuse[K wireKey](t *testing.T) {
+	var (
+		s     slab[K]
+		zero  K
+		rng   = rand.New(rand.NewSource(23))
+		order []uint32
+	)
+	const n = 3*recordChunkLen + 5
+	for i := uint32(1); i <= n; i++ {
+		got, k := s.alloc(false)
+		if got != i || *k != zero {
+			t.Fatalf("fresh alloc = %d holding %x, want %d and zeroes", got, *k, i)
+		}
+		for b := 0; b < len(*k); b++ {
+			(*k)[b] = 0xff
+		}
+		order = append(order, i)
+	}
+	rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
+	for _, i := range order {
+		s.release(i)
+	}
+	for j := len(order) - 1; j >= 0; j-- {
+		got, k := s.alloc(false)
+		if got != order[j] || *k != zero {
+			t.Fatalf("%T: reused alloc = %d holding %x, want %d and zeroes", zero, got, *k, order[j])
+		}
+		for b := 0; b < len(*k); b++ {
+			(*k)[b] = 0xff
+		}
+	}
+	if s.free != 0 || s.drawn != n {
+		t.Fatalf("%T: after reusing every record free = %d, drawn = %d, want 0 and %d", zero, s.free, s.drawn, n)
+	}
+}
+
+// TestRecordsArePointerFree: neither family's record chunk, nor the chunk of
+// last-seen times beside it, holds anything the collector would have to
+// scan, and none outgrows its chunk arithmetic (13 KB, 37 KB and 8 KB per
+// 1024). A field that adds a pointer, or a byte, makes a million-record store
+// scannable or a size class bigger.
 func TestRecordsArePointerFree(t *testing.T) {
 	var walk func(reflect.Type, string)
 	walk = func(ty reflect.Type, path string) {
@@ -160,10 +232,22 @@ func TestRecordsArePointerFree(t *testing.T) {
 			t.Errorf("%s is a %s: the collector would scan every chunk", path, ty.Kind())
 		}
 	}
-	walk(reflect.TypeOf(record[[13]byte]{}), "record4")
-	walk(reflect.TypeOf(record[[37]byte]{}), "record6")
-	if s4, s6 := unsafe.Sizeof(record[[13]byte]{}), unsafe.Sizeof(record[[37]byte]{}); s4 > 24 || s6 > 48 {
-		t.Errorf("records are %d and %d bytes, want at most 24 and 48", s4, s6)
+	var st recordStore
+	for _, c := range []struct {
+		name  string
+		chunk reflect.Type // the slab field's element: a pointer to one chunk
+		size  uintptr
+	}{
+		{"v4.chunks", reflect.TypeOf(st.v4.chunks).Elem(), 13 << 10},
+		{"v6.chunks", reflect.TypeOf(st.v6.chunks).Elem(), 37 << 10},
+		{"v4.seen", reflect.TypeOf(st.v4.seen).Elem(), 8 << 10},
+		{"v6.seen", reflect.TypeOf(st.v6.seen).Elem(), 8 << 10},
+	} {
+		chunk := c.chunk.Elem()
+		walk(chunk, c.name)
+		if chunk.Size() != c.size {
+			t.Errorf("a %s chunk is %d bytes, want %d", c.name, chunk.Size(), c.size)
+		}
 	}
 }
 

@@ -50,7 +50,8 @@ type Config struct {
 }
 
 // DefaultConfig returns the paper's operating point sized for n entries at
-// ~90% target occupancy.
+// an 87.5% target occupancy: the integer stages*ways*9/10 below is 14 of a
+// bucket row's 16 slots. (The placement goldens are taken at this size.)
 func DefaultConfig(n int) Config {
 	stages := 4
 	ways := 4
@@ -76,43 +77,49 @@ type Handle struct {
 }
 
 // An entry is split the way the switch splits it. The hardware half is what
-// a lookup reads: one 64-bit word per entry — occupied bit, value, digest —
-// so a 4-way bucket is 32 contiguous bytes. The software half is what only
+// a lookup reads: one 32-bit word per entry — occupied bit, value, digest,
+// each at its configured width — so a 4-way bucket is 16 contiguous bytes,
+// the paper's one-SRAM-word bucket. The software half is what only
 // the switch CPU reads: the key hash (its stand-in for the full 5-tuple)
 // and the index of the owner's per-connection record. The halves live in
 // parallel arrays under one position, pos = (stage*buckets+bucket)*ways+way,
 // and every displacement, relocation and delete moves or clears them
 // together, so a record index follows its entry wherever the search puts it.
 //
-//	 63       62 ........ 32 31 ........ 0
-//	[occupied][    value    ][   digest   ]
+//	 31       30 ..... DigestBits+ValueBits ..... DigestBits ..... 0
+//	[occupied][ unused ][          value          ][     digest     ]
 //
-// The digest field holds the full DigestBits-wide digest in every stage;
-// a narrower stage compares its top bits only (masks).
+// The value sits directly above the digest, so DigestBits + ValueBits may not
+// exceed maxEntryBits and a field wider than configured is refused before it
+// can land in its neighbour. The digest field holds the full DigestBits-wide
+// digest in every stage; a narrower stage compares its top bits only (masks).
 const (
-	occupiedBit = uint64(1) << 63
-	valueShift  = 32
-	maxValue    = 1<<31 - 1
+	occupiedBit  = uint32(1) << 31
+	maxEntryBits = 31
 )
 
-func entryWord(digest, value uint32) uint64 {
-	return occupiedBit | uint64(value)<<valueShift | uint64(digest)
+func (t *Table) entryWord(digest, value uint32) uint32 {
+	return occupiedBit | value<<t.valueShift | digest
 }
 
-func wordValue(w uint64) uint32  { return uint32(w>>valueShift) & maxValue }
-func wordDigest(w uint64) uint32 { return uint32(w) }
-func occupied(w uint64) bool     { return w&occupiedBit != 0 }
+func (t *Table) wordValue(w uint32) uint32  { return (w &^ occupiedBit) >> t.valueShift }
+func (t *Table) wordDigest(w uint32) uint32 { return w & t.digestMask }
+func occupied(w uint32) bool                { return w&occupiedBit != 0 }
 
 // Table is a multi-stage cuckoo hash table.
 type Table struct {
 	cfg Config
 
-	words []uint64 // hardware half, by position
+	words []uint32 // hardware half, by position
 	keys  []uint64 // software half: key hash
 	recs  []uint32 // software half: record index, 0 = none
 
+	valueShift uint   // DigestBits: the value field starts above the digest
+	digestMask uint32 // low DigestBits
+	maxValue   uint32 // widest value ValueBits holds
+
 	seeds      []uint64 // per-stage hash function (hashing.Family seeds)
-	masks      []uint64 // per-stage word bits a lookup compares
+	masks      []uint32 // per-stage word bits a lookup compares
 	buckets    uint64   // BucketsPerStage
 	perStage   int      // positions per stage: BucketsPerStage*Ways
 	len        int
@@ -135,12 +142,13 @@ type Table struct {
 
 // Errors returned by Insert and relocation.
 var (
-	ErrTableFull  = errors.New("cuckoo: no insertion path found (table full)")
-	ErrNotFound   = errors.New("cuckoo: entry not found")
-	ErrUnresolved = errors.New("cuckoo: could not resolve digest alias")
-	errBadHandle  = errors.New("cuckoo: invalid handle")
-	ErrDuplicate  = errors.New("cuckoo: key already present")
-	ErrValueWidth = errors.New("cuckoo: value does not fit the entry word")
+	ErrTableFull   = errors.New("cuckoo: no insertion path found (table full)")
+	ErrNotFound    = errors.New("cuckoo: entry not found")
+	ErrUnresolved  = errors.New("cuckoo: could not resolve digest alias")
+	errBadHandle   = errors.New("cuckoo: invalid handle")
+	ErrDuplicate   = errors.New("cuckoo: key already present")
+	ErrValueWidth  = errors.New("cuckoo: value wider than ValueBits")
+	ErrDigestWidth = errors.New("cuckoo: digest wider than DigestBits")
 )
 
 // New creates a table from cfg.
@@ -148,11 +156,8 @@ func New(cfg Config) *Table {
 	if cfg.Stages <= 0 || cfg.BucketsPerStage <= 0 || cfg.Ways <= 0 {
 		panic("cuckoo: stages, buckets and ways must be positive")
 	}
-	if cfg.DigestBits <= 0 || cfg.DigestBits > 32 {
-		panic("cuckoo: digest bits must be in 1..32")
-	}
-	if cfg.ValueBits < 0 || cfg.ValueBits > 31 {
-		panic("cuckoo: value bits must be in 0..31 (one entry is one 64-bit word)")
+	if err := cfg.CheckWidths(); err != nil {
+		panic(err.Error())
 	}
 	if cfg.MaxBFSNodes == 0 {
 		cfg.MaxBFSNodes = 4096
@@ -188,18 +193,22 @@ func New(cfg Config) *Table {
 	}
 	family := hashing.NewFamily(cfg.Stages, cfg.Seed)
 	seeds := make([]uint64, cfg.Stages)
-	masks := make([]uint64, cfg.Stages)
+	masks := make([]uint32, cfg.Stages)
+	digestMask := uint32(1)<<uint(cfg.DigestBits) - 1
 	for s := range seeds {
 		seeds[s] = family.Seed(s)
 		// Hardware stores only the top bits[s] digest bits in stage s.
-		masks[s] = occupiedBit | uint64(^uint32(0)<<uint(cfg.DigestBits-bits[s]))
+		masks[s] = occupiedBit | digestMask&^(1<<uint(cfg.DigestBits-bits[s])-1)
 	}
 	capacity := cfg.Stages * cfg.BucketsPerStage * cfg.Ways
 	return &Table{
 		cfg:        cfg,
-		words:      make([]uint64, capacity),
+		words:      make([]uint32, capacity),
 		keys:       make([]uint64, capacity),
 		recs:       make([]uint32, capacity),
+		valueShift: uint(cfg.DigestBits),
+		digestMask: digestMask,
+		maxValue:   uint32(1)<<uint(cfg.ValueBits) - 1,
 		seeds:      seeds,
 		masks:      masks,
 		buckets:    uint64(cfg.BucketsPerStage),
@@ -208,6 +217,17 @@ func New(cfg Config) *Table {
 		stageOrder: order,
 		visited:    make([]uint64, (capacity+63)/64),
 	}
+}
+
+// CheckWidths reports whether an entry of cfg's field widths fits the 32-bit
+// entry word beside its occupied bit. New panics on what it refuses; a caller
+// whose widths come from outside the program checks first.
+func (cfg Config) CheckWidths() error {
+	if cfg.DigestBits < 1 || cfg.ValueBits < 0 || cfg.DigestBits+cfg.ValueBits > maxEntryBits {
+		return fmt.Errorf("cuckoo: %d digest bits + %d value bits: need at least 1 digest bit and at most %d bits in all (one entry is one 32-bit word with its occupied bit)",
+			cfg.DigestBits, cfg.ValueBits, maxEntryBits)
+	}
+	return nil
 }
 
 // Config returns the table's configuration.
@@ -338,7 +358,7 @@ func (t *Table) handleOf(pos int) Handle {
 // the hardware words only. The returned handle lets software-side callers
 // inspect the matched entry.
 func (t *Table) Lookup(keyHash uint64, digest uint32) (value uint32, h Handle, ok bool) {
-	want := entryWord(digest, 0)
+	want := occupiedBit | digest
 	ways := t.cfg.Ways
 	for s, mask := range t.masks {
 		b := t.bucketIndex(s, keyHash)
@@ -347,7 +367,7 @@ func (t *Table) Lookup(keyHash uint64, digest uint32) (value uint32, h Handle, o
 			// Equal occupied bit and equal digest bits at this stage's
 			// width; the value bits are outside every mask.
 			if (word^want)&mask == 0 {
-				return wordValue(word), Handle{s, b, w}, true
+				return t.wordValue(word), Handle{s, b, w}, true
 			}
 		}
 	}
@@ -357,7 +377,7 @@ func (t *Table) Lookup(keyHash uint64, digest uint32) (value uint32, h Handle, o
 // lookupIn is Lookup over precomputed bucket positions, returning the
 // matching position.
 func (t *Table) lookupIn(cand []int, digest uint32) (int, bool) {
-	want := entryWord(digest, 0)
+	want := occupiedBit | digest
 	for s, base := range cand {
 		mask := t.masks[s]
 		for w, word := range t.words[base : base+t.cfg.Ways] {
@@ -424,7 +444,7 @@ func (t *Table) ValueAt(h Handle) (uint32, error) {
 	if err != nil {
 		return 0, err
 	}
-	return wordValue(t.words[p]), nil
+	return t.wordValue(t.words[p]), nil
 }
 
 // Insert installs keyHash->value with the given digest, running the cuckoo
@@ -439,8 +459,11 @@ func (t *Table) Insert(keyHash uint64, digest uint32, value uint32) (moves int, 
 // InsertRecord is Insert for an entry that owns a record: rec is stored in
 // the entry's software half and stays with it through every later move.
 func (t *Table) InsertRecord(keyHash uint64, digest, value, rec uint32) (moves int, err error) {
-	if value > maxValue {
+	if value > t.maxValue {
 		return 0, ErrValueWidth
+	}
+	if digest > t.digestMask {
+		return 0, ErrDigestWidth
 	}
 	var buf [stackStages]int
 	cand := t.bases(keyHash, buf[:0])
@@ -456,7 +479,7 @@ func (t *Table) InsertRecord(keyHash uint64, digest, value, rec uint32) (moves i
 		t.FailedInserts++
 		return moves, err
 	}
-	t.words[p], t.keys[p], t.recs[p] = entryWord(digest, value), keyHash, rec
+	t.words[p], t.keys[p], t.recs[p] = t.entryWord(digest, value), keyHash, rec
 	t.len++
 	return moves, t.verifyAndFix(cand, keyHash, digest)
 }
@@ -602,7 +625,7 @@ func (t *Table) Relocate(h Handle) error {
 }
 
 func (t *Table) relocate(src int) error {
-	keyHash, digest := t.keys[src], wordDigest(t.words[src])
+	keyHash, digest := t.keys[src], t.wordDigest(t.words[src])
 	var buf [stackStages]int
 	cand := t.bases(keyHash, buf[:0])
 	from := src / t.perStage
@@ -647,14 +670,14 @@ func (t *Table) DeleteAt(h Handle) error {
 
 // UpdateValue rewrites the action data of the entry for keyHash.
 func (t *Table) UpdateValue(keyHash uint64, value uint32) error {
-	if value > maxValue {
+	if value > t.maxValue {
 		return ErrValueWidth
 	}
 	p, ok := t.find(keyHash)
 	if !ok {
 		return ErrNotFound
 	}
-	t.words[p] = entryWord(wordDigest(t.words[p]), value)
+	t.words[p] = t.entryWord(t.wordDigest(t.words[p]), value)
 	return nil
 }
 
@@ -724,7 +747,7 @@ func (t *Table) entry(p int, h Handle) Entry {
 	w := t.words[p]
 	return Entry{
 		Stage: h.Stage, Bucket: h.Bucket, Way: h.Way,
-		KeyHash: t.keys[p], Digest: wordDigest(w), Value: wordValue(w), Record: t.recs[p],
+		KeyHash: t.keys[p], Digest: t.wordDigest(w), Value: t.wordValue(w), Record: t.recs[p],
 	}
 }
 

@@ -296,8 +296,10 @@ func TestNewPanics(t *testing.T) {
 	for _, cfg := range []Config{
 		{Stages: 0, BucketsPerStage: 1, Ways: 1, DigestBits: 16},
 		{Stages: 1, BucketsPerStage: 1, Ways: 1, DigestBits: 0},
-		{Stages: 1, BucketsPerStage: 1, Ways: 1, DigestBits: 33},
-		{Stages: 1, BucketsPerStage: 1, Ways: 1, DigestBits: 32, ValueBits: 32}, // 65 bits with the occupied bit
+		{Stages: 1, BucketsPerStage: 1, Ways: 1, DigestBits: 32},
+		{Stages: 1, BucketsPerStage: 1, Ways: 1, DigestBits: 16, ValueBits: -1},
+		{Stages: 1, BucketsPerStage: 1, Ways: 1, DigestBits: 16, ValueBits: 16}, // 33 bits with the occupied bit
+		{Stages: 1, BucketsPerStage: 1, Ways: 1, DigestBits: 24, ValueBits: 8},
 	} {
 		func() {
 			defer func() {

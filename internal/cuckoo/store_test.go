@@ -325,49 +325,75 @@ func TestStoreDifferential(t *testing.T) {
 }
 
 // TestEntryWordWidths: the field widths the experiments use all fit the
-// entry word and read back exactly, a narrower stage matches on its top
-// digest bits only, and what no word can hold is refused.
+// 32-bit entry word and read back exactly at their extremes, with each field
+// all-ones beside an all-zero neighbour; a narrower stage matches on its top
+// digest bits only; and a field wider than configured is refused before it
+// can land in its neighbour.
 func TestEntryWordWidths(t *testing.T) {
 	for _, tc := range []struct {
 		name                  string
 		digestBits, valueBits int
-		digest, value         uint32
 	}{
-		{"24+6", 24, 6, 0xffffff, 63},
-		{"fig15 16+16", 16, 16, 0xffff, 0xffff},
-		{"widest 32+31", 32, 31, 0xffffffff, maxValue},
+		{"24+6", 24, 6},
+		{"fig15 16+15", 16, 15},
+		{"widest 24+7", 24, 7},
+		{"widest 1+30", 1, 30},
 	} {
 		cfg := testConfig(16)
 		cfg.DigestBits, cfg.ValueBits = tc.digestBits, tc.valueBits
 		tab := New(cfg)
-		if _, err := tab.InsertRecord(1, tc.digest, tc.value, 0xffffffff); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+		maxDigest, maxValue := uint32(1)<<uint(tc.digestBits)-1, uint32(1)<<uint(tc.valueBits)-1
+		// Key 1 holds both fields all-ones, key 2 is all-zero (still an
+		// entry), keys 3 and 4 hold one field full beside an empty neighbour.
+		for k, e := range []struct{ digest, value uint32 }{
+			{maxDigest, maxValue}, {0, 0}, {maxDigest, 0}, {0, maxValue},
+		} {
+			kh := uint64(k + 1)
+			if _, err := tab.InsertRecord(kh, e.digest, e.value, 0xffffffff); err != nil {
+				t.Fatalf("%s: key %d: %v", tc.name, kh, err)
+			}
+			got, ok := tab.Find(kh)
+			if v, _, hit := tab.Lookup(kh, e.digest); !ok || !hit || v != e.value ||
+				got.Digest != e.digest || got.Value != e.value || got.Record != 0xffffffff {
+				t.Fatalf("%s: key %d: lookup (%d,%v), entry %+v (%v)", tc.name, kh, v, hit, got, ok)
+			}
+			if _, _, hit := tab.Lookup(kh, e.digest^1); hit {
+				t.Fatalf("%s: key %d: a digest one bit off still matches", tc.name, kh)
+			}
+			tab.Delete(kh)
 		}
-		if _, err := tab.Insert(2, 0, 0); err != nil { // an all-zero entry is still an entry
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		e, ok := tab.Find(1)
-		if v, _, hit := tab.Lookup(1, tc.digest); !ok || !hit || v != tc.value ||
-			e.Digest != tc.digest || e.Value != tc.value || e.Record != 0xffffffff {
-			t.Fatalf("%s: lookup (%d,%v), entry %+v (%v)", tc.name, v, hit, e, ok)
-		}
-		if v, _, hit := tab.Lookup(2, 0); !hit || v != 0 || tab.Len() != 2 {
-			t.Fatalf("%s: zero entry lookup (%d,%v), Len %d", tc.name, v, hit, tab.Len())
-		}
-		if _, _, hit := tab.Lookup(1, tc.digest^1); hit {
-			t.Fatalf("%s: a digest one bit off still matches", tc.name)
+		if _, err := tab.Insert(1, maxDigest, maxValue); err != nil {
+			t.Fatal(err)
 		}
 		if err := tab.UpdateValue(1, 0); err != nil {
 			t.Fatal(err)
 		}
-		if e, _ := tab.Find(1); e.Value != 0 || e.Digest != tc.digest {
+		if e, _ := tab.Find(1); e.Value != 0 || e.Digest != maxDigest {
 			t.Fatalf("%s: after UpdateValue(0): %+v", tc.name, e)
+		}
+		if _, err := tab.Insert(2, 0, 0); err != nil {
+			t.Fatal(err)
 		}
 		if !tab.Delete(1) || !tab.Delete(2) || tab.Len() != 0 {
 			t.Fatalf("%s: delete failed", tc.name)
 		}
 		if _, _, hit := tab.Lookup(2, 0); hit {
 			t.Fatalf("%s: an empty word matches the zero digest", tc.name)
+		}
+
+		// One bit past either field is refused, and nothing is installed.
+		if _, err := tab.Insert(5, 0, maxValue+1); err != ErrValueWidth {
+			t.Fatalf("%s: %d-bit value: err = %v, want ErrValueWidth", tc.name, tc.valueBits+1, err)
+		}
+		if _, err := tab.Insert(5, maxDigest+1, 0); err != ErrDigestWidth {
+			t.Fatalf("%s: %d-bit digest: err = %v, want ErrDigestWidth", tc.name, tc.digestBits+1, err)
+		}
+		tab.Insert(5, 1, 1)
+		if err := tab.UpdateValue(5, maxValue+1); err != ErrValueWidth {
+			t.Fatalf("%s: UpdateValue past the field: err = %v, want ErrValueWidth", tc.name, err)
+		}
+		if e, _ := tab.Find(5); tab.Len() != 1 || e.Digest != 1 || e.Value != 1 {
+			t.Fatalf("%s: a refused write changed the table: Len %d, %+v", tc.name, tab.Len(), e)
 		}
 	}
 
@@ -377,7 +403,7 @@ func TestEntryWordWidths(t *testing.T) {
 	for s, wantHit := range []bool{false, false, true, true} {
 		k := uint64(100 + s)
 		p := s*tab.perStage + tab.bucketIndex(s, k)*tab.cfg.Ways
-		tab.words[p], tab.keys[p] = entryWord(0xabcd12, 5), k
+		tab.words[p], tab.keys[p] = tab.entryWord(0xabcd12, 5), k
 		if v, h, hit := tab.Lookup(k, 0xabcd34); hit != wantHit || (hit && (v != 5 || h.Stage != s)) {
 			t.Fatalf("stage %d (%d digest bits): low-byte mismatch hit = %v", s, tab.stageBits[s], hit)
 		}
@@ -385,15 +411,6 @@ func TestEntryWordWidths(t *testing.T) {
 			t.Fatalf("stage %d: a top-bits mismatch matches", s)
 		}
 		tab.clear(p)
-	}
-
-	if _, err := New(testConfig(4)).Insert(1, 1, maxValue+1); err != ErrValueWidth {
-		t.Fatalf("32-bit value: err = %v, want ErrValueWidth", err)
-	}
-	tab = New(testConfig(4))
-	tab.Insert(1, 1, 1)
-	if err := tab.UpdateValue(1, maxValue+1); err != ErrValueWidth {
-		t.Fatalf("UpdateValue with a 32-bit value: err = %v, want ErrValueWidth", err)
 	}
 }
 

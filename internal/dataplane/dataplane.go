@@ -290,6 +290,12 @@ func New(cfg Config) (*Switch, error) {
 	tcfg.DigestBits = cfg.DigestBits
 	tcfg.ValueBits = cfg.VersionBits
 	tcfg.Seed = cfg.Seed ^ 0xc077
+	// The widths arrive from configuration: a digest and version that do not
+	// fit the table's entry word are the caller's error, not a panic in
+	// cuckoo.New.
+	if err := tcfg.CheckWidths(); err != nil {
+		return nil, fmt.Errorf("dataplane: DigestBits/VersionBits: %w", err)
+	}
 	// IPv6 worst case key width feeds the crossbar.
 	conn, err := chip.AllocExactMatch("ConnTable", tcfg, 37*8)
 	if err != nil {

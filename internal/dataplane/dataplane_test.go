@@ -407,10 +407,23 @@ func TestNewErrors(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("zero config accepted")
 	}
-	cfg := DefaultConfig(100)
-	cfg.VersionBits = 99
-	if _, err := New(cfg); err == nil {
-		t.Fatal("bad version bits accepted")
+	// A ConnTable entry is one 32-bit word: occupied bit, version, digest.
+	// Widths that do not fit are an error here, not a panic in cuckoo.New.
+	for _, w := range []struct{ digest, version int }{
+		{16, 99}, {16, 0}, {0, 6}, {-1, 6}, {16, 16}, {24, 8}, {32, 1},
+	} {
+		cfg := DefaultConfig(100)
+		cfg.DigestBits, cfg.VersionBits = w.digest, w.version
+		if _, err := New(cfg); err == nil {
+			t.Fatalf("%d digest bits + %d version bits accepted", w.digest, w.version)
+		}
+	}
+	for _, w := range []struct{ digest, version int }{{16, 6}, {24, 6}, {16, 15}, {24, 7}} {
+		cfg := DefaultConfig(100)
+		cfg.DigestBits, cfg.VersionBits = w.digest, w.version
+		if _, err := New(cfg); err != nil {
+			t.Fatalf("%d digest bits + %d version bits: %v", w.digest, w.version, err)
+		}
 	}
 }
 

@@ -276,7 +276,10 @@ func Fig15(scale float64, seed int64) (*Report, error) {
 // maximum held concurrently.
 func fig15Run(n int, seed int64, disableReuse bool) (minted, maxActive int, err error) {
 	dcfg := dataplane.DefaultConfig(100000)
-	dcfg.VersionBits = 16 // headroom so demand, not wrap-around, is measured
+	// Headroom so demand, not wrap-around, is measured: 15 bits beside the
+	// 16-bit digest fill the 32-bit entry word, 32 767 versions against a
+	// demand of at most 331.
+	dcfg.VersionBits = 15
 	sw, err := dataplane.New(dcfg)
 	if err != nil {
 		return 0, 0, err

@@ -6,6 +6,8 @@ import (
 	"net/netip"
 	"reflect"
 	"testing"
+
+	"repro/internal/cuckoo"
 )
 
 // The connection-lifecycle path — open, learn, flush, install, hit, end — as
@@ -61,10 +63,13 @@ func tupleFrame(tb testing.TB, tuple FiveTuple, flags uint8, buf []byte, f *Fram
 	}
 }
 
-func lifeSwitch(tb testing.TB, tableN int) *Switch {
+// lifeSwitch builds the scripts' switch; aging is its AgingTimeout, 0 for
+// connections that live until ended.
+func lifeSwitch(tb testing.TB, tableN int, aging Duration) *Switch {
 	tb.Helper()
 	cfg := Defaults(tableN)
 	cfg.Clock = NewManualClock(0)
+	cfg.Controlplane.AgingTimeout = aging
 	sw, err := NewSwitch(cfg)
 	if err != nil {
 		tb.Fatal(err)
@@ -83,8 +88,9 @@ type lifeOutcome struct {
 	Version uint32
 }
 
-// lifeScript runs the seeded script against a fresh switch and returns
-// every packet's outcome and the final counters. The script: prime the
+// lifeScript runs the seeded script against a fresh switch (see lifeSwitch
+// for aging) and returns every packet's outcome, the final counters and the
+// final ConnTable, entry by entry in physical order. The script: prime the
 // table with resident connections, then keep 1024 short connections (SYN,
 // ACK, ACK, FIN) open — 0.8 of the table's size in all — each slot
 // advancing a random one, so a connection outlives its pending window; a
@@ -92,14 +98,14 @@ type lifeOutcome struct {
 // place; every 1024 packets one VIP's pool gains or loses a DIP. With
 // advance set, AdvanceTo runs the runtime up to each batch's instant before
 // the batch; without, only the poll each frame makes does.
-func lifeScript(t *testing.T, seed int64, advance bool) ([]lifeOutcome, Stats) {
+func lifeScript(t *testing.T, seed int64, advance bool, aging Duration) ([]lifeOutcome, Stats, []cuckoo.Entry) {
 	const (
 		tableN   = 20_000
 		window   = 1024
 		resident = tableN*8/10 - window
 		packets  = 64 * 1024
 	)
-	sw := lifeSwitch(t, tableN)
+	sw := lifeSwitch(t, tableN, aging)
 	defer sw.Close()
 	frames := make([]Frame, lifeBatch)
 	results := make([]Result, lifeBatch)
@@ -172,7 +178,7 @@ func lifeScript(t *testing.T, seed int64, advance bool) ([]lifeOutcome, Stats) {
 		st.Dataplane.TransitChecks == 0 || st.Controlplane.Inserted <= resident {
 		t.Fatalf("script did not exercise the lifecycle: %+v", st)
 	}
-	return out, st
+	return out, st, sw.Dataplane().ConnTable().Entries()
 }
 
 // TestAdvanceToMatchesFramePoll is the differential test at the facade: the
@@ -183,8 +189,8 @@ func lifeScript(t *testing.T, seed int64, advance bool) ([]lifeOutcome, Stats) {
 func TestAdvanceToMatchesFramePoll(t *testing.T) {
 	for _, seed := range []int64{1, 7} {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
-			polled, polledStats := lifeScript(t, seed, false)
-			driven, drivenStats := lifeScript(t, seed, true)
+			polled, polledStats, _ := lifeScript(t, seed, false, 0)
+			driven, drivenStats, _ := lifeScript(t, seed, true, 0)
 			for i := range polled {
 				if polled[i] != driven[i] {
 					t.Fatalf("packet %d: per-frame poll %+v, AdvanceTo per batch %+v", i, polled[i], driven[i])
@@ -197,6 +203,155 @@ func TestAdvanceToMatchesFramePoll(t *testing.T) {
 	}
 }
 
+// TestAgingIdleMatchesAgingOff: until a connection ages, a switch that ages
+// is the switch that does not. The script run with no AgingTimeout and with
+// one longer than the script — records beside last-seen times, a timer per
+// connection, a touch per forwarded packet — yields the same outcome for
+// every packet, the same counters and the same entry in every ConnTable
+// position.
+func TestAgingIdleMatchesAgingOff(t *testing.T) {
+	for _, advance := range []bool{false, true} {
+		off, offStats, offTable := lifeScript(t, 7, advance, 0)
+		idle, idleStats, idleTable := lifeScript(t, 7, advance, Minute)
+		for i := range off {
+			if off[i] != idle[i] {
+				t.Fatalf("advance %v, packet %d: aging off %+v, aging idle %+v", advance, i, off[i], idle[i])
+			}
+		}
+		if !reflect.DeepEqual(offStats, idleStats) {
+			t.Fatalf("advance %v: counters differ:\n aging off  %+v\n aging idle %+v", advance, offStats, idleStats)
+		}
+		if !reflect.DeepEqual(offTable, idleTable) {
+			t.Fatalf("advance %v: ConnTable differs between aging off (%d entries) and aging idle (%d)", advance, len(offTable), len(idleTable))
+		}
+	}
+}
+
+// TestAgingMatchesOracle: with a short AgingTimeout, the connections the
+// switch ages out are exactly those a map of last-seen times says went a
+// timeout without traffic — through reused records, rescheduled timers and
+// digest-alias hits (8-bit digests make them common), where the packet's
+// ConnTable hit names another connection's entry and the touch must still
+// land on its own (DESIGN.md, "The connection store").
+//
+// The wheel ticks on a 100 ms grid from time 0, so at a grid instant t a
+// connection last seen at L is gone iff t - L >= timeout, whenever within its
+// tick L fell; the oracle is judged at grid instants only.
+func TestAgingMatchesOracle(t *testing.T) {
+	const (
+		conns   = 2048
+		timeout = 800 * Millisecond
+		tick    = 100 * Millisecond // ctrlplane.New: max(timeout/8, 100 ms)
+		busy    = 30                // ticks with traffic
+	)
+	cfg := Defaults(4096)
+	cfg.Clock = NewManualClock(0)
+	cfg.Dataplane.DigestBits = 8
+	cfg.Controlplane.AgingTimeout = timeout
+	sw, err := NewSwitch(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sw.Close()
+	if err := sw.AddVIP(0, lifeVIP(0), lifePool(0, 4)); err != nil {
+		t.Fatal(err)
+	}
+	tuple := func(c int) FiveTuple {
+		tu := lifeTuple(c)
+		tu.Dst = lifeVIP(0).Addr
+		return tu
+	}
+	frames := make([]Frame, lifeBatch)
+	results := make([]Result, lifeBatch)
+	bufs := make([][]byte, lifeBatch)
+	for i := range bufs {
+		bufs[i] = make([]byte, 0, 128)
+	}
+	table := sw.Dataplane().ConnTable()
+	installed := func(c int) bool {
+		_, ok := table.Find(sw.Dataplane().KeyHash(tuple(c)))
+		return ok
+	}
+
+	// Every connection opens and is installed within the first tick.
+	lastSeen := map[int]Time{}
+	now := Time(0)
+	for c := 0; c < conns; c += lifeBatch {
+		now = now.Add(lifeBatch * 5 * Microsecond)
+		for j := range frames {
+			tupleFrame(t, tuple(c+j), FlagSYN, bufs[j], &frames[j])
+			lastSeen[c+j] = now
+		}
+		sw.ProcessFramesInto(now, frames, results)
+	}
+	now = now.Add(50 * Millisecond)
+	sw.AdvanceTo(now)
+	if got := sw.Stats().Connections; got != conns || sw.PendingWork() != 0 || now >= Time(tick) {
+		t.Fatalf("primed %d connections by %v with %d items pending, want %d within the first tick", got, now, sw.PendingWork(), conns)
+	}
+
+	rng := rand.New(rand.NewSource(5))
+	aliasHits, aged := 0, 0
+	for k := 1; len(lastSeen) > 0; k++ {
+		grid := Time(k * int(tick))
+		sw.AdvanceTo(grid)
+		for c, seen := range lastSeen {
+			if grid.Sub(seen) >= timeout {
+				delete(lastSeen, c)
+				aged++
+			}
+		}
+		st := sw.Stats()
+		if st.Connections != len(lastSeen) || int(st.Controlplane.AgedOut) != aged {
+			t.Fatalf("tick %d: %d connections, %d aged out; oracle holds %d, aged %d", k, st.Connections, st.Controlplane.AgedOut, len(lastSeen), aged)
+		}
+		for c := 0; c < conns; c++ {
+			if _, live := lastSeen[c]; installed(c) != live {
+				t.Fatalf("tick %d: connection %d installed = %v, oracle live = %v", k, c, !live, live)
+			}
+		}
+		if k > busy {
+			continue // the rest idle out
+		}
+		// Traffic inside the tick, off the grid: about one live connection in
+		// seven, so some go eight ticks without and some never do.
+		now, n := grid, 0
+		var sent [lifeBatch]int
+		flush := func() {
+			now = now.Add(Millisecond)
+			sw.ProcessFramesInto(now, frames[:n], results[:n])
+			for j, r := range results[:n] {
+				e, err := table.EntryAt(r.ConnHandle)
+				if !r.ConnHit || err != nil {
+					t.Fatalf("tick %d: a live connection's packet missed ConnTable: %+v", k, r)
+				}
+				if e.KeyHash != r.KeyHash {
+					aliasHits++
+				}
+				lastSeen[sent[j]] = now
+			}
+			n = 0
+		}
+		for c := 0; c < conns; c++ {
+			if _, live := lastSeen[c]; !live || rng.Intn(7) != 0 {
+				continue
+			}
+			tupleFrame(t, tuple(c), FlagACK, bufs[n], &frames[n])
+			sent[n] = c
+			if n++; n == lifeBatch {
+				flush()
+			}
+		}
+		flush()
+	}
+	if aged != conns || aliasHits == 0 {
+		t.Fatalf("%d of %d connections aged out, %d digest-alias hits: the script did not exercise what it claims", aged, conns, aliasHits)
+	}
+	if st := sw.Stats(); st.Controlplane.ConnsEnded != 0 {
+		t.Fatalf("ConnsEnded = %d: connections left by EndConnection, not by aging", st.Controlplane.ConnsEnded)
+	}
+}
+
 // TestConnLifecycleZeroAlloc: on a warmed switch, a whole connection
 // lifecycle — SYNs miss and are learned, the runtime flushes the filter and
 // installs them, their next packets hit ConnTable, EndConnection deletes
@@ -205,7 +360,7 @@ func TestAdvanceToMatchesFramePoll(t *testing.T) {
 // in a slab whose slots are reused, and the tuple is hashed in the pipeline
 // only.
 func TestConnLifecycleZeroAlloc(t *testing.T) {
-	sw := lifeSwitch(t, 20_000)
+	sw := lifeSwitch(t, 20_000, 0)
 	defer sw.Close()
 	syns, acks := make([]Frame, lifeBatch), make([]Frame, lifeBatch)
 	tuples := make([]FiveTuple, lifeBatch)

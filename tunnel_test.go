@@ -833,3 +833,94 @@ func testTunnelStepZeroAlloc(t *testing.T, portable bool) {
 		t.Errorf("steady-state turns: %+v", st)
 	}
 }
+
+// TestTunnelIdleTimeoutFreesConnections: the tunnel never sees a connection
+// end, so a silkroadd-shaped switch (Defaults, degraded-mode watermarks, the
+// wall-clock Run driver) frees entries by idle aging alone. Connections fill
+// the table past its high watermark, the switch serves new flows stateless;
+// the flows go idle; every entry ages out, and the next new flow finds the
+// table empty, is learned again, and takes the switch out of degraded mode.
+// Without an AgingTimeout (silkroadd before -idle-timeout) the table stayed
+// full and the switch degraded for the rest of its life.
+func TestTunnelIdleTimeoutFreesConnections(t *testing.T) {
+	eachTunnelIO(t, testTunnelIdleTimeoutFreesConnections)
+}
+
+func testTunnelIdleTimeoutFreesConnections(t *testing.T, portable bool) {
+	var wg sync.WaitGroup
+	dip := startMockDIP(t, &wg, rewriteCheck)
+	defer func() {
+		dip.conn.Close()
+		wg.Wait()
+	}()
+
+	const idle = time.Second // ages on a 125 ms wheel: gone 1-1.125 s after the last packet
+	cfg := Defaults(512)
+	cfg.Dataplane.DegradedHighWatermark = 0.5
+	cfg.Dataplane.DegradedLowWatermark = 0.3
+	cfg.Controlplane.AgingTimeout = Duration(idle.Nanoseconds())
+	sw, err := NewSwitch(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vip := NewVIP("20.0.0.1", 80, TCP)
+	if err := sw.AddVIP(sw.Now(), vip, []DIP{dip.addr}); err != nil {
+		t.Fatal(err)
+	}
+	h := startTunnel(t, sw, TunnelRewrite, portable)
+
+	await := func(what string, cond func(Stats) bool) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for !cond(sw.Stats()) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timeout waiting for %s: %+v, degraded %+v", what, sw.Stats(), sw.DegradedState())
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+
+	resident := sw.DegradedState().Pipes[0].Capacity/2 + 8 // past the high watermark
+	const stateless = 20
+	for c := 0; c < resident; c++ {
+		h.send(t, vip, 10000+uint16(c), FlagSYN)
+		if c%64 == 63 { // a burst longer than the ingress socket's buffer is dropped there
+			h.waitForwarded(t, uint64(c+1))
+		}
+	}
+	await("every flow installed", func(st Stats) bool { return int(st.Controlplane.Inserted) == resident })
+	for c := 0; c < stateless; c++ {
+		h.send(t, vip, 30000+uint16(c), FlagSYN)
+	}
+	h.waitForwarded(t, uint64(resident+stateless))
+	if st := sw.Stats(); st.Dataplane.DegradedPackets != stateless || !sw.DegradedState().Degraded ||
+		int(st.Controlplane.Inserted) != resident {
+		t.Fatalf("past the high watermark: %d stateless packets, degraded %+v, %d inserted; want %d, degraded, %d",
+			st.Dataplane.DegradedPackets, sw.DegradedState(), st.Controlplane.Inserted, stateless, resident)
+	}
+
+	// Nothing more is sent: the flows are idle.
+	idleFrom := time.Now()
+	await("idle connections aged out", func(st Stats) bool { return st.Connections == 0 })
+	if st := sw.Stats(); int(st.Controlplane.AgedOut) != resident || st.Controlplane.ConnsEnded != 0 {
+		t.Fatalf("aged out %d and ended %d of %d connections, want all aged", st.Controlplane.AgedOut, st.Controlplane.ConnsEnded, resident)
+	}
+	if took := time.Since(idleFrom); took > 2*idle+time.Second {
+		t.Errorf("connections idle for %v before the last aged out, want about %v", took, idle)
+	}
+	if n := sw.DegradedState().Pipes[0].Entries; n != 0 {
+		t.Fatalf("ConnTable holds %d entries after every connection aged out", n)
+	}
+
+	h.send(t, vip, 40000, FlagSYN)
+	await("a new flow learned again", func(st Stats) bool { return int(st.Controlplane.Inserted) == resident+1 })
+	if st := sw.Stats(); sw.DegradedState().Degraded || st.Dataplane.DegradedTransitions != 2 || st.Connections != 1 {
+		t.Fatalf("after aging: degraded %+v, %d transitions, %d connections; want serving stateful again, 2, 1",
+			sw.DegradedState(), st.Dataplane.DegradedTransitions, st.Connections)
+	}
+	waitReceived(t, []*mockDIP{dip}, resident+stateless+1)
+	if dip.badPkts != 0 {
+		t.Errorf("%d packets failed the backend's header check", dip.badPkts)
+	}
+	h.reconciled(t)
+}
