@@ -39,10 +39,10 @@ func heapAround[T any](build func() T) (T, int64) {
 // TestHeapPerConnBudget holds the switch to its per-connection heap budget
 // (DESIGN.md, "The connection store"): a ConnTable slot is 16 bytes — a
 // 4-byte word, an 8-byte key hash, a 4-byte record index — paid per slot, so
-// 16 B / load per connection; a record is its wire key, 13.25 B for IPv4
-// (13 KB chunks in the 13 568-byte size class) and 40 B for IPv6 (37 KB
-// chunks in five pages). Everything else a primed switch holds must fit in
-// the 1.5 B tolerance.
+// 16 B / load per connection; a record is the client's address and port and
+// a 2-byte VIP slot, 8 B for IPv4 and 20 B for IPv6 (8 KB and 20 KB chunks,
+// each exactly a size class). Everything else a primed switch holds must fit
+// in the 1.5 B tolerance.
 //
 // With an AgingTimeout a connection also has its 8-byte last-seen time, and
 // the aging wheel holds its key (a map entry and a slot element). The wheel
@@ -73,10 +73,10 @@ func TestHeapPerConnBudget(t *testing.T) {
 		record float64
 		aging  Duration
 	}{
-		{"IPv4", netip.MustParseAddr("20.0.0.1"), v4, 13.25, 0},
-		{"IPv6", netip.MustParseAddr("2001:db8::1"), v6, 40, 0},
-		{"IPv4-aging", netip.MustParseAddr("20.0.0.1"), v4, 13.25 + 8, idle},
-		{"IPv6-aging", netip.MustParseAddr("2001:db8::1"), v6, 40 + 8, idle},
+		{"IPv4", netip.MustParseAddr("20.0.0.1"), v4, 8, 0},
+		{"IPv6", netip.MustParseAddr("2001:db8::1"), v6, 20, 0},
+		{"IPv4-aging", netip.MustParseAddr("20.0.0.1"), v4, 8 + 8, idle},
+		{"IPv6-aging", netip.MustParseAddr("2001:db8::1"), v6, 20 + 8, idle},
 	} {
 		t.Run(fam.name, func(t *testing.T) {
 			frames := make([]Frame, lifeBatch)

@@ -3,6 +3,7 @@ package ctrlplane
 import (
 	"repro/internal/cuckoo"
 	"repro/internal/dataplane"
+	"repro/internal/handoff"
 	"repro/internal/netproto"
 	"repro/internal/simtime"
 	"repro/internal/telemetry"
@@ -229,7 +230,7 @@ func (cp *ControlPlane) install(pi pendingInsert) {
 // when the table took it, does what every installed connection needs: the
 // version's refcount, the aging timer, the handoff feed.
 func (cp *ControlPlane) pin(now simtime.Time, vc *vipCtl, tuple netproto.FiveTuple, keyHash uint64, digest, ver uint32) error {
-	rec := cp.conns.alloc(tuple, now)
+	rec := cp.conns.alloc(tuple, vc.slot, now)
 	if err := cp.sw.InsertConnAt(now, keyHash, digest, ver, rec); err != nil {
 		cp.conns.release(rec)
 		return err
@@ -237,7 +238,7 @@ func (cp *ControlPlane) pin(now simtime.Time, vc *vipCtl, tuple netproto.FiveTup
 	vc.connsPerVer[ver]++
 	cp.metrics.Inserted++
 	cp.scheduleAging(keyHash, now)
-	cp.noteConnInsert(tuple, ver)
+	cp.noteConn(vc, tuple, ver, handoff.OpUpsert)
 	return nil
 }
 
@@ -497,18 +498,17 @@ func (cp *ControlPlane) touch(res *dataplane.Result, now simtime.Time) bool {
 
 // release deletes the tracked connection whose entry is e from ConnTable
 // and vacates its record. The entry says everything the hash of the tuple
-// would: where the connection sits, its key hash and its version.
+// would: where the connection sits, its key hash and its version; the
+// record's slot names its VIP.
 func (cp *ControlPlane) release(now simtime.Time, e cuckoo.Entry) {
 	if cp.wheel != nil {
 		cp.wheel.Cancel(e.KeyHash)
 	}
-	tuple := cp.conns.tuple(e.Record)
+	vc, tuple := cp.conn(e.Record)
 	cp.sw.DeleteConnAt(now, e, tuple)
-	cp.noteConnDelete(tuple, e.Value)
-	if vc, ok := cp.vips[dataplane.VIPOf(tuple)]; ok {
-		vc.connsPerVer[e.Value]--
-		cp.retireIfIdle(vc, e.Value)
-	}
+	cp.noteConn(vc, tuple, e.Value, handoff.OpDelete)
+	vc.connsPerVer[e.Value]--
+	cp.retireIfIdle(vc, e.Value)
 	cp.conns.release(e.Record)
 }
 

@@ -13,12 +13,15 @@
 package ctrlplane
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cuckoo"
 	"repro/internal/dataplane"
+	"repro/internal/handoff"
 	"repro/internal/learnfilter"
 	"repro/internal/netproto"
 	"repro/internal/sched"
@@ -179,7 +182,11 @@ type updateReq struct {
 }
 
 type vipCtl struct {
-	vip     dataplane.VIP
+	vip dataplane.VIP
+	// slot numbers the VIP densely among the control plane's VIPs; a
+	// connection's record stores it in place of the VIP's address, port and
+	// protocol (records.go).
+	slot    uint16
 	curVer  uint32
 	prevVer uint32 // old version of the in-flight update
 	// freeVers is the ring buffer of version numbers available for new
@@ -221,6 +228,10 @@ type ControlPlane struct {
 
 	conns recordStore // per-connection records, indexed from the ConnTable entries
 	vips  map[dataplane.VIP]*vipCtl
+	// bySlot indexes the VIPs by slot (nil = free). freeSlots holds the free
+	// slots below len(bySlot) in descending order, so the lowest is last.
+	bySlot    []*vipCtl
+	freeSlots []uint16
 
 	activeUpdates int
 	wheel         *timewheel.Wheel // aging timers (nil when aging disabled)
@@ -355,6 +366,9 @@ func (cp *ControlPlane) AddVIP(now simtime.Time, vip dataplane.VIP, pool []datap
 	if _, dup := cp.vips[vip]; dup {
 		return dataplane.ErrVIPExists
 	}
+	if len(cp.freeSlots) == 0 && len(cp.bySlot) == maxVIPs {
+		return ErrVIPSlots
+	}
 	if err := cp.sw.InstallVIP(vip, 0, pool, meterBytesPerSec); err != nil {
 		return err
 	}
@@ -363,7 +377,7 @@ func (cp *ControlPlane) AddVIP(now simtime.Time, vip dataplane.VIP, pool []datap
 	for v := uint32(1); v < maxVer; v++ {
 		free = append(free, v)
 	}
-	cp.vips[vip] = &vipCtl{
+	vc := &vipCtl{
 		vip:               vip,
 		curVer:            0,
 		freeVers:          free,
@@ -372,10 +386,26 @@ func (cp *ControlPlane) AddVIP(now simtime.Time, vip dataplane.VIP, pool []datap
 		deadSlots:         map[uint32]map[int]bool{},
 		versionsAllocated: 1,
 	}
+	if n := len(cp.freeSlots); n > 0 {
+		vc.slot, cp.freeSlots = cp.freeSlots[n-1], cp.freeSlots[:n-1]
+		cp.bySlot[vc.slot] = vc
+	} else {
+		vc.slot = uint16(len(cp.bySlot))
+		cp.bySlot = append(cp.bySlot, vc)
+	}
+	cp.vips[vip] = vc
 	return nil
 }
 
-// RemoveVIP withdraws a VIP entirely, dropping its connections.
+// maxVIPs is how many VIPs a control plane holds at once: a record names its
+// VIP in 16 bits.
+const maxVIPs = 1 << 16
+
+// ErrVIPSlots is returned by AddVIP when maxVIPs VIPs are announced already.
+var ErrVIPSlots = errors.New("ctrlplane: all 65536 VIP slots in use")
+
+// RemoveVIP withdraws a VIP entirely, dropping its connections. Its slot is
+// freed last, once no record names it.
 func (cp *ControlPlane) RemoveVIP(now simtime.Time, vip dataplane.VIP) error {
 	vc, ok := cp.vips[vip]
 	if !ok {
@@ -388,17 +418,18 @@ func (cp *ControlPlane) RemoveVIP(now simtime.Time, vip dataplane.VIP) error {
 		cp.finishUpdate(now, vc)
 	}
 	cp.sw.ConnTable().Walk(func(e cuckoo.Entry) bool {
-		if e.Record == 0 {
-			return true
-		}
-		if tuple := cp.conns.tuple(e.Record); dataplane.VIPOf(tuple) == vip {
+		if e.Record != 0 && cp.conns.slot(e.Record) == vc.slot {
+			tuple := cp.conns.tuple(e.Record, vc.vip)
 			cp.sw.DeleteConnAt(0, e, tuple) // unstamped, like DeleteConn
-			cp.noteConnDelete(tuple, e.Value)
+			cp.noteConn(vc, tuple, e.Value, handoff.OpDelete)
 			cp.conns.release(e.Record)
 		}
 		return true
 	})
 	delete(cp.vips, vip)
+	cp.bySlot[vc.slot] = nil
+	i, _ := slices.BinarySearchFunc(cp.freeSlots, vc.slot, func(a, b uint16) int { return cmp.Compare(b, a) })
+	cp.freeSlots = slices.Insert(cp.freeSlots, i, vc.slot)
 	return cp.sw.RemoveVIP(vip)
 }
 

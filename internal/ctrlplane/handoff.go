@@ -43,7 +43,7 @@ type ExportSession struct {
 // accumulates deltas without bound.
 func (cp *ControlPlane) BeginExport(now simtime.Time) *ExportSession {
 	s := &ExportSession{cp: cp, cursor: cp.journalCursor()}
-	pools := make(map[dataplane.VIP]map[uint32][]dataplane.DIP)
+	pools := make(map[*vipCtl]map[uint32][]dataplane.DIP)
 	type conn struct {
 		keyHash  uint64
 		rec, ver uint32
@@ -58,13 +58,14 @@ func (cp *ControlPlane) BeginExport(now simtime.Time) *ExportSession {
 	sort.Slice(installed, func(i, j int) bool { return installed[i].keyHash < installed[j].keyHash })
 	s.entries = make([]handoff.Entry, 0, len(installed))
 	for _, in := range installed {
-		e := cp.exportEntry(cp.conns.tuple(in.rec), in.ver, handoff.OpUpsert)
+		vc, tuple := cp.conn(in.rec)
+		e := cp.exportEntry(vc, tuple, in.ver, handoff.OpUpsert)
 		// Share one pool clone per (vip, version): snapshots are large and
 		// most entries pin the same few versions.
-		byVer := pools[e.VIP]
+		byVer := pools[vc]
 		if byVer == nil {
 			byVer = make(map[uint32][]dataplane.DIP)
-			pools[e.VIP] = byVer
+			pools[vc] = byVer
 		}
 		if p, ok := byVer[in.ver]; ok {
 			e.Pool = p
@@ -77,24 +78,21 @@ func (cp *ControlPlane) BeginExport(now simtime.Time) *ExportSession {
 	return s
 }
 
-// exportEntry renders one connection, pinned to pool version ver, as a
-// transferable entry. Delete entries skip the pool and DIP (the receiver
+// exportEntry renders one connection of vc, pinned to pool version ver, as
+// a transferable entry. Delete entries skip the pool and DIP (the receiver
 // removes by tuple).
-func (cp *ControlPlane) exportEntry(tuple netproto.FiveTuple, ver uint32, op handoff.Op) handoff.Entry {
-	vip := dataplane.VIPOf(tuple)
+func (cp *ControlPlane) exportEntry(vc *vipCtl, tuple netproto.FiveTuple, ver uint32, op handoff.Op) handoff.Entry {
 	e := handoff.Entry{
 		Op:      op,
 		Tuple:   tuple,
 		KeyHash: cp.sw.KeyHash(tuple),
 		Digest:  cp.sw.ConnDigest(tuple),
-		VIP:     vip,
+		VIP:     vc.vip,
 		Version: ver,
 	}
 	if op == handoff.OpUpsert {
-		if vc, ok := cp.vips[vip]; ok {
-			e.Pool = clone(vc.pools[ver])
-		}
-		if dip, err := cp.sw.SelectDIP(vip, ver, tuple); err == nil {
+		e.Pool = clone(vc.pools[ver])
+		if dip, err := cp.sw.SelectDIP(vc.vip, ver, tuple); err == nil {
 			e.DIP = dip
 		}
 	}
@@ -150,25 +148,15 @@ func (s *ExportSession) Close() {
 	}
 }
 
-// noteConnInsert feeds an installed connection into every open export
-// session and bumps the fallback cursor. Called from the install paths
-// after the record is written.
-func (cp *ControlPlane) noteConnInsert(tuple netproto.FiveTuple, ver uint32) {
-	cp.noteConn(tuple, ver, handoff.OpUpsert)
-}
-
-// noteConnDelete feeds a released connection into every open export
-// session and bumps the fallback cursor.
-func (cp *ControlPlane) noteConnDelete(tuple netproto.FiveTuple, ver uint32) {
-	cp.noteConn(tuple, ver, handoff.OpDelete)
-}
-
-func (cp *ControlPlane) noteConn(tuple netproto.FiveTuple, ver uint32, op handoff.Op) {
+// noteConn feeds an installed (OpUpsert) or released (OpDelete) connection
+// of vc into every open export session and bumps the fallback cursor. The
+// install paths call it after the record is written.
+func (cp *ControlPlane) noteConn(vc *vipCtl, tuple netproto.FiveTuple, ver uint32, op handoff.Op) {
 	cp.handoffSeq++
 	if len(cp.exports) == 0 {
 		return
 	}
-	e := cp.exportEntry(tuple, ver, op)
+	e := cp.exportEntry(vc, tuple, ver, op)
 	for _, s := range cp.exports {
 		s.deltas = append(s.deltas, e)
 	}

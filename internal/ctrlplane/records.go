@@ -5,32 +5,37 @@ import (
 	"net/netip"
 
 	"repro/internal/cuckoo"
+	"repro/internal/dataplane"
 	"repro/internal/netproto"
 	"repro/internal/simtime"
 )
 
 // A record is what the switch software keeps about one installed connection
-// beyond its ConnTable entry: the 5-tuple the entry's key hash stands for,
-// as the wire key the hash was taken over (netproto.FiveTuple.KeyBytes: 13
-// bytes for IPv4, 37 for IPv6), and nothing else. The pool version is the
-// entry's value and the VIP is the tuple's destination; neither is stored
-// twice. When traffic was last seen is kept beside the records, not in them,
-// and only by a store that ages (slab.seen).
+// beyond its ConnTable entry: the client end of its 5-tuple — source address
+// and port — and the slot of the VIP it belongs to, and nothing else. The
+// rest of the tuple (destination address, port, protocol) is that VIP, so it
+// is read from the slot's vipCtl instead of being kept once per connection;
+// the pool version is the entry's value. When traffic was last seen is kept
+// beside the records, not in them, and only by a store that ages
+// (slab.seen).
+//
+//	IPv4  [8]byte:  src 4 | sport 2 | slot 2
+//	IPv6  [20]byte: src 16 | sport 2 | slot 2   (ports and slot big-endian)
 //
 // A record holds no pointer, so the collector never scans a chunk of them.
-// That is also why an address zone is not kept: a zone is a pointer inside
-// the address, and KeyBytes and LaneHash leave it out, so it was never part
-// of a connection's identity. A tuple read back is zone-less.
+// That is also why the source address's zone is not kept: a zone is a
+// pointer inside the address, and KeyBytes and LaneHash leave it out, so it
+// was never part of a connection's identity. A tuple read back has a
+// zone-less source and the VIP's destination exactly as it was registered.
 //
-// wireKey is the record's type, by family.
-type wireKey interface{ [13]byte | [37]byte }
+// clientKey is the record's type, by family.
+type clientKey interface{ [8]byte | [20]byte }
 
 // Records are allocated in fixed chunks and never move: slack is at most
 // one chunk per family however many connections there are, and a test
 // switch with a hundred connections pays for one. 1024 IPv4 records are
-// 13 KB, which the allocator rounds to its 13 568-byte class (13.25 B a
-// record); 1024 IPv6 records are 37 KB, five whole pages (40 B a record);
-// 1024 last-seen times are 8 KB exactly.
+// 8 KB and 1024 IPv6 records 20 KB, each exactly an allocator size class
+// (8 and 20 B a record); 1024 last-seen times are 8 KB.
 const (
 	recordChunkBits = 10
 	recordChunkLen  = 1 << recordChunkBits
@@ -41,7 +46,7 @@ const (
 )
 
 // slab holds one family's records.
-type slab[K wireKey] struct {
+type slab[K clientKey] struct {
 	chunks []*[recordChunkLen]K
 	// seen holds, under the same numbers, when each connection last saw
 	// traffic: the aging wheel's input, so its chunks exist only in a store
@@ -59,12 +64,12 @@ func (s *slab[K]) at(n uint32) *K {
 
 // A vacated record is zero but for its first four bytes, which number the
 // record vacated before it (little-endian; 0 ends the list). alloc zeroes
-// them before the record is handed out, so a link never reads as key bytes.
-func link[K wireKey](k *K) uint32 {
+// them before the record is handed out, so a link never reads as an address.
+func link[K clientKey](k *K) uint32 {
 	return uint32((*k)[0]) | uint32((*k)[1])<<8 | uint32((*k)[2])<<16 | uint32((*k)[3])<<24
 }
 
-func setLink[K wireKey](k *K, n uint32) {
+func setLink[K clientKey](k *K, n uint32) {
 	(*k)[0], (*k)[1], (*k)[2], (*k)[3] = byte(n), byte(n>>8), byte(n>>16), byte(n>>24)
 }
 
@@ -87,7 +92,7 @@ func (s *slab[K]) alloc(aging bool) (uint32, *K) {
 	return s.drawn, s.at(s.drawn)
 }
 
-// release vacates record n, zeroing the ended connection's tuple.
+// release vacates record n, zeroing the ended connection's client end.
 func (s *slab[K]) release(n uint32) {
 	k := s.at(n)
 	var zero K
@@ -104,31 +109,39 @@ func (s *slab[K]) release(n uint32) {
 // for its free slots, and an IPv4 connection does not pay for an IPv6
 // address. Index 0 means "no record" and is never handed out.
 type recordStore struct {
-	v4   slab[[13]byte]
-	v6   slab[[37]byte]
+	v4   slab[[8]byte]
+	v6   slab[[20]byte]
 	live int
 	// aging is set, before the first alloc, by a control plane with an
 	// AgingTimeout: only then does a record have a last-seen time.
 	aging bool
 }
 
-// alloc hands out a record holding tuple, last seen now.
-func (s *recordStore) alloc(tuple netproto.FiveTuple, now simtime.Time) uint32 {
+// alloc hands out a record holding tuple's client end under VIP slot, last
+// seen now.
+func (s *recordStore) alloc(tuple netproto.FiveTuple, slot uint16, now simtime.Time) uint32 {
 	s.live++
 	var i uint32
 	if tuple.Src.Is4() {
 		n, k := s.v4.alloc(s.aging)
-		tuple.KeyBytes(k[:0])
+		*(*[4]byte)(k[:4]) = tuple.Src.As4()
+		putPortSlot(k[4:], tuple.SrcPort, slot)
 		i = n
 	} else {
 		n, k := s.v6.alloc(s.aging)
-		tuple.KeyBytes(k[:0])
+		*(*[16]byte)(k[:16]) = tuple.Src.As16()
+		putPortSlot(k[16:], tuple.SrcPort, slot)
 		i = n | recordV6
 	}
 	if s.aging {
 		*s.lastSeen(i) = now
 	}
 	return i
+}
+
+func putPortSlot(b []byte, port, slot uint16) {
+	binary.BigEndian.PutUint16(b, port)
+	binary.BigEndian.PutUint16(b[2:], slot)
 }
 
 // release vacates record i.
@@ -151,28 +164,33 @@ func (s *recordStore) lastSeen(i uint32) *simtime.Time {
 	return &seen[i>>recordChunkBits][i%recordChunkLen]
 }
 
-// tuple rebuilds the 5-tuple record i holds.
-func (s *recordStore) tuple(i uint32) netproto.FiveTuple {
+// slot returns the VIP slot record i was allocated under.
+func (s *recordStore) slot(i uint32) uint16 {
+	if i&recordV6 == 0 {
+		return binary.BigEndian.Uint16(s.v4.at(i)[6:])
+	}
+	return binary.BigEndian.Uint16(s.v6.at(i &^ recordV6)[18:])
+}
+
+// tuple rebuilds the 5-tuple record i stands for; vip is its slot's VIP.
+func (s *recordStore) tuple(i uint32, vip dataplane.VIP) netproto.FiveTuple {
+	t := netproto.FiveTuple{Dst: vip.Addr, DstPort: vip.Port, Proto: vip.Proto}
 	if i&recordV6 == 0 {
 		k := s.v4.at(i)
-		t := keyTail(k[8:])
-		t.Src, t.Dst = netip.AddrFrom4([4]byte(k[0:4])), netip.AddrFrom4([4]byte(k[4:8]))
-		return t
+		t.Src, t.SrcPort = netip.AddrFrom4([4]byte(k[:4])), binary.BigEndian.Uint16(k[4:])
+	} else {
+		k := s.v6.at(i &^ recordV6)
+		t.Src, t.SrcPort = netip.AddrFrom16([16]byte(k[:16])), binary.BigEndian.Uint16(k[16:])
 	}
-	k := s.v6.at(i &^ recordV6)
-	t := keyTail(k[32:])
-	t.Src, t.Dst = netip.AddrFrom16([16]byte(k[0:16])), netip.AddrFrom16([16]byte(k[16:32]))
 	return t
 }
 
-// keyTail reads what follows the addresses in a wire key: source port,
-// destination port, protocol.
-func keyTail(b []byte) netproto.FiveTuple {
-	return netproto.FiveTuple{
-		SrcPort: binary.BigEndian.Uint16(b),
-		DstPort: binary.BigEndian.Uint16(b[2:]),
-		Proto:   netproto.Proto(b[4]),
-	}
+// conn returns the VIP record i belongs to and the 5-tuple it stands for.
+// A slot is freed only once its VIP's records are released, so the slot of
+// a live record always names its own VIP.
+func (cp *ControlPlane) conn(i uint32) (*vipCtl, netproto.FiveTuple) {
+	vc := cp.bySlot[cp.conns.slot(i)]
+	return vc, cp.conns.tuple(i, vc.vip)
 }
 
 // tracked is the CPU's exact probe for the connection keyed kh: its

@@ -4,44 +4,81 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"math/rand"
 	"net/netip"
 	"reflect"
+	"slices"
 	"testing"
 
+	"repro/internal/cuckoo"
 	"repro/internal/dataplane"
 	"repro/internal/handoff"
 	"repro/internal/netproto"
 	"repro/internal/simtime"
 )
 
-// storeTuple draws a random tuple of the given family; one IPv6 tuple in
-// four is IPv4-mapped, which must stay a 16-byte record.
-func storeTuple(rng *rand.Rand, v4 bool) netproto.FiveTuple {
-	var a, b [16]byte
+// storeVIPs are the VIPs a record-store script files its connections under,
+// by family, with slots that use both bytes of the field. One IPv6 VIP is
+// IPv4-mapped: its connections must stay 16-byte records.
+var storeVIPs = [2][]struct {
+	slot uint16
+	vip  dataplane.VIP
+}{
+	{
+		{0, dataplane.VIP{Addr: netip.MustParseAddr("20.0.0.1"), Port: 80, Proto: netproto.ProtoTCP}},
+		{0x1234, dataplane.VIP{Addr: netip.MustParseAddr("20.0.0.2"), Port: 443, Proto: netproto.ProtoUDP}},
+	},
+	{
+		{1, dataplane.VIP{Addr: netip.MustParseAddr("2001:db8::1"), Port: 80, Proto: netproto.ProtoTCP}},
+		{0xffff, dataplane.VIP{Addr: netip.MustParseAddr("::ffff:20.0.0.3"), Port: 8080, Proto: netproto.ProtoTCP}},
+	},
+}
+
+// storeTuple draws a random connection of the given family to one of
+// storeVIPs and returns it with its VIP's slot.
+func storeTuple(rng *rand.Rand, v4 bool) (netproto.FiveTuple, uint16) {
+	fam := storeVIPs[1]
+	if v4 {
+		fam = storeVIPs[0]
+	}
+	v := fam[rng.Intn(len(fam))]
+	var a [16]byte
 	rng.Read(a[:])
-	rng.Read(b[:])
-	t := netproto.FiveTuple{SrcPort: uint16(rng.Uint32()), DstPort: uint16(rng.Uint32()), Proto: netproto.ProtoTCP}
+	t := netproto.FiveTuple{Dst: v.vip.Addr, SrcPort: uint16(rng.Uint32()), DstPort: v.vip.Port, Proto: v.vip.Proto}
 	switch {
 	case v4:
-		t.Src, t.Dst = netip.AddrFrom4([4]byte(a[:4])), netip.AddrFrom4([4]byte(b[:4]))
-	case rng.Intn(4) == 0:
+		t.Src = netip.AddrFrom4([4]byte(a[:4]))
+	case v.vip.Addr.Is4In6():
 		t.Src = netip.AddrFrom16(netip.AddrFrom4([4]byte(a[:4])).As16())
-		t.Dst = netip.AddrFrom16(netip.AddrFrom4([4]byte(b[:4])).As16())
 	default:
-		t.Src, t.Dst = netip.AddrFrom16(a), netip.AddrFrom16(b)
+		t.Src = netip.AddrFrom16(a)
 	}
-	return t
+	return t, v.slot
+}
+
+// storeVIP returns the VIP of slot.
+func storeVIP(t *testing.T, slot uint16) dataplane.VIP {
+	for _, fam := range storeVIPs {
+		for _, v := range fam {
+			if v.slot == slot {
+				return v.vip
+			}
+		}
+	}
+	t.Fatalf("record names slot %#x, which no VIP holds", slot)
+	return dataplane.VIP{}
 }
 
 // TestRecordStoreDifferential drives the store with a seeded script of
 // allocs, lastSeen writes and releases in both families against a map
 // oracle, once as a store that ages and once as one that does not: every
-// record reads back the tuple (and, aging, the time) last written, index 0
-// is never handed out, a vacated record holds nothing but its free-list
-// link and is the next one its family hands out, and live is exact. The
-// population passes 1024 a family, so records cross chunk boundaries. A
-// store that does not age never allocates a last-seen chunk.
+// record reads back the slot and, under that slot's VIP, the tuple (and,
+// aging, the time) last written, index 0 is never handed out, a vacated
+// record holds nothing but its free-list link and is the next one its
+// family hands out, and live is exact. The population passes 1024 a family,
+// so records cross chunk boundaries. A store that does not age never
+// allocates a last-seen chunk.
 func TestRecordStoreDifferential(t *testing.T) {
 	for _, aging := range []bool{false, true} {
 		recordStoreScript(t, aging)
@@ -51,6 +88,7 @@ func TestRecordStoreDifferential(t *testing.T) {
 func recordStoreScript(t *testing.T, aging bool) {
 	type want struct {
 		tuple    netproto.FiveTuple
+		slot     uint16
 		lastSeen simtime.Time
 	}
 	var (
@@ -65,7 +103,10 @@ func recordStoreScript(t *testing.T, aging bool) {
 	check := func(op int, i uint32) {
 		t.Helper()
 		w := oracle[i]
-		if got := st.tuple(i); got != w.tuple {
+		if slot := st.slot(i); slot != w.slot {
+			t.Fatalf("op %d: record %#x names slot %#x, want %#x", op, i, slot, w.slot)
+		}
+		if got := st.tuple(i, storeVIP(t, w.slot)); got != w.tuple {
 			t.Fatalf("op %d: record %#x = %v, want %v", op, i, got, w.tuple)
 		}
 		if aging && *st.lastSeen(i) != w.lastSeen {
@@ -77,8 +118,8 @@ func recordStoreScript(t *testing.T, aging bool) {
 		switch r := rng.Intn(10); {
 		case r < 4 || len(live) == 0 || (len(live) < 3000 && r < 6):
 			v4 := rng.Intn(2) == 0
-			tuple := storeTuple(rng, v4)
-			i := st.alloc(tuple, now)
+			tuple, slot := storeTuple(rng, v4)
+			i := st.alloc(tuple, slot, now)
 			f := family(i)
 			if (f == 0) != v4 || i&^recordV6 == 0 {
 				t.Fatalf("op %d: alloc(%v) = %#x: wrong family or number 0", op, tuple, i)
@@ -94,16 +135,18 @@ func recordStoreScript(t *testing.T, aging bool) {
 			} else if drawn[f]++; i&^recordV6 != drawn[f] {
 				t.Fatalf("op %d: fresh alloc = %#x, want number %d", op, i, drawn[f])
 			}
-			oracle[i] = want{tuple, now}
+			oracle[i] = want{tuple, slot, now}
 			live = append(live, i)
 			// A reused record round-trips its tuple: the link it held while
-			// vacated is not among its key bytes.
+			// vacated is not part of its address.
 			check(op, i)
 		case r < 7:
 			i := live[rng.Intn(len(live))]
 			if aging {
 				*st.lastSeen(i) = now
-				oracle[i] = want{oracle[i].tuple, now}
+				w := oracle[i]
+				w.lastSeen = now
+				oracle[i] = w
 			}
 			check(op, i)
 		default:
@@ -122,12 +165,12 @@ func recordStoreScript(t *testing.T, aging bool) {
 			// Nothing of the ended connection is left: the free-list link
 			// in the first four bytes, zeroes after.
 			if f == 0 {
-				want := [13]byte{byte(link), byte(link >> 8), byte(link >> 16), byte(link >> 24)}
+				want := [8]byte{byte(link), byte(link >> 8), byte(link >> 16), byte(link >> 24)}
 				if got := *st.v4.at(i); got != want {
 					t.Fatalf("op %d: vacated IPv4 record %d holds %x, want only link %d", op, i, got, link)
 				}
 			} else {
-				want := [37]byte{byte(link), byte(link >> 8), byte(link >> 16), byte(link >> 24)}
+				want := [20]byte{byte(link), byte(link >> 8), byte(link >> 16), byte(link >> 24)}
 				if got := *st.v6.at(i &^ recordV6); got != want {
 					t.Fatalf("op %d: vacated IPv6 record %d holds %x, want only link %d", op, i&^recordV6, got, link)
 				}
@@ -166,15 +209,15 @@ func recordStoreScript(t *testing.T, aging bool) {
 }
 
 // TestSlabReuseZeroed: a record handed out again after a release reads back
-// all-zero — neither the ended connection's key nor the free-list link it
-// held in between — in both families and across chunk boundaries, and comes
-// back most-recently-vacated first.
+// all-zero — neither the ended connection's client end nor the free-list
+// link it held in between — in both families and across chunk boundaries,
+// and comes back most-recently-vacated first.
 func TestSlabReuseZeroed(t *testing.T) {
-	slabReuse[[13]byte](t)
-	slabReuse[[37]byte](t)
+	slabReuse[[8]byte](t)
+	slabReuse[[20]byte](t)
 }
 
-func slabReuse[K wireKey](t *testing.T) {
+func slabReuse[K clientKey](t *testing.T) {
 	var (
 		s     slab[K]
 		zero  K
@@ -212,9 +255,9 @@ func slabReuse[K wireKey](t *testing.T) {
 
 // TestRecordsArePointerFree: neither family's record chunk, nor the chunk of
 // last-seen times beside it, holds anything the collector would have to
-// scan, and none outgrows its chunk arithmetic (13 KB, 37 KB and 8 KB per
-// 1024). A field that adds a pointer, or a byte, makes a million-record store
-// scannable or a size class bigger.
+// scan, and none outgrows its chunk arithmetic (8 KB, 20 KB and 8 KB per
+// 1024: 8- and 20-byte records). A field that adds a pointer, or a byte,
+// makes a million-record store scannable or a size class bigger.
 func TestRecordsArePointerFree(t *testing.T) {
 	var walk func(reflect.Type, string)
 	walk = func(ty reflect.Type, path string) {
@@ -238,8 +281,8 @@ func TestRecordsArePointerFree(t *testing.T) {
 		chunk reflect.Type // the slab field's element: a pointer to one chunk
 		size  uintptr
 	}{
-		{"v4.chunks", reflect.TypeOf(st.v4.chunks).Elem(), 13 << 10},
-		{"v6.chunks", reflect.TypeOf(st.v6.chunks).Elem(), 37 << 10},
+		{"v4.chunks", reflect.TypeOf(st.v4.chunks).Elem(), 8 << 10},
+		{"v6.chunks", reflect.TypeOf(st.v6.chunks).Elem(), 20 << 10},
 		{"v4.seen", reflect.TypeOf(st.v4.seen).Elem(), 8 << 10},
 		{"v6.seen", reflect.TypeOf(st.v6.seen).Elem(), 8 << 10},
 	} {
@@ -415,13 +458,21 @@ func tuple6(vip dataplane.VIP, i int) netproto.FiveTuple {
 // TestRecordDropsZone: an address zone is no part of a connection's key
 // (KeyBytes and LaneHash leave it out) and the record does not keep one. A
 // zoned link-local tuple installs under the zone-less tuple's key hash and
-// comes back zone-less wherever the CPU reads the record: BeginExport's
-// snapshot, EndConnection's release and RemoveVIP's walk. An IPv4-mapped
-// IPv6 tuple is an IPv6 connection: a 16-byte record, returned as it came.
+// comes back with a zone-less source wherever the CPU reads the record:
+// BeginExport's snapshot, EndConnection's release and RemoveVIP's walk. The
+// destination is the VIP's, exactly as registered — zone included, for a
+// link-local VIP — so the release finds the VIP its connection counted
+// against. An IPv4-mapped IPv6 tuple is an IPv6 connection: a 16-byte
+// record, returned as it came.
 func TestRecordDropsZone(t *testing.T) {
 	h := defaultHarness(t)
-	if err := h.cp.AddVIP(0, vip6, pool("[fd00::1]:20", "[fd00::2]:20"), 0); err != nil {
-		t.Fatal(err)
+	vipZoned := dataplane.VIP{Addr: netip.MustParseAddr("fe80::80%eth0"), Port: 80, Proto: netproto.ProtoTCP}
+	for vip, p := range map[dataplane.VIP][]dataplane.DIP{
+		vip6: pool("[fd00::1]:20", "[fd00::2]:20"), vipZoned: pool("[fd00::3]:20"),
+	} {
+		if err := h.cp.AddVIP(0, vip, p, 0); err != nil {
+			t.Fatal(err)
+		}
 	}
 	bare := tuple6(vip6, 1)
 	bare.Src = netip.MustParseAddr("fe80::1")
@@ -429,6 +480,7 @@ func TestRecordDropsZone(t *testing.T) {
 	zoned.Src = bare.Src.WithZone("eth0")
 	mapped := tuple6(vip6, 2)
 	mapped.Src = netip.MustParseAddr("::ffff:1.2.3.4")
+	toZoned := tuple6(vipZoned, 3)
 	if h.sw.KeyHash(zoned) != h.sw.KeyHash(bare) || zoned == bare {
 		t.Fatalf("key hash of %v and %v differ, or the zone was lost before the test began", zoned, bare)
 	}
@@ -442,8 +494,8 @@ func TestRecordDropsZone(t *testing.T) {
 		h.checkTracked(len(tuples))
 		return now
 	}
-	now := install(0, zoned, mapped)
-	for _, tup := range []netproto.FiveTuple{zoned, mapped} {
+	now := install(0, zoned, mapped, toZoned)
+	for _, tup := range []netproto.FiveTuple{zoned, mapped, toZoned} {
 		if e, ok := h.cp.tracked(h.sw.KeyHash(tup)); !ok || e.Record&recordV6 == 0 {
 			t.Fatalf("%v: tracked %v with record %#x, want an IPv6 record", tup, ok, e.Record)
 		}
@@ -451,10 +503,11 @@ func TestRecordDropsZone(t *testing.T) {
 
 	ses := h.cp.BeginExport(now)
 	defer ses.Close()
-	want := map[netproto.FiveTuple]bool{bare: true, mapped: true}
+	want := map[netproto.FiveTuple]bool{bare: true, mapped: true, toZoned: true}
 	for _, e := range ses.NextChunk(0) {
-		if !want[e.Tuple] || e.KeyHash != h.sw.KeyHash(e.Tuple) {
-			t.Fatalf("snapshot holds %v (zone %q), want the zone-less %v or %v", e.Tuple, e.Tuple.Src.Zone(), bare, mapped)
+		if !want[e.Tuple] || e.KeyHash != h.sw.KeyHash(e.Tuple) || e.VIP != dataplane.VIPOf(e.Tuple) {
+			t.Fatalf("snapshot holds %v (zones %q, %q) of %v, want the zone-less %v, %v or %v",
+				e.Tuple, e.Tuple.Src.Zone(), e.Tuple.Dst.Zone(), e.VIP, bare, mapped, toZoned)
 		}
 		delete(want, e.Tuple)
 	}
@@ -465,7 +518,11 @@ func TestRecordDropsZone(t *testing.T) {
 	// release, reached by the zoned tuple: the delete names the record's.
 	h.cp.EndConnection(now, zoned)
 	h.cp.EndConnection(now, mapped)
+	h.cp.EndConnection(now, toZoned)
 	h.checkTracked(0)
+	if n := h.cp.vips[vipZoned].connsPerVer[0]; n != 0 {
+		t.Fatalf("the link-local VIP still counts %d connections on its pool after they ended", n)
+	}
 	now = install(now, zoned)
 	if err := h.cp.RemoveVIP(now, vip6); err != nil {
 		t.Fatal(err)
@@ -477,17 +534,18 @@ func TestRecordDropsZone(t *testing.T) {
 			got = append(got, d.Tuple)
 		}
 	}
-	if !reflect.DeepEqual(got, []netproto.FiveTuple{bare, mapped, bare}) {
-		t.Fatalf("deletes fed to the export session name %v, want %v, %v and %v again", got, bare, mapped, bare)
+	if !reflect.DeepEqual(got, []netproto.FiveTuple{bare, mapped, toZoned, bare}) {
+		t.Fatalf("deletes fed to the export session name %v, want %v, %v, %v and %v again", got, bare, mapped, toZoned, bare)
 	}
 }
 
 // TestMixedFamilyLifecycle takes IPv4 and IPv6 connections, interleaved over
 // two VIPs of each family, through everything the control plane does with a
-// record: learn and install, touch, EndConnection, aging, RemoveVIP, and a
-// handoff to a second control plane. The store and the table agree on the
-// connection count at every step, and every tuple exported — by the donor
-// and again by the receiver — is the tuple that was learned.
+// record: learn and install, touch, EndConnection, aging, RemoveVIP, VIP
+// slots reused by other VIPs, and a handoff to a second control plane. The
+// store and the table agree on the connection count at every step, and
+// every tuple exported — by the donor and again by the receiver — is the
+// tuple that was learned.
 func TestMixedFamilyLifecycle(t *testing.T) {
 	const perVIP = 700 // 1400 a family: both stores leave their first chunk
 	ccfg := DefaultConfig()
@@ -562,6 +620,8 @@ func TestMixedFamilyLifecycle(t *testing.T) {
 		t.Fatalf("AgedOut = %d, want the %d connections left idle", got, aged)
 	}
 
+	freed := []uint16{h.cp.vips[v4Other].slot, h.cp.vips[vip6Other].slot}
+	slices.Sort(freed)
 	for _, vip := range []dataplane.VIP{v4Other, vip6Other} {
 		if err := h.cp.RemoveVIP(now, vip); err != nil {
 			t.Fatal(err)
@@ -577,16 +637,70 @@ func TestMixedFamilyLifecycle(t *testing.T) {
 	}
 	h.checkTracked(len(learned))
 
+	// VIP churn: two other VIPs take the withdrawn VIPs' slots, lowest first,
+	// on the donor (the receiver numbers them the other way round), while
+	// the remaining connections live on. The new VIPs' clients reuse the
+	// withdrawn connections' source addresses and ports, so a new record is
+	// byte for byte a withdrawn one: only the key hash tells them apart.
+	v4New := dataplane.VIP{Addr: netip.MustParseAddr("20.0.0.9"), Port: 8080, Proto: netproto.ProtoUDP}
+	vip6New := dataplane.VIP{Addr: netip.MustParseAddr("2001:db8::90"), Port: 443, Proto: netproto.ProtoTCP}
+	for _, x := range []*harness{h, recv} {
+		vips := []dataplane.VIP{v4New, vip6New}
+		if x == recv {
+			vips[0], vips[1] = vips[1], vips[0]
+		}
+		for _, vip := range vips {
+			if err := x.cp.AddVIP(now, vip, pool("[fd00::5]:20", "10.0.0.9:20"), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := []uint16{h.cp.vips[v4New].slot, h.cp.vips[vip6New].slot}; !slices.Equal(got, freed) {
+		t.Fatalf("new VIPs took slots %v, want the withdrawn VIPs' %v", got, freed)
+	}
+	ended := h.cp.Metrics().ConnsEnded
+	for c := 2; c < 4*perVIP; c += 4 { // v4Other's and vip6Other's connections
+		h.cp.EndConnection(now, tupleOf(c))
+		h.cp.EndConnection(now, tupleOf(c+1))
+	}
+	if got := h.cp.Metrics().ConnsEnded; got != ended {
+		t.Fatalf("ending withdrawn connections ended %d live ones", got-ended)
+	}
+	h.checkTracked(len(learned))
+	const perNew = 300
+	for i := 0; i < perNew; i++ {
+		v4 := tupleOther(i)
+		v4.Dst, v4.DstPort, v4.Proto = v4New.Addr, v4New.Port, v4New.Proto
+		for _, tup := range []netproto.FiveTuple{v4, tuple6(vip6New, i)} {
+			h.send(now, tup, netproto.FlagSYN)
+			learned[h.sw.KeyHash(tup)] = tup
+		}
+	}
+	now = now.Add(simtime.Duration(20 * simtime.Millisecond))
+	h.cp.Advance(now)
+	h.checkTracked(len(learned))
+
+	// Every record rebuilds, under the VIP its slot names, the tuple its
+	// entry's key hash was taken over; and the snapshot is exactly the
+	// connections learned and not ended, withdrawn or aged.
 	checkExport := func(x *harness) {
 		t.Helper()
+		x.sw.ConnTable().Walk(func(e cuckoo.Entry) bool {
+			vc, tup := x.cp.conn(e.Record)
+			if dataplane.VIPOf(tup) != vc.vip || x.cp.vips[vc.vip] != vc || x.sw.KeyHash(tup) != e.KeyHash {
+				t.Fatalf("record %#x in slot %d rebuilds %v under VIP %v, key hash %#x, for an entry keyed %#x",
+					e.Record, vc.slot, tup, vc.vip, x.sw.KeyHash(tup), e.KeyHash)
+			}
+			return true
+		})
 		ses := x.cp.BeginExport(now)
 		defer ses.Close()
 		if ses.Pending() != len(learned) {
 			t.Fatalf("snapshot has %d entries, want %d", ses.Pending(), len(learned))
 		}
 		for _, e := range ses.NextChunk(0) {
-			if want, ok := learned[e.KeyHash]; !ok || e.Tuple != want {
-				t.Fatalf("exported %v under key hash %#x, learned %v (%v)", e.Tuple, e.KeyHash, want, ok)
+			if want, ok := learned[e.KeyHash]; !ok || e.Tuple != want || e.VIP != dataplane.VIPOf(want) {
+				t.Fatalf("exported %v of %v under key hash %#x, learned %v (%v)", e.Tuple, e.VIP, e.KeyHash, want, ok)
 			}
 		}
 	}
@@ -601,5 +715,51 @@ func TestMixedFamilyLifecycle(t *testing.T) {
 	h.checkTracked(len(learned))
 	if h.violations != 0 {
 		t.Fatalf("violations = %d", h.violations)
+	}
+}
+
+// slotVIP is the i-th VIP of a slot-space test.
+func slotVIP(i int) dataplane.VIP {
+	return dataplane.VIP{Addr: netip.AddrFrom4([4]byte{30, 0, byte(i >> 8), byte(i)}), Port: 80, Proto: netproto.ProtoTCP}
+}
+
+// TestVIPSlotsExhaust: a record names its VIP in 16 bits, so a control plane
+// holds 65 536 VIPs and refuses the next with ErrVIPSlots before the data
+// plane hears of it; a withdrawn VIP's slot is handed out again, the lowest
+// free slot first. A stand-in holds slots 8 and up, so the test builds eight
+// VIPs, not 65 536 (TestAddVIPRollsBackSlotExhaustion, internal/pipes, fills
+// a control plane with real ones).
+func TestVIPSlotsExhaust(t *testing.T) {
+	h := newHarness(t, dataplane.DefaultConfig(1000), DefaultConfig())
+	for i := 0; i < 8; i++ {
+		if err := h.cp.AddVIP(0, slotVIP(i), poolN(1), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	standIn := &vipCtl{}
+	for len(h.cp.bySlot) < maxVIPs {
+		h.cp.bySlot = append(h.cp.bySlot, standIn)
+	}
+	over := slotVIP(8)
+	if err := h.cp.AddVIP(0, over, poolN(1), 0); !errors.Is(err, ErrVIPSlots) || h.sw.HasVIP(over) {
+		t.Fatalf("VIP 65 537: AddVIP = %v, installed in the data plane %v; want ErrVIPSlots and not installed",
+			err, h.sw.HasVIP(over))
+	}
+	for _, i := range []int{5, 2} {
+		if err := h.cp.RemoveVIP(0, slotVIP(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for n, want := range []uint16{2, 5} {
+		vip := slotVIP(9 + n)
+		if err := h.cp.AddVIP(0, vip, poolN(1), 0); err != nil {
+			t.Fatal(err)
+		}
+		if got := h.cp.vips[vip].slot; got != want || h.cp.bySlot[got] != h.cp.vips[vip] {
+			t.Fatalf("re-added VIP took slot %d, want the lowest free slot %d", got, want)
+		}
+	}
+	if err := h.cp.AddVIP(0, over, poolN(1), 0); !errors.Is(err, ErrVIPSlots) {
+		t.Fatalf("AddVIP with every slot taken again = %v, want ErrVIPSlots", err)
 	}
 }

@@ -220,7 +220,6 @@ func (s *Stats) Add(o Stats) {
 // flags, meter, and DIPPoolTable rows.
 type vipState struct {
 	vip       VIP
-	id        uint32
 	curVer    uint32
 	oldVer    uint32
 	inUpdate  bool // step 2: misses consult TransitTable
@@ -252,7 +251,6 @@ type Switch struct {
 	// struct comparison instead. RemoveVIP invalidates the cache (install
 	// cannot alias: a cached pointer always belongs to a still-live VIP).
 	lastVS *vipState
-	nextID uint32
 
 	connSeed   uint64 // key hashing
 	digestSeed uint64
@@ -473,13 +471,14 @@ func (s *Switch) Process(now simtime.Time, pkt *netproto.Packet) Result {
 // it may enqueue a learn event or redirect a SYN to the CPU.
 func (s *Switch) ProcessFrame(now simtime.Time, f *netproto.Frame) Result {
 	var res Result
-	s.ProcessFrameInto(now, f, s.laneOf(f), &res)
+	s.ProcessFrameInto(now, f, s.LaneOf(f), &res)
 	return res
 }
 
-// laneOf returns the frame's chip-level lane hash when the switch derives
-// its connection hashes from it, and zero (ignored) otherwise.
-func (s *Switch) laneOf(f *netproto.Frame) uint64 {
+// LaneOf returns the lane argument ProcessFrameInto expects for f: the
+// frame's chip-level lane hash when the switch derives its connection hashes
+// from it, and zero (ignored) otherwise.
+func (s *Switch) LaneOf(f *netproto.Frame) uint64 {
 	if s.cfg.DerivedHashes {
 		return f.LaneHash(s.cfg.LaneSeed)
 	}
@@ -661,7 +660,6 @@ func (s *Switch) process(now simtime.Time, tuple *netproto.FiveTuple, tcpFlags u
 		Tuple:   *tuple,
 		KeyHash: keyHash,
 		Digest:  digest,
-		VIPID:   vs.id,
 		Version: ver,
 		At:      now,
 	}) {

@@ -36,7 +36,6 @@ func (s *Switch) InstallVIP(vip VIP, ver uint32, pool []DIP, meterBytesPerSec fl
 	}
 	vs := &vipState{
 		vip:    vip,
-		id:     s.nextID,
 		curVer: ver,
 		pools:  map[uint32]poolRow{ver: {dips: clonePool(pool)}},
 	}
@@ -49,7 +48,6 @@ func (s *Switch) InstallVIP(vip VIP, ver uint32, pool []DIP, meterBytesPerSec fl
 		// the handle instead of looking it up.
 		vs.tel = s.tracer.RegisterVIP(s.pipe, vip.TelemetryKey())
 	}
-	s.nextID++
 	s.vips[vip] = vs
 	return nil
 }

@@ -26,7 +26,6 @@ type Event struct {
 	Tuple   netproto.FiveTuple
 	KeyHash uint64
 	Digest  uint32
-	VIPID   uint32
 	Version uint32
 	At      simtime.Time
 }

@@ -274,12 +274,18 @@ func (e *Engine) inject(pipe int, fn func(dp *dataplane.Switch, cp *ctrlplane.Co
 	}
 }
 
-// processFrame runs one frame on pipe p. Callers hold p.mu.
-func (p *pipe) processFrame(now simtime.Time, f *netproto.Frame) dataplane.Result {
+// processFrameInto runs one frame on pipe p, writing its result into the
+// caller's slot: no Result is copied on the way. Callers hold p.mu.
+func (p *pipe) processFrameInto(now simtime.Time, f *netproto.Frame, res *dataplane.Result) {
 	p.cp.Advance(now)
-	res := p.dp.ProcessFrame(now, f)
+	p.dp.ProcessFrameInto(now, f, p.dp.LaneOf(f), res)
 	p.processed++
-	p.cp.HandleTupleResultInto(now, f.Tuple, &res)
+	p.cp.HandleTupleResultInto(now, f.Tuple, res)
+}
+
+// processFrame is processFrameInto returning the result. Callers hold p.mu.
+func (p *pipe) processFrame(now simtime.Time, f *netproto.Frame) (res dataplane.Result) {
+	p.processFrameInto(now, f, &res)
 	return res
 }
 
@@ -355,7 +361,7 @@ func (e *Engine) ProcessFramesInto(now simtime.Time, frames []netproto.Frame, re
 		p.mu.Lock()
 		for i := range frames {
 			// Per-frame poll kept: hoisting it is ROADMAP item 2's established/pps claim.
-			results[i] = p.processFrame(now, &frames[i])
+			p.processFrameInto(now, &frames[i], &results[i])
 		}
 		p.mu.Unlock()
 		return

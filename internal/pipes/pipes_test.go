@@ -1,6 +1,7 @@
 package pipes
 
 import (
+	"errors"
 	"fmt"
 	"net/netip"
 	"sync"
@@ -290,6 +291,40 @@ func TestAddVIPRollsBackOnFailure(t *testing.T) {
 	pool, err := e.CurrentPool(vip)
 	if err != nil || len(pool) != 2 {
 		t.Fatalf("original pool damaged: %v, %v", pool, err)
+	}
+}
+
+// TestAddVIPRollsBackSlotExhaustion: a pipe whose control plane holds its
+// 65 536 VIPs already refuses the next with ctrlplane.ErrVIPSlots, and the
+// fan-out withdraws the VIP from the pipes that took it.
+func TestAddVIPRollsBackSlotExhaustion(t *testing.T) {
+	if testing.Short() {
+		t.Skip("65 536 VIPs on one pipe: ~90 MB of heap")
+	}
+	cfg := testConfig(2, 2000)
+	cfg.Dataplane.VersionBits = 1 // keep 65 536 VIPs small: one spare version each
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := e.Controlplane(1)
+	for i := 0; ; i++ {
+		vip := dataplane.VIP{Addr: netip.AddrFrom4([4]byte{30, byte(i >> 16), byte(i >> 8), byte(i)}), Port: 80, Proto: netproto.ProtoTCP}
+		if err := full.AddVIP(0, vip, testPool(1), 0); errors.Is(err, ctrlplane.ErrVIPSlots) {
+			if i != 1<<16 {
+				t.Fatalf("pipe 1 ran out of VIP slots after %d VIPs, want 65536", i)
+			}
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	vip := testVIP()
+	if err := e.AddVIP(0, vip, testPool(2), 0); !errors.Is(err, ctrlplane.ErrVIPSlots) {
+		t.Fatalf("AddVIP on a chip with a full pipe = %v, want ErrVIPSlots", err)
+	}
+	if _, err := e.Controlplane(0).CurrentPool(vip); e.Dataplane(0).HasVIP(vip) || err == nil {
+		t.Fatalf("pipe 0 kept the VIP pipe 1 refused: data plane %v, control plane %v", e.Dataplane(0).HasVIP(vip), err)
 	}
 }
 

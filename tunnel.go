@@ -54,7 +54,9 @@ type TunnelConfig struct {
 	// syscalls and pipe hand-off under load; the loop only ever blocks on
 	// an empty socket, so an idle tunnel adds no latency at any size.
 	BatchSize int
-	// MaxPacket bounds one datagram's payload (default 65535).
+	// MaxPacket bounds one datagram's payload (default 9216, a jumbo
+	// frame). A longer datagram counts as Undecodable and is logged; it is
+	// never parsed truncated.
 	MaxPacket int
 	// Logf receives operational log lines (nil discards them).
 	Logf func(format string, args ...any)
@@ -68,7 +70,7 @@ type TunnelStats struct {
 	RxPackets   uint64 // datagrams received
 	RxBytes     uint64 // payload bytes received
 	RxBatches   uint64 // read passes that returned datagrams
-	Undecodable uint64 // payloads that were not parseable IP packets
+	Undecodable uint64 // payloads longer than MaxPacket or not parseable IP packets
 	Forwarded   uint64 // packets transmitted to a DIP
 	Dropped     uint64 // verdict drops (no VIP, meter, empty pool)
 	TxErrors    uint64 // packets that could not be encoded or sent
@@ -147,7 +149,7 @@ func NewTunnel(cfg TunnelConfig) (*Tunnel, error) {
 		t.batch = 64
 	}
 	if t.maxPkt <= 0 {
-		t.maxPkt = 65535
+		t.maxPkt = 9216
 	}
 	if t.logf == nil {
 		t.logf = func(string, ...any) {}
@@ -229,7 +231,7 @@ func (t *Tunnel) Run(ctx context.Context) error {
 
 // tunnelBatch is the loop's working set, sized once for BatchSize packets.
 type tunnelBatch struct {
-	bufs    [][]byte         // RX buffers, one datagram each
+	bufs    [][]byte         // RX slots, one datagram each, MaxPacket+1 bytes of one arena
 	sizes   []int            // datagram lengths of the last read pass
 	frames  []netproto.Frame // parsed views into bufs, dense
 	results []Result
@@ -248,8 +250,14 @@ func (t *Tunnel) newBatch() *tunnelBatch {
 		pkts:    make([][]byte, 0, t.batch),
 		dsts:    make([]netip.AddrPort, 0, t.batch),
 	}
+	// One byte past MaxPacket is how a longer datagram shows: it fills its
+	// slot. With the default 9 217-byte slots the packet heads also fall on
+	// different L1 sets, where page-aligned buffers put them all on the same
+	// few.
+	slot := t.maxPkt + 1
+	arena := make([]byte, t.batch*slot)
 	for i := range b.bufs {
-		b.bufs[i] = make([]byte, t.maxPkt)
+		b.bufs[i] = arena[i*slot : (i+1)*slot : (i+1)*slot]
 	}
 	if t.mode == TunnelIPIP {
 		b.enc = make([][]byte, t.batch)
@@ -259,8 +267,9 @@ func (t *Tunnel) newBatch() *tunnelBatch {
 
 // step is one turn of the loop: park until the socket has datagrams, take
 // all that are queued, and carry that batch through the switch and out
-// before looking at the socket again. Unparseable payloads are counted and
-// skipped, so frames[:n] is dense. Counters are published once per batch
+// before looking at the socket again. Payloads that fill their slot (longer
+// than MaxPacket, so truncated) or do not parse are counted and skipped, so
+// frames[:n] is dense. Counters are published once per batch
 // on each side, the RX ones before the batch is processed.
 func (t *Tunnel) step(b *tunnelBatch) error {
 	got, err := t.io.recv(b.bufs, b.sizes)
@@ -270,6 +279,10 @@ func (t *Tunnel) step(b *tunnelBatch) error {
 	n, rxBytes := 0, 0
 	for i, sz := range b.sizes[:got] {
 		rxBytes += sz
+		if sz > t.maxPkt {
+			t.logf("silkroad: tunnel: datagram over MaxPacket (%d B) dropped", t.maxPkt)
+			continue
+		}
 		if perr := netproto.ParseFrame(b.bufs[i][:sz], &b.frames[n]); perr != nil {
 			t.logf("silkroad: tunnel: undecodable payload (%d B): %v", sz, perr)
 			continue
@@ -370,7 +383,9 @@ func newPortableIO(rx, tx *net.UDPConn) *portableIO {
 func (p *portableIO) recv(bufs [][]byte, sizes []int) (int, error) {
 	if p.raw == nil {
 		sz, _, err := p.rx.ReadFromUDPAddrPort(bufs[0])
-		if err != nil {
+		// Windows reports a datagram longer than the buffer as an error
+		// beside the bytes that fit; the slot is full and step drops it.
+		if err != nil && sz < len(bufs[0]) {
 			return 0, err
 		}
 		sizes[0] = sz

@@ -46,6 +46,7 @@ type mmsgIO struct {
 	rxHdrs, txHdrs []mmsghdr
 	rxIovs, txIovs []syscall.Iovec
 	names          []syscall.RawSockaddrInet6 // big enough for a sockaddr_in too
+	zones          map[string]uint32          // link-local zone -> interface index, resolved once
 
 	// The poller callbacks are bound once and take their arguments and
 	// leave their results in these fields: a closure per call would
@@ -224,13 +225,31 @@ func (m *mmsgIO) setName(i int, dst netip.AddrPort) error {
 	*sa = syscall.RawSockaddrInet6{Family: syscall.AF_INET6, Addr: addr.As16()} // IPv4 as ::ffff:a.b.c.d
 	*(*[2]byte)(unsafe.Pointer(&sa.Port)) = [2]byte{byte(port >> 8), byte(port)}
 	if zone := addr.Zone(); zone != "" {
-		// Link-local DIPs are rare enough to resolve (and allocate) per packet.
-		ifi, err := net.InterfaceByName(zone)
+		idx, err := m.zoneIndex(zone)
 		if err != nil {
 			return err
 		}
-		sa.Scope_id = uint32(ifi.Index)
+		sa.Scope_id = idx
 	}
 	hdr.Namelen = syscall.SizeofSockaddrInet6
 	return nil
+}
+
+// zoneIndex returns the interface index of a link-local DIP's zone. The
+// first packet to a zone resolves it (net.InterfaceByName allocates and reads
+// the interface list); later ones read the cache. A zone that fails to
+// resolve is not cached, so an interface that appears later is found.
+func (m *mmsgIO) zoneIndex(zone string) (uint32, error) {
+	if idx, ok := m.zones[zone]; ok {
+		return idx, nil
+	}
+	ifi, err := net.InterfaceByName(zone)
+	if err != nil {
+		return 0, err
+	}
+	if m.zones == nil {
+		m.zones = make(map[string]uint32)
+	}
+	m.zones[zone] = uint32(ifi.Index)
+	return uint32(ifi.Index), nil
 }

@@ -775,6 +775,53 @@ func testTunnelMixedFamilies(t *testing.T, portable bool) {
 	}
 }
 
+// TestTunnelOversizeDatagram: a datagram longer than MaxPacket (default
+// 9216) fills its MaxPacket+1-byte RX slot and is counted Undecodable, never
+// parsed truncated — though its first 9 217 bytes are a well-formed packet —
+// while the datagrams beside it in the batch, one of exactly MaxPacket
+// bytes among them, are forwarded whole.
+func TestTunnelOversizeDatagram(t *testing.T) { eachTunnelIO(t, testTunnelOversizeDatagram) }
+
+func testTunnelOversizeDatagram(t *testing.T, portable bool) {
+	sink := listenSink(t, "udp4")
+	sw, vips := sinkSwitch(t, sink)
+	h := newTunnelHarness(t, sw, TunnelRewrite, portable)
+
+	// Source port 55000+i; a size of 0 is tcpPacket's small packet.
+	sizes := []int{0, 9216, 9217, 0, 12000, 0}
+	for i, size := range sizes {
+		pkt := tcpPacket(t, vips[0], 55000+uint16(i), FlagSYN)
+		if size > 0 {
+			p := Packet{
+				Tuple:    FiveTuple{Src: netip.MustParseAddr("10.1.0.1"), Dst: vips[0].Addr, SrcPort: 55000 + uint16(i), DstPort: vips[0].Port, Proto: TCP},
+				TCPFlags: FlagSYN,
+				Payload:  make([]byte, size-40), // 20 B of IPv4 and 20 of TCP header
+			}
+			var err error
+			if pkt, err = p.Marshal(nil); err != nil || len(pkt) != size {
+				t.Fatalf("marshal a %d-byte packet: %d bytes, %v", size, len(pkt), err)
+			}
+		}
+		if _, err := h.client.Write(pkt); err != nil {
+			t.Fatalf("client send of %d bytes: %v", len(pkt), err)
+		}
+	}
+	h.startOnBacklog(t)
+	for _, want := range []struct {
+		port uint16
+		size int
+	}{{55000, 0}, {55001, 9216}, {55003, 0}, {55005, 0}} {
+		f := sink.next(t)
+		if f.Tuple.SrcPort != want.port || (want.size > 0 && len(f.Data) != want.size) {
+			t.Fatalf("sink received connection %d (%d B), want %d (%d B)", f.Tuple.SrcPort, len(f.Data), want.port, want.size)
+		}
+	}
+	h.waitForwarded(t, 4) // the last datagram's batch published its RX counters before it was sent
+	if st := h.reconciled(t); st.Forwarded != 4 || st.Undecodable != 2 || st.TxErrors != 0 || st.Dropped != 0 {
+		t.Errorf("two oversize datagrams among four: %+v, want 4 forwarded and 2 undecodable", st)
+	}
+}
+
 // TestTunnelStepZeroAlloc: one steady-state turn of the loop — read a
 // batch, parse, balance, rewrite, send — allocates nothing, through either
 // I/O implementation.
