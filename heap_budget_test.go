@@ -7,9 +7,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
-
-	"repro/internal/hashing"
-	"repro/internal/timewheel"
 )
 
 // raceBuild reports whether the test binary was built with -race, whose
@@ -37,26 +34,23 @@ func heapAround[T any](build func() T) (T, int64) {
 }
 
 // TestHeapPerConnBudget holds the switch to its per-connection heap budget
-// (DESIGN.md, "The connection store"): a ConnTable slot is 16 bytes — a
-// 4-byte word, an 8-byte key hash, a 4-byte record index — paid per slot, so
-// 16 B / load per connection; a record is the client's address and port and
-// a 2-byte VIP slot, 8 B for IPv4 and 20 B for IPv6 (8 KB and 20 KB chunks,
-// each exactly a size class). Everything else a primed switch holds must fit
-// in the 1.5 B tolerance.
+// (DESIGN.md, "The connection store"): a ConnTable slot is 8 bytes — a
+// 4-byte word and a 4-byte record index; the key hash is derived from the
+// record — paid per slot, so 8 B / load per connection; a record is the
+// client's address and port and a 2-byte VIP slot, 8 B for IPv4 and 20 B for
+// IPv6 (8 KB and 20 KB chunks, each exactly a size class). Everything else a
+// primed switch holds must fit in the 1.5 B tolerance.
 //
-// With an AgingTimeout a connection also has its 8-byte last-seen time, and
-// the aging wheel holds its key (a map entry and a slot element). The wheel
-// is not part of the store's budget, so its share is measured on a wheel
-// built and filled the way the control plane fills its own, and the rest is
-// held to the same budget plus 8 B.
+// With an AgingTimeout a connection also has its 8-byte last-seen time, which
+// the aging sweep reads, and nothing else: the whole switch is held to the
+// same budget plus 8 B.
 func TestHeapPerConnBudget(t *testing.T) {
 	if testing.Short() || raceBuild() {
 		t.Skip("heap measurement: skipped under -short and -race")
 	}
 	const (
 		conns = 200_000
-		// Long enough that nothing ages and every timer lands in one slot.
-		idle = 60 * Minute
+		idle  = 60 * Minute // long enough that nothing ages
 	)
 	v4 := func(c int) netip.Addr {
 		return netip.AddrFrom4([4]byte{1, byte(c >> 16), byte(c >> 8), byte(c)})
@@ -114,27 +108,10 @@ func TestHeapPerConnBudget(t *testing.T) {
 			if got := sw.Stats().Connections; got != conns || sw.PendingWork() != 0 {
 				t.Fatalf("primed %d connections with %d items pending, want %d and 0", got, sw.PendingWork(), conns)
 			}
-
-			var wheel float64
-			if fam.aging > 0 {
-				// As ctrlplane.New builds it and pin fills it: one key a
-				// connection, due a timeout after its install.
-				w, bytes := heapAround(func() *timewheel.Wheel {
-					w := timewheel.New(fam.aging/8, 64)
-					for c := 0; c < conns; c++ {
-						w.Schedule(hashing.HashUint64(1, uint64(c)), Time(c*5*int(Microsecond)).Add(fam.aging))
-					}
-					return w
-				})
-				if w.Len() != conns {
-					t.Fatalf("reference wheel holds %d keys, want %d", w.Len(), conns)
-				}
-				wheel = float64(bytes) / conns
-			}
 			load := sw.Dataplane().ConnTable().Occupancy()
-			got := float64(heap)/conns - wheel
-			want := 16/load + fam.record
-			t.Logf("%.2f heap B/conn at load %.3f (aging wheel's %.2f B apart); budget 16/load + %.2f = %.2f", got, load, wheel, fam.record, want)
+			got := float64(heap) / conns
+			want := 8/load + fam.record
+			t.Logf("%.2f heap B/conn at load %.3f; budget 8/load + %.2f = %.2f", got, load, fam.record, want)
 			if math.Abs(got-want) > 1.5 {
 				t.Fatalf("%.2f heap B/conn at load %.3f, want within 1.5 B of %.2f", got, load, want)
 			}

@@ -24,7 +24,6 @@ func TestChurnInvariants(t *testing.T) {
 	// still pending install afterwards (the CPU cannot know) and must be
 	// swept out by idle timeout, as on the real switch.
 	cfg.Controlplane.AgingTimeout = Duration(30 * Second)
-	cfg.Controlplane.AgingSweepEvery = Duration(10 * Second)
 	sw, err := NewSwitch(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -59,7 +59,7 @@ func (q insertSource) Advance(now simtime.Time) {
 // it before processing each packet and whenever NextEventTime falls due.
 //
 // Aging is the one piece of work outside the scheduler that frees ConnTable
-// slots, so with aging enabled a long step stops at every wheel deadline on
+// slots, so with aging enabled a long step stops at every aging step due on
 // the way: an expiry due before a queued full-table retry runs before it, as
 // it would if the driver had stepped to each deadline in turn.
 func (cp *ControlPlane) Advance(now simtime.Time) {
@@ -69,7 +69,7 @@ func (cp *ControlPlane) Advance(now simtime.Time) {
 			break
 		}
 		if last := cp.rt.Now(); ag.Before(last) {
-			ag = last // a wheel that idled behind the clock never pulls time back
+			ag = last // an aging step overdue behind the clock never pulls time back
 		}
 		cp.advanceTo(ag)
 	}
@@ -228,7 +228,7 @@ func (cp *ControlPlane) install(pi pendingInsert) {
 
 // pin installs tuple -> ver in ConnTable with a fresh record holding it and,
 // when the table took it, does what every installed connection needs: the
-// version's refcount, the aging timer, the handoff feed.
+// version's refcount, the aging bound, the handoff feed.
 func (cp *ControlPlane) pin(now simtime.Time, vc *vipCtl, tuple netproto.FiveTuple, keyHash uint64, digest, ver uint32) error {
 	rec := cp.conns.alloc(tuple, vc.slot, now)
 	if err := cp.sw.InsertConnAt(now, keyHash, digest, ver, rec); err != nil {
@@ -237,7 +237,9 @@ func (cp *ControlPlane) pin(now simtime.Time, vc *vipCtl, tuple netproto.FiveTup
 	}
 	vc.connsPerVer[ver]++
 	cp.metrics.Inserted++
-	cp.scheduleAging(keyHash, now)
+	if cp.conns.live == 1 || now.Before(cp.oldestSeen) {
+		cp.oldestSeen = now
+	}
 	cp.noteConn(vc, tuple, ver, handoff.OpUpsert)
 	return nil
 }
@@ -251,14 +253,17 @@ func (cp *ControlPlane) NextEventTime() (simtime.Time, bool) {
 	return cp.rt.Next()
 }
 
-// NextAging returns the next instant the aging wheel has timers due, if
-// aging is enabled and any connection is scheduled. The wall-clock runtime
-// uses it to wake up for idle-connection expiry with no packets flowing.
+// NextAging returns the next aging step at which a connection may expire —
+// the first grid instant at or after the oldest last-seen time plus
+// AgingTimeout, never later than the first expiry — if aging is enabled and
+// any connection is live. The wall-clock runtime uses it to wake up for
+// idle-connection expiry with no packets flowing.
 func (cp *ControlPlane) NextAging() (simtime.Time, bool) {
-	if cp.wheel == nil {
+	if cp.agingStep == 0 || cp.conns.live == 0 {
 		return 0, false
 	}
-	return cp.wheel.NextFire()
+	due := cp.oldestSeen.Add(cp.cfg.AgingTimeout + cp.agingStep - 1)
+	return due - due%simtime.Time(cp.agingStep), true
 }
 
 // NextTransition returns the earliest instant an update state transition
@@ -321,9 +326,9 @@ func (cp *ControlPlane) HandleTupleResultInto(now simtime.Time, tuple netproto.F
 	case dataplane.VerdictRedirectSYNTransit:
 		*res = cp.resolveTransitSYN(now, tuple, *res)
 	case dataplane.VerdictForward:
-		// lastSeen only feeds the aging wheel; with aging disabled the
+		// lastSeen only feeds the aging sweep; with aging disabled the
 		// record touch would be pure per-packet overhead on the hot path.
-		if cp.wheel != nil {
+		if cp.conns.aging {
 			cp.touch(res, now)
 		}
 	}
@@ -466,7 +471,7 @@ func (cp *ControlPlane) chargeCPU(now simtime.Time) {
 // observed or simulator-driven flow end): its entry is deleted and its
 // pool version's refcount drops, possibly retiring the version.
 func (cp *ControlPlane) EndConnection(now simtime.Time, tuple netproto.FiveTuple) {
-	e, ok := cp.tracked(cp.sw.KeyHash(tuple))
+	e, ok := cp.tracked(cp.sw.KeyHash(tuple), cp.sw.ConnDigest(tuple))
 	if !ok {
 		return
 	}
@@ -475,10 +480,10 @@ func (cp *ControlPlane) EndConnection(now simtime.Time, tuple netproto.FiveTuple
 }
 
 // touch reports whether res belongs to a tracked connection and, when
-// connections age, records traffic on it (its aging timer is lazy and
-// re-reads lastSeen when it fires). A ConnTable hit names the entry already,
-// unless the hit was a digest alias — the slot's key hash is another
-// connection's — and then, as after a miss, the exact probe finds it.
+// connections age, records traffic on it (the aging sweep reads lastSeen). A
+// ConnTable hit names the entry already, unless the hit was a digest alias —
+// the slot's record is another connection's — and then, as after a miss,
+// the exact probe finds it.
 func (cp *ControlPlane) touch(res *dataplane.Result, now simtime.Time) bool {
 	var e cuckoo.Entry
 	if res.ConnHit {
@@ -486,11 +491,11 @@ func (cp *ControlPlane) touch(res *dataplane.Result, now simtime.Time) bool {
 	}
 	if e.Record == 0 || e.KeyHash != res.KeyHash {
 		var ok bool
-		if e, ok = cp.tracked(res.KeyHash); !ok {
+		if e, ok = cp.tracked(res.KeyHash, res.Digest); !ok {
 			return false
 		}
 	}
-	if cp.wheel != nil {
+	if cp.conns.aging {
 		*cp.conns.lastSeen(e.Record) = now
 	}
 	return true
@@ -501,9 +506,6 @@ func (cp *ControlPlane) touch(res *dataplane.Result, now simtime.Time) bool {
 // would: where the connection sits, its key hash and its version; the
 // record's slot names its VIP.
 func (cp *ControlPlane) release(now simtime.Time, e cuckoo.Entry) {
-	if cp.wheel != nil {
-		cp.wheel.Cancel(e.KeyHash)
-	}
 	vc, tuple := cp.conn(e.Record)
 	cp.sw.DeleteConnAt(now, e, tuple)
 	cp.noteConn(vc, tuple, e.Value, handoff.OpDelete)
@@ -512,31 +514,37 @@ func (cp *ControlPlane) release(now simtime.Time, e cuckoo.Entry) {
 	cp.conns.release(e.Record)
 }
 
-// scheduleAging arms a connection's idle timer.
-func (cp *ControlPlane) scheduleAging(kh uint64, lastSeen simtime.Time) {
-	if cp.wheel != nil {
-		cp.wheel.Schedule(kh, lastSeen.Add(cp.cfg.AgingTimeout))
-	}
-}
-
-// age ticks the timing wheel and expires idle connections. Timers are
-// lazy: a fired key whose connection saw traffic since is rescheduled
-// from its true lastSeen instead of being released.
+// age runs the aging step at or before now, if one is due: the last grid
+// instant at or before now judges every record, and a connection idle for
+// AgingTimeout at that instant is released. The sweep reads the last-seen
+// times in chunk order, reaches an expired connection's entry through its
+// rebuilt tuple's key hash and its record index, and keeps the oldest time
+// it leaves for NextAging.
 func (cp *ControlPlane) age(now simtime.Time) {
-	if cp.wheel == nil {
+	if due, ok := cp.NextAging(); !ok || due.After(now) {
 		return
 	}
-	for _, kh := range cp.wheel.Advance(now) {
-		e, ok := cp.tracked(kh)
-		if !ok {
-			continue
+	step := now - now%simtime.Time(cp.agingStep)
+	oldest := vacant
+	for _, fam := range [...]struct {
+		seen []*[recordChunkLen]simtime.Time
+		bit  uint32
+	}{{cp.conns.v4.seen, 0}, {cp.conns.v6.seen, recordV6}} {
+		for c, chunk := range fam.seen {
+			for j, seen := range chunk {
+				if step.Sub(seen) < cp.cfg.AgingTimeout {
+					oldest = min(oldest, seen)
+					continue
+				}
+				i := uint32(c<<recordChunkBits|j) | fam.bit
+				e, ok := cp.sw.ConnTable().FindRecord(cp.recordKeyHash(i), i)
+				if !ok {
+					panic("ctrlplane: a live record has no ConnTable entry")
+				}
+				cp.release(now, e)
+				cp.metrics.AgedOut++
+			}
 		}
-		lastSeen := *cp.conns.lastSeen(e.Record)
-		if now.Sub(lastSeen) >= cp.cfg.AgingTimeout {
-			cp.release(now, e)
-			cp.metrics.AgedOut++
-			continue
-		}
-		cp.wheel.Schedule(kh, lastSeen.Add(cp.cfg.AgingTimeout))
 	}
+	cp.oldestSeen = oldest
 }

@@ -27,7 +27,6 @@ import (
 	"repro/internal/sched"
 	"repro/internal/simtime"
 	"repro/internal/telemetry"
-	"repro/internal/timewheel"
 )
 
 // Mode selects the update strategy.
@@ -53,15 +52,14 @@ type Config struct {
 	// resolved in-line.
 	RedirectLatency simtime.Duration
 	// AgingTimeout expires idle connections; zero disables aging (the
-	// driver then ends connections explicitly). Aging runs on a hashed
-	// timing wheel in the conntrack style: timers are lazy (not touched
-	// per packet) and liveness is re-checked when they fire.
+	// driver then ends connections explicitly). Aging runs in steps on a
+	// grid of max(AgingTimeout/8, 100ms) from time 0: a step sweeps the
+	// records' last-seen times and releases every connection idle for
+	// AgingTimeout, so a connection goes at the first step at least
+	// AgingTimeout after its last packet. A packet only writes its
+	// connection's last-seen time.
 	AgingTimeout simtime.Duration
-	// AgingSweepEvery bounds how stale the wheel may get between packet
-	// events (it is ticked on every Advance anyway); retained for
-	// configuration compatibility.
-	AgingSweepEvery simtime.Duration
-	Mode            Mode
+	Mode         Mode
 	// DisableVersionReuse turns off §4.2's version reuse (the Figure 15
 	// ablation): every update allocates a fresh version number.
 	DisableVersionReuse bool
@@ -96,7 +94,6 @@ func DefaultConfig() Config {
 		InsertRate:      200_000,
 		RedirectLatency: simtime.Duration(2 * simtime.Millisecond),
 		AgingTimeout:    0,
-		AgingSweepEvery: simtime.Duration(30 * simtime.Second),
 		Mode:            ModeFullPCC,
 	}
 }
@@ -234,7 +231,11 @@ type ControlPlane struct {
 	freeSlots []uint16
 
 	activeUpdates int
-	wheel         *timewheel.Wheel // aging timers (nil when aging disabled)
+	// agingStep is the aging grid's spacing (0 when aging is disabled) and
+	// oldestSeen a bound no live record's last-seen time is below: the
+	// oldest the last sweep left, lowered by installs since.
+	agingStep  simtime.Duration
+	oldestSeen simtime.Time
 
 	// tracer is shared with the data plane (read from it at construction):
 	// both planes report into one telemetry sink, labelled with one pipe.
@@ -269,13 +270,10 @@ func New(sw *dataplane.Switch, cfg Config) *ControlPlane {
 	cp.rt.AddSource(filterSource{cp})
 	cp.rt.AddSource(insertSource{cp})
 	if cfg.AgingTimeout > 0 {
-		gran := cfg.AgingTimeout / 8
-		if gran < simtime.Duration(100*simtime.Millisecond) {
-			gran = simtime.Duration(100 * simtime.Millisecond)
-		}
-		cp.wheel = timewheel.New(gran, 64)
+		cp.agingStep = max(cfg.AgingTimeout/8, simtime.Duration(100*simtime.Millisecond))
 		cp.conns.aging = true
 	}
+	sw.ConnTable().SetRecordHasher(cp.recordKeyHash)
 	return cp
 }
 

@@ -426,7 +426,6 @@ func TestBloomFPResolvedDuringTransition(t *testing.T) {
 func TestAgingSweep(t *testing.T) {
 	ccfg := DefaultConfig()
 	ccfg.AgingTimeout = simtime.Duration(10 * simtime.Second)
-	ccfg.AgingSweepEvery = simtime.Duration(5 * simtime.Second)
 	h := newHarness(t, dataplane.DefaultConfig(10000), ccfg)
 	h.cp.AddVIP(0, testVIP(), poolN(4), 0)
 	tup := tupleN(1)

@@ -220,8 +220,8 @@ func (cp *ControlPlane) MapVersion(now simtime.Time, vip dataplane.VIP, donorPoo
 // handoff.ErrBackpressure and the transfer pauses until the CPU drains.
 // A connection the receiver already tracks is a no-op (nil).
 func (cp *ControlPlane) ImportEntry(now simtime.Time, tuple netproto.FiveTuple, ver uint32) error {
-	kh := cp.sw.KeyHash(tuple)
-	if _, ok := cp.tracked(kh); ok {
+	kh, dg := cp.sw.KeyHash(tuple), cp.sw.ConnDigest(tuple)
+	if _, ok := cp.tracked(kh, dg); ok {
 		return nil
 	}
 	vip := dataplane.VIPOf(tuple)
@@ -244,7 +244,7 @@ func (cp *ControlPlane) ImportEntry(now simtime.Time, tuple netproto.FiveTuple, 
 		ev: learnfilter.Event{
 			Tuple:   tuple,
 			KeyHash: kh,
-			Digest:  cp.sw.ConnDigest(tuple),
+			Digest:  dg,
 			Version: ver,
 			At:      now,
 		},
@@ -322,7 +322,7 @@ func (im *Importer) Unwind(now simtime.Time) {
 // was never tracked.
 func (cp *ControlPlane) EndImported(now simtime.Time, tuple netproto.FiveTuple) {
 	kh := cp.sw.KeyHash(tuple)
-	e, ok := cp.tracked(kh)
+	e, ok := cp.tracked(kh, cp.sw.ConnDigest(tuple))
 	if !ok {
 		// The entry may still sit in the import queue: cancel it there so a
 		// delta delete racing the snapshot import cannot resurrect it.

@@ -2,6 +2,7 @@ package ctrlplane
 
 import (
 	"encoding/binary"
+	"math"
 	"net/netip"
 
 	"repro/internal/cuckoo"
@@ -43,14 +44,20 @@ const (
 	// recordV6 is the bit of a record index that names the family; the rest
 	// numbers the record within it, from 1.
 	recordV6 = 1 << 31
+
+	// vacant is the last-seen time of a record no connection holds: later
+	// than any aging step, so the sweep never finds it idle and never takes
+	// it for the oldest. (A connection may have been seen at time 0.)
+	vacant = simtime.Time(math.MaxInt64)
 )
 
 // slab holds one family's records.
 type slab[K clientKey] struct {
 	chunks []*[recordChunkLen]K
 	// seen holds, under the same numbers, when each connection last saw
-	// traffic: the aging wheel's input, so its chunks exist only in a store
-	// that ages and a touch or a fired timer reads a dense array of times.
+	// traffic — vacant for a record not handed out — and is what the aging
+	// sweep reads, so its chunks exist only in a store that ages and a touch
+	// or a sweep reads a dense array of times.
 	seen  []*[recordChunkLen]simtime.Time
 	drawn uint32 // numbers 1..drawn have been handed out at least once
 	free  uint32 // most recently vacated record, 0 = none
@@ -86,7 +93,11 @@ func (s *slab[K]) alloc(aging bool) (uint32, *K) {
 	if int(s.drawn>>recordChunkBits) == len(s.chunks) {
 		s.chunks = append(s.chunks, new([recordChunkLen]K))
 		if aging {
-			s.seen = append(s.seen, new([recordChunkLen]simtime.Time))
+			seen := new([recordChunkLen]simtime.Time)
+			for j := range seen {
+				seen[j] = vacant
+			}
+			s.seen = append(s.seen, seen)
 		}
 	}
 	return s.drawn, s.at(s.drawn)
@@ -99,6 +110,9 @@ func (s *slab[K]) release(n uint32) {
 	*k = zero
 	setLink(k, s.free)
 	s.free = n
+	if s.seen != nil {
+		s.seen[n>>recordChunkBits][n%recordChunkLen] = vacant
+	}
 }
 
 // recordStore holds the records, addressed by the 32-bit index each
@@ -193,11 +207,16 @@ func (cp *ControlPlane) conn(i uint32) (*vipCtl, netproto.FiveTuple) {
 	return vc, cp.conns.tuple(i, vc.vip)
 }
 
-// tracked is the CPU's exact probe for the connection keyed kh: its
-// ConnTable entry, whose Record indexes its record. ok is false when no
-// entry is installed, or the entry was installed without a record (behind
-// the control plane's back), which the control plane does not track.
-func (cp *ControlPlane) tracked(kh uint64) (e cuckoo.Entry, ok bool) {
-	e, ok = cp.sw.ConnTable().Find(kh)
-	return e, ok && e.Record != 0
+// recordKeyHash is the ConnTable's record hasher: the key hash of the
+// connection record i stands for. The table keeps no key hashes of its own.
+func (cp *ControlPlane) recordKeyHash(i uint32) uint64 {
+	_, tuple := cp.conn(i)
+	return cp.sw.KeyHash(tuple)
+}
+
+// tracked is the CPU's exact probe for the connection keyed kh with digest
+// dg: its ConnTable entry, whose Record indexes its record. Only entries
+// whose digest is dg have their key hash derived from their record.
+func (cp *ControlPlane) tracked(kh uint64, dg uint32) (cuckoo.Entry, bool) {
+	return cp.sw.ConnTable().FindDigest(kh, dg)
 }

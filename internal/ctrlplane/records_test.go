@@ -496,7 +496,7 @@ func TestRecordDropsZone(t *testing.T) {
 	}
 	now := install(0, zoned, mapped, toZoned)
 	for _, tup := range []netproto.FiveTuple{zoned, mapped, toZoned} {
-		if e, ok := h.cp.tracked(h.sw.KeyHash(tup)); !ok || e.Record&recordV6 == 0 {
+		if e, ok := h.cp.tracked(h.sw.KeyHash(tup), h.sw.ConnDigest(tup)); !ok || e.Record&recordV6 == 0 {
 			t.Fatalf("%v: tracked %v with record %#x, want an IPv6 record", tup, ok, e.Record)
 		}
 	}
@@ -550,7 +550,6 @@ func TestMixedFamilyLifecycle(t *testing.T) {
 	const perVIP = 700 // 1400 a family: both stores leave their first chunk
 	ccfg := DefaultConfig()
 	ccfg.AgingTimeout = simtime.Duration(10 * simtime.Second)
-	ccfg.AgingSweepEvery = simtime.Duration(simtime.Second)
 	h, recv := handoffPair(t, ccfg)
 	v4Other := dataplane.VIP{Addr: tupleOther(0).Dst, Port: 80, Proto: netproto.ProtoTCP}
 	for _, x := range []*harness{h, recv} {

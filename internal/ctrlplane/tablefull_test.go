@@ -162,7 +162,7 @@ func TestInlineInstallTableFull(t *testing.T) {
 // it, exactly as if the driver had stepped to each deadline in turn.
 func TestAgingFreesSlotBeforeQueuedRetry(t *testing.T) {
 	ccfg := DefaultConfig()
-	ccfg.AgingTimeout = simtime.Duration(800 * simtime.Millisecond) // wheel tick: 100ms
+	ccfg.AgingTimeout = simtime.Duration(800 * simtime.Millisecond) // aging step: 100ms
 	ccfg.InsertRetryBackoff = simtime.Duration(200 * simtime.Millisecond)
 	ccfg.InsertRetryMax = simtime.Duration(400 * simtime.Millisecond)
 	ccfg.MaxInsertRetries = 3
@@ -191,10 +191,10 @@ type stepTimes struct {
 
 func (s stepTimes) OnUpdateStep(e telemetry.UpdateStepEvent) { *s.seen = append(*s.seen, e.Now) }
 
-// TestAgingStepsNeverPullTimeBack covers a wheel that idled behind the
-// clock: the first connection arrives long after the epoch, so the wheel's
-// own deadline lies in the past, and the aging steps inside Advance must
-// clamp to the last instant already run instead of replaying it.
+// TestAgingStepsNeverPullTimeBack covers aging that idled behind the clock:
+// the first connection arrives long after the epoch, and the aging steps
+// inside Advance must never stamp work before the last instant already run
+// instead of replaying it.
 func TestAgingStepsNeverPullTimeBack(t *testing.T) {
 	ccfg := DefaultConfig()
 	ccfg.AgingTimeout = simtime.Duration(800 * simtime.Millisecond)

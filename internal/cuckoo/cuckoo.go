@@ -18,9 +18,12 @@
 // post-insert verification (VerifyAndFix).
 //
 // An entry has a hardware half, the one word a lookup reads, and a software
-// half only the switch CPU reads — the key hash standing in for the full
-// 5-tuple, and the index of the owner's record of the connection — so the
-// table is also the CPU's only index of what it installed.
+// half only the switch CPU reads — the index of the owner's record of the
+// connection — so the table is also the CPU's only index of what it
+// installed. The CPU keeps the key, not the table: an owner with records
+// registers a hasher from record to key hash (SetRecordHasher), and the table
+// derives an occupant's key hash where it needs one. A table without records
+// keeps the key hashes themselves.
 package cuckoo
 
 import (
@@ -79,12 +82,13 @@ type Handle struct {
 // An entry is split the way the switch splits it. The hardware half is what
 // a lookup reads: one 32-bit word per entry — occupied bit, value, digest,
 // each at its configured width — so a 4-way bucket is 16 contiguous bytes,
-// the paper's one-SRAM-word bucket. The software half is what only
-// the switch CPU reads: the key hash (its stand-in for the full 5-tuple)
-// and the index of the owner's per-connection record. The halves live in
-// parallel arrays under one position, pos = (stage*buckets+bucket)*ways+way,
-// and every displacement, relocation and delete moves or clears them
-// together, so a record index follows its entry wherever the search puts it.
+// the paper's one-SRAM-word bucket. The software half is what only the
+// switch CPU reads: the index of the owner's per-connection record and, in a
+// table whose owner keeps no records, the key hash (the stand-in for the
+// full 5-tuple). The halves live in parallel arrays under one position,
+// pos = (stage*buckets+bucket)*ways+way, and every displacement, relocation
+// and delete moves or clears them together, so a record index follows its
+// entry wherever the search puts it. A record-hashed slot is 8 bytes.
 //
 //	 31       30 ..... DigestBits+ValueBits ..... DigestBits ..... 0
 //	[occupied][ unused ][          value          ][     digest     ]
@@ -111,8 +115,11 @@ type Table struct {
 	cfg Config
 
 	words []uint32 // hardware half, by position
-	keys  []uint64 // software half: key hash
 	recs  []uint32 // software half: record index, 0 = none
+	// keys is the software half's key hash, kept only while no record hasher
+	// is set; rehash derives it from the record otherwise.
+	keys   []uint64
+	rehash func(rec uint32) uint64
 
 	valueShift uint   // DigestBits: the value field starts above the digest
 	digestMask uint32 // low DigestBits
@@ -149,6 +156,7 @@ var (
 	ErrDuplicate   = errors.New("cuckoo: key already present")
 	ErrValueWidth  = errors.New("cuckoo: value wider than ValueBits")
 	ErrDigestWidth = errors.New("cuckoo: digest wider than DigestBits")
+	ErrNoRecord    = errors.New("cuckoo: entry without a record in a record-hashed table")
 )
 
 // New creates a table from cfg.
@@ -228,6 +236,29 @@ func (cfg Config) CheckWidths() error {
 			cfg.DigestBits, cfg.ValueBits, maxEntryBits)
 	}
 	return nil
+}
+
+// SetRecordHasher makes the owner's records the only copy of each entry's
+// key: fn returns the key hash of the connection record rec stands for, and
+// the table drops its key hashes, deriving an occupant's where it needs one —
+// the displacement search, alias relocation, an exact probe whose digest
+// matches, EntryKeyHash and Walk. From then on every entry carries a record:
+// InsertRecord refuses record 0. fn must not allocate where the table's
+// operations are to stay allocation-free. It panics on a table that holds
+// entries.
+func (t *Table) SetRecordHasher(fn func(rec uint32) uint64) {
+	if t.len != 0 {
+		panic("cuckoo: SetRecordHasher on a table that holds entries")
+	}
+	t.rehash, t.keys = fn, nil
+}
+
+// keyHashAt returns the key hash of the entry at occupied position p.
+func (t *Table) keyHashAt(p int) uint64 {
+	if t.keys != nil {
+		return t.keys[p]
+	}
+	return t.rehash(t.recs[p])
 }
 
 // Config returns the table's configuration.
@@ -389,12 +420,25 @@ func (t *Table) lookupIn(cand []int, digest uint32) (int, bool) {
 	return 0, false
 }
 
+// anyDigest is the digest of an exact probe whose caller holds only the key
+// hash: every occupant of the buckets is a candidate. No digest is this wide.
+const anyDigest = ^uint32(0)
+
 // findIn locates the entry whose key hash is keyHash among cand's buckets:
-// the CPU's exact probe, which no digest alias can satisfy.
-func (t *Table) findIn(cand []int, keyHash uint64) (int, bool) {
+// the CPU's exact probe, which no digest alias can satisfy. A record-hashed
+// table rehashes only occupants whose digest is digest (any, for anyDigest).
+func (t *Table) findIn(cand []int, keyHash uint64, digest uint32) (int, bool) {
 	for _, base := range cand {
 		for p := base; p < base+t.cfg.Ways; p++ {
-			if t.keys[p] == keyHash && occupied(t.words[p]) {
+			w := t.words[p]
+			if !occupied(w) {
+				continue
+			}
+			if t.keys != nil {
+				if t.keys[p] == keyHash {
+					return p, true
+				}
+			} else if (digest == anyDigest || t.wordDigest(w) == digest) && t.rehash(t.recs[p]) == keyHash {
 				return p, true
 			}
 		}
@@ -403,19 +447,41 @@ func (t *Table) findIn(cand []int, keyHash uint64) (int, bool) {
 }
 
 // find is findIn for a caller with nothing else to do with the positions.
-func (t *Table) find(keyHash uint64) (int, bool) {
+func (t *Table) find(keyHash uint64, digest uint32) (int, bool) {
 	var buf [stackStages]int
-	return t.findIn(t.bases(keyHash, buf[:0]), keyHash)
+	return t.findIn(t.bases(keyHash, buf[:0]), keyHash, digest)
 }
 
 // Find is the switch CPU's exact probe: the entry installed for keyHash
-// itself, where Lookup may return any entry whose digest matches.
-func (t *Table) Find(keyHash uint64) (Entry, bool) {
-	p, ok := t.find(keyHash)
+// itself, where Lookup may return any entry whose digest matches. A
+// record-hashed table derives the key hash of every occupant of keyHash's
+// buckets; a caller that holds the key's digest uses FindDigest.
+func (t *Table) Find(keyHash uint64) (Entry, bool) { return t.FindDigest(keyHash, anyDigest) }
+
+// FindDigest is Find for a caller that holds the key's digest as well: only
+// occupants whose digest is digest are compared, so a record-hashed table
+// derives one key hash on almost every probe.
+func (t *Table) FindDigest(keyHash uint64, digest uint32) (Entry, bool) {
+	p, ok := t.find(keyHash, digest)
 	if !ok {
 		return Entry{}, false
 	}
-	return t.entry(p, t.handleOf(p)), true
+	return t.entryKeyed(p, t.handleOf(p), keyHash), true
+}
+
+// FindRecord returns the entry that carries record rec among keyHash's
+// buckets: the way from a record the owner holds to its entry, with no key
+// hash compared.
+func (t *Table) FindRecord(keyHash uint64, rec uint32) (Entry, bool) {
+	var buf [stackStages]int
+	for _, base := range t.bases(keyHash, buf[:0]) {
+		for p := base; p < base+t.cfg.Ways; p++ {
+			if t.recs[p] == rec && occupied(t.words[p]) {
+				return t.entryKeyed(p, t.handleOf(p), keyHash), true
+			}
+		}
+	}
+	return Entry{}, false
 }
 
 // EntryAt returns the entry installed at h.
@@ -427,15 +493,15 @@ func (t *Table) EntryAt(h Handle) (Entry, error) {
 	return t.entry(p, h), nil
 }
 
-// EntryKeyHash exposes the software half of the entry at h, used by the
-// control plane to detect digest false positives (a SYN that matched an
-// entry whose true key differs).
+// EntryKeyHash returns the key hash of the entry at h, used by the control
+// plane to detect digest false positives (a SYN that matched an entry whose
+// true key differs).
 func (t *Table) EntryKeyHash(h Handle) (uint64, error) {
 	p, err := t.occupiedPos(h)
 	if err != nil {
 		return 0, err
 	}
-	return t.keys[p], nil
+	return t.keyHashAt(p), nil
 }
 
 // ValueAt returns the value stored at h.
@@ -451,13 +517,15 @@ func (t *Table) ValueAt(h Handle) (uint32, error) {
 // BFS if all candidate slots are taken, then verifies that a lookup of the
 // new key actually resolves to the new entry, relocating aliased entries if
 // necessary. Returns the number of displacement moves performed. The entry
-// carries no record (index 0).
+// carries no record (index 0), so a record-hashed table refuses it.
 func (t *Table) Insert(keyHash uint64, digest uint32, value uint32) (moves int, err error) {
 	return t.InsertRecord(keyHash, digest, value, 0)
 }
 
 // InsertRecord is Insert for an entry that owns a record: rec is stored in
-// the entry's software half and stays with it through every later move.
+// the entry's software half and stays with it through every later move. A
+// record-hashed table refuses rec 0 (ErrNoRecord): it could not tell the
+// entry's key.
 func (t *Table) InsertRecord(keyHash uint64, digest, value, rec uint32) (moves int, err error) {
 	if value > t.maxValue {
 		return 0, ErrValueWidth
@@ -465,9 +533,12 @@ func (t *Table) InsertRecord(keyHash uint64, digest, value, rec uint32) (moves i
 	if digest > t.digestMask {
 		return 0, ErrDigestWidth
 	}
+	if rec == 0 && t.keys == nil {
+		return 0, ErrNoRecord
+	}
 	var buf [stackStages]int
 	cand := t.bases(keyHash, buf[:0])
-	if _, dup := t.findIn(cand, keyHash); dup {
+	if _, dup := t.findIn(cand, keyHash, digest); dup {
 		return 0, ErrDuplicate
 	}
 	if t.limit > 0 && t.len >= t.limit {
@@ -479,9 +550,12 @@ func (t *Table) InsertRecord(keyHash uint64, digest, value, rec uint32) (moves i
 		t.FailedInserts++
 		return moves, err
 	}
-	t.words[p], t.keys[p], t.recs[p] = t.entryWord(digest, value), keyHash, rec
+	t.words[p], t.recs[p] = t.entryWord(digest, value), rec
+	if t.keys != nil {
+		t.keys[p] = keyHash
+	}
 	t.len++
-	return moves, t.verifyAndFix(cand, keyHash, digest)
+	return moves, t.verifyAndFix(cand, p, keyHash, digest)
 }
 
 // place frees a position in one of cand's buckets for a new entry,
@@ -529,7 +603,7 @@ func (t *Table) search(cand []int) (pos, moves int, err error) {
 	}
 	for i := 0; i < len(t.queue) && len(t.queue) < t.cfg.MaxBFSNodes; i++ {
 		cur := t.queue[i]
-		from, kh := cur.pos/t.perStage, t.keys[cur.pos]
+		from, kh := cur.pos/t.perStage, t.keyHashAt(cur.pos)
 		// Try to move cur's occupant to each of its alternative buckets.
 		for s := 0; s < t.cfg.Stages; s++ {
 			if s == from {
@@ -564,13 +638,19 @@ type bfsNode struct {
 
 // move carries the entry at src, both halves, to the free position dst.
 func (t *Table) move(dst, src int) {
-	t.words[dst], t.keys[dst], t.recs[dst] = t.words[src], t.keys[src], t.recs[src]
+	t.words[dst], t.recs[dst] = t.words[src], t.recs[src]
+	if t.keys != nil {
+		t.keys[dst] = t.keys[src]
+	}
 	t.clear(src)
 }
 
 // clear empties position p, both halves.
 func (t *Table) clear(p int) {
-	t.words[p], t.keys[p], t.recs[p] = 0, 0, 0
+	t.words[p], t.recs[p] = 0, 0
+	if t.keys != nil {
+		t.keys[p] = 0
+	}
 }
 
 // applyChain moves occupants along the BFS parent chain: the occupant of
@@ -591,17 +671,19 @@ func (t *Table) applyChain(leaf bfsNode, free int) (root, moves int) {
 }
 
 // verifyAndFix ensures that looking up keyHash, whose bucket positions are
-// cand, returns keyHash's own entry. If an entry in an earlier stage aliases
-// (same bucket index for this key, same digest, different key), it is
-// relocated to another stage where the keys separate — the paper's
-// SYN-collision resolution. Bounded retries.
-func (t *Table) verifyAndFix(cand []int, keyHash uint64, digest uint32) error {
+// cand and whose entry was just put at p, returns keyHash's own entry. If an
+// entry in an earlier stage aliases (same bucket index for this key, same
+// digest, different key), it is relocated to another stage where the keys
+// separate — the paper's SYN-collision resolution. Bounded retries.
+func (t *Table) verifyAndFix(cand []int, p int, keyHash uint64, digest uint32) error {
 	for attempt := 0; attempt < 8; attempt++ {
 		got, ok := t.lookupIn(cand, digest)
 		if !ok {
 			return ErrNotFound // cannot happen while keyHash is installed
 		}
-		if t.keys[got] == keyHash {
+		// Until a relocation has run the entry is still at p; the relocated
+		// alias's own verification may move it, and then only its key tells.
+		if attempt == 0 && got == p || attempt > 0 && t.keyHashAt(got) == keyHash {
 			return nil
 		}
 		// got aliases keyHash: relocate the aliasing entry.
@@ -625,7 +707,7 @@ func (t *Table) Relocate(h Handle) error {
 }
 
 func (t *Table) relocate(src int) error {
-	keyHash, digest := t.keys[src], t.wordDigest(t.words[src])
+	keyHash, digest := t.keyHashAt(src), t.wordDigest(t.words[src])
 	var buf [stackStages]int
 	cand := t.bases(keyHash, buf[:0])
 	from := src / t.perStage
@@ -638,7 +720,7 @@ func (t *Table) relocate(src int) error {
 				t.move(dst, src)
 				t.Relocations++
 				// The moved entry must still resolve to itself.
-				return t.verifyAndFix(cand, keyHash, digest)
+				return t.verifyAndFix(cand, dst, keyHash, digest)
 			}
 		}
 	}
@@ -648,7 +730,7 @@ func (t *Table) relocate(src int) error {
 // Delete removes the entry whose key hash is keyHash. Returns false if no
 // such entry exists.
 func (t *Table) Delete(keyHash uint64) bool {
-	p, ok := t.find(keyHash)
+	p, ok := t.find(keyHash, anyDigest)
 	if !ok {
 		return false
 	}
@@ -673,7 +755,7 @@ func (t *Table) UpdateValue(keyHash uint64, value uint32) error {
 	if value > t.maxValue {
 		return ErrValueWidth
 	}
-	p, ok := t.find(keyHash)
+	p, ok := t.find(keyHash, anyDigest)
 	if !ok {
 		return ErrNotFound
 	}
@@ -743,11 +825,14 @@ type Entry struct {
 func (e Entry) Handle() Handle { return Handle{e.Stage, e.Bucket, e.Way} }
 
 // entry reads the entry at position p, which is where h points.
-func (t *Table) entry(p int, h Handle) Entry {
+func (t *Table) entry(p int, h Handle) Entry { return t.entryKeyed(p, h, t.keyHashAt(p)) }
+
+// entryKeyed is entry for a caller that knows the entry's key hash.
+func (t *Table) entryKeyed(p int, h Handle, keyHash uint64) Entry {
 	w := t.words[p]
 	return Entry{
 		Stage: h.Stage, Bucket: h.Bucket, Way: h.Way,
-		KeyHash: t.keys[p], Digest: t.wordDigest(w), Value: t.wordValue(w), Record: t.recs[p],
+		KeyHash: keyHash, Digest: t.wordDigest(w), Value: t.wordValue(w), Record: t.recs[p],
 	}
 }
 

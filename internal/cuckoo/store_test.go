@@ -33,6 +33,7 @@ type storeScript struct {
 	at       map[uint64]int
 	model    map[uint64]scriptEntry
 	nextRec  uint32
+	byRec    []uint64 // the key each record was drawn for, by record
 	outcomes hash.Hash64
 }
 
@@ -67,8 +68,17 @@ func newStoreScript() *storeScript {
 		at:       map[uint64]int{},
 		model:    map[uint64]scriptEntry{},
 		nextRec:  1,
+		byRec:    []uint64{0},
 		outcomes: fnv.New64a(),
 	}
+}
+
+// newRecordHashedScript is newStoreScript over a table whose software half is
+// the record index alone: the script's own slice tells a record's key.
+func newRecordHashedScript() *storeScript {
+	s := newStoreScript()
+	s.tab.SetRecordHasher(func(rec uint32) uint64 { return s.byRec[rec] })
+	return s
 }
 
 func errCode(err error) byte {
@@ -100,6 +110,7 @@ func (s *storeScript) insert() uint64 {
 	k := s.rng.Uint64()
 	e := scriptEntry{digest: scriptDigest(k), value: uint32(s.rng.Intn(64)), rec: s.nextRec}
 	s.nextRec++
+	s.byRec = append(s.byRec, k)
 	moves, err := s.tab.InsertRecord(k, e.digest, e.value, e.rec)
 	s.note('i', moves, err)
 	// An insert that placed its entry but could not separate it from an
@@ -290,8 +301,8 @@ func (s *storeScript) checkAll(t *testing.T) {
 		t.Fatalf("Walk showed %d entries, oracle holds %d", seen, len(s.model))
 	}
 	for p, w := range tab.words {
-		if !occupied(w) && (w != 0 || tab.keys[p] != 0 || tab.recs[p] != 0) {
-			t.Fatalf("free position %d keeps word %x key %x record %d", p, w, tab.keys[p], tab.recs[p])
+		if !occupied(w) && (w != 0 || tab.keys != nil && tab.keys[p] != 0 || tab.recs[p] != 0) {
+			t.Fatalf("free position %d keeps word %x key %x record %d", p, w, tab.keyHashAt(p), tab.recs[p])
 		}
 	}
 	for i, bits := range tab.visited {
@@ -322,6 +333,62 @@ func TestStoreDifferential(t *testing.T) {
 		t.Fatalf("script exercised no displacement (%d), alias fix (%d) or failed search (%d)",
 			s.tab.TotalMoves, s.tab.AliasesFixed, s.tab.FailedInserts)
 	}
+}
+
+// TestRecordHashedStoreDifferential replays the placement script on a table
+// that keeps no key hashes, in lockstep with one that does: every key the
+// hashed table derives from a record (displacement, alias relocation, exact
+// probes, Walk) is the key that record was drawn for, so it checks against
+// the same oracle after every operation and ends with the same outcomes,
+// counters and placement as the table TestPlacementGolden pins. checkAll also
+// holds a free slot to keeping no record. The table refuses an entry without
+// a record, whose key it could not tell.
+func TestRecordHashedStoreDifferential(t *testing.T) {
+	plain, hashed := newStoreScript(), newRecordHashedScript()
+	if hashed.tab.keys != nil {
+		t.Fatal("a record-hashed table still keeps key hashes")
+	}
+	for op := 0; op < scriptOps; op++ {
+		k := hashed.step(op)
+		if pk := plain.step(op); pk != k {
+			t.Fatalf("op %d: the scripts diverged: key %x beside %x", op, k, pk)
+		}
+		hashed.checkKey(t, k)
+		if op%10_000 == 0 {
+			hashed.checkAll(t)
+		}
+	}
+	plain.settle()
+	hashed.settle()
+	hashed.checkAll(t)
+	if got, want := hashed.summary(), plain.summary(); got != want {
+		t.Fatalf("record-hashed table diverged from the key-hash table:\n got %+v\nwant %+v", got, want)
+	}
+
+	k := hashed.rng.Uint64()
+	n := hashed.tab.Len()
+	if _, err := hashed.tab.InsertRecord(k, scriptDigest(k), 1, 0); err != ErrNoRecord {
+		t.Fatalf("InsertRecord without a record: err = %v, want ErrNoRecord", err)
+	}
+	if _, err := hashed.tab.Insert(k, scriptDigest(k), 1); err != ErrNoRecord || hashed.tab.Len() != n {
+		t.Fatalf("Insert: err = %v with %d entries, want ErrNoRecord and %d", err, hashed.tab.Len(), n)
+	}
+	if _, ok := hashed.tab.Find(k); ok {
+		t.Fatal("a refused key is installed")
+	}
+}
+
+// scriptSummary is what TestPlacementGolden pins of a finished script.
+type scriptSummary struct {
+	len, moves, relocations, aliasesFixed, failed int
+	outcomes                                      uint64
+	placement                                     string
+}
+
+func (s *storeScript) summary() scriptSummary {
+	tab := s.tab
+	return scriptSummary{tab.Len(), tab.TotalMoves, tab.Relocations, tab.AliasesFixed, tab.FailedInserts,
+		s.outcomes.Sum64(), placement(tab)}
 }
 
 // TestEntryWordWidths: the field widths the experiments use all fit the
@@ -417,28 +484,42 @@ func TestEntryWordWidths(t *testing.T) {
 // TestInsertDeleteZeroAllocUnderDisplacement: at 0.9 load nearly one insert
 // in five runs the BFS; with the frontier and the visited bits kept between
 // inserts and the bucket positions on the stack, an insert that displaces
-// allocates no more than one that does not.
+// allocates no more than one that does not. Nor does a record-hashed table,
+// whose search derives every occupant's key from its record.
 func TestInsertDeleteZeroAllocUnderDisplacement(t *testing.T) {
-	tab := New(testConfig(1024))
-	rng := rand.New(rand.NewSource(33))
-	for tab.Len() < tab.Capacity()*9/10 {
-		k := rng.Uint64()
-		tab.Insert(k, digestOf(k), 0)
-	}
-	churn := func() {
-		k := rng.Uint64()
-		if _, err := tab.InsertRecord(k, digestOf(k), 1, 7); err == nil {
-			tab.Delete(k)
-		}
-	}
-	for i := 0; i < 20_000; i++ { // warm-up: the frontier grows to the searches' depth
-		churn()
-	}
-	before := tab.TotalMoves
-	if avg := testing.AllocsPerRun(5000, churn); avg != 0 {
-		t.Fatalf("insert+delete at 0.9 load allocates %.2f objects per run", avg)
-	}
-	if tab.TotalMoves == before {
-		t.Fatal("no displacement happened in the measured runs")
+	for _, hashed := range []bool{false, true} {
+		t.Run(map[bool]string{false: "key-hashes", true: "record-hashed"}[hashed], func(t *testing.T) {
+			tab := New(testConfig(1024))
+			// Record n is the n-th key drawn; the churn reuses one record.
+			byRec := []uint64{0}
+			if hashed {
+				tab.SetRecordHasher(func(rec uint32) uint64 { return byRec[rec] })
+			}
+			rng := rand.New(rand.NewSource(33))
+			for tab.Len() < tab.Capacity()*9/10 {
+				k := rng.Uint64()
+				byRec = append(byRec, k)
+				tab.InsertRecord(k, digestOf(k), 0, uint32(len(byRec)-1))
+			}
+			churnRec := uint32(len(byRec))
+			byRec = append(byRec, 0)
+			churn := func() {
+				k := rng.Uint64()
+				byRec[churnRec] = k
+				if _, err := tab.InsertRecord(k, digestOf(k), 1, churnRec); err == nil {
+					tab.Delete(k)
+				}
+			}
+			for i := 0; i < 20_000; i++ { // warm-up: the frontier grows to the searches' depth
+				churn()
+			}
+			before := tab.TotalMoves
+			if avg := testing.AllocsPerRun(5000, churn); avg != 0 {
+				t.Fatalf("insert+delete at 0.9 load allocates %.2f objects per run", avg)
+			}
+			if tab.TotalMoves == before {
+				t.Fatal("no displacement happened in the measured runs")
+			}
+		})
 	}
 }

@@ -255,8 +255,9 @@ func (s *Switch) TransitInserts() int {
 
 // InsertConn installs the connection entry tuple -> ver. The cuckoo search
 // and digest-alias fixes run as they would on the switch CPU. Telemetry is
-// stamped at virtual time zero and the entry carries no record;
-// CPU-scheduled callers use InsertConnAt.
+// stamped at virtual time zero and the entry carries no record, so a switch
+// whose control plane derives key hashes from its records refuses it
+// (cuckoo.ErrNoRecord); CPU-scheduled callers use InsertConnAt.
 func (s *Switch) InsertConn(t netproto.FiveTuple, ver uint32) error {
 	return s.InsertConnAt(0, s.KeyHash(t), s.ConnDigest(t), ver, 0)
 }
@@ -265,7 +266,8 @@ func (s *Switch) InsertConn(t netproto.FiveTuple, ver uint32) error {
 // the connection arrives as the key hash and digest its learn event (or the
 // redirected SYN's result) already carries, so the tuple is hashed once per
 // connection, in the pipeline. rec is the index of the software's record of
-// the connection (0 = none); it is stored with the entry and moves with it.
+// the connection (0 = none); it is stored with the entry and moves with it,
+// and the table's record hasher derives the key hash from it.
 // now stamps the cuckoo telemetry event (kick-chain length, alias
 // relocations, table occupancy).
 func (s *Switch) InsertConnAt(now simtime.Time, keyHash uint64, digest uint32, ver, rec uint32) error {
@@ -300,7 +302,7 @@ func (s *Switch) InsertConnAt(now simtime.Time, keyHash uint64, digest uint32, v
 // Telemetry is stamped at virtual time zero; use DeleteConnAt when the
 // caller knows when the CPU performed the delete.
 func (s *Switch) DeleteConn(t netproto.FiveTuple) bool {
-	e, ok := s.conn.Find(s.KeyHash(t))
+	e, ok := s.conn.FindDigest(s.KeyHash(t), s.ConnDigest(t))
 	return ok && s.DeleteConnAt(0, e, t)
 }
 

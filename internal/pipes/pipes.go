@@ -593,7 +593,7 @@ func (e *Engine) NextEventTime() (simtime.Time, bool) {
 }
 
 // NextDue returns the earliest deadline of any kind across the pipes —
-// background work (NextEventTime) or aging-wheel ticks. The wall-clock
+// background work (NextEventTime) or aging steps. The wall-clock
 // runtime sleeps on this value; the simulation path keeps NextEventTime,
 // which excludes aging, so event sequences are unchanged.
 func (e *Engine) NextDue() (simtime.Time, bool) {

@@ -1,6 +1,6 @@
 // Package sched is the unified event runtime behind every timed behaviour
 // in this repository: pending-connection windows, learning-filter drains,
-// rate-limited CPU insertions, 3-step PCC update transitions, timewheel
+// rate-limited CPU insertions, 3-step PCC update transitions, connection
 // aging and health probing all execute through one Scheduler.
 //
 // The Scheduler owns two kinds of work:

@@ -205,10 +205,9 @@ func TestAdvanceToMatchesFramePoll(t *testing.T) {
 
 // TestAgingIdleMatchesAgingOff: until a connection ages, a switch that ages
 // is the switch that does not. The script run with no AgingTimeout and with
-// one longer than the script — records beside last-seen times, a timer per
-// connection, a touch per forwarded packet — yields the same outcome for
-// every packet, the same counters and the same entry in every ConnTable
-// position.
+// one longer than the script — records beside last-seen times, a touch per
+// forwarded packet — yields the same outcome for every packet, the same
+// counters and the same entry in every ConnTable position.
 func TestAgingIdleMatchesAgingOff(t *testing.T) {
 	for _, advance := range []bool{false, true} {
 		off, offStats, offTable := lifeScript(t, 7, advance, 0)
@@ -229,12 +228,12 @@ func TestAgingIdleMatchesAgingOff(t *testing.T) {
 
 // TestAgingMatchesOracle: with a short AgingTimeout, the connections the
 // switch ages out are exactly those a map of last-seen times says went a
-// timeout without traffic — through reused records, rescheduled timers and
+// timeout without traffic — through reused records, touched connections and
 // digest-alias hits (8-bit digests make them common), where the packet's
 // ConnTable hit names another connection's entry and the touch must still
 // land on its own (DESIGN.md, "The connection store").
 //
-// The wheel ticks on a 100 ms grid from time 0, so at a grid instant t a
+// Aging steps on a 100 ms grid from time 0, so at a grid instant t a
 // connection last seen at L is gone iff t - L >= timeout, whenever within its
 // tick L fell; the oracle is judged at grid instants only.
 func TestAgingMatchesOracle(t *testing.T) {
@@ -358,9 +357,15 @@ func TestAgingMatchesOracle(t *testing.T) {
 // them — allocates nothing: learn events travel by value through the
 // filter's reused buffers and the insert-queue ring, shadows live by value
 // in a slab whose slots are reused, and the tuple is hashed in the pipeline
-// only.
+// only. On a switch that ages, the connections are left idle instead and an
+// aging step's sweep releases them, which allocates nothing either.
 func TestConnLifecycleZeroAlloc(t *testing.T) {
-	sw := lifeSwitch(t, 20_000, 0)
+	t.Run("ends", func(t *testing.T) { lifecycleZeroAlloc(t, 0) })
+	t.Run("ages", func(t *testing.T) { lifecycleZeroAlloc(t, 100*Millisecond) })
+}
+
+func lifecycleZeroAlloc(t *testing.T, aging Duration) {
+	sw := lifeSwitch(t, 20_000, aging)
 	defer sw.Close()
 	syns, acks := make([]Frame, lifeBatch), make([]Frame, lifeBatch)
 	tuples := make([]FiveTuple, lifeBatch)
@@ -389,11 +394,17 @@ func TestConnLifecycleZeroAlloc(t *testing.T) {
 				hits++
 			}
 		}
+		if aging > 0 {
+			now = now.Add(2 * aging) // past the first aging step a timeout after the ACKs
+			sw.AdvanceTo(now)
+			return
+		}
 		for j := range tuples {
 			sw.EndConnection(now, tuples[j])
 		}
 	}
-	for i := 0; i < 8; i++ { // grow the filter's buffers, the ring, the map
+	const warm = 8
+	for i := 0; i < warm; i++ { // grow the filter's buffers, the ring, the map
 		cycle()
 	}
 	hits, learned = 0, 0
@@ -402,8 +413,12 @@ func TestConnLifecycleZeroAlloc(t *testing.T) {
 	if want := (runs + 1) * lifeBatch; learned != want || hits != want {
 		t.Fatalf("%d learned, %d hits over %d lifecycles: the cycle is not the one intended", learned, hits, want)
 	}
-	if st := sw.Stats(); st.Connections != 0 || sw.PendingWork() != 0 {
+	st := sw.Stats()
+	if st.Connections != 0 || sw.PendingWork() != 0 {
 		t.Fatalf("switch not back at rest: %d connections, %d pending", st.Connections, sw.PendingWork())
+	}
+	if aged := st.Controlplane.AgedOut; aging > 0 && (aged != (warm+runs+1)*lifeBatch || st.Controlplane.ConnsEnded != 0) {
+		t.Fatalf("%d connections aged out and %d ended, want every one of %d aged", aged, st.Controlplane.ConnsEnded, (warm+runs+1)*lifeBatch)
 	}
 	if allocs != 0 {
 		t.Fatalf("a %d-connection lifecycle allocated %.1f objects, want 0", lifeBatch, allocs)

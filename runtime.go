@@ -50,7 +50,7 @@ func newRuntime(clock Clock, s *Switch) *eventRuntime {
 }
 
 // switchSource adapts the whole switch — every pipe's control plane plus
-// its aging wheel — as one scheduler source. Deadlines come from nextDue
+// its aging steps — as one scheduler source. Deadlines come from nextDue
 // (which, unlike the simulation-facing NextEventTime, includes aging);
 // advancing runs the legacy Advance path, which takes the pipe locks
 // itself.
@@ -60,7 +60,7 @@ func (ss switchSource) NextEventTime() (Time, bool) { return ss.s.nextDue() }
 func (ss switchSource) Advance(now Time)            { ss.s.Advance(now) }
 
 // nextDue returns the earliest deadline of any kind the switch has:
-// background work or aging-wheel ticks. The wall-clock driver sleeps on
+// background work or aging steps. The wall-clock driver sleeps on
 // this; NextEventTime keeps its narrower simulation semantics.
 func (s *Switch) nextDue() (Time, bool) { return s.eng.NextDue() }
 

@@ -901,7 +901,7 @@ func testTunnelIdleTimeoutFreesConnections(t *testing.T, portable bool) {
 		wg.Wait()
 	}()
 
-	const idle = time.Second // ages on a 125 ms wheel: gone 1-1.125 s after the last packet
+	const idle = time.Second // ages in 125 ms steps: gone 1-1.125 s after the last packet
 	cfg := Defaults(512)
 	cfg.Dataplane.DegradedHighWatermark = 0.5
 	cfg.Dataplane.DegradedLowWatermark = 0.3
