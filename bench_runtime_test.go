@@ -12,8 +12,7 @@ import (
 // call) against the identical workload with the event runtime active
 // (Switch.Run on a hand-stepped clock, background work executing on the
 // driver goroutine). The acceptance bar is scheduler-driven within 5% of
-// hand-driven; CI uploads the same comparison as BENCH_runtime.json via
-// the "runtime" experiment.
+// hand-driven; CI runs it as a bench smoke step.
 func BenchmarkRuntimeOverhead(b *testing.B) {
 	b.Run("hand", func(b *testing.B) { benchRuntimeOverhead(b, false) })
 	b.Run("sched", func(b *testing.B) { benchRuntimeOverhead(b, true) })

@@ -10,9 +10,6 @@ package experiments
 // reproduce the report byte for byte.
 
 import (
-	"encoding/json"
-	"fmt"
-
 	"repro/internal/ctrlplane"
 	"repro/internal/dataplane"
 	"repro/internal/faults"
@@ -75,36 +72,21 @@ type ChaosReport struct {
 	FaultsRemaining   int  `json:"faults_remaining"`
 	DegradedAtEnd     bool `json:"degraded_at_end"`
 
-	// Violations lists every failed invariant in a fixed order;
-	// InvariantsOK is its emptiness.
-	Violations   []string `json:"invariant_violations"`
-	InvariantsOK bool     `json:"invariants_ok"`
-}
-
-// chaosFlow tracks one connection two ways. The PCC ground truth is the
-// pinned pool version read through the exact-tuple CPU shadow
-// (LookupConn), which digest false positives cannot touch: once vset, the
-// version must never change while the entry lives. The observed DIP of
-// ConnTable hits is tracked separately — a change there is a digest-FP
-// misforward (an aliased entry answered), which the paper accepts at the
-// digest's collision rate, so it is bounded rather than forbidden.
-type chaosFlow struct {
-	dip         dataplane.DIP
-	version     uint32
-	established bool
-	vset        bool
-	broken      bool
+	verdict
 }
 
 // RunChaosSoak drives the churn-under-faults soak once and returns its
-// report. Same (scale, seed) ⇒ identical report; the chaos experiment and
-// TestChaosSoak both rest on that.
+// report. Same (scale, seed) ⇒ identical report.
+//
+// Each flow is tracked two ways. The PCC ground truth is its pool version
+// read through the exact-tuple CPU shadow (LookupConn), which digest false
+// positives cannot touch: once pinned, the version must never change while
+// the entry lives. The DIP of its ConnTable hits is tracked separately — a
+// change there is a digest-FP misforward (an aliased entry answered), which
+// the paper accepts at the digest's collision rate, so it is bounded rather
+// than forbidden.
 func RunChaosSoak(scale float64, seed int64) (*ChaosReport, error) {
-	connTarget := int(2048 * scale)
-	if connTarget < 1024 {
-		connTarget = 1024
-	}
-	dcfg := dataplane.DefaultConfig(connTarget)
+	dcfg := dataplane.DefaultConfig(soakConnTarget(scale))
 	dcfg.Seed = uint64(seed)
 	dcfg.DegradedHighWatermark = 0.85
 	dcfg.DegradedLowWatermark = 0.60
@@ -196,17 +178,19 @@ func RunChaosSoak(scale float64, seed int64) (*ChaosReport, error) {
 
 	// Flow arrival rate: size the steady-state flow population to the
 	// chip's ConnTable capacity, so occupancy climbs through the high
-	// watermark on its own.
-	perTick := rep.Capacity / chaosLifeTicks
-	if perTick < 1 {
-		perTick = 1
+	// watermark on its own. A tick's packets go out as one batch.
+	book := &flowBook{
+		load: chaosLoadTicks, life: chaosLifeTicks, stride: chaosStride,
+		perTick: max(rep.Capacity/chaosLifeTicks, 1), burst: 1, period: 1,
 	}
-	flows := make([]chaosFlow, 0, chaosLoadTicks*perTick+chaosProbes)
 	var (
-		batch     []*netproto.Packet
-		batchIdx  []int
-		firstLive int
+		batch    []*netproto.Packet
+		batchIdx []int
 	)
+	send := func(i int, syn bool) {
+		batch = append(batch, flowPacket(i, syn))
+		batchIdx = append(batchIdx, i)
+	}
 	degradedNow := func() bool {
 		d := false
 		for p := 0; p < eng.NumPipes(); p++ {
@@ -230,36 +214,32 @@ func RunChaosSoak(scale float64, seed int64) (*ChaosReport, error) {
 		return v, ok
 	}
 	runBatch := func(now simtime.Time) {
-		res := eng.ProcessBatch(now, batch)
-		var fwd uint64
-		for j, r := range res {
-			rep.Packets++
-			if r.Verdict == dataplane.VerdictForward {
-				rep.Forwarded++
-				fwd++
-			}
+		forwarded := book.forwarded
+		for j, r := range eng.ProcessBatch(now, batch) {
+			book.sent(r.Verdict == dataplane.VerdictForward)
 			if !r.ConnHit {
 				continue
 			}
 			i := batchIdx[j]
-			f := &flows[i]
+			f := &book.flows[i]
 			switch {
-			case !f.established:
-				f.established, f.dip = true, r.DIP
-				rep.FlowsEstablished++
-			case !f.broken && r.DIP != f.dip:
-				f.broken = true
+			case !f.hit:
+				f.hit, f.dip = true, r.DIP
+				book.established++
+			case !f.moved && r.DIP != f.dip:
+				f.moved = true
 				rep.MisforwardedFlows++
 			}
-			if !f.vset {
+			if !f.pinned {
 				if v, ok := shadowVersion(i); ok {
-					f.version, f.vset = v, true
+					f.version, f.pinned = v, true
 				}
 			}
 		}
 		if degradedNow() {
-			rep.ForwardedWhileDegraded += fwd
+			rep.ForwardedWhileDegraded += book.forwarded - forwarded
 		}
+		batch, batchIdx = batch[:0], batchIdx[:0]
 	}
 
 	for t := 0; t < chaosLoadTicks+chaosLifeTicks; t++ {
@@ -267,42 +247,17 @@ func RunChaosSoak(scale float64, seed int64) (*ChaosReport, error) {
 		inj.Advance(now)
 		hc.Advance(now)
 		eng.Advance(now)
-
-		// Flows born chaosLifeTicks ago close their connections. Just
-		// before each one ends, its shadow version is compared against the
-		// version pinned at establishment — the PCC ground truth.
-		if bt := t - chaosLifeTicks; bt >= 0 && bt < chaosLoadTicks {
-			for i := bt * perTick; i < (bt+1)*perTick; i++ {
-				if f := &flows[i]; f.vset {
-					if v, ok := shadowVersion(i); ok && v != f.version {
-						rep.PCCViolations++
-					}
+		book.retire(t, func(i int, f *flow) {
+			if f.pinned {
+				if v, ok := shadowVersion(i); ok && v != f.version {
+					rep.PCCViolations++
 				}
-				eng.EndConnection(now, expTuple(i))
 			}
-			firstLive = (bt + 1) * perTick
-		}
-		batch, batchIdx = batch[:0], batchIdx[:0]
-		// Established traffic: a rotating 1/chaosStride sample of the live
-		// flows, so every flow revisits the data path a few times per
-		// lifetime without the soak ballooning.
-		for i := firstLive; i < len(flows); i++ {
-			if i%chaosStride == t%chaosStride {
-				batch = append(batch, &netproto.Packet{Tuple: expTuple(i), TCPFlags: netproto.FlagACK})
-				batchIdx = append(batchIdx, i)
-			}
-		}
-		if t < chaosLoadTicks {
-			for k := 0; k < perTick; k++ {
-				i := len(flows)
-				flows = append(flows, chaosFlow{})
-				batch = append(batch, &netproto.Packet{Tuple: expTuple(i), TCPFlags: netproto.FlagSYN})
-				batchIdx = append(batchIdx, i)
-			}
-		}
+			eng.EndConnection(now, expTuple(i))
+		})
+		book.traffic(t, send)
 		runBatch(now)
 	}
-	rep.FlowsStarted = len(flows)
 
 	// Drain: every transient fault has reverted by now; let the CPUs chew
 	// through backoffs and retries, the checker re-add recovered DIPs, and
@@ -314,19 +269,13 @@ func RunChaosSoak(scale float64, seed int64) (*ChaosReport, error) {
 
 	// Degraded mode is evaluated lazily on the miss path, so a handful of
 	// fresh flows probe the exit transition (and must be served normally).
-	batch, batchIdx = batch[:0], batchIdx[:0]
-	for k := 0; k < chaosProbes; k++ {
-		i := len(flows)
-		flows = append(flows, chaosFlow{})
-		batch = append(batch, &netproto.Packet{Tuple: expTuple(i), TCPFlags: netproto.FlagSYN})
-		batchIdx = append(batchIdx, i)
-	}
+	book.arrive(chaosLoadTicks+chaosLifeTicks, chaosProbes, send)
 	runBatch(drainAt)
-	rep.FlowsStarted = len(flows)
 	end := drainAt.Add(ms(50))
 	hc.Advance(end)
 	eng.Advance(end)
 
+	rep.FlowsStarted, rep.FlowsEstablished, rep.Packets, rep.Forwarded = book.counts()
 	st := eng.Stats()
 	rep.DegradedPackets = st.Dataplane.DegradedPackets
 	rep.DegradedTransitions = st.Dataplane.DegradedTransitions
@@ -335,13 +284,7 @@ func RunChaosSoak(scale float64, seed int64) (*ChaosReport, error) {
 	rep.InsertSheds = st.Controlplane.InsertSheds
 	rep.Overflows = st.Controlplane.Overflows
 	rep.MaxInsertQueue = st.Controlplane.MaxInsertQueue
-	im := inj.Metrics()
-	rep.FaultsInjected = im.Injected
-	rep.FaultsByKind = make(map[string]uint64, len(im.ByKind))
-	for k, n := range im.ByKind {
-		rep.FaultsByKind[k.String()] = n
-	}
-	rep.FaultsRemaining = inj.Remaining()
+	rep.FaultsInjected, rep.FaultsByKind, rep.FaultsRemaining = faultTally(inj)
 	hm := hc.Metrics()
 	rep.Failovers, rep.Recoveries = hm.Failovers, hm.Recoveries
 	for p := 0; p < eng.NumPipes(); p++ {
@@ -352,112 +295,70 @@ func RunChaosSoak(scale float64, seed int64) (*ChaosReport, error) {
 			rep.DegradedAtEnd = rep.DegradedAtEnd || dp.Degraded()
 		})
 	}
-
-	rep.Violations = chaosInvariants(rep)
-	rep.InvariantsOK = len(rep.Violations) == 0
-	return rep, nil
+	return judge(rep, chaosInvariants), nil
 }
 
-// chaosInvariants checks the robustness contract against a finished run
-// and returns every violation, in a fixed order for report determinism.
-func chaosInvariants(r *ChaosReport) []string {
-	var v []string
-	fail := func(format string, args ...any) { v = append(v, fmt.Sprintf(format, args...)) }
+// chaosInvariants is the robustness contract, checked against a finished
+// run.
+func chaosInvariants(r *ChaosReport) {
 	if r.PCCViolations != 0 {
-		fail("PCC broken: %d installed flows changed pool version", r.PCCViolations)
+		r.fail("PCC broken: %d installed flows changed pool version", r.PCCViolations)
 	}
 	// Digest false positives misforward at the digest collision rate; the
 	// invariant is that aliasing stays rare, not that it never happens.
 	if r.MisforwardedFlows*50 > r.FlowsEstablished {
-		fail("digest-FP misforwards above 2%% of flows (%d of %d)",
+		r.fail("digest-FP misforwards above 2%% of flows (%d of %d)",
 			r.MisforwardedFlows, r.FlowsEstablished)
 	}
 	if r.MaxInsertQueue > r.QueueBound {
-		fail("insert queue peaked at %d, above the %d bound", r.MaxInsertQueue, r.QueueBound)
+		r.fail("insert queue peaked at %d, above the %d bound", r.MaxInsertQueue, r.QueueBound)
 	}
 	if r.QueueAfterDrain != 0 || r.LearnAfterDrain != 0 {
-		fail("pending entries leaked: queue=%d learn=%d after drain", r.QueueAfterDrain, r.LearnAfterDrain)
+		r.fail("pending entries leaked: queue=%d learn=%d after drain", r.QueueAfterDrain, r.LearnAfterDrain)
 	}
 	if r.FaultsRemaining != 0 {
-		fail("%d fault actions never fired", r.FaultsRemaining)
+		r.fail("%d fault actions never fired", r.FaultsRemaining)
 	}
 	if r.DegradedPackets == 0 || r.ForwardedWhileDegraded == 0 {
-		fail("degraded mode never served traffic (degraded_packets=%d, forwarded_while_degraded=%d)",
+		r.fail("degraded mode never served traffic (degraded_packets=%d, forwarded_while_degraded=%d)",
 			r.DegradedPackets, r.ForwardedWhileDegraded)
 	}
 	if r.DegradedAtEnd {
-		fail("switch still degraded after the load cleared")
+		r.fail("switch still degraded after the load cleared")
 	}
 	if r.DegradedTransitions < 2 {
-		fail("degraded_transitions=%d: never both entered and exited", r.DegradedTransitions)
+		r.fail("degraded_transitions=%d: never both entered and exited", r.DegradedTransitions)
 	}
 	if r.InsertRetries == 0 || r.InsertSheds == 0 {
-		fail("pressure paths unexercised (retries=%d, sheds=%d)", r.InsertRetries, r.InsertSheds)
+		r.fail("pressure paths unexercised (retries=%d, sheds=%d)", r.InsertRetries, r.InsertSheds)
 	}
 	if r.DigestsLost == 0 {
-		fail("digest-loss windows dropped nothing")
+		r.fail("digest-loss windows dropped nothing")
 	}
 	if r.Failovers == 0 || r.Recoveries == 0 {
-		fail("health checker idle (failovers=%d, recoveries=%d)", r.Failovers, r.Recoveries)
+		r.fail("health checker idle (failovers=%d, recoveries=%d)", r.Failovers, r.Recoveries)
 	}
 	if r.FlowsEstablished == 0 {
-		fail("no flow ever established")
+		r.fail("no flow ever established")
 	}
 	if r.Forwarded == 0 {
-		fail("nothing forwarded")
+		r.fail("nothing forwarded")
 	}
-	return v
 }
 
-// Chaos is the registered experiment: it runs the soak twice with the
-// same seed, insists the two reports are byte-identical, and emits the
-// first as CHAOS_soak.json.
+// Chaos is the registered experiment over RunChaosSoak; it emits
+// CHAOS_soak.json.
 func Chaos(scale float64, seed int64) (*Report, error) {
-	r1, err := RunChaosSoak(scale, seed)
-	if err != nil {
-		return nil, err
-	}
-	b1, err := json.MarshalIndent(r1, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("chaos: %w", err)
-	}
-	r2, err := RunChaosSoak(scale, seed)
-	if err != nil {
-		return nil, err
-	}
-	b2, err := json.Marshal(r2)
-	if err != nil {
-		return nil, fmt.Errorf("chaos: %w", err)
-	}
-	b1c, _ := json.Marshal(r1)
-	deterministic := string(b1c) == string(b2)
-
-	rep := &Report{ID: "chaos", Title: "Chaos soak: fault injection under churn, degradation invariants"}
-	rep.Printf("flows %d (established %d)  packets %d (forwarded %d)",
-		r1.FlowsStarted, r1.FlowsEstablished, r1.Packets, r1.Forwarded)
-	rep.Printf("faults injected %d %v  failovers %d recoveries %d",
-		r1.FaultsInjected, r1.FaultsByKind, r1.Failovers, r1.Recoveries)
-	rep.Printf("degraded: packets %d, transitions %d, forwarded-while-degraded %d",
-		r1.DegradedPackets, r1.DegradedTransitions, r1.ForwardedWhileDegraded)
-	rep.Printf("pressure: retries %d sheds %d overflows %d queue-peak %d/%d digests-lost %d",
-		r1.InsertRetries, r1.InsertSheds, r1.Overflows, r1.MaxInsertQueue, r1.QueueBound, r1.DigestsLost)
-	rep.Printf("PCC violations %d  digest-FP misforwarded flows %d", r1.PCCViolations, r1.MisforwardedFlows)
-	if r1.InvariantsOK {
-		rep.Printf("invariants: all hold")
-	} else {
-		for _, s := range r1.Violations {
-			rep.Printf("INVARIANT VIOLATED: %s", s)
-		}
-	}
-	if deterministic {
-		rep.Printf("determinism: second run with seed %d reproduced the report byte for byte", seed)
-	} else {
-		rep.Printf("DETERMINISM VIOLATED: same seed produced a different report")
-	}
-	if !r1.InvariantsOK || !deterministic {
-		return nil, fmt.Errorf("chaos soak failed: %v (deterministic=%v)", r1.Violations, deterministic)
-	}
-	rep.ArtifactName = "CHAOS_soak.json"
-	rep.Artifact = append(b1, '\n')
-	return rep, nil
+	return runSoak("chaos", "Chaos soak: fault injection under churn, degradation invariants", "CHAOS_soak.json",
+		scale, seed, RunChaosSoak, func(rep *Report, r *ChaosReport) {
+			rep.Printf("flows %d (established %d)  packets %d (forwarded %d)",
+				r.FlowsStarted, r.FlowsEstablished, r.Packets, r.Forwarded)
+			rep.Printf("faults injected %d %v  failovers %d recoveries %d",
+				r.FaultsInjected, r.FaultsByKind, r.Failovers, r.Recoveries)
+			rep.Printf("degraded: packets %d, transitions %d, forwarded-while-degraded %d",
+				r.DegradedPackets, r.DegradedTransitions, r.ForwardedWhileDegraded)
+			rep.Printf("pressure: retries %d sheds %d overflows %d queue-peak %d/%d digests-lost %d",
+				r.InsertRetries, r.InsertSheds, r.Overflows, r.MaxInsertQueue, r.QueueBound, r.DigestsLost)
+			rep.Printf("PCC violations %d  digest-FP misforwarded flows %d", r.PCCViolations, r.MisforwardedFlows)
+		})
 }

@@ -85,7 +85,6 @@ func All() []Runner {
 		{"netwide", "Network-wide VIP-to-layer assignment (§5.3)", func(s float64, seed int64) (*Report, error) { return Netwide(s, seed) }},
 		{"hybrid", "ConnTable-as-cache with SLB overflow tier (§7)", func(s float64, seed int64) (*Report, error) { return Hybrid(s, seed) }},
 		{"pipes", "Multi-pipe aggregate throughput, 1 vs 4 pipes (BENCH_pipes.json)", func(s float64, seed int64) (*Report, error) { return PipesBench(s, seed) }},
-		{"runtime", "Event-runtime overhead, scheduler vs hand-driven (BENCH_runtime.json)", func(s float64, seed int64) (*Report, error) { return RuntimeBench(s, seed) }},
 		{"chaos", "Chaos soak: fault injection under churn, degradation invariants (CHAOS_soak.json)", func(s float64, seed int64) (*Report, error) { return Chaos(s, seed) }},
 		{"reconcile", "Reconcile soak: spec churn, rolling fleet updates, rollback (RECONCILE_soak.json)", func(s float64, seed int64) (*Report, error) { return Reconcile(s, seed) }},
 		{"upgrade", "Rolling-upgrade soak: warm handoff, zero dropped flows (UPGRADE_soak.json)", func(s float64, seed int64) (*Report, error) { return Upgrade(s, seed) }},

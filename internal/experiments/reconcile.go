@@ -12,14 +12,12 @@ package experiments
 // RECONCILE_soak.json; the same seed must reproduce it byte for byte.
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/netip"
 
 	"repro/internal/cluster"
 	"repro/internal/faults"
 	"repro/internal/intent"
-	"repro/internal/netproto"
 	"repro/internal/simtime"
 	"repro/internal/telemetry"
 )
@@ -32,7 +30,7 @@ import (
 const (
 	recTick      = 100 * simtime.Microsecond
 	recLoadTicks = 1200 // arrivals for 120 ms
-	recLifeTicks = 600  // each flow lives 60 ms
+	recLifeTicks = 601  // each flow lives 60.1 ms
 	recStride    = 16   // live flows revisit the data path every 16 ticks
 	recMembers   = 3
 	recPerTick   = 2   // SYNs per burst tick
@@ -83,8 +81,7 @@ type ReconcileReport struct {
 	PoolMismatches   int    `json:"final_pool_mismatches"`
 	IdempotentWrites uint64 `json:"idempotent_reapply_writes"`
 
-	Violations   []string `json:"invariant_violations"`
-	InvariantsOK bool     `json:"invariants_ok"`
+	verdict
 }
 
 // recTracer counts reconcile events by step on top of an inner tracer
@@ -99,29 +96,6 @@ func (t recTracer) OnReconcile(e telemetry.ReconcileEvent) {
 		t.counts[e.Step]++
 	}
 	t.Tracer.OnReconcile(e)
-}
-
-// clusterFaultTarget adapts the deployment to the fault injector: "pipe"
-// indices are cluster members. Accessors are re-read per call so faults
-// land on the fresh planes after a RestoreSwitch.
-type clusterFaultTarget struct{ c *cluster.Cluster }
-
-func (t clusterFaultTarget) NumPipes() int { return t.c.Switches() }
-
-func (t clusterFaultTarget) StallCPU(now simtime.Time, m int, d simtime.Duration) {
-	t.c.Member(m).StallCPU(now, d)
-}
-
-func (t clusterFaultTarget) SetInsertRateScale(m int, scale float64) {
-	t.c.Member(m).SetInsertRateScale(scale)
-}
-
-func (t clusterFaultTarget) SetConnTableLimit(m int, limit int) {
-	t.c.Dataplane(m).SetConnTableLimit(limit)
-}
-
-func (t clusterFaultTarget) SetLearnLoss(m int, rate float64, seed uint64) {
-	t.c.Dataplane(m).LearnFilter().SetLoss(rate, seed)
 }
 
 // recPoolFor returns generation g's DIP pool: the base pool with one slot
@@ -150,28 +124,18 @@ func recSpecFor(g int) *intent.ClusterSpec {
 	}
 }
 
-// recFlow is one connection's PCC bookkeeping: the member and shadow
-// version pinned after establishment. A flow observed on a different
-// member at any later revisit was redirected by the ECMP spray reacting
-// to the switch failure; §7 accepts those breaking PCC, so they are
-// counted separately and excluded from the violation check. The restored
-// member comes back cold and takes no traffic (rejoining it warm is the
-// upgrade soak's business), so a redirect is permanent here.
-type recFlow struct {
-	member     int
-	version    uint32
-	vset       bool
-	redirected bool
-}
-
 // RunReconcileSoak drives the declarative-churn soak once and returns its
 // report. Same (scale, seed) ⇒ identical report.
+//
+// Each flow's serving member and shadow version are pinned once the
+// exact-tuple shadow confirms it on the member that answered. A flow later
+// served by another member was redirected by the ECMP spray reacting to the
+// switch failure; §7 accepts those breaking PCC, so they are counted
+// separately and excluded from the violation check. The restored member
+// comes back cold and takes no traffic (rejoining it warm is the upgrade
+// soak's business), so a redirect is permanent here.
 func RunReconcileSoak(scale float64, seed int64) (*ReconcileReport, error) {
-	connTarget := int(2048 * scale)
-	if connTarget < 1024 {
-		connTarget = 1024
-	}
-	ccfg := cluster.DefaultConfig(recMembers, connTarget)
+	ccfg := cluster.DefaultConfig(recMembers, soakConnTarget(scale))
 	ccfg.Dataplane.Seed = uint64(seed)
 	clu, err := cluster.New(ccfg)
 	if err != nil {
@@ -228,13 +192,15 @@ func RunReconcileSoak(scale float64, seed int64) (*ReconcileReport, error) {
 	}
 
 	tickTime := func(t int) simtime.Time { return simtime.Time(int64(t) * int64(recTick)) }
-	var flows []recFlow
-	firstLive := 0
+	// Arrivals come in bursts: recPerTick SYNs while the burst window is
+	// open, then quiet until the next period.
+	book := &flowBook{
+		load: recLoadTicks, life: recLifeTicks, stride: recStride,
+		perTick: recPerTick, burst: recBurstLen, period: recBurstGap,
+	}
 	gen := 1
 
-	shadow := func(i int) (int, uint32, bool) { return clu.ShadowVersion(expTuple(i)) }
-
-	for t := 0; t <= recLoadTicks+recLifeTicks; t++ {
+	for t := 0; t < recLoadTicks+recLifeTicks; t++ {
 		now := tickTime(t)
 		inj.Advance(now)
 		clu.Advance(now)
@@ -274,71 +240,43 @@ func RunReconcileSoak(scale float64, seed int64) (*ReconcileReport, error) {
 			rc.DetectDrift(now)
 		}
 
-		// Flows born recLifeTicks ago end; just before each one goes, its
-		// shadow version is compared against the version pinned at
-		// establishment. A flow whose tuple now sprays to a different
-		// member was redirected by the switch failure — §7 accepts those
-		// breaking, so they are counted, not asserted.
-		if bt := t - recLifeTicks; bt >= 0 {
-			for i := firstLive; i < len(flows); i++ {
-				if born(i) >= bt {
-					break
-				}
-				f := &flows[i]
-				if f.vset {
-					m, v, ok := shadow(i)
-					switch {
-					case f.redirected || (ok && m != f.member):
-						rep.RedirectedFlows++
-					case ok && v != f.version:
-						rep.PCCViolations++
-					}
-				}
-				clu.ConnEnd(now, expTuple(i))
-				firstLive = i + 1
-			}
-		}
-
-		// Established traffic: a rotating 1/recStride sample of live flows.
-		for i := firstLive; i < len(flows); i++ {
-			if i%recStride == t%recStride {
-				pkt := &netproto.Packet{Tuple: expTuple(i), TCPFlags: netproto.FlagACK}
-				_, m, fwd := clu.Packet(now, pkt)
-				rep.Packets++
-				if fwd {
-					rep.Forwarded++
-				}
-				f := &flows[i]
-				if !f.vset {
-					if sm, v, ok := shadow(i); ok && sm == m {
-						f.member, f.version, f.vset = sm, v, true
-						rep.FlowsEstablished++
-					}
-				} else if m != f.member {
-					f.redirected = true
+		// A flow whose tuple now sprays to a different member was redirected
+		// by the switch failure — counted, not asserted.
+		book.retire(t, func(i int, f *flow) {
+			if f.pinned {
+				m, v, ok := clu.ShadowVersion(expTuple(i))
+				switch {
+				case f.moved || (ok && m != f.member):
+					rep.RedirectedFlows++
+				case ok && v != f.version:
+					rep.PCCViolations++
 				}
 			}
-		}
-		// Arrivals, in bursts: recPerTick SYNs while the burst window is
-		// open, then quiet until the next period.
-		if t < recLoadTicks && t%recBurstGap < recBurstLen {
-			for k := 0; k < recPerTick; k++ {
-				i := len(flows)
-				flows = append(flows, recFlow{})
-				pkt := &netproto.Packet{Tuple: expTuple(i), TCPFlags: netproto.FlagSYN}
-				_, _, fwd := clu.Packet(now, pkt)
-				rep.Packets++
-				if fwd {
-					rep.Forwarded++
-				}
+			clu.ConnEnd(now, expTuple(i))
+		})
+		book.traffic(t, func(i int, syn bool) {
+			_, m, fwd := clu.Packet(now, flowPacket(i, syn))
+			book.sent(fwd)
+			if syn {
+				return
 			}
-		}
+			f := &book.flows[i]
+			if !f.pinned {
+				if sm, v, ok := clu.ShadowVersion(expTuple(i)); ok && sm == m {
+					f.member, f.version, f.pinned = sm, v, true
+					book.established++
+				}
+			} else if m != f.member {
+				f.moved = true
+			}
+		})
 	}
-	rep.FlowsStarted = len(flows)
+	rep.FlowsStarted, rep.FlowsEstablished, rep.Packets, rep.Forwarded = book.counts()
 
-	// Convergence loop: the churn is over; the fleet must reach the final
-	// generation — and a clean drift scan — within recConverge rounds.
-	now := tickTime(recLoadTicks + recLifeTicks)
+	// Convergence loop, from the last tick's instant: the churn is over;
+	// the fleet must reach the final generation — and a clean drift scan —
+	// within recConverge rounds.
+	now := tickTime(recLoadTicks + recLifeTicks - 1)
 	converged := false
 	rounds := 0
 	for ; rounds < recConverge; rounds++ {
@@ -394,119 +332,64 @@ func RunReconcileSoak(scale float64, seed int64) (*ReconcileReport, error) {
 	rep.Rollbacks = counts[telemetry.ReconcileRollback]
 	rep.Errors = counts[telemetry.ReconcileError]
 	rep.DriftDetected = counts[telemetry.ReconcileDrift]
-	im := inj.Metrics()
-	rep.FaultsInjected = im.Injected
-	rep.FaultsByKind = make(map[string]uint64, len(im.ByKind))
-	for k, n := range im.ByKind {
-		rep.FaultsByKind[k.String()] = n
-	}
-	rep.FaultsRemaining = inj.Remaining()
+	rep.FaultsInjected, rep.FaultsByKind, rep.FaultsRemaining = faultTally(inj)
 	rep.BucketsRedirected = clu.Redirected
-
-	rep.Violations = reconcileInvariants(rep)
-	rep.InvariantsOK = len(rep.Violations) == 0
-	return rep, nil
+	return judge(rep, reconcileInvariants), nil
 }
 
-// born returns the tick flow i was created on (inverse of the arrival
-// schedule: recPerTick flows per burst tick).
-func born(i int) int {
-	burstTick := i / recPerTick // i-th burst tick overall
-	return (burstTick/recBurstLen)*recBurstGap + burstTick%recBurstLen
-}
-
-// reconcileInvariants checks the controller contract against a finished
-// run, in a fixed order for report determinism.
-func reconcileInvariants(r *ReconcileReport) []string {
-	var v []string
-	fail := func(format string, args ...any) { v = append(v, fmt.Sprintf(format, args...)) }
+// reconcileInvariants is the controller contract, checked against a
+// finished run.
+func reconcileInvariants(r *ReconcileReport) {
 	if r.PCCViolations != 0 {
-		fail("PCC broken: %d established flows changed pool version", r.PCCViolations)
+		r.fail("PCC broken: %d established flows changed pool version", r.PCCViolations)
 	}
 	if !r.ConvergedAtEnd {
-		fail("fleet never converged within %d rounds of the final generation", recConverge)
+		r.fail("fleet never converged within %d rounds of the final generation", recConverge)
 	}
 	if r.FinalGeneration != 1+recGens {
-		fail("final generation %d, want %d", r.FinalGeneration, 1+recGens)
+		r.fail("final generation %d, want %d", r.FinalGeneration, 1+recGens)
 	}
 	if r.PoolMismatches != 0 {
-		fail("%d members not serving the final pool", r.PoolMismatches)
+		r.fail("%d members not serving the final pool", r.PoolMismatches)
 	}
 	if r.IdempotentWrites != 0 {
-		fail("idempotent re-apply issued %d writes", r.IdempotentWrites)
+		r.fail("idempotent re-apply issued %d writes", r.IdempotentWrites)
 	}
 	if r.Rollbacks == 0 {
-		fail("mid-rollout switch failure never triggered a rollback")
+		r.fail("mid-rollout switch failure never triggered a rollback")
 	}
 	if r.Retries == 0 {
-		fail("no apply was ever retried")
+		r.fail("no apply was ever retried")
 	}
 	if r.DriftDetected == 0 {
-		fail("out-of-band mutation never detected as drift")
+		r.fail("out-of-band mutation never detected as drift")
 	}
 	if r.BucketsRedirected == 0 {
-		fail("switch failure redirected no spray buckets")
+		r.fail("switch failure redirected no spray buckets")
 	}
 	if r.FaultsRemaining != 0 {
-		fail("%d fault actions never fired", r.FaultsRemaining)
+		r.fail("%d fault actions never fired", r.FaultsRemaining)
 	}
 	if r.FlowsEstablished == 0 {
-		fail("no flow ever established")
+		r.fail("no flow ever established")
 	}
 	if r.Forwarded == 0 {
-		fail("nothing forwarded")
+		r.fail("nothing forwarded")
 	}
-	return v
 }
 
-// Reconcile is the registered experiment: two runs with the same seed must
-// produce byte-identical reports; the first is emitted as
+// Reconcile is the registered experiment over RunReconcileSoak; it emits
 // RECONCILE_soak.json.
 func Reconcile(scale float64, seed int64) (*Report, error) {
-	r1, err := RunReconcileSoak(scale, seed)
-	if err != nil {
-		return nil, err
-	}
-	b1, err := json.MarshalIndent(r1, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("reconcile: %w", err)
-	}
-	r2, err := RunReconcileSoak(scale, seed)
-	if err != nil {
-		return nil, err
-	}
-	b2, err := json.Marshal(r2)
-	if err != nil {
-		return nil, fmt.Errorf("reconcile: %w", err)
-	}
-	b1c, _ := json.Marshal(r1)
-	deterministic := string(b1c) == string(b2)
-
-	rep := &Report{ID: "reconcile", Title: "Reconcile soak: declarative spec churn, rolling updates, rollback"}
-	rep.Printf("generations %d  reconcile rounds %d  writes %d (applies %d, noops %d)",
-		r1.FinalGeneration, r1.Rounds, r1.Writes, r1.Applies, r1.Noops)
-	rep.Printf("faults: injected %d %v  retries %d  rollbacks %d  errors %d  drift %d",
-		r1.FaultsInjected, r1.FaultsByKind, r1.Retries, r1.Rollbacks, r1.Errors, r1.DriftDetected)
-	rep.Printf("flows %d (established %d)  packets %d (forwarded %d)  redirected flows %d",
-		r1.FlowsStarted, r1.FlowsEstablished, r1.Packets, r1.Forwarded, r1.RedirectedFlows)
-	rep.Printf("PCC violations %d  converged in %d rounds  idempotent re-apply writes %d",
-		r1.PCCViolations, r1.RoundsToConverge, r1.IdempotentWrites)
-	if r1.InvariantsOK {
-		rep.Printf("invariants: all hold")
-	} else {
-		for _, s := range r1.Violations {
-			rep.Printf("INVARIANT VIOLATED: %s", s)
-		}
-	}
-	if deterministic {
-		rep.Printf("determinism: second run with seed %d reproduced the report byte for byte", seed)
-	} else {
-		rep.Printf("DETERMINISM VIOLATED: same seed produced a different report")
-	}
-	if !r1.InvariantsOK || !deterministic {
-		return nil, fmt.Errorf("reconcile soak failed: %v (deterministic=%v)", r1.Violations, deterministic)
-	}
-	rep.ArtifactName = "RECONCILE_soak.json"
-	rep.Artifact = append(b1, '\n')
-	return rep, nil
+	return runSoak("reconcile", "Reconcile soak: declarative spec churn, rolling updates, rollback", "RECONCILE_soak.json",
+		scale, seed, RunReconcileSoak, func(rep *Report, r *ReconcileReport) {
+			rep.Printf("generations %d  reconcile rounds %d  writes %d (applies %d, noops %d)",
+				r.FinalGeneration, r.Rounds, r.Writes, r.Applies, r.Noops)
+			rep.Printf("faults: injected %d %v  retries %d  rollbacks %d  errors %d  drift %d",
+				r.FaultsInjected, r.FaultsByKind, r.Retries, r.Rollbacks, r.Errors, r.DriftDetected)
+			rep.Printf("flows %d (established %d)  packets %d (forwarded %d)  redirected flows %d",
+				r.FlowsStarted, r.FlowsEstablished, r.Packets, r.Forwarded, r.RedirectedFlows)
+			rep.Printf("PCC violations %d  converged in %d rounds  idempotent re-apply writes %d",
+				r.PCCViolations, r.RoundsToConverge, r.IdempotentWrites)
+		})
 }

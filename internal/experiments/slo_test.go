@@ -7,25 +7,6 @@ import (
 	"testing"
 )
 
-// TestSLOSoak runs the full three-phase soak: the SLO() wrapper itself
-// errors on any invariant violation or determinism break, so the test
-// only needs to check the artifact landed.
-func TestSLOSoak(t *testing.T) {
-	rep, err := SLO(testScale, testSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.ArtifactName != "SLO_soak.json" || len(rep.Artifact) == 0 {
-		t.Fatalf("artifact = %q (%d bytes), want SLO_soak.json", rep.ArtifactName, len(rep.Artifact))
-	}
-	out := rep.String()
-	for _, want := range []string{"fire/resolve cycle", "exhaustion predicted", "rollout held"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("report lacks %q:\n%s", want, out)
-		}
-	}
-}
-
 // TestAlertTimelineGolden pins the phase-A alert transition timeline —
 // the exact virtual times, state edges and journal cursors the seeded
 // brownout produces — to a golden file. Any change to fault timing,

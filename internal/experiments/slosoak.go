@@ -22,7 +22,6 @@ package experiments
 // reproduce SLO_soak.json byte for byte.
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/netip"
@@ -77,8 +76,7 @@ type SLOSoakReport struct {
 	GateFinalGen      uint64 `json:"gate_final_generation"`
 	GateResumedCycles int    `json:"gate_member_fire_cycles"`
 
-	Violations   []string `json:"invariant_violations"`
-	InvariantsOK bool     `json:"invariants_ok"`
+	verdict
 }
 
 // sloBurnRules is phase A/C's alert policy, tuned so the seeded brownout
@@ -338,11 +336,10 @@ func runSLOGate(rep *SLOSoakReport) error {
 	return nil
 }
 
-// sloInvariants checks the soak's promises in a fixed order.
-func sloInvariants(r *SLOSoakReport) []string {
-	var v []string
+// sloInvariants is the soak's promises, checked against a finished run.
+func sloInvariants(r *SLOSoakReport) {
 	if r.BurnFireCycles < 1 {
-		v = append(v, fmt.Sprintf("phase A: no firing->resolved cycle (timeline %d entries)", len(r.Timeline)))
+		r.fail("phase A: no firing->resolved cycle (timeline %d entries)", len(r.Timeline))
 	}
 	firingCursor := false
 	for _, tr := range r.Timeline {
@@ -351,24 +348,23 @@ func sloInvariants(r *SLOSoakReport) []string {
 		}
 	}
 	if !firingCursor {
-		v = append(v, "phase A: no firing transition carries a journal cursor exemplar")
+		r.fail("phase A: no firing transition carries a journal cursor exemplar")
 	}
 	if r.ForecastPredictedAt <= 0 || r.ForecastPredictedAt >= 1 {
-		v = append(v, fmt.Sprintf("phase B: exhaustion predicted at fill fraction %.3f, want inside (0,1)", r.ForecastPredictedAt))
+		r.fail("phase B: exhaustion predicted at fill fraction %.3f, want inside (0,1)", r.ForecastPredictedAt)
 	}
 	if r.ForecastLeadEvals < 1 {
-		v = append(v, "phase B: forecaster gave no lead time before the table filled")
+		r.fail("phase B: forecaster gave no lead time before the table filled")
 	}
 	if !r.ForecastAlertFired {
-		v = append(v, "phase B: conntable-exhaustion alert never fired")
+		r.fail("phase B: conntable-exhaustion alert never fired")
 	}
 	if r.GatePausedSteps < 1 {
-		v = append(v, "phase C: rollout never held while the page fired")
+		r.fail("phase C: rollout never held while the page fired")
 	}
 	if !r.GateConverged || r.GateFinalGen != 2 {
-		v = append(v, fmt.Sprintf("phase C: rollout did not converge at generation 2 (converged=%v gen=%d)", r.GateConverged, r.GateFinalGen))
+		r.fail("phase C: rollout did not converge at generation 2 (converged=%v gen=%d)", r.GateConverged, r.GateFinalGen)
 	}
-	return v
 }
 
 // RunSLOSoak drives the three phases once.
@@ -383,9 +379,7 @@ func RunSLOSoak(scale float64, seed int64) (*SLOSoakReport, error) {
 	if err := runSLOGate(rep); err != nil {
 		return nil, fmt.Errorf("slo soak: %w", err)
 	}
-	rep.Violations = sloInvariants(rep)
-	rep.InvariantsOK = len(rep.Violations) == 0
-	return rep, nil
+	return judge(rep, sloInvariants), nil
 }
 
 // SLOTimelineString renders the phase-A alert timeline, one transition
@@ -399,54 +393,18 @@ func SLOTimelineString(rep *SLOSoakReport) string {
 	return b.String()
 }
 
-// SLO is the registered experiment: two runs with the same seed must
-// produce byte-identical reports; the first becomes SLO_soak.json.
+// SLO is the registered experiment over RunSLOSoak; it emits SLO_soak.json.
 func SLO(scale float64, seed int64) (*Report, error) {
-	r1, err := RunSLOSoak(scale, seed)
-	if err != nil {
-		return nil, err
-	}
-	b1, err := json.MarshalIndent(r1, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("slo: %w", err)
-	}
-	r2, err := RunSLOSoak(scale, seed)
-	if err != nil {
-		return nil, err
-	}
-	b2, err := json.Marshal(r2)
-	if err != nil {
-		return nil, fmt.Errorf("slo: %w", err)
-	}
-	b1c, _ := json.Marshal(r1)
-	deterministic := string(b1c) == string(b2)
-
-	rep := &Report{ID: "slo", Title: "SLO soak: burn-rate alerting, occupancy forecasting, fleet rollout gate"}
-	rep.Printf("phase A: %d flows, %d evals, %d fire/resolve cycle(s), %d timeline transition(s)",
-		r1.BurnFlows, r1.BurnEvals, r1.BurnFireCycles, len(r1.Timeline))
-	rep.Printf("phase A: peak pending p99 %.3fms, peak insert pressure %.0f/s",
-		1e3*r1.BurnMaxPending, r1.BurnMaxPressure)
-	rep.Printf("phase B: capacity %d, exhaustion predicted at %.0f%% fill (tte %.1fs), %d eval(s) of lead, alert fired %v",
-		r1.ForecastCapacity, 100*r1.ForecastPredictedAt, r1.ForecastTTEAtPredict,
-		r1.ForecastLeadEvals, r1.ForecastAlertFired)
-	rep.Printf("phase C: rollout held %d step(s) under a firing page, converged=%v at generation %d",
-		r1.GatePausedSteps, r1.GateConverged, r1.GateFinalGen)
-	if r1.InvariantsOK {
-		rep.Printf("invariants: all hold")
-	} else {
-		for _, s := range r1.Violations {
-			rep.Printf("INVARIANT VIOLATED: %s", s)
-		}
-	}
-	if deterministic {
-		rep.Printf("determinism: second run with seed %d reproduced the report byte for byte", seed)
-	} else {
-		rep.Printf("DETERMINISM VIOLATED: same seed produced a different report")
-	}
-	if !r1.InvariantsOK || !deterministic {
-		return nil, fmt.Errorf("slo soak failed: %v (deterministic=%v)", r1.Violations, deterministic)
-	}
-	rep.ArtifactName = "SLO_soak.json"
-	rep.Artifact = append(b1, '\n')
-	return rep, nil
+	return runSoak("slo", "SLO soak: burn-rate alerting, occupancy forecasting, fleet rollout gate", "SLO_soak.json",
+		scale, seed, RunSLOSoak, func(rep *Report, r *SLOSoakReport) {
+			rep.Printf("phase A: %d flows, %d evals, %d fire/resolve cycle(s), %d timeline transition(s)",
+				r.BurnFlows, r.BurnEvals, r.BurnFireCycles, len(r.Timeline))
+			rep.Printf("phase A: peak pending p99 %.3fms, peak insert pressure %.0f/s",
+				1e3*r.BurnMaxPending, r.BurnMaxPressure)
+			rep.Printf("phase B: capacity %d, exhaustion predicted at %.0f%% fill (tte %.1fs), %d eval(s) of lead, alert fired %v",
+				r.ForecastCapacity, 100*r.ForecastPredictedAt, r.ForecastTTEAtPredict,
+				r.ForecastLeadEvals, r.ForecastAlertFired)
+			rep.Printf("phase C: rollout held %d step(s) under a firing page, converged=%v at generation %d",
+				r.GatePausedSteps, r.GateConverged, r.GateFinalGen)
+		})
 }

@@ -13,14 +13,12 @@ package experiments
 // for byte.
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/netip"
 
 	"repro/internal/cluster"
 	"repro/internal/dataplane"
 	"repro/internal/intent"
-	"repro/internal/netproto"
 	"repro/internal/simtime"
 	"repro/internal/telemetry"
 )
@@ -81,8 +79,7 @@ type UpgradeReport struct {
 
 	PCCViolations int `json:"pcc_violations"`
 
-	Violations   []string `json:"invariant_violations"`
-	InvariantsOK bool     `json:"invariants_ok"`
+	verdict
 }
 
 // upCounts accumulates handoff telemetry for the report.
@@ -123,24 +120,11 @@ func upPoolFor(g int) []dataplane.DIP {
 	return pool
 }
 
-// upFlow is one connection's PCC bookkeeping: the DIP and member pinned
-// when the exact-tuple shadow first confirmed establishment.
-type upFlow struct {
-	born      int
-	dip       dataplane.DIP
-	member    int
-	est       bool
-	midUpdate bool // SYN landed inside an update's recording window
-	moved     bool // later served by a different member (warm handoff)
-}
-
 // RunUpgradeSoak drives the rolling-upgrade soak once and returns its
-// report. Same (scale, seed) ⇒ identical report.
+// report. Same (scale, seed) ⇒ identical report. Each flow's DIP and
+// member are pinned when the exact-tuple shadow first confirms it
+// established.
 func RunUpgradeSoak(scale float64, seed int64) (*UpgradeReport, error) {
-	connTarget := int(2048 * scale)
-	if connTarget < 1024 {
-		connTarget = 1024
-	}
 	counts := &upCounts{}
 	var inner telemetry.Tracer = telemetry.NopTracer{}
 	if CollectTelemetry {
@@ -148,7 +132,7 @@ func RunUpgradeSoak(scale float64, seed int64) (*UpgradeReport, error) {
 	}
 	tracer := upTracer{Tracer: inner, c: counts}
 
-	ccfg := cluster.DefaultConfig(upMembers, connTarget)
+	ccfg := cluster.DefaultConfig(upMembers, soakConnTarget(scale))
 	ccfg.Dataplane.Seed = uint64(seed)
 	ccfg.Dataplane.Tracer = tracer
 	clu, err := cluster.New(ccfg)
@@ -195,8 +179,10 @@ func RunUpgradeSoak(scale float64, seed int64) (*UpgradeReport, error) {
 	}
 
 	tickTime := func(t int) simtime.Time { return simtime.Time(int64(t) * int64(upTick)) }
-	var flows []upFlow
-	firstLive := 0
+	book := &flowBook{
+		load: upLoadTicks, life: upLifeTicks, stride: upStride,
+		perTick: upPerTick, burst: upBurstLen, period: upBurstGap,
+	}
 	gen := 1
 	lastUpdate := -upUpdateWindow - 1
 
@@ -233,12 +219,9 @@ func RunUpgradeSoak(scale float64, seed int64) (*UpgradeReport, error) {
 			}
 		}
 
-		// Flows born upLifeTicks ago end; each is audited against the
-		// exact-tuple shadow one last time on its way out.
-		for firstLive < len(flows) && flows[firstLive].born <= t-upLifeTicks {
-			f := &flows[firstLive]
-			tup := expTuple(firstLive)
-			if f.est {
+		book.retire(t, func(i int, f *flow) {
+			tup := expTuple(i)
+			if f.pinned {
 				if _, sdip, ok := clu.ShadowDIP(vip, tup); ok && sdip != f.dip {
 					rep.PCCViolations++
 				}
@@ -247,58 +230,35 @@ func RunUpgradeSoak(scale float64, seed int64) (*UpgradeReport, error) {
 				}
 			}
 			clu.ConnEnd(now, tup)
-			firstLive++
-		}
-
-		// Established traffic: a rotating 1/upStride sample of live flows.
-		for i := firstLive; i < len(flows); i++ {
-			if i%upStride != t%upStride {
-				continue
-			}
-			pkt := &netproto.Packet{Tuple: expTuple(i), TCPFlags: netproto.FlagACK}
-			dip, m, fwd := clu.Packet(now, pkt)
-			rep.Packets++
-			if fwd {
-				rep.Forwarded++
-			}
-			f := &flows[i]
-			if !f.est {
+		})
+		book.traffic(t, func(i int, syn bool) {
+			dip, m, fwd := clu.Packet(now, flowPacket(i, syn))
+			book.sent(fwd)
+			f := &book.flows[i]
+			switch {
+			case syn:
+				f.midUpdate = t-lastUpdate < upUpdateWindow
+			case !f.pinned:
 				if sm, sdip, ok := clu.ShadowDIP(vip, expTuple(i)); ok {
-					f.dip, f.member, f.est = sdip, sm, true
-					rep.FlowsEstablished++
+					f.dip, f.member, f.pinned = sdip, sm, true
+					book.established++
 					if f.midUpdate {
 						rep.MidUpdateEstablished++
 					}
 				}
-				continue
-			}
-			if !fwd {
+			case !fwd:
 				rep.Drops++
-				continue
-			}
-			if dip != f.dip {
-				rep.PCCViolations++
-			}
-			if m != f.member {
-				f.moved = true
-			}
-		}
-
-		// Arrivals, in bursts.
-		if t < upLoadTicks && t%upBurstGap < upBurstLen {
-			for k := 0; k < upPerTick; k++ {
-				i := len(flows)
-				flows = append(flows, upFlow{born: t, midUpdate: t-lastUpdate < upUpdateWindow})
-				pkt := &netproto.Packet{Tuple: expTuple(i), TCPFlags: netproto.FlagSYN}
-				_, _, fwd := clu.Packet(now, pkt)
-				rep.Packets++
-				if fwd {
-					rep.Forwarded++
+			default:
+				if dip != f.dip {
+					rep.PCCViolations++
+				}
+				if m != f.member {
+					f.moved = true
 				}
 			}
-		}
+		})
 	}
-	rep.FlowsStarted = len(flows)
+	rep.FlowsStarted, rep.FlowsEstablished, rep.Packets, rep.Forwarded = book.counts()
 	rep.RolloutDone = u.Done() && len(u.Failed()) == 0
 	rep.Rollbacks = u.Rollbacks
 	for i := 0; i < upMembers; i++ {
@@ -312,104 +272,63 @@ func RunUpgradeSoak(scale float64, seed int64) (*UpgradeReport, error) {
 	rep.HandoffRetries = counts.retries
 	rep.HandoffCancels = counts.cancels
 
-	rep.Violations = upgradeInvariants(rep)
-	rep.InvariantsOK = len(rep.Violations) == 0
-	return rep, nil
+	return judge(rep, upgradeInvariants), nil
 }
 
-// upgradeInvariants checks the rollout contract against a finished run,
-// in a fixed order for report determinism.
-func upgradeInvariants(r *UpgradeReport) []string {
-	var v []string
-	fail := func(format string, args ...any) { v = append(v, fmt.Sprintf(format, args...)) }
+// upgradeInvariants is the rollout contract, checked against a finished
+// run.
+func upgradeInvariants(r *UpgradeReport) {
 	if r.PCCViolations != 0 {
-		fail("PCC broken: %d established flows changed DIP", r.PCCViolations)
+		r.fail("PCC broken: %d established flows changed DIP", r.PCCViolations)
 	}
 	if r.Drops != 0 {
-		fail("%d established-flow packets dropped during the rollout", r.Drops)
+		r.fail("%d established-flow packets dropped during the rollout", r.Drops)
 	}
 	if !r.RolloutDone {
-		fail("rollout did not finish cleanly: phases %v", r.FinalPhases)
+		r.fail("rollout did not finish cleanly: phases %v", r.FinalPhases)
 	}
 	for i, p := range r.FinalPhases {
 		if p != "done" {
-			fail("member %d finished in phase %q", i, p)
+			r.fail("member %d finished in phase %q", i, p)
 		}
 	}
 	if r.BucketsMigrated == 0 {
-		fail("no spray bucket ever moved warm")
+		r.fail("no spray bucket ever moved warm")
 	}
 	if r.HandoffTransfers == 0 || r.HandoffImported == 0 {
-		fail("no connection state was ever handed off (transfers %d, imported %d)",
+		r.fail("no connection state was ever handed off (transfers %d, imported %d)",
 			r.HandoffTransfers, r.HandoffImported)
 	}
 	if r.MovedFlows == 0 {
-		fail("no established flow was ever served by a second member")
+		r.fail("no established flow was ever served by a second member")
 	}
 	if r.MidUpdateEstablished == 0 {
-		fail("no flow established inside an update's recording window")
+		r.fail("no flow established inside an update's recording window")
 	}
 	if r.PoolUpdates < 2 {
-		fail("only %d pool updates landed", r.PoolUpdates)
+		r.fail("only %d pool updates landed", r.PoolUpdates)
 	}
 	if r.FlowsEstablished == 0 {
-		fail("no flow ever established")
+		r.fail("no flow ever established")
 	}
 	if r.Forwarded == 0 {
-		fail("nothing forwarded")
+		r.fail("nothing forwarded")
 	}
-	return v
 }
 
-// Upgrade is the registered experiment: two runs with the same seed must
-// produce byte-identical reports; the first is emitted as
+// Upgrade is the registered experiment over RunUpgradeSoak; it emits
 // UPGRADE_soak.json.
 func Upgrade(scale float64, seed int64) (*Report, error) {
-	r1, err := RunUpgradeSoak(scale, seed)
-	if err != nil {
-		return nil, err
-	}
-	b1, err := json.MarshalIndent(r1, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("upgrade: %w", err)
-	}
-	r2, err := RunUpgradeSoak(scale, seed)
-	if err != nil {
-		return nil, err
-	}
-	b2, err := json.Marshal(r2)
-	if err != nil {
-		return nil, fmt.Errorf("upgrade: %w", err)
-	}
-	b1c, _ := json.Marshal(r1)
-	deterministic := string(b1c) == string(b2)
-
-	rep := &Report{ID: "upgrade", Title: "Rolling-upgrade soak: warm handoff, zero dropped flows"}
-	rep.Printf("rollout: %d members, done=%v in %d ticks  rollbacks %d  phases %v",
-		r1.Members, r1.RolloutDone, r1.RolloutTicks, r1.Rollbacks, r1.FinalPhases)
-	rep.Printf("handoff: %d transfers  %d entries imported (%d chunks, %d delta replays, %d retries, %d cancels)  %d buckets moved warm",
-		r1.HandoffTransfers, r1.HandoffImported, r1.HandoffChunks, r1.HandoffDeltas,
-		r1.HandoffRetries, r1.HandoffCancels, r1.BucketsMigrated)
-	rep.Printf("flows %d (established %d, mid-update %d, moved members %d)  packets %d (forwarded %d)  pool updates %d",
-		r1.FlowsStarted, r1.FlowsEstablished, r1.MidUpdateEstablished, r1.MovedFlows,
-		r1.Packets, r1.Forwarded, r1.PoolUpdates)
-	rep.Printf("PCC violations %d  established-flow drops %d", r1.PCCViolations, r1.Drops)
-	if r1.InvariantsOK {
-		rep.Printf("invariants: all hold")
-	} else {
-		for _, s := range r1.Violations {
-			rep.Printf("INVARIANT VIOLATED: %s", s)
-		}
-	}
-	if deterministic {
-		rep.Printf("determinism: second run with seed %d reproduced the report byte for byte", seed)
-	} else {
-		rep.Printf("DETERMINISM VIOLATED: same seed produced a different report")
-	}
-	if !r1.InvariantsOK || !deterministic {
-		return nil, fmt.Errorf("upgrade soak failed: %v (deterministic=%v)", r1.Violations, deterministic)
-	}
-	rep.ArtifactName = "UPGRADE_soak.json"
-	rep.Artifact = append(b1, '\n')
-	return rep, nil
+	return runSoak("upgrade", "Rolling-upgrade soak: warm handoff, zero dropped flows", "UPGRADE_soak.json",
+		scale, seed, RunUpgradeSoak, func(rep *Report, r *UpgradeReport) {
+			rep.Printf("rollout: %d members, done=%v in %d ticks  rollbacks %d  phases %v",
+				r.Members, r.RolloutDone, r.RolloutTicks, r.Rollbacks, r.FinalPhases)
+			rep.Printf("handoff: %d transfers  %d entries imported (%d chunks, %d delta replays, %d retries, %d cancels)  %d buckets moved warm",
+				r.HandoffTransfers, r.HandoffImported, r.HandoffChunks, r.HandoffDeltas,
+				r.HandoffRetries, r.HandoffCancels, r.BucketsMigrated)
+			rep.Printf("flows %d (established %d, mid-update %d, moved members %d)  packets %d (forwarded %d)  pool updates %d",
+				r.FlowsStarted, r.FlowsEstablished, r.MidUpdateEstablished, r.MovedFlows,
+				r.Packets, r.Forwarded, r.PoolUpdates)
+			rep.Printf("PCC violations %d  established-flow drops %d", r.PCCViolations, r.Drops)
+		})
 }

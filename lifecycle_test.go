@@ -1,7 +1,6 @@
 package silkroad
 
 import (
-	"fmt"
 	"math/rand"
 	"net/netip"
 	"reflect"
@@ -89,16 +88,17 @@ type lifeOutcome struct {
 }
 
 // lifeScript runs the seeded script against a fresh switch (see lifeSwitch
-// for aging) and returns every packet's outcome, the final counters and the
-// final ConnTable, entry by entry in physical order. The script: prime the
-// table with resident connections, then keep 1024 short connections (SYN,
-// ACK, ACK, FIN) open — 0.8 of the table's size in all — each slot
-// advancing a random one, so a connection outlives its pending window; a
-// FIN ends its connection after the batch and a new connection takes its
-// place; every 1024 packets one VIP's pool gains or loses a DIP. With
-// advance set, AdvanceTo runs the runtime up to each batch's instant before
-// the batch; without, only the poll each frame makes does.
-func lifeScript(t *testing.T, seed int64, advance bool, aging Duration) ([]lifeOutcome, Stats, []cuckoo.Entry) {
+// for aging) that announces vips VIPs, of which the script sends to the
+// first lifeVIPs only, and returns every packet's outcome, the final
+// counters and the final ConnTable, entry by entry in physical order. The
+// script: prime the table with resident connections, then keep 1024 short
+// connections (SYN, ACK, ACK, FIN) open — 0.8 of the table's size in all —
+// each slot advancing a random one, so a connection outlives its pending
+// window; a FIN ends its connection after the batch and a new connection
+// takes its place; every 1024 packets one VIP's pool gains or loses a DIP.
+// With advance set, AdvanceTo runs the runtime up to each batch's instant
+// before the batch; without, only the poll each frame makes does.
+func lifeScript(t *testing.T, seed int64, advance bool, aging Duration, vips int) ([]lifeOutcome, Stats, []cuckoo.Entry) {
 	const (
 		tableN   = 20_000
 		window   = 1024
@@ -107,6 +107,12 @@ func lifeScript(t *testing.T, seed int64, advance bool, aging Duration) ([]lifeO
 	)
 	sw := lifeSwitch(t, tableN, aging)
 	defer sw.Close()
+	for v := lifeVIPs; v < vips; v++ {
+		idle := VIP{Addr: netip.AddrFrom4([4]byte{21, 0, byte(v >> 8), byte(v)}), Port: 80, Proto: TCP}
+		if err := sw.AddVIP(0, idle, lifePool(0, 4)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	frames := make([]Frame, lifeBatch)
 	results := make([]Result, lifeBatch)
 	bufs := make([][]byte, lifeBatch)
@@ -186,11 +192,21 @@ func lifeScript(t *testing.T, seed int64, advance bool, aging Duration) ([]lifeO
 // alone yields the same (Verdict, DIP, Version) for every packet and the
 // same counters. The runtime's step horizon moves when background work is
 // executed within a span no packet arrives in — never what a packet sees.
+// The 6 400-VIP case holds the poll to that with thousands of idle VIPs
+// beside the script's eight; it skips under -race, where its per-frame walk
+// of every VIP takes minutes and the script runs on one goroutine.
 func TestAdvanceToMatchesFramePoll(t *testing.T) {
-	for _, seed := range []int64{1, 7} {
-		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
-			polled, polledStats, _ := lifeScript(t, seed, false, 0)
-			driven, drivenStats, _ := lifeScript(t, seed, true, 0)
+	for _, c := range []struct {
+		name string
+		seed int64
+		vips int
+	}{{"seed1", 1, lifeVIPs}, {"seed7", 7, lifeVIPs}, {"seed7_6400vips", 7, 6400}} {
+		t.Run(c.name, func(t *testing.T) {
+			if c.vips > lifeVIPs && raceBuild() {
+				t.Skip("thousands of idle VIPs: skipped under -race")
+			}
+			polled, polledStats, _ := lifeScript(t, c.seed, false, 0, c.vips)
+			driven, drivenStats, _ := lifeScript(t, c.seed, true, 0, c.vips)
 			for i := range polled {
 				if polled[i] != driven[i] {
 					t.Fatalf("packet %d: per-frame poll %+v, AdvanceTo per batch %+v", i, polled[i], driven[i])
@@ -210,8 +226,8 @@ func TestAdvanceToMatchesFramePoll(t *testing.T) {
 // counters and the same entry in every ConnTable position.
 func TestAgingIdleMatchesAgingOff(t *testing.T) {
 	for _, advance := range []bool{false, true} {
-		off, offStats, offTable := lifeScript(t, 7, advance, 0)
-		idle, idleStats, idleTable := lifeScript(t, 7, advance, Minute)
+		off, offStats, offTable := lifeScript(t, 7, advance, 0, lifeVIPs)
+		idle, idleStats, idleTable := lifeScript(t, 7, advance, Minute, lifeVIPs)
 		for i := range off {
 			if off[i] != idle[i] {
 				t.Fatalf("advance %v, packet %d: aging off %+v, aging idle %+v", advance, i, off[i], idle[i])
