@@ -115,8 +115,9 @@ type batchIO interface {
 	// either n > 0 or an error; net.ErrClosed once the socket is closed.
 	recv(bufs [][]byte, sizes []int) (n int, err error)
 	// send transmits pkts[i] to dsts[i] in order and returns how many
-	// leading packets went out. sent < len(pkts) means packet number sent
-	// failed with err; the caller resumes after it.
+	// leading packets went out; consecutive packets to one destination may
+	// leave as one segmented message. sent < len(pkts) means packet number
+	// sent failed with err; the caller resumes after it.
 	send(pkts [][]byte, dsts []netip.AddrPort) (sent int, err error)
 }
 
@@ -239,6 +240,11 @@ type tunnelBatch struct {
 	pkts [][]byte         // TX gather list: frame data or enc slots
 	dsts []netip.AddrPort // the DIP of each gathered packet
 	enc  [][]byte         // TunnelIPIP scratch, one slot per packet of the batch
+
+	// The gather list grouped by DIP (byDst), and which packets it has taken.
+	grpPkts [][]byte
+	grpDsts []netip.AddrPort
+	taken   []bool
 }
 
 func (t *Tunnel) newBatch() *tunnelBatch {
@@ -249,6 +255,9 @@ func (t *Tunnel) newBatch() *tunnelBatch {
 		results: make([]Result, t.batch),
 		pkts:    make([][]byte, 0, t.batch),
 		dsts:    make([]netip.AddrPort, 0, t.batch),
+		grpPkts: make([][]byte, 0, t.batch),
+		grpDsts: make([]netip.AddrPort, 0, t.batch),
+		taken:   make([]bool, t.batch),
 	}
 	// One byte past MaxPacket is how a longer datagram shows: it fills its
 	// slot. With the default 9 217-byte slots the packet heads also fall on
@@ -302,7 +311,8 @@ func (t *Tunnel) step(b *tunnelBatch) error {
 
 // transmit applies each verdict on the TX side — in-place destination
 // rewrite or IP-in-IP encapsulation via the frame's cached offsets — and
-// hands all forwards of the batch to the egress socket together. A packet
+// hands all forwards of the batch to the egress socket together, grouped
+// by DIP so that each DIP's share can leave as one message. A packet
 // counts as forwarded only once the send that delivers it has returned.
 func (t *Tunnel) transmit(b *tunnelBatch, n int) {
 	var forwarded, dropped, txErrors, txBatches uint64
@@ -331,6 +341,7 @@ func (t *Tunnel) transmit(b *tunnelBatch, n int) {
 		}
 		pkts, dsts = append(pkts, payload), append(dsts, res.DIP)
 	}
+	pkts, dsts = b.byDst(pkts, dsts)
 	for len(pkts) > 0 {
 		sent, err := t.io.send(pkts, dsts)
 		txBatches++
@@ -346,6 +357,27 @@ func (t *Tunnel) transmit(b *tunnelBatch, n int) {
 	t.dropped.Add(dropped)
 	t.txErrors.Add(txErrors)
 	t.txBatches.Add(txBatches)
+}
+
+// byDst returns the gather list grouped by destination: the DIPs in order
+// of first appearance, each DIP's packets in arrival order, so every flow
+// keeps its order. It compares each DIP against the rest of the list, n
+// per DIP, which is far below the cost of the message each DIP becomes.
+func (b *tunnelBatch) byDst(pkts [][]byte, dsts []netip.AddrPort) ([][]byte, []netip.AddrPort) {
+	gp, gd, taken := b.grpPkts[:0], b.grpDsts[:0], b.taken[:len(pkts)]
+	clear(taken)
+	for i, d := range dsts {
+		if taken[i] {
+			continue
+		}
+		for j := i; j < len(dsts); j++ {
+			if !taken[j] && dsts[j] == d {
+				taken[j] = true
+				gp, gd = append(gp, pkts[j]), append(gd, d)
+			}
+		}
+	}
+	return gp, gd
 }
 
 // portableIO is the batchIO built on what every platform has. On unix,

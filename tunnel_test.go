@@ -88,20 +88,35 @@ func eachTunnelIO(t *testing.T, fn func(t *testing.T, portable bool)) {
 	t.Run("portable", func(t *testing.T) { fn(t, true) })
 }
 
-// mmsgSyscalls returns how many recvmmsg and sendmmsg calls have moved (or
-// failed) a message for the tunnel so far; ok is false when the tunnel runs
-// on the portable implementation. Where NewTunnel is expected to have
-// chosen the mmsg pair and did not, the test fails.
-func (h *tunnelHarness) mmsgSyscalls(t *testing.T, portable bool) (recv, send uint64, ok bool) {
+// mmsgCounts is what the mmsg implementation has counted for the tunnel
+// so far: recvmmsg and sendmmsg calls that moved (or failed) a message, and
+// the messages sendmmsg moved; gso is whether a message may carry more than
+// one packet.
+type mmsgCounts struct {
+	recv, send, msgs uint64
+	gso              bool
+}
+
+// mmsgCounts returns the mmsg implementation's counts; ok is false when the
+// tunnel runs on the portable implementation. Where NewTunnel is expected
+// to have chosen the mmsg pair with UDP GSO and did not, the test fails.
+func (h *tunnelHarness) mmsgCounts(t *testing.T, portable bool) (c mmsgCounts, ok bool) {
 	t.Helper()
-	if c, isMmsg := h.tun.io.(interface{ syscalls() (recv, send uint64) }); isMmsg {
-		recv, send = c.syscalls()
-		return recv, send, true
+	want := !portable && runtime.GOOS == "linux" && (runtime.GOARCH == "amd64" || runtime.GOARCH == "arm64")
+	m, isMmsg := h.tun.io.(interface {
+		counts() (recvmmsgs, sendmmsgs, messages uint64, gso bool)
+	})
+	if !isMmsg {
+		if want {
+			t.Errorf("NewTunnel chose %T on %s/%s, want recvmmsg/sendmmsg", h.tun.io, runtime.GOOS, runtime.GOARCH)
+		}
+		return c, false
 	}
-	if !portable && runtime.GOOS == "linux" && (runtime.GOARCH == "amd64" || runtime.GOARCH == "arm64") {
-		t.Errorf("NewTunnel chose %T on %s/%s, want recvmmsg/sendmmsg", h.tun.io, runtime.GOOS, runtime.GOARCH)
+	c.recv, c.send, c.msgs, c.gso = m.counts()
+	if want && !c.gso {
+		t.Errorf("the tunnel's sendmmsg does not segment on %s/%s, want UDP GSO", runtime.GOOS, runtime.GOARCH)
 	}
-	return 0, 0, false
+	return c, true
 }
 
 // tunnelHarness bundles one switch+tunnel with its client socket.
@@ -189,6 +204,13 @@ func startTunnel(t *testing.T, sw *Switch, mode string, portable bool) *tunnelHa
 // src; the client address takes the VIP's family.
 func tcpPacket(t *testing.T, vip VIP, src uint16, flags uint8) []byte {
 	t.Helper()
+	return tcpPacketWith(t, vip, src, flags, []byte("payload"))
+}
+
+// tcpPacketWith is tcpPacket carrying payload; over IPv4 the packet is 40
+// bytes longer than it.
+func tcpPacketWith(t *testing.T, vip VIP, src uint16, flags uint8, payload []byte) []byte {
+	t.Helper()
 	client := netip.MustParseAddr("10.1.0.1")
 	if vip.Addr.Is6() {
 		client = netip.MustParseAddr("2001:db8:1::1")
@@ -202,7 +224,7 @@ func tcpPacket(t *testing.T, vip VIP, src uint16, flags uint8) []byte {
 			Proto:   TCP,
 		},
 		TCPFlags: flags,
-		Payload:  []byte("payload"),
+		Payload:  payload,
 	}
 	raw, err := p.Marshal(nil)
 	if err != nil {
@@ -677,26 +699,63 @@ func testTunnelLoneDatagram(t *testing.T, portable bool) {
 // TestTunnelBacklogOneBatch: datagrams already queued when the loop looks
 // at the socket are one read pass and one send pass through either
 // implementation, and on linux one recvmmsg and one sendmmsg, counted where
-// the syscalls are made.
+// the syscalls are made. With UDP GSO that sendmmsg carries one message per
+// DIP, cut where a packet's length breaks the run, and every DIP still
+// receives each of its datagrams whole and in order.
 func TestTunnelBacklogOneBatch(t *testing.T) { eachTunnelIO(t, testTunnelBacklogOneBatch) }
 
 func testTunnelBacklogOneBatch(t *testing.T, portable bool) {
-	sink := listenSink(t, "udp4")
-	sw, vips := sinkSwitch(t, sink)
+	for _, tc := range []struct {
+		name  string
+		dips  int   // the backlog goes round the DIPs, datagram i to DIP i%dips
+		sizes []int // datagram lengths; 0 is tcpPacket's 47 bytes
+		msgs  uint64
+	}{
+		{"one DIP", 1, make([]int, 64), 1}, // 64: the default BatchSize
+		{"four DIPs", 4, make([]int, 64), 4},
+		// A message's segments are as long as its first: the 40-byte packet
+		// closes one, the 60-byte one cannot join the 48-byte one before it.
+		{"mixed sizes", 1, []int{48, 48, 40, 48, 60}, 3},
+		// Seven fit a message's 65 507 bytes, the eighth starts the next.
+		{"jumbo", 1, []int{9000, 9000, 9000, 9000, 9000, 9000, 9000, 9000}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testBacklog(t, portable, tc.dips, tc.sizes, tc.msgs) })
+	}
+}
+
+func testBacklog(t *testing.T, portable bool, dips int, sizes []int, gsoMsgs uint64) {
+	sinks := make([]*tunnelSink, dips)
+	for i := range sinks {
+		sinks[i] = listenSink(t, "udp4")
+	}
+	sw, vips := sinkSwitch(t, sinks...)
 	h := newTunnelHarness(t, sw, TunnelRewrite, portable)
 
-	const n = 64 // the default BatchSize
-	for i := 0; i < n; i++ {
-		h.send(t, vips[0], 51000+uint16(i), FlagSYN)
+	type datagram struct {
+		port uint16
+		size int
+	}
+	want := make([][]datagram, dips)
+	for i, size := range sizes {
+		d, port := i%dips, 51000+uint16(i)
+		pkt := tcpPacket(t, vips[d], port, FlagSYN)
+		if size > 0 {
+			pkt = tcpPacketWith(t, vips[d], port, FlagSYN, make([]byte, size-40))
+		}
+		if _, err := h.client.Write(pkt); err != nil {
+			t.Fatalf("client send: %v", err)
+		}
+		want[d] = append(want[d], datagram{port, len(pkt)})
 	}
 	h.startOnBacklog(t)
-	seen := make(map[uint16]bool)
-	for i := 0; i < n; i++ {
-		seen[sink.next(t).Tuple.SrcPort] = true
+	for d, dgs := range want {
+		for _, w := range dgs {
+			if f := sinks[d].next(t); f.Tuple.SrcPort != w.port || len(f.Data) != w.size {
+				t.Fatalf("DIP %d received connection %d (%d B), want %d (%d B)", d, f.Tuple.SrcPort, len(f.Data), w.port, w.size)
+			}
+		}
 	}
-	if len(seen) != n {
-		t.Errorf("sink saw %d distinct connections, want %d", len(seen), n)
-	}
+	n := uint64(len(sizes))
 	h.waitForwarded(t, n)
 	st := h.reconciled(t)
 	if st.Forwarded != n {
@@ -706,19 +765,27 @@ func testTunnelBacklogOneBatch(t *testing.T, portable bool) {
 	if p, isPortable := h.tun.io.(*portableIO); (!isPortable || p.raw != nil) && (st.RxBatches != 1 || st.TxBatches != 1) {
 		t.Errorf("a %d-datagram backlog took %d read and %d send passes, want 1 and 1", n, st.RxBatches, st.TxBatches)
 	}
-	if recv, send, ok := h.mmsgSyscalls(t, portable); ok && (recv != 1 || send != 1) {
-		t.Errorf("a %d-datagram backlog cost %d recvmmsg and %d sendmmsg calls, want 1 and 1", n, recv, send)
+	if c, ok := h.mmsgCounts(t, portable); ok {
+		msgs := n
+		if c.gso {
+			msgs = gsoMsgs
+		}
+		if c.recv != 1 || c.send != 1 || c.msgs != msgs {
+			t.Errorf("a %d-datagram backlog to %d DIPs cost %d recvmmsg and %d sendmmsg calls carrying %d messages, want 1, 1 and %d",
+				n, dips, c.recv, c.send, c.msgs, msgs)
+		}
 	}
 }
 
 // TestTunnelPartialSendFailure: one unsendable destination in the middle of
 // a batch costs exactly that packet. No socket can send to port 0,
-// whichever way the datagram is handed over.
+// whichever way the datagram is handed over. The batch goes to DIPs A, A,
+// bad, B, B, so grouped by DIP the bad packet still sits between two sends.
 func TestTunnelPartialSendFailure(t *testing.T) { eachTunnelIO(t, testTunnelPartialSendFailure) }
 
 func testTunnelPartialSendFailure(t *testing.T, portable bool) {
-	sink := listenSink(t, "udp4")
-	sw, vips := sinkSwitch(t, sink)
+	sinkA, sinkB := listenSink(t, "udp4"), listenSink(t, "udp4")
+	sw, vips := sinkSwitch(t, sinkA, sinkB)
 	bad := NewVIP("20.0.0.2", 80, TCP)
 	if err := sw.AddVIP(sw.Now(), bad, []DIP{netip.MustParseAddrPort("127.0.0.1:0")}); err != nil {
 		t.Fatal(err)
@@ -726,13 +793,16 @@ func testTunnelPartialSendFailure(t *testing.T, portable bool) {
 	h := newTunnelHarness(t, sw, TunnelRewrite, portable)
 
 	// Queued before the loop starts, so all five are one batch.
-	for i, vip := range []VIP{vips[0], vips[0], bad, vips[0], vips[0]} {
+	for i, vip := range []VIP{vips[0], vips[0], bad, vips[1], vips[1]} {
 		h.send(t, vip, 52000+uint16(i), FlagSYN)
 	}
 	h.startOnBacklog(t)
-	for _, want := range []uint16{52000, 52001, 52003, 52004} {
-		if got := sink.next(t).Tuple.SrcPort; got != want {
-			t.Fatalf("sink received connection %d, want %d (in order, skipping only the failed one)", got, want)
+	for _, want := range []struct {
+		sink *tunnelSink
+		port uint16
+	}{{sinkA, 52000}, {sinkA, 52001}, {sinkB, 52003}, {sinkB, 52004}} {
+		if got := want.sink.next(t).Tuple.SrcPort; got != want.port {
+			t.Fatalf("sink %v received connection %d, want %d (in order, skipping only the failed one)", want.sink.addr, got, want.port)
 		}
 	}
 	h.waitForwarded(t, 5)
@@ -741,9 +811,16 @@ func testTunnelPartialSendFailure(t *testing.T, portable bool) {
 	} else if st.TxBatches != 2 {
 		t.Errorf("%d send passes around one failed packet, want 2 (up to it, then after it)", st.TxBatches)
 	}
-	// Two messages out, the third's errno, the last two out.
-	if _, send, ok := h.mmsgSyscalls(t, portable); ok && send != 3 {
-		t.Errorf("%d sendmmsg calls around one failed message, want 3", send)
+	// A's message out, the bad one's errno, B's message out: with GSO each
+	// good DIP's two packets are one message.
+	if c, ok := h.mmsgCounts(t, portable); ok {
+		msgs := uint64(4)
+		if c.gso {
+			msgs = 2
+		}
+		if c.send != 3 || c.msgs != msgs {
+			t.Errorf("%d sendmmsg calls carrying %d messages around one failed message, want 3 and %d", c.send, c.msgs, msgs)
+		}
 	}
 }
 
@@ -792,15 +869,7 @@ func testTunnelOversizeDatagram(t *testing.T, portable bool) {
 	for i, size := range sizes {
 		pkt := tcpPacket(t, vips[0], 55000+uint16(i), FlagSYN)
 		if size > 0 {
-			p := Packet{
-				Tuple:    FiveTuple{Src: netip.MustParseAddr("10.1.0.1"), Dst: vips[0].Addr, SrcPort: 55000 + uint16(i), DstPort: vips[0].Port, Proto: TCP},
-				TCPFlags: FlagSYN,
-				Payload:  make([]byte, size-40), // 20 B of IPv4 and 20 of TCP header
-			}
-			var err error
-			if pkt, err = p.Marshal(nil); err != nil || len(pkt) != size {
-				t.Fatalf("marshal a %d-byte packet: %d bytes, %v", size, len(pkt), err)
-			}
+			pkt = tcpPacketWith(t, vips[0], 55000+uint16(i), FlagSYN, make([]byte, size-40))
 		}
 		if _, err := h.client.Write(pkt); err != nil {
 			t.Fatalf("client send of %d bytes: %v", len(pkt), err)
