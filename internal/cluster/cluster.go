@@ -24,7 +24,6 @@ import (
 	"repro/internal/ctrlplane"
 	"repro/internal/dataplane"
 	"repro/internal/handoff"
-	"repro/internal/hashing"
 	"repro/internal/netproto"
 	"repro/internal/simtime"
 )
@@ -152,9 +151,7 @@ func (c *Cluster) Update(now simtime.Time, vip dataplane.VIP, pool []dataplane.D
 
 // sprayIndex picks the switch for a connection.
 func (c *Cluster) sprayIndex(t netproto.FiveTuple) int {
-	var buf [37]byte
-	h := hashing.Hash64(c.cfg.SpraySeed, t.KeyBytes(buf[:]))
-	return c.spray[h%uint64(len(c.spray))]
+	return c.spray[c.bucketOf(t)]
 }
 
 // Packet routes one packet: resilient ECMP to a switch, then that

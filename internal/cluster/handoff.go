@@ -7,7 +7,6 @@ import (
 	"repro/internal/ctrlplane"
 	"repro/internal/dataplane"
 	"repro/internal/handoff"
-	"repro/internal/hashing"
 	"repro/internal/netproto"
 	"repro/internal/simtime"
 )
@@ -35,9 +34,7 @@ var (
 // bucketOf returns the resilient-ECMP bucket a tuple hashes to (the
 // stable routing key; sprayIndex is spray[bucketOf]).
 func (c *Cluster) bucketOf(t netproto.FiveTuple) int {
-	var buf [37]byte
-	h := hashing.Hash64(c.cfg.SpraySeed, t.KeyBytes(buf[:]))
-	return int(h % uint64(len(c.spray)))
+	return int(netproto.TupleHash(c.cfg.SpraySeed, &t) % uint64(len(c.spray)))
 }
 
 // SetBackstop registers the software-load-balancer backstop (§7's
@@ -187,14 +184,6 @@ func (c *Cluster) CancelDrain(now simtime.Time) error {
 	}
 	c.drain = nil
 	return nil
-}
-
-// Draining returns the active drain's donor, if any.
-func (c *Cluster) Draining() (donor int, active bool) {
-	if c.drain == nil {
-		return 0, false
-	}
-	return c.drain.donor, true
 }
 
 // UpgradeSwitch takes a DRAINED switch out of service: unlike
@@ -367,14 +356,6 @@ func (c *Cluster) CancelRejoin(now simtime.Time) error {
 	}
 	c.rejoin = nil
 	return nil
-}
-
-// Rejoining returns the active rejoin's member, if any.
-func (c *Cluster) Rejoining() (member int, active bool) {
-	if c.rejoin == nil {
-		return 0, false
-	}
-	return c.rejoin.member, true
 }
 
 // ShadowDIP resolves a connection's pinned backend through the

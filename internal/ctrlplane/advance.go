@@ -471,7 +471,7 @@ func (cp *ControlPlane) chargeCPU(now simtime.Time) {
 // observed or simulator-driven flow end): its entry is deleted and its
 // pool version's refcount drops, possibly retiring the version.
 func (cp *ControlPlane) EndConnection(now simtime.Time, tuple netproto.FiveTuple) {
-	e, ok := cp.tracked(cp.sw.KeyHash(tuple), cp.sw.ConnDigest(tuple))
+	e, ok := cp.tracked(cp.sw.ConnHashes(tuple))
 	if !ok {
 		return
 	}

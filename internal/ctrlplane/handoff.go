@@ -82,14 +82,8 @@ func (cp *ControlPlane) BeginExport(now simtime.Time) *ExportSession {
 // a transferable entry. Delete entries skip the pool and DIP (the receiver
 // removes by tuple).
 func (cp *ControlPlane) exportEntry(vc *vipCtl, tuple netproto.FiveTuple, ver uint32, op handoff.Op) handoff.Entry {
-	e := handoff.Entry{
-		Op:      op,
-		Tuple:   tuple,
-		KeyHash: cp.sw.KeyHash(tuple),
-		Digest:  cp.sw.ConnDigest(tuple),
-		VIP:     vc.vip,
-		Version: ver,
-	}
+	e := handoff.Entry{Op: op, Tuple: tuple, VIP: vc.vip, Version: ver}
+	e.KeyHash, e.Digest = cp.sw.ConnHashes(tuple)
 	if op == handoff.OpUpsert {
 		e.Pool = clone(vc.pools[ver])
 		if dip, err := cp.sw.SelectDIP(vc.vip, ver, tuple); err == nil {
@@ -220,7 +214,7 @@ func (cp *ControlPlane) MapVersion(now simtime.Time, vip dataplane.VIP, donorPoo
 // handoff.ErrBackpressure and the transfer pauses until the CPU drains.
 // A connection the receiver already tracks is a no-op (nil).
 func (cp *ControlPlane) ImportEntry(now simtime.Time, tuple netproto.FiveTuple, ver uint32) error {
-	kh, dg := cp.sw.KeyHash(tuple), cp.sw.ConnDigest(tuple)
+	kh, dg := cp.sw.ConnHashes(tuple)
 	if _, ok := cp.tracked(kh, dg); ok {
 		return nil
 	}
@@ -321,8 +315,8 @@ func (im *Importer) Unwind(now simtime.Time) {
 // EndConnection it does not count toward ConnsEnded when the connection
 // was never tracked.
 func (cp *ControlPlane) EndImported(now simtime.Time, tuple netproto.FiveTuple) {
-	kh := cp.sw.KeyHash(tuple)
-	e, ok := cp.tracked(kh, cp.sw.ConnDigest(tuple))
+	kh, dg := cp.sw.ConnHashes(tuple)
+	e, ok := cp.tracked(kh, dg)
 	if !ok {
 		// The entry may still sit in the import queue: cancel it there so a
 		// delta delete racing the snapshot import cannot resurrect it.

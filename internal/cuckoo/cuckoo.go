@@ -286,9 +286,6 @@ func (t *Table) SetOccupancyLimit(limit int) {
 	t.limit = limit
 }
 
-// OccupancyLimit returns the current artificial entry cap (0 = none).
-func (t *Table) OccupancyLimit() int { return t.limit }
-
 // EffectiveCapacity returns the entry budget insertions actually have:
 // Capacity, lowered to the occupancy limit while one is set.
 func (t *Table) EffectiveCapacity() int {
@@ -502,15 +499,6 @@ func (t *Table) EntryKeyHash(h Handle) (uint64, error) {
 		return 0, err
 	}
 	return t.keyHashAt(p), nil
-}
-
-// ValueAt returns the value stored at h.
-func (t *Table) ValueAt(h Handle) (uint32, error) {
-	p, err := t.occupiedPos(h)
-	if err != nil {
-		return 0, err
-	}
-	return t.wordValue(t.words[p]), nil
 }
 
 // Insert installs keyHash->value with the given digest, running the cuckoo

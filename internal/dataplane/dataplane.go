@@ -70,21 +70,6 @@ type Config struct {
 	LearnFilterTimeout  simtime.Duration // 1 ms
 	DisableTransit      bool             // ablation: SilkRoad w/o TransitTable
 	Seed                uint64
-	// DerivedHashes switches the per-packet connection hashes (KeyHash,
-	// ConnDigest) from byte hashes over the serialized KeyBytes layout to
-	// derivations of one chip-level lane hash of the 5-tuple
-	// (netproto.LaneHash under LaneSeed). The multi-pipe engine enables it
-	// so every pipe derives its key hash and digest from the single ingress
-	// hash the chip already computed to pick the pipe — one fixed-width
-	// hash per packet instead of two serialize-and-byte-hash rounds per
-	// pipe. The two schemes produce unrelated values: never flip the flag
-	// on a switch whose ConnTable holds live entries.
-	DerivedHashes bool
-	// LaneSeed seeds the chip-level lane hash when DerivedHashes is set. It
-	// is shared by every pipe of a chip (unlike Seed, which is diversified
-	// per pipe) and is used verbatim — zero included — so a configuration
-	// never collapses silently onto a different seed.
-	LaneSeed uint64
 	// DegradedHighWatermark and DegradedLowWatermark enable degraded mode:
 	// fractions of ConnTable's effective capacity (0 < Low < High <= 1).
 	// When occupancy reaches the high watermark the switch stops learning
@@ -432,29 +417,27 @@ func (s *Switch) VIPTelemetry(vip VIP) *telemetry.VIPSeries {
 	return nil
 }
 
-// KeyHash returns the 64-bit connection key hash used for table addressing
-// and bloom membership. Under Config.DerivedHashes it is derived from the
-// chip-level lane hash; otherwise it byte-hashes the serialized key. Every
+// ConnHashes returns the connection's key hash (table addressing, bloom
+// membership, DIP selection) and its digest (the ConnTable match field) in
+// one pass over the tuple's lanes. They equal hashing.Hash64 and
+// hashing.Digest over the tuple's KeyBytes under the switch's seeds. Every
 // tuple-keyed path (packet processing, CPU inserts and deletes, SYN
-// arbitration) funnels through this method or through Result.KeyHash
-// values it produced, so the two schemes never mix on one table.
-func (s *Switch) KeyHash(t netproto.FiveTuple) uint64 {
-	if s.cfg.DerivedHashes {
-		return hashing.HashUint64(s.connSeed, netproto.LaneHash(s.cfg.LaneSeed, &t))
-	}
-	var buf [37]byte
-	return hashing.Hash64(s.connSeed, t.KeyBytes(buf[:]))
+// arbitration) funnels through this method or through the Result.KeyHash
+// and Result.Digest values it produced.
+func (s *Switch) ConnHashes(t netproto.FiveTuple) (uint64, uint32) {
+	var buf [5]uint64
+	return hashing.HashDigestLanes(s.connSeed, s.digestSeed, s.cfg.DigestBits, t.Lanes(&buf))
 }
 
-// ConnDigest returns the connection digest stored as the ConnTable match
-// field (derived from the lane hash under Config.DerivedHashes).
+// KeyHash returns the connection key hash of ConnHashes alone.
+func (s *Switch) KeyHash(t netproto.FiveTuple) uint64 {
+	return netproto.TupleHash(s.connSeed, &t)
+}
+
+// ConnDigest returns the connection digest of ConnHashes alone.
 func (s *Switch) ConnDigest(t netproto.FiveTuple) uint32 {
-	if s.cfg.DerivedHashes {
-		return hashing.DigestUint64(s.digestSeed, s.cfg.DigestBits,
-			netproto.LaneHash(s.cfg.LaneSeed, &t))
-	}
-	var buf [37]byte
-	return hashing.Digest(s.digestSeed, s.cfg.DigestBits, t.KeyBytes(buf[:]))
+	_, digest := s.ConnHashes(t)
+	return digest
 }
 
 // Process runs one decoded packet through the pipeline — the struct-currency
@@ -471,18 +454,8 @@ func (s *Switch) Process(now simtime.Time, pkt *netproto.Packet) Result {
 // it may enqueue a learn event or redirect a SYN to the CPU.
 func (s *Switch) ProcessFrame(now simtime.Time, f *netproto.Frame) Result {
 	var res Result
-	s.ProcessFrameInto(now, f, s.LaneOf(f), &res)
+	s.ProcessFrameInto(now, f, &res)
 	return res
-}
-
-// LaneOf returns the lane argument ProcessFrameInto expects for f: the
-// frame's chip-level lane hash when the switch derives its connection hashes
-// from it, and zero (ignored) otherwise.
-func (s *Switch) LaneOf(f *netproto.Frame) uint64 {
-	if s.cfg.DerivedHashes {
-		return f.LaneHash(s.cfg.LaneSeed)
-	}
-	return 0
 }
 
 // ProcessFrameInto is the pipeline's one entry: it runs the pipeline body
@@ -491,13 +464,10 @@ func (s *Switch) LaneOf(f *netproto.Frame) uint64 {
 // chain costs a measurable fraction of the per-packet budget — and emits
 // the telemetry event. The meter charges f.WireLen(): the bytes that
 // arrived for a parsed frame, the canonical framing for a synthetic one,
-// which the event's Wire flag tells apart. lane is the frame's chip-level
-// lane hash, which the multi-pipe batch path already took to pick the
-// pipe; it must equal f.LaneHash(Config.LaneSeed) and is ignored unless
-// Config.DerivedHashes is set.
-func (s *Switch) ProcessFrameInto(now simtime.Time, f *netproto.Frame, lane uint64, res *Result) {
+// which the event's Wire flag tells apart.
+func (s *Switch) ProcessFrameInto(now simtime.Time, f *netproto.Frame, res *Result) {
 	wireLen := f.WireLen()
-	vs := s.process(now, &f.Tuple, f.TCPFlags, wireLen, lane, res)
+	vs := s.process(now, &f.Tuple, f.TCPFlags, wireLen, res)
 	if s.tracer != nil {
 		var tel *telemetry.VIPSeries
 		if vs != nil {
@@ -546,7 +516,7 @@ func isSYN(tcpFlags uint8) bool {
 // (whose previous contents are overwritten). It returns the matched VIP
 // state so the tracing wrapper can label the event without a second map
 // lookup.
-func (s *Switch) process(now simtime.Time, tuple *netproto.FiveTuple, tcpFlags uint8, wireLen int, lane uint64, res *Result) *vipState {
+func (s *Switch) process(now simtime.Time, tuple *netproto.FiveTuple, tcpFlags uint8, wireLen int, res *Result) *vipState {
 	s.stats.Packets++
 	vip := VIPOf(*tuple)
 	vs := s.lastVS
@@ -570,15 +540,7 @@ func (s *Switch) process(now simtime.Time, tuple *netproto.FiveTuple, tcpFlags u
 			return vs
 		}
 	}
-	var keyHash uint64
-	var digest uint32
-	if s.cfg.DerivedHashes {
-		keyHash = hashing.HashUint64(s.connSeed, lane)
-		digest = hashing.DigestUint64(s.digestSeed, s.cfg.DigestBits, lane)
-	} else {
-		keyHash = s.KeyHash(*tuple)
-		digest = s.ConnDigest(*tuple)
-	}
+	keyHash, digest := s.ConnHashes(*tuple)
 	*res = Result{KeyHash: keyHash, Digest: digest, Metered: metered, Meter: meterColor}
 
 	if ver, h, hit := s.conn.Lookup(keyHash, digest); hit {

@@ -259,7 +259,8 @@ func (s *Switch) TransitInserts() int {
 // whose control plane derives key hashes from its records refuses it
 // (cuckoo.ErrNoRecord); CPU-scheduled callers use InsertConnAt.
 func (s *Switch) InsertConn(t netproto.FiveTuple, ver uint32) error {
-	return s.InsertConnAt(0, s.KeyHash(t), s.ConnDigest(t), ver, 0)
+	keyHash, digest := s.ConnHashes(t)
+	return s.InsertConnAt(0, keyHash, digest, ver, 0)
 }
 
 // InsertConnAt is the insertion itself, as the switch software issues it:
@@ -302,7 +303,7 @@ func (s *Switch) InsertConnAt(now simtime.Time, keyHash uint64, digest uint32, v
 // Telemetry is stamped at virtual time zero; use DeleteConnAt when the
 // caller knows when the CPU performed the delete.
 func (s *Switch) DeleteConn(t netproto.FiveTuple) bool {
-	e, ok := s.conn.FindDigest(s.KeyHash(t), s.ConnDigest(t))
+	e, ok := s.conn.FindDigest(s.ConnHashes(t))
 	return ok && s.DeleteConnAt(0, e, t)
 }
 
@@ -336,8 +337,8 @@ func (s *Switch) DeleteConnAt(now simtime.Time, e cuckoo.Entry, t netproto.FiveT
 // LookupConn returns the installed version for tuple, resolving by the
 // CPU's exact shadow (not subject to digest false positives).
 func (s *Switch) LookupConn(t netproto.FiveTuple) (uint32, bool) {
-	keyHash := s.KeyHash(t)
-	ver, h, ok := s.conn.Lookup(keyHash, s.ConnDigest(t))
+	keyHash, digest := s.ConnHashes(t)
+	ver, h, ok := s.conn.Lookup(keyHash, digest)
 	if !ok {
 		return 0, false
 	}

@@ -126,8 +126,7 @@ func (b *Balancer) AddVIP(vip dataplane.VIP, pool []dataplane.DIP) error {
 
 // keyHash hashes the tuple for ECMP/ConnTable addressing.
 func (b *Balancer) keyHash(t netproto.FiveTuple) uint64 {
-	var buf [37]byte
-	return hashing.Hash64(b.cfg.Seed^0xd0e7, t.KeyBytes(buf[:]))
+	return netproto.TupleHash(b.cfg.Seed^0xd0e7, &t)
 }
 
 // ecmpSelect is the switch hash: ECMP over the current pool.

@@ -24,22 +24,61 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
+// start and absorb are Hash64's recurrence over 64-bit lanes: the state
+// starts at start(seed), absorbs each lane's mix64 in order, and is
+// finalized by mix64. Data is read as its whole little-endian 8-byte words,
+// then — when its length is not a multiple of 8 — one tail lane (TailLane).
+func start(seed uint64) uint64 { return mix64(seed ^ 0x9e3779b97f4a7c15) }
+
+func absorb(h, mixed uint64) uint64 { return (h ^ mixed) * 0x2545f4914f6cdd1d }
+
+// TailLane is the lane Hash64 reads for the last n (1..7) bytes of its
+// data, whose little-endian value is word: the bytes tagged with their
+// count in the top byte, so data that differs only in trailing zero bytes
+// hashes apart.
+func TailLane(word uint64, n int) uint64 { return word | uint64(n)<<56 }
+
 // Hash64 hashes data with the given seed. It processes 8-byte lanes with
 // multiply-xor mixing and finalizes with splitmix64.
 func Hash64(seed uint64, data []byte) uint64 {
-	h := mix64(seed ^ 0x9e3779b97f4a7c15)
+	h := start(seed)
 	for len(data) >= 8 {
-		k := binary.LittleEndian.Uint64(data)
-		h = (h ^ mix64(k)) * 0x2545f4914f6cdd1d
+		h = absorb(h, mix64(binary.LittleEndian.Uint64(data)))
 		data = data[8:]
 	}
 	if len(data) > 0 {
 		var tail [8]byte
 		copy(tail[:], data)
-		k := binary.LittleEndian.Uint64(tail[:]) | uint64(len(data))<<56
-		h = (h ^ mix64(k)) * 0x2545f4914f6cdd1d
+		h = absorb(h, mix64(TailLane(binary.LittleEndian.Uint64(tail[:]), len(data))))
 	}
 	return mix64(h)
+}
+
+// HashLanes is Hash64(seed, data) for data already packed into its lanes
+// (whole words, then the TailLane) — the form for fixed-layout keys, which
+// can pack their fields into lanes directly instead of serializing them.
+func HashLanes(seed uint64, lanes []uint64) uint64 {
+	h := start(seed)
+	for _, k := range lanes {
+		h = absorb(h, mix64(k))
+	}
+	return mix64(h)
+}
+
+// HashDigestLanes is HashLanes under seed and Digest(seedBits, bits, ·) of
+// the same lanes, computed in one pass: each lane is mixed once and absorbed
+// into both states, as a hash unit would feed one extracted key to two
+// polynomials.
+func HashDigestLanes(seed, seedBits uint64, bits int, lanes []uint64) (uint64, uint32) {
+	if bits <= 0 || bits > 32 {
+		panic("hashing: digest width must be in 1..32")
+	}
+	h, d := start(seed), start(seedBits^digestSalt)
+	for _, k := range lanes {
+		m := mix64(k)
+		h, d = absorb(h, m), absorb(d, m)
+	}
+	return mix64(h), uint32(mix64(d) >> (64 - uint(bits)))
 }
 
 // Hash32 hashes data with the given seed, folded to 32 bits.
@@ -103,17 +142,20 @@ func Digest(seedBits uint64, bits int, data []byte) uint32 {
 	if bits <= 0 || bits > 32 {
 		panic("hashing: digest width must be in 1..32")
 	}
-	return uint32(Hash64(seedBits^0xd1ce5fca11ab1e00, data) >> (64 - uint(bits)))
+	return uint32(Hash64(seedBits^digestSalt, data) >> (64 - uint(bits)))
 }
 
-// DigestUint64 computes a b-bit connection digest of a key already reduced
-// to a fixed-width 64-bit value (the derived-hash scheme of multi-pipe
-// chips, where one chip-level lane hash feeds every per-pipe hash unit).
-// The seed-disjointness rules of Digest apply; the two functions produce
+// digestSalt keeps Digest's functions disjoint from Hash64's under the
+// same seed.
+const digestSalt = 0xd1ce5fca11ab1e00
+
+// DigestUint64 computes a b-bit digest of a key already reduced to a
+// fixed-width 64-bit value (synthetic keys with no tuple behind them). The
+// seed-disjointness rules of Digest apply; the two functions produce
 // unrelated digests and must not be mixed on one table.
 func DigestUint64(seedBits uint64, bits int, x uint64) uint32 {
 	if bits <= 0 || bits > 32 {
 		panic("hashing: digest width must be in 1..32")
 	}
-	return uint32(HashUint64(seedBits^0xd1ce5fca11ab1e00, x) >> (64 - uint(bits)))
+	return uint32(HashUint64(seedBits^digestSalt, x) >> (64 - uint(bits)))
 }

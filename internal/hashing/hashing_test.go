@@ -1,7 +1,9 @@
 package hashing
 
 import (
+	"encoding/binary"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -42,6 +44,63 @@ func TestHash64TailLengthMatters(t *testing.T) {
 	b := Hash64(9, []byte{1, 2, 3, 0})
 	if a == b {
 		t.Fatal("trailing zero byte did not change the hash")
+	}
+}
+
+// TestHash64Vectors pins Hash64 and Digest bit for bit: ConnTable placement,
+// digests and DIP choice on a one-pipe switch, and every golden built on
+// them, rest on these values.
+func TestHash64Vectors(t *testing.T) {
+	data := []byte("0123456789abcdefghijklmnopqrstuvwxyz0")
+	for _, v := range []struct {
+		n      int
+		hash   uint64
+		digest uint32
+	}{
+		{0, 0x6f7460ca9b211d8d, 0x38a7},
+		{1, 0x191e39b2efe2847a, 0xc2e0},
+		{7, 0xe9d8e523e41b798c, 0x3003},
+		{8, 0x79638b1ecc3b0243, 0xb87e},
+		{13, 0x1aa529fb06730b30, 0xc43f},
+		{16, 0xc16a541be52eaa63, 0xf96},
+		{37, 0xb16fd92d655c1494, 0x42be},
+	} {
+		if h, d := Hash64(0x5eed, data[:v.n]), Digest(0x5eed, 16, data[:v.n]); h != v.hash || d != v.digest {
+			t.Errorf("%d bytes: Hash64 %#x Digest %#x, want %#x %#x", v.n, h, d, v.hash, v.digest)
+		}
+	}
+}
+
+// TestHashLanesMatchHash64 checks the lane forms against the byte forms for
+// every length a lane packing can end on: data packed as its little-endian
+// words, then the tail with its byte count in the top byte.
+func TestHashLanesMatchHash64(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n <= 41; n++ {
+		for trial := 0; trial < 50; trial++ {
+			data := make([]byte, n)
+			rng.Read(data)
+			var lanes []uint64
+			for i := 0; i < n; i += 8 {
+				var w [8]byte
+				copy(w[:], data[i:])
+				if k := n - i; k < 8 {
+					w[7] = byte(k)
+				}
+				lanes = append(lanes, binary.LittleEndian.Uint64(w[:]))
+			}
+			seed, seedBits := rng.Uint64(), rng.Uint64()
+			if got, want := HashLanes(seed, lanes), Hash64(seed, data); got != want {
+				t.Fatalf("%d bytes: HashLanes %#x, Hash64 %#x", n, got, want)
+			}
+			for bits := 1; bits <= 32; bits++ {
+				h, d := HashDigestLanes(seed, seedBits, bits, lanes)
+				if h != Hash64(seed, data) || d != Digest(seedBits, bits, data) {
+					t.Fatalf("%d bytes, %d bits: HashDigestLanes %#x %#x, byte forms %#x %#x",
+						n, bits, h, d, Hash64(seed, data), Digest(seedBits, bits, data))
+				}
+			}
+		}
 	}
 }
 
@@ -108,6 +167,14 @@ func TestDigestPanicsOnBadWidth(t *testing.T) {
 				}
 			}()
 			Digest(1, bits, []byte("x"))
+		}()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("HashDigestLanes(bits=%d) did not panic", bits)
+				}
+			}()
+			HashDigestLanes(1, 2, bits, []uint64{'x'})
 		}()
 	}
 }

@@ -145,14 +145,6 @@ func NewUpgrader(ops UpgradeOps, order []int, cfg UpgradeConfig) *Upgrader {
 // Done reports whether every member has been processed.
 func (u *Upgrader) Done() bool { return u.idx >= len(u.order) }
 
-// Current returns the member being rolled and its phase.
-func (u *Upgrader) Current() (member int, phase UpgradePhase, ok bool) {
-	if u.Done() {
-		return 0, UpgradeDone, false
-	}
-	return u.order[u.idx], u.phase, true
-}
-
 // Phase returns member m's rollout phase.
 func (u *Upgrader) Phase(m int) UpgradePhase { return u.phases[m] }
 

@@ -58,8 +58,9 @@ func DecapIPIP(data []byte) (inner []byte, outerSrc, outerDst netip.Addr, err er
 	if Proto(data[9]) != ProtoIPIP {
 		return nil, netip.Addr{}, netip.Addr{}, ErrNotIPIP
 	}
+	// The outer total length must cover both headers, as the buffer does.
 	total := int(binary.BigEndian.Uint16(data[2:]))
-	if total > len(data) {
+	if total < ihl+20 || total > len(data) {
 		return nil, netip.Addr{}, netip.Addr{}, ErrTruncated
 	}
 	outerSrc = netip.AddrFrom4([4]byte(data[12:16]))

@@ -77,6 +77,15 @@ func TestDecapErrors(t *testing.T) {
 	if _, _, _, err := DecapIPIP(enc[:25]); err != ErrTruncated {
 		t.Fatalf("truncated: %v", err)
 	}
+	// An outer total length shorter than the two headers (0 here, as a
+	// fuzzer found) once sliced past the end of the packet and panicked.
+	for _, total := range []int{0, 19, 39} {
+		short := append([]byte(nil), enc...)
+		short[2], short[3] = byte(total>>8), byte(total)
+		if _, _, _, err := DecapIPIP(short); err != ErrTruncated {
+			t.Fatalf("outer total length %d: %v", total, err)
+		}
+	}
 }
 
 func BenchmarkEncapIPIP(b *testing.B) {

@@ -48,17 +48,8 @@ type Frame struct {
 	L4         int
 	PayloadOff int
 
-	// Cached chip-level lane hash (LaneHash memoization), keyed by seed so
-	// a frame crossing chips with different seeds cannot serve a stale
-	// value. laneOK distinguishes "not computed" from a computed value
-	// under seed zero.
-	laneSeed uint64
-	lane     uint64
-	laneOK   bool
-
 	// synthLen is the wire length of a synthetic frame (Data == nil), set by
-	// Packet.Frame. It sits in the padding after laneOK, so a Frame stays
-	// 128 bytes — two cache lines in the hot batch.
+	// Packet.Frame.
 	synthLen uint32
 }
 
@@ -157,20 +148,6 @@ func (f *Frame) IsSYN() bool { return f.TCPFlags&FlagSYN != 0 && f.TCPFlags&Flag
 // IsFIN reports whether the FIN flag is set.
 func (f *Frame) IsFIN() bool { return f.TCPFlags&FlagFIN != 0 }
 
-// LaneHash returns the chip-level ingress lane hash of the frame's
-// connection under seed, computing it on first use and serving the cached
-// value afterwards — the "hash once at ingress" the multi-pipe engine
-// derives pipe choice, key hash and digest from. The cache is keyed by
-// seed; RewriteDst invalidates it (the tuple changes).
-func (f *Frame) LaneHash(seed uint64) uint64 {
-	if !f.laneOK || f.laneSeed != seed {
-		f.lane = LaneHash(seed, &f.Tuple)
-		f.laneSeed = seed
-		f.laneOK = true
-	}
-	return f.lane
-}
-
 // Packet fills p with the frame's decoded form (Payload aliases Data) for
 // callers still on the struct currency.
 func (f *Frame) Packet(p *Packet) {
@@ -185,7 +162,7 @@ func (f *Frame) Packet(p *Packet) {
 // currencies. f carries exactly what the pipeline matches on and charges
 // (tuple, flags, sequence number, the canonical WireLen) and no bytes:
 // Data stays nil and the payload is not referenced. Any previous contents
-// of f, cached lane hash included, are discarded.
+// of f are discarded.
 func (p *Packet) Frame(f *Frame) {
 	*f = Frame{}
 	f.Tuple, f.TCPFlags, f.Seq = p.Tuple, p.TCPFlags, p.Seq
@@ -209,8 +186,7 @@ func AppendFrames(dst []Frame, pkts []*Packet) []Frame {
 // dip — the forwarding action the SilkRoad ASIC applies at deparse —
 // fixing the IPv4 header checksum and the L4 checksum using the offsets
 // cached at parse time: no re-decode. The address family of dip must match
-// the frame's. Tuple is updated to the rewritten destination and the lane
-// hash cache invalidated.
+// the frame's. Tuple is updated to the rewritten destination.
 func (f *Frame) RewriteDst(dip netip.AddrPort) error {
 	if dip.Addr().Is4() != f.Tuple.Dst.Is4() {
 		return fmt.Errorf("netproto: address family mismatch rewriting to %v", dip)
@@ -229,7 +205,6 @@ func (f *Frame) RewriteDst(dip netip.AddrPort) error {
 	binary.BigEndian.PutUint16(pkt[f.L4+2:], dip.Port())
 	f.Tuple.Dst = dip.Addr()
 	f.Tuple.DstPort = dip.Port()
-	f.laneOK = false
 	fillL4Checksum(pkt, f.Tuple, f.L4)
 	return nil
 }

@@ -231,33 +231,6 @@ func TestFrameRewriteDstFamilyMismatch(t *testing.T) {
 	}
 }
 
-// TestFrameLaneHashCache checks the memoized lane hash: it equals the
-// direct hash, is recomputed under a different seed, and is invalidated by
-// RewriteDst (the tuple changed).
-func TestFrameLaneHashCache(t *testing.T) {
-	raw := append([]byte(nil), framePackets(t)[1]...)
-	var f Frame
-	if err := ParseFrame(raw, &f); err != nil {
-		t.Fatal(err)
-	}
-	want := LaneHash(42, &f.Tuple)
-	if got := f.LaneHash(42); got != want {
-		t.Fatalf("LaneHash = %#x, want %#x", got, want)
-	}
-	if got := f.LaneHash(42); got != want {
-		t.Fatalf("cached LaneHash = %#x, want %#x", got, want)
-	}
-	if got, want := f.LaneHash(43), LaneHash(43, &f.Tuple); got != want {
-		t.Fatalf("reseeded LaneHash = %#x, want %#x", got, want)
-	}
-	if err := f.RewriteDst(netip.MustParseAddrPort("10.0.0.9:99")); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := f.LaneHash(43), LaneHash(43, &f.Tuple); got != want {
-		t.Fatalf("post-rewrite LaneHash = %#x, want %#x (stale cache?)", got, want)
-	}
-}
-
 // TestRewriteDstZeroAlloc is the satellite regression for the old
 // RewriteDst, which re-decoded the whole packet (and allocated) on every
 // call: both the frame method and the package-level form must be
@@ -322,10 +295,9 @@ func BenchmarkParseFrame(b *testing.B) {
 
 // TestPacketFrameAgreesWithWire locks the one Packet -> Frame conversion to
 // the wire: for every family, transport and payload size the synthetic
-// frame carries the same match fields, length and lane hash as the frame
-// parsed from the packet's own Marshal output — and no bytes.
+// frame carries the same match fields and length as the frame parsed from
+// the packet's own Marshal output — and no bytes.
 func TestPacketFrameAgreesWithWire(t *testing.T) {
-	const seed = 0x51_1c_0a_d
 	var pkts []*Packet
 	for _, tuple := range []FiveTuple{tcpTuple4(), tcpTuple6()} {
 		for _, proto := range []Proto{ProtoTCP, ProtoUDP} {
@@ -343,7 +315,6 @@ func TestPacketFrameAgreesWithWire(t *testing.T) {
 				if err := ParseFrame(raw, &wire); err != nil {
 					t.Fatalf("ParseFrame(%v): %v", p.Tuple, err)
 				}
-				synth.LaneHash(seed + 1) // a stale cache the conversion must discard
 				p.Frame(&synth)
 				if synth.Data != nil {
 					t.Fatalf("%v/%d: synthetic frame holds %d bytes", p.Tuple, payload, len(synth.Data))
@@ -355,10 +326,6 @@ func TestPacketFrameAgreesWithWire(t *testing.T) {
 				if synth.WireLen() != wire.WireLen() || synth.WireLen() != len(raw) {
 					t.Fatalf("%v/%d: WireLen synthetic %d, wire %d, marshaled %d", p.Tuple, payload,
 						synth.WireLen(), wire.WireLen(), len(raw))
-				}
-				if synth.LaneHash(seed) != wire.LaneHash(seed) {
-					t.Fatalf("%v/%d: lane hash synthetic %#x, wire %#x", p.Tuple, payload,
-						synth.LaneHash(seed), wire.LaneHash(seed))
 				}
 				pkts = append(pkts, &p)
 			}
@@ -379,10 +346,10 @@ func TestPacketFrameAgreesWithWire(t *testing.T) {
 	}
 }
 
-// TestFrameSize pins the Frame at two cache lines: the hot batch is a
-// []Frame, and the synthetic length rides in what was padding.
+// TestFrameSize pins the Frame's size: the hot batch is a []Frame, so a
+// field added to it is paid on every frame of every batch.
 func TestFrameSize(t *testing.T) {
-	if got := unsafe.Sizeof(Frame{}); got != 128 {
-		t.Fatalf("unsafe.Sizeof(Frame{}) = %d, want 128", got)
+	if got := unsafe.Sizeof(Frame{}); got != 112 {
+		t.Fatalf("unsafe.Sizeof(Frame{}) = %d, want 112", got)
 	}
 }

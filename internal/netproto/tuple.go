@@ -11,6 +11,7 @@ package netproto
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"net/netip"
 	"strings"
 
@@ -130,15 +131,43 @@ func (t FiveTuple) KeyBytes(buf []byte) []byte {
 	return buf
 }
 
+// Lanes writes the tuple's KeyBytes serialization into buf as the 64-bit
+// lanes hashing.Hash64 reads from it and returns the filled prefix: the
+// whole little-endian words of the addresses, then the ports and protocol
+// as the 5-byte tail lane (hashing.TailLane) — 2 lanes for IPv4, 5 for
+// IPv6. The family is chosen by Src.Is4(), as KeyBytes chooses it. Hashing
+// the lanes (hashing.HashLanes) gives Hash64 over KeyBytes bit for bit,
+// with no serialization buffer.
+func (t *FiveTuple) Lanes(buf *[5]uint64) []uint64 {
+	ports := uint64(bits.ReverseBytes16(t.SrcPort)) | uint64(bits.ReverseBytes16(t.DstPort))<<16
+	tail := hashing.TailLane(ports|uint64(t.Proto)<<32, 5)
+	if t.Src.Is4() {
+		a, b := t.Src.As4(), t.Dst.As4()
+		buf[0] = uint64(binary.LittleEndian.Uint32(a[:])) | uint64(binary.LittleEndian.Uint32(b[:]))<<32
+		buf[1] = tail
+		return buf[:2]
+	}
+	a, b := t.Src.As16(), t.Dst.As16()
+	buf[0] = binary.LittleEndian.Uint64(a[:8])
+	buf[1] = binary.LittleEndian.Uint64(a[8:])
+	buf[2] = binary.LittleEndian.Uint64(b[:8])
+	buf[3] = binary.LittleEndian.Uint64(b[8:])
+	buf[4] = tail
+	return buf[:5]
+}
+
+// TupleHash is hashing.Hash64(seed, t.KeyBytes(buf)) computed from the
+// tuple's lanes: the one connection hash every tuple-keyed table uses.
+func TupleHash(seed uint64, t *FiveTuple) uint64 {
+	var buf [5]uint64
+	return hashing.HashLanes(seed, t.Lanes(&buf))
+}
+
 // LaneHash hashes the tuple by packing it into 64-bit lanes and mixing
-// them with fixed-width rounds — no KeyBytes serialization, no byte-slice
-// traffic. It is the software stand-in for a chip-level ingress hash unit:
-// computed once per packet at ingress, with downstream consumers (pipe
-// sharding, per-pipe key hashing and digests) deriving their values from
-// it rather than re-reading the packet. Src and dst do not commute, so the
-// two directions of a flow hash apart, as with KeyBytes. LaneHash values
-// are unrelated to Hash64 over KeyBytes; a table keyed by one scheme must
-// never be probed with the other.
+// them with fixed-width rounds. It picks a connection's pipe on a
+// multi-pipe chip (pipes.Engine.PipeOf) and nothing else. Src and dst do
+// not commute, so the two directions of a flow hash apart, as with
+// KeyBytes. LaneHash values are unrelated to TupleHash's.
 func LaneHash(seed uint64, t *FiveTuple) uint64 {
 	aux := uint64(t.SrcPort)<<24 | uint64(t.DstPort)<<8 | uint64(t.Proto)
 	if t.Src.Is4() {

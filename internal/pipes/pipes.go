@@ -18,13 +18,12 @@
 // ProcessBatch drives the pipes through N long-lived worker goroutines —
 // one per pipe, started lazily on the first batch and stopped by Close —
 // fed by bounded SPSC descriptor rings (see ring.go). The batch path is
-// allocation-free in steady state: shard buffers and lane-hash buffers are
-// per-engine and reused, the pipe choice and the per-pipe key hashes all
-// derive from one chip-level lane hash per packet (no 37-byte KeyBytes
-// serialization on the hot path), and each result slot is written in place
-// by exactly one executor. This both exercises the sharded path under the
-// race detector and, on multi-core hosts, lets the simulation itself
-// scale. Aggregate Stats, Metrics and SRAM figures are chip-level sums
+// allocation-free in steady state: shard buffers are per-engine and
+// reused, and each result slot is written in place by exactly one executor.
+// A chip-level lane hash of the tuple picks the pipe; inside it the pipe
+// hashes the tuple as a one-pipe switch does, under its own seed. This both
+// exercises the sharded path under the race detector and, on multi-core
+// hosts, lets the simulation itself scale. Aggregate Stats, Metrics and SRAM figures are chip-level sums
 // over the pipes.
 package pipes
 
@@ -80,17 +79,16 @@ type pipe struct {
 type Engine struct {
 	cfg      Config
 	seed     uint64 // shard seed (tuple -> pipe)
-	laneSeed uint64 // chip-level ingress lane hash seed (multi-pipe)
+	laneSeed uint64 // chip-level ingress lane hash seed (pipe choice)
 	pipes    []*pipe
 
 	// Batch path state (multi-pipe only). batchMu serializes producers:
-	// it keeps each pipe's ring single-producer and lets the shard/lane
-	// buffers below be reused allocation-free across batches.
+	// it keeps each pipe's ring single-producer and lets the shard buffers
+	// below be reused allocation-free across batches.
 	batchMu  sync.Mutex
 	workers  []*pipeWorker
 	jobs     []*batchJob
 	shards   [][]int32 // per-pipe packet indices, reused
-	lanes    []uint64  // per-packet lane hashes, reused
 	batchWG  sync.WaitGroup
 	started  bool // workers launched (lazily, on first batch)
 	closed   bool // Close ran; later batches execute on the caller
@@ -124,10 +122,9 @@ const shardSeedSalt = 0x9155_0a1d_70_4e5
 // New builds an engine of cfg.Pipes pipes. Each pipe receives 1/N of the
 // chip SRAM and of the ConnTable sizing target. On a multi-pipe chip the
 // seeds are diversified per pipe, so the pipes' hash functions are
-// independent as on real hardware, and every pipe derives its hashes from
-// the one ingress lane hash. A one-pipe engine is a bare data plane:
-// pipe 0 gets cfg.Dataplane as written — the caller's Seed and hash scheme
-// — so its placement and digests are those of dataplane.New(cfg.Dataplane).
+// independent as on real hardware. A one-pipe engine is a bare data plane:
+// pipe 0 gets cfg.Dataplane as written — the caller's Seed — so its
+// placement and digests are those of dataplane.New(cfg.Dataplane).
 func New(cfg Config) (*Engine, error) {
 	n := cfg.Pipes
 	if n < 1 {
@@ -156,11 +153,6 @@ func New(cfg Config) (*Engine, error) {
 		dcfg.ConnTableEntries = (cfg.Dataplane.ConnTableEntries + n - 1) / n
 		if n > 1 {
 			dcfg.Seed = cfg.Dataplane.Seed ^ (0x9e3779b97f4a7c15 * uint64(i+1))
-			// Multi-pipe chips hash the tuple once at ingress and let every
-			// pipe derive its key hash and digest from that lane hash; the
-			// one-pipe engine keeps the byte-hashing scheme bit-for-bit.
-			dcfg.DerivedHashes = true
-			dcfg.LaneSeed = e.laneSeed
 		}
 		if cfg.Tracer != nil {
 			dcfg.Tracer = cfg.Tracer
@@ -211,11 +203,10 @@ func (e *Engine) Close() {
 func (e *Engine) NumPipes() int { return len(e.pipes) }
 
 // PipeOf returns the index of the pipe that carries connection t. The
-// shard hashes the full 5-tuple — through the chip-level lane hash, not a
-// KeyBytes serialization round-trip — so sharding stays stable for a
-// connection's lifetime and per-pipe ConnTables never see each other's
-// flows. Every tuple-addressed entry point (Process, ProcessBatch,
-// EndConnection) uses this one mapping.
+// shard hashes the full 5-tuple through the chip-level lane hash, so
+// sharding stays stable for a connection's lifetime and per-pipe ConnTables
+// never see each other's flows. Every tuple-addressed entry point (Process,
+// ProcessBatch, EndConnection) uses this one mapping.
 func (e *Engine) PipeOf(t netproto.FiveTuple) int {
 	if len(e.pipes) == 1 {
 		return 0
@@ -278,7 +269,7 @@ func (e *Engine) inject(pipe int, fn func(dp *dataplane.Switch, cp *ctrlplane.Co
 // caller's slot: no Result is copied on the way. Callers hold p.mu.
 func (p *pipe) processFrameInto(now simtime.Time, f *netproto.Frame, res *dataplane.Result) {
 	p.cp.Advance(now)
-	p.dp.ProcessFrameInto(now, f, p.dp.LaneOf(f), res)
+	p.dp.ProcessFrameInto(now, f, res)
 	p.processed++
 	p.cp.HandleTupleResultInto(now, f.Tuple, res)
 }
@@ -299,15 +290,9 @@ func (e *Engine) Process(now simtime.Time, pkt *netproto.Packet) dataplane.Resul
 
 // ProcessFrame runs one frame through its owning pipe: background CPU work
 // due by now executes first, then the ASIC pipeline, then any CPU
-// arbitration the pipeline requested (redirected SYNs). The frame's cached
-// lane hash doubles as the shard key, so the tuple is hashed at most once
-// across sharding and pipeline.
+// arbitration the pipeline requested (redirected SYNs).
 func (e *Engine) ProcessFrame(now simtime.Time, f *netproto.Frame) dataplane.Result {
-	pi := 0
-	if len(e.pipes) > 1 {
-		pi = int(hashing.HashUint64(e.seed, f.LaneHash(e.laneSeed)) % uint64(len(e.pipes)))
-	}
-	p := e.pipes[pi]
+	p := e.pipes[e.PipeOf(f.Tuple)]
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.processFrame(now, f)
@@ -342,8 +327,8 @@ func (e *Engine) ProcessFrames(now simtime.Time, frames []netproto.Frame) []data
 }
 
 // ProcessFramesInto is the one batch path: frames are scattered to their
-// owning pipes by their cached lane hash, each pipe processes its share in
-// arrival order with zero re-decode, and results are gathered back in
+// owning pipes (PipeOf), each pipe processes its share in arrival order
+// with zero re-decode, and results are gathered back in
 // input order into the caller-provided slice (len(results) >=
 // len(frames)) — allocation-free for the socket RX loop that reuses frame
 // and result buffers across batches. On a multi-pipe engine the shares run
@@ -368,39 +353,25 @@ func (e *Engine) ProcessFramesInto(now simtime.Time, frames []netproto.Frame, re
 	}
 	e.batchMu.Lock()
 	defer e.batchMu.Unlock()
-	// Scatter: one lane hash per frame feeds both the pipe choice and the
-	// pipe's key hash and digest, so the tuple is hashed exactly once on
-	// this path. The frame memoizes it at first use (the producer computes
-	// it here, before publication), so re-batching the same frames — e.g. a
-	// retried TX — never re-hashes the tuple.
-	lanes := e.shard(frames)
-	e.runShards(now, frames, lanes, results)
+	e.shard(frames)
+	e.runShards(now, frames, results)
 }
 
-// shard fills e.shards with per-pipe frame index lists — arrival order
-// preserved within a pipe — from one lane hash per frame and returns the
-// reused lane buffer. Callers hold batchMu.
-func (e *Engine) shard(frames []netproto.Frame) []uint64 {
-	if cap(e.lanes) < len(frames) {
-		e.lanes = make([]uint64, len(frames))
-	}
-	lanes := e.lanes[:len(frames)]
-	n := uint64(len(e.pipes))
+// shard fills e.shards with per-pipe frame index lists, arrival order
+// preserved within a pipe. Callers hold batchMu.
+func (e *Engine) shard(frames []netproto.Frame) {
 	for pi := range e.shards {
 		e.shards[pi] = e.shards[pi][:0]
 	}
 	for i := range frames {
-		lane := frames[i].LaneHash(e.laneSeed)
-		lanes[i] = lane
-		pi := hashing.HashUint64(e.seed, lane) % n
+		pi := e.PipeOf(frames[i].Tuple)
 		e.shards[pi] = append(e.shards[pi], int32(i))
 	}
-	return lanes
 }
 
 // runShards publishes one descriptor per non-empty shard, wakes the
 // workers, assists, and waits for batch completion. Callers hold batchMu.
-func (e *Engine) runShards(now simtime.Time, frames []netproto.Frame, lanes []uint64, results []dataplane.Result) {
+func (e *Engine) runShards(now simtime.Time, frames []netproto.Frame, results []dataplane.Result) {
 	if !e.started && !e.closed {
 		e.started = true
 		for pi := range e.pipes {
@@ -416,7 +387,7 @@ func (e *Engine) runShards(now simtime.Time, frames []netproto.Frame, lanes []ui
 			continue
 		}
 		j := e.jobs[pi]
-		j.now, j.frames, j.idxs, j.lanes, j.results = now, frames, e.shards[pi], lanes, results
+		j.now, j.frames, j.idxs, j.results = now, frames, e.shards[pi], results
 		// Order matters: the completion count and the job fields must be in
 		// place before the state reset publishes the job — a worker can
 		// claim it through a stale ring entry the instant state reads
@@ -442,7 +413,7 @@ func (e *Engine) runShards(now simtime.Time, frames []netproto.Frame, lanes []ui
 	// does not pin the last batch's packets between calls.
 	for pi := range e.pipes {
 		j := e.jobs[pi]
-		j.frames, j.idxs, j.lanes, j.results = nil, nil, nil, nil
+		j.frames, j.idxs, j.results = nil, nil, nil
 	}
 }
 

@@ -41,8 +41,7 @@ const (
 type batchJob struct {
 	now     simtime.Time
 	frames  []netproto.Frame
-	idxs    []int32  // indices into frames owned by this pipe, arrival order
-	lanes   []uint64 // chip-level lane hash per frame (indexed like frames)
+	idxs    []int32 // indices into frames owned by this pipe, arrival order
 	results []dataplane.Result
 	state   atomic.Uint32
 	wg      *sync.WaitGroup // the engine's batch completion group
@@ -138,7 +137,7 @@ func (e *Engine) runJob(pi int, j *batchJob) {
 	p.cp.Advance(j.now)
 	for _, i := range j.idxs {
 		f := &j.frames[i]
-		p.dp.ProcessFrameInto(j.now, f, j.lanes[i], &j.results[i])
+		p.dp.ProcessFrameInto(j.now, f, &j.results[i])
 		p.processed++
 		p.cp.HandleTupleResultInto(j.now, f.Tuple, &j.results[i])
 	}

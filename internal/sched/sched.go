@@ -67,9 +67,6 @@ type Task struct {
 // more than once.
 func (t *Task) Stop() { t.stopped = true }
 
-// Stopped reports whether Stop has been called.
-func (t *Task) Stopped() bool { return t.stopped }
-
 // timer is one heap entry. Cancellation is lazy: stopped entries stay in
 // the heap and are discarded when they surface.
 type timer struct {

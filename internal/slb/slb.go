@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/dataplane"
 	"repro/internal/ecmp"
-	"repro/internal/hashing"
 	"repro/internal/netproto"
 	"repro/internal/simtime"
 )
@@ -163,8 +162,7 @@ func (b *Balancer) Pool(vip dataplane.VIP) ([]dataplane.DIP, bool) {
 
 // keyHash derives the ConnTable key.
 func (b *Balancer) keyHash(t netproto.FiveTuple) uint64 {
-	var buf [37]byte
-	return hashing.Hash64(b.cfg.Seed^0x5e1ec7, t.KeyBytes(buf[:]))
+	return netproto.TupleHash(b.cfg.Seed^0x5e1ec7, &t)
 }
 
 // Packet processes one packet: ConnTable hit or Maglev selection plus an

@@ -17,7 +17,6 @@ package slo
 
 import (
 	"math"
-	"sort"
 	"sync"
 
 	"repro/internal/simtime"
@@ -582,15 +581,4 @@ func histDeltaQuantile(cur, prev *telemetry.HistogramSnapshot, q float64) float6
 		}
 	}
 	return cur.Bounds[len(cur.Bounds)-1]
-}
-
-// sortTransitions orders a transition slice by (time, rule) — used by the
-// fleet aggregate, where per-member journals interleave.
-func sortTransitions(ts []Transition) {
-	sort.SliceStable(ts, func(i, j int) bool {
-		if ts[i].Time != ts[j].Time {
-			return ts[i].Time < ts[j].Time
-		}
-		return ts[i].Rule < ts[j].Rule
-	})
 }

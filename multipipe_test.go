@@ -28,8 +28,8 @@ func newMultiSwitch(t *testing.T, pipes int) *Switch {
 // TestOnePipeSwitchIsBareDataplane pins what every single-pipe golden and
 // soak report rests on: with Pipes 0 or 1 the switch runs a one-pipe
 // engine whose pipe is Config.Dataplane as written — the caller's seed,
-// undiversified, under the byte-hash scheme — so keys, digests and DIP
-// choices are those of dataplane.New on the same config.
+// undiversified — so keys, digests and DIP choices are those of
+// dataplane.New on the same config.
 func TestOnePipeSwitchIsBareDataplane(t *testing.T) {
 	var tuples []FiveTuple
 	for i := 0; i < 300; i++ {
@@ -65,9 +65,8 @@ func TestOnePipeSwitchIsBareDataplane(t *testing.T) {
 			t.Fatalf("Pipes %d: Engine() = %v, Pipes() = %d", pipes, sw.Engine(), sw.Pipes())
 		}
 		dp := sw.Dataplane()
-		if got := dp.Config(); got.Seed != cfg.Dataplane.Seed || got.DerivedHashes {
-			t.Fatalf("Pipes %d: pipe 0 runs seed %#x, DerivedHashes %v; want the caller's %#x, false",
-				pipes, got.Seed, got.DerivedHashes, cfg.Dataplane.Seed)
+		if got := dp.Config(); got.Seed != cfg.Dataplane.Seed {
+			t.Fatalf("Pipes %d: pipe 0 runs seed %#x; want the caller's %#x", pipes, got.Seed, cfg.Dataplane.Seed)
 		}
 		for _, tup := range tuples {
 			if dp.KeyHash(tup) != bare.KeyHash(tup) || dp.ConnDigest(tup) != bare.ConnDigest(tup) {
