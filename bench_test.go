@@ -161,10 +161,15 @@ func clientAddr(i int) netip.Addr {
 
 // frameBenchSwitch primes a switch with established connections and
 // returns the pre-parsed wire frames for them (the tunnel's steady-state
-// currency: parse once, process many).
-func frameBenchSwitch(tb testing.TB, conns int) (*Switch, []Frame) {
+// currency: parse once, process many). arm, when non-nil, edits the
+// switch's config first (to attach tracers).
+func frameBenchSwitch(tb testing.TB, conns int, arm func(*Config)) (*Switch, []Frame) {
 	tb.Helper()
-	sw, err := NewSwitch(Defaults(conns * 4))
+	cfg := Defaults(conns * 4)
+	if arm != nil {
+		arm(&cfg)
+	}
+	sw, err := NewSwitch(cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -216,7 +221,7 @@ func frameBenchSwitch(tb testing.TB, conns int) (*Switch, []Frame) {
 // ProcessFramesInto. The acceptance bar is 0 allocs/packet.
 func BenchmarkProcessFrames(b *testing.B) {
 	const conns = 2048
-	sw, frames := frameBenchSwitch(b, conns)
+	sw, frames := frameBenchSwitch(b, conns, nil)
 	results := make([]Result, conns)
 	var wire int64
 	for i := range frames {
@@ -233,23 +238,40 @@ func BenchmarkProcessFrames(b *testing.B) {
 }
 
 // TestProcessFramesZeroAlloc enforces the acceptance criterion directly:
-// the steady-state frames batch path performs zero allocations per batch.
+// the steady-state frames batch path performs zero allocations per batch,
+// untraced and with armed tracers — a metrics registry, and a flight
+// recorder wrapping one with no flow armed and sampling off — since every
+// event travels by value.
 func TestProcessFramesZeroAlloc(t *testing.T) {
-	const conns = 512
-	sw, frames := frameBenchSwitch(t, conns)
-	results := make([]Result, conns)
-	now := Time(10 * Millisecond)
-	sw.ProcessFramesInto(now, frames, results) // warm any lazy state
-	allocs := testing.AllocsPerRun(50, func() {
-		now = now.Add(Microsecond)
-		sw.ProcessFramesInto(now, frames, results)
-	})
-	if allocs != 0 {
-		t.Fatalf("ProcessFramesInto allocated %.1f times per batch, want 0", allocs)
-	}
-	for i := range results {
-		if results[i].Verdict != VerdictForward || !results[i].ConnHit {
-			t.Fatalf("packet %d not a steady-state hit: %+v", i, results[i])
-		}
+	for _, tc := range []struct {
+		name string
+		arm  func(*Config)
+	}{
+		{"untraced", nil},
+		{"telemetry", func(c *Config) { c.Telemetry = NewTelemetry() }},
+		{"recorder", func(c *Config) {
+			c.Telemetry = NewTelemetry()
+			c.FlightRecorder = NewFlightRecorder(FlightRecorderConfig{})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const conns = 512
+			sw, frames := frameBenchSwitch(t, conns, tc.arm)
+			results := make([]Result, conns)
+			now := Time(10 * Millisecond)
+			sw.ProcessFramesInto(now, frames, results) // warm any lazy state
+			allocs := testing.AllocsPerRun(50, func() {
+				now = now.Add(Microsecond)
+				sw.ProcessFramesInto(now, frames, results)
+			})
+			if allocs != 0 {
+				t.Fatalf("ProcessFramesInto allocated %.1f times per batch, want 0", allocs)
+			}
+			for i := range results {
+				if results[i].Verdict != VerdictForward || !results[i].ConnHit {
+					t.Fatalf("packet %d not a steady-state hit: %+v", i, results[i])
+				}
+			}
+		})
 	}
 }

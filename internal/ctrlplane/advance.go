@@ -154,18 +154,19 @@ func (cp *ControlPlane) requeueWithBackoff(pi pendingInsert) {
 	cp.queue.push(pi)
 }
 
-// traceInsert emits one OnInsert event (no-op when untraced).
+// traceInsert emits one KindInsert event (no-op when untraced).
 func (cp *ControlPlane) traceInsert(now simtime.Time, vip dataplane.VIP,
 	kind telemetry.InsertKind, outcome telemetry.InsertOutcome, arrivedAt simtime.Time,
 	tuple netproto.FiveTuple, ver uint32) {
 	if cp.tracer == nil {
 		return
 	}
-	cp.tracer.OnInsert(telemetry.InsertEvent{
+	cp.tracer.Trace(telemetry.Event{
+		Kind:       telemetry.KindInsert,
 		Now:        now,
 		Pipe:       cp.pipe,
 		VIP:        cp.sw.VIPTelemetry(vip),
-		Kind:       kind,
+		Insert:     kind,
 		Outcome:    outcome,
 		ArrivedAt:  arrivedAt,
 		QueueDepth: cp.queue.len(),
@@ -202,9 +203,9 @@ func (cp *ControlPlane) install(pi pendingInsert) {
 	case err == cuckoo.ErrTableFull:
 		if pi.retries < cp.cfg.MaxInsertRetries {
 			if pi.imported && cp.tracer != nil {
-				cp.tracer.OnHandoff(telemetry.HandoffEvent{
-					Now: pi.completeAt, Donor: -1, Receiver: cp.pipe,
-					Step: telemetry.HandoffRetry, Entries: 1,
+				cp.tracer.Trace(telemetry.Event{
+					Kind: telemetry.KindHandoff, Now: pi.completeAt, Donor: -1, Receiver: cp.pipe,
+					HandoffStep: telemetry.HandoffRetry, Entries: 1,
 				})
 			}
 			pi.ev = ev // keep the possibly-repinned version

@@ -10,13 +10,11 @@ import (
 	"repro/internal/telemetry"
 )
 
-// cuckooOps hands every ConnTable mutation to fn.
-type cuckooOps struct {
-	telemetry.NopTracer
-	fn func(telemetry.CuckooEvent)
-}
+// traceFunc is a tracer that hands every event to the function.
+type traceFunc func(telemetry.Event)
 
-func (c cuckooOps) OnCuckoo(e telemetry.CuckooEvent) { c.fn(e) }
+func (traceFunc) RegisterVIP(int, telemetry.VIPKey) *telemetry.VIPSeries { return nil }
+func (f traceFunc) Trace(e telemetry.Event)                              { f(e) }
 
 // TestAgingSweepOnTheWheelsGrid: aging steps lie on the grid a timing wheel
 // ticking from time 0 would fire, max(timeout/8, 100 ms) apart. Over a few
@@ -47,13 +45,14 @@ func agingGridScript(t *testing.T, timeout simtime.Duration) {
 	ccfg := DefaultConfig()
 	ccfg.AgingTimeout = timeout
 	dcfg := dataplane.DefaultConfig(8192)
-	dcfg.Tracer = cuckooOps{fn: func(e telemetry.CuckooEvent) {
+	dcfg.Tracer = traceFunc(func(e telemetry.Event) {
 		switch {
-		case e.Op == telemetry.CuckooInsert && e.OK:
+		case e.Kind != telemetry.KindCuckoo:
+		case e.CuckooOp == telemetry.CuckooInsert && e.OK:
 			seen[e.KeyHash] = e.Now
-		case e.Op == telemetry.CuckooDelete && ended[e.KeyHash]:
+		case e.CuckooOp == telemetry.CuckooDelete && ended[e.KeyHash]:
 			delete(seen, e.KeyHash)
-		case e.Op == telemetry.CuckooDelete:
+		case e.CuckooOp == telemetry.CuckooDelete:
 			last, live := seen[e.KeyHash]
 			if want := expiry(last); !live || e.Now != want {
 				t.Fatalf("connection %#x (live %v, last seen %v) released at %v, want %v", e.KeyHash, live, last, e.Now, want)
@@ -61,7 +60,7 @@ func agingGridScript(t *testing.T, timeout simtime.Duration) {
 			delete(seen, e.KeyHash)
 			released++
 		}
-	}}
+	})
 	h := newHarness(t, dcfg, ccfg)
 	if err := h.cp.AddVIP(0, testVIP(), poolN(4), 0); err != nil {
 		t.Fatal(err)

@@ -549,9 +549,9 @@ func (cp *ControlPlane) RequestUpdate(now simtime.Time, vip dataplane.VIP, pool 
 	if cp.tracer != nil {
 		// The new version is not chosen yet; report the current version on
 		// both sides and the requested target as the after-pool.
-		cp.tracer.OnUpdateStep(telemetry.UpdateStepEvent{
-			Now: now, Pipe: cp.pipe, VIP: cp.sw.VIPTelemetry(vip),
-			Step:        telemetry.StepRequested,
+		cp.tracer.Trace(telemetry.Event{
+			Kind: telemetry.KindUpdateStep, Now: now, Pipe: cp.pipe, VIP: cp.sw.VIPTelemetry(vip),
+			UpdateStep:  telemetry.StepRequested,
 			Key:         vip.TelemetryKey(),
 			PrevVersion: vc.curVer, Version: vc.curVer,
 			Before: clone(vc.pools[vc.curVer]), After: clone(pool),

@@ -183,14 +183,6 @@ func TestAgingFreesSlotBeforeQueuedRetry(t *testing.T) {
 	}
 }
 
-// stepTimes records the instant of every update step event.
-type stepTimes struct {
-	telemetry.NopTracer
-	seen *[]simtime.Time
-}
-
-func (s stepTimes) OnUpdateStep(e telemetry.UpdateStepEvent) { *s.seen = append(*s.seen, e.Now) }
-
 // TestAgingStepsNeverPullTimeBack covers aging that idled behind the clock:
 // the first connection arrives long after the epoch, and the aging steps
 // inside Advance must never stamp work before the last instant already run
@@ -200,7 +192,11 @@ func TestAgingStepsNeverPullTimeBack(t *testing.T) {
 	ccfg.AgingTimeout = simtime.Duration(800 * simtime.Millisecond)
 	var seen []simtime.Time
 	dcfg := dataplane.DefaultConfig(10000)
-	dcfg.Tracer = stepTimes{seen: &seen}
+	dcfg.Tracer = traceFunc(func(e telemetry.Event) {
+		if e.Kind == telemetry.KindUpdateStep {
+			seen = append(seen, e.Now)
+		}
+	})
 	h := newHarness(t, dcfg, ccfg)
 	if err := h.cp.AddVIP(0, testVIP(), poolN(4), 0); err != nil {
 		t.Fatal(err)

@@ -6,7 +6,7 @@ import (
 	"repro/internal/telemetry"
 )
 
-// traceUpdateStep emits one OnUpdateStep event (no-op when untraced),
+// traceUpdateStep emits one KindUpdateStep event (no-op when untraced),
 // capturing the version bump and the before/after pools as the journal's
 // state delta.
 func (cp *ControlPlane) traceUpdateStep(now simtime.Time, vc *vipCtl,
@@ -14,9 +14,9 @@ func (cp *ControlPlane) traceUpdateStep(now simtime.Time, vc *vipCtl,
 	if cp.tracer == nil {
 		return
 	}
-	cp.tracer.OnUpdateStep(telemetry.UpdateStepEvent{
-		Now: now, Pipe: cp.pipe, VIP: cp.sw.VIPTelemetry(vc.vip),
-		Step: step, ReqAt: reqAt, ExecAt: execAt,
+	cp.tracer.Trace(telemetry.Event{
+		Kind: telemetry.KindUpdateStep, Now: now, Pipe: cp.pipe, VIP: cp.sw.VIPTelemetry(vc.vip),
+		UpdateStep: step, ReqAt: reqAt, ExecAt: execAt,
 		Key:         vc.vip.TelemetryKey(),
 		PrevVersion: prevVer,
 		Version:     newVer,

@@ -281,10 +281,11 @@ func (s *Switch) InsertConnAt(now simtime.Time, keyHash uint64, digest uint32, v
 		return err
 	}
 	if s.tracer != nil {
-		s.tracer.OnCuckoo(telemetry.CuckooEvent{
+		s.tracer.Trace(telemetry.Event{
+			Kind:        telemetry.KindCuckoo,
 			Now:         now,
 			Pipe:        s.pipe,
-			Op:          telemetry.CuckooInsert,
+			CuckooOp:    telemetry.CuckooInsert,
 			KeyHash:     keyHash,
 			Digest:      digest,
 			Version:     ver,
@@ -319,10 +320,11 @@ func (s *Switch) DeleteConnAt(now simtime.Time, e cuckoo.Entry, t netproto.FiveT
 		if vs, live := s.vips[VIPOf(t)]; live && vs.tel != nil {
 			vs.tel.ConnsEnded.Inc()
 		}
-		s.tracer.OnCuckoo(telemetry.CuckooEvent{
+		s.tracer.Trace(telemetry.Event{
+			Kind:      telemetry.KindCuckoo,
 			Now:       now,
 			Pipe:      s.pipe,
-			Op:        telemetry.CuckooDelete,
+			CuckooOp:  telemetry.CuckooDelete,
 			KeyHash:   e.KeyHash,
 			Digest:    e.Digest,
 			OK:        true,
@@ -371,10 +373,11 @@ func (s *Switch) ResolveSYNCollisionAt(now simtime.Time, t netproto.FiveTuple, r
 	relocBefore := s.conn.Relocations
 	relocErr := s.conn.Relocate(res.ConnHandle)
 	if s.tracer != nil {
-		s.tracer.OnCuckoo(telemetry.CuckooEvent{
+		s.tracer.Trace(telemetry.Event{
+			Kind:        telemetry.KindCuckoo,
 			Now:         now,
 			Pipe:        s.pipe,
-			Op:          telemetry.CuckooRelocate,
+			CuckooOp:    telemetry.CuckooRelocate,
 			KeyHash:     kh, // the aliasing entry that migrated
 			Digest:      res.Digest,
 			Moves:       0,

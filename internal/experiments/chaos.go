@@ -97,7 +97,7 @@ func RunChaosSoak(scale float64, seed int64) (*ChaosReport, error) {
 	var reg *telemetry.Registry
 	if CollectTelemetry {
 		reg = telemetry.NewRegistry()
-		pcfg.Tracer = reg
+		pcfg.Dataplane.Tracer = reg
 	}
 	eng, err := pipes.New(pcfg)
 	if err != nil {

@@ -164,7 +164,7 @@ func runPipesConfig(nPipes, conns, measurePasses, batchSize int, seed int64) (Pi
 	var reg *telemetry.Registry
 	if CollectTelemetry {
 		reg = telemetry.NewRegistry()
-		pcfg.Tracer = reg
+		pcfg.Dataplane.Tracer = reg
 	}
 	eng, err := pipes.New(pcfg)
 	if err != nil {

@@ -84,20 +84,6 @@ type ReconcileReport struct {
 	verdict
 }
 
-// recTracer counts reconcile events by step on top of an inner tracer
-// (NopTracer, or the registry under --metrics).
-type recTracer struct {
-	telemetry.Tracer
-	counts *[8]uint64
-}
-
-func (t recTracer) OnReconcile(e telemetry.ReconcileEvent) {
-	if int(e.Step) < len(t.counts) {
-		t.counts[e.Step]++
-	}
-	t.Tracer.OnReconcile(e)
-}
-
 // recPoolFor returns generation g's DIP pool: the base pool with one slot
 // swapped for a generation-specific DIP, so every rollout is exactly one
 // pool update per switch.
@@ -142,19 +128,24 @@ func RunReconcileSoak(scale float64, seed int64) (*ReconcileReport, error) {
 		return nil, err
 	}
 
-	counts := new([8]uint64)
-	var inner telemetry.Tracer = telemetry.NopTracer{}
+	// counts tallies reconcile events by step.
+	var counts [8]uint64
+	tracer := countingTracer{count: func(e telemetry.Event) {
+		if e.Kind == telemetry.KindReconcile && int(e.ReconcileStep) < len(counts) {
+			counts[e.ReconcileStep]++
+		}
+	}}
 	var reg *telemetry.Registry
 	if CollectTelemetry {
 		reg = telemetry.NewRegistry()
-		inner = reg
+		tracer.inner = reg
 	}
 	rc := intent.NewCluster(clu.Fleet(), intent.FleetConfig{
 		Config: intent.Config{
 			BaseBackoff: 200 * simtime.Microsecond,
 			MaxBackoff:  2 * simtime.Millisecond,
 			MaxRetries:  3,
-			Tracer:      recTracer{Tracer: inner, counts: counts},
+			Tracer:      tracer,
 		},
 		RolloutBackoff: simtime.Millisecond,
 	})

@@ -301,7 +301,7 @@ func runSLOGate(rep *SLOSoakReport) error {
 		reg := c.Switch(2).Telemetry()
 		for t := 0; t < ticks; t++ {
 			for i := 0; i < 50; i++ {
-				reg.OnInsert(telemetry.InsertEvent{Now: now, Outcome: telemetry.InsertRetry})
+				reg.Trace(telemetry.Event{Kind: telemetry.KindInsert, Now: now, Outcome: telemetry.InsertRetry})
 			}
 			now = now.Add(sloInterval)
 			c.AdvanceTo(now)

@@ -17,10 +17,32 @@ import (
 	"repro/internal/faults"
 	"repro/internal/netproto"
 	"repro/internal/simtime"
+	"repro/internal/telemetry"
 )
 
 // soakConnTarget is the connection count a soak sizes its tables for.
 func soakConnTarget(scale float64) int { return max(int(2048*scale), 1024) }
+
+// countingTracer hands every event to count, then forwards it to inner:
+// nil, or the registry under --metrics.
+type countingTracer struct {
+	inner telemetry.Tracer
+	count func(telemetry.Event)
+}
+
+func (t countingTracer) RegisterVIP(pipe int, vip telemetry.VIPKey) *telemetry.VIPSeries {
+	if t.inner == nil {
+		return nil
+	}
+	return t.inner.RegisterVIP(pipe, vip)
+}
+
+func (t countingTracer) Trace(e telemetry.Event) {
+	t.count(e)
+	if t.inner != nil {
+		t.inner.Trace(e)
+	}
+}
 
 // verdict is the last two fields of every soak report: each failed
 // invariant, in the order its soak checks them, and whether none failed.

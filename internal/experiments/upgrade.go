@@ -87,28 +87,24 @@ type upCounts struct {
 	transfers, imported, chunks, deltas, retries, cancels uint64
 }
 
-// upTracer counts handoff events on top of an inner tracer (NopTracer, or
-// the registry under --metrics).
-type upTracer struct {
-	telemetry.Tracer
-	c *upCounts
-}
-
-func (t upTracer) OnHandoff(e telemetry.HandoffEvent) {
-	switch e.Step {
-	case telemetry.HandoffChunk:
-		t.c.chunks++
-	case telemetry.HandoffDelta:
-		t.c.deltas += uint64(e.Deltas)
-	case telemetry.HandoffRetry:
-		t.c.retries++
-	case telemetry.HandoffDone:
-		t.c.transfers++
-		t.c.imported += uint64(e.Entries)
-	case telemetry.HandoffCancel:
-		t.c.cancels++
+// count tallies one handoff event.
+func (c *upCounts) count(e telemetry.Event) {
+	if e.Kind != telemetry.KindHandoff {
+		return
 	}
-	t.Tracer.OnHandoff(e)
+	switch e.HandoffStep {
+	case telemetry.HandoffChunk:
+		c.chunks++
+	case telemetry.HandoffDelta:
+		c.deltas += uint64(e.Deltas)
+	case telemetry.HandoffRetry:
+		c.retries++
+	case telemetry.HandoffDone:
+		c.transfers++
+		c.imported += uint64(e.Entries)
+	case telemetry.HandoffCancel:
+		c.cancels++
+	}
 }
 
 // upPoolFor returns generation g's DIP pool: the base pool with one slot
@@ -126,11 +122,10 @@ func upPoolFor(g int) []dataplane.DIP {
 // established.
 func RunUpgradeSoak(scale float64, seed int64) (*UpgradeReport, error) {
 	counts := &upCounts{}
-	var inner telemetry.Tracer = telemetry.NopTracer{}
+	tracer := countingTracer{count: counts.count}
 	if CollectTelemetry {
-		inner = telemetry.NewRegistry()
+		tracer.inner = telemetry.NewRegistry()
 	}
-	tracer := upTracer{Tracer: inner, c: counts}
 
 	ccfg := cluster.DefaultConfig(upMembers, soakConnTarget(scale))
 	ccfg.Dataplane.Seed = uint64(seed)

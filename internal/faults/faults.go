@@ -280,7 +280,7 @@ func NewInjector(plan Plan, target Target) *Injector {
 }
 
 // SetTracer attaches a telemetry tracer: every applied action emits one
-// OnFault event.
+// KindFault event.
 func (inj *Injector) SetTracer(tr telemetry.Tracer) {
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
@@ -324,8 +324,8 @@ func (inj *Injector) Advance(now simtime.Time) {
 	for _, a := range due {
 		inj.apply(target, seed, a)
 		if tracer != nil {
-			tracer.OnFault(telemetry.FaultEvent{
-				Now: a.at, Pipe: a.ev.Pipe, Kind: a.ev.Kind.String(),
+			tracer.Trace(telemetry.Event{
+				Kind: telemetry.KindFault, Now: a.at, Pipe: a.ev.Pipe, Fault: a.ev.Kind.String(),
 				DIP: a.ev.DIP, Duration: a.ev.Duration,
 				Scale: a.ev.Scale, Limit: a.ev.Limit,
 			})

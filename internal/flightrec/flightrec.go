@@ -6,11 +6,13 @@
 // lengths, learn-filter flushes, entry migrations) with before/after state
 // deltas.
 //
-// The Recorder implements telemetry.Tracer and wraps an inner tracer
-// (typically the metrics Registry), so attaching it adds no branch to the
-// untraced hot path: the dataplane keeps its single `tracer != nil` check
-// and the recorder forwards every event downstream. When no flow filter is
-// armed and sampling is off, the per-packet cost is one atomic load.
+// The Recorder implements telemetry.Tracer and wraps an inner tracer set
+// with SetInner (typically the metrics Registry), so attaching it adds no
+// branch to the untraced hot path: the dataplane keeps its single
+// `tracer != nil` check, and the recorder's one Trace method records or
+// journals each event by kind and forwards it downstream once. When no
+// flow filter is armed and sampling is off, the per-packet cost is one
+// atomic load.
 //
 // Ring discipline: a single atomic counter claims gap-free sequence
 // numbers; each slot is guarded by its own mutex, so concurrent writers on
@@ -218,10 +220,6 @@ type Config struct {
 	// SampleEvery records every Nth packet regardless of flow filters
 	// (0 disables sampling; filters still work).
 	SampleEvery int
-	// Inner is the downstream tracer every event is forwarded to,
-	// typically the metrics Registry. Nil means the recorder is the only
-	// sink.
-	Inner telemetry.Tracer
 }
 
 // Recorder is the flight recorder. It implements telemetry.Tracer.
@@ -245,7 +243,6 @@ func New(cfg Config) *Recorder {
 		cfg.JournalRing = 8192
 	}
 	return &Recorder{
-		inner:       cfg.Inner,
 		packets:     newRing[PacketRecord](cfg.PacketRing),
 		journal:     newRing[JournalRecord](cfg.JournalRing),
 		sampleEvery: uint64(cfg.SampleEvery),
@@ -253,8 +250,10 @@ func New(cfg Config) *Recorder {
 	}
 }
 
-// SetInner replaces the downstream tracer. Wiring-time only — call before
-// the recorder is attached to a switch, never while events are flowing.
+// SetInner sets the downstream tracer every event is forwarded to,
+// typically the metrics Registry; without one the recorder is the only
+// sink. Wiring-time only — call before the recorder is attached to a
+// switch, never while events are flowing.
 func (r *Recorder) SetInner(t telemetry.Tracer) { r.inner = t }
 
 // Flow is an armed flow filter: a handle for collecting one connection's
@@ -376,221 +375,166 @@ func (r *Recorder) RegisterVIP(pipe int, vip telemetry.VIPKey) *telemetry.VIPSer
 	return r.inner.RegisterVIP(pipe, vip)
 }
 
-// OnVerdict records the packet's pipeline path when its flow is armed or
-// sampled, then forwards the event.
-func (r *Recorder) OnVerdict(e telemetry.VerdictEvent) {
-	if r.matches(e.Tuple) {
-		r.packets.put(PacketRecord{
-			Now:        e.Now,
-			Pipe:       e.Pipe,
-			Kind:       KindVerdict,
-			Tuple:      e.Tuple,
-			Flow:       e.Tuple.String(),
-			Verdict:    e.Verdict.String(),
-			WireLen:    e.WireLen,
-			Wire:       e.Wire,
-			ConnHit:    e.ConnHit,
-			Stage:      e.Stage,
-			TransitHit: e.TransitHit,
-			Learned:    e.Learned,
-			Meter:      meterString(e.Meter),
-			KeyHash:    e.KeyHash,
-			Digest:     e.Digest,
-			Version:    e.Version,
-			DIP:        dipString(e.DIP),
-		}, stampPacket)
-	}
-	if r.inner != nil {
-		r.inner.OnVerdict(e)
-	}
-}
-
-// OnInsert records the CPU-side installation for armed flows, journals
-// queue-pressure outcomes (sheds and retries), then forwards the event.
-func (r *Recorder) OnInsert(e telemetry.InsertEvent) {
-	if e.Outcome == telemetry.InsertRetry || e.Outcome == telemetry.InsertShed {
+// Trace records the event by kind, then forwards it to the inner tracer.
+// A verdict of an armed or sampled flow joins the packet ring; so does the
+// CPU insertion of an armed flow. The journal takes every control-plane
+// event but the high-frequency ones the registry only counts: meter drops
+// (already in the verdict trace), reconcile rounds, and handoff chunks,
+// deltas and retries.
+func (r *Recorder) Trace(e telemetry.Event) {
+	switch e.Kind {
+	case telemetry.KindVerdict:
+		if r.matches(e.Tuple) {
+			r.packets.put(PacketRecord{
+				Now:        e.Now,
+				Pipe:       e.Pipe,
+				Kind:       KindVerdict,
+				Tuple:      e.Tuple,
+				Flow:       e.Tuple.String(),
+				Verdict:    e.Verdict.String(),
+				WireLen:    e.WireLen,
+				Wire:       e.Wire,
+				ConnHit:    e.ConnHit,
+				Stage:      e.Stage,
+				TransitHit: e.TransitHit,
+				Learned:    e.Learned,
+				Meter:      meterString(e.Meter),
+				KeyHash:    e.KeyHash,
+				Digest:     e.Digest,
+				Version:    e.Version,
+				DIP:        dipString(e.DIP),
+			}, stampPacket)
+		}
+	case telemetry.KindInsert:
+		if e.Outcome == telemetry.InsertRetry || e.Outcome == telemetry.InsertShed {
+			r.journal.put(JournalRecord{
+				Now:        e.Now,
+				Pipe:       e.Pipe,
+				Kind:       KindInsertPressure,
+				Op:         e.Outcome.String(),
+				Version:    e.Version,
+				QueueDepth: e.QueueDepth,
+				OK:         true,
+			}, stampJournal)
+		}
+		if r.filterMatch(e.Tuple) {
+			r.packets.put(PacketRecord{
+				Now:        e.Now,
+				Pipe:       e.Pipe,
+				Kind:       KindInsert,
+				Tuple:      e.Tuple,
+				Flow:       e.Tuple.String(),
+				Verdict:    e.Insert.String() + "/" + e.Outcome.String(),
+				Stage:      -1,
+				Version:    e.Version,
+				ArrivedAt:  e.ArrivedAt,
+				QueueDepth: e.QueueDepth,
+			}, stampPacket)
+		}
+	case telemetry.KindUpdateStep:
 		r.journal.put(JournalRecord{
-			Now:        e.Now,
-			Pipe:       e.Pipe,
-			Kind:       KindInsertPressure,
-			Op:         e.Outcome.String(),
-			Version:    e.Version,
-			QueueDepth: e.QueueDepth,
-			OK:         true,
+			Now:         e.Now,
+			Pipe:        e.Pipe,
+			Kind:        KindPoolUpdate,
+			Step:        e.UpdateStep.String(),
+			VIP:         e.Key.String(),
+			PrevVersion: e.PrevVersion,
+			Version:     e.Version,
+			Before:      poolStrings(e.Before),
+			After:       poolStrings(e.After),
+			ReqAt:       e.ReqAt,
+			ExecAt:      e.ExecAt,
+			OK:          true,
 		}, stampJournal)
-	}
-	if r.filterMatch(e.Tuple) {
-		r.packets.put(PacketRecord{
-			Now:        e.Now,
-			Pipe:       e.Pipe,
-			Kind:       KindInsert,
-			Tuple:      e.Tuple,
-			Flow:       e.Tuple.String(),
-			Verdict:    e.Kind.String() + "/" + e.Outcome.String(),
-			Stage:      -1,
-			Version:    e.Version,
-			ArrivedAt:  e.ArrivedAt,
-			QueueDepth: e.QueueDepth,
-		}, stampPacket)
-	}
-	if r.inner != nil {
-		r.inner.OnInsert(e)
-	}
-}
-
-// OnUpdateStep journals the pool-update step with its version bump and
-// before/after pools, then forwards the event.
-func (r *Recorder) OnUpdateStep(e telemetry.UpdateStepEvent) {
-	r.journal.put(JournalRecord{
-		Now:         e.Now,
-		Pipe:        e.Pipe,
-		Kind:        KindPoolUpdate,
-		Step:        e.Step.String(),
-		VIP:         e.Key.String(),
-		PrevVersion: e.PrevVersion,
-		Version:     e.Version,
-		Before:      poolStrings(e.Before),
-		After:       poolStrings(e.After),
-		ReqAt:       e.ReqAt,
-		ExecAt:      e.ExecAt,
-		OK:          true,
-	}, stampJournal)
-	if r.inner != nil {
-		r.inner.OnUpdateStep(e)
-	}
-}
-
-// OnLearnFlush journals the learning-filter drain, then forwards.
-func (r *Recorder) OnLearnFlush(e telemetry.LearnFlushEvent) {
-	r.journal.put(JournalRecord{
-		Now:   e.Now,
-		Pipe:  e.Pipe,
-		Kind:  KindLearnFlush,
-		Batch: e.Batch,
-		Full:  e.Full,
-		OK:    true,
-	}, stampJournal)
-	if r.inner != nil {
-		r.inner.OnLearnFlush(e)
-	}
-}
-
-// OnMeterDrop forwards (the drop already appears in the verdict trace).
-func (r *Recorder) OnMeterDrop(e telemetry.MeterDropEvent) {
-	if r.inner != nil {
-		r.inner.OnMeterDrop(e)
-	}
-}
-
-// OnCuckoo journals the ConnTable operation — insertion kick chains,
-// alias-resolving migrations, deletes — then forwards.
-func (r *Recorder) OnCuckoo(e telemetry.CuckooEvent) {
-	r.journal.put(JournalRecord{
-		Now:         e.Now,
-		Pipe:        e.Pipe,
-		Kind:        KindCuckoo,
-		Op:          e.Op.String(),
-		KeyHash:     e.KeyHash,
-		Digest:      e.Digest,
-		Version:     e.Version,
-		Moves:       e.Moves,
-		Relocations: e.Relocations,
-		OK:          e.OK,
-		Len:         e.Len,
-		Capacity:    e.Capacity,
-	}, stampJournal)
-	if r.inner != nil {
-		r.inner.OnCuckoo(e)
-	}
-}
-
-// OnDegraded journals the watermark crossing, then forwards.
-func (r *Recorder) OnDegraded(e telemetry.DegradedEvent) {
-	op := "exit"
-	if e.Degraded {
-		op = "enter"
-	}
-	r.journal.put(JournalRecord{
-		Now:      e.Now,
-		Pipe:     e.Pipe,
-		Kind:     KindDegraded,
-		Op:       op,
-		Len:      e.Entries,
-		Capacity: e.Capacity,
-		OK:       true,
-	}, stampJournal)
-	if r.inner != nil {
-		r.inner.OnDegraded(e)
-	}
-}
-
-// OnFault journals the injected fault with its parameters, then forwards.
-func (r *Recorder) OnFault(e telemetry.FaultEvent) {
-	r.journal.put(JournalRecord{
-		Now:      e.Now,
-		Pipe:     e.Pipe,
-		Kind:     KindFault,
-		Op:       e.Kind,
-		DIP:      dipString(e.DIP),
-		Duration: e.Duration,
-		Scale:    e.Scale,
-		Limit:    e.Limit,
-		OK:       true,
-	}, stampJournal)
-	if r.inner != nil {
-		r.inner.OnFault(e)
-	}
-}
-
-// OnReconcile journals the reconciler step with its key, generation and
-// outcome, then forwards. Round events are not journaled (one per round
-// would crowd out the interesting records); the metrics registry counts
-// them.
-func (r *Recorder) OnReconcile(e telemetry.ReconcileEvent) {
-	if e.Step != telemetry.ReconcileRound {
+	case telemetry.KindLearnFlush:
+		r.journal.put(JournalRecord{
+			Now:   e.Now,
+			Pipe:  e.Pipe,
+			Kind:  KindLearnFlush,
+			Batch: e.Batch,
+			Full:  e.Full,
+			OK:    true,
+		}, stampJournal)
+	case telemetry.KindCuckoo:
+		r.journal.put(JournalRecord{
+			Now:         e.Now,
+			Pipe:        e.Pipe,
+			Kind:        KindCuckoo,
+			Op:          e.CuckooOp.String(),
+			KeyHash:     e.KeyHash,
+			Digest:      e.Digest,
+			Version:     e.Version,
+			Moves:       e.Moves,
+			Relocations: e.Relocations,
+			OK:          e.OK,
+			Len:         e.Len,
+			Capacity:    e.Capacity,
+		}, stampJournal)
+	case telemetry.KindDegraded:
+		op := "exit"
+		if e.Degraded {
+			op = "enter"
+		}
+		r.journal.put(JournalRecord{
+			Now:      e.Now,
+			Pipe:     e.Pipe,
+			Kind:     KindDegraded,
+			Op:       op,
+			Len:      e.Len,
+			Capacity: e.Effective,
+			OK:       true,
+		}, stampJournal)
+	case telemetry.KindFault:
+		r.journal.put(JournalRecord{
+			Now:      e.Now,
+			Pipe:     e.Pipe,
+			Kind:     KindFault,
+			Op:       e.Fault,
+			DIP:      dipString(e.DIP),
+			Duration: e.Duration,
+			Scale:    e.Scale,
+			Limit:    e.Limit,
+			OK:       true,
+		}, stampJournal)
+	case telemetry.KindReconcile:
+		if e.ReconcileStep == telemetry.ReconcileRound {
+			break
+		}
 		rec := JournalRecord{
 			Now:        e.Now,
 			Pipe:       e.Member,
 			Kind:       KindReconcile,
-			Step:       e.Step.String(),
+			Step:       e.ReconcileStep.String(),
 			Op:         e.Op,
 			Generation: e.Generation,
 			Retries:    e.Retries,
-			Duration:   e.Latency,
+			Duration:   e.Duration,
 			Error:      e.Err,
 			OK:         e.Err == "",
 		}
-		if e.VIP != (telemetry.VIPKey{}) {
-			rec.VIP = e.VIP.String()
+		if e.Key != (telemetry.VIPKey{}) {
+			rec.VIP = e.Key.String()
 		}
 		r.journal.put(rec, stampJournal)
+	case telemetry.KindHandoff:
+		switch e.HandoffStep {
+		case telemetry.HandoffBegin, telemetry.HandoffDone, telemetry.HandoffCancel:
+			r.journal.put(JournalRecord{
+				Now:      e.Now,
+				Pipe:     e.Donor,
+				Kind:     KindHandoff,
+				Step:     e.HandoffStep.String(),
+				Receiver: e.Receiver,
+				Len:      e.Entries,
+				Batch:    e.Deltas,
+				Cursor:   e.Cursor,
+				Duration: e.Duration,
+				OK:       e.HandoffStep != telemetry.HandoffCancel,
+			}, stampJournal)
+		}
 	}
 	if r.inner != nil {
-		r.inner.OnReconcile(e)
-	}
-}
-
-// OnHandoff journals transfer begin/done/cancel records (the consistency
-// cursor's anchor points) and forwards. Chunk, delta and retry steps are
-// high-frequency and left to the metrics registry, like Round events.
-func (r *Recorder) OnHandoff(e telemetry.HandoffEvent) {
-	switch e.Step {
-	case telemetry.HandoffBegin, telemetry.HandoffDone, telemetry.HandoffCancel:
-		r.journal.put(JournalRecord{
-			Now:      e.Now,
-			Pipe:     e.Donor,
-			Kind:     KindHandoff,
-			Step:     e.Step.String(),
-			Receiver: e.Receiver,
-			Len:      e.Entries,
-			Batch:    e.Deltas,
-			Cursor:   e.Cursor,
-			Duration: e.Duration,
-			OK:       e.Step != telemetry.HandoffCancel,
-		}, stampJournal)
-	}
-	if r.inner != nil {
-		r.inner.OnHandoff(e)
+		r.inner.Trace(e)
 	}
 }
 

@@ -20,9 +20,9 @@ func tuple(i int) netproto.FiveTuple {
 	}
 }
 
-func verdictEvent(i int, t netproto.FiveTuple) telemetry.VerdictEvent {
-	return telemetry.VerdictEvent{
-		Now: simtime.Time(0).Add(simtime.Duration(i) * simtime.Millisecond), Pipe: i % 4, Tuple: t,
+func verdictEvent(i int, t netproto.FiveTuple) telemetry.Event {
+	return telemetry.Event{
+		Kind: telemetry.KindVerdict, Now: simtime.Time(0).Add(simtime.Duration(i) * simtime.Millisecond), Pipe: i % 4, Tuple: t,
 		Verdict: telemetry.VerdictForward, WireLen: 64,
 		KeyHash: uint64(i), Digest: uint32(i), Version: 1, Stage: -1,
 		Meter: telemetry.MeterNone,
@@ -35,10 +35,10 @@ func TestArmedFlowRecorded(t *testing.T) {
 	other := tuple(2)
 
 	f := r.Arm(target)
-	r.OnVerdict(telemetry.VerdictEvent{Tuple: target, Verdict: telemetry.VerdictForward,
+	r.Trace(telemetry.Event{Kind: telemetry.KindVerdict, Tuple: target, Verdict: telemetry.VerdictForward,
 		Stage: 2, Meter: telemetry.MeterNone, ConnHit: true, Version: 3,
 		DIP: netip.MustParseAddrPort("20.0.0.1:80")})
-	r.OnVerdict(telemetry.VerdictEvent{Tuple: other, Verdict: telemetry.VerdictForward,
+	r.Trace(telemetry.Event{Kind: telemetry.KindVerdict, Tuple: other, Verdict: telemetry.VerdictForward,
 		Stage: -1, Meter: telemetry.MeterNone})
 
 	recs := f.Records()
@@ -58,7 +58,7 @@ func TestArmedFlowRecorded(t *testing.T) {
 	}
 
 	f.Stop()
-	r.OnVerdict(telemetry.VerdictEvent{Tuple: target, Verdict: telemetry.VerdictForward,
+	r.Trace(telemetry.Event{Kind: telemetry.KindVerdict, Tuple: target, Verdict: telemetry.VerdictForward,
 		Stage: -1, Meter: telemetry.MeterNone})
 	if len(r.FlowTrace(target)) != 1 {
 		t.Fatal("disarmed flow must stop recording")
@@ -69,9 +69,9 @@ func TestInsertRecordJoinsFlowTrace(t *testing.T) {
 	r := New(Config{})
 	target := tuple(7)
 	r.Arm(target)
-	r.OnVerdict(telemetry.VerdictEvent{Tuple: target, Verdict: telemetry.VerdictForward,
+	r.Trace(telemetry.Event{Kind: telemetry.KindVerdict, Tuple: target, Verdict: telemetry.VerdictForward,
 		Learned: true, Stage: -1, Meter: telemetry.MeterNone})
-	r.OnInsert(telemetry.InsertEvent{Tuple: target, Kind: telemetry.InsertLearned,
+	r.Trace(telemetry.Event{Kind: telemetry.KindInsert, Tuple: target, Insert: telemetry.InsertLearned,
 		Outcome: telemetry.InsertOK, Version: 2})
 
 	recs := r.FlowTrace(target)
@@ -89,7 +89,7 @@ func TestInsertRecordJoinsFlowTrace(t *testing.T) {
 func TestSampling(t *testing.T) {
 	r := New(Config{SampleEvery: 10})
 	for i := 0; i < 100; i++ {
-		r.OnVerdict(verdictEvent(i, tuple(i)))
+		r.Trace(verdictEvent(i, tuple(i)))
 	}
 	if got := len(r.Packets()); got != 10 {
 		t.Fatalf("1-in-10 sampling over 100 packets: want 10 records, got %d", got)
@@ -99,7 +99,7 @@ func TestSampling(t *testing.T) {
 func TestRingWrapKeepsNewest(t *testing.T) {
 	r := New(Config{PacketRing: 8, SampleEvery: 1})
 	for i := 0; i < 20; i++ {
-		r.OnVerdict(verdictEvent(i, tuple(i)))
+		r.Trace(verdictEvent(i, tuple(i)))
 	}
 	recs := r.Packets()
 	if len(recs) != 8 {
@@ -117,17 +117,18 @@ func TestRingWrapKeepsNewest(t *testing.T) {
 
 func TestJournalKinds(t *testing.T) {
 	r := New(Config{})
-	r.OnUpdateStep(telemetry.UpdateStepEvent{
-		Now: 5, Pipe: 1, Step: telemetry.StepTransition,
+	r.Trace(telemetry.Event{
+		Kind: telemetry.KindUpdateStep,
+		Now:  5, Pipe: 1, UpdateStep: telemetry.StepTransition,
 		Key:         telemetry.VIPKey{Addr: netip.MustParseAddr("10.0.0.1"), Port: 80, Proto: 6},
 		PrevVersion: 1, Version: 2,
 		Before: []netip.AddrPort{netip.MustParseAddrPort("20.0.0.1:80")},
 		After: []netip.AddrPort{netip.MustParseAddrPort("20.0.0.1:80"),
 			netip.MustParseAddrPort("20.0.0.2:80")},
 	})
-	r.OnCuckoo(telemetry.CuckooEvent{Now: 6, Op: telemetry.CuckooInsert,
+	r.Trace(telemetry.Event{Kind: telemetry.KindCuckoo, Now: 6, CuckooOp: telemetry.CuckooInsert,
 		KeyHash: 42, Moves: 3, OK: true, Len: 1, Capacity: 64})
-	r.OnLearnFlush(telemetry.LearnFlushEvent{Now: 7, Batch: 5, Full: true})
+	r.Trace(telemetry.Event{Kind: telemetry.KindLearnFlush, Now: 7, Batch: 5, Full: true})
 
 	j := r.Journal()
 	if len(j) != 3 {
@@ -153,12 +154,13 @@ func TestJournalKinds(t *testing.T) {
 
 func TestForwardsToInner(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	r := New(Config{Inner: reg})
+	r := New(Config{})
+	r.SetInner(reg)
 	vs := r.RegisterVIP(0, telemetry.VIPKey{Addr: netip.MustParseAddr("10.0.0.1"), Port: 80, Proto: 6})
 	if vs == nil {
 		t.Fatal("RegisterVIP must forward to the inner registry")
 	}
-	r.OnVerdict(telemetry.VerdictEvent{VIP: vs, Verdict: telemetry.VerdictForward,
+	r.Trace(telemetry.Event{Kind: telemetry.KindVerdict, VIP: vs, Verdict: telemetry.VerdictForward,
 		WireLen: 64, Stage: -1, Meter: telemetry.MeterNone})
 	snap := reg.Snapshot(1)
 	if snap.VIPs["10.0.0.1:80/tcp"].Packets != 1 {
@@ -177,8 +179,8 @@ func TestConcurrentWritersGapFreeSeqs(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				r.OnCuckoo(telemetry.CuckooEvent{Pipe: w, KeyHash: uint64(w*perWriter + i),
-					Op: telemetry.CuckooInsert, OK: true})
+				r.Trace(telemetry.Event{Kind: telemetry.KindCuckoo, Pipe: w, KeyHash: uint64(w*perWriter + i),
+					CuckooOp: telemetry.CuckooInsert, OK: true})
 			}
 		}()
 	}

@@ -112,7 +112,7 @@ type Config struct {
 	// ChunkSize bounds entries pulled from the exporter per Step call
 	// segment (default 256) — the unit the chunk counter counts.
 	ChunkSize int
-	// Tracer receives HandoffEvents (nil = NopTracer).
+	// Tracer receives the transfer's KindHandoff events (nil = untraced).
 	Tracer telemetry.Tracer
 	// Donor and Receiver label telemetry events.
 	Donor, Receiver int
@@ -149,9 +149,6 @@ func NewTransfer(ex Exporter, im Importer, cfg Config) *Transfer {
 	if cfg.ChunkSize <= 0 {
 		cfg.ChunkSize = 256
 	}
-	if cfg.Tracer == nil {
-		cfg.Tracer = telemetry.NopTracer{}
-	}
 	return &Transfer{cfg: cfg, ex: ex, im: im}
 }
 
@@ -172,11 +169,8 @@ func (t *Transfer) Step(now simtime.Time, budget int) (moved int, done bool) {
 	if !t.started {
 		t.started = true
 		t.began = now
-		t.cfg.Tracer.OnHandoff(telemetry.HandoffEvent{
-			Now: now, Donor: t.cfg.Donor, Receiver: t.cfg.Receiver,
-			Step: telemetry.HandoffBegin, Entries: t.ex.Pending(),
-			Cursor: t.ex.Cursor(),
-		})
+		t.trace(telemetry.Event{Now: now, HandoffStep: telemetry.HandoffBegin,
+			Entries: t.ex.Pending(), Cursor: t.ex.Cursor()})
 	}
 	for budget <= 0 || moved < budget {
 		if len(t.buf) == 0 {
@@ -227,10 +221,7 @@ func (t *Transfer) fill() bool {
 			t.buf = append(t.buf, chunk...)
 			t.stats.Chunks++
 			t.stats.Exported += uint64(len(chunk))
-			t.cfg.Tracer.OnHandoff(telemetry.HandoffEvent{
-				Donor: t.cfg.Donor, Receiver: t.cfg.Receiver,
-				Step: telemetry.HandoffChunk, Entries: len(chunk),
-			})
+			t.trace(telemetry.Event{HandoffStep: telemetry.HandoffChunk, Entries: len(chunk)})
 			return true
 		}
 	}
@@ -245,10 +236,7 @@ func (t *Transfer) fill() bool {
 func (t *Transfer) noteDeltas(now simtime.Time, n int) {
 	t.stats.Deltas += uint64(n)
 	t.stats.Exported += uint64(n)
-	t.cfg.Tracer.OnHandoff(telemetry.HandoffEvent{
-		Now: now, Donor: t.cfg.Donor, Receiver: t.cfg.Receiver,
-		Step: telemetry.HandoffDelta, Deltas: n,
-	})
+	t.trace(telemetry.Event{Now: now, HandoffStep: telemetry.HandoffDelta, Deltas: n})
 }
 
 // Finish marks the transfer complete and emits the Done event with the
@@ -259,12 +247,9 @@ func (t *Transfer) Finish(now simtime.Time) {
 		return
 	}
 	t.closed = true
-	t.cfg.Tracer.OnHandoff(telemetry.HandoffEvent{
-		Now: now, Donor: t.cfg.Donor, Receiver: t.cfg.Receiver,
-		Step:    telemetry.HandoffDone,
+	t.trace(telemetry.Event{Now: now, HandoffStep: telemetry.HandoffDone,
 		Entries: int(t.stats.Imported), Deltas: int(t.stats.Deltas),
-		Cursor: t.ex.Cursor(), Duration: now.Sub(t.began),
-	})
+		Cursor: t.ex.Cursor(), Duration: now.Sub(t.began)})
 	t.ex.Close()
 }
 
@@ -276,13 +261,19 @@ func (t *Transfer) Cancel(now simtime.Time) {
 		return
 	}
 	t.closed = true
-	t.cfg.Tracer.OnHandoff(telemetry.HandoffEvent{
-		Now: now, Donor: t.cfg.Donor, Receiver: t.cfg.Receiver,
-		Step:    telemetry.HandoffCancel,
+	t.trace(telemetry.Event{Now: now, HandoffStep: telemetry.HandoffCancel,
 		Entries: int(t.stats.Imported), Deltas: int(t.stats.Deltas),
-		Duration: now.Sub(t.began),
-	})
+		Duration: now.Sub(t.began)})
 	t.ex.Close()
+}
+
+// trace emits one handoff step labelled with the transfer's members (a
+// no-op when untraced).
+func (t *Transfer) trace(e telemetry.Event) {
+	if t.cfg.Tracer != nil {
+		e.Kind, e.Donor, e.Receiver = telemetry.KindHandoff, t.cfg.Donor, t.cfg.Receiver
+		t.cfg.Tracer.Trace(e)
+	}
 }
 
 // Done reports whether Finish or Cancel has run.

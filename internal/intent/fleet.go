@@ -253,10 +253,10 @@ func (c *ClusterReconciler) memberFailed(rec *Reconciler) bool {
 func (c *ClusterReconciler) rollback(now simtime.Time) {
 	for i := c.frontier; i >= 0; i-- {
 		rec := c.recs[i]
-		c.cfg.Tracer.OnReconcile(telemetry.ReconcileEvent{
-			Now: now, Member: i, Step: telemetry.ReconcileRollback,
-			Generation: c.cur.Generation,
-		})
+		if c.cfg.Tracer != nil {
+			c.cfg.Tracer.Trace(telemetry.Event{Kind: telemetry.KindReconcile, Now: now,
+				Member: i, ReconcileStep: telemetry.ReconcileRollback, Generation: c.cur.Generation})
+		}
 		rec.SetDesired(now, c.prev)
 		rec.Reconcile(now)
 	}

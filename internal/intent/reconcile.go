@@ -63,7 +63,8 @@ type Config struct {
 	// to Error (default 8). The key keeps retrying at MaxBackoff — Error
 	// is a reporting state, not a terminal one.
 	MaxRetries int
-	// Tracer receives ReconcileEvents (nil = NopTracer).
+	// Tracer receives the reconciler's KindReconcile events (nil =
+	// untraced).
 	Tracer telemetry.Tracer
 	// Member labels events with the fleet member index.
 	Member int
@@ -81,9 +82,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = 8
-	}
-	if c.Tracer == nil {
-		c.Tracer = telemetry.NopTracer{}
 	}
 	return c
 }
@@ -196,10 +194,7 @@ func (r *Reconciler) enqueue(now simtime.Time, key dataplane.VIP, reason, msg st
 // remain queued.
 func (r *Reconciler) Reconcile(now simtime.Time) int {
 	r.rounds++
-	r.cfg.Tracer.OnReconcile(telemetry.ReconcileEvent{
-		Now: now, Member: r.cfg.Member, Step: telemetry.ReconcileRound,
-		Generation: r.desired.Generation,
-	})
+	r.trace(telemetry.Event{Now: now, ReconcileStep: telemetry.ReconcileRound})
 	for _, key := range r.q.Due(now) {
 		retries := r.q.Retries(key)
 		if err := r.applyKey(now, key); err != nil {
@@ -407,19 +402,22 @@ func (r *Reconciler) setStatus(now simtime.Time, key dataplane.VIP, c Condition,
 }
 
 func (r *Reconciler) event(now simtime.Time, key dataplane.VIP, step telemetry.ReconcileStep, op string, retries int, lat simtime.Duration, err error) {
-	e := telemetry.ReconcileEvent{
-		Now: now, Member: r.cfg.Member, Step: step, Op: op,
-		VIP:        vipKey(key),
-		Generation: r.desired.Generation,
-		Retries:    retries, Latency: lat,
-	}
+	e := telemetry.Event{Now: now, ReconcileStep: step, Op: op,
+		Key: key.TelemetryKey(), Retries: retries, Duration: lat}
 	if err != nil {
 		e.Err = err.Error()
 	}
-	r.cfg.Tracer.OnReconcile(e)
+	r.trace(e)
 }
 
-func vipKey(v dataplane.VIP) telemetry.VIPKey { return v.TelemetryKey() }
+// trace emits one reconcile step labelled with the member and the desired
+// generation (a no-op when untraced).
+func (r *Reconciler) trace(e telemetry.Event) {
+	if r.cfg.Tracer != nil {
+		e.Kind, e.Member, e.Generation = telemetry.KindReconcile, r.cfg.Member, r.desired.Generation
+		r.cfg.Tracer.Trace(e)
+	}
+}
 
 // --- imperative edits ---------------------------------------------------
 //

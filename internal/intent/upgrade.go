@@ -71,7 +71,8 @@ type UpgradeConfig struct {
 	// Cluster.ReannounceTo. Called after RestoreSwitch and again on warm
 	// timeouts.
 	Reannounce func(now simtime.Time, member int) error
-	// Tracer receives ReconcileEvents with Op "upgrade-*" (nil = NopTracer).
+	// Tracer receives KindReconcile events with Op "upgrade-*" (nil =
+	// untraced).
 	Tracer telemetry.Tracer
 }
 
@@ -93,9 +94,6 @@ func (c UpgradeConfig) withDefaults() UpgradeConfig {
 	}
 	if c.WarmTimeout <= 0 {
 		c.WarmTimeout = 2 * simtime.Second
-	}
-	if c.Tracer == nil {
-		c.Tracer = telemetry.NopTracer{}
 	}
 	return c
 }
@@ -312,9 +310,12 @@ func (u *Upgrader) advance() {
 }
 
 func (u *Upgrader) event(now simtime.Time, m int, step telemetry.ReconcileStep, op string, err error) {
-	e := telemetry.ReconcileEvent{Now: now, Member: m, Step: step, Op: op}
+	if u.cfg.Tracer == nil {
+		return
+	}
+	e := telemetry.Event{Kind: telemetry.KindReconcile, Now: now, Member: m, ReconcileStep: step, Op: op}
 	if err != nil {
 		e.Err = err.Error()
 	}
-	u.cfg.Tracer.OnReconcile(e)
+	u.cfg.Tracer.Trace(e)
 }

@@ -130,7 +130,7 @@ func (f *Filter) NextFlush() (simtime.Time, bool) {
 }
 
 // SetTracer attaches a telemetry tracer: each Drain then emits one
-// OnLearnFlush event labelled with the given pipe index.
+// KindLearnFlush event labelled with the given pipe index.
 func (f *Filter) SetTracer(tr telemetry.Tracer, pipe int) {
 	f.tracer = tr
 	f.pipe = pipe
@@ -154,8 +154,8 @@ func (f *Filter) Drain() []Event {
 		f.FullFlush++
 	}
 	if f.tracer != nil {
-		f.tracer.OnLearnFlush(telemetry.LearnFlushEvent{
-			Now: flushAt, Pipe: f.pipe, Batch: len(out), Full: full,
+		f.tracer.Trace(telemetry.Event{
+			Kind: telemetry.KindLearnFlush, Now: flushAt, Pipe: f.pipe, Batch: len(out), Full: full,
 		})
 	}
 	return out

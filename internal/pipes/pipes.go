@@ -37,7 +37,6 @@ import (
 	"repro/internal/hashing"
 	"repro/internal/netproto"
 	"repro/internal/simtime"
-	"repro/internal/telemetry"
 )
 
 // Config parameterizes a multi-pipe engine. Dataplane describes the chip
@@ -47,18 +46,16 @@ type Config struct {
 	// Pipes is the number of independent forwarding pipelines (1-4 on real
 	// chips; any positive count is accepted). Values below 1 mean 1.
 	Pipes int
-	// Dataplane is the chip-level data-plane configuration.
+	// Dataplane is the chip-level data-plane configuration. Its Tracer
+	// receives every pipe's events, each labelled with its pipe index (the
+	// engine sets Pipe per pipe), so it must be safe for concurrent use:
+	// pipes emit in parallel under ProcessBatch.
 	Dataplane dataplane.Config
 	// Controlplane configures each pipe's slice of the switch software.
 	Controlplane ctrlplane.Config
 	// ShardSeed seeds the 5-tuple -> pipe hash. Zero derives one from the
 	// data-plane seed.
 	ShardSeed uint64
-	// Tracer receives telemetry from every pipe, labelled with the pipe
-	// index. It overrides Dataplane.Tracer (which would mislabel all pipes
-	// with one index). Implementations must be safe for concurrent use:
-	// pipes emit events in parallel under ProcessBatch.
-	Tracer telemetry.Tracer
 }
 
 // pipe is one forwarding pipeline: a data plane, its control-plane slice,
@@ -153,9 +150,6 @@ func New(cfg Config) (*Engine, error) {
 		dcfg.ConnTableEntries = (cfg.Dataplane.ConnTableEntries + n - 1) / n
 		if n > 1 {
 			dcfg.Seed = cfg.Dataplane.Seed ^ (0x9e3779b97f4a7c15 * uint64(i+1))
-		}
-		if cfg.Tracer != nil {
-			dcfg.Tracer = cfg.Tracer
 		}
 		dcfg.Pipe = i
 		dp, err := dataplane.New(dcfg)

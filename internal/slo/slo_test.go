@@ -31,8 +31,9 @@ func newTestEvaluator(rules []Rule, journal func() uint64) (*telemetry.Registry,
 // learn pushes n learned insertions through the registry at time now.
 func learn(reg *telemetry.Registry, now simtime.Time, n int) {
 	for i := 0; i < n; i++ {
-		reg.OnInsert(telemetry.InsertEvent{
-			Now: now, Kind: telemetry.InsertLearned,
+		reg.Trace(telemetry.Event{
+			Kind: telemetry.KindInsert,
+			Now:  now, Insert: telemetry.InsertLearned,
 			Outcome: telemetry.InsertOK, ArrivedAt: now - simtime.Time(2*simtime.Millisecond),
 		})
 	}
@@ -45,7 +46,7 @@ func TestEvaluatorSignals(t *testing.T) {
 		now += simtime.Time(tick)
 		learn(reg, now, 50)
 		for j := 0; j < 3; j++ {
-			reg.OnInsert(telemetry.InsertEvent{Now: now, Outcome: telemetry.InsertRetry})
+			reg.Trace(telemetry.Event{Kind: telemetry.KindInsert, Now: now, Outcome: telemetry.InsertRetry})
 		}
 		e.Advance(now)
 	}
@@ -75,8 +76,9 @@ func TestForecasterPredictsExhaustion(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		now += simtime.Time(tick)
 		entries += 100 // steady 100 entries/second
-		reg.OnCuckoo(telemetry.CuckooEvent{
-			Now: now, Pipe: 0, Op: telemetry.CuckooInsert, OK: true,
+		reg.Trace(telemetry.Event{
+			Kind: telemetry.KindCuckoo,
+			Now:  now, Pipe: 0, CuckooOp: telemetry.CuckooInsert, OK: true,
 			Len: entries, Capacity: 2000,
 		})
 		e.Advance(now)
@@ -103,8 +105,9 @@ func TestForecasterFlatTableNoPrediction(t *testing.T) {
 	var now simtime.Time
 	for i := 0; i < 6; i++ {
 		now += simtime.Time(tick)
-		reg.OnCuckoo(telemetry.CuckooEvent{
-			Now: now, Pipe: 0, Op: telemetry.CuckooInsert, OK: true,
+		reg.Trace(telemetry.Event{
+			Kind: telemetry.KindCuckoo,
+			Now:  now, Pipe: 0, CuckooOp: telemetry.CuckooInsert, OK: true,
 			Len: 500, Capacity: 2000,
 		})
 		e.Advance(now)
@@ -132,7 +135,7 @@ func TestAlertLifecycle(t *testing.T) {
 		now += simtime.Time(tick)
 		cursor += 7
 		for i := 0; i < retries; i++ {
-			reg.OnInsert(telemetry.InsertEvent{Now: now, Outcome: telemetry.InsertRetry})
+			reg.Trace(telemetry.Event{Kind: telemetry.KindInsert, Now: now, Outcome: telemetry.InsertRetry})
 		}
 		e.Advance(now)
 		return e.Alerts()[0]
@@ -198,7 +201,7 @@ func TestAlertHysteresisHoldsFiring(t *testing.T) {
 	step := func(retries int) AlertStatus {
 		now += simtime.Time(tick)
 		for i := 0; i < retries; i++ {
-			reg.OnInsert(telemetry.InsertEvent{Now: now, Outcome: telemetry.InsertRetry})
+			reg.Trace(telemetry.Event{Kind: telemetry.KindInsert, Now: now, Outcome: telemetry.InsertRetry})
 		}
 		e.Advance(now)
 		return e.Alerts()[0]
@@ -227,7 +230,7 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		now += simtime.Time(tick)
 		learn(reg, now, 10)
-		reg.OnCuckoo(telemetry.CuckooEvent{Now: now, Pipe: 0, Op: telemetry.CuckooInsert,
+		reg.Trace(telemetry.Event{Kind: telemetry.KindCuckoo, Now: now, Pipe: 0, CuckooOp: telemetry.CuckooInsert,
 			OK: true, Len: 10 * (i + 1), Capacity: 100000})
 		e.Advance(now)
 	}
@@ -249,7 +252,7 @@ func TestReportJSONDeterministic(t *testing.T) {
 		for i := 0; i < 6; i++ {
 			now += simtime.Time(tick)
 			learn(reg, now, 25)
-			reg.OnCuckoo(telemetry.CuckooEvent{Now: now, Pipe: 0, Op: telemetry.CuckooInsert,
+			reg.Trace(telemetry.Event{Kind: telemetry.KindCuckoo, Now: now, Pipe: 0, CuckooOp: telemetry.CuckooInsert,
 				OK: true, Len: 50 * (i + 1), Capacity: 1000})
 			e.Advance(now)
 		}

@@ -197,7 +197,7 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 // VIPSeries is the per-(pipe, VIP) hot-path accumulator. Components that
 // install a VIP resolve the series once through Tracer.RegisterVIP and
 // then update it with plain atomic operations — no map lookups and no
-// allocations on the packet path. The Registry's hooks update the same
+// allocations on the packet path. The Registry's event fold updates the same
 // fields when events carry the series, so both sides see one set of
 // numbers.
 type VIPSeries struct {

@@ -25,33 +25,33 @@ func goldenSnapshot() Snapshot {
 	vsA := r.RegisterVIP(0, VIPKey{Addr: netip.MustParseAddr("10.0.0.1"), Port: 80, Proto: 6})
 	vsB := r.RegisterVIP(1, VIPKey{Addr: netip.MustParseAddr("10.0.0.2"), Port: 443, Proto: 17})
 
-	r.OnVerdict(VerdictEvent{Now: 1e9, Pipe: 0, VIP: vsA, Verdict: VerdictForward, WireLen: 64})
-	r.OnVerdict(VerdictEvent{Now: 2e9, Pipe: 0, VIP: vsA, Verdict: VerdictForward, WireLen: 1500})
-	r.OnVerdict(VerdictEvent{Now: 2e9, Pipe: 1, VIP: vsB, Verdict: VerdictNoBackend, WireLen: 40})
-	r.OnInsert(InsertEvent{Now: 3e9, Pipe: 0, VIP: vsA, Kind: InsertLearned,
+	r.Trace(Event{Kind: KindVerdict, Now: 1e9, Pipe: 0, VIP: vsA, Verdict: VerdictForward, WireLen: 64})
+	r.Trace(Event{Kind: KindVerdict, Now: 2e9, Pipe: 0, VIP: vsA, Verdict: VerdictForward, WireLen: 1500})
+	r.Trace(Event{Kind: KindVerdict, Now: 2e9, Pipe: 1, VIP: vsB, Verdict: VerdictNoBackend, WireLen: 40})
+	r.Trace(Event{Kind: KindInsert, Now: 3e9, Pipe: 0, VIP: vsA, Insert: InsertLearned,
 		Outcome: InsertOK, ArrivedAt: 1e9})
-	r.OnUpdateStep(UpdateStepEvent{Now: 4e9, Step: StepDone})
-	r.OnLearnFlush(LearnFlushEvent{Now: 4e9, Pipe: 0, Batch: 3})
-	r.OnMeterDrop(MeterDropEvent{Now: 5e9, Pipe: 1, VIP: vsB, WireLen: 900})
-	r.OnCuckoo(CuckooEvent{Now: 6e9, Pipe: 0, Op: CuckooInsert, Moves: 3,
+	r.Trace(Event{Kind: KindUpdateStep, Now: 4e9, UpdateStep: StepDone})
+	r.Trace(Event{Kind: KindLearnFlush, Now: 4e9, Pipe: 0, Batch: 3})
+	r.Trace(Event{Kind: KindMeterDrop, Now: 5e9, Pipe: 1, VIP: vsB, WireLen: 900})
+	r.Trace(Event{Kind: KindCuckoo, Now: 6e9, Pipe: 0, CuckooOp: CuckooInsert, Moves: 3,
 		OK: true, Len: 5, Capacity: 100})
-	r.OnCuckoo(CuckooEvent{Now: 7e9, Pipe: 0, Op: CuckooRelocate, Relocations: 2,
+	r.Trace(Event{Kind: KindCuckoo, Now: 7e9, Pipe: 0, CuckooOp: CuckooRelocate, Relocations: 2,
 		OK: true, Len: 5, Capacity: 100})
-	r.OnCuckoo(CuckooEvent{Now: 8e9, Pipe: 0, Op: CuckooInsert, Moves: 40,
+	r.Trace(Event{Kind: KindCuckoo, Now: 8e9, Pipe: 0, CuckooOp: CuckooInsert, Moves: 40,
 		OK: false, Len: 5, Capacity: 100, Effective: 80})
-	r.OnDegraded(DegradedEvent{Now: 8e9, Pipe: 1, Degraded: true, Entries: 70, Capacity: 80})
-	r.OnReconcile(ReconcileEvent{Now: 8e9, Step: ReconcileRound, Generation: 2})
-	r.OnReconcile(ReconcileEvent{Now: 8e9, Step: ReconcileApply, Op: "update",
-		Generation: 2, Latency: 2e6})
-	r.OnReconcile(ReconcileEvent{Now: 8e9, Step: ReconcileRetry, Generation: 2,
+	r.Trace(Event{Kind: KindDegraded, Now: 8e9, Pipe: 1, Degraded: true, Len: 70, Effective: 80})
+	r.Trace(Event{Kind: KindReconcile, Now: 8e9, ReconcileStep: ReconcileRound, Generation: 2})
+	r.Trace(Event{Kind: KindReconcile, Now: 8e9, ReconcileStep: ReconcileApply, Op: "update",
+		Generation: 2, Duration: 2e6})
+	r.Trace(Event{Kind: KindReconcile, Now: 8e9, ReconcileStep: ReconcileRetry, Generation: 2,
 		Retries: 1, Err: "table full"})
-	r.OnReconcile(ReconcileEvent{Now: 9e9, Step: ReconcileDrift, Generation: 2})
-	r.OnHandoff(HandoffEvent{Now: 9e9, Donor: 0, Receiver: 1, Step: HandoffBegin,
+	r.Trace(Event{Kind: KindReconcile, Now: 9e9, ReconcileStep: ReconcileDrift, Generation: 2})
+	r.Trace(Event{Kind: KindHandoff, Now: 9e9, Donor: 0, Receiver: 1, HandoffStep: HandoffBegin,
 		Entries: 5, Cursor: 42})
-	r.OnHandoff(HandoffEvent{Donor: 0, Receiver: 1, Step: HandoffChunk, Entries: 4})
-	r.OnHandoff(HandoffEvent{Donor: 0, Receiver: 1, Step: HandoffDelta, Deltas: 2})
-	r.OnHandoff(HandoffEvent{Now: 9e9, Donor: -1, Receiver: 1, Step: HandoffRetry, Entries: 1})
-	r.OnHandoff(HandoffEvent{Now: 9e9, Donor: 0, Receiver: 1, Step: HandoffDone,
+	r.Trace(Event{Kind: KindHandoff, Donor: 0, Receiver: 1, HandoffStep: HandoffChunk, Entries: 4})
+	r.Trace(Event{Kind: KindHandoff, Donor: 0, Receiver: 1, HandoffStep: HandoffDelta, Deltas: 2})
+	r.Trace(Event{Kind: KindHandoff, Now: 9e9, Donor: -1, Receiver: 1, HandoffStep: HandoffRetry, Entries: 1})
+	r.Trace(Event{Kind: KindHandoff, Now: 9e9, Donor: 0, Receiver: 1, HandoffStep: HandoffDone,
 		Entries: 6, Deltas: 2, Cursor: 42, Duration: 3e6})
 	return r.Snapshot(9e9)
 }

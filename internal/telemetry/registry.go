@@ -134,8 +134,125 @@ var (
 	kickBounds  = []float64{0, 1, 2, 4, 8, 16, 32, 64}
 )
 
-// pipeSeries is the per-pipe accumulator behind OnVerdict, plus the
-// occupancy tap fed by OnCuckoo/OnDegraded: the last reported ConnTable
+// builtin indexes the registry's built-in instruments: the rows of
+// builtins and of Registry.in.
+type builtin uint8
+
+const (
+	insertsLearned builtin = iota
+	digestFPs
+	bloomFPs
+	insertDups
+	insertOverflows
+	insertRetries
+	insertSheds
+	updatesRequested
+	updatesCompleted
+	learnFlushes
+	learnFullFlushes
+	meterDropBytes
+	cuckooRelocations
+	cuckooFailures
+	degradedTransitions
+	faultsInjected
+	reconcileRounds
+	reconcileApplies
+	reconcileNoops
+	reconcileRetries
+	reconcileRollbacks
+	reconcileErrors
+	reconcileDrift
+	handoffExported
+	handoffImported
+	handoffDeltas
+	handoffChunks
+	handoffRetries
+	queueDepth
+	queuePeak
+	connOccupancy
+	degradedPipes
+	pendingWindow
+	learnBatch
+	updRecord
+	updTransition
+	updTotal
+	kickChain
+	reconcileApplyLatency
+	handoffDuration
+	numBuiltins
+)
+
+// builtins declares every built-in instrument once: its exposition name
+// and its type — a histogram when it has bounds, else a gauge or a
+// counter. NewRegistry registers each row; the event fold and the
+// allocation-free readers reach them by index, never by name.
+var builtins = [numBuiltins]struct {
+	name   string
+	gauge  bool
+	bounds []float64
+}{
+	insertsLearned:        {name: MetricInsertsLearned},
+	digestFPs:             {name: MetricDigestCollisions},
+	bloomFPs:              {name: MetricBloomFPs},
+	insertDups:            {name: MetricInsertDuplicates},
+	insertOverflows:       {name: MetricInsertOverflows},
+	insertRetries:         {name: MetricInsertRetries},
+	insertSheds:           {name: MetricInsertSheds},
+	updatesRequested:      {name: MetricUpdatesRequested},
+	updatesCompleted:      {name: MetricUpdatesCompleted},
+	learnFlushes:          {name: MetricLearnFlushes},
+	learnFullFlushes:      {name: MetricLearnFullFlushes},
+	meterDropBytes:        {name: MetricMeterDropBytes},
+	cuckooRelocations:     {name: MetricCuckooRelocations},
+	cuckooFailures:        {name: MetricCuckooFailures},
+	degradedTransitions:   {name: MetricDegradedTransitions},
+	faultsInjected:        {name: MetricFaultsInjected},
+	reconcileRounds:       {name: MetricReconcileRounds},
+	reconcileApplies:      {name: MetricReconcileApplies},
+	reconcileNoops:        {name: MetricReconcileNoops},
+	reconcileRetries:      {name: MetricReconcileRetries},
+	reconcileRollbacks:    {name: MetricReconcileRollbacks},
+	reconcileErrors:       {name: MetricReconcileErrors},
+	reconcileDrift:        {name: MetricReconcileDrift},
+	handoffExported:       {name: MetricHandoffExported},
+	handoffImported:       {name: MetricHandoffImported},
+	handoffDeltas:         {name: MetricHandoffDeltas},
+	handoffChunks:         {name: MetricHandoffChunks},
+	handoffRetries:        {name: MetricHandoffRetries},
+	queueDepth:            {name: MetricInsertQueueDepth, gauge: true},
+	queuePeak:             {name: MetricInsertQueuePeak, gauge: true},
+	connOccupancy:         {name: MetricConnTableOccupancy, gauge: true},
+	degradedPipes:         {name: MetricDegradedPipes, gauge: true},
+	pendingWindow:         {name: MetricPendingWindow, bounds: durationBounds},
+	learnBatch:            {name: MetricLearnBatch, bounds: batchBounds},
+	updRecord:             {name: MetricUpdateRecord, bounds: durationBounds},
+	updTransition:         {name: MetricUpdateTransition, bounds: durationBounds},
+	updTotal:              {name: MetricUpdateTotal, bounds: durationBounds},
+	kickChain:             {name: MetricCuckooKickChain, bounds: kickBounds},
+	reconcileApplyLatency: {name: MetricReconcileApplyLatency, bounds: durationBounds},
+	handoffDuration:       {name: MetricHandoffDuration, bounds: durationBounds},
+}
+
+// The counter each insert outcome other than InsertOK, each committed
+// insert's kind, and each reconcile step feeds.
+var (
+	outcomeCounters = [...]builtin{InsertDuplicate: insertDups,
+		InsertOverflow: insertOverflows, InsertRetry: insertRetries, InsertShed: insertSheds}
+	insertCounters    = [...]builtin{InsertLearned: insertsLearned, InsertDigestFP: digestFPs, InsertBloomFP: bloomFPs}
+	reconcileCounters = [...]builtin{ReconcileRound: reconcileRounds, ReconcileApply: reconcileApplies,
+		ReconcileNoop: reconcileNoops, ReconcileRetry: reconcileRetries, ReconcileRollback: reconcileRollbacks,
+		ReconcileError: reconcileErrors, ReconcileDrift: reconcileDrift}
+)
+
+// instrument is one built-in instrument: the pointer its type names is set.
+type instrument struct {
+	c *Counter
+	g *Gauge
+	h *Histogram
+}
+
+// pipeSeries is the per-pipe accumulator behind verdict events, plus the
+// occupancy tap fed by cuckoo and degraded events: the last reported ConnTable
 // entry count, effective capacity and degraded flag, readable without any
 // lock the packet path shares (plain atomics).
 type pipeSeries struct {
@@ -168,7 +285,7 @@ type vipPipeKey struct {
 
 // Registry is the default Tracer: it folds the event stream into named
 // counters, gauges and histograms plus per-VIP and per-pipe series, all
-// updated with atomic operations so hooks may fire concurrently from
+// updated with atomic operations so events may arrive concurrently from
 // every pipe while Snapshot scrapes.
 type Registry struct {
 	mu       sync.Mutex
@@ -183,33 +300,13 @@ type Registry struct {
 	build        *BuildInfo
 	processStart float64
 
-	// pipes is copy-on-write: hooks load the slice atomically and index
+	// pipes is copy-on-write: the fold loads the slice atomically and indexes
 	// it; registration of a new pipe swaps in a grown copy under mu.
 	pipes atomic.Pointer[[]*pipeSeries]
 
-	// cached built-ins, so hooks never consult the name maps.
-	insertsLearned, digestFPs, bloomFPs *Counter
-	insertDups, insertOverflows         *Counter
-	insertRetries, insertSheds          *Counter
-	updatesRequested, updatesCompleted  *Counter
-	learnFlushes, learnFullFlushes      *Counter
-	meterDropBytes                      *Counter
-	cuckooRelocations, cuckooFailures   *Counter
-	degradedTransitions, faultsInjected *Counter
-	queueDepth, queuePeak               *Gauge
-	connOccupancy, degradedPipes        *Gauge
-	pendingWindow, learnBatch           *Histogram
-	updRecord, updTransition, updTotal  *Histogram
-	kickChain                           *Histogram
-	reconcileRounds, reconcileApplies   *Counter
-	reconcileNoops, reconcileRetries    *Counter
-	reconcileRollbacks, reconcileErrors *Counter
-	reconcileDrift                      *Counter
-	reconcileApplyLatency               *Histogram
-	handoffExported, handoffImported    *Counter
-	handoffDeltas, handoffChunks        *Counter
-	handoffRetries                      *Counter
-	handoffDuration                     *Histogram
+	// in holds the built-in instruments, indexed like builtins, so the
+	// event fold never consults the name maps.
+	in [numBuiltins]instrument
 }
 
 // NewRegistry creates a registry with every built-in instrument
@@ -225,46 +322,16 @@ func NewRegistry() *Registry {
 	empty := make([]*pipeSeries, 0)
 	r.pipes.Store(&empty)
 
-	r.insertsLearned = r.Counter(MetricInsertsLearned)
-	r.digestFPs = r.Counter(MetricDigestCollisions)
-	r.bloomFPs = r.Counter(MetricBloomFPs)
-	r.insertDups = r.Counter(MetricInsertDuplicates)
-	r.insertOverflows = r.Counter(MetricInsertOverflows)
-	r.updatesRequested = r.Counter(MetricUpdatesRequested)
-	r.updatesCompleted = r.Counter(MetricUpdatesCompleted)
-	r.learnFlushes = r.Counter(MetricLearnFlushes)
-	r.learnFullFlushes = r.Counter(MetricLearnFullFlushes)
-	r.meterDropBytes = r.Counter(MetricMeterDropBytes)
-	r.queueDepth = r.Gauge(MetricInsertQueueDepth)
-	r.queuePeak = r.Gauge(MetricInsertQueuePeak)
-	r.pendingWindow = r.Histogram(MetricPendingWindow, durationBounds)
-	r.learnBatch = r.Histogram(MetricLearnBatch, batchBounds)
-	r.updRecord = r.Histogram(MetricUpdateRecord, durationBounds)
-	r.updTransition = r.Histogram(MetricUpdateTransition, durationBounds)
-	r.updTotal = r.Histogram(MetricUpdateTotal, durationBounds)
-	r.cuckooRelocations = r.Counter(MetricCuckooRelocations)
-	r.cuckooFailures = r.Counter(MetricCuckooFailures)
-	r.connOccupancy = r.Gauge(MetricConnTableOccupancy)
-	r.kickChain = r.Histogram(MetricCuckooKickChain, kickBounds)
-	r.insertRetries = r.Counter(MetricInsertRetries)
-	r.insertSheds = r.Counter(MetricInsertSheds)
-	r.degradedTransitions = r.Counter(MetricDegradedTransitions)
-	r.faultsInjected = r.Counter(MetricFaultsInjected)
-	r.degradedPipes = r.Gauge(MetricDegradedPipes)
-	r.reconcileRounds = r.Counter(MetricReconcileRounds)
-	r.reconcileApplies = r.Counter(MetricReconcileApplies)
-	r.reconcileNoops = r.Counter(MetricReconcileNoops)
-	r.reconcileRetries = r.Counter(MetricReconcileRetries)
-	r.reconcileRollbacks = r.Counter(MetricReconcileRollbacks)
-	r.reconcileErrors = r.Counter(MetricReconcileErrors)
-	r.reconcileDrift = r.Counter(MetricReconcileDrift)
-	r.reconcileApplyLatency = r.Histogram(MetricReconcileApplyLatency, durationBounds)
-	r.handoffExported = r.Counter(MetricHandoffExported)
-	r.handoffImported = r.Counter(MetricHandoffImported)
-	r.handoffDeltas = r.Counter(MetricHandoffDeltas)
-	r.handoffChunks = r.Counter(MetricHandoffChunks)
-	r.handoffRetries = r.Counter(MetricHandoffRetries)
-	r.handoffDuration = r.Histogram(MetricHandoffDuration, durationBounds)
+	for i, b := range builtins {
+		switch {
+		case b.bounds != nil:
+			r.in[i].h = r.Histogram(b.name, b.bounds)
+		case b.gauge:
+			r.in[i].g = r.Gauge(b.name)
+		default:
+			r.in[i].c = r.Counter(b.name)
+		}
+	}
 	return r
 }
 
@@ -347,182 +414,133 @@ func (r *Registry) RegisterVIP(pipe int, vip VIPKey) *VIPSeries {
 	return s
 }
 
-// OnVerdict implements Tracer.
-func (r *Registry) OnVerdict(e VerdictEvent) {
-	p := r.pipe(e.Pipe)
-	p.packets.Inc()
-	p.bytes.Add(uint64(e.WireLen))
-	if e.Verdict < NumVerdicts {
-		p.verdicts[e.Verdict].Inc()
-	}
-	if v := e.VIP; v != nil {
-		v.Packets.Inc()
-		v.Bytes.Add(uint64(e.WireLen))
-		if e.ConnHit {
-			v.ConnHits.Inc()
-		}
-		if e.Learned {
-			v.Learns.Inc()
-		}
-		if e.Verdict == VerdictNoBackend {
-			v.NoBackend.Inc()
-		}
-	}
-}
-
-// OnInsert implements Tracer.
-func (r *Registry) OnInsert(e InsertEvent) {
-	r.queueDepth.Set(int64(e.QueueDepth))
-	r.queuePeak.SetMax(int64(e.QueueDepth))
-	switch e.Outcome {
-	case InsertDuplicate:
-		r.insertDups.Inc()
-		return
-	case InsertOverflow:
-		r.insertOverflows.Inc()
-		return
-	case InsertRetry:
-		r.insertRetries.Inc()
-		return
-	case InsertShed:
-		r.insertSheds.Inc()
-		return
-	}
+// Trace implements Tracer: it folds the event into the instruments its
+// kind feeds.
+func (r *Registry) Trace(e Event) {
 	switch e.Kind {
-	case InsertLearned:
-		r.insertsLearned.Inc()
-		r.pendingWindow.Observe(e.Now.Sub(e.ArrivedAt).Seconds())
-	case InsertDigestFP:
-		r.digestFPs.Inc()
-	case InsertBloomFP:
-		r.bloomFPs.Inc()
-	}
-	if e.VIP != nil {
-		e.VIP.Conns.Inc()
-	}
-}
-
-// OnUpdateStep implements Tracer.
-func (r *Registry) OnUpdateStep(e UpdateStepEvent) {
-	switch e.Step {
-	case StepRequested:
-		r.updatesRequested.Inc()
-	case StepTransition:
-		r.updRecord.Observe(e.Now.Sub(e.ReqAt).Seconds())
-	case StepDone:
-		r.updatesCompleted.Inc()
-		if e.ExecAt != 0 || e.ReqAt != 0 {
-			r.updTransition.Observe(e.Now.Sub(e.ExecAt).Seconds())
-			r.updTotal.Observe(e.Now.Sub(e.ReqAt).Seconds())
+	case KindVerdict:
+		p := r.pipe(e.Pipe)
+		p.packets.Inc()
+		p.bytes.Add(uint64(e.WireLen))
+		if e.Verdict < NumVerdicts {
+			p.verdicts[e.Verdict].Inc()
+		}
+		if v := e.VIP; v != nil {
+			v.Packets.Inc()
+			v.Bytes.Add(uint64(e.WireLen))
+			if e.ConnHit {
+				v.ConnHits.Inc()
+			}
+			if e.Learned {
+				v.Learns.Inc()
+			}
+			if e.Verdict == VerdictNoBackend {
+				v.NoBackend.Inc()
+			}
+		}
+	case KindMeterDrop:
+		r.in[meterDropBytes].c.Add(uint64(e.WireLen))
+		if e.VIP != nil {
+			e.VIP.MeterDrops.Inc()
+			e.VIP.MeterBytes.Add(uint64(e.WireLen))
+		}
+	case KindInsert:
+		r.in[queueDepth].g.Set(int64(e.QueueDepth))
+		r.in[queuePeak].g.SetMax(int64(e.QueueDepth))
+		if e.Outcome != InsertOK {
+			r.in[outcomeCounters[e.Outcome]].c.Inc()
+			return
+		}
+		r.in[insertCounters[e.Insert]].c.Inc()
+		if e.Insert == InsertLearned {
+			r.in[pendingWindow].h.Observe(e.Now.Sub(e.ArrivedAt).Seconds())
+		}
+		if e.VIP != nil {
+			e.VIP.Conns.Inc()
+		}
+	case KindUpdateStep:
+		switch e.UpdateStep {
+		case StepRequested:
+			r.in[updatesRequested].c.Inc()
+		case StepTransition:
+			r.in[updRecord].h.Observe(e.Now.Sub(e.ReqAt).Seconds())
+		case StepDone:
+			r.in[updatesCompleted].c.Inc()
+			if e.ExecAt != 0 || e.ReqAt != 0 {
+				r.in[updTransition].h.Observe(e.Now.Sub(e.ExecAt).Seconds())
+				r.in[updTotal].h.Observe(e.Now.Sub(e.ReqAt).Seconds())
+			}
+		}
+	case KindLearnFlush:
+		r.in[learnFlushes].c.Inc()
+		if e.Full {
+			r.in[learnFullFlushes].c.Inc()
+		}
+		r.in[learnBatch].h.Observe(float64(e.Batch))
+	case KindCuckoo:
+		// Kick-chain distribution, relocation and failure counters, and the
+		// chip-wide post-mutation occupancy gauge.
+		if e.CuckooOp == CuckooInsert {
+			r.in[kickChain].h.Observe(float64(e.Moves))
+		}
+		if e.Relocations > 0 {
+			r.in[cuckooRelocations].c.Add(uint64(e.Relocations))
+		}
+		if !e.OK {
+			r.in[cuckooFailures].c.Inc()
+		}
+		if e.Capacity > 0 {
+			r.in[connOccupancy].g.Set(int64(e.Len) * 1_000_000 / int64(e.Capacity))
+		}
+		r.tapOccupancy(e.Pipe, e.Len, e.Effective, e.Capacity)
+	case KindDegraded:
+		// Transitions, and how many pipes are degraded, per pipe and
+		// chip-wide.
+		r.in[degradedTransitions].c.Inc()
+		p := r.pipe(e.Pipe)
+		if e.Degraded {
+			r.in[degradedPipes].g.Add(1)
+			p.degraded.Set(1)
+		} else {
+			r.in[degradedPipes].g.Add(-1)
+			p.degraded.Set(0)
+		}
+		r.tapOccupancy(e.Pipe, e.Len, e.Effective, e.Capacity)
+	case KindFault:
+		r.in[faultsInjected].c.Inc()
+	case KindReconcile:
+		r.in[reconcileCounters[e.ReconcileStep]].c.Inc()
+		if e.ReconcileStep == ReconcileApply {
+			r.in[reconcileApplyLatency].h.Observe(e.Duration.Seconds())
+		}
+	case KindHandoff:
+		switch e.HandoffStep {
+		case HandoffChunk:
+			r.in[handoffChunks].c.Inc()
+			r.in[handoffExported].c.Add(uint64(e.Entries))
+		case HandoffDelta:
+			r.in[handoffDeltas].c.Add(uint64(e.Deltas))
+			r.in[handoffExported].c.Add(uint64(e.Deltas))
+		case HandoffRetry:
+			r.in[handoffRetries].c.Inc()
+		case HandoffDone:
+			r.in[handoffImported].c.Add(uint64(e.Entries))
+			r.in[handoffDuration].h.Observe(e.Duration.Seconds())
 		}
 	}
 }
 
-// OnLearnFlush implements Tracer.
-func (r *Registry) OnLearnFlush(e LearnFlushEvent) {
-	r.learnFlushes.Inc()
-	if e.Full {
-		r.learnFullFlushes.Inc()
+// tapOccupancy records a pipe's ConnTable occupancy, read by the SLO
+// forecaster: entries and the effective capacity (the slot capacity when
+// no limit was reported). A capacity of 0 leaves the tap alone.
+func (r *Registry) tapOccupancy(pipe, entries, effective, capacity int) {
+	if effective == 0 {
+		effective = capacity
 	}
-	r.learnBatch.Observe(float64(e.Batch))
-}
-
-// OnCuckoo implements Tracer: kick-chain distribution, relocation and
-// failure counters, the post-mutation occupancy gauge, and the per-pipe
-// occupancy tap the SLO forecaster reads.
-func (r *Registry) OnCuckoo(e CuckooEvent) {
-	if e.Op == CuckooInsert {
-		r.kickChain.Observe(float64(e.Moves))
-	}
-	if e.Relocations > 0 {
-		r.cuckooRelocations.Add(uint64(e.Relocations))
-	}
-	if !e.OK {
-		r.cuckooFailures.Inc()
-	}
-	if e.Capacity > 0 {
-		r.connOccupancy.Set(int64(e.Len) * 1_000_000 / int64(e.Capacity))
-	}
-	eff := e.Effective
-	if eff == 0 {
-		eff = e.Capacity
-	}
-	if eff > 0 {
-		p := r.pipe(e.Pipe)
-		p.connEntries.Set(int64(e.Len))
-		p.connCapacity.Set(int64(eff))
-	}
-}
-
-// OnDegraded implements Tracer: counts transitions and tracks how many
-// pipes are currently degraded, per pipe and chip-wide.
-func (r *Registry) OnDegraded(e DegradedEvent) {
-	r.degradedTransitions.Inc()
-	p := r.pipe(e.Pipe)
-	if e.Degraded {
-		r.degradedPipes.Add(1)
-		p.degraded.Set(1)
-	} else {
-		r.degradedPipes.Add(-1)
-		p.degraded.Set(0)
-	}
-	if e.Capacity > 0 {
-		p.connEntries.Set(int64(e.Entries))
-		p.connCapacity.Set(int64(e.Capacity))
-	}
-}
-
-// OnFault implements Tracer.
-func (r *Registry) OnFault(FaultEvent) {
-	r.faultsInjected.Inc()
-}
-
-// OnReconcile implements Tracer: folds reconciler steps into the
-// reconcile counters and the apply-latency histogram.
-func (r *Registry) OnReconcile(e ReconcileEvent) {
-	switch e.Step {
-	case ReconcileRound:
-		r.reconcileRounds.Inc()
-	case ReconcileApply:
-		r.reconcileApplies.Inc()
-		r.reconcileApplyLatency.Observe(e.Latency.Seconds())
-	case ReconcileNoop:
-		r.reconcileNoops.Inc()
-	case ReconcileRetry:
-		r.reconcileRetries.Inc()
-	case ReconcileRollback:
-		r.reconcileRollbacks.Inc()
-	case ReconcileError:
-		r.reconcileErrors.Inc()
-	case ReconcileDrift:
-		r.reconcileDrift.Inc()
-	}
-}
-
-// OnHandoff implements Tracer: folds connection-state transfer steps into
-// the handoff counters and the duration histogram.
-func (r *Registry) OnHandoff(e HandoffEvent) {
-	switch e.Step {
-	case HandoffChunk:
-		r.handoffChunks.Inc()
-		r.handoffExported.Add(uint64(e.Entries))
-	case HandoffDelta:
-		r.handoffDeltas.Add(uint64(e.Deltas))
-		r.handoffExported.Add(uint64(e.Deltas))
-	case HandoffRetry:
-		r.handoffRetries.Inc()
-	case HandoffDone:
-		r.handoffImported.Add(uint64(e.Entries))
-		r.handoffDuration.Observe(e.Duration.Seconds())
-	}
-}
-
-// OnMeterDrop implements Tracer.
-func (r *Registry) OnMeterDrop(e MeterDropEvent) {
-	r.meterDropBytes.Add(uint64(e.WireLen))
-	if e.VIP != nil {
-		e.VIP.MeterDrops.Inc()
-		e.VIP.MeterBytes.Add(uint64(e.WireLen))
+	if effective > 0 {
+		p := r.pipe(pipe)
+		p.connEntries.Set(int64(entries))
+		p.connCapacity.Set(int64(effective))
 	}
 }
 

@@ -6,11 +6,11 @@ import "sort"
 //
 // The SLO engine snapshots the registry every evaluation interval. Going
 // through Snapshot would allocate four maps per tick; the readers below
-// instead copy the cached built-in instruments into caller-owned structs
+// instead copy the built-in instruments (Registry.in) into caller-owned structs
 // and slices, so a steady-state sample performs only atomic loads. None of
 // them take any lock the packet path holds: the built-ins are plain
 // atomics, the pipe table is a copy-on-write atomic pointer, and r.mu (the
-// VIP readers) is a registration-time lock the hot-path hooks never touch.
+// VIP readers) is a registration-time lock the event fold never touches.
 
 // CoreStats is a flat copy of the built-in chip-wide instruments the SLO
 // engine derives SLIs from. Counter fields carry cumulative totals; the
@@ -38,29 +38,29 @@ type CoreStats struct {
 
 // ReadCore fills out with the current built-in instrument values.
 func (r *Registry) ReadCore(out *CoreStats) {
-	out.InsertsLearned = r.insertsLearned.Load()
-	out.DigestFPs = r.digestFPs.Load()
-	out.BloomFPs = r.bloomFPs.Load()
-	out.InsertDuplicates = r.insertDups.Load()
-	out.InsertOverflows = r.insertOverflows.Load()
-	out.InsertRetries = r.insertRetries.Load()
-	out.InsertSheds = r.insertSheds.Load()
-	out.UpdatesRequested = r.updatesRequested.Load()
-	out.UpdatesCompleted = r.updatesCompleted.Load()
-	out.LearnFlushes = r.learnFlushes.Load()
-	out.MeterDropBytes = r.meterDropBytes.Load()
-	out.DegradedTrans = r.degradedTransitions.Load()
-	out.FaultsInjected = r.faultsInjected.Load()
-	out.QueueDepth = r.queueDepth.Load()
-	out.QueuePeak = r.queuePeak.Load()
-	out.ConnOccupancyPPM = r.connOccupancy.Load()
-	out.DegradedPipes = r.degradedPipes.Load()
+	out.InsertsLearned = r.in[insertsLearned].c.Load()
+	out.DigestFPs = r.in[digestFPs].c.Load()
+	out.BloomFPs = r.in[bloomFPs].c.Load()
+	out.InsertDuplicates = r.in[insertDups].c.Load()
+	out.InsertOverflows = r.in[insertOverflows].c.Load()
+	out.InsertRetries = r.in[insertRetries].c.Load()
+	out.InsertSheds = r.in[insertSheds].c.Load()
+	out.UpdatesRequested = r.in[updatesRequested].c.Load()
+	out.UpdatesCompleted = r.in[updatesCompleted].c.Load()
+	out.LearnFlushes = r.in[learnFlushes].c.Load()
+	out.MeterDropBytes = r.in[meterDropBytes].c.Load()
+	out.DegradedTrans = r.in[degradedTransitions].c.Load()
+	out.FaultsInjected = r.in[faultsInjected].c.Load()
+	out.QueueDepth = r.in[queueDepth].g.Load()
+	out.QueuePeak = r.in[queuePeak].g.Load()
+	out.ConnOccupancyPPM = r.in[connOccupancy].g.Load()
+	out.DegradedPipes = r.in[degradedPipes].g.Load()
 }
 
 // ReadPendingWindow snapshots the pending-window histogram into out,
 // reusing out's slices (see Histogram.SnapshotInto).
 func (r *Registry) ReadPendingWindow(out *HistogramSnapshot) {
-	r.pendingWindow.SnapshotInto(out)
+	r.in[pendingWindow].h.SnapshotInto(out)
 }
 
 // PipeOccupancy is one pipe's occupancy-tap reading: ConnTable entries and

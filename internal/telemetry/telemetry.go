@@ -1,31 +1,29 @@
-// Package telemetry is the observability layer of the SilkRoad stack: a
-// tracing hook interface the data plane, control plane, learning filter and
-// multi-pipe engine invoke at their decision points, plus a metrics
-// Registry (package telemetry's default Tracer) that turns those events
+// Package telemetry is the observability layer of the SilkRoad stack: one
+// Event type the data plane, control plane, learning filter, fault
+// injector, reconciler and handoff pump emit at their decision points
+// through a two-method Tracer (RegisterVIP and Trace), plus a metrics
+// Registry (package telemetry's default Tracer) that folds those events
 // into counters, gauges and fixed-bucket histograms keyed by VIP and pipe.
 //
 // The paper's headline claims are quantitative — the pending-connection
 // window opened by slow CPU insertion (§4.2), digest and bloom false
 // positives, per-VIP load under meters — and none of them are observable
-// from end-of-run counter totals alone. The tracer hooks sit exactly at
-// the events those claims are about:
+// from end-of-run counter totals alone. The event kinds sit exactly at the
+// events those claims are about: KindVerdict, one per packet with the
+// pipeline's verdict; KindInsert, one per ConnTable insertion attempt,
+// carrying the connection's first-packet arrival time (the pending window)
+// and how it was learned; KindUpdateStep, the 3-step PCC update's
+// transitions with the t_req / t_exec timestamps of Figure 9; and
+// KindLearnFlush, KindMeterDrop, KindCuckoo, KindDegraded, KindFault,
+// KindReconcile and KindHandoff for the rest of the machinery.
 //
-//   - OnVerdict    — one per packet, with the pipeline's verdict.
-//   - OnInsert     — one per ConnTable insertion attempt, carrying the
-//     connection's first-packet arrival time (the pending window) and the
-//     insertion kind (learned via the filter, or inline after a digest /
-//     bloom false-positive arbitration).
-//   - OnUpdateStep — the 3-step PCC update's state transitions with the
-//     t_req / t_exec timestamps of Figure 9.
-//   - OnLearnFlush — each learning-filter drain with its batch size.
-//   - OnMeterDrop  — each packet a VIP meter marked red.
-//
-// Cost model: a component holds its Tracer in a plain interface field; a
-// nil tracer costs exactly one branch per event site. Per-VIP hot-path
-// accounting goes through a *VIPSeries handle resolved once at VIP
-// installation (RegisterVIP) and carried inside the events, so no hook
-// ever performs a map lookup on the packet path. All Registry state is
-// atomic: hooks are safe to invoke from concurrent pipes and Snapshot can
+// Cost model: a component holds its Tracer in a plain interface field, and
+// nil is the untraced value: it costs exactly one branch per event site.
+// Events travel by value, so an armed tracer allocates nothing per event.
+// Per-VIP hot-path accounting goes through a *VIPSeries handle resolved
+// once at VIP installation (RegisterVIP) and carried inside the events, so
+// no tracer ever performs a map lookup on the packet path. All Registry
+// state is atomic: events may arrive from concurrent pipes and Snapshot can
 // be scraped while traffic runs.
 //
 // Everything is in virtual time (simtime); the registry never reads the
@@ -225,94 +223,6 @@ func (c MeterColor) String() string {
 	}
 }
 
-// VerdictEvent reports one packet's pipeline outcome (the hardware
-// verdict, before any CPU arbitration rewrites it). Beyond the counters
-// the Registry folds it into, the event carries the packet's full INT-style
-// decision path — which connection, which ConnTable stage matched, the
-// digest, the bloom outcome, the meter color and the chosen DIP — so a
-// flight recorder can reconstruct "why did this flow land on that DIP"
-// per packet.
-type VerdictEvent struct {
-	Now     simtime.Time
-	Pipe    int
-	VIP     *VIPSeries // nil when the destination is not a registered VIP
-	Verdict Verdict
-	WireLen int  // bytes on the wire
-	Wire    bool // came in as raw wire bytes (frame path), not a synthetic struct
-	ConnHit bool // served from ConnTable
-	Learned bool // generated a learn event
-
-	// Trace path (INT-style annotations).
-	Tuple      netproto.FiveTuple // the packet's connection
-	KeyHash    uint64             // 64-bit connection key hash
-	Digest     uint32             // ConnTable match digest
-	Version    uint32             // DIP pool version the decision used
-	DIP        netip.AddrPort     // chosen backend (zero when none)
-	Stage      int                // ConnTable stage that matched; -1 on miss
-	TransitHit bool               // TransitTable bloom said "pending"
-	Meter      MeterColor         // meter outcome (MeterNone when unmetered)
-}
-
-// InsertEvent reports one ConnTable insertion attempt.
-type InsertEvent struct {
-	Now     simtime.Time
-	Pipe    int
-	VIP     *VIPSeries // nil if the VIP was withdrawn meanwhile
-	Kind    InsertKind
-	Outcome InsertOutcome
-	// Tuple identifies the inserted connection and Version the pool version
-	// it was pinned to (flow-trace annotations; Tuple may be zero for
-	// tracers that only aggregate).
-	Tuple   netproto.FiveTuple
-	Version uint32
-	// ArrivedAt is when the connection's first packet was seen (SYN seen);
-	// Now - ArrivedAt is the pending window the paper reasons about. Only
-	// meaningful for InsertLearned.
-	ArrivedAt simtime.Time
-	// QueueDepth is the CPU insertion queue length after this attempt.
-	QueueDepth int
-}
-
-// UpdateStepEvent reports a PCC update state transition. Key, the version
-// pair and the pool delta identify the update for event-journal purposes;
-// aggregate tracers may ignore them.
-type UpdateStepEvent struct {
-	Now  simtime.Time
-	Pipe int
-	VIP  *VIPSeries
-	Step UpdateStep
-	// ReqAt is t_req (zero before StepRecording); ExecAt is t_exec (zero
-	// before StepTransition).
-	ReqAt  simtime.Time
-	ExecAt simtime.Time
-	// Key names the VIP (VIP above is only an accumulator handle).
-	Key VIPKey
-	// PrevVersion -> Version is the version bump this update performs
-	// (meaningful from StepRecording on; equal before a version is chosen).
-	PrevVersion uint32
-	Version     uint32
-	// Before and After are the pool contents the update moves between
-	// (nil when the emitting step does not know them, e.g. StepRequested).
-	Before []netip.AddrPort
-	After  []netip.AddrPort
-}
-
-// LearnFlushEvent reports one learning-filter drain.
-type LearnFlushEvent struct {
-	Now   simtime.Time
-	Pipe  int
-	Batch int  // events handed to the CPU
-	Full  bool // capacity-triggered (vs timeout) flush
-}
-
-// MeterDropEvent reports a packet a VIP meter marked red.
-type MeterDropEvent struct {
-	Now     simtime.Time
-	Pipe    int
-	VIP     *VIPSeries
-	WireLen int
-}
-
 // CuckooOp classifies a ConnTable (cuckoo) mutation.
 type CuckooOp uint8
 
@@ -340,61 +250,6 @@ func (o CuckooOp) String() string {
 	default:
 		return fmt.Sprintf("op_%d", uint8(o))
 	}
-}
-
-// CuckooEvent reports one ConnTable mutation with the paper's §4.1-4.2
-// hardware detail: the BFS kick-chain length of an insertion, alias
-// relocations, and the resulting occupancy. The control plane emits it for
-// every InsertConn/Relocate/DeleteConn it performs.
-type CuckooEvent struct {
-	Now     simtime.Time
-	Pipe    int
-	Op      CuckooOp
-	KeyHash uint64
-	Digest  uint32
-	Version uint32
-	// Moves is the displacement (kick) chain length of an insertion: 0 for
-	// a direct placement, n when n occupants were shifted to make room.
-	Moves int
-	// Relocations is how many aliasing entries this operation migrated to
-	// another stage (post-insert verification or SYN arbitration).
-	Relocations int
-	// OK is false when the operation failed (table full, unresolved alias).
-	OK bool
-	// Len and Capacity give the table occupancy after the operation.
-	Len      int
-	Capacity int
-	// Effective is the effective capacity after any injected occupancy
-	// limit (0 on events predating the limit plumbing); the SLO engine's
-	// occupancy forecaster measures time-to-exhaustion against it.
-	Effective int
-}
-
-// DegradedEvent reports a dataplane degraded-mode transition: the pipe's
-// ConnTable occupancy crossed a configured watermark, so new flows switch
-// between stateful (learned) and stateless (version-hash) service.
-type DegradedEvent struct {
-	Now      simtime.Time
-	Pipe     int
-	Degraded bool // true = entered degraded mode, false = recovered
-	// Entries and Capacity give the ConnTable occupancy at the transition
-	// (Capacity is the effective capacity, after any injected limit).
-	Entries  int
-	Capacity int
-}
-
-// FaultEvent reports one injected fault (internal/faults) taking effect.
-type FaultEvent struct {
-	Now  simtime.Time
-	Pipe int    // target pipe; -1 = every pipe
-	Kind string // fault kind label (e.g. "dip_down", "cpu_stall")
-	// DIP is set for DIP faults; zero otherwise.
-	DIP netip.AddrPort
-	// Duration, Scale and Limit carry the fault's parameters where they
-	// apply (stall/slowdown length, rate or loss scale, table limit).
-	Duration simtime.Duration
-	Scale    float64
-	Limit    int
 }
 
 // ReconcileStep identifies one event from the desired-state reconciler
@@ -431,27 +286,6 @@ func (s ReconcileStep) String() string {
 	return "unknown"
 }
 
-// ReconcileEvent reports one desired-state reconciler step.
-type ReconcileEvent struct {
-	Now simtime.Time
-	// Member is the fleet member index the event applies to (0 for a
-	// standalone switch; -1 for fleet-level events).
-	Member int
-	Step   ReconcileStep
-	// VIP is the key being reconciled; zero for Round events.
-	VIP VIPKey
-	// Op labels the write for Apply steps: "add", "update" or "remove".
-	Op string
-	// Generation is the desired-state generation driving the event.
-	Generation uint64
-	// Retries is the key's retry count so far (Retry/Error steps).
-	Retries int
-	// Latency is desired-set to applied for Apply steps; zero otherwise.
-	Latency simtime.Duration
-	// Err carries the failure for Retry/Error steps.
-	Err string
-}
-
 // HandoffStep identifies one event from the connection-state handoff
 // machinery (internal/handoff).
 type HandoffStep uint8
@@ -483,29 +317,151 @@ func (s HandoffStep) String() string {
 	return "unknown"
 }
 
-// HandoffEvent reports one connection-state handoff step.
-type HandoffEvent struct {
-	Now simtime.Time
-	// Donor and Receiver are fleet member indices (-1 when not applicable,
-	// e.g. an import retry that only knows the receiving switch).
-	Donor    int
-	Receiver int
-	Step     HandoffStep
-	// Entries is the step's entry count: snapshot size at Begin, chunk
-	// size at Chunk, total imported at Done/Cancel.
-	Entries int
-	// Deltas is the delta-record count (Delta/Done/Cancel steps).
-	Deltas int
-	// Cursor is the donor's journal sequence (Begin/Done steps).
-	Cursor uint64
-	// Duration is begin-to-finish for Done/Cancel steps.
+// Kind names the decision point that emitted an Event, and so which of its
+// payload fields are set.
+type Kind uint8
+
+// Event kinds.
+const (
+	// KindVerdict: one packet's pipeline outcome (data plane, per packet).
+	KindVerdict Kind = iota
+	// KindMeterDrop: a packet a VIP meter marked red (data plane).
+	KindMeterDrop
+	// KindInsert: one ConnTable insertion attempt on the CPU (control plane).
+	KindInsert
+	// KindUpdateStep: a state transition of the 3-step PCC update.
+	KindUpdateStep
+	// KindLearnFlush: one learning-filter drain.
+	KindLearnFlush
+	// KindCuckoo: one ConnTable mutation (insert, alias relocation, delete).
+	KindCuckoo
+	// KindDegraded: a degraded-mode watermark crossing.
+	KindDegraded
+	// KindFault: an injected fault taking effect (internal/faults).
+	KindFault
+	// KindReconcile: a desired-state reconciler step (internal/intent).
+	KindReconcile
+	// KindHandoff: a connection-state transfer step (internal/handoff).
+	KindHandoff
+)
+
+// Event is one traced occurrence. Kind says which decision point emitted
+// it; Now, Pipe and VIP are the header most kinds share; the payload fields
+// are grouped by the kinds that set them. A field two kinds share means the
+// same thing to both, and a field an emitting kind does not list stays
+// zero.
+type Event struct {
+	Kind Kind
+	Now  simtime.Time
+	// Pipe is the emitting pipeline; for KindFault, the target pipe (-1 =
+	// every pipe). Unset for KindReconcile and KindHandoff.
+	Pipe int
+	// VIP is the (pipe, VIP) accumulator RegisterVIP returned (KindVerdict,
+	// KindMeterDrop, KindInsert, KindUpdateStep); nil when the destination
+	// is no registered VIP or the tracer keeps no per-VIP series.
+	VIP *VIPSeries
+
+	// The packet's path (KindVerdict; KindMeterDrop sets WireLen): the hardware
+	// verdict before any CPU arbitration rewrites it, with the INT-style
+	// annotations a flight recorder needs to say why a flow landed on its
+	// DIP.
+	Verdict    Verdict
+	Wire       bool // came in as raw wire bytes (frame path), not a synthetic struct
+	ConnHit    bool // served from ConnTable
+	Learned    bool // generated a learn event
+	TransitHit bool // TransitTable bloom said "pending"
+	Meter      MeterColor
+	WireLen    int            // bytes on the wire
+	Stage      int            // ConnTable stage that matched; -1 on miss
+	DIP        netip.AddrPort // the chosen backend; for KindFault, the DIP a DIP fault hits
+
+	// The connection (KindVerdict and KindInsert set Tuple; KindVerdict and
+	// KindCuckoo set KeyHash and Digest). Version is the DIP pool version: the one a
+	// verdict decided with, an insert pinned, an update bumps to, or a
+	// cuckoo entry holds.
+	Tuple   netproto.FiveTuple
+	KeyHash uint64
+	Digest  uint32
+	Version uint32
+
+	// Insert: how the connection reached ConnTable and what happened.
+	// Now - ArrivedAt (first packet seen) is the pending window the paper
+	// reasons about, meaningful for InsertLearned; QueueDepth is the CPU
+	// insertion queue length after the attempt.
+	Insert     InsertKind
+	Outcome    InsertOutcome
+	ArrivedAt  simtime.Time
+	QueueDepth int
+
+	// Update step: ReqAt is t_req (zero before StepRecording), ExecAt t_exec
+	// (zero before StepTransition); PrevVersion -> Version is the bump, and
+	// Before/After the pools it moves between (nil when the step does not
+	// know them). Key names the VIP, here and for KindReconcile (zero for a
+	// reconcile round).
+	UpdateStep  UpdateStep
+	PrevVersion uint32
+	ReqAt       simtime.Time
+	ExecAt      simtime.Time
+	Key         VIPKey
+	Before      []netip.AddrPort
+	After       []netip.AddrPort
+
+	// Learn flush: events handed to the CPU, and whether capacity (not the
+	// timeout) triggered the drain.
+	Batch int
+	Full  bool
+
+	// Cuckoo and degraded: OK is false when a mutation failed (table full,
+	// unresolved alias) and Degraded is the direction of a crossing (true =
+	// entered). Moves is an insertion's kick-chain length, Relocations the
+	// aliasing entries an operation migrated. Len is ConnTable's occupancy
+	// after the mutation or at the crossing, Capacity its slot count
+	// (cuckoo) and Effective the capacity after any injected limit.
+	CuckooOp    CuckooOp
+	OK          bool
+	Degraded    bool
+	Moves       int
+	Relocations int
+	Len         int
+	Capacity    int
+	Effective   int
+
+	// Fault: its kind label ("dip_down", "cpu_stall", ...) and parameters
+	// where they apply (rate or loss Scale, table Limit). Duration is the
+	// event's span: a fault's length, an applied reconcile's desired-to-
+	// applied latency, a finished handoff's begin-to-end time.
+	Fault    string
+	Scale    float64
+	Limit    int
 	Duration simtime.Duration
+
+	// Reconcile: Member is the fleet member (0 standalone, -1 fleet-level),
+	// Op the write ("add", "update", "remove"), Retries the key's retry
+	// count and Err the failure of a retry or error step.
+	ReconcileStep ReconcileStep
+	Member        int
+	Op            string
+	Generation    uint64
+	Retries       int
+	Err           string
+
+	// Handoff: Donor and Receiver are fleet member indices (-1 when not
+	// known). Entries is the step's entry count (snapshot size at begin,
+	// chunk size, total imported at done/cancel), Deltas the delta records
+	// replayed and Cursor the donor's journal sequence.
+	HandoffStep HandoffStep
+	Donor       int
+	Receiver    int
+	Entries     int
+	Deltas      int
+	Cursor      uint64
 }
 
-// Tracer receives events from the traced components. Implementations must
-// be safe for concurrent use from multiple pipes. The Registry in this
-// package is the default implementation; custom tracers can embed
-// NopTracer and override the hooks they care about.
+// Tracer receives the traced components' events. Implementations must be
+// safe for concurrent use from multiple pipes. The Registry in this package
+// is the default implementation. A nil Tracer is the untraced value:
+// emitters hold one in an interface field and check it before building an
+// event.
 type Tracer interface {
 	// RegisterVIP returns the per-(pipe, VIP) hot-path accumulator that
 	// subsequent events for this VIP on this pipe will carry, or nil to
@@ -513,59 +469,8 @@ type Tracer interface {
 	// pipe; re-registering the same (pipe, VIP) returns the same series,
 	// so counters stay cumulative across VIP re-announcements.
 	RegisterVIP(pipe int, vip VIPKey) *VIPSeries
-
-	OnVerdict(e VerdictEvent)
-	OnInsert(e InsertEvent)
-	OnUpdateStep(e UpdateStepEvent)
-	OnLearnFlush(e LearnFlushEvent)
-	OnMeterDrop(e MeterDropEvent)
-	// OnCuckoo reports ConnTable mutations with kick-chain and relocation
-	// detail (§4.1-4.2 hardware behaviour invisible to the other hooks).
-	OnCuckoo(e CuckooEvent)
-	// OnDegraded reports dataplane degraded-mode transitions (occupancy
-	// watermark crossings).
-	OnDegraded(e DegradedEvent)
-	// OnFault reports injected faults from the fault-injection layer.
-	OnFault(e FaultEvent)
-	// OnReconcile reports desired-state reconciler steps (internal/intent).
-	OnReconcile(e ReconcileEvent)
-	// OnHandoff reports connection-state transfer steps (internal/handoff).
-	OnHandoff(e HandoffEvent)
+	// Trace receives one event. It is passed by value: a pointer to the
+	// emitter's stack would escape through the interface call and cost a
+	// heap allocation per packet.
+	Trace(e Event)
 }
-
-// NopTracer is a Tracer that ignores everything; embed it to implement
-// only a subset of the hooks.
-type NopTracer struct{}
-
-// RegisterVIP implements Tracer.
-func (NopTracer) RegisterVIP(int, VIPKey) *VIPSeries { return nil }
-
-// OnVerdict implements Tracer.
-func (NopTracer) OnVerdict(VerdictEvent) {}
-
-// OnInsert implements Tracer.
-func (NopTracer) OnInsert(InsertEvent) {}
-
-// OnUpdateStep implements Tracer.
-func (NopTracer) OnUpdateStep(UpdateStepEvent) {}
-
-// OnLearnFlush implements Tracer.
-func (NopTracer) OnLearnFlush(LearnFlushEvent) {}
-
-// OnMeterDrop implements Tracer.
-func (NopTracer) OnMeterDrop(MeterDropEvent) {}
-
-// OnCuckoo implements Tracer.
-func (NopTracer) OnCuckoo(CuckooEvent) {}
-
-// OnDegraded implements Tracer.
-func (NopTracer) OnDegraded(DegradedEvent) {}
-
-// OnFault implements Tracer.
-func (NopTracer) OnFault(FaultEvent) {}
-
-// OnReconcile implements Tracer.
-func (NopTracer) OnReconcile(ReconcileEvent) {}
-
-// OnHandoff implements Tracer.
-func (NopTracer) OnHandoff(HandoffEvent) {}

@@ -97,10 +97,10 @@ func TestRegistryVerdictAndVIPSeries(t *testing.T) {
 		t.Fatal("different pipes must get distinct series")
 	}
 
-	r.OnVerdict(VerdictEvent{Now: 10, Pipe: 0, VIP: vs, Verdict: VerdictForward, WireLen: 100, ConnHit: true})
-	r.OnVerdict(VerdictEvent{Now: 20, Pipe: 0, VIP: vs, Verdict: VerdictForward, WireLen: 60, Learned: true})
-	r.OnVerdict(VerdictEvent{Now: 30, Pipe: 1, VIP: other, Verdict: VerdictNoBackend, WireLen: 60})
-	r.OnVerdict(VerdictEvent{Now: 40, Pipe: 0, Verdict: VerdictNoVIP, WireLen: 40}) // nil VIP
+	r.Trace(Event{Kind: KindVerdict, Now: 10, Pipe: 0, VIP: vs, Verdict: VerdictForward, WireLen: 100, ConnHit: true})
+	r.Trace(Event{Kind: KindVerdict, Now: 20, Pipe: 0, VIP: vs, Verdict: VerdictForward, WireLen: 60, Learned: true})
+	r.Trace(Event{Kind: KindVerdict, Now: 30, Pipe: 1, VIP: other, Verdict: VerdictNoBackend, WireLen: 60})
+	r.Trace(Event{Kind: KindVerdict, Now: 40, Pipe: 0, Verdict: VerdictNoVIP, WireLen: 40}) // nil VIP
 
 	s := r.Snapshot(40)
 	agg := s.VIPs["10.0.0.1:80/tcp"]
@@ -123,15 +123,15 @@ func TestRegistryInsertPendingWindow(t *testing.T) {
 	vs := r.RegisterVIP(0, testVIP())
 	ms := simtime.Duration(1e6)
 
-	r.OnInsert(InsertEvent{Now: simtime.Time(5 * ms), VIP: vs, Kind: InsertLearned,
+	r.Trace(Event{Kind: KindInsert, Now: simtime.Time(5 * ms), VIP: vs, Insert: InsertLearned,
 		Outcome: InsertOK, ArrivedAt: simtime.Time(2 * ms), QueueDepth: 3})
-	r.OnInsert(InsertEvent{Now: simtime.Time(9 * ms), VIP: vs, Kind: InsertDigestFP,
+	r.Trace(Event{Kind: KindInsert, Now: simtime.Time(9 * ms), VIP: vs, Insert: InsertDigestFP,
 		Outcome: InsertOK, QueueDepth: 1})
-	r.OnInsert(InsertEvent{Now: simtime.Time(9 * ms), VIP: vs, Kind: InsertBloomFP,
+	r.Trace(Event{Kind: KindInsert, Now: simtime.Time(9 * ms), VIP: vs, Insert: InsertBloomFP,
 		Outcome: InsertOK, QueueDepth: 0})
-	r.OnInsert(InsertEvent{Now: simtime.Time(10 * ms), VIP: vs, Kind: InsertLearned,
+	r.Trace(Event{Kind: KindInsert, Now: simtime.Time(10 * ms), VIP: vs, Insert: InsertLearned,
 		Outcome: InsertDuplicate, ArrivedAt: simtime.Time(1 * ms), QueueDepth: 0})
-	r.OnInsert(InsertEvent{Now: simtime.Time(11 * ms), VIP: vs, Kind: InsertLearned,
+	r.Trace(Event{Kind: KindInsert, Now: simtime.Time(11 * ms), VIP: vs, Insert: InsertLearned,
 		Outcome: InsertOverflow, ArrivedAt: simtime.Time(1 * ms), QueueDepth: 0})
 
 	s := r.Snapshot(simtime.Time(11 * ms))
@@ -173,10 +173,10 @@ func TestRegistryUpdateSteps(t *testing.T) {
 	exec := simtime.Time(400 * us)
 	done := simtime.Time(900 * us)
 
-	r.OnUpdateStep(UpdateStepEvent{Now: req, Step: StepRequested})
-	r.OnUpdateStep(UpdateStepEvent{Now: req, Step: StepRecording, ReqAt: req})
-	r.OnUpdateStep(UpdateStepEvent{Now: exec, Step: StepTransition, ReqAt: req, ExecAt: exec})
-	r.OnUpdateStep(UpdateStepEvent{Now: done, Step: StepDone, ReqAt: req, ExecAt: exec})
+	r.Trace(Event{Kind: KindUpdateStep, Now: req, UpdateStep: StepRequested})
+	r.Trace(Event{Kind: KindUpdateStep, Now: req, UpdateStep: StepRecording, ReqAt: req})
+	r.Trace(Event{Kind: KindUpdateStep, Now: exec, UpdateStep: StepTransition, ReqAt: req, ExecAt: exec})
+	r.Trace(Event{Kind: KindUpdateStep, Now: done, UpdateStep: StepDone, ReqAt: req, ExecAt: exec})
 
 	s := r.Snapshot(done)
 	if got := s.Counters[MetricUpdatesRequested]; got != 1 {
@@ -202,9 +202,9 @@ func TestRegistryUpdateSteps(t *testing.T) {
 func TestRegistryLearnFlushAndMeter(t *testing.T) {
 	r := NewRegistry()
 	vs := r.RegisterVIP(0, testVIP())
-	r.OnLearnFlush(LearnFlushEvent{Now: 1, Batch: 10, Full: true})
-	r.OnLearnFlush(LearnFlushEvent{Now: 2, Batch: 3})
-	r.OnMeterDrop(MeterDropEvent{Now: 3, VIP: vs, WireLen: 1500})
+	r.Trace(Event{Kind: KindLearnFlush, Now: 1, Batch: 10, Full: true})
+	r.Trace(Event{Kind: KindLearnFlush, Now: 2, Batch: 3})
+	r.Trace(Event{Kind: KindMeterDrop, Now: 3, VIP: vs, WireLen: 1500})
 
 	s := r.Snapshot(3)
 	if got := s.Counters[MetricLearnFlushes]; got != 2 {
@@ -227,10 +227,10 @@ func TestRegistryLearnFlushAndMeter(t *testing.T) {
 func TestSnapshotDelta(t *testing.T) {
 	r := NewRegistry()
 	vs := r.RegisterVIP(0, testVIP())
-	r.OnVerdict(VerdictEvent{Now: 100, VIP: vs, Verdict: VerdictForward, WireLen: 50})
+	r.Trace(Event{Kind: KindVerdict, Now: 100, VIP: vs, Verdict: VerdictForward, WireLen: 50})
 	prev := r.Snapshot(100)
-	r.OnVerdict(VerdictEvent{Now: 200, VIP: vs, Verdict: VerdictForward, WireLen: 70})
-	r.OnInsert(InsertEvent{Now: 200, VIP: vs, Kind: InsertLearned, Outcome: InsertOK, ArrivedAt: 150})
+	r.Trace(Event{Kind: KindVerdict, Now: 200, VIP: vs, Verdict: VerdictForward, WireLen: 70})
+	r.Trace(Event{Kind: KindInsert, Now: 200, VIP: vs, Insert: InsertLearned, Outcome: InsertOK, ArrivedAt: 150})
 	cur := r.Snapshot(200)
 
 	d := cur.Delta(prev)
@@ -255,7 +255,7 @@ func TestSnapshotDelta(t *testing.T) {
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	vs := r.RegisterVIP(0, testVIP())
-	r.OnVerdict(VerdictEvent{Now: 1, VIP: vs, Verdict: VerdictForward, WireLen: 64})
+	r.Trace(Event{Kind: KindVerdict, Now: 1, VIP: vs, Verdict: VerdictForward, WireLen: 64})
 	s := r.Snapshot(1)
 	blob, err := json.Marshal(s)
 	if err != nil {
@@ -276,8 +276,8 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	vs := r.RegisterVIP(0, testVIP())
-	r.OnVerdict(VerdictEvent{Now: 1e9, VIP: vs, Verdict: VerdictForward, WireLen: 64})
-	r.OnInsert(InsertEvent{Now: 2e9, VIP: vs, Kind: InsertLearned, Outcome: InsertOK, ArrivedAt: 1e9})
+	r.Trace(Event{Kind: KindVerdict, Now: 1e9, VIP: vs, Verdict: VerdictForward, WireLen: 64})
+	r.Trace(Event{Kind: KindInsert, Now: 2e9, VIP: vs, Insert: InsertLearned, Outcome: InsertOK, ArrivedAt: 1e9})
 	var b strings.Builder
 	if err := WritePrometheus(&b, r.Snapshot(2e9)); err != nil {
 		t.Fatal(err)
@@ -318,16 +318,16 @@ func TestRegistryConcurrentHooks(t *testing.T) {
 			defer wg.Done()
 			vs := r.RegisterVIP(w%4, testVIP())
 			for i := 0; i < perWorker; i++ {
-				r.OnVerdict(VerdictEvent{Now: simtime.Time(i), Pipe: w % 4, VIP: vs,
+				r.Trace(Event{Kind: KindVerdict, Now: simtime.Time(i), Pipe: w % 4, VIP: vs,
 					Verdict: VerdictForward, WireLen: 64})
-				r.OnInsert(InsertEvent{Now: simtime.Time(i + 10), Pipe: w % 4, VIP: vs,
-					Kind: InsertLearned, Outcome: InsertOK, ArrivedAt: simtime.Time(i)})
+				r.Trace(Event{Kind: KindInsert, Now: simtime.Time(i + 10), Pipe: w % 4, VIP: vs,
+					Insert: InsertLearned, Outcome: InsertOK, ArrivedAt: simtime.Time(i)})
 			}
 		}()
 	}
 	done := make(chan struct{})
 	go func() {
-		// Scrape concurrently with the hook storm.
+		// Scrape concurrently with the event storm.
 		var last uint64
 		for {
 			select {
@@ -361,15 +361,16 @@ func TestRegistryConcurrentHooks(t *testing.T) {
 	}
 }
 
-func TestNopTracer(t *testing.T) {
-	var tr Tracer = NopTracer{}
-	if tr.RegisterVIP(0, testVIP()) != nil {
-		t.Fatal("NopTracer.RegisterVIP must return nil")
+// TestEveryKindFolds checks the registry folds the zero event of every
+// kind: each kind's table lookups stay in range for its zero payload.
+func TestEveryKindFolds(t *testing.T) {
+	r := NewRegistry()
+	for k := KindVerdict; k <= KindHandoff; k++ {
+		r.Trace(Event{Kind: k})
 	}
-	// Must not panic.
-	tr.OnVerdict(VerdictEvent{})
-	tr.OnInsert(InsertEvent{})
-	tr.OnUpdateStep(UpdateStepEvent{})
-	tr.OnLearnFlush(LearnFlushEvent{})
-	tr.OnMeterDrop(MeterDropEvent{})
+	s := r.Snapshot(0)
+	if s.Counters[MetricInsertsLearned] != 1 || s.Counters[MetricReconcileRounds] != 1 ||
+		s.Counters[MetricFaultsInjected] != 1 || s.Pipes[0].Packets != 1 {
+		t.Fatalf("zero events folded into %+v", s.Counters)
+	}
 }

@@ -364,11 +364,14 @@ func NewSwitch(cfg Config) (*Switch, error) {
 		return nil, errors.New("silkroad: Config.SLO requires Config.Telemetry")
 	}
 	tracer := tracerFor(cfg)
+	dcfg := cfg.Dataplane
+	if tracer != nil {
+		dcfg.Tracer = tracer
+	}
 	eng, err := pipes.New(pipes.Config{
 		Pipes:        cfg.Pipes,
-		Dataplane:    cfg.Dataplane,
+		Dataplane:    dcfg,
 		Controlplane: cfg.Controlplane,
-		Tracer:       tracer,
 	})
 	if err != nil {
 		return nil, err

@@ -124,7 +124,7 @@ func TestClusterSLOPausesRollout(t *testing.T) {
 	reg1 := c.Switch(1).Telemetry()
 	for tick := 0; tick < 6; tick++ {
 		for i := 0; i < 50; i++ {
-			reg1.OnInsert(telemetry.InsertEvent{Now: now, Outcome: telemetry.InsertRetry})
+			reg1.Trace(telemetry.Event{Kind: telemetry.KindInsert, Now: now, Outcome: telemetry.InsertRetry})
 		}
 		now += Time(10 * Millisecond)
 		c.AdvanceTo(now)
