@@ -15,7 +15,7 @@ import (
 )
 
 // TestLearnedBatchWakesWallDriver parks the wall driver on an idle
-// multi-pipe switch, then submits one SYN batch. ProcessBatch issues at
+// multi-pipe switch, then submits one SYN batch. ProcessFramesInto issues at
 // most one poke for the whole batch; that single poke must be enough for
 // the driver to re-read NextDue across all pipes and drain every pipe's
 // learn flush promptly. If the poke were lost, the driver would sleep out
@@ -51,7 +51,7 @@ func TestLearnedBatchWakesWallDriver(t *testing.T) {
 		pkts[i] = clientPkt(i, netproto.FlagSYN)
 	}
 	start := time.Now()
-	res := sw.ProcessBatch(sw.Now(), pkts)
+	res := processBatch(sw, sw.Now(), pkts)
 	learned := false
 	for i := range res {
 		learned = learned || res[i].Learned
@@ -83,7 +83,7 @@ func TestCloseStopsWorkers(t *testing.T) {
 	for i := range pkts {
 		pkts[i] = clientPkt(i, netproto.FlagSYN)
 	}
-	sw.ProcessBatch(0, pkts)
+	processBatch(sw, 0, pkts)
 	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestCloseStopsWorkers(t *testing.T) {
 	for i := range pkts {
 		pkts[i] = clientPkt(i, netproto.FlagACK)
 	}
-	res := sw.ProcessBatch(Time(Second), pkts)
+	res := processBatch(sw, Time(Second), pkts)
 	for i := range res {
 		if res[i].Verdict != dataplane.VerdictForward {
 			t.Fatalf("post-Close packet %d: %v", i, res[i].Verdict)

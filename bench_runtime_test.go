@@ -7,7 +7,7 @@ import (
 	"repro/internal/netproto"
 )
 
-// BenchmarkRuntimeOverhead compares ProcessBatch throughput with the
+// BenchmarkRuntimeOverhead compares batch throughput with the
 // switch's background work driven by hand (the legacy per-batch Advance
 // call) against the identical workload with the event runtime active
 // (Switch.Run on a hand-stepped clock, background work executing on the
@@ -34,14 +34,12 @@ func benchRuntimeOverhead(b *testing.B, schedDriven bool) {
 	// Establish the connection working set before the timer starts.
 	const conns = 8192
 	const batchSize = 256
-	batch := make([]*Packet, batchSize)
+	results := make([]Result, batchSize)
 	for base := 0; base < conns; base += batchSize {
-		for j := range batch {
-			batch[j] = clientPkt(base+j, netproto.FlagSYN)
-		}
-		sw.ProcessBatch(0, batch)
+		sw.ProcessFramesInto(0, clientFrames(base, batchSize, netproto.FlagSYN), results)
 	}
 	sw.Advance(Time(5 * Millisecond))
+	acks := clientFrames(0, conns, netproto.FlagACK)
 
 	now := Time(10 * Millisecond)
 	if schedDriven {
@@ -61,16 +59,14 @@ func benchRuntimeOverhead(b *testing.B, schedDriven bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		base := (i * batchSize) % conns
-		for j := range batch {
-			batch[j] = clientPkt((base+j)%conns, netproto.FlagACK)
-		}
+		batch := acks[base : base+batchSize]
 		if schedDriven {
 			// The runtime owns background work: step the clock and let the
 			// packet path's poke wake the driver when anything is due.
 			clock.Set(now)
-			sw.ProcessBatch(now, batch)
+			sw.ProcessFramesInto(now, batch, results)
 		} else {
-			sw.ProcessBatch(now, batch)
+			sw.ProcessFramesInto(now, batch, results)
 			sw.Advance(now)
 		}
 		now = now.Add(Microsecond)

@@ -40,31 +40,25 @@ const (
 
 // sloBenchPrime opens the established working set and drains insertions.
 func sloBenchPrime(sw *Switch) {
-	batch := make([]*Packet, sloBenchBatch)
+	results := make([]Result, sloBenchBatch)
 	for base := 0; base < sloBenchConns; base += sloBenchBatch {
-		for j := range batch {
-			batch[j] = clientPkt(base+j, netproto.FlagSYN)
-		}
-		sw.ProcessBatch(0, batch)
+		sw.ProcessFramesInto(0, clientFrames(base, sloBenchBatch, netproto.FlagSYN), results)
 	}
 	sw.Advance(Time(10 * Millisecond))
 }
 
-// sloBenchMeasure runs established-traffic passes and returns wallclock
-// packets per second. Virtual time steps a microsecond per batch with a
+// sloBenchMeasure runs established-traffic passes of acks, one frame per
+// connection, and returns wallclock packets per second. Virtual time steps a microsecond per batch with a
 // per-batch AdvanceTo (the scheduler drives background sources, the SLO
 // evaluator among them), and the cursor threads across repetitions so
 // virtual time keeps moving forward.
-func sloBenchMeasure(sw *Switch, passes int, now *Time) float64 {
-	batch := make([]*Packet, sloBenchBatch)
+func sloBenchMeasure(sw *Switch, acks []Frame, passes int, now *Time) float64 {
+	results := make([]Result, sloBenchBatch)
 	before := sw.Stats().Dataplane.Packets
 	start := time.Now()
 	for p := 0; p < passes; p++ {
 		for base := 0; base < sloBenchConns; base += sloBenchBatch {
-			for j := range batch {
-				batch[j] = clientPkt(base+j, netproto.FlagACK)
-			}
-			sw.ProcessBatch(*now, batch)
+			sw.ProcessFramesInto(*now, acks[base:base+sloBenchBatch], results)
 			*now = now.Add(Microsecond)
 			sw.AdvanceTo(*now)
 		}
@@ -104,6 +98,7 @@ func TestSLOArmedOverheadGate(t *testing.T) {
 	}
 
 	const pairs, units, passes = 10, 4, 4
+	acks := clientFrames(0, sloBenchConns, netproto.FlagACK)
 	evalsBefore := sides[armed].sw.SLO().Report().Evals
 	ratios := make([]float64, 0, pairs)
 	lost := 0
@@ -111,7 +106,7 @@ func TestSLOArmedOverheadGate(t *testing.T) {
 		var best [2]float64
 		for u := 0; u < 2*units; u++ {
 			i := (r + u) % 2 // pair r opens with side r%2
-			best[i] = max(best[i], sloBenchMeasure(sides[i].sw, passes, &sides[i].now))
+			best[i] = max(best[i], sloBenchMeasure(sides[i].sw, acks, passes, &sides[i].now))
 		}
 		if best[disarmed] == 0 || best[armed] == 0 {
 			t.Fatalf("no throughput measured (off=%v on=%v)", best[disarmed], best[armed])
@@ -145,17 +140,15 @@ func BenchmarkSLOOverhead(b *testing.B) {
 			sw := sloBenchSwitch(b, side.armed)
 			defer sw.Close()
 			sloBenchPrime(sw)
-			batch := make([]*Packet, sloBenchBatch)
+			acks := clientFrames(0, sloBenchConns, netproto.FlagACK)
+			results := make([]Result, sloBenchBatch)
 			now := Time(20 * Millisecond)
 			b.ReportAllocs()
 			b.SetBytes(sloBenchBatch)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				base := (i * sloBenchBatch) % sloBenchConns
-				for j := range batch {
-					batch[j] = clientPkt((base+j)%sloBenchConns, netproto.FlagACK)
-				}
-				sw.ProcessBatch(now, batch)
+				sw.ProcessFramesInto(now, acks[base:base+sloBenchBatch], results)
 				now = now.Add(Microsecond)
 				sw.AdvanceTo(now)
 			}

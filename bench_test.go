@@ -79,13 +79,16 @@ func BenchmarkPipelineHit(b *testing.B) {
 		},
 		TCPFlags: netproto.FlagSYN,
 	}
-	sw.Process(0, pkt)
+	var f Frame
+	pkt.Frame(&f)
+	sw.ProcessFrame(0, &f)
 	sw.Advance(Time(5 * Millisecond))
 	pkt.TCPFlags = netproto.FlagACK
+	pkt.Frame(&f)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sw.Process(Time(i)+Time(10*Millisecond), pkt)
+		sw.ProcessFrame(Time(i)+Time(10*Millisecond), &f)
 	}
 }
 
@@ -101,16 +104,17 @@ func BenchmarkPipelineNewConnections(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	now := Time(0)
+	var f Frame
 	for i := 0; i < b.N; i++ {
 		pkt := &Packet{
 			Tuple: FiveTuple{
-				Src: AddrPort("1.2.3.4:1234").Addr(), Dst: vip.Addr,
+				Src: clientAddr(i), Dst: vip.Addr,
 				SrcPort: uint16(i), DstPort: 80, Proto: TCP,
 			},
 			TCPFlags: netproto.FlagSYN,
 		}
-		pkt.Tuple.Src = clientAddr(i)
-		sw.Process(now, pkt)
+		pkt.Frame(&f)
+		sw.ProcessFrame(now, &f)
 		now = now.Add(5 * Microsecond)
 		if i%4096 == 0 {
 			// Keep the table from filling: end the oldest connections.
@@ -197,7 +201,7 @@ func frameBenchSwitch(tb testing.TB, conns int, arm func(*Config)) (*Switch, []F
 	}
 	// Open every connection and let the insertions land, so the measured
 	// region is pure ConnTable hits.
-	sw.ProcessFrames(0, frames)
+	sw.ProcessFramesInto(0, frames, make([]Result, len(frames)))
 	sw.Advance(Time(5 * Millisecond))
 	for i := range frames {
 		p := &Packet{

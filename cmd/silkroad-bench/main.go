@@ -13,7 +13,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -28,8 +27,7 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "run-time scale knob (>=0.05)")
 	seed := flag.Int64("seed", 1, "master random seed")
 	list := flag.Bool("list", false, "list experiment ids and exit")
-	metrics := flag.Bool("metrics", false, "attach a telemetry registry and dump snapshot JSON next to BENCH files")
-	gate := flag.Bool("gate", false, "fail (exit 1) when the pipes benchmark regresses against its recorded trajectory")
+	metrics := flag.Bool("metrics", false, "attach a telemetry registry to the soaks that support it (chaos, reconcile, upgrade)")
 	flag.Parse()
 	experiments.CollectTelemetry = *metrics
 
@@ -72,25 +70,6 @@ func main() {
 				os.Exit(1)
 			}
 			fmt.Printf("(wrote %s)\n", rep.ArtifactName)
-		}
-		if rep.MetricsName != "" {
-			if err := os.WriteFile(rep.MetricsName, rep.Metrics, 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "silkroad-bench: %s: %v\n", r.ID, err)
-				os.Exit(1)
-			}
-			fmt.Printf("(wrote %s)\n", rep.MetricsName)
-		}
-		if *gate && r.ID == "pipes" {
-			var res experiments.PipesBenchResult
-			if err := json.Unmarshal(rep.Artifact, &res); err != nil {
-				fmt.Fprintf(os.Stderr, "silkroad-bench: gate: %v\n", err)
-				os.Exit(1)
-			}
-			if err := experiments.GatePipes(res); err != nil {
-				fmt.Fprintf(os.Stderr, "silkroad-bench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Println("(pipes perf gate passed)")
 		}
 		fmt.Printf("(%s took %.1fs)\n\n", r.ID, time.Since(start).Seconds())
 	}

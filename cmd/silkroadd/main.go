@@ -255,7 +255,7 @@ func main() {
 		}()
 	}
 
-	// The tunnel loop: whatever the socket has queued feeds ProcessFrames,
+	// The tunnel loop: whatever the socket has queued feeds ProcessFramesInto,
 	// in-place rewrite or encap at TX. Blocks until the context falls.
 	if err := tun.Run(ctx); err != nil {
 		log.Printf("silkroadd: tunnel: %v", err)

@@ -79,7 +79,9 @@ func (ts *testServer) syn(i int) {
 		},
 		TCPFlags: netproto.FlagSYN,
 	}
-	ts.sw.Process(ts.now, pkt)
+	var f netproto.Frame
+	pkt.Frame(&f)
+	ts.sw.ProcessFrame(ts.now, &f)
 }
 
 func wantJSON(t *testing.T, w *httptest.ResponseRecorder, wantCode int) []byte {

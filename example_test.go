@@ -24,13 +24,17 @@ func Example() {
 		Dst:     vip.Addr,
 		SrcPort: 1234, DstPort: 80, Proto: silkroad.TCP,
 	}
-	first := sw.Process(0, &silkroad.Packet{Tuple: conn, TCPFlags: 0x02})
+	// A decoded packet enters the switch as its synthetic frame.
+	var syn, ack silkroad.Frame
+	(&silkroad.Packet{Tuple: conn, TCPFlags: silkroad.FlagSYN}).Frame(&syn)
+	(&silkroad.Packet{Tuple: conn, TCPFlags: silkroad.FlagACK}).Frame(&ack)
+	first := sw.ProcessFrame(0, &syn)
 
 	// Let the CPU install the ConnTable entry, then update the pool.
 	sw.Advance(silkroad.Time(5 * silkroad.Millisecond))
 	sw.AddDIP(silkroad.Time(5*silkroad.Millisecond), vip, silkroad.AddrPort("10.0.0.3:20"))
 
-	later := sw.Process(silkroad.Time(20*silkroad.Millisecond), &silkroad.Packet{Tuple: conn, TCPFlags: 0x10})
+	later := sw.ProcessFrame(silkroad.Time(20*silkroad.Millisecond), &ack)
 	fmt.Println("same DIP across the update:", first.DIP == later.DIP)
 	fmt.Println("served from ConnTable:", later.ConnHit)
 	// Output:

@@ -47,6 +47,14 @@ func main() {
 	// Ten clients connect. The first packet of each connection selects a
 	// DIP by hashing over the current pool version; the ASIC notifies the
 	// switch CPU, which installs a ConnTable entry within ~1 ms.
+	// send runs one packet of connection t through the switch. A decoded
+	// packet enters as its synthetic frame (Packet.Frame); raw bytes take
+	// ParseFrame, or Forward, instead.
+	send := func(t silkroad.FiveTuple, flags uint8) silkroad.Result {
+		var f silkroad.Frame
+		(&silkroad.Packet{Tuple: t, TCPFlags: flags}).Frame(&f)
+		return sw.ProcessFrame(sw.Now(), &f)
+	}
 	conns := make([]silkroad.FiveTuple, 10)
 	for i := range conns {
 		conns[i] = silkroad.FiveTuple{
@@ -56,7 +64,7 @@ func main() {
 			DstPort: vip.Port,
 			Proto:   silkroad.TCP,
 		}
-		res := sw.Process(sw.Now(), &silkroad.Packet{Tuple: conns[i], TCPFlags: 0x02 /* SYN */})
+		res := send(conns[i], silkroad.FlagSYN)
 		fmt.Printf("conn %2d -> %v (version %d)\n", i, res.DIP, res.Version)
 	}
 
@@ -75,7 +83,7 @@ func main() {
 
 	moved := 0
 	for i, tup := range conns {
-		res := sw.Process(sw.Now(), &silkroad.Packet{Tuple: tup, TCPFlags: 0x10 /* ACK */})
+		res := send(tup, silkroad.FlagACK)
 		fmt.Printf("conn %2d -> %v (ConnTable hit=%v)\n", i, res.DIP, res.ConnHit)
 		if !res.ConnHit {
 			moved++

@@ -57,10 +57,17 @@ func main() {
 			Proto:   silkroad.TCP,
 		}
 	}
+	// send runs one packet of connection i through the switch as the
+	// packet's synthetic frame (Packet.Frame).
+	send := func(i int, flags uint8) silkroad.Result {
+		var f silkroad.Frame
+		(&silkroad.Packet{Tuple: tuple(i), TCPFlags: flags}).Frame(&f)
+		return sw.ProcessFrame(now, &f)
+	}
 	// openConns starts n new connections at the current time.
 	openConns := func(n int) {
 		for i := 0; i < n; i++ {
-			res := sw.Process(now, &silkroad.Packet{Tuple: tuple(nextConn), TCPFlags: 0x02})
+			res := send(nextConn, silkroad.FlagSYN)
 			firstDIP[nextConn] = res.DIP
 			nextConn++
 			now = now.Add(arrivalGap)
@@ -69,7 +76,7 @@ func main() {
 	// probeAll sends one packet on every open connection and checks PCC.
 	probeAll := func() {
 		for i := 0; i < nextConn; i++ {
-			res := sw.Process(now, &silkroad.Packet{Tuple: tuple(i), TCPFlags: 0x10})
+			res := send(i, silkroad.FlagACK)
 			if res.DIP != firstDIP[i] {
 				violations++
 			}

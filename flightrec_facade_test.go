@@ -46,10 +46,10 @@ func TestTraceFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw.Process(0, target)
-	sw.Process(0, clientPkt(2, netproto.FlagSYN)) // unarmed flow: must not appear
-	sw.Advance(Time(5 * Millisecond))             // learning filter drains, CPU installs
-	res := sw.Process(Time(10*Millisecond), clientPkt(1, netproto.FlagACK))
+	process(sw, 0, target)
+	process(sw, 0, clientPkt(2, netproto.FlagSYN)) // unarmed flow: must not appear
+	sw.Advance(Time(5 * Millisecond))              // learning filter drains, CPU installs
+	res := process(sw, Time(10*Millisecond), clientPkt(1, netproto.FlagACK))
 	if !res.ConnHit {
 		t.Fatalf("established packet missed ConnTable: %+v", res)
 	}
@@ -91,7 +91,7 @@ func TestTraceFacade(t *testing.T) {
 	}
 
 	flow.Stop()
-	sw.Process(Time(11*Millisecond), clientPkt(1, netproto.FlagACK))
+	process(sw, Time(11*Millisecond), clientPkt(1, netproto.FlagACK))
 	if got := flow.Records(); len(got) != 3 {
 		t.Fatalf("stopped flow kept recording: %d records", len(got))
 	}
@@ -132,9 +132,9 @@ func TestDebugEndpoints(t *testing.T) {
 	if resp := getJSON(t, srv, "/debug/silkroad/arm"+flowQ, nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("arm: status %d", resp.StatusCode)
 	}
-	sw.Process(0, target)
+	process(sw, 0, target)
 	sw.Advance(Time(5 * Millisecond))
-	sw.Process(Time(10*Millisecond), clientPkt(3, netproto.FlagACK))
+	process(sw, Time(10*Millisecond), clientPkt(3, netproto.FlagACK))
 
 	var trace struct {
 		Flow    string         `json:"flow"`
@@ -321,7 +321,7 @@ func TestFlightRecorderChurnRace(t *testing.T) {
 				batch = append(batch, clientPkt(i%conns, flags))
 			}
 			now := Time(nowNS.Add(int64(10 * Microsecond)))
-			sw.ProcessBatch(now, batch)
+			processBatch(sw, now, batch)
 			sw.Advance(now)
 		}
 	}()

@@ -11,7 +11,7 @@ func TestExportImportRoundtrip(t *testing.T) {
 	recv := newSwitch(t)
 	first := map[int]DIP{}
 	for i := 0; i < 200; i++ {
-		first[i] = donor.Process(Time(i)*1000, clientPkt(i, netproto.FlagSYN)).DIP
+		first[i] = process(donor, Time(i)*1000, clientPkt(i, netproto.FlagSYN)).DIP
 	}
 	donor.AdvanceTo(Time(50 * Millisecond))
 
@@ -38,7 +38,7 @@ func TestExportImportRoundtrip(t *testing.T) {
 	}
 	now := Time(200 * Millisecond)
 	for i := 0; i < 200; i++ {
-		res := recv.Process(now, clientPkt(i, netproto.FlagACK))
+		res := process(recv, now, clientPkt(i, netproto.FlagACK))
 		if !res.ConnHit {
 			t.Fatalf("conn %d not installed on receiver", i)
 		}
@@ -76,7 +76,7 @@ func TestClusterMigrateConvergesWithLiveDonor(t *testing.T) {
 	donor := c.Switch(0)
 	first := map[int]DIP{}
 	for i := 0; i < 300; i++ {
-		first[i] = donor.Process(Time(200*Millisecond)+Time(i)*1000, clientPkt(i, netproto.FlagSYN)).DIP
+		first[i] = process(donor, Time(200*Millisecond)+Time(i)*1000, clientPkt(i, netproto.FlagSYN)).DIP
 	}
 	donor.AdvanceTo(Time(250 * Millisecond))
 
@@ -90,7 +90,7 @@ func TestClusterMigrateConvergesWithLiveDonor(t *testing.T) {
 	// The standby serves every connection with the donor's mapping.
 	now := Time(400 * Millisecond)
 	for i := 0; i < 300; i++ {
-		res := c.Switch(1).Process(now, clientPkt(i, netproto.FlagACK))
+		res := process(c.Switch(1), now, clientPkt(i, netproto.FlagACK))
 		if !res.ConnHit || res.DIP != first[i] {
 			t.Fatalf("conn %d on standby: hit=%v dip=%v want %v", i, res.ConnHit, res.DIP, first[i])
 		}

@@ -54,7 +54,7 @@ func TestChurnInvariants(t *testing.T) {
 		now = now.Add(Duration(rng.Intn(2000)+1) * Microsecond)
 		switch r := rng.Float64(); {
 		case r < 0.45: // new connection
-			res := sw.Process(now, &Packet{Tuple: tuple(next), TCPFlags: netproto.FlagSYN})
+			res := process(sw, now, &Packet{Tuple: tuple(next), TCPFlags: netproto.FlagSYN})
 			if res.Verdict.String() == "forward" {
 				firstDIP[next] = res.DIP
 				live[next] = true
@@ -65,7 +65,7 @@ func TestChurnInvariants(t *testing.T) {
 				continue
 			}
 			for i := range live {
-				res := sw.Process(now, &Packet{Tuple: tuple(i), TCPFlags: netproto.FlagACK})
+				res := process(sw, now, &Packet{Tuple: tuple(i), TCPFlags: netproto.FlagACK})
 				if res.Verdict.String() == "forward" && res.DIP != firstDIP[i] {
 					if removedEver[firstDIP[i]] {
 						// Server went down; the connection re-binds.
@@ -156,8 +156,8 @@ func TestTwoSwitchesConsistentMapping(t *testing.T) {
 			Dst:     netip.MustParseAddr("20.0.0.1"),
 			SrcPort: uint16(2000 + i), DstPort: 80, Proto: TCP,
 		}
-		ra := a.Process(Time(i), &Packet{Tuple: tup, TCPFlags: netproto.FlagSYN})
-		rb := b.Process(Time(i), &Packet{Tuple: tup, TCPFlags: netproto.FlagSYN})
+		ra := process(a, Time(i), &Packet{Tuple: tup, TCPFlags: netproto.FlagSYN})
+		rb := process(b, Time(i), &Packet{Tuple: tup, TCPFlags: netproto.FlagSYN})
 		if ra.DIP != rb.DIP {
 			t.Fatalf("conn %d maps to %v on switch A but %v on switch B", i, ra.DIP, rb.DIP)
 		}
@@ -184,14 +184,14 @@ func TestSwitchFailureRecovery(t *testing.T) {
 			Dst:     vip.Addr,
 			SrcPort: uint16(3000 + i), DstPort: 80, Proto: TCP,
 		}
-		dips[i] = primary.Process(Time(i), &Packet{Tuple: tuples[i], TCPFlags: netproto.FlagSYN}).DIP
+		dips[i] = process(primary, Time(i), &Packet{Tuple: tuples[i], TCPFlags: netproto.FlagSYN}).DIP
 	}
 	// Failover: a standby switch with the same (latest) VIPTable state.
 	standby, _ := NewSwitch(Defaults(10000))
 	standby.AddVIP(0, vip, pool)
 	broken := 0
 	for i := range tuples {
-		res := standby.Process(Time(1000+i), &Packet{Tuple: tuples[i], TCPFlags: netproto.FlagACK})
+		res := process(standby, Time(1000+i), &Packet{Tuple: tuples[i], TCPFlags: netproto.FlagACK})
 		if res.DIP != dips[i] {
 			broken++
 		}
@@ -237,7 +237,7 @@ func TestOverflowDegradesGracefully(t *testing.T) {
 			Dst:     vip.Addr,
 			SrcPort: uint16(1024 + i%60000), DstPort: 80, Proto: TCP,
 		}
-		res := sw.Process(now, &Packet{Tuple: tup, TCPFlags: netproto.FlagSYN})
+		res := process(sw, now, &Packet{Tuple: tup, TCPFlags: netproto.FlagSYN})
 		if res.Verdict.String() != "forward" && res.Verdict.String() != "redirect-syn-conntable" {
 			t.Fatalf("packet %d verdict %v", i, res.Verdict)
 		}
@@ -354,7 +354,7 @@ func TestConcurrentFacade(t *testing.T) {
 					Dst:     vip.Addr,
 					SrcPort: uint16(1000*g + i), DstPort: 80, Proto: TCP,
 				}
-				sw.Process(Time(i)*1000, &Packet{Tuple: tup, TCPFlags: netproto.FlagSYN})
+				process(sw, Time(i)*1000, &Packet{Tuple: tup, TCPFlags: netproto.FlagSYN})
 				if i%50 == 0 {
 					sw.Stats()
 					sw.CurrentPool(vip)
@@ -388,7 +388,7 @@ func TestStatsAccounting(t *testing.T) {
 			Dst:     vip.Addr,
 			SrcPort: uint16(5000 + i), DstPort: 80, Proto: TCP,
 		}
-		sw.Process(Time(i)*1000, &Packet{Tuple: tup, TCPFlags: netproto.FlagSYN})
+		process(sw, Time(i)*1000, &Packet{Tuple: tup, TCPFlags: netproto.FlagSYN})
 	}
 	sw.Advance(Time(Second))
 	st := sw.Stats()

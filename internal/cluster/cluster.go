@@ -165,9 +165,10 @@ func (c *Cluster) Packet(now simtime.Time, pkt *netproto.Packet) (dataplane.DIP,
 		// blackhole if it does (misconfiguration).
 		return dataplane.DIP{}, i, false
 	}
-	m.cp.Advance(now)
-	res := m.sw.Process(now, pkt)
-	res = m.cp.HandleResult(now, pkt, res)
+	var f netproto.Frame
+	pkt.Frame(&f)
+	var res dataplane.Result
+	m.cp.ProcessFrameInto(now, &f, &res)
 	return res.DIP, i, res.Verdict == dataplane.VerdictForward
 }
 

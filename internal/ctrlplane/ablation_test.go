@@ -27,15 +27,13 @@ func failoverAblation(t testing.TB, resilient bool) (versions uint64, moved int)
 			t.Fatal(err)
 		}
 	}
-	send := func(now simtime.Time, i int, syn bool) dataplane.Result {
-		cp.Advance(now)
+	send := func(now simtime.Time, i int, syn bool) (res dataplane.Result) {
 		flags := netproto.FlagACK
 		if syn {
 			flags = netproto.FlagSYN
 		}
-		pkt := &netproto.Packet{Tuple: tupleN(i), TCPFlags: flags}
-		res := sw.Process(now, pkt)
-		return cp.HandleResult(now, pkt, res)
+		cp.ProcessFrameInto(now, frameOf(&netproto.Packet{Tuple: tupleN(i), TCPFlags: flags}), &res)
+		return res
 	}
 	// Establish a base population.
 	first := map[int]dataplane.DIP{}

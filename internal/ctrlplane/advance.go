@@ -55,8 +55,9 @@ func (q insertSource) Advance(now simtime.Time) {
 // the internal scheduler, which executes drains and insertions in strict
 // time order — each source retiring its whole due backlog per scheduler
 // step, every installation still stamped with its own completion time.
-// Callers must invoke it with non-decreasing times; drivers typically call
-// it before processing each packet and whenever NextEventTime falls due.
+// Callers must invoke it with non-decreasing times; ProcessFrameInto calls
+// it before each packet, and drivers call it whenever NextEventTime falls
+// due.
 //
 // Aging is the one piece of work outside the scheduler that frees ConnTable
 // slots, so with aging enabled a long step stops at every aging step due on
@@ -304,22 +305,25 @@ func (cp *ControlPlane) NextTransition() (simtime.Time, bool) {
 	return best, found
 }
 
-// HandleResult performs the CPU side of a packet's outcome: arbitrating
-// redirected SYNs and tracking liveness. It returns the authoritative
-// forwarding decision (for redirects, the decision after software
-// resolution and re-injection). It is the struct-currency edge adapter
-// over HandleTupleResultInto.
-func (cp *ControlPlane) HandleResult(now simtime.Time, pkt *netproto.Packet, res dataplane.Result) dataplane.Result {
-	cp.HandleTupleResultInto(now, pkt.Tuple, &res)
-	return res
+// ProcessFrameInto is the per-packet step of a switch, the one place it is
+// written: background CPU work due by now runs first (Advance), then the
+// ASIC pipeline (Figure 10), then the CPU side of the packet's outcome
+// (HandleTupleResultInto). The authoritative decision lands in *res. The
+// multi-pipe engine's batch job is the one other caller of the three: it
+// polls once per job, since every frame of a job shares its instant.
+func (cp *ControlPlane) ProcessFrameInto(now simtime.Time, f *netproto.Frame, res *dataplane.Result) {
+	cp.Advance(now)
+	cp.sw.ProcessFrameInto(now, f, res)
+	cp.HandleTupleResultInto(now, f.Tuple, res)
 }
 
-// HandleTupleResultInto is the core of HandleResult, writing the
-// authoritative decision back through *res so the batch path finishes each
+// HandleTupleResultInto performs the CPU side of a packet's outcome:
+// arbitrating redirected SYNs and tracking liveness. It writes the
+// authoritative decision (for redirects, the decision after software
+// resolution and re-injection) back through *res, so a batch finishes each
 // packet in its result slot without copying the Result through the call
 // chain (redirects — rare by construction — still take the value-based
-// resolvers). The CPU side only ever needs the packet's five-tuple, so the
-// frame path calls it without materializing a Packet struct.
+// resolvers). The CPU side only ever needs the packet's five-tuple.
 func (cp *ControlPlane) HandleTupleResultInto(now simtime.Time, tuple netproto.FiveTuple, res *dataplane.Result) {
 	switch res.Verdict {
 	case dataplane.VerdictRedirectSYNConn:

@@ -30,7 +30,7 @@ func TestTransitSYNArbitrationDeterministic(t *testing.T) {
 	pendingRes := map[int]dataplane.Result{}
 	for i := 0; i < 300; i++ {
 		pkt := &netproto.Packet{Tuple: tupleN(i), TCPFlags: netproto.FlagSYN}
-		pendingRes[i] = h.sw.Process(simtime.Time(i), pkt)
+		pendingRes[i] = h.sw.ProcessFrame(simtime.Time(i), frameOf(pkt))
 	}
 	// Swap to v1 directly on the hardware (the cp's own update machinery
 	// is bypassed so the window stays open indefinitely).
@@ -39,11 +39,11 @@ func TestTransitSYNArbitrationDeterministic(t *testing.T) {
 	}
 	// (a) Retransmitted SYN of a pending connection: stays on version 0.
 	retrans := &netproto.Packet{Tuple: tupleN(5), TCPFlags: netproto.FlagSYN}
-	res := h.sw.Process(simtime.Time(1000), retrans)
+	res := h.sw.ProcessFrame(simtime.Time(1000), frameOf(retrans))
 	if res.Verdict != dataplane.VerdictRedirectSYNTransit {
 		t.Fatalf("retransmitted SYN verdict = %v (bloom should hit)", res.Verdict)
 	}
-	res = h.cp.HandleResult(simtime.Time(1000), retrans, res)
+	h.cp.HandleTupleResultInto(simtime.Time(1000), retrans.Tuple, &res)
 	if res.Verdict != dataplane.VerdictForward || res.Version != 0 {
 		t.Fatalf("retransmitted pending SYN resolved to version %d", res.Version)
 	}
@@ -59,11 +59,11 @@ func TestTransitSYNArbitrationDeterministic(t *testing.T) {
 	fps := 0
 	for i := 1000; i < 1100; i++ {
 		pkt := &netproto.Packet{Tuple: tupleN(i), TCPFlags: netproto.FlagSYN}
-		r := h.sw.Process(simtime.Time(2000+i), pkt)
+		r := h.sw.ProcessFrame(simtime.Time(2000+i), frameOf(pkt))
 		if r.Verdict != dataplane.VerdictRedirectSYNTransit {
 			continue
 		}
-		r = h.cp.HandleResult(simtime.Time(2000+i), pkt, r)
+		h.cp.HandleTupleResultInto(simtime.Time(2000+i), pkt.Tuple, &r)
 		if r.Verdict != dataplane.VerdictForward {
 			t.Fatalf("FP SYN unresolved: %v", r.Verdict)
 		}

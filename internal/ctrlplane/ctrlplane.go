@@ -7,9 +7,10 @@
 // bloom false positives.
 //
 // The control plane is a deterministic state machine over virtual time:
-// callers advance it with Advance(now) and feed it packet outcomes through
-// HandleResult. No goroutines, no wall clock — every experiment replays
-// identically.
+// callers run each packet through ProcessFrameInto, which advances it to the
+// packet's instant, runs the data plane and handles the outcome, and advance
+// it between packets with Advance(now). No goroutines, no wall clock — every
+// experiment replays identically.
 package ctrlplane
 
 import (

@@ -60,14 +60,20 @@ func newHarness(t *testing.T, dcfg dataplane.Config, ccfg Config) *harness {
 	return &harness{t: t, sw: sw, cp: cp, firstDIP: map[uint64]dataplane.DIP{}}
 }
 
+// frameOf is pkt's synthetic frame (Packet.Frame): the tests build packets
+// and convert them at their own edge.
+func frameOf(pkt *netproto.Packet) *netproto.Frame {
+	f := new(netproto.Frame)
+	pkt.Frame(f)
+	return f
+}
+
 // send processes one packet at now, resolving CPU redirects, and tracks
 // PCC: a forwarded packet whose DIP differs from the connection's first
 // DIP is a violation.
 func (h *harness) send(now simtime.Time, tup netproto.FiveTuple, flags uint8) dataplane.Result {
-	h.cp.Advance(now)
-	pkt := &netproto.Packet{Tuple: tup, TCPFlags: flags}
-	res := h.sw.Process(now, pkt)
-	res = h.cp.HandleResult(now, pkt, res)
+	var res dataplane.Result
+	h.cp.ProcessFrameInto(now, frameOf(&netproto.Packet{Tuple: tup, TCPFlags: flags}), &res)
 	if res.Verdict == dataplane.VerdictForward {
 		if first, seen := h.firstDIP[res.KeyHash]; seen {
 			if first != res.DIP {
@@ -542,10 +548,8 @@ func BenchmarkInsertionPipeline(b *testing.B) {
 	b.ResetTimer()
 	now := simtime.Time(0)
 	for i := 0; i < b.N; i++ {
-		pkt := &netproto.Packet{Tuple: tupleN(i), TCPFlags: netproto.FlagSYN}
-		cp.Advance(now)
-		res := sw.Process(now, pkt)
-		cp.HandleResult(now, pkt, res)
+		var res dataplane.Result
+		cp.ProcessFrameInto(now, frameOf(&netproto.Packet{Tuple: tupleN(i), TCPFlags: netproto.FlagSYN}), &res)
 		now = now.Add(simtime.Duration(10 * simtime.Microsecond))
 	}
 }

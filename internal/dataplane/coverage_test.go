@@ -132,14 +132,14 @@ func TestProcessUDPConnection(t *testing.T) {
 	tup := clientTuple(1)
 	tup.DstPort = 53
 	tup.Proto = netproto.ProtoUDP
-	res := s.Process(0, &netproto.Packet{Tuple: tup})
+	res := processPacket(s, 0, &netproto.Packet{Tuple: tup})
 	if res.Verdict != VerdictForward || !res.Learned {
 		t.Fatalf("udp first packet: %+v", res)
 	}
 	if err := s.InsertConn(tup, 0); err != nil {
 		t.Fatal(err)
 	}
-	res2 := s.Process(100, &netproto.Packet{Tuple: tup})
+	res2 := processPacket(s, 100, &netproto.Packet{Tuple: tup})
 	if !res2.ConnHit || res2.DIP != res.DIP {
 		t.Fatal("udp conn not pinned")
 	}

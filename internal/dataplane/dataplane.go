@@ -441,29 +441,21 @@ func (s *Switch) ConnDigest(t netproto.FiveTuple) uint32 {
 	return digest
 }
 
-// Process runs one decoded packet through the pipeline — the struct-currency
-// edge adapter: the packet becomes a synthetic frame (its fields and its
-// canonical WireLen, no bytes) and takes the frame path.
-func (s *Switch) Process(now simtime.Time, pkt *netproto.Packet) Result {
-	var f netproto.Frame
-	pkt.Frame(&f)
-	return s.ProcessFrame(now, &f)
-}
-
-// ProcessFrame runs one frame through the pipeline (Figure 10) and returns
-// the forwarding decision. It never blocks and performs no CPU-side work;
-// it may enqueue a learn event or redirect a SYN to the CPU.
+// ProcessFrame is ProcessFrameInto returning the forwarding decision.
 func (s *Switch) ProcessFrame(now simtime.Time, f *netproto.Frame) Result {
 	var res Result
 	s.ProcessFrameInto(now, f, &res)
 	return res
 }
 
-// ProcessFrameInto is the pipeline's one entry: it runs the pipeline body
-// on the frame's single-parse fields, writes the decision into *out in
-// place — the Result struct is wide enough that a value-returning call
-// chain costs a measurable fraction of the per-packet budget — and emits
-// the telemetry event. The meter charges f.WireLen(): the bytes that
+// ProcessFrameInto is the pipeline's one entry (Figure 10): it runs the
+// pipeline body on the frame's single-parse fields, writes the decision
+// into *res in place — the Result struct is wide enough that a
+// value-returning call chain costs a measurable fraction of the per-packet
+// budget — and emits the telemetry event. It never blocks and performs no
+// CPU-side work; it may enqueue a learn event or redirect a SYN to the CPU,
+// whose handling is the control plane's (ctrlplane.ControlPlane's
+// ProcessFrameInto wraps both). The meter charges f.WireLen(): the bytes that
 // arrived for a parsed frame, the canonical framing for a synthetic one,
 // which the event's Wire flag tells apart.
 func (s *Switch) ProcessFrameInto(now simtime.Time, f *netproto.Frame, res *Result) {

@@ -31,6 +31,14 @@ func clientTuple(i int) netproto.FiveTuple {
 	}
 }
 
+// processPacket runs pkt through s as its synthetic frame (Packet.Frame):
+// the tests build packets and convert them at their own edge.
+func processPacket(s *Switch, now simtime.Time, pkt *netproto.Packet) Result {
+	var f netproto.Frame
+	pkt.Frame(&f)
+	return s.ProcessFrame(now, &f)
+}
+
 func newTestSwitch(t *testing.T) *Switch {
 	t.Helper()
 	cfg := DefaultConfig(100000)
@@ -48,7 +56,7 @@ func TestProcessNoVIP(t *testing.T) {
 	s := newTestSwitch(t)
 	pkt := &netproto.Packet{Tuple: clientTuple(1)}
 	pkt.Tuple.Dst = netip.MustParseAddr("99.99.99.99")
-	res := s.Process(0, pkt)
+	res := processPacket(s, 0, pkt)
 	if res.Verdict != VerdictNoVIP {
 		t.Fatalf("verdict = %v", res.Verdict)
 	}
@@ -60,7 +68,7 @@ func TestProcessNoVIP(t *testing.T) {
 func TestProcessMissSelectsAndLearns(t *testing.T) {
 	s := newTestSwitch(t)
 	pkt := &netproto.Packet{Tuple: clientTuple(1), TCPFlags: netproto.FlagSYN}
-	res := s.Process(0, pkt)
+	res := processPacket(s, 0, pkt)
 	if res.Verdict != VerdictForward {
 		t.Fatalf("verdict = %v", res.Verdict)
 	}
@@ -84,9 +92,9 @@ func TestProcessMissSelectsAndLearns(t *testing.T) {
 func TestProcessConsistentSelectionBeforeInsertion(t *testing.T) {
 	s := newTestSwitch(t)
 	tup := clientTuple(7)
-	first := s.Process(0, &netproto.Packet{Tuple: tup, TCPFlags: netproto.FlagSYN})
+	first := processPacket(s, 0, &netproto.Packet{Tuple: tup, TCPFlags: netproto.FlagSYN})
 	for i := 0; i < 10; i++ {
-		res := s.Process(simtime.Time(i)*100, &netproto.Packet{Tuple: tup, TCPFlags: netproto.FlagACK})
+		res := processPacket(s, simtime.Time(i)*100, &netproto.Packet{Tuple: tup, TCPFlags: netproto.FlagACK})
 		if res.DIP != first.DIP {
 			t.Fatalf("pending packets diverged: %v vs %v", res.DIP, first.DIP)
 		}
@@ -103,11 +111,11 @@ func TestProcessConsistentSelectionBeforeInsertion(t *testing.T) {
 func TestProcessHitAfterInsert(t *testing.T) {
 	s := newTestSwitch(t)
 	tup := clientTuple(3)
-	res1 := s.Process(0, &netproto.Packet{Tuple: tup, TCPFlags: netproto.FlagSYN})
+	res1 := processPacket(s, 0, &netproto.Packet{Tuple: tup, TCPFlags: netproto.FlagSYN})
 	if err := s.InsertConn(tup, res1.Version); err != nil {
 		t.Fatal(err)
 	}
-	res2 := s.Process(100, &netproto.Packet{Tuple: tup, TCPFlags: netproto.FlagACK})
+	res2 := processPacket(s, 100, &netproto.Packet{Tuple: tup, TCPFlags: netproto.FlagACK})
 	if !res2.ConnHit {
 		t.Fatal("packet after insertion missed ConnTable")
 	}
@@ -122,9 +130,9 @@ func TestProcessHitAfterInsert(t *testing.T) {
 func TestSYNOnExistingEntryRedirects(t *testing.T) {
 	s := newTestSwitch(t)
 	tup := clientTuple(4)
-	s.Process(0, &netproto.Packet{Tuple: tup, TCPFlags: netproto.FlagSYN})
+	processPacket(s, 0, &netproto.Packet{Tuple: tup, TCPFlags: netproto.FlagSYN})
 	s.InsertConn(tup, 0)
-	res := s.Process(10, &netproto.Packet{Tuple: tup, TCPFlags: netproto.FlagSYN})
+	res := processPacket(s, 10, &netproto.Packet{Tuple: tup, TCPFlags: netproto.FlagSYN})
 	if res.Verdict != VerdictRedirectSYNConn {
 		t.Fatalf("verdict = %v", res.Verdict)
 	}
@@ -150,7 +158,7 @@ func TestUpdateFlowVersions(t *testing.T) {
 		t.Fatal(err)
 	}
 	pending := clientTuple(10)
-	resOld := s.Process(0, &netproto.Packet{Tuple: pending, TCPFlags: netproto.FlagSYN})
+	resOld := processPacket(s, 0, &netproto.Packet{Tuple: pending, TCPFlags: netproto.FlagSYN})
 	if resOld.Version != 0 {
 		t.Fatalf("recording phase version = %d", resOld.Version)
 	}
@@ -165,7 +173,7 @@ func TestUpdateFlowVersions(t *testing.T) {
 		t.Fatal("InUpdate false after BeginTransition")
 	}
 	// The pending connection (still no ConnTable entry) must stay on v0.
-	res := s.Process(100, &netproto.Packet{Tuple: pending, TCPFlags: netproto.FlagACK})
+	res := processPacket(s, 100, &netproto.Packet{Tuple: pending, TCPFlags: netproto.FlagACK})
 	if res.Version != 0 || !res.TransitHit {
 		t.Fatalf("pending conn got version %d (transitHit=%v), want 0", res.Version, res.TransitHit)
 	}
@@ -174,7 +182,7 @@ func TestUpdateFlowVersions(t *testing.T) {
 	}
 	// A brand-new connection maps to v1.
 	fresh := clientTuple(11)
-	resNew := s.Process(200, &netproto.Packet{Tuple: fresh, TCPFlags: netproto.FlagSYN})
+	resNew := processPacket(s, 200, &netproto.Packet{Tuple: fresh, TCPFlags: netproto.FlagSYN})
 	if resNew.Version != 1 {
 		t.Fatalf("fresh conn version = %d, want 1", resNew.Version)
 	}
@@ -199,13 +207,13 @@ func TestNewSYNDuringTransitionRedirectsOnBloomHit(t *testing.T) {
 	s.SetRecording(vip, true)
 	// Record many pending connections to saturate the 8B filter.
 	for i := 0; i < 500; i++ {
-		s.Process(simtime.Time(i), &netproto.Packet{Tuple: clientTuple(i), TCPFlags: netproto.FlagSYN})
+		processPacket(s, simtime.Time(i), &netproto.Packet{Tuple: clientTuple(i), TCPFlags: netproto.FlagSYN})
 	}
 	s.BeginTransition(vip, 1)
 	// New SYNs now falsely hit the bloom and must be redirected.
 	redirects := 0
 	for i := 500; i < 600; i++ {
-		res := s.Process(simtime.Time(i), &netproto.Packet{Tuple: clientTuple(i), TCPFlags: netproto.FlagSYN})
+		res := processPacket(s, simtime.Time(i), &netproto.Packet{Tuple: clientTuple(i), TCPFlags: netproto.FlagSYN})
 		if res.Verdict == VerdictRedirectSYNTransit {
 			redirects++
 		}
@@ -230,9 +238,9 @@ func TestDisableTransitAblation(t *testing.T) {
 	s.WritePool(vip, 1, testPool(3))
 	s.SetRecording(vip, true) // no-op without a filter
 	pending := clientTuple(1)
-	resOld := s.Process(0, &netproto.Packet{Tuple: pending, TCPFlags: netproto.FlagSYN})
+	resOld := processPacket(s, 0, &netproto.Packet{Tuple: pending, TCPFlags: netproto.FlagSYN})
 	s.BeginTransition(vip, 1)
-	res := s.Process(10, &netproto.Packet{Tuple: pending, TCPFlags: netproto.FlagACK})
+	res := processPacket(s, 10, &netproto.Packet{Tuple: pending, TCPFlags: netproto.FlagACK})
 	if res.Version != 1 {
 		t.Fatalf("without TransitTable, pending conn version = %d, want 1 (the hazard)", res.Version)
 	}
@@ -252,7 +260,7 @@ func TestMeterDropsExcessTraffic(t *testing.T) {
 	tup := clientTuple(1)
 	drops := 0
 	for i := 0; i < 100; i++ {
-		res := s.Process(0, &netproto.Packet{Tuple: tup, Payload: make([]byte, 1000)})
+		res := processPacket(s, 0, &netproto.Packet{Tuple: tup, Payload: make([]byte, 1000)})
 		if res.Verdict == VerdictMeterDrop {
 			drops++
 		}
@@ -432,13 +440,13 @@ func BenchmarkProcessHit(b *testing.B) {
 	s, _ := New(cfg)
 	s.InstallVIP(testVIP(), 0, testPool(16), 0)
 	tup := clientTuple(1)
-	s.Process(0, &netproto.Packet{Tuple: tup, TCPFlags: netproto.FlagSYN})
+	processPacket(s, 0, &netproto.Packet{Tuple: tup, TCPFlags: netproto.FlagSYN})
 	s.InsertConn(tup, 0)
 	pkt := &netproto.Packet{Tuple: tup, TCPFlags: netproto.FlagACK}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Process(simtime.Time(i), pkt)
+		processPacket(s, simtime.Time(i), pkt)
 	}
 }
 
@@ -450,7 +458,7 @@ func BenchmarkProcessMiss(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pkt := &netproto.Packet{Tuple: clientTuple(i), TCPFlags: netproto.FlagSYN}
-		s.Process(simtime.Time(i), pkt)
+		processPacket(s, simtime.Time(i), pkt)
 		if s.LearnFilter().Full() {
 			s.LearnFilter().Drain()
 		}

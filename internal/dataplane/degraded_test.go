@@ -34,7 +34,7 @@ func TestDegradedModeHysteresis(t *testing.T) {
 
 	// A miss at the high watermark: forwarded, not learned, stateless.
 	syn := &netproto.Packet{Tuple: clientTuple(100), TCPFlags: netproto.FlagSYN}
-	res := s.Process(1, syn)
+	res := processPacket(s, 1, syn)
 	if res.Verdict != VerdictForward || res.Learned {
 		t.Fatalf("degraded miss: verdict=%v learned=%v", res.Verdict, res.Learned)
 	}
@@ -47,12 +47,12 @@ func TestDegradedModeHysteresis(t *testing.T) {
 	}
 	// Stateless service is stable: the per-version hash keeps picking the
 	// same DIP for the same flow.
-	res2 := s.Process(2, &netproto.Packet{Tuple: clientTuple(100), TCPFlags: netproto.FlagACK})
+	res2 := processPacket(s, 2, &netproto.Packet{Tuple: clientTuple(100), TCPFlags: netproto.FlagACK})
 	if res2.DIP != res.DIP {
 		t.Fatalf("stateless DIP moved: %v -> %v", res.DIP, res2.DIP)
 	}
 	// Established flows still hit ConnTable.
-	est := s.Process(3, &netproto.Packet{Tuple: clientTuple(1), TCPFlags: netproto.FlagACK})
+	est := processPacket(s, 3, &netproto.Packet{Tuple: clientTuple(1), TCPFlags: netproto.FlagACK})
 	if !est.ConnHit {
 		t.Fatal("established flow lost its pin in degraded mode")
 	}
@@ -61,7 +61,7 @@ func TestDegradedModeHysteresis(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		s.DeleteConn(clientTuple(i))
 	}
-	s.Process(5, &netproto.Packet{Tuple: clientTuple(101), TCPFlags: netproto.FlagSYN})
+	processPacket(s, 5, &netproto.Packet{Tuple: clientTuple(101), TCPFlags: netproto.FlagSYN})
 	if !s.Degraded() {
 		t.Fatal("left degraded mode between the watermarks")
 	}
@@ -69,7 +69,7 @@ func TestDegradedModeHysteresis(t *testing.T) {
 	for i := 4; i < 8; i++ {
 		s.DeleteConn(clientTuple(i))
 	}
-	res3 := s.Process(7, &netproto.Packet{Tuple: clientTuple(102), TCPFlags: netproto.FlagSYN})
+	res3 := processPacket(s, 7, &netproto.Packet{Tuple: clientTuple(102), TCPFlags: netproto.FlagSYN})
 	if s.Degraded() {
 		t.Fatal("did not exit degraded mode below the low watermark")
 	}

@@ -25,7 +25,7 @@ func TestEmptyPoolDrops(t *testing.T) {
 		t.Fatal(err)
 	}
 	pkt := &netproto.Packet{Tuple: clientTuple(1), TCPFlags: netproto.FlagSYN}
-	res := sw.Process(0, pkt)
+	res := processPacket(sw, 0, pkt)
 	if res.Verdict != VerdictNoBackend {
 		t.Fatalf("empty pool: verdict = %v, want %v", res.Verdict, VerdictNoBackend)
 	}
@@ -42,7 +42,7 @@ func TestEmptyPoolDrops(t *testing.T) {
 	}
 	// Non-SYN traffic drops the same way.
 	data := &netproto.Packet{Tuple: clientTuple(2), TCPFlags: netproto.FlagACK}
-	if res := sw.Process(0, data); res.Verdict != VerdictNoBackend {
+	if res := processPacket(sw, 0, data); res.Verdict != VerdictNoBackend {
 		t.Fatalf("data packet: verdict = %v, want %v", res.Verdict, VerdictNoBackend)
 	}
 }
@@ -64,13 +64,13 @@ func TestEmptyPoolDropsOnConnHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	pkt := &netproto.Packet{Tuple: tup, TCPFlags: netproto.FlagACK}
-	if res := sw.Process(0, pkt); res.Verdict != VerdictForward || !res.ConnHit {
+	if res := processPacket(sw, 0, pkt); res.Verdict != VerdictForward || !res.ConnHit {
 		t.Fatalf("sanity: verdict = %v (connHit=%v), want forward hit", res.Verdict, res.ConnHit)
 	}
 	if err := sw.WritePool(vip, 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	res := sw.Process(0, pkt)
+	res := processPacket(sw, 0, pkt)
 	if res.Verdict != VerdictNoBackend {
 		t.Fatalf("hit on emptied pool: verdict = %v, want %v", res.Verdict, VerdictNoBackend)
 	}
@@ -101,7 +101,7 @@ func TestMeterChargesWireLength(t *testing.T) {
 	if got := p6.WireLen(); got != 48 {
 		t.Fatalf("IPv6 UDP WireLen = %d, want 48", got)
 	}
-	if res := sw.Process(0, p6); res.Verdict != VerdictMeterDrop {
+	if res := processPacket(sw, 0, p6); res.Verdict != VerdictMeterDrop {
 		t.Fatalf("IPv6 UDP at 48 B vs 41 B burst: verdict = %v, want %v",
 			res.Verdict, VerdictMeterDrop)
 	}
@@ -118,7 +118,7 @@ func TestMeterChargesWireLength(t *testing.T) {
 	if got := p4.WireLen(); got != 28 {
 		t.Fatalf("IPv4 UDP WireLen = %d, want 28", got)
 	}
-	if res := sw.Process(0, p4); res.Verdict != VerdictForward {
+	if res := processPacket(sw, 0, p4); res.Verdict != VerdictForward {
 		t.Fatalf("IPv4 UDP at 28 B vs 41 B burst: verdict = %v, want forward", res.Verdict)
 	}
 
@@ -135,7 +135,7 @@ func TestMeterChargesWireLength(t *testing.T) {
 	if got := pT.WireLen(); got != 42 {
 		t.Fatalf("IPv4 TCP +2B payload WireLen = %d, want 42", got)
 	}
-	if res := sw.Process(simtime.Time(0), pT); res.Verdict != VerdictMeterDrop {
+	if res := processPacket(sw, simtime.Time(0), pT); res.Verdict != VerdictMeterDrop {
 		t.Fatalf("IPv4 TCP at 42 B vs 41 B burst: verdict = %v, want %v",
 			res.Verdict, VerdictMeterDrop)
 	}

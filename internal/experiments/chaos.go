@@ -184,11 +184,13 @@ func RunChaosSoak(scale float64, seed int64) (*ChaosReport, error) {
 		perTick: max(rep.Capacity/chaosLifeTicks, 1), burst: 1, period: 1,
 	}
 	var (
-		batch    []*netproto.Packet
+		batch    []netproto.Frame
 		batchIdx []int
 	)
 	send := func(i int, syn bool) {
-		batch = append(batch, flowPacket(i, syn))
+		var f netproto.Frame
+		flowPacket(i, syn).Frame(&f)
+		batch = append(batch, f)
 		batchIdx = append(batchIdx, i)
 	}
 	degradedNow := func() bool {
@@ -215,7 +217,9 @@ func RunChaosSoak(scale float64, seed int64) (*ChaosReport, error) {
 	}
 	runBatch := func(now simtime.Time) {
 		forwarded := book.forwarded
-		for j, r := range eng.ProcessBatch(now, batch) {
+		results := make([]dataplane.Result, len(batch))
+		eng.ProcessFramesInto(now, batch, results)
+		for j, r := range results {
 			book.sent(r.Verdict == dataplane.VerdictForward)
 			if !r.ConnHit {
 				continue

@@ -26,12 +26,6 @@ type Report struct {
 	// the printed report.
 	ArtifactName string
 	Artifact     []byte
-
-	// MetricsName and Metrics optionally carry a telemetry snapshot (JSON)
-	// captured during the run; populated only when CollectTelemetry is set
-	// (silkroad-bench --metrics) and written next to the main artifact.
-	MetricsName string
-	Metrics     []byte
 }
 
 // Printf appends a formatted row.
@@ -50,10 +44,10 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// CollectTelemetry makes experiments that support it attach a
-// telemetry.Registry to the system under test and export the snapshot as a
-// Metrics artifact. Off by default so benchmark numbers measure the
-// untraced hot path; silkroad-bench --metrics turns it on before running.
+// CollectTelemetry makes the soaks that support it (chaos, reconcile,
+// upgrade) attach a telemetry.Registry to the system under test, so the
+// run drives the traced path too; their reports do not change. Off by
+// default; silkroad-bench -metrics turns it on before running.
 var CollectTelemetry bool
 
 // Runner is the registry entry for one experiment.
@@ -84,7 +78,6 @@ func All() []Runner {
 		{"sec52", "Prototype microbenchmarks: meters, insertion rate, digest FPs, cost", func(s float64, seed int64) (*Report, error) { return Sec52(s, seed) }},
 		{"netwide", "Network-wide VIP-to-layer assignment (§5.3)", func(s float64, seed int64) (*Report, error) { return Netwide(s, seed) }},
 		{"hybrid", "ConnTable-as-cache with SLB overflow tier (§7)", func(s float64, seed int64) (*Report, error) { return Hybrid(s, seed) }},
-		{"pipes", "Multi-pipe aggregate throughput, 1 vs 4 pipes (BENCH_pipes.json)", func(s float64, seed int64) (*Report, error) { return PipesBench(s, seed) }},
 		{"chaos", "Chaos soak: fault injection under churn, degradation invariants (CHAOS_soak.json)", func(s float64, seed int64) (*Report, error) { return Chaos(s, seed) }},
 		{"reconcile", "Reconcile soak: spec churn, rolling fleet updates, rollback (RECONCILE_soak.json)", func(s float64, seed int64) (*Report, error) { return Reconcile(s, seed) }},
 		{"upgrade", "Rolling-upgrade soak: warm handoff, zero dropped flows (UPGRADE_soak.json)", func(s float64, seed int64) (*Report, error) { return Upgrade(s, seed) }},

@@ -15,8 +15,8 @@ const (
 
 func TestAllRegistered(t *testing.T) {
 	all := All()
-	if len(all) != 23 {
-		t.Fatalf("registered %d experiments, want 23", len(all))
+	if len(all) != 22 {
+		t.Fatalf("registered %d experiments, want 22", len(all))
 	}
 	seen := map[string]bool{}
 	for _, r := range all {
@@ -34,7 +34,7 @@ func TestAllRegistered(t *testing.T) {
 	if _, ok := ByID("nope"); ok {
 		t.Fatal("ByID accepted unknown id")
 	}
-	if len(IDs()) != 23 {
+	if len(IDs()) != 22 {
 		t.Fatal("IDs incomplete")
 	}
 }

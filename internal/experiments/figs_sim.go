@@ -7,6 +7,7 @@ import (
 	"repro/internal/dataplane"
 	"repro/internal/duet"
 	"repro/internal/flowsim"
+	"repro/internal/netproto"
 	"repro/internal/simtime"
 	"repro/internal/workload"
 )
@@ -312,9 +313,10 @@ func fig15Run(n int, seed int64, disableReuse bool) (minted, maxActive int, err 
 			endings = endings[1:]
 		}
 		// A connection arrives and pins the current version.
-		pkt := synPacket(nextTuple)
-		res := sw.Process(now, pkt)
-		cp.HandleResult(now, pkt, res)
+		var f netproto.Frame
+		synPacket(nextTuple).Frame(&f)
+		var res dataplane.Result
+		cp.ProcessFrameInto(now, &f, &res)
 		endings = append(endings, ending{at: now.Add(life), tuple: nextTuple})
 		nextTuple++
 		// Rolling reboot step.

@@ -72,14 +72,12 @@ func insertionThroughput(scale float64) (ratePerSec float64, meanDelay simtime.D
 	offered := 400_000.0
 	interval := simtime.Duration(float64(simtime.Second) / offered)
 	now := simtime.Time(0)
-	i := 0
-	for now.Before(simtime.Time(0).Add(dur)) {
-		cp.Advance(now)
-		pkt := &netproto.Packet{Tuple: expTuple(i), TCPFlags: netproto.FlagSYN}
-		res := sw.Process(now, pkt)
-		cp.HandleResult(now, pkt, res)
+	var f netproto.Frame
+	var res dataplane.Result
+	for i := 0; now.Before(simtime.Time(0).Add(dur)); i++ {
+		synPacket(i).Frame(&f)
+		cp.ProcessFrameInto(now, &f, &res)
 		now = now.Add(interval)
-		i++
 	}
 	// Let the backlog drain to measure steady-state throughput over the
 	// busy period only.

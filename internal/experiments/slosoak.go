@@ -96,9 +96,9 @@ func sloBurnRules() []silkroad.SLORule {
 	}
 }
 
-// sloSyn builds a distinct-flow SYN aimed at the soak VIP.
-func sloSyn(i int) *netproto.Packet {
-	return &netproto.Packet{
+// sloFrame fills f with a packet of distinct flow i, aimed at the soak VIP.
+func sloFrame(i int, flags uint8, f *netproto.Frame) {
+	p := netproto.Packet{
 		Tuple: netproto.FiveTuple{
 			Src:     netip.AddrFrom4([4]byte{10, 99, byte(i >> 8), byte(i)}),
 			Dst:     netip.MustParseAddr("20.0.0.1"),
@@ -106,8 +106,9 @@ func sloSyn(i int) *netproto.Packet {
 			DstPort: 80,
 			Proto:   netproto.ProtoTCP,
 		},
-		TCPFlags: netproto.FlagSYN,
+		TCPFlags: flags,
 	}
+	p.Frame(f)
 }
 
 func sloVIP() silkroad.VIP {
@@ -150,17 +151,18 @@ func runSLOBurn(rep *SLOSoakReport, seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
 	flow := 0
 	var now simtime.Time
+	var f netproto.Frame
 	for tick := 0; tick < sloBurnTicks; tick++ {
 		// 30 new flows per millisecond, with a seeded jitter of repeat
 		// packets from recent flows to keep the pipes busy.
 		for i := 0; i < 30; i++ {
-			sw.Process(now, sloSyn(flow))
+			sloFrame(flow, netproto.FlagSYN, &f)
+			sw.ProcessFrame(now, &f)
 			flow++
 		}
 		for i := 0; i < 10 && flow > 100; i++ {
-			old := sloSyn(flow - 1 - rng.Intn(100))
-			old.TCPFlags = netproto.FlagACK
-			sw.Process(now, old)
+			sloFrame(flow-1-rng.Intn(100), netproto.FlagACK, &f)
+			sw.ProcessFrame(now, &f)
 		}
 		now = now.Add(sloTick)
 		sw.AdvanceTo(now)
@@ -211,11 +213,13 @@ func runSLOForecast(rep *SLOSoakReport) error {
 
 	flow := 0
 	var now simtime.Time
+	var f netproto.Frame
 	predictEval := -1
 	fullEval := -1
 	for tick := 0; tick < 1500; tick++ {
 		for i := 0; i < 5; i++ {
-			sw.Process(now, sloSyn(flow))
+			sloFrame(flow, netproto.FlagSYN, &f)
+			sw.ProcessFrame(now, &f)
 			flow++
 		}
 		now = now.Add(sloTick)

@@ -36,15 +36,14 @@ func (a *SilkRoadAdapter) AddVIP(vip dataplane.VIP, pool []dataplane.DIP) error 
 
 // Packet implements Balancer.
 func (a *SilkRoadAdapter) Packet(now simtime.Time, t netproto.FiveTuple, syn bool) (dataplane.DIP, bool) {
-	a.CP.Advance(now)
-	pkt := &netproto.Packet{Tuple: t}
+	pkt := netproto.Packet{Tuple: t, TCPFlags: netproto.FlagACK}
 	if syn {
 		pkt.TCPFlags = netproto.FlagSYN
-	} else {
-		pkt.TCPFlags = netproto.FlagACK
 	}
-	res := a.SW.Process(now, pkt)
-	res = a.CP.HandleResult(now, pkt, res)
+	var f netproto.Frame
+	pkt.Frame(&f)
+	var res dataplane.Result
+	a.CP.ProcessFrameInto(now, &f, &res)
 	return res.DIP, res.Verdict == dataplane.VerdictForward
 }
 

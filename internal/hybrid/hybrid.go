@@ -82,9 +82,10 @@ func (b *Balancer) Update(now simtime.Time, vip dataplane.VIP, pool []dataplane.
 // cached in hardware but pinned at the SLB tier, software serves it.
 func (b *Balancer) Packet(now simtime.Time, pkt *netproto.Packet) (dataplane.DIP, bool) {
 	b.stats.Packets++
-	b.cp.Advance(now)
-	res := b.sw.Process(now, pkt)
-	res = b.cp.HandleResult(now, pkt, res)
+	var f netproto.Frame
+	pkt.Frame(&f)
+	var res dataplane.Result
+	b.cp.ProcessFrameInto(now, &f, &res)
 	if res.Verdict != dataplane.VerdictForward {
 		return dataplane.DIP{}, false
 	}

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net/netip"
-	"slices"
 )
 
 // Frame is the parse-once view of a raw packet — the wire-native currency
@@ -148,15 +147,6 @@ func (f *Frame) IsSYN() bool { return f.TCPFlags&FlagSYN != 0 && f.TCPFlags&Flag
 // IsFIN reports whether the FIN flag is set.
 func (f *Frame) IsFIN() bool { return f.TCPFlags&FlagFIN != 0 }
 
-// Packet fills p with the frame's decoded form (Payload aliases Data) for
-// callers still on the struct currency.
-func (f *Frame) Packet(p *Packet) {
-	p.Tuple = f.Tuple
-	p.TCPFlags = f.TCPFlags
-	p.Seq = f.Seq
-	p.Payload = f.Data[f.PayloadOff:]
-}
-
 // Frame fills f with the packet's synthetic frame — the one Packet -> Frame
 // conversion, applied at the edge so nothing below it handles two
 // currencies. f carries exactly what the pipeline matches on and charges
@@ -167,19 +157,6 @@ func (p *Packet) Frame(f *Frame) {
 	*f = Frame{}
 	f.Tuple, f.TCPFlags, f.Seq = p.Tuple, p.TCPFlags, p.Seq
 	f.synthLen = uint32(p.WireLen())
-}
-
-// AppendFrames appends each packet's synthetic frame (Packet.Frame) to dst
-// and returns the extended slice — the batch form of the conversion. A
-// caller that passes its previous result resliced to zero length converts
-// allocation-free once the slice has grown to its largest batch.
-func AppendFrames(dst []Frame, pkts []*Packet) []Frame {
-	base := len(dst)
-	dst = slices.Grow(dst, len(pkts))[:base+len(pkts)]
-	for i, p := range pkts {
-		p.Frame(&dst[base+i])
-	}
-	return dst
 }
 
 // RewriteDst rewrites the frame's destination address and port in place to

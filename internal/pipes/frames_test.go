@@ -68,11 +68,11 @@ func TestFramesBatchSteadyStateAllocs(t *testing.T) {
 	e := newTestEngine(t, 4, 10000)
 	const conns = 256
 	now := simtime.Time(0)
-	e.ProcessFrames(now, framesN(t, conns, netproto.FlagSYN))
+	results := make([]dataplane.Result, conns)
+	e.ProcessFramesInto(now, framesN(t, conns, netproto.FlagSYN), results)
 	now = now.Add(simtime.Duration(10 * simtime.Second))
 	e.Advance(now)
 	frames := framesN(t, conns, netproto.FlagACK)
-	results := make([]dataplane.Result, conns)
 	e.ProcessFramesInto(now, frames, results) // warm the reusable buffers
 	avg := testing.AllocsPerRun(20, func() {
 		e.ProcessFramesInto(now, frames, results)

@@ -15,7 +15,7 @@
 // configuration is replicated to every pipe, exactly as the control plane
 // programs identical VIPTable/DIPPoolTable contents into each pipeline.
 //
-// ProcessBatch drives the pipes through N long-lived worker goroutines —
+// ProcessFramesInto drives the pipes through N long-lived worker goroutines —
 // one per pipe, started lazily on the first batch and stopped by Close —
 // fed by bounded SPSC descriptor rings (see ring.go). The batch path is
 // allocation-free in steady state: shard buffers are per-engine and
@@ -49,7 +49,7 @@ type Config struct {
 	// Dataplane is the chip-level data-plane configuration. Its Tracer
 	// receives every pipe's events, each labelled with its pipe index (the
 	// engine sets Pipe per pipe), so it must be safe for concurrent use:
-	// pipes emit in parallel under ProcessBatch.
+	// pipes emit in parallel under ProcessFramesInto.
 	Dataplane dataplane.Config
 	// Controlplane configures each pipe's slice of the switch software.
 	Controlplane ctrlplane.Config
@@ -91,13 +91,6 @@ type Engine struct {
 	closed   bool // Close ran; later batches execute on the caller
 	quit     chan struct{}
 	workerWG sync.WaitGroup
-
-	// scratch holds the synthetic frames of a struct-currency batch
-	// (ProcessBatchInto), grown lazily and reused so the adapter allocates
-	// nothing in steady state. scratchMu is held across the whole batch and
-	// is taken before batchMu and the pipe locks.
-	scratchMu sync.Mutex
-	scratch   []netproto.Frame
 }
 
 // Stats aggregates per-pipe hardware and software counters into chip-level
@@ -172,7 +165,7 @@ func New(cfg Config) (*Engine, error) {
 }
 
 // Close stops the engine's per-pipe batch workers and waits for them to
-// exit. It is idempotent, safe to call concurrently with ProcessBatch —
+// exit. It is idempotent, safe to call concurrently with ProcessFramesInto —
 // in-flight batches complete first — and does not disable the engine:
 // later batches still work, executing on the caller's goroutine through
 // the same job path. Single-pipe engines have no workers; Close is a
@@ -199,8 +192,8 @@ func (e *Engine) NumPipes() int { return len(e.pipes) }
 // PipeOf returns the index of the pipe that carries connection t. The
 // shard hashes the full 5-tuple through the chip-level lane hash, so
 // sharding stays stable for a connection's lifetime and per-pipe ConnTables
-// never see each other's flows. Every tuple-addressed entry point (Process,
-// ProcessBatch, EndConnection) uses this one mapping.
+// never see each other's flows. Every tuple-addressed entry point (ProcessFrame,
+// ProcessFramesInto, EndConnection) uses this one mapping.
 func (e *Engine) PipeOf(t netproto.FiveTuple) int {
 	if len(e.pipes) == 1 {
 		return 0
@@ -209,7 +202,7 @@ func (e *Engine) PipeOf(t netproto.FiveTuple) int {
 }
 
 // Dataplane exposes pipe i's data plane for inspection. Callers must not
-// interleave direct mutations with concurrent ProcessBatch calls; the
+// interleave direct mutations with concurrent ProcessFramesInto calls; the
 // accessor bypasses the pipe lock.
 func (e *Engine) Dataplane(i int) *dataplane.Switch { return e.pipes[i].dp }
 
@@ -217,7 +210,7 @@ func (e *Engine) Dataplane(i int) *dataplane.Switch { return e.pipes[i].dp }
 func (e *Engine) Controlplane(i int) *ctrlplane.ControlPlane { return e.pipes[i].cp }
 
 // Inspect runs fn against pipe i's planes under the pipe lock, so debug
-// surfaces can read table state safely while ProcessBatch workers run on
+// surfaces can read table state safely while ProcessFramesInto workers run on
 // other goroutines. fn must not retain the pointers past its return.
 func (e *Engine) Inspect(i int, fn func(dp *dataplane.Switch, cp *ctrlplane.ControlPlane)) {
 	p := e.pipes[i]
@@ -259,65 +252,17 @@ func (e *Engine) inject(pipe int, fn func(dp *dataplane.Switch, cp *ctrlplane.Co
 	}
 }
 
-// processFrameInto runs one frame on pipe p, writing its result into the
-// caller's slot: no Result is copied on the way. Callers hold p.mu.
-func (p *pipe) processFrameInto(now simtime.Time, f *netproto.Frame, res *dataplane.Result) {
-	p.cp.Advance(now)
-	p.dp.ProcessFrameInto(now, f, res)
-	p.processed++
-	p.cp.HandleTupleResultInto(now, f.Tuple, res)
-}
-
-// processFrame is processFrameInto returning the result. Callers hold p.mu.
-func (p *pipe) processFrame(now simtime.Time, f *netproto.Frame) (res dataplane.Result) {
-	p.processFrameInto(now, f, &res)
-	return res
-}
-
-// Process runs one decoded packet through its owning pipe (struct-currency
-// edge adapter over ProcessFrame).
-func (e *Engine) Process(now simtime.Time, pkt *netproto.Packet) dataplane.Result {
-	var f netproto.Frame
-	pkt.Frame(&f)
-	return e.ProcessFrame(now, &f)
-}
-
-// ProcessFrame runs one frame through its owning pipe: background CPU work
-// due by now executes first, then the ASIC pipeline, then any CPU
-// arbitration the pipeline requested (redirected SYNs).
-func (e *Engine) ProcessFrame(now simtime.Time, f *netproto.Frame) dataplane.Result {
+// ProcessFrame runs one frame through its owning pipe's per-packet step
+// (ctrlplane.ControlPlane.ProcessFrameInto). It is the single-frame form of
+// ProcessFramesInto, kept so a caller's one frame never escapes into a
+// multi-pipe job.
+func (e *Engine) ProcessFrame(now simtime.Time, f *netproto.Frame) (res dataplane.Result) {
 	p := e.pipes[e.PipeOf(f.Tuple)]
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.processFrame(now, f)
-}
-
-// ProcessBatch runs a batch of decoded packets through the chip and returns
-// one Result per packet, in input order (struct-currency edge adapter).
-func (e *Engine) ProcessBatch(now simtime.Time, pkts []*netproto.Packet) []dataplane.Result {
-	results := make([]dataplane.Result, len(pkts))
-	e.ProcessBatchInto(now, pkts, results)
-	return results
-}
-
-// ProcessBatchInto is ProcessBatch writing into a caller-provided results
-// slice (len(results) >= len(pkts)): the packets become synthetic frames in
-// the engine's scratch — which therefore holds none of the caller's memory
-// between batches — and take ProcessFramesInto. results[i] corresponds to
-// pkts[i]; slots past len(pkts) are untouched.
-func (e *Engine) ProcessBatchInto(now simtime.Time, pkts []*netproto.Packet, results []dataplane.Result) {
-	e.scratchMu.Lock()
-	defer e.scratchMu.Unlock()
-	e.scratch = netproto.AppendFrames(e.scratch[:0], pkts)
-	e.ProcessFramesInto(now, e.scratch, results)
-}
-
-// ProcessFrames runs a batch of frames through the chip and returns one
-// Result per frame, in input order.
-func (e *Engine) ProcessFrames(now simtime.Time, frames []netproto.Frame) []dataplane.Result {
-	results := make([]dataplane.Result, len(frames))
-	e.ProcessFramesInto(now, frames, results)
-	return results
+	p.cp.ProcessFrameInto(now, f, &res)
+	p.processed++
+	return res
 }
 
 // ProcessFramesInto is the one batch path: frames are scattered to their
@@ -339,9 +284,12 @@ func (e *Engine) ProcessFramesInto(now simtime.Time, frames []netproto.Frame, re
 		p := e.pipes[0]
 		p.mu.Lock()
 		for i := range frames {
-			// Per-frame poll kept: hoisting it is ROADMAP item 2's established/pps claim.
-			p.processFrameInto(now, &frames[i], &results[i])
+			// The step polls before every frame. A poll per batch plus one
+			// whenever the learn filter fills is exact too
+			// (TestBatchPollMatchesFramePoll); moving to it is ROADMAP item 2.
+			p.cp.ProcessFrameInto(now, &frames[i], &results[i])
 		}
+		p.processed += uint64(len(frames))
 		p.mu.Unlock()
 		return
 	}

@@ -42,6 +42,26 @@ func tupleN(i int) netproto.FiveTuple {
 	}
 }
 
+// processPacket runs pkt through e's single-frame entry point as its
+// synthetic frame (Packet.Frame): the tests build packets and convert them
+// at their own edge.
+func processPacket(e *Engine, now simtime.Time, pkt *netproto.Packet) dataplane.Result {
+	var f netproto.Frame
+	pkt.Frame(&f)
+	return e.ProcessFrame(now, &f)
+}
+
+// processBatch runs pkts through e as one batch of synthetic frames.
+func processBatch(e *Engine, now simtime.Time, pkts []*netproto.Packet) []dataplane.Result {
+	frames := make([]netproto.Frame, len(pkts))
+	for i, pkt := range pkts {
+		pkt.Frame(&frames[i])
+	}
+	results := make([]dataplane.Result, len(pkts))
+	e.ProcessFramesInto(now, frames, results)
+	return results
+}
+
 // TestShardingPinsConnections asserts every connection maps to a stable
 // pipe, traffic spreads across pipes, and per-pipe ConnTables stay
 // disjoint.
@@ -62,7 +82,7 @@ func TestShardingPinsConnections(t *testing.T) {
 			t.Fatalf("PipeOf not stable: %d then %d", pi, again)
 		}
 		seen[pi]++
-		res := e.Process(0, &netproto.Packet{Tuple: tup, TCPFlags: netproto.FlagSYN})
+		res := processPacket(e, 0, &netproto.Packet{Tuple: tup, TCPFlags: netproto.FlagSYN})
 		if res.Verdict != dataplane.VerdictForward {
 			t.Fatalf("conn %d: verdict = %v", i, res.Verdict)
 		}
@@ -90,7 +110,7 @@ func TestShardingPinsConnections(t *testing.T) {
 	}
 }
 
-// TestBatchMatchesSequential asserts ProcessBatch returns, in input order,
+// TestBatchMatchesSequential asserts ProcessFramesInto returns, in input order,
 // exactly the results a sequential per-packet run yields on an identical
 // engine.
 func TestBatchMatchesSequential(t *testing.T) {
@@ -109,10 +129,10 @@ func TestBatchMatchesSequential(t *testing.T) {
 		pkts = append(pkts, &netproto.Packet{Tuple: tupleN(i % 120), TCPFlags: netproto.FlagSYN})
 	}
 
-	batched := mk().ProcessBatch(1000, pkts)
+	batched := processBatch(mk(), 1000, pkts)
 	seq := mk()
 	for i, pkt := range pkts {
-		want := seq.Process(1000, pkt)
+		want := processPacket(seq, 1000, pkt)
 		got := batched[i]
 		if got.Verdict != want.Verdict || got.DIP != want.DIP || got.Version != want.Version {
 			t.Fatalf("packet %d: batch = %+v, sequential = %+v", i, got, want)
@@ -139,7 +159,7 @@ func TestPerConnectionConsistencyAcrossBatches(t *testing.T) {
 		pkts = append(pkts, &netproto.Packet{Tuple: tupleN(i), TCPFlags: netproto.FlagSYN})
 	}
 	now := simtime.Time(0)
-	for i, res := range e.ProcessBatch(now, pkts) {
+	for i, res := range processBatch(e, now, pkts) {
 		if res.Verdict != dataplane.VerdictForward {
 			t.Fatalf("conn %d: verdict %v", i, res.Verdict)
 		}
@@ -160,7 +180,7 @@ func TestPerConnectionConsistencyAcrossBatches(t *testing.T) {
 	for i := 0; i < conns; i++ {
 		data = append(data, &netproto.Packet{Tuple: tupleN(i), TCPFlags: netproto.FlagACK})
 	}
-	for i, res := range e.ProcessBatch(now, data) {
+	for i, res := range processBatch(e, now, data) {
 		if first[i] == removed {
 			continue // pinned to the DIP that left service; exempt
 		}
@@ -185,7 +205,7 @@ func TestAggregatedStats(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		pkts = append(pkts, &netproto.Packet{Tuple: tupleN(i), TCPFlags: netproto.FlagSYN})
 	}
-	e.ProcessBatch(0, pkts)
+	processBatch(e, 0, pkts)
 	e.Advance(simtime.Time(simtime.Second))
 
 	var want dataplane.Stats
@@ -255,7 +275,7 @@ func TestEmptyPoolDropsMultiPipe(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		pkts = append(pkts, &netproto.Packet{Tuple: tupleN(i), TCPFlags: netproto.FlagSYN})
 	}
-	for i, res := range e.ProcessBatch(0, pkts) {
+	for i, res := range processBatch(e, 0, pkts) {
 		if res.Verdict != dataplane.VerdictNoBackend {
 			t.Fatalf("packet %d: verdict = %v, want %v", i, res.Verdict, dataplane.VerdictNoBackend)
 		}
@@ -354,7 +374,7 @@ func TestConcurrentTrafficAndUpdates(t *testing.T) {
 					Tuple: tupleN(w*perWorker + i), TCPFlags: netproto.FlagSYN,
 				})
 			}
-			for _, res := range e.ProcessBatch(now, pkts) {
+			for _, res := range processBatch(e, now, pkts) {
 				if res.Verdict != dataplane.VerdictForward &&
 					res.Verdict != dataplane.VerdictNoBackend {
 					t.Errorf("unexpected verdict %v", res.Verdict)

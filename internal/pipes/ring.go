@@ -2,7 +2,7 @@ package pipes
 
 // The batch hot path: persistent per-pipe workers fed by bounded SPSC
 // descriptor rings, in the run-to-completion style of software fast paths
-// (DPDK, Maglev). ProcessBatch is the single producer — serialized by the
+// (DPDK, Maglev). ProcessFramesInto is the single producer — serialized by the
 // engine's batch lock — and each pipe's worker is the single consumer of
 // its ring. A descriptor covers a pipe's whole share of one batch, so the
 // ring traffic is O(pipes) per batch, not O(packets).
@@ -32,7 +32,7 @@ const (
 	jobClaimed               // an executor won the CAS and owns the job
 )
 
-// batchJob describes one pipe's share of a ProcessBatch call. The engine
+// batchJob describes one pipe's share of a ProcessFramesInto call. The engine
 // keeps one reusable descriptor per pipe: the producer republishes it each
 // batch by rewriting the fields and resetting state to jobQueued. A stale
 // ring entry can therefore alias a republished descriptor; the claim CAS
@@ -125,12 +125,12 @@ func (e *Engine) executeJob(pi int, j *batchJob) {
 	j.wg.Done()
 }
 
-// runJob processes one pipe's shard under the pipe lock. Background CPU
-// work is advanced once for the whole shard — every packet of a job shares
-// its timestamp, so the per-packet Advance of the single-packet path would
-// re-discover "nothing due" len(idxs)-1 times. Packets then run in arrival
-// order; disjoint index sets across pipes make each result slot
-// single-writer.
+// runJob processes one pipe's shard under the pipe lock: the one poll site
+// besides ControlPlane.ProcessFrameInto. Background CPU work is advanced
+// once for the whole shard — every packet of a job shares its timestamp, so
+// the per-packet step's Advance would re-discover "nothing due"
+// len(idxs)-1 times. Packets then run in arrival order; disjoint index sets
+// across pipes make each result slot single-writer.
 func (e *Engine) runJob(pi int, j *batchJob) {
 	p := e.pipes[pi]
 	p.mu.Lock()

@@ -123,10 +123,9 @@ func TestWorkerBatchMatchesSequential(t *testing.T) {
 			}
 			pkts = append(pkts, &netproto.Packet{Tuple: tupleN(i), TCPFlags: flags})
 		}
-		got := batched.ProcessBatch(now, pkts)
+		got := processBatch(batched, now, pkts)
 		for i, pkt := range pkts {
-			cp := *pkt
-			want := seq.Process(now, &cp)
+			want := processPacket(seq, now, pkt)
 			if got[i].Verdict != want.Verdict || got[i].DIP != want.DIP || got[i].Version != want.Version {
 				t.Fatalf("round %d packet %d: batch %+v, sequential %+v", round, i, got[i], want)
 			}
@@ -147,7 +146,7 @@ func TestWorkerBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestInterleavedBatchesRace interleaves ProcessBatch calls from two
+// TestInterleavedBatchesRace interleaves ProcessFramesInto calls from two
 // goroutines with config fanout, stats reads and a Close, all under the
 // race detector: the batch lock must serialize producers without
 // corrupting shard state, and Close must wait out in-flight batches.
@@ -169,7 +168,7 @@ func TestInterleavedBatchesRace(t *testing.T) {
 					}
 					pkts = append(pkts, &netproto.Packet{Tuple: tupleN(g*1000 + i), TCPFlags: flags})
 				}
-				res := e.ProcessBatch(now, pkts)
+				res := processBatch(e, now, pkts)
 				for i := range res {
 					if res[i].Verdict != dataplane.VerdictForward &&
 						res[i].Verdict != dataplane.VerdictNoBackend {
@@ -200,7 +199,7 @@ func TestInterleavedBatchesRace(t *testing.T) {
 	wg.Wait()
 	e.Close()
 	// The engine stays usable after Close: batches run on the caller.
-	res := e.ProcessBatch(now.Add(simtime.Duration(simtime.Second)), []*netproto.Packet{
+	res := processBatch(e, now.Add(simtime.Duration(simtime.Second)), []*netproto.Packet{
 		{Tuple: tupleN(5), TCPFlags: netproto.FlagACK},
 	})
 	if res[0].Verdict != dataplane.VerdictForward {
@@ -220,7 +219,7 @@ func TestNextDueWhileWorkersParked(t *testing.T) {
 		pkts = append(pkts, &netproto.Packet{Tuple: tupleN(i), TCPFlags: netproto.FlagSYN})
 	}
 	now := simtime.Time(0)
-	res := e.ProcessBatch(now, pkts)
+	res := processBatch(e, now, pkts)
 	learned := false
 	for i := range res {
 		learned = learned || res[i].Learned
@@ -228,7 +227,7 @@ func TestNextDueWhileWorkersParked(t *testing.T) {
 	if !learned {
 		t.Fatal("SYN batch learned nothing")
 	}
-	// Workers are parked now (ProcessBatch returned). The learn flush and
+	// Workers are parked now (ProcessFramesInto returned). The learn flush and
 	// the pending inserts are due within a few filter timeouts; NextDue
 	// must surface that deadline.
 	at, ok := e.NextDue()
@@ -242,34 +241,5 @@ func TestNextDueWhileWorkersParked(t *testing.T) {
 	e.Advance(now.Add(simtime.Duration(10 * simtime.Second)))
 	if got := e.Stats().Connections; got != 64 {
 		t.Fatalf("connections after drain = %d, want 64", got)
-	}
-}
-
-// TestBatchSteadyStateAllocs guards the allocation-free claim: once
-// connections are established, a ProcessBatchInto round trip must not
-// allocate.
-func TestBatchSteadyStateAllocs(t *testing.T) {
-	e := newTestEngine(t, 4, 10000)
-	const conns = 256
-	var pkts []*netproto.Packet
-	for i := 0; i < conns; i++ {
-		pkts = append(pkts, &netproto.Packet{Tuple: tupleN(i), TCPFlags: netproto.FlagSYN})
-	}
-	now := simtime.Time(0)
-	e.ProcessBatch(now, pkts)
-	now = now.Add(simtime.Duration(10 * simtime.Second))
-	e.Advance(now)
-	for i := range pkts {
-		pkts[i].TCPFlags = netproto.FlagACK
-	}
-	results := make([]dataplane.Result, conns)
-	e.ProcessBatchInto(now, pkts, results) // warm the reusable buffers
-	avg := testing.AllocsPerRun(20, func() {
-		e.ProcessBatchInto(now, pkts, results)
-	})
-	// The packets become synthetic frames in the engine's scratch, which
-	// like the shard machinery must contribute zero in steady state.
-	if avg != 0 {
-		t.Fatalf("steady-state batch allocates %.1f times per %d packets, want 0", avg, conns)
 	}
 }

@@ -10,7 +10,7 @@
 // Cost discipline matches the tracer's bar: when no Evaluator is attached
 // nothing runs; when armed, each tick performs atomic loads into
 // preallocated ring buffers — the packet path is never touched and no lock
-// shared with ProcessBatch is ever taken (the registry readers are plain
+// shared with ProcessFramesInto is ever taken (the registry readers are plain
 // atomics plus the registry's registration mutex, which hot-path hooks do
 // not use).
 package slo

@@ -12,9 +12,10 @@ import (
 // The connection-lifecycle path — open, learn, flush, install, hit, end — as
 // the benchmark's newconn workload drives it: short connections against a
 // table most of the way full, pool updates landing among them, batches of 64
-// frames. Two properties are pinned here: driving the runtime (AdvanceTo)
-// per batch changes nothing the per-frame poll would not do on its own, and
-// a steady-state cycle allocates nothing.
+// frames. Three properties are pinned here: driving the runtime (AdvanceTo)
+// per batch changes nothing the per-frame poll would not do on its own,
+// neither does polling once per batch and again whenever the learn filter
+// fills, and a steady-state cycle allocates nothing.
 
 const (
 	lifeBatch = 64
@@ -63,12 +64,16 @@ func tupleFrame(tb testing.TB, tuple FiveTuple, flags uint8, buf []byte, f *Fram
 }
 
 // lifeSwitch builds the scripts' switch; aging is its AgingTimeout, 0 for
-// connections that live until ended.
-func lifeSwitch(tb testing.TB, tableN int, aging Duration) *Switch {
+// connections that live until ended, and learnCap its LearnFilterCapacity,
+// 0 for the default.
+func lifeSwitch(tb testing.TB, tableN int, aging Duration, learnCap int) *Switch {
 	tb.Helper()
 	cfg := Defaults(tableN)
 	cfg.Clock = NewManualClock(0)
 	cfg.Controlplane.AgingTimeout = aging
+	if learnCap > 0 {
+		cfg.Dataplane.LearnFilterCapacity = learnCap
+	}
 	sw, err := NewSwitch(cfg)
 	if err != nil {
 		tb.Fatal(err)
@@ -87,27 +92,57 @@ type lifeOutcome struct {
 	Version uint32
 }
 
-// lifeScript runs the seeded script against a fresh switch (see lifeSwitch
-// for aging) that announces vips VIPs, of which the script sends to the
-// first lifeVIPs only, and returns every packet's outcome, the final
-// counters and the final ConnTable, entry by entry in physical order. The
-// script: prime the table with resident connections, then keep 1024 short
-// connections (SYN, ACK, ACK, FIN) open — 0.8 of the table's size in all —
-// each slot advancing a random one, so a connection outlives its pending
-// window; a FIN ends its connection after the batch and a new connection
-// takes its place; every 1024 packets one VIP's pool gains or loses a DIP.
-// With advance set, AdvanceTo runs the runtime up to each batch's instant
-// before the batch; without, only the poll each frame makes does.
-func lifeScript(t *testing.T, seed int64, advance bool, aging Duration, vips int) ([]lifeOutcome, Stats, []cuckoo.Entry) {
+// lifeDriver is how lifeScript hands each batch to the switch.
+type lifeDriver int
+
+const (
+	// framePoll: ProcessFramesInto alone, whose per-packet step polls the
+	// control plane before every frame.
+	framePoll lifeDriver = iota
+	// advanceTo: AdvanceTo runs the runtime up to each batch's instant
+	// before ProcessFramesInto.
+	advanceTo
+	// batchPoll: the control plane's Advance once per batch, then the bare
+	// pipeline and CPU steps per frame, polling again only when the learn
+	// filter is full — ROADMAP item 2's per-batch poll.
+	batchPoll
+)
+
+// lifeCase is one run of lifeScript.
+type lifeCase struct {
+	seed     int64
+	driver   lifeDriver
+	aging    Duration // AgingTimeout; 0 for connections that live until ended
+	vips     int      // VIPs announced; the script sends to the first lifeVIPs
+	learnCap int      // LearnFilterCapacity; 0 for the default
+}
+
+// lifeRun is what a lifeScript run leaves: every packet's outcome, the final
+// counters and the final ConnTable, entry by entry in physical order.
+type lifeRun struct {
+	out     []lifeOutcome
+	stats   Stats
+	table   []cuckoo.Entry
+	repolls int // batchPoll's polls on a full learn filter, all mid-batch
+}
+
+// lifeScript runs the seeded script against a fresh switch built as c
+// says. The script: prime the table with resident connections, then keep
+// 1024 short connections (SYN, ACK, ACK, FIN) open — 0.8 of the table's
+// size in all — each slot advancing a random one, so a connection outlives
+// its pending window; a FIN ends its connection after the batch and a new
+// connection takes its place; every 1024 packets one VIP's pool gains or
+// loses a DIP. c.driver decides how each batch is handed over.
+func lifeScript(t *testing.T, c lifeCase) lifeRun {
 	const (
 		tableN   = 20_000
 		window   = 1024
 		resident = tableN*8/10 - window
 		packets  = 64 * 1024
 	)
-	sw := lifeSwitch(t, tableN, aging)
+	sw := lifeSwitch(t, tableN, c.aging, c.learnCap)
 	defer sw.Close()
-	for v := lifeVIPs; v < vips; v++ {
+	for v := lifeVIPs; v < c.vips; v++ {
 		idle := VIP{Addr: netip.AddrFrom4([4]byte{21, 0, byte(v >> 8), byte(v)}), Port: 80, Proto: TCP}
 		if err := sw.AddVIP(0, idle, lifePool(0, 4)); err != nil {
 			t.Fatal(err)
@@ -119,15 +154,32 @@ func lifeScript(t *testing.T, seed int64, advance bool, aging Duration, vips int
 	for i := range bufs {
 		bufs[i] = make([]byte, 0, 128)
 	}
+	var run lifeRun
+	process := func(now Time) {
+		if c.driver != batchPoll {
+			sw.ProcessFramesInto(now, frames, results)
+			return
+		}
+		dp, cp := sw.Dataplane(), sw.Controlplane()
+		cp.Advance(now)
+		for j := range frames {
+			if dp.LearnFilter().Full() {
+				cp.Advance(now)
+				run.repolls++
+			}
+			dp.ProcessFrameInto(now, &frames[j], &results[j])
+			cp.HandleTupleResultInto(now, frames[j].Tuple, &results[j])
+		}
+	}
 
 	// Prime at the insertion CPU's pace (5 us a connection), then drain.
 	now := Time(0)
-	for c := 0; c < resident; c += lifeBatch {
+	for conn := 0; conn < resident; conn += lifeBatch {
 		now = now.Add(lifeBatch * 5 * Microsecond)
 		for j := range frames {
-			lifeFrame(t, c+j, FlagSYN, bufs[j], &frames[j])
+			lifeFrame(t, conn+j, FlagSYN, bufs[j], &frames[j])
 		}
-		sw.ProcessFramesInto(now, frames, results)
+		process(now)
 	}
 	now = now.Add(50 * Millisecond)
 	sw.AdvanceTo(now)
@@ -138,7 +190,7 @@ func lifeScript(t *testing.T, seed int64, advance bool, aging Duration, vips int
 		t.Fatalf("primed %d connections, want %d", got, resident)
 	}
 
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(rand.NewSource(c.seed))
 	flags := [4]uint8{FlagSYN, FlagACK, FlagACK, FlagFIN | FlagACK}
 	open := make([]int, window) // connection id in each window slot
 	sent := make([]int, window) // packets it has sent
@@ -146,7 +198,7 @@ func lifeScript(t *testing.T, seed int64, advance bool, aging Duration, vips int
 	for i := range open {
 		open[i], next = next, next+1
 	}
-	out := make([]lifeOutcome, 0, packets)
+	run.out = make([]lifeOutcome, 0, packets)
 	var fins []int
 	updates := 0
 	for done := 0; done < packets; done += lifeBatch {
@@ -159,7 +211,7 @@ func lifeScript(t *testing.T, seed int64, advance bool, aging Duration, vips int
 			}
 			updates++
 		}
-		if advance {
+		if c.driver == advanceTo {
 			sw.AdvanceTo(now)
 		}
 		fins = fins[:0]
@@ -171,20 +223,62 @@ func lifeScript(t *testing.T, seed int64, advance bool, aging Duration, vips int
 				open[w], sent[w], next = next, 0, next+1
 			}
 		}
-		sw.ProcessFramesInto(now, frames, results)
+		process(now)
 		for _, r := range results {
-			out = append(out, lifeOutcome{r.Verdict, r.DIP, r.Version})
+			run.out = append(run.out, lifeOutcome{r.Verdict, r.DIP, r.Version})
 		}
-		for _, c := range fins {
-			sw.EndConnection(now, lifeTuple(c))
+		for _, conn := range fins {
+			sw.EndConnection(now, lifeTuple(conn))
 		}
 	}
-	st := sw.Stats()
-	if st.Controlplane.UpdatesCompleted == 0 || st.Controlplane.ConnsEnded == 0 ||
+	run.stats = sw.Stats()
+	if st := run.stats; st.Controlplane.UpdatesCompleted == 0 || st.Controlplane.ConnsEnded == 0 ||
 		st.Dataplane.TransitChecks == 0 || st.Controlplane.Inserted <= resident {
 		t.Fatalf("script did not exercise the lifecycle: %+v", st)
 	}
-	return out, st, sw.Dataplane().ConnTable().Entries()
+	run.table = sw.Dataplane().ConnTable().Entries()
+	return run
+}
+
+// polledRuns memoizes the framePoll runs both differential tests compare
+// against: the 6 400-VIP one takes seconds.
+var polledRuns = map[lifeCase]lifeRun{}
+
+func polledScript(t *testing.T, c lifeCase) lifeRun {
+	c.driver = framePoll
+	run, ok := polledRuns[c]
+	if !ok {
+		run = lifeScript(t, c)
+		polledRuns[c] = run
+	}
+	return run
+}
+
+// sameRun fails t unless two runs of the script saw the same outcome for
+// every packet and ended with the same counters.
+func sameRun(t *testing.T, refName string, ref lifeRun, name string, got lifeRun) {
+	t.Helper()
+	for i := range ref.out {
+		if ref.out[i] != got.out[i] {
+			t.Fatalf("packet %d: %s %+v, %s %+v", i, refName, ref.out[i], name, got.out[i])
+		}
+	}
+	if !reflect.DeepEqual(ref.stats, got.stats) {
+		t.Fatalf("counters differ:\n %s %+v\n %s %+v", refName, ref.stats, name, got.stats)
+	}
+}
+
+// lifeCases are the differential tests' scripts. The default 2 048-event
+// learn filter never fills mid-batch in the script, so the last case's
+// 16-event one makes it fill.
+var lifeCases = []struct {
+	name string
+	c    lifeCase
+}{
+	{"seed1", lifeCase{seed: 1, vips: lifeVIPs}},
+	{"seed7", lifeCase{seed: 7, vips: lifeVIPs}},
+	{"seed7_6400vips", lifeCase{seed: 7, vips: 6400}},
+	{"seed7_learn16", lifeCase{seed: 7, vips: lifeVIPs, learnCap: 16}},
 }
 
 // TestAdvanceToMatchesFramePoll is the differential test at the facade: the
@@ -196,25 +290,39 @@ func lifeScript(t *testing.T, seed int64, advance bool, aging Duration, vips int
 // beside the script's eight; it skips under -race, where its per-frame walk
 // of every VIP takes minutes and the script runs on one goroutine.
 func TestAdvanceToMatchesFramePoll(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		seed int64
-		vips int
-	}{{"seed1", 1, lifeVIPs}, {"seed7", 7, lifeVIPs}, {"seed7_6400vips", 7, 6400}} {
-		t.Run(c.name, func(t *testing.T) {
-			if c.vips > lifeVIPs && raceBuild() {
+	for _, lc := range lifeCases {
+		t.Run(lc.name, func(t *testing.T) {
+			if lc.c.vips > lifeVIPs && raceBuild() {
 				t.Skip("thousands of idle VIPs: skipped under -race")
 			}
-			polled, polledStats, _ := lifeScript(t, c.seed, false, 0, c.vips)
-			driven, drivenStats, _ := lifeScript(t, c.seed, true, 0, c.vips)
-			for i := range polled {
-				if polled[i] != driven[i] {
-					t.Fatalf("packet %d: per-frame poll %+v, AdvanceTo per batch %+v", i, polled[i], driven[i])
-				}
+			driven := lc.c
+			driven.driver = advanceTo
+			sameRun(t, "per-frame poll", polledScript(t, lc.c), "AdvanceTo per batch", lifeScript(t, driven))
+		})
+	}
+}
+
+// TestBatchPollMatchesFramePoll is ROADMAP item 2's exactness argument,
+// tested without moving the poll: every frame of a batch shares its
+// instant, so after one poll per batch the only work a per-frame poll can
+// find is a learn filter that filled mid-batch, due at once. Polling once
+// per batch and again whenever the filter is full therefore yields the same
+// (Verdict, DIP, Version) for every packet and the same counters as the
+// per-frame poll.
+func TestBatchPollMatchesFramePoll(t *testing.T) {
+	for _, lc := range lifeCases {
+		t.Run(lc.name, func(t *testing.T) {
+			if lc.c.vips > lifeVIPs && raceBuild() {
+				t.Skip("thousands of idle VIPs: skipped under -race")
 			}
-			if !reflect.DeepEqual(polledStats, drivenStats) {
-				t.Fatalf("counters differ:\n per-frame poll %+v\n AdvanceTo      %+v", polledStats, drivenStats)
+			batched := lc.c
+			batched.driver = batchPoll
+			run := lifeScript(t, batched)
+			sameRun(t, "per-frame poll", polledScript(t, lc.c), "poll per batch", run)
+			if lc.c.learnCap > 0 && run.repolls == 0 {
+				t.Fatalf("the %d-event learn filter never filled mid-batch: the re-poll went untested", lc.c.learnCap)
 			}
+			t.Logf("%d mid-batch polls on a full learn filter", run.repolls)
 		})
 	}
 }
@@ -225,19 +333,19 @@ func TestAdvanceToMatchesFramePoll(t *testing.T) {
 // forwarded packet — yields the same outcome for every packet, the same
 // counters and the same entry in every ConnTable position.
 func TestAgingIdleMatchesAgingOff(t *testing.T) {
-	for _, advance := range []bool{false, true} {
-		off, offStats, offTable := lifeScript(t, 7, advance, 0, lifeVIPs)
-		idle, idleStats, idleTable := lifeScript(t, 7, advance, Minute, lifeVIPs)
-		for i := range off {
-			if off[i] != idle[i] {
-				t.Fatalf("advance %v, packet %d: aging off %+v, aging idle %+v", advance, i, off[i], idle[i])
+	for _, driver := range []lifeDriver{framePoll, advanceTo} {
+		off := lifeScript(t, lifeCase{seed: 7, driver: driver, vips: lifeVIPs})
+		idle := lifeScript(t, lifeCase{seed: 7, driver: driver, aging: Minute, vips: lifeVIPs})
+		for i := range off.out {
+			if off.out[i] != idle.out[i] {
+				t.Fatalf("driver %d, packet %d: aging off %+v, aging idle %+v", driver, i, off.out[i], idle.out[i])
 			}
 		}
-		if !reflect.DeepEqual(offStats, idleStats) {
-			t.Fatalf("advance %v: counters differ:\n aging off  %+v\n aging idle %+v", advance, offStats, idleStats)
+		if !reflect.DeepEqual(off.stats, idle.stats) {
+			t.Fatalf("driver %d: counters differ:\n aging off  %+v\n aging idle %+v", driver, off.stats, idle.stats)
 		}
-		if !reflect.DeepEqual(offTable, idleTable) {
-			t.Fatalf("advance %v: ConnTable differs between aging off (%d entries) and aging idle (%d)", advance, len(offTable), len(idleTable))
+		if !reflect.DeepEqual(off.table, idle.table) {
+			t.Fatalf("driver %d: ConnTable differs between aging off (%d entries) and aging idle (%d)", driver, len(off.table), len(idle.table))
 		}
 	}
 }
@@ -381,7 +489,7 @@ func TestConnLifecycleZeroAlloc(t *testing.T) {
 }
 
 func lifecycleZeroAlloc(t *testing.T, aging Duration) {
-	sw := lifeSwitch(t, 20_000, aging)
+	sw := lifeSwitch(t, 20_000, aging, 0)
 	defer sw.Close()
 	syns, acks := make([]Frame, lifeBatch), make([]Frame, lifeBatch)
 	tuples := make([]FiveTuple, lifeBatch)

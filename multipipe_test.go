@@ -96,7 +96,7 @@ func TestMultiPipeEndToEnd(t *testing.T) {
 		pkts = append(pkts, clientPkt(i, netproto.FlagSYN))
 	}
 	first := make([]DIP, conns)
-	for i, res := range sw.ProcessBatch(0, pkts) {
+	for i, res := range processBatch(sw, 0, pkts) {
 		if res.Verdict != dataplane.VerdictForward || !res.DIP.IsValid() {
 			t.Fatalf("conn %d: %+v", i, res)
 		}
@@ -116,7 +116,7 @@ func TestMultiPipeEndToEnd(t *testing.T) {
 		if first[i] == removed {
 			continue
 		}
-		res := sw.Process(now, clientPkt(i, netproto.FlagACK))
+		res := process(sw, now, clientPkt(i, netproto.FlagACK))
 		if res.Verdict != dataplane.VerdictForward || res.DIP != first[i] {
 			t.Fatalf("conn %d: PCC violated across pool update: first %v, now %+v", i, first[i], res)
 		}
@@ -134,7 +134,7 @@ func TestMultiPipeEndToEnd(t *testing.T) {
 	sw.EndConnection(now, tup)
 	now = now.Add(Duration(Second))
 	sw.Advance(now)
-	res := sw.Process(now, clientPkt(3, netproto.FlagSYN))
+	res := process(sw, now, clientPkt(3, netproto.FlagSYN))
 	if res.Verdict != dataplane.VerdictForward {
 		t.Fatalf("reconnect after EndConnection: %+v", res)
 	}
@@ -150,8 +150,8 @@ func TestMultiPipeMatchesSinglePipe(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		pkts = append(pkts, clientPkt(i%150, netproto.FlagSYN))
 	}
-	r1 := one.ProcessBatch(0, pkts)
-	r4 := four.ProcessBatch(0, pkts)
+	r1 := processBatch(one, 0, pkts)
+	r4 := processBatch(four, 0, pkts)
 	for i := range pkts {
 		if r1[i].Verdict != r4[i].Verdict {
 			t.Fatalf("packet %d: single-pipe %v, multi-pipe %v", i, r1[i].Verdict, r4[i].Verdict)
@@ -163,7 +163,7 @@ func TestMultiPipeMatchesSinglePipe(t *testing.T) {
 }
 
 // TestSinglePipeBatchMatchesProcess asserts the batched entry point on a
-// single-pipe switch is just a loop over Process.
+// single-pipe switch is just a loop over ProcessFrame.
 func TestSinglePipeBatchMatchesProcess(t *testing.T) {
 	batch := newSwitch(t)
 	loop := newSwitch(t)
@@ -171,9 +171,9 @@ func TestSinglePipeBatchMatchesProcess(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		pkts = append(pkts, clientPkt(i%40, netproto.FlagSYN))
 	}
-	got := batch.ProcessBatch(0, pkts)
+	got := processBatch(batch, 0, pkts)
 	for i, pkt := range pkts {
-		want := loop.Process(0, pkt)
+		want := process(loop, 0, pkt)
 		if got[i] != want {
 			t.Fatalf("packet %d: batch %+v, loop %+v", i, got[i], want)
 		}
@@ -210,7 +210,7 @@ func TestEmptyPoolNoBackendFacade(t *testing.T) {
 			}
 		}
 		for i := 0; i < 50; i++ {
-			res := sw.Process(0, clientPkt(i, netproto.FlagSYN))
+			res := process(sw, 0, clientPkt(i, netproto.FlagSYN))
 			if res.Verdict != dataplane.VerdictNoBackend {
 				t.Fatalf("pipes=%d packet %d: verdict = %v, want %v",
 					pipes, i, res.Verdict, dataplane.VerdictNoBackend)

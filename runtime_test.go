@@ -47,7 +47,7 @@ func TestRunDrivesControlPlane(t *testing.T) {
 		t.Fatalf("second Run returned %v, want ErrRunning", err)
 	}
 
-	res := sw.Process(sw.Now(), clientPkt(1, netproto.FlagSYN))
+	res := process(sw, sw.Now(), clientPkt(1, netproto.FlagSYN))
 	if !res.DIP.IsValid() {
 		t.Fatal("no DIP chosen")
 	}
@@ -155,8 +155,8 @@ func TestMultiPipeNextEventTime(t *testing.T) {
 
 	// SYN on pipe A at t=0 and on pipe B half a flush later: the pipes now
 	// hold learn events with distinct flush deadlines.
-	sw.Process(0, first)
-	sw.Process(Time(Millisecond)/2, second)
+	process(sw, 0, first)
+	process(sw, Time(Millisecond)/2, second)
 
 	at, ok := sw.NextEventTime()
 	if !ok || at != Time(Millisecond) {

@@ -47,7 +47,8 @@ import (
 // Sentinel errors returned (wrapped with context) by the packet-path
 // methods; match them with errors.Is.
 var (
-	// ErrUndecodable: the raw bytes are not a parseable IPv4/IPv6 packet.
+	// ErrUndecodable: the raw bytes are not a parseable IPv4/IPv6 packet,
+	// or, for ForwardIPIP, not an IPv4 one.
 	ErrUndecodable = errors.New("undecodable packet")
 	// ErrNotVIP: the packet's destination is not a registered VIP.
 	ErrNotVIP = errors.New("destination is not a VIP")
@@ -66,11 +67,12 @@ type (
 	DIP = dataplane.DIP
 	// FiveTuple identifies a transport connection.
 	FiveTuple = netproto.FiveTuple
-	// Packet is a decoded L3/L4 packet.
+	// Packet is a decoded L3/L4 packet: a builder for wire bytes (Marshal) and
+	// for synthetic frames (Packet.Frame).
 	Packet = netproto.Packet
 	// Frame is the parse-once view of a raw packet: the wire bytes plus the
 	// header offsets and five-tuple extracted in a single pass. It is the
-	// currency of the wire-native packet path (ProcessFrames, the tunnel);
+	// currency of the wire-native packet path (ProcessFramesInto, the tunnel);
 	// fill one with ParseFrame.
 	Frame = netproto.Frame
 	// Time is virtual time in nanoseconds.
@@ -388,7 +390,7 @@ func NewSwitch(cfg Config) (*Switch, error) {
 // it with the runtime, so evaluations fire in time order with all other
 // scheduled work under both Run and AdvanceTo. The evaluator reads only
 // the telemetry registry's atomic instruments — it never takes a pipe lock,
-// so evaluation cannot contend with ProcessBatch.
+// so evaluation cannot contend with ProcessFramesInto.
 func (s *Switch) attachSLO(cfg Config) {
 	if cfg.SLO == nil {
 		return
@@ -604,18 +606,6 @@ func (s *Switch) UpdatePool(now Time, vip VIP, pool []DIP) error {
 // CurrentPool returns the pool new connections map to.
 func (s *Switch) CurrentPool(vip VIP) ([]DIP, error) { return s.eng.CurrentPool(vip) }
 
-// Process runs one decoded packet through the switch: background CPU work
-// due by now executes first, then the ASIC pipeline, then any CPU
-// arbitration the pipeline requested (redirected SYNs). The packet is
-// routed to its connection's pipe.
-func (s *Switch) Process(now Time, pkt *Packet) Result {
-	res := s.eng.Process(now, pkt)
-	if resultSchedulesWork(res) {
-		s.poke()
-	}
-	return res
-}
-
 // resultSchedulesWork reports whether a packet outcome may have queued new
 // timed work with an earlier deadline than the runtime planned to wake for
 // (a learn event's flush, a redirected SYN's CPU insertion). Pure
@@ -641,10 +631,13 @@ func (s *Switch) pokeForBatch(results []Result) {
 	}
 }
 
-// ProcessFrame runs one parsed wire frame through the switch — the
-// bytes-native form of Process. The verdict's DIP plus the frame's cached
-// offsets are everything TX needs for an in-place rewrite or encap with
-// zero re-decode.
+// ProcessFrame runs one frame through the switch: background CPU work due
+// by now executes first, then the ASIC pipeline, then any CPU arbitration
+// the pipeline requested (redirected SYNs). The frame is routed to its
+// connection's pipe. The verdict's DIP plus the frame's cached offsets are
+// everything TX needs for an in-place rewrite or encap with zero re-decode.
+// A caller holding a decoded Packet converts it at its edge with
+// Packet.Frame.
 func (s *Switch) ProcessFrame(now Time, f *Frame) Result {
 	res := s.eng.ProcessFrame(now, f)
 	if resultSchedulesWork(res) {
@@ -653,32 +646,15 @@ func (s *Switch) ProcessFrame(now Time, f *Frame) Result {
 	return res
 }
 
-// ProcessBatch runs a batch of decoded packets through the switch and
-// returns one Result per packet, in input order. On a multi-pipe switch
-// the batch is sharded by connection onto the engine's persistent per-pipe
-// workers; on a single-pipe switch the batch is processed in order under
-// one lock acquisition.
-func (s *Switch) ProcessBatch(now Time, pkts []*Packet) []Result {
-	results := s.eng.ProcessBatch(now, pkts)
-	s.pokeForBatch(results)
-	return results
-}
-
-// ProcessFrames runs a batch of parsed wire frames through the switch and
-// returns one Result per frame, in input order — ProcessBatch on the
-// bytes-native currency. The pipeline reads the frames but never writes
-// them; TX rewrites (Frame.RewriteDst, EncapIPIP) belong to the caller
-// once the verdicts are back.
-func (s *Switch) ProcessFrames(now Time, frames []Frame) []Result {
-	results := make([]Result, len(frames))
-	s.ProcessFramesInto(now, frames, results)
-	return results
-}
-
-// ProcessFramesInto is ProcessFrames writing into a caller-provided
-// results slice (len(results) >= len(frames)) — the allocation-free form
-// the socket RX loop uses, reusing frame and result buffers across
-// batches. results[i] corresponds to frames[i].
+// ProcessFramesInto runs a batch of frames through the switch, writing one
+// Result per frame into a caller-provided slice (len(results) >=
+// len(frames)); results[i] corresponds to frames[i]. It allocates nothing,
+// so the socket RX loop reuses frame and result buffers across batches. On
+// a multi-pipe switch the batch is sharded by connection onto the engine's
+// persistent per-pipe workers; on a single-pipe switch it runs in order
+// under one lock acquisition. The pipeline reads the frames but never
+// writes them; TX rewrites (Frame.RewriteDst, EncapIPIP) belong to the
+// caller once the verdicts are back.
 func (s *Switch) ProcessFramesInto(now Time, frames []Frame, results []Result) {
 	s.eng.ProcessFramesInto(now, frames, results)
 	s.pokeForBatch(results[:len(frames)])
@@ -686,7 +662,7 @@ func (s *Switch) ProcessFramesInto(now Time, frames []Frame, results []Result) {
 
 // Close releases the switch's background machinery: on a multi-pipe
 // switch it stops the engine's per-pipe batch workers and waits for them
-// to exit (ProcessBatch keeps working afterwards — batches then run on
+// to exit (ProcessFramesInto keeps working afterwards — batches then run on
 // the caller's goroutine). It does not stop an active Run; cancel that
 // context first. Close is idempotent and safe to call concurrently with
 // the packet path.
@@ -735,11 +711,16 @@ func (s *Switch) Forward(now Time, raw []byte) (DIP, error) {
 // ForwardIPIP processes a raw IPv4 packet and returns it encapsulated
 // IP-in-IP toward the chosen DIP (Maglev-style forwarding with direct
 // server return: the inner packet keeps the VIP destination, the DIP
-// decapsulates). selfAddr is the outer source (this load balancer).
+// decapsulates). selfAddr is the outer source (this load balancer). An IPv6
+// packet fails with ErrUndecodable before the pipeline sees it, so it is
+// neither metered nor learned.
 func (s *Switch) ForwardIPIP(now Time, raw []byte, selfAddr netip.Addr) ([]byte, DIP, error) {
 	var f Frame
 	if err := netproto.ParseFrame(raw, &f); err != nil {
 		return nil, DIP{}, fmt.Errorf("silkroad: %w: %v", ErrUndecodable, err)
+	}
+	if !f.Tuple.Dst.Is4() {
+		return nil, DIP{}, fmt.Errorf("silkroad: %w: IP-in-IP carries IPv4 only", ErrUndecodable)
 	}
 	res := s.ProcessFrame(now, &f)
 	if res.Verdict != dataplane.VerdictForward {

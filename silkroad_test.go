@@ -34,13 +34,43 @@ func clientPkt(i int, flags uint8) *Packet {
 	}
 }
 
+// process runs pkt through sw's single-frame entry point as its synthetic
+// frame (Packet.Frame): the tests build packets and convert them at their
+// own edge.
+func process(sw *Switch, now Time, pkt *Packet) Result {
+	var f Frame
+	pkt.Frame(&f)
+	return sw.ProcessFrame(now, &f)
+}
+
+// processBatch runs pkts through sw as one batch of synthetic frames.
+func processBatch(sw *Switch, now Time, pkts []*Packet) []Result {
+	frames := make([]Frame, len(pkts))
+	for i, pkt := range pkts {
+		pkt.Frame(&frames[i])
+	}
+	results := make([]Result, len(pkts))
+	sw.ProcessFramesInto(now, frames, results)
+	return results
+}
+
+// clientFrames returns the synthetic frames of clientPkt(base+j, flags) for
+// j in [0, n).
+func clientFrames(base, n int, flags uint8) []Frame {
+	frames := make([]Frame, n)
+	for j := range frames {
+		clientPkt(base+j, flags).Frame(&frames[j])
+	}
+	return frames
+}
+
 func TestProcessBasic(t *testing.T) {
 	sw := newSwitch(t)
-	res := sw.Process(0, clientPkt(1, netproto.FlagSYN))
+	res := process(sw, 0, clientPkt(1, netproto.FlagSYN))
 	if !res.DIP.IsValid() {
 		t.Fatal("no DIP chosen")
 	}
-	res2 := sw.Process(Time(Millisecond)*3, clientPkt(1, netproto.FlagACK))
+	res2 := process(sw, Time(Millisecond)*3, clientPkt(1, netproto.FlagACK))
 	if res2.DIP != res.DIP {
 		t.Fatal("connection remapped")
 	}
@@ -99,7 +129,7 @@ func TestPCCDuringRollingUpgrade(t *testing.T) {
 	// Establish connections.
 	first := map[int]DIP{}
 	for i := 0; i < 60; i++ {
-		first[i] = sw.Process(Time(i)*1000, clientPkt(i, netproto.FlagSYN)).DIP
+		first[i] = process(sw, Time(i)*1000, clientPkt(i, netproto.FlagSYN)).DIP
 	}
 	// Rolling upgrade: remove and re-add each DIP while traffic continues.
 	now := Time(Millisecond)
@@ -109,7 +139,7 @@ func TestPCCDuringRollingUpgrade(t *testing.T) {
 		}
 		now = now.Add(5 * Millisecond)
 		for i := 0; i < 60; i++ {
-			res := sw.Process(now, clientPkt(i, netproto.FlagACK))
+			res := process(sw, now, clientPkt(i, netproto.FlagACK))
 			if res.Verdict.String() == "forward" && res.DIP != first[i] {
 				t.Fatalf("conn %d remapped during upgrade of %v", i, d)
 			}
@@ -129,7 +159,7 @@ func TestPCCDuringRollingUpgrade(t *testing.T) {
 func TestEndConnectionFreesState(t *testing.T) {
 	sw := newSwitch(t)
 	pkt := clientPkt(5, netproto.FlagSYN)
-	sw.Process(0, pkt)
+	process(sw, 0, pkt)
 	sw.Advance(Time(3 * Millisecond))
 	if sw.Stats().Connections != 1 {
 		t.Fatal("conn not tracked")
@@ -166,7 +196,7 @@ func TestNextEventTime(t *testing.T) {
 	if _, ok := sw.NextEventTime(); ok {
 		t.Fatal("idle switch has events")
 	}
-	sw.Process(0, clientPkt(1, netproto.FlagSYN))
+	process(sw, 0, clientPkt(1, netproto.FlagSYN))
 	if at, ok := sw.NextEventTime(); !ok || at != Time(Millisecond) {
 		t.Fatalf("NextEventTime = %v,%v", at, ok)
 	}
@@ -224,7 +254,7 @@ func TestRemoveVIP(t *testing.T) {
 	if err := sw.RemoveVIP(0, testVIP()); err != nil {
 		t.Fatal(err)
 	}
-	res := sw.Process(0, clientPkt(1, netproto.FlagSYN))
+	res := process(sw, 0, clientPkt(1, netproto.FlagSYN))
 	if res.Verdict.String() != "no-vip" {
 		t.Fatalf("verdict = %v after RemoveVIP", res.Verdict)
 	}
@@ -237,7 +267,7 @@ func TestRemoveVIPLeavesNoUpdateInFlight(t *testing.T) {
 	for _, pipes := range []int{1, 2} {
 		sw := newMultiSwitch(t, pipes)
 		for i := 0; i < 8; i++ { // pending on every pipe: each holds its first update recording
-			sw.Process(0, clientPkt(i, netproto.FlagSYN))
+			process(sw, 0, clientPkt(i, netproto.FlagSYN))
 		}
 		for n := 3; n >= 1; n-- {
 			if err := sw.UpdatePool(1000, testVIP(), Pool("10.0.9.1:20", "10.0.9.2:20", "10.0.9.3:20")[:n]); err != nil {

@@ -46,7 +46,7 @@ func TestSwitchSLOEndToEnd(t *testing.T) {
 	now := Time(0)
 	for tick := 0; tick < 8; tick++ {
 		for i := 0; i < 50; i++ {
-			sw.Process(now, clientPkt(tick*50+i, netproto.FlagSYN))
+			process(sw, now, clientPkt(tick*50+i, netproto.FlagSYN))
 		}
 		now += Time(10 * Millisecond)
 		sw.AdvanceTo(now)

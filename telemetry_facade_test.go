@@ -104,7 +104,7 @@ func TestPerPipeSymmetric(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			pkts = append(pkts, clientPkt(i, netproto.FlagSYN))
 		}
-		sw.ProcessBatch(0, pkts)
+		processBatch(sw, 0, pkts)
 		sw.Advance(Time(Second))
 
 		pp := sw.PerPipe()
@@ -177,7 +177,7 @@ func TestTelemetryConcurrentMultiPipe(t *testing.T) {
 				batch = append(batch, clientPkt(i%conns, flags))
 			}
 			now := Time(nowNS.Add(int64(10 * Microsecond)))
-			sw.ProcessBatch(now, batch)
+			processBatch(sw, now, batch)
 			sw.Advance(now)
 		}
 	}()
@@ -278,14 +278,14 @@ func TestTelemetryConcurrentMultiPipe(t *testing.T) {
 
 // --- hot-path overhead benchmarks ---------------------------------------
 //
-// BenchmarkProcessBatch{NilTracer,Telemetry,Recorder} measure the same
-// 4-pipe batch workload with no tracer, with the default registry, and
-// with a flight recorder (one armed flow not in the batch) wrapping the
-// registry; CI runs all three as a smoke against hot-path regressions
-// (both attached variants must stay within a few percent of the nil
-// tracer — the recorder's untraced fast path is one atomic load).
+// BenchmarkTracerBatch{Nil,Telemetry,Recorder} measure the same 4-pipe
+// batch workload with no tracer, with the default registry, and with a
+// flight recorder (one armed flow not in the batch) wrapping the registry;
+// CI runs all three as a smoke against hot-path regressions (both attached
+// variants must stay within a few percent of the nil tracer — the
+// recorder's untraced fast path is one atomic load).
 
-func benchProcessBatch(b *testing.B, mode string) {
+func benchTracerBatch(b *testing.B, mode string) {
 	cfg := Defaults(1_000_000)
 	cfg.Pipes = 4
 	switch mode {
@@ -314,26 +314,21 @@ func benchProcessBatch(b *testing.B, mode string) {
 	}
 	const conns = 8192
 	const batchSize = 256
-	batch := make([]*Packet, batchSize)
-	for i := range batch {
-		batch[i] = clientPkt(i, netproto.FlagSYN)
-	}
-	sw.ProcessBatch(0, batch)
+	results := make([]Result, batchSize)
+	sw.ProcessFramesInto(0, clientFrames(0, batchSize, netproto.FlagSYN), results)
 	sw.Advance(Time(5 * Millisecond))
+	acks := clientFrames(0, conns, netproto.FlagACK)
 	now := Time(10 * Millisecond)
 	b.ReportAllocs()
 	b.SetBytes(batchSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		base := (i * batchSize) % conns
-		for j := range batch {
-			batch[j] = clientPkt((base+j)%conns, netproto.FlagACK)
-		}
-		sw.ProcessBatch(now, batch)
+		sw.ProcessFramesInto(now, acks[base:base+batchSize], results)
 		now = now.Add(Microsecond)
 	}
 }
 
-func BenchmarkProcessBatchNilTracer(b *testing.B) { benchProcessBatch(b, "nil") }
-func BenchmarkProcessBatchTelemetry(b *testing.B) { benchProcessBatch(b, "telemetry") }
-func BenchmarkProcessBatchRecorder(b *testing.B)  { benchProcessBatch(b, "recorder") }
+func BenchmarkTracerBatchNil(b *testing.B)       { benchTracerBatch(b, "nil") }
+func BenchmarkTracerBatchTelemetry(b *testing.B) { benchTracerBatch(b, "telemetry") }
+func BenchmarkTracerBatchRecorder(b *testing.B)  { benchTracerBatch(b, "recorder") }

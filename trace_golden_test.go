@@ -72,27 +72,27 @@ func traceScript(t *testing.T) string {
 	}
 	now := Time(20 * Millisecond)
 	for i := 0; i < 6; i++ {
-		sw.Process(now+Time(i)*Time(Microsecond), clientPkt(i, netproto.FlagSYN))
+		process(sw, now+Time(i)*Time(Microsecond), clientPkt(i, netproto.FlagSYN))
 	}
 	burst := clientPkt(40, 0)
 	burst.Tuple.Dst = metered.Addr
 	burst.Payload = make([]byte, 900)
 	for i := 0; i < 4; i++ {
-		sw.Process(now+Time(10+i)*Time(Microsecond), burst)
+		process(sw, now+Time(10+i)*Time(Microsecond), burst)
 	}
 	sw.AdvanceTo(Time(25 * Millisecond))
-	sw.Process(Time(26*Millisecond), clientPkt(1, netproto.FlagSYN)) // redirected to the CPU
+	process(sw, Time(26*Millisecond), clientPkt(1, netproto.FlagSYN)) // redirected to the CPU
 	if err := sw.UpdatePool(Time(27*Millisecond), testVIP(),
 		Pool("10.0.0.1:20", "10.0.0.2:20", "10.0.0.5:20")); err != nil {
 		t.Fatal(err)
 	}
 	sw.AdvanceTo(Time(31 * Millisecond))
 	for i := 10; i < 13; i++ { // above the limited table's high watermark
-		sw.Process(Time(31*Millisecond)+Time(i)*Time(Microsecond), clientPkt(i, netproto.FlagSYN))
+		process(sw, Time(31*Millisecond)+Time(i)*Time(Microsecond), clientPkt(i, netproto.FlagSYN))
 	}
 	sw.AdvanceTo(Time(60 * Millisecond))
-	sw.Process(Time(60*Millisecond), clientPkt(20, netproto.FlagSYN)) // limit lifted: recovers
-	sw.Process(Time(60*Millisecond), clientPkt(1, netproto.FlagACK))
+	process(sw, Time(60*Millisecond), clientPkt(20, netproto.FlagSYN)) // limit lifted: recovers
+	process(sw, Time(60*Millisecond), clientPkt(1, netproto.FlagACK))
 	sw.AdvanceTo(Time(65 * Millisecond))
 	if _, err := c.Migrate(Time(70*Millisecond), 0, 1); err != nil {
 		t.Fatal(err)

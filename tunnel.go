@@ -5,7 +5,7 @@ package silkroad
 // would feed a software LB). The loop blocks only while the ingress socket
 // is empty and never waits once it is not: it takes whatever is already
 // queued (up to BatchSize) into reusable frame buffers, parses each once,
-// pushes the batch through ProcessFrames, and transmits it to the chosen
+// pushes the batch through ProcessFramesInto, and transmits it to the chosen
 // DIPs — rewritten in place (DNAT) or IP-in-IP encapsulated (DSR), both
 // straight off the frame's cached offsets. Under load the queue refills
 // while a batch is in the pipeline, so batches size themselves; a lone
