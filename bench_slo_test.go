@@ -1,3 +1,9 @@
+//go:build perfgate
+
+// The SLO evaluator's overhead gate judges wall-clock time, so it stays out
+// of go test ./...; run it with go test -tags perfgate -run
+// TestSLOArmedOverheadGate .
+
 package silkroad
 
 import (

@@ -27,9 +27,7 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "run-time scale knob (>=0.05)")
 	seed := flag.Int64("seed", 1, "master random seed")
 	list := flag.Bool("list", false, "list experiment ids and exit")
-	metrics := flag.Bool("metrics", false, "attach a telemetry registry to the soaks that support it (chaos, reconcile, upgrade)")
 	flag.Parse()
-	experiments.CollectTelemetry = *metrics
 
 	if *list {
 		for _, r := range experiments.All() {

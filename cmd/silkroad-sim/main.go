@@ -95,11 +95,7 @@ func makeBalancer(name string, connCap, transitBytes int, learnTimeout simtime.D
 		dcfg.TransitTableBytes = transitBytes
 		dcfg.LearnFilterTimeout = learnTimeout
 		dcfg.DisableTransit = disableTransit
-		ccfg := ctrlplane.DefaultConfig()
-		if disableTransit {
-			ccfg.Mode = ctrlplane.ModeNoTransit
-		}
-		b, err := flowsim.NewSilkRoad(label, dcfg, ccfg)
+		b, err := flowsim.NewSilkRoad(label, dcfg, ctrlplane.DefaultConfig())
 		if err != nil {
 			return nil, nil, err
 		}

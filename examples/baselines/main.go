@@ -56,9 +56,7 @@ func main() {
 	// SilkRoad without the TransitTable (ablation).
 	dcfg := dataplane.DefaultConfig(500_000)
 	dcfg.DisableTransit = true
-	ccfg := ctrlplane.DefaultConfig()
-	ccfg.Mode = ctrlplane.ModeNoTransit
-	nt, err := flowsim.NewSilkRoad("SilkRoad w/o TransitTable", dcfg, ccfg)
+	nt, err := flowsim.NewSilkRoad("SilkRoad w/o TransitTable", dcfg, ctrlplane.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}

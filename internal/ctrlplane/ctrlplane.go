@@ -30,28 +30,11 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Mode selects the update strategy.
-type Mode uint8
-
-// Update strategies.
-const (
-	// ModeFullPCC runs the 3-step update with the TransitTable (SilkRoad).
-	ModeFullPCC Mode = iota
-	// ModeNoTransit swaps the VIPTable version as soon as an update is
-	// requested — the "SilkRoad without TransitTable" ablation whose
-	// pending connections can violate PCC (Figure 16).
-	ModeNoTransit
-)
-
 // Config parameterizes the switch software.
 type Config struct {
 	// InsertRate is sustained ConnTable insertions per second of virtual
 	// time (paper §5.2: ~200K/s on the embedded CPU).
 	InsertRate float64
-	// RedirectLatency models the ASIC->CPU->ASIC round trip for redirected
-	// SYNs (a few milliseconds in the paper). Stats only; arbitration is
-	// resolved in-line.
-	RedirectLatency simtime.Duration
 	// AgingTimeout expires idle connections; zero disables aging (the
 	// driver then ends connections explicitly). Aging runs in steps on a
 	// grid of max(AgingTimeout/8, 100ms) from time 0: a step sweeps the
@@ -60,7 +43,6 @@ type Config struct {
 	// AgingTimeout after its last packet. A packet only writes its
 	// connection's last-seen time.
 	AgingTimeout simtime.Duration
-	Mode         Mode
 	// DisableVersionReuse turns off §4.2's version reuse (the Figure 15
 	// ablation): every update allocates a fresh version number.
 	DisableVersionReuse bool
@@ -91,12 +73,7 @@ type Config struct {
 
 // DefaultConfig returns the paper's control-plane operating point.
 func DefaultConfig() Config {
-	return Config{
-		InsertRate:      200_000,
-		RedirectLatency: simtime.Duration(2 * simtime.Millisecond),
-		AgingTimeout:    0,
-		Mode:            ModeFullPCC,
-	}
+	return Config{InsertRate: 200_000}
 }
 
 // Metrics are the control plane's counters.
@@ -534,7 +511,7 @@ func (cp *ControlPlane) RemoveDIP(now simtime.Time, vip dataplane.VIP, dip datap
 
 // RequestUpdate queues a DIP pool update for vip to the given target pool.
 // Updates of one VIP serialize; the update starts as soon as the VIP is
-// idle and completes with PCC under ModeFullPCC.
+// idle and completes with PCC unless the data plane has no TransitTable.
 func (cp *ControlPlane) RequestUpdate(now simtime.Time, vip dataplane.VIP, pool []dataplane.DIP) error {
 	vc, ok := cp.vips[vip]
 	if !ok {

@@ -171,9 +171,7 @@ func TestPCCAcrossUpdateWithPendingConns(t *testing.T) {
 func TestNoTransitAblationViolatesPCC(t *testing.T) {
 	dcfg := dataplane.DefaultConfig(100000)
 	dcfg.DisableTransit = true
-	ccfg := DefaultConfig()
-	ccfg.Mode = ModeNoTransit
-	h := newHarness(t, dcfg, ccfg)
+	h := newHarness(t, dcfg, DefaultConfig())
 	vip := testVIP()
 	if err := h.cp.AddVIP(0, vip, poolN(8), 0); err != nil {
 		t.Fatal(err)

@@ -76,8 +76,9 @@ func (cp *ControlPlane) maybeStartUpdate(now simtime.Time, vc *vipCtl) {
 		vc.versionsAllocated++
 	}
 
-	if cp.cfg.Mode == ModeNoTransit || cp.sw.Config().DisableTransit {
-		// Ablation: swap immediately; pending connections are exposed.
+	if cp.sw.Config().DisableTransit {
+		// The "SilkRoad without TransitTable" ablation (Figure 16): swap
+		// immediately; pending connections are exposed.
 		prev := vc.curVer
 		vc.curVer = newVer
 		if err := cp.sw.SetCurrentVersion(vc.vip, newVer); err != nil {

@@ -10,6 +10,8 @@ package experiments
 // reproduce the report byte for byte.
 
 import (
+	"slices"
+
 	"repro/internal/ctrlplane"
 	"repro/internal/dataplane"
 	"repro/internal/faults"
@@ -17,7 +19,6 @@ import (
 	"repro/internal/netproto"
 	"repro/internal/pipes"
 	"repro/internal/simtime"
-	"repro/internal/telemetry"
 )
 
 // Soak shape, in ticks of chaosTick virtual time. Flows start at a steady
@@ -34,8 +35,6 @@ const (
 )
 
 // ChaosReport is the machine-readable outcome written to CHAOS_soak.json.
-// Everything in it is derived from virtual time and seeded randomness, so
-// the same (scale, seed) must produce identical bytes.
 type ChaosReport struct {
 	Scale      float64 `json:"scale"`
 	Seed       int64   `json:"seed"`
@@ -75,37 +74,101 @@ type ChaosReport struct {
 	verdict
 }
 
-// RunChaosSoak drives the churn-under-faults soak once and returns its
-// report. Same (scale, seed) ⇒ identical report.
-//
-// Each flow is tracked two ways. The PCC ground truth is its pool version
-// read through the exact-tuple CPU shadow (LookupConn), which digest false
-// positives cannot touch: once pinned, the version must never change while
-// the entry lives. The DIP of its ConnTable hits is tracked separately — a
-// change there is a digest-FP misforward (an aliased entry answered), which
-// the paper accepts at the digest's collision rate, so it is bounded rather
-// than forbidden.
-func RunChaosSoak(scale float64, seed int64) (*ChaosReport, error) {
+// chaosTarget adapts a two-pipe engine with BFD-style health checking
+// over its pool. A tick's packets go out as one batch.
+type chaosTarget struct {
+	*pipes.Engine
+	hc *health.Checker
+
+	frames []netproto.Frame
+	// fwdDegraded counts packets forwarded in batches that ended with a
+	// pipe degraded.
+	fwdDegraded uint64
+}
+
+func (c *chaosTarget) advance(now simtime.Time) {
+	c.hc.Advance(now)
+	c.Engine.Advance(now)
+}
+
+// deliver runs the tick's batch. A flow is established by its first
+// ConnTable hit and pinned once the shadow holds it; a later hit answering
+// another DIP came from an aliased entry, a digest false positive.
+func (c *chaosTarget) deliver(b *flowBook, now simtime.Time, pkts []packet) {
+	c.frames = slices.Grow(c.frames[:0], len(pkts))[:len(pkts)]
+	for j, p := range pkts {
+		p.netPacket().Frame(&c.frames[j])
+	}
+	forwarded := b.forwarded
+	results := make([]dataplane.Result, len(pkts))
+	c.ProcessFramesInto(now, c.frames, results)
+	for j, r := range results {
+		b.sent(r.Verdict == dataplane.VerdictForward)
+		if !r.ConnHit {
+			continue
+		}
+		i := pkts[j].i
+		f := &b.flows[i]
+		switch {
+		case !f.hit:
+			f.hit, f.hitDIP = true, r.DIP
+			b.established++
+		case r.DIP != f.hitDIP:
+			f.moved = true
+		}
+		if !f.pinned {
+			f.pin, f.pinned = c.shadow(i)
+		}
+	}
+	if c.degraded() {
+		c.fwdDegraded += b.forwarded - forwarded
+	}
+}
+
+// shadow reads flow i's pool version through the CPU's exact-tuple shadow,
+// the digest-FP-proof view of the ConnTable.
+func (c *chaosTarget) shadow(i int) (p pin, ok bool) {
+	tup := expTuple(i)
+	c.Inspect(c.PipeOf(tup), func(dp *dataplane.Switch, _ *ctrlplane.ControlPlane) {
+		p.version, ok = dp.LookupConn(tup)
+	})
+	return p, ok
+}
+
+func (c *chaosTarget) end(now simtime.Time, i int) { c.EndConnection(now, expTuple(i)) }
+
+// degraded reports whether any pipe is in degraded mode.
+func (c *chaosTarget) degraded() bool {
+	d := false
+	for p := 0; p < c.NumPipes(); p++ {
+		c.Inspect(p, func(dp *dataplane.Switch, _ *ctrlplane.ControlPlane) {
+			d = d || dp.Degraded()
+		})
+	}
+	return d
+}
+
+// chaosSoak builds the churn-under-faults soak: the engine, its report's
+// sizing, and the script. Flows arrive on every tick of the load phase at
+// a rate that sizes the steady-state population to the chip's ConnTable
+// capacity, so occupancy climbs through the high watermark on its own.
+func chaosSoak(scale float64, seed int64) (*soak, *ChaosReport, error) {
+	tr := newSoakTracer()
 	dcfg := dataplane.DefaultConfig(soakConnTarget(scale))
 	dcfg.Seed = uint64(seed)
 	dcfg.DegradedHighWatermark = 0.85
 	dcfg.DegradedLowWatermark = 0.60
+	dcfg.Tracer = tr
 	ccfg := ctrlplane.DefaultConfig()
 	ccfg.MaxInsertQueue = chaosQueueMax
 	ccfg.MaxInsertRetries = 3
-	pcfg := pipes.Config{Pipes: 2, Dataplane: dcfg, Controlplane: ccfg}
-	var reg *telemetry.Registry
-	if CollectTelemetry {
-		reg = telemetry.NewRegistry()
-		pcfg.Dataplane.Tracer = reg
-	}
-	eng, err := pipes.New(pcfg)
+	eng, err := pipes.New(pipes.Config{Pipes: 2, Dataplane: dcfg, Controlplane: ccfg})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	pool := expPool(8)
 	if err := eng.AddVIP(0, expVIP(), pool, 0); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	rep := &ChaosReport{
@@ -116,9 +179,7 @@ func RunChaosSoak(scale float64, seed int64) (*ChaosReport, error) {
 		eng.Inspect(p, func(dp *dataplane.Switch, _ *ctrlplane.ControlPlane) {
 			_, capa := dp.OccupancyInfo()
 			rep.Capacity += capa
-			if capa > perPipeCap {
-				perPipeCap = capa
-			}
+			perPipeCap = max(perPipeCap, capa)
 		})
 	}
 
@@ -157,197 +218,97 @@ func RunChaosSoak(scale float64, seed int64) (*ChaosReport, error) {
 			Duration: ms(10), Scale: 0.3,
 		},
 	)
-	inj := faults.NewInjector(plan, eng)
-	if reg != nil {
-		inj.SetTracer(reg)
-	}
+	tg := &chaosTarget{Engine: eng}
+	s := newSoak(tg, tr, plan, chaosTick, chaosLoadTicks+chaosLifeTicks, chaosLifeTicks, chaosStride)
 
 	// BFD-style health checking rides the injected DIP outages: 5 ms
 	// probes with a fail threshold of 3 detect a 30 ms outage mid-way and
 	// re-add the DIP two clean probes after it recovers.
-	hcfg := health.Config{
+	tg.hc = health.New(health.Config{
 		Interval:         ms(5),
 		FailThreshold:    3,
 		RecoverThreshold: 2,
 		ProbeBytes:       100,
-	}
-	hc := health.New(hcfg, eng, inj.WrapProbe(nil))
+	}, eng, s.inj.WrapProbe(nil))
 	for _, dip := range pool {
-		hc.Watch(expVIP(), dip)
+		tg.hc.Watch(expVIP(), dip)
 	}
 
-	// Flow arrival rate: size the steady-state flow population to the
-	// chip's ConnTable capacity, so occupancy climbs through the high
-	// watermark on its own. A tick's packets go out as one batch.
-	book := &flowBook{
-		load: chaosLoadTicks, life: chaosLifeTicks, stride: chaosStride,
-		perTick: max(rep.Capacity/chaosLifeTicks, 1), burst: 1, period: 1,
-	}
-	var (
-		batch    []netproto.Frame
-		batchIdx []int
+	// Drain: 150 ms after the last flow ends every transient fault has
+	// reverted, the CPUs have chewed through backoffs and retries, and the
+	// checker has re-added recovered DIPs. Degraded mode is evaluated
+	// lazily on the miss path, so a pulse of fresh flows then probes the
+	// exit transition (and must be served normally); 50 ms later the run
+	// settles.
+	drain := chaosLoadTicks + chaosLifeTicks + int(ms(150)/chaosTick)
+	s.ops = script(
+		pulses(chaosLoadTicks, max(rep.Capacity/chaosLifeTicks, 1), 1, 1),
+		[]soakOp{{at: drain, arrive: chaosProbes}, {at: drain + int(ms(50)/chaosTick)}},
 	)
-	send := func(i int, syn bool) {
-		var f netproto.Frame
-		flowPacket(i, syn).Frame(&f)
-		batch = append(batch, f)
-		batchIdx = append(batchIdx, i)
-	}
-	degradedNow := func() bool {
-		d := false
-		for p := 0; p < eng.NumPipes(); p++ {
-			eng.Inspect(p, func(dp *dataplane.Switch, _ *ctrlplane.ControlPlane) {
-				d = d || dp.Degraded()
+	s.finish = func() error {
+		rep.FlowsStarted, rep.FlowsEstablished, rep.Packets, rep.Forwarded = s.book.counts()
+		rep.PCCViolations, rep.MisforwardedFlows = s.book.pccViolations, s.book.moved
+		rep.ForwardedWhileDegraded = tg.fwdDegraded
+		st := tg.Stats()
+		rep.DegradedPackets = st.Dataplane.DegradedPackets
+		rep.DegradedTransitions = st.Dataplane.DegradedTransitions
+		rep.Inserted = st.Controlplane.Inserted
+		rep.InsertRetries = st.Controlplane.InsertRetries
+		rep.InsertSheds = st.Controlplane.InsertSheds
+		rep.Overflows = st.Controlplane.Overflows
+		rep.MaxInsertQueue = st.Controlplane.MaxInsertQueue
+		rep.FaultsInjected, rep.FaultsByKind, rep.FaultsRemaining = s.faultTally()
+		hm := tg.hc.Metrics()
+		rep.Failovers, rep.Recoveries = hm.Failovers, hm.Recoveries
+		for p := 0; p < tg.NumPipes(); p++ {
+			tg.Inspect(p, func(dp *dataplane.Switch, cp *ctrlplane.ControlPlane) {
+				rep.QueueAfterDrain += cp.QueueDepth()
+				rep.LearnAfterDrain += dp.LearnFilter().Len()
+				rep.DigestsLost += dp.LearnFilter().Lost
+				rep.DegradedAtEnd = rep.DegradedAtEnd || dp.Degraded()
 			})
 		}
-		return d
+		return nil
 	}
-	// shadowVersion reads flow i's pinned pool version through the CPU's
-	// exact-tuple shadow — the digest-FP-proof view of the ConnTable.
-	shadowVersion := func(i int) (uint32, bool) {
-		tup := expTuple(i)
-		var (
-			v  uint32
-			ok bool
-		)
-		eng.Inspect(eng.PipeOf(tup), func(dp *dataplane.Switch, _ *ctrlplane.ControlPlane) {
-			v, ok = dp.LookupConn(tup)
-		})
-		return v, ok
-	}
-	runBatch := func(now simtime.Time) {
-		forwarded := book.forwarded
-		results := make([]dataplane.Result, len(batch))
-		eng.ProcessFramesInto(now, batch, results)
-		for j, r := range results {
-			book.sent(r.Verdict == dataplane.VerdictForward)
-			if !r.ConnHit {
-				continue
-			}
-			i := batchIdx[j]
-			f := &book.flows[i]
-			switch {
-			case !f.hit:
-				f.hit, f.dip = true, r.DIP
-				book.established++
-			case !f.moved && r.DIP != f.dip:
-				f.moved = true
-				rep.MisforwardedFlows++
-			}
-			if !f.pinned {
-				if v, ok := shadowVersion(i); ok {
-					f.version, f.pinned = v, true
-				}
-			}
-		}
-		if degradedNow() {
-			rep.ForwardedWhileDegraded += book.forwarded - forwarded
-		}
-		batch, batchIdx = batch[:0], batchIdx[:0]
-	}
+	return s, rep, nil
+}
 
-	for t := 0; t < chaosLoadTicks+chaosLifeTicks; t++ {
-		now := simtime.Time(int64(t) * int64(chaosTick))
-		inj.Advance(now)
-		hc.Advance(now)
-		eng.Advance(now)
-		book.retire(t, func(i int, f *flow) {
-			if f.pinned {
-				if v, ok := shadowVersion(i); ok && v != f.version {
-					rep.PCCViolations++
-				}
-			}
-			eng.EndConnection(now, expTuple(i))
-		})
-		book.traffic(t, send)
-		runBatch(now)
-	}
-
-	// Drain: every transient fault has reverted by now; let the CPUs chew
-	// through backoffs and retries, the checker re-add recovered DIPs, and
-	// the aged-out flows disappear.
-	drainAt := simtime.Time(int64(chaosLoadTicks+chaosLifeTicks) * int64(chaosTick)).Add(ms(150))
-	inj.Advance(drainAt)
-	hc.Advance(drainAt)
-	eng.Advance(drainAt)
-
-	// Degraded mode is evaluated lazily on the miss path, so a handful of
-	// fresh flows probe the exit transition (and must be served normally).
-	book.arrive(chaosLoadTicks+chaosLifeTicks, chaosProbes, send)
-	runBatch(drainAt)
-	end := drainAt.Add(ms(50))
-	hc.Advance(end)
-	eng.Advance(end)
-
-	rep.FlowsStarted, rep.FlowsEstablished, rep.Packets, rep.Forwarded = book.counts()
-	st := eng.Stats()
-	rep.DegradedPackets = st.Dataplane.DegradedPackets
-	rep.DegradedTransitions = st.Dataplane.DegradedTransitions
-	rep.Inserted = st.Controlplane.Inserted
-	rep.InsertRetries = st.Controlplane.InsertRetries
-	rep.InsertSheds = st.Controlplane.InsertSheds
-	rep.Overflows = st.Controlplane.Overflows
-	rep.MaxInsertQueue = st.Controlplane.MaxInsertQueue
-	rep.FaultsInjected, rep.FaultsByKind, rep.FaultsRemaining = faultTally(inj)
-	hm := hc.Metrics()
-	rep.Failovers, rep.Recoveries = hm.Failovers, hm.Recoveries
-	for p := 0; p < eng.NumPipes(); p++ {
-		eng.Inspect(p, func(dp *dataplane.Switch, cp *ctrlplane.ControlPlane) {
-			rep.QueueAfterDrain += cp.QueueDepth()
-			rep.LearnAfterDrain += dp.LearnFilter().Len()
-			rep.DigestsLost += dp.LearnFilter().Lost
-			rep.DegradedAtEnd = rep.DegradedAtEnd || dp.Degraded()
-		})
-	}
-	return judge(rep, chaosInvariants), nil
+// RunChaosSoak drives the churn-under-faults soak once and returns its
+// report. Same (scale, seed) ⇒ identical report.
+//
+// Each flow is tracked two ways. The PCC ground truth is its pool version
+// read through the exact-tuple CPU shadow (LookupConn), which digest false
+// positives cannot touch: once pinned, the version must never change while
+// the entry lives. The DIP of its ConnTable hits is tracked separately — a
+// change there is a digest-FP misforward (an aliased entry answered), which
+// the paper accepts at the digest's collision rate, so it is bounded rather
+// than forbidden.
+func RunChaosSoak(scale float64, seed int64) (*ChaosReport, error) {
+	return runScripted(chaosSoak, scale, seed, chaosInvariants)
 }
 
 // chaosInvariants is the robustness contract, checked against a finished
 // run.
 func chaosInvariants(r *ChaosReport) {
-	if r.PCCViolations != 0 {
-		r.fail("PCC broken: %d installed flows changed pool version", r.PCCViolations)
-	}
+	r.check(r.PCCViolations == 0, "PCC broken: %d installed flows changed pool version", r.PCCViolations)
 	// Digest false positives misforward at the digest collision rate; the
 	// invariant is that aliasing stays rare, not that it never happens.
-	if r.MisforwardedFlows*50 > r.FlowsEstablished {
-		r.fail("digest-FP misforwards above 2%% of flows (%d of %d)",
-			r.MisforwardedFlows, r.FlowsEstablished)
-	}
-	if r.MaxInsertQueue > r.QueueBound {
-		r.fail("insert queue peaked at %d, above the %d bound", r.MaxInsertQueue, r.QueueBound)
-	}
-	if r.QueueAfterDrain != 0 || r.LearnAfterDrain != 0 {
-		r.fail("pending entries leaked: queue=%d learn=%d after drain", r.QueueAfterDrain, r.LearnAfterDrain)
-	}
-	if r.FaultsRemaining != 0 {
-		r.fail("%d fault actions never fired", r.FaultsRemaining)
-	}
-	if r.DegradedPackets == 0 || r.ForwardedWhileDegraded == 0 {
-		r.fail("degraded mode never served traffic (degraded_packets=%d, forwarded_while_degraded=%d)",
-			r.DegradedPackets, r.ForwardedWhileDegraded)
-	}
-	if r.DegradedAtEnd {
-		r.fail("switch still degraded after the load cleared")
-	}
-	if r.DegradedTransitions < 2 {
-		r.fail("degraded_transitions=%d: never both entered and exited", r.DegradedTransitions)
-	}
-	if r.InsertRetries == 0 || r.InsertSheds == 0 {
-		r.fail("pressure paths unexercised (retries=%d, sheds=%d)", r.InsertRetries, r.InsertSheds)
-	}
-	if r.DigestsLost == 0 {
-		r.fail("digest-loss windows dropped nothing")
-	}
-	if r.Failovers == 0 || r.Recoveries == 0 {
-		r.fail("health checker idle (failovers=%d, recoveries=%d)", r.Failovers, r.Recoveries)
-	}
-	if r.FlowsEstablished == 0 {
-		r.fail("no flow ever established")
-	}
-	if r.Forwarded == 0 {
-		r.fail("nothing forwarded")
-	}
+	r.check(r.MisforwardedFlows*50 <= r.FlowsEstablished, "digest-FP misforwards above 2%% of flows (%d of %d)",
+		r.MisforwardedFlows, r.FlowsEstablished)
+	r.check(r.MaxInsertQueue <= r.QueueBound, "insert queue peaked at %d, above the %d bound", r.MaxInsertQueue, r.QueueBound)
+	r.check(r.QueueAfterDrain == 0 && r.LearnAfterDrain == 0, "pending entries leaked: queue=%d learn=%d after drain",
+		r.QueueAfterDrain, r.LearnAfterDrain)
+	r.check(r.FaultsRemaining == 0, "%d fault actions never fired", r.FaultsRemaining)
+	r.check(r.DegradedPackets > 0 && r.ForwardedWhileDegraded > 0,
+		"degraded mode never served traffic (degraded_packets=%d, forwarded_while_degraded=%d)",
+		r.DegradedPackets, r.ForwardedWhileDegraded)
+	r.check(!r.DegradedAtEnd, "switch still degraded after the load cleared")
+	r.check(r.DegradedTransitions >= 2, "degraded_transitions=%d: never both entered and exited", r.DegradedTransitions)
+	r.check(r.InsertRetries > 0 && r.InsertSheds > 0, "pressure paths unexercised (retries=%d, sheds=%d)",
+		r.InsertRetries, r.InsertSheds)
+	r.check(r.DigestsLost > 0, "digest-loss windows dropped nothing")
+	r.check(r.Failovers > 0 && r.Recoveries > 0, "health checker idle (failovers=%d, recoveries=%d)", r.Failovers, r.Recoveries)
+	r.checkTraffic(r.FlowsEstablished, r.Forwarded)
 }
 
 // Chaos is the registered experiment over RunChaosSoak; it emits

@@ -44,12 +44,6 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// CollectTelemetry makes the soaks that support it (chaos, reconcile,
-// upgrade) attach a telemetry.Registry to the system under test, so the
-// run drives the traced path too; their reports do not change. Off by
-// default; silkroad-bench -metrics turns it on before running.
-var CollectTelemetry bool
-
 // Runner is the registry entry for one experiment.
 type Runner struct {
 	ID   string

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/ctrlplane"
 	"repro/internal/dataplane"
 )
 
@@ -152,7 +151,7 @@ func TestFig16ShapeHolds(t *testing.T) {
 	cfg := fig16BaseConfig(testScale, testSeed)
 	cfg.UpdatesPerMin = 50
 
-	sres, err := silkroadSim(cfg, nil, nil, "SilkRoad")
+	sres, err := silkroadSim(cfg, nil, "SilkRoad")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +160,6 @@ func TestFig16ShapeHolds(t *testing.T) {
 	}
 	nres, err := silkroadSim(cfg,
 		func(d *dataplane.Config) { d.DisableTransit = true },
-		func(c *ctrlplane.Config) { c.Mode = ctrlplane.ModeNoTransit },
 		"SilkRoad w/o TransitTable")
 	if err != nil {
 		t.Fatal(err)

@@ -55,16 +55,12 @@ func Fig5(scale float64, seed int64) (*Report, error) {
 }
 
 // silkroadSim runs one flow simulation against a SilkRoad switch.
-func silkroadSim(cfg flowsim.Config, dmod func(*dataplane.Config), cmod func(*ctrlplane.Config), label string) (flowsim.Results, error) {
+func silkroadSim(cfg flowsim.Config, dmod func(*dataplane.Config), label string) (flowsim.Results, error) {
 	dcfg := dataplane.DefaultConfig(1_000_000)
-	ccfg := ctrlplane.DefaultConfig()
 	if dmod != nil {
 		dmod(&dcfg)
 	}
-	if cmod != nil {
-		cmod(&ccfg)
-	}
-	bal, err := flowsim.NewSilkRoad(label, dcfg, ccfg)
+	bal, err := flowsim.NewSilkRoad(label, dcfg, ctrlplane.DefaultConfig())
 	if err != nil {
 		return flowsim.Results{}, err
 	}
@@ -124,7 +120,6 @@ func Fig16(scale float64, seed int64) (*Report, error) {
 		// SilkRoad without TransitTable.
 		nres, err := silkroadSim(cfg,
 			func(d *dataplane.Config) { d.DisableTransit = true },
-			func(c *ctrlplane.Config) { c.Mode = ctrlplane.ModeNoTransit },
 			"SilkRoad w/o TransitTable")
 		if err != nil {
 			return nil, err
@@ -132,7 +127,7 @@ func Fig16(scale float64, seed int64) (*Report, error) {
 		r.Printf("%-26s %12.0f %14.1f %13.4f%%", nres.Balancer, rate, nres.BrokenPerMinute(), 100*nres.BrokenFraction())
 
 		// Full SilkRoad.
-		sres, err := silkroadSim(cfg, nil, nil, "SilkRoad")
+		sres, err := silkroadSim(cfg, nil, "SilkRoad")
 		if err != nil {
 			return nil, err
 		}
@@ -169,14 +164,13 @@ func Fig17(scale float64, seed int64) (*Report, error) {
 
 		nres, err := silkroadSim(cfg,
 			func(d *dataplane.Config) { d.DisableTransit = true },
-			func(c *ctrlplane.Config) { c.Mode = ctrlplane.ModeNoTransit },
 			"SilkRoad w/o TransitTable")
 		if err != nil {
 			return nil, err
 		}
 		r.Printf("%-26s %12.1f %14.1f", nres.Balancer, mult, nres.BrokenPerMinute())
 
-		sres, err := silkroadSim(cfg, nil, nil, "SilkRoad")
+		sres, err := silkroadSim(cfg, nil, "SilkRoad")
 		if err != nil {
 			return nil, err
 		}

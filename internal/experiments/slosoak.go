@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"strings"
 
 	silkroad "repro"
@@ -96,8 +97,8 @@ func sloBurnRules() []silkroad.SLORule {
 	}
 }
 
-// sloFrame fills f with a packet of distinct flow i, aimed at the soak VIP.
-func sloFrame(i int, flags uint8, f *netproto.Frame) {
+// sloSend sends sw a packet of distinct flow i, aimed at the soak VIP.
+func sloSend(sw *silkroad.Switch, now simtime.Time, i int, flags uint8) {
 	p := netproto.Packet{
 		Tuple: netproto.FiveTuple{
 			Src:     netip.AddrFrom4([4]byte{10, 99, byte(i >> 8), byte(i)}),
@@ -108,74 +109,67 @@ func sloFrame(i int, flags uint8, f *netproto.Frame) {
 		},
 		TCPFlags: flags,
 	}
-	p.Frame(f)
+	var f netproto.Frame
+	p.Frame(&f)
+	sw.ProcessFrame(now, &f)
 }
 
-func sloVIP() silkroad.VIP {
-	return silkroad.NewVIP("20.0.0.1", 80, netproto.ProtoTCP)
+// sloSwitch builds cfg's switch on a manual clock with telemetry and slo
+// armed, serving the soak VIP from pool.
+func sloSwitch(cfg silkroad.Config, slo silkroad.SLOConfig, pool ...string) (*silkroad.Switch, error) {
+	cfg.Clock = silkroad.NewManualClock(0)
+	cfg.Telemetry = silkroad.NewTelemetry()
+	cfg.SLO = &slo
+	sw, err := silkroad.NewSwitch(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := sw.AddVIP(0, silkroad.NewVIP("20.0.0.1", 80, netproto.ProtoTCP), silkroad.Pool(pool...)); err != nil {
+		sw.Close()
+		return nil, err
+	}
+	return sw, nil
 }
 
 // runSLOBurn is phase A.
 func runSLOBurn(rep *SLOSoakReport, seed int64) error {
 	cfg := silkroad.Defaults(200000)
 	cfg.Pipes = 2
-	cfg.Clock = silkroad.NewManualClock(0)
-	cfg.Telemetry = silkroad.NewTelemetry()
 	cfg.FlightRecorder = silkroad.NewFlightRecorder(silkroad.FlightRecorderConfig{})
 	cfg.Controlplane.MaxInsertQueue = 64
-	cfg.SLO = &silkroad.SLOConfig{
-		Interval:      sloInterval,
-		WindowSamples: 32,
-		FastWindow:    2,
-		SlowWindow:    5,
-		Rules:         sloBurnRules(),
-	}
+	burn := simtime.Duration(sloBurnEnd-sloBurnStart) * sloTick
 	cfg.Faults = &silkroad.FaultPlan{
 		Seed: uint64(seed),
 		Events: []silkroad.FaultEvent{
-			{At: simtime.Time(sloBurnStart * sloTick), Kind: silkroad.FaultCPUSlow,
-				Pipe: -1, Scale: 0.02, Duration: simtime.Duration(sloBurnEnd-sloBurnStart) * sloTick},
-			{At: simtime.Time(sloBurnStart * sloTick), Kind: silkroad.FaultDigestLoss,
-				Pipe: -1, Scale: 0.3, Duration: simtime.Duration(sloBurnEnd-sloBurnStart) * sloTick},
+			{At: simtime.Time(sloBurnStart * sloTick), Kind: silkroad.FaultCPUSlow, Pipe: -1, Scale: 0.02, Duration: burn},
+			{At: simtime.Time(sloBurnStart * sloTick), Kind: silkroad.FaultDigestLoss, Pipe: -1, Scale: 0.3, Duration: burn},
 		},
 	}
-	sw, err := silkroad.NewSwitch(cfg)
+	sw, err := sloSwitch(cfg, silkroad.SLOConfig{
+		Interval: sloInterval, WindowSamples: 32, FastWindow: 2, SlowWindow: 5, Rules: sloBurnRules(),
+	}, "10.0.0.1:20", "10.0.0.2:20")
 	if err != nil {
 		return err
 	}
 	defer sw.Close()
-	if err := sw.AddVIP(0, sloVIP(), silkroad.Pool("10.0.0.1:20", "10.0.0.2:20")); err != nil {
-		return err
-	}
 
 	rng := rand.New(rand.NewSource(seed))
-	flow := 0
 	var now simtime.Time
-	var f netproto.Frame
 	for tick := 0; tick < sloBurnTicks; tick++ {
 		// 30 new flows per millisecond, with a seeded jitter of repeat
 		// packets from recent flows to keep the pipes busy.
-		for i := 0; i < 30; i++ {
-			sloFrame(flow, netproto.FlagSYN, &f)
-			sw.ProcessFrame(now, &f)
-			flow++
+		for end := rep.BurnFlows + 30; rep.BurnFlows < end; rep.BurnFlows++ {
+			sloSend(sw, now, rep.BurnFlows, netproto.FlagSYN)
 		}
-		for i := 0; i < 10 && flow > 100; i++ {
-			sloFrame(flow-1-rng.Intn(100), netproto.FlagACK, &f)
-			sw.ProcessFrame(now, &f)
+		for i := 0; i < 10 && rep.BurnFlows > 100; i++ {
+			sloSend(sw, now, rep.BurnFlows-1-rng.Intn(100), netproto.FlagACK)
 		}
 		now = now.Add(sloTick)
 		sw.AdvanceTo(now)
-
-		repNow := sw.SLO().Report()
-		if repNow.Fast.PendingP99 > rep.BurnMaxPending {
-			rep.BurnMaxPending = repNow.Fast.PendingP99
-		}
-		if repNow.Fast.InsertPressure > rep.BurnMaxPressure {
-			rep.BurnMaxPressure = repNow.Fast.InsertPressure
-		}
+		fast := sw.SLO().Report().Fast
+		rep.BurnMaxPending = max(rep.BurnMaxPending, fast.PendingP99)
+		rep.BurnMaxPressure = max(rep.BurnMaxPressure, fast.InsertPressure)
 	}
-	rep.BurnFlows = flow
 	rep.BurnEvals = sw.SLO().Report().Evals
 
 	for _, tr := range sw.SLO().History() {
@@ -192,35 +186,19 @@ func runSLOBurn(rep *SLOSoakReport, seed int64) error {
 
 // runSLOForecast is phase B.
 func runSLOForecast(rep *SLOSoakReport) error {
-	cfg := silkroad.Defaults(2000)
-	cfg.Clock = silkroad.NewManualClock(0)
-	cfg.Telemetry = silkroad.NewTelemetry()
-	cfg.SLO = &silkroad.SLOConfig{
-		Interval:       sloInterval,
-		WindowSamples:  32,
-		FastWindow:     2,
-		SlowWindow:     5,
-		ForecastWindow: 8,
-	}
-	sw, err := silkroad.NewSwitch(cfg)
+	sw, err := sloSwitch(silkroad.Defaults(2000), silkroad.SLOConfig{
+		Interval: sloInterval, WindowSamples: 32, FastWindow: 2, SlowWindow: 5, ForecastWindow: 8,
+	}, "10.0.0.1:20")
 	if err != nil {
 		return err
 	}
 	defer sw.Close()
-	if err := sw.AddVIP(0, sloVIP(), silkroad.Pool("10.0.0.1:20")); err != nil {
-		return err
-	}
 
-	flow := 0
 	var now simtime.Time
-	var f netproto.Frame
-	predictEval := -1
-	fullEval := -1
-	for tick := 0; tick < 1500; tick++ {
-		for i := 0; i < 5; i++ {
-			sloFrame(flow, netproto.FlagSYN, &f)
-			sw.ProcessFrame(now, &f)
-			flow++
+	predictEval, fullEval := -1, -1
+	for tick, flow := 0, 0; tick < 1500 && fullEval < 0; tick++ {
+		for end := flow + 5; flow < end; flow++ {
+			sloSend(sw, now, flow, netproto.FlagSYN)
 		}
 		now = now.Add(sloTick)
 		sw.AdvanceTo(now)
@@ -230,7 +208,7 @@ func runSLOForecast(rep *SLOSoakReport) error {
 			continue
 		}
 		p := r.Pipes[0]
-		if rep.ForecastCapacity == 0 && p.Capacity > 0 {
+		if rep.ForecastCapacity == 0 {
 			rep.ForecastCapacity = p.Capacity
 		}
 		if predictEval < 0 && p.TTESeconds >= 0 {
@@ -238,19 +216,16 @@ func runSLOForecast(rep *SLOSoakReport) error {
 			rep.ForecastPredictedAt = p.FillFrac
 			rep.ForecastTTEAtPredict = p.TTESeconds
 		}
-		if fullEval < 0 && p.FillFrac >= 0.99 {
+		if p.FillFrac >= 0.99 {
 			fullEval = int(r.Evals)
-			break
 		}
 	}
 	if predictEval >= 0 && fullEval > predictEval {
 		rep.ForecastLeadEvals = fullEval - predictEval
 	}
-	for _, a := range sw.SLO().Alerts() {
-		if a.Rule == "conntable-exhaustion" && (a.State == "firing" || a.State == "resolved") {
-			rep.ForecastAlertFired = true
-		}
-	}
+	rep.ForecastAlertFired = slices.ContainsFunc(sw.SLO().Alerts(), func(a silkroad.AlertStatus) bool {
+		return a.Rule == "conntable-exhaustion" && (a.State == "firing" || a.State == "resolved")
+	})
 	return nil
 }
 
@@ -260,10 +235,7 @@ func runSLOGate(rep *SLOSoakReport) error {
 	cfg.Clock = silkroad.NewManualClock(0)
 	cfg.Telemetry = silkroad.NewTelemetry()
 	cfg.SLO = &silkroad.SLOConfig{
-		Interval:      sloInterval,
-		WindowSamples: 16,
-		FastWindow:    1,
-		SlowWindow:    2,
+		Interval: sloInterval, WindowSamples: 16, FastWindow: 1, SlowWindow: 2,
 		Rules: []silkroad.SLORule{{
 			Name: "insert-pressure", Severity: silkroad.SeverityPage,
 			Threshold: 100, FireAfter: 1, ClearAfter: 1,
@@ -342,33 +314,16 @@ func runSLOGate(rep *SLOSoakReport) error {
 
 // sloInvariants is the soak's promises, checked against a finished run.
 func sloInvariants(r *SLOSoakReport) {
-	if r.BurnFireCycles < 1 {
-		r.fail("phase A: no firing->resolved cycle (timeline %d entries)", len(r.Timeline))
-	}
-	firingCursor := false
-	for _, tr := range r.Timeline {
-		if tr.To == "firing" && tr.Cursor > 0 {
-			firingCursor = true
-		}
-	}
-	if !firingCursor {
-		r.fail("phase A: no firing transition carries a journal cursor exemplar")
-	}
-	if r.ForecastPredictedAt <= 0 || r.ForecastPredictedAt >= 1 {
-		r.fail("phase B: exhaustion predicted at fill fraction %.3f, want inside (0,1)", r.ForecastPredictedAt)
-	}
-	if r.ForecastLeadEvals < 1 {
-		r.fail("phase B: forecaster gave no lead time before the table filled")
-	}
-	if !r.ForecastAlertFired {
-		r.fail("phase B: conntable-exhaustion alert never fired")
-	}
-	if r.GatePausedSteps < 1 {
-		r.fail("phase C: rollout never held while the page fired")
-	}
-	if !r.GateConverged || r.GateFinalGen != 2 {
-		r.fail("phase C: rollout did not converge at generation 2 (converged=%v gen=%d)", r.GateConverged, r.GateFinalGen)
-	}
+	r.check(r.BurnFireCycles >= 1, "phase A: no firing->resolved cycle (timeline %d entries)", len(r.Timeline))
+	r.check(slices.ContainsFunc(r.Timeline, func(tr SLOTimelineEntry) bool { return tr.To == "firing" && tr.Cursor > 0 }),
+		"phase A: no firing transition carries a journal cursor exemplar")
+	r.check(r.ForecastPredictedAt > 0 && r.ForecastPredictedAt < 1,
+		"phase B: exhaustion predicted at fill fraction %.3f, want inside (0,1)", r.ForecastPredictedAt)
+	r.check(r.ForecastLeadEvals >= 1, "phase B: forecaster gave no lead time before the table filled")
+	r.check(r.ForecastAlertFired, "phase B: conntable-exhaustion alert never fired")
+	r.check(r.GatePausedSteps >= 1, "phase C: rollout never held while the page fired")
+	r.check(r.GateConverged && r.GateFinalGen == 2,
+		"phase C: rollout did not converge at generation 2 (converged=%v gen=%d)", r.GateConverged, r.GateFinalGen)
 }
 
 // RunSLOSoak drives the three phases once.

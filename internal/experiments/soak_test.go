@@ -3,9 +3,14 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/faults"
+	"repro/internal/simtime"
 )
 
 // soakCase is one soak in TestSoaks.
@@ -135,4 +140,74 @@ func raceBuild() bool {
 		}
 	}
 	return false
+}
+
+// logTarget records what the driver asks of it. Its fault-target methods
+// are never called: its soaks play an empty plan.
+type logTarget struct {
+	faults.Target
+	log []string
+}
+
+func (l *logTarget) logf(format string, args ...any) {
+	l.log = append(l.log, fmt.Sprintf(format, args...))
+}
+
+func (l *logTarget) advance(now simtime.Time) {
+	l.logf("advance %d", int64(now)/int64(simtime.Millisecond))
+}
+
+func (l *logTarget) deliver(b *flowBook, _ simtime.Time, pkts []packet) {
+	var s strings.Builder
+	for _, p := range pkts {
+		fmt.Fprint(&s, " ", p.i)
+		if p.syn {
+			s.WriteString("s")
+		}
+		b.sent(true)
+	}
+	l.logf("deliver%s", s.String())
+}
+
+func (l *logTarget) shadow(int) (pin, bool) { return pin{}, false }
+
+func (l *logTarget) end(_ simtime.Time, i int) { l.logf("end %d", i) }
+
+// TestSoakDriver runs a hand-written script through the driver: each tick
+// advances, runs its ops in script order, retires and delivers; past the
+// loop's span only the ops' own ticks run, without revisits; until ends
+// the loop right after an advance.
+func TestSoakDriver(t *testing.T) {
+	run := func(until func(int) bool) []string {
+		tg := &logTarget{}
+		s := newSoak(tg, newSoakTracer(), faults.Plan{}, simtime.Millisecond, 4, 2, 1)
+		s.until = until
+		op := func(name string) func(simtime.Time) error {
+			return func(simtime.Time) error { tg.logf("%s", name); return nil }
+		}
+		s.ops = script(
+			[]soakOp{{at: 6, do: op("late")}, {at: 1, do: op("b")}},
+			[]soakOp{{at: 0, arrive: 1}, {at: 1, do: op("a")}, {at: 1, arrive: 1}},
+		)
+		if err := s.run(); err != nil {
+			t.Fatal(err)
+		}
+		if s.book.packets != 4 {
+			t.Errorf("book counted %d packets, want 4", s.book.packets)
+		}
+		return tg.log
+	}
+	want := []string{
+		"advance 0", "deliver 0s",
+		"advance 1", "b", "a", "deliver 0 1s",
+		"advance 2", "end 0", "deliver 1",
+		"advance 3", "end 1", "deliver",
+		"advance 6", "late", "deliver",
+	}
+	if got := run(nil); !slices.Equal(got, want) {
+		t.Errorf("driver ran\n%q\nwant\n%q", got, want)
+	}
+	if got := run(func(t int) bool { return t == 3 }); !slices.Equal(got, want[:10]) {
+		t.Errorf("until at tick 3: driver ran\n%q\nwant\n%q", got, want[:10])
+	}
 }

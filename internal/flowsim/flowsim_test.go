@@ -20,17 +20,13 @@ func quickCfg() Config {
 	return cfg
 }
 
-func runSilkRoad(t *testing.T, cfg Config, dmod func(*dataplane.Config), cmod func(*ctrlplane.Config)) Results {
+func runSilkRoad(t *testing.T, cfg Config, dmod func(*dataplane.Config)) Results {
 	t.Helper()
 	dcfg := dataplane.DefaultConfig(200000)
-	ccfg := ctrlplane.DefaultConfig()
 	if dmod != nil {
 		dmod(&dcfg)
 	}
-	if cmod != nil {
-		cmod(&ccfg)
-	}
-	bal, err := NewSilkRoad("SilkRoad", dcfg, ccfg)
+	bal, err := NewSilkRoad("SilkRoad", dcfg, ctrlplane.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +41,7 @@ func runSilkRoad(t *testing.T, cfg Config, dmod func(*dataplane.Config), cmod fu
 }
 
 func TestSilkRoadZeroViolations(t *testing.T) {
-	res := runSilkRoad(t, quickCfg(), nil, nil)
+	res := runSilkRoad(t, quickCfg(), nil)
 	if res.Conns < 5000 {
 		t.Fatalf("simulated only %d conns", res.Conns)
 	}
@@ -65,8 +61,7 @@ func TestNoTransitHasViolationsUnderHighUpdateRate(t *testing.T) {
 	cfg.UpdatesPerMin = 120
 	cfg.ArrivalRate = 3000
 	res := runSilkRoad(t, cfg,
-		func(d *dataplane.Config) { d.DisableTransit = true },
-		func(c *ctrlplane.Config) { c.Mode = ctrlplane.ModeNoTransit })
+		func(d *dataplane.Config) { d.DisableTransit = true })
 	if res.BrokenConns == 0 {
 		t.Fatal("no-TransitTable ablation should break pending connections")
 	}
@@ -162,8 +157,8 @@ func TestSLBBaselinePerfect(t *testing.T) {
 func TestDeterministicRuns(t *testing.T) {
 	cfg := quickCfg()
 	cfg.Duration = simtime.Duration(5 * simtime.Second)
-	r1 := runSilkRoad(t, cfg, nil, nil)
-	r2 := runSilkRoad(t, cfg, nil, nil)
+	r1 := runSilkRoad(t, cfg, nil)
+	r2 := runSilkRoad(t, cfg, nil)
 	if r1.Conns != r2.Conns || r1.Packets != r2.Packets || r1.UpdatesApplied != r2.UpdatesApplied {
 		t.Fatalf("non-deterministic: %+v vs %+v", r1, r2)
 	}
@@ -200,12 +195,12 @@ func TestZipfSkewConcentratesTraffic(t *testing.T) {
 	cfg := quickCfg()
 	cfg.VIPSkew = 1.5
 	cfg.Duration = simtime.Duration(8 * simtime.Second)
-	res := runSilkRoad(t, cfg, nil, nil)
+	res := runSilkRoad(t, cfg, nil)
 	if res.BrokenConns != 0 {
 		t.Fatalf("skewed workload broke %d conns", res.BrokenConns)
 	}
 	// Deterministic re-run matches.
-	res2 := runSilkRoad(t, cfg, nil, nil)
+	res2 := runSilkRoad(t, cfg, nil)
 	if res.Conns != res2.Conns {
 		t.Fatal("skewed runs not reproducible")
 	}
@@ -217,7 +212,7 @@ func TestIPv6WorkloadZeroViolations(t *testing.T) {
 	cfg := quickCfg()
 	cfg.IPv6 = true
 	cfg.Duration = simtime.Duration(8 * simtime.Second)
-	res := runSilkRoad(t, cfg, nil, nil)
+	res := runSilkRoad(t, cfg, nil)
 	if res.Conns < 2000 {
 		t.Fatalf("only %d conns", res.Conns)
 	}
@@ -231,7 +226,7 @@ func TestCacheTrafficLongerFlows(t *testing.T) {
 	cfg.FlowClass = workload.Cache
 	cfg.ArrivalRate = 200
 	cfg.Duration = simtime.Duration(20 * simtime.Second)
-	res := runSilkRoad(t, cfg, nil, nil)
+	res := runSilkRoad(t, cfg, nil)
 	if res.BrokenConns != 0 {
 		t.Fatalf("cache traffic broke %d conns under SilkRoad", res.BrokenConns)
 	}
