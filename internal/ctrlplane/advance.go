@@ -131,21 +131,13 @@ func (cp *ControlPlane) drainFilter(flushAt simtime.Time) {
 }
 
 // requeueWithBackoff re-schedules a full-table insertion: attempt n waits
-// InsertRetryBackoff<<n (capped at InsertRetryMax) before trying again,
+// insertRetryBackoff<<n (capped at insertRetryMax) before trying again,
 // giving aging, connection ends or a lifted SRAM squeeze time to free
 // slots.
 func (cp *ControlPlane) requeueWithBackoff(pi pendingInsert) {
-	base := cp.cfg.InsertRetryBackoff
-	if base <= 0 {
-		base = simtime.Duration(simtime.Millisecond)
-	}
-	max := cp.cfg.InsertRetryMax
-	if max <= 0 {
-		max = simtime.Duration(50 * simtime.Millisecond)
-	}
-	d := base << uint(pi.retries)
-	if d > max || d <= 0 {
-		d = max
+	d := insertRetryBackoff << uint(pi.retries)
+	if d > insertRetryMax || d <= 0 {
+		d = insertRetryMax
 	}
 	pi.retries++
 	pi.completeAt = pi.completeAt.Add(d)

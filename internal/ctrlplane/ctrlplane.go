@@ -59,17 +59,19 @@ type Config struct {
 	MaxInsertQueue int
 	// MaxInsertRetries makes insertions that hit cuckoo.ErrTableFull
 	// re-queue with capped exponential backoff instead of failing
-	// terminally: attempt n waits InsertRetryBackoff<<n, capped at
-	// InsertRetryMax. After MaxInsertRetries failed attempts the insertion
+	// terminally: attempt n waits insertRetryBackoff<<n, capped at
+	// insertRetryMax. After MaxInsertRetries failed attempts the insertion
 	// falls through to the overflow path (OnOverflow, Metrics.Overflows).
 	// Zero disables retries.
 	MaxInsertRetries int
-	// InsertRetryBackoff is the base retry delay (default 1ms when retries
-	// are enabled and this is zero).
-	InsertRetryBackoff simtime.Duration
-	// InsertRetryMax caps the exponential backoff (default 50ms when zero).
-	InsertRetryMax simtime.Duration
 }
+
+// The full-table retry schedule: 1 ms doubling per attempt, capped at
+// 50 ms.
+const (
+	insertRetryBackoff = simtime.Duration(simtime.Millisecond)
+	insertRetryMax     = simtime.Duration(50 * simtime.Millisecond)
+)
 
 // DefaultConfig returns the paper's control-plane operating point.
 func DefaultConfig() Config {

@@ -272,9 +272,6 @@ func NewImporter(cp *ControlPlane) *Importer {
 	return &Importer{cp: cp, vers: make(map[importVerKey]uint32)}
 }
 
-// Target returns the receiving control plane.
-func (im *Importer) Target() *ControlPlane { return im.cp }
-
 // Import implements handoff.Importer.
 func (im *Importer) Import(now simtime.Time, e handoff.Entry) error {
 	key := importVerKey{e.VIP, e.Version}

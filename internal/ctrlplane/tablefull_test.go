@@ -163,19 +163,19 @@ func TestInlineInstallTableFull(t *testing.T) {
 func TestAgingFreesSlotBeforeQueuedRetry(t *testing.T) {
 	ccfg := DefaultConfig()
 	ccfg.AgingTimeout = simtime.Duration(800 * simtime.Millisecond) // aging step: 100ms
-	ccfg.InsertRetryBackoff = simtime.Duration(200 * simtime.Millisecond)
-	ccfg.InsertRetryMax = simtime.Duration(400 * simtime.Millisecond)
-	ccfg.MaxInsertRetries = 3
+	ccfg.MaxInsertRetries = 23
 	h := fullHarness(t, ccfg)
 
-	// Attempts at ~4, ~204 and ~604 ms fail against the capped table; conn 1
-	// (idle since ~1 ms) ages out on the 900 ms tick, so the attempt at
-	// ~1004 ms — the last one allowed — must find its slot free.
+	// On the retry schedule (1 ms doubling, capped at 50 ms) attempts at ~4,
+	// 5, 7, 11, 19, 35, 67, 117, ..., 867 ms fail against the capped table:
+	// 23 of them. Conn 1 (idle since ~1 ms) ages out on the 900 ms tick, so
+	// the attempt at ~917 ms — the last one allowed — must find its slot
+	// free.
 	h.send(ms(3), tupleN(2), netproto.FlagSYN)
 	h.cp.Advance(ms(1500))
 	m := h.cp.Metrics()
-	if m.AgedOut != 1 || m.InsertRetries != 3 || m.Overflows != 0 || m.Inserted != 2 {
-		t.Fatalf("AgedOut=%d InsertRetries=%d Overflows=%d Inserted=%d, want 1 3 0 2",
+	if m.AgedOut != 1 || m.InsertRetries != 23 || m.Overflows != 0 || m.Inserted != 2 {
+		t.Fatalf("AgedOut=%d InsertRetries=%d Overflows=%d Inserted=%d, want 1 23 0 2",
 			m.AgedOut, m.InsertRetries, m.Overflows, m.Inserted)
 	}
 	if _, ok := h.sw.LookupConn(tupleN(2)); !ok {

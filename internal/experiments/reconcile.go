@@ -15,7 +15,7 @@ import (
 	"fmt"
 	"net/netip"
 
-	"repro/internal/cluster"
+	silkroad "repro"
 	"repro/internal/faults"
 	"repro/internal/intent"
 	"repro/internal/simtime"
@@ -104,31 +104,33 @@ func recSpecFor(g int) *intent.ClusterSpec {
 // settles and is read into the report.
 func reconcileSoak(scale float64, seed int64) (*soak, *ReconcileReport, error) {
 	tr := newSoakTracer()
-	ccfg := cluster.DefaultConfig(recMembers, soakConnTarget(scale))
-	ccfg.Dataplane.Seed = uint64(seed)
-	clu, err := cluster.New(ccfg)
+	clu, err := silkroad.NewCluster(silkroad.ClusterConfig{
+		Switches: recMembers,
+		Switch:   fleetMember(scale, seed, nil),
+		Fleet: silkroad.FleetConfig{
+			Config: intent.Config{
+				BaseBackoff: 200 * simtime.Microsecond,
+				MaxBackoff:  2 * simtime.Millisecond,
+				MaxRetries:  3,
+				Tracer:      tr,
+			},
+			RolloutBackoff: simtime.Millisecond,
+		},
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	rc := intent.NewCluster(clu.Fleet(), intent.FleetConfig{
-		Config: intent.Config{
-			BaseBackoff: 200 * simtime.Microsecond,
-			MaxBackoff:  2 * simtime.Millisecond,
-			MaxRetries:  3,
-			Tracer:      tr,
-		},
-		RolloutBackoff: simtime.Millisecond,
-	})
 	rep := &ReconcileReport{Scale: scale, Seed: seed, Members: recMembers}
 	vip := expVIP()
 
-	// Generation 1 converges before traffic starts (the bootstrap apply).
-	if err := rc.SetSpec(0, recSpecFor(1)); err != nil {
+	// Generation 1 converges before traffic starts (the bootstrap apply,
+	// which runs the first round).
+	if _, err := clu.Apply(0, recSpecFor(1)); err != nil {
 		return nil, nil, err
 	}
-	for i := 0; i < 4*recMembers && !rc.Step(0); i++ {
+	for i := 1; i < 4*recMembers && !clu.Reconcile(0); i++ {
 	}
-	if !rc.Converged() {
+	if !clu.Converged() {
 		return nil, nil, fmt.Errorf("reconcile: bootstrap never converged")
 	}
 
@@ -147,26 +149,29 @@ func reconcileSoak(scale float64, seed int64) (*soak, *ReconcileReport, error) {
 		DigestLossWindows: 1, DigestLossRate: 0.2, DigestLossFor: ms(10),
 	})
 	last := recLoadTicks + recLifeTicks - 1
-	s := newSoak(&fleetTarget{Cluster: clu, vip: vip}, tr, plan, recTick, last+1, recLifeTicks, recStride)
+	s := newSoak(&fleetTarget{Cluster: clu}, tr, plan, recTick, last+1, recLifeTicks, recStride)
 	s.excuse = true
 
-	// Spec churn: a new generation every recGenEvery ticks.
-	var churn []soakOp
-	for g := 2; g <= 1+recGens; g++ {
-		churn = append(churn, soakOp{at: (g - 1) * recGenEvery, do: func(now simtime.Time) error {
-			if err := rc.SetSpec(now, recSpecFor(g)); err != nil {
+	// The controller: one reconcile round a tick, which on every
+	// recGenEvery-th tick is the first round of a new spec generation's
+	// Apply, and a drift scan every 100 ticks.
+	rounds := every(0, last+1, 1, func(now simtime.Time) error {
+		t := int(int64(now) / int64(recTick))
+		if g := 1 + t/recGenEvery; t%recGenEvery == 0 && g >= 2 && g <= 1+recGens {
+			if _, err := clu.Apply(now, recSpecFor(g)); err != nil {
 				return fmt.Errorf("reconcile: gen %d rejected: %w", g, err)
 			}
 			return nil
-		}})
-	}
+		}
+		clu.Reconcile(now)
+		return nil
+	})
 	s.ops = script(
 		pulses(recLoadTicks, recPerTick, recBurstLen, recBurstGap),
-		churn,
 		[]soakOp{
 			// The mid-rollout switch fault: writes against member 1 fail
 			// with ErrSwitchDown until it reboots (empty).
-			{at: recFailAt, do: func(simtime.Time) error { return clu.FailSwitch(1) }},
+			{at: recFailAt, do: func(now simtime.Time) error { return clu.FailSwitch(now, 1) }},
 			{at: recRestoreAt, do: func(simtime.Time) error { return clu.RestoreSwitch(1) }},
 			// Out-of-band pool mutation on member 2 (an operator bypassing
 			// the spec): PCC-preserving at the switch, caught and reverted
@@ -174,14 +179,14 @@ func reconcileSoak(scale float64, seed int64) (*soak, *ReconcileReport, error) {
 			{at: recDriftAt, do: func(now simtime.Time) error {
 				drifted := append(expPool(6), netip.AddrPortFrom(
 					netip.AddrFrom4([4]byte{10, 9, 9, 9}), 20))
-				return clu.Member(2).RequestUpdate(now, vip, drifted)
+				return clu.Switch(2).Engine().RequestUpdate(now, vip, drifted)
 			}},
 		},
-		every(0, last+1, 1, func(now simtime.Time) error { rc.Step(now); return nil }),
-		every(0, last+1, 100, func(now simtime.Time) error { rc.DetectDrift(now); return nil }),
+		rounds,
+		every(0, last+1, 100, func(now simtime.Time) error { clu.DetectDrift(now); return nil }),
 	)
 	s.finish = func() error {
-		if err := reconcileSettle(rep, clu, rc, simtime.Time(int64(last)*int64(recTick))); err != nil {
+		if err := reconcileSettle(rep, clu, simtime.Time(int64(last)*int64(recTick))); err != nil {
 			return err
 		}
 		rep.FlowsStarted, rep.FlowsEstablished, rep.Packets, rep.Forwarded = s.book.counts()
@@ -195,7 +200,7 @@ func reconcileSoak(scale float64, seed int64) (*soak, *ReconcileReport, error) {
 		rep.Errors = n[telemetry.ReconcileError]
 		rep.DriftDetected = n[telemetry.ReconcileDrift]
 		rep.FaultsInjected, rep.FaultsByKind, rep.FaultsRemaining = s.faultTally()
-		rep.BucketsRedirected = clu.Redirected
+		rep.BucketsRedirected = clu.Stats().Redirected
 		return nil
 	}
 	return s, rep, nil
@@ -205,22 +210,22 @@ func reconcileSoak(scale float64, seed int64) (*soak, *ReconcileReport, error) {
 // reach the final generation — and a clean drift scan — within recConverge
 // rounds, every member must serve exactly its pool, and re-submitting it
 // with identical content must issue zero writes.
-func reconcileSettle(rep *ReconcileReport, clu *cluster.Cluster, rc *intent.ClusterReconciler, now simtime.Time) error {
+func reconcileSettle(rep *ReconcileReport, clu *silkroad.Cluster, now simtime.Time) error {
 	rounds := 0
 	for ; rounds < recConverge; rounds++ {
-		clu.Advance(now)
-		if rc.Step(now) && rc.DetectDrift(now) == 0 && rc.Converged() {
+		clu.AdvanceTo(now)
+		if clu.Reconcile(now) && clu.DetectDrift(now) == 0 && clu.Converged() {
 			rep.ConvergedAtEnd = true
 			break
 		}
-		if due, ok := rc.NextDue(); ok && due.After(now) {
+		if due, ok := clu.NextDue(); ok && due.After(now) {
 			now = due
 		} else {
 			now = now.Add(recTick)
 		}
 	}
 	rep.RoundsToConverge = rounds
-	rep.FinalGeneration = rc.Generation()
+	rep.FinalGeneration = clu.Generation()
 
 	final := 1 + recGens
 	want, err := recSpecFor(final).Normalize(0)
@@ -229,27 +234,20 @@ func reconcileSettle(rep *ReconcileReport, clu *cluster.Cluster, rc *intent.Clus
 	}
 	vip := expVIP()
 	for i := 0; i < clu.Switches(); i++ {
-		obs, ok := clu.Target(i).ObservedPool(vip)
-		if !ok || !intent.SamePool(obs, want.VIPs[vip].Pool) {
+		obs, err := clu.Switch(i).Controlplane().TargetPool(vip)
+		if !clu.Alive(i) || err != nil || !intent.SamePool(obs, want.VIPs[vip].Pool) {
 			rep.PoolMismatches++
 		}
 	}
 
-	var writesBefore uint64
-	for i := 0; i < recMembers; i++ {
-		writesBefore += rc.Member(i).Writes()
-	}
+	writesBefore := clu.Writes()
 	reapply := recSpecFor(final)
-	reapply.Generation = rc.Generation()
-	if err := rc.SetSpec(now, reapply); err != nil {
+	reapply.Generation = clu.Generation()
+	if _, err := clu.Apply(now, reapply); err != nil {
 		return fmt.Errorf("reconcile: idempotent re-apply rejected: %w", err)
 	}
-	rc.Step(now)
-	for i := 0; i < recMembers; i++ {
-		rep.IdempotentWrites += rc.Member(i).Writes()
-	}
-	rep.IdempotentWrites -= writesBefore
-	rep.Writes = writesBefore + rep.IdempotentWrites
+	rep.Writes = clu.Writes()
+	rep.IdempotentWrites = rep.Writes - writesBefore
 	return nil
 }
 

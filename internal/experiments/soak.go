@@ -23,7 +23,7 @@ import (
 	"net/netip"
 	"slices"
 
-	"repro/internal/cluster"
+	silkroad "repro"
 	"repro/internal/dataplane"
 	"repro/internal/faults"
 	"repro/internal/netproto"
@@ -413,21 +413,33 @@ func swapPool(net byte, g int) []dataplane.DIP {
 // upgrade's handoff), so it pins DIPs, since versions are member-local, and
 // holds every answer to the pin; a cold one pins versions.
 type fleetTarget struct {
-	*cluster.Cluster
-	vip  dataplane.VIP
+	*silkroad.Cluster
 	warm bool
 	// midUntil ends the recording window of the last pool update: a SYN
 	// sent before it is marked mid-update.
 	midUntil simtime.Time
 }
 
-func (ft *fleetTarget) advance(now simtime.Time) { ft.Cluster.Advance(now) }
+// fleetMember is a soak fleet's member configuration: sized for the soak,
+// seeded with it, tracing into tr, on a clock only the soak moves.
+func fleetMember(scale float64, seed int64, tr telemetry.Tracer) silkroad.Config {
+	cfg := silkroad.Defaults(soakConnTarget(scale))
+	cfg.Dataplane.Seed = uint64(seed)
+	cfg.Dataplane.Tracer = tr
+	cfg.Clock = silkroad.NewManualClock(0)
+	return cfg
+}
+
+func (ft *fleetTarget) advance(now simtime.Time) { ft.AdvanceTo(now) }
 
 // deliver sends the packets one at a time. A flow is established once the
 // shadow pins it; a warm fleet holds each later answer to the pin.
 func (ft *fleetTarget) deliver(b *flowBook, now simtime.Time, pkts []packet) {
+	var fr netproto.Frame
 	for _, p := range pkts {
-		dip, m, fwd := ft.Packet(now, p.netPacket())
+		p.netPacket().Frame(&fr)
+		m, res := ft.ProcessFrame(now, &fr)
+		fwd := res.Verdict == dataplane.VerdictForward
 		b.sent(fwd)
 		f := &b.flows[p.i]
 		switch {
@@ -444,7 +456,7 @@ func (ft *fleetTarget) deliver(b *flowBook, now simtime.Time, pkts []packet) {
 		default:
 			if !fwd {
 				b.drops++
-			} else if ft.warm && dip != f.pin.dip {
+			} else if ft.warm && res.DIP != f.pin.dip {
 				b.pccViolations++
 			}
 			if m != f.pin.member {
@@ -455,31 +467,33 @@ func (ft *fleetTarget) deliver(b *flowBook, now simtime.Time, pkts []packet) {
 }
 
 func (ft *fleetTarget) shadow(i int) (pin, bool) {
+	m, v, dip, ok := ft.Shadow(expTuple(i))
 	if ft.warm {
-		m, dip, ok := ft.ShadowDIP(ft.vip, expTuple(i))
-		return pin{member: m, dip: dip}, ok
+		return pin{member: m, dip: dip}, ok && dip.IsValid()
 	}
-	m, v, ok := ft.ShadowVersion(expTuple(i))
 	return pin{member: m, version: v}, ok
 }
 
-func (ft *fleetTarget) end(now simtime.Time, i int) { ft.ConnEnd(now, expTuple(i)) }
+func (ft *fleetTarget) end(now simtime.Time, i int) { ft.EndConnection(now, expTuple(i)) }
 
-// The fault target: "pipe" indices are cluster members, re-read per call so
-// faults land on the fresh planes after a RestoreSwitch.
+// The fault target: "pipe" indices are cluster members, whose pipe 0 each
+// fault hits; the member is re-read per call so faults land on the fresh
+// switch after a RestoreSwitch.
 
 func (ft *fleetTarget) NumPipes() int { return ft.Switches() }
 
 func (ft *fleetTarget) StallCPU(now simtime.Time, m int, d simtime.Duration) {
-	ft.Member(m).StallCPU(now, d)
+	ft.Switch(m).Engine().StallCPU(now, 0, d)
 }
 
 func (ft *fleetTarget) SetInsertRateScale(m int, scale float64) {
-	ft.Member(m).SetInsertRateScale(scale)
+	ft.Switch(m).Engine().SetInsertRateScale(0, scale)
 }
 
-func (ft *fleetTarget) SetConnTableLimit(m, limit int) { ft.Dataplane(m).SetConnTableLimit(limit) }
+func (ft *fleetTarget) SetConnTableLimit(m, limit int) {
+	ft.Switch(m).Engine().SetConnTableLimit(0, limit)
+}
 
 func (ft *fleetTarget) SetLearnLoss(m int, rate float64, seed uint64) {
-	ft.Dataplane(m).LearnFilter().SetLoss(rate, seed)
+	ft.Switch(m).Engine().SetLearnLoss(0, rate, seed)
 }

@@ -15,7 +15,7 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/cluster"
+	silkroad "repro"
 	"repro/internal/dataplane"
 	"repro/internal/faults"
 	"repro/internal/intent"
@@ -83,23 +83,23 @@ type UpgradeReport struct {
 
 // upgradeSoak builds the rolling-upgrade soak: the fleet, the Upgrader
 // rolling it, and the script. The Upgrader drives the cluster's
-// drain/rejoin surface directly; Reannounce restores the freshly rebooted
+// drain/rejoin surface directly; every member announces the VIP through
+// ReannounceTo, and Reannounce restores the freshly rebooted
 // member's VIP state with the pool of the moment. The loop lasts until the
 // load is over and the rollout done, or upTailTicks past the load.
 func upgradeSoak(scale float64, seed int64) (*soak, *UpgradeReport, error) {
 	tr := newSoakTracer()
-	ccfg := cluster.DefaultConfig(upMembers, soakConnTarget(scale))
-	ccfg.Dataplane.Seed = uint64(seed)
-	ccfg.Dataplane.Tracer = tr
-	clu, err := cluster.New(ccfg)
+	clu, err := silkroad.NewCluster(silkroad.ClusterConfig{Switches: upMembers, Switch: fleetMember(scale, seed, tr)})
 	if err != nil {
 		return nil, nil, err
 	}
 	rep := &UpgradeReport{Scale: scale, Seed: seed, Members: upMembers}
 	vip := expVIP()
 	curPool := swapPool(8, 1)
-	if err := clu.AddVIP(0, vip, curPool); err != nil {
-		return nil, nil, err
+	for i := 0; i < upMembers; i++ {
+		if err := clu.ReannounceTo(0, i, map[dataplane.VIP][]dataplane.DIP{vip: curPool}); err != nil {
+			return nil, nil, err
+		}
 	}
 	u := intent.NewUpgrader(clu, nil, intent.UpgradeConfig{
 		Budget:       64,
@@ -114,7 +114,7 @@ func upgradeSoak(scale float64, seed int64) (*soak, *UpgradeReport, error) {
 		Tracer: tr,
 	})
 
-	tg := &fleetTarget{Cluster: clu, vip: vip, warm: true}
+	tg := &fleetTarget{Cluster: clu, warm: true}
 	horizon := upLoadTicks + upLifeTicks + upTailTicks
 	s := newSoak(tg, tr, faults.Plan{}, upTick, horizon+1, upLifeTicks, upStride)
 	s.until = func(t int) bool {
@@ -138,10 +138,11 @@ func upgradeSoak(scale float64, seed int64) (*soak, *UpgradeReport, error) {
 		churn = append(churn, soakOp{at: (g - 1) * upUpdateEvery, do: func(now simtime.Time) error {
 			curPool = swapPool(8, g)
 			for i := 0; i < clu.Switches(); i++ {
-				if !clu.Alive(i) || !clu.Dataplane(i).HasVIP(vip) {
+				eng := clu.Switch(i).Engine()
+				if !clu.Alive(i) || !eng.Dataplane(0).HasVIP(vip) {
 					continue
 				}
-				if err := clu.Member(i).RequestUpdate(now, vip, curPool); err != nil {
+				if err := eng.RequestUpdate(now, vip, curPool); err != nil {
 					return fmt.Errorf("upgrade: switch %d: %w", i, err)
 				}
 			}
@@ -174,7 +175,7 @@ func upgradeSoak(scale float64, seed int64) (*soak, *UpgradeReport, error) {
 		for i := 0; i < upMembers; i++ {
 			rep.FinalPhases = append(rep.FinalPhases, u.Phase(i).String())
 		}
-		rep.BucketsMigrated = clu.Migrated
+		rep.BucketsMigrated = clu.Stats().Migrated
 		n := tr.handoff
 		rep.HandoffTransfers = n[telemetry.HandoffDone]
 		rep.HandoffImported = tr.imported

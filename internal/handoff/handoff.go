@@ -10,8 +10,8 @@
 // Snapshot), the small Exporter/Importer interfaces, and the Transfer
 // pump. The control plane provides the concrete Exporter (an
 // ExportSession over its connection shadow) and Importer (rate-bounded
-// imports through the CPU insertion queue); the cluster layer routes
-// entries across receivers and decides when to cut traffic over.
+// imports through the CPU insertion queue); the fleet (silkroad.Cluster)
+// routes entries across receivers and decides when to cut traffic over.
 package handoff
 
 import (
@@ -28,13 +28,6 @@ import (
 // It deliberately mirrors the learn-path shed bound — imported entries
 // must not starve the receiver's own learning.
 var ErrBackpressure = errors.New("handoff: receiver insert queue full, back off")
-
-// ErrNotWarm gates re-entry of a restored fleet member: it is returned
-// until the member announces every VIP a healthy peer announces and has
-// no pending control-plane work. It lives here (the leaf package) so the
-// cluster that enforces it and the upgrade orchestrator that retries on
-// it need not import each other.
-var ErrNotWarm = errors.New("handoff: member not warm (VIPs missing or work pending)")
 
 // Op distinguishes snapshot/delta records.
 type Op uint8
@@ -56,9 +49,8 @@ func (o Op) String() string {
 // pool-version number — meaningless on the receiver, which remaps it by
 // Pool content (version numbers are switch-local; pool contents plus the
 // shared hash seeds are what make DIP selection portable). DIP is the
-// donor's resolved backend, carried so receivers that cannot host table
-// state (the SLB backstop) can still pin the connection, and so auditors
-// can verify PCC without re-deriving the mapping.
+// donor's resolved backend, carried so auditors (and snapshot diffs) can
+// verify PCC without re-deriving the mapping.
 type Entry struct {
 	Op      Op                 `json:"op,omitempty"`
 	Tuple   netproto.FiveTuple `json:"tuple"`

@@ -9,12 +9,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Fleet is a set of reconcile targets, one per switch.
-type Fleet interface {
-	Members() int
-	Target(i int) Target
-}
-
 // FleetConfig parameterizes a ClusterReconciler.
 type FleetConfig struct {
 	// Config is the per-member reconciler configuration (Member is set
@@ -48,9 +42,8 @@ const (
 // rolled back to the previous generation and the rollout retries after a
 // backoff.
 type ClusterReconciler struct {
-	cfg   FleetConfig
-	fleet Fleet
-	recs  []*Reconciler
+	cfg  FleetConfig
+	recs []*Reconciler
 
 	prev Desired // last fleet-wide converged state (rollback point)
 	cur  Desired // state being rolled out
@@ -80,17 +73,18 @@ func (c *ClusterReconciler) RolloutPaused() bool {
 	return c.paused && c.phase == phaseRolling
 }
 
-// NewCluster builds a ClusterReconciler over fleet.
-func NewCluster(fleet Fleet, cfg FleetConfig) *ClusterReconciler {
+// NewCluster builds a ClusterReconciler over a fleet, one target per
+// switch.
+func NewCluster(fleet []Target, cfg FleetConfig) *ClusterReconciler {
 	if cfg.RolloutBackoff <= 0 {
 		cfg.RolloutBackoff = 10 * simtime.Millisecond
 	}
 	cfg.Config = cfg.Config.withDefaults()
-	c := &ClusterReconciler{cfg: cfg, fleet: fleet}
-	for i := 0; i < fleet.Members(); i++ {
+	c := &ClusterReconciler{cfg: cfg}
+	for i, t := range fleet {
 		mc := cfg.Config
 		mc.Member = i
-		c.recs = append(c.recs, New(fleet.Target(i), mc))
+		c.recs = append(c.recs, New(t, mc))
 	}
 	return c
 }
@@ -211,7 +205,7 @@ func (c *ClusterReconciler) Step(now simtime.Time) bool {
 	// AND drained its pending inserts before the next switch moves.
 	if c.frontier > 0 {
 		prev := c.frontier - 1
-		if !c.recs[prev].Converged() || c.fleet.Target(prev).PendingWork() > 0 {
+		if !c.recs[prev].Converged() || c.recs[prev].target.PendingWork() > 0 {
 			return false
 		}
 	}

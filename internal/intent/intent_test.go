@@ -476,8 +476,15 @@ func TestImperativeEditsShareEngine(t *testing.T) {
 
 type fakeFleet struct{ targets []*fakeTarget }
 
-func (f fakeFleet) Members() int        { return len(f.targets) }
-func (f fakeFleet) Target(i int) Target { return f.targets[i] }
+// all is the fleet as NewCluster takes it.
+func (f fakeFleet) all() []Target {
+	ts := make([]Target, len(f.targets))
+	for i, t := range f.targets {
+		ts[i] = t
+	}
+	return ts
+}
+
 func newFakeFleet(n int) fakeFleet {
 	f := fakeFleet{}
 	for i := 0; i < n; i++ {
@@ -509,7 +516,7 @@ func driveFleet(t *testing.T, c *ClusterReconciler, start simtime.Time, rounds i
 // by member and that the second apply of the same content is a no-op.
 func TestFleetRollingUpdate(t *testing.T) {
 	fleet := newFakeFleet(3)
-	c := NewCluster(fleet, FleetConfig{})
+	c := NewCluster(fleet.all(), FleetConfig{})
 
 	specV1 := specOf(VIPSpec{VIP: "10.0.0.1:80", Pool: []string{"1.1.1.1:8080", "1.1.1.2:8080"}})
 	if err := c.SetSpec(0, specV1); err != nil {
@@ -572,7 +579,7 @@ func TestFleetRollingUpdate(t *testing.T) {
 // drained its pending work.
 func TestFleetDrainGate(t *testing.T) {
 	fleet := newFakeFleet(2)
-	c := NewCluster(fleet, FleetConfig{})
+	c := NewCluster(fleet.all(), FleetConfig{})
 	fleet.targets[0].pending = 3 // member 0 busy absorbing inserts
 
 	if err := c.SetSpec(0, specOf(VIPSpec{VIP: "10.0.0.1:80",
@@ -598,7 +605,7 @@ func TestFleetDrainGate(t *testing.T) {
 // rollout completes once the gate clears.
 func TestFleetRolloutGate(t *testing.T) {
 	fleet := newFakeFleet(3)
-	c := NewCluster(fleet, FleetConfig{})
+	c := NewCluster(fleet.all(), FleetConfig{})
 	paused := false
 	c.SetRolloutGate(func() (bool, string) { return paused, "page firing" })
 
@@ -653,7 +660,7 @@ func TestFleetRolloutGate(t *testing.T) {
 // and converges once the fault clears.
 func TestFleetRollback(t *testing.T) {
 	fleet := newFakeFleet(3)
-	c := NewCluster(fleet, FleetConfig{Config: Config{
+	c := NewCluster(fleet.all(), FleetConfig{Config: Config{
 		BaseBackoff: simtime.Millisecond, MaxBackoff: simtime.Millisecond, MaxRetries: 1,
 	}, RolloutBackoff: simtime.Millisecond})
 

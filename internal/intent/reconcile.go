@@ -109,7 +109,6 @@ type Reconciler struct {
 	// feeding the apply-latency histogram.
 	queuedAt map[dataplane.VIP]simtime.Time
 
-	rounds uint64
 	writes uint64
 }
 
@@ -136,9 +135,6 @@ func (r *Reconciler) Generation() uint64 { return r.desired.Generation }
 // the target since construction — the idempotency probe: re-applying an
 // unchanged spec must not move it.
 func (r *Reconciler) Writes() uint64 { return r.writes }
-
-// Rounds returns the number of reconcile rounds run.
-func (r *Reconciler) Rounds() uint64 { return r.rounds }
 
 // QueueLen returns the number of keys awaiting work.
 func (r *Reconciler) QueueLen() int { return r.q.Len() }
@@ -193,7 +189,6 @@ func (r *Reconciler) enqueue(now simtime.Time, key dataplane.VIP, reason, msg st
 // requeued with exponential backoff. Returns the number of keys that
 // remain queued.
 func (r *Reconciler) Reconcile(now simtime.Time) int {
-	r.rounds++
 	r.trace(telemetry.Event{Now: now, ReconcileStep: telemetry.ReconcileRound})
 	for _, key := range r.q.Due(now) {
 		retries := r.q.Retries(key)

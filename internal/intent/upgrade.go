@@ -4,15 +4,19 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/handoff"
 	"repro/internal/simtime"
 	"repro/internal/telemetry"
 )
 
+// ErrNotWarm is what RejoinSwitch returns while a restored member does not
+// yet announce every VIP a healthy peer announces or has pending work; the
+// Upgrader waits on it, re-announcing after WarmTimeout.
+var ErrNotWarm = errors.New("intent: member not warm (VIPs missing or work pending)")
+
 // UpgradeOps is the fleet surface the rolling-upgrade orchestrator
-// drives: warm drains, take-down/restore, and drain-gated rejoin. The
-// cluster package satisfies it; defining the interface here keeps the
-// dependency arrow pointing the right way (cluster imports intent).
+// drives: warm drains, take-down/restore, and drain-gated rejoin.
+// silkroad.Cluster satisfies it; defining the interface here keeps the
+// dependency arrow pointing the right way (the facade imports intent).
 type UpgradeOps interface {
 	Switches() int
 	DrainSwitch(now simtime.Time, i int) error
@@ -201,7 +205,7 @@ func (u *Upgrader) Step(now simtime.Time) (done bool, err error) {
 			case err == nil:
 				u.rejoinBegun = true
 				u.lastProgress = now
-			case errors.Is(err, handoff.ErrNotWarm):
+			case errors.Is(err, ErrNotWarm):
 				if now.Sub(u.warmSince) > u.cfg.WarmTimeout {
 					// The member never warmed: re-announce and retry.
 					u.reannounce(now, m)

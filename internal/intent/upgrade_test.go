@@ -3,7 +3,6 @@ package intent
 import (
 	"testing"
 
-	"repro/internal/handoff"
 	"repro/internal/simtime"
 )
 
@@ -75,7 +74,7 @@ func (f *upFleet) RestoreSwitch(i int) error { return nil }
 
 func (f *upFleet) RejoinSwitch(now simtime.Time, i int) error {
 	if f.needWarm[i] > f.announces[i] {
-		return handoff.ErrNotWarm
+		return ErrNotWarm
 	}
 	f.rejoining = i
 	return nil

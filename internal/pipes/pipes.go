@@ -53,9 +53,6 @@ type Config struct {
 	Dataplane dataplane.Config
 	// Controlplane configures each pipe's slice of the switch software.
 	Controlplane ctrlplane.Config
-	// ShardSeed seeds the 5-tuple -> pipe hash. Zero derives one from the
-	// data-plane seed.
-	ShardSeed uint64
 }
 
 // pipe is one forwarding pipeline: a data plane, its control-plane slice,
@@ -105,8 +102,9 @@ type Stats struct {
 	PipePackets []uint64
 }
 
-// shardSeedSalt diversifies the default shard seed away from the chip
-// seed, so sharding and in-pipe hashing stay independent functions.
+// shardSeedSalt diversifies the shard seed (the 5-tuple -> pipe hash's)
+// away from the chip seed, so sharding and in-pipe hashing stay
+// independent functions.
 const shardSeedSalt = 0x9155_0a1d_70_4e5
 
 // New builds an engine of cfg.Pipes pipes. Each pipe receives 1/N of the
@@ -120,15 +118,12 @@ func New(cfg Config) (*Engine, error) {
 	if n < 1 {
 		n = 1
 	}
-	seed := cfg.ShardSeed
+	seed := cfg.Dataplane.Seed ^ shardSeedSalt
 	if seed == 0 {
-		seed = cfg.Dataplane.Seed ^ shardSeedSalt
-		if seed == 0 {
-			// Dataplane.Seed == shardSeedSalt: the XOR would collapse to
-			// zero and the shard hash would silently run unseeded. Keep the
-			// derivation explicit and deterministic instead.
-			seed = shardSeedSalt
-		}
+		// Dataplane.Seed == shardSeedSalt: the XOR would collapse to zero
+		// and the shard hash would silently run unseeded. Keep the
+		// derivation explicit and deterministic instead.
+		seed = shardSeedSalt
 	}
 	e := &Engine{
 		cfg:      cfg,

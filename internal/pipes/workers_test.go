@@ -26,11 +26,11 @@ func newTestEngine(t *testing.T, pipes, conns int) *Engine {
 	return e
 }
 
-// TestZeroShardSeedExplicit pins the shard-seed derivation: a zero
-// ShardSeed derives from the chip seed, and the one configuration where
-// that XOR lands on zero (Dataplane.Seed == shardSeedSalt) falls back to
-// the salt explicitly instead of silently hashing unseeded. Sharding must
-// stay deterministic across engines in every case.
+// TestZeroShardSeedExplicit pins the shard-seed derivation: the shard seed
+// derives from the chip seed, and the one configuration where that XOR
+// lands on zero (Dataplane.Seed == shardSeedSalt) falls back to the salt
+// explicitly instead of silently hashing unseeded. Sharding must stay
+// deterministic across engines in every case.
 func TestZeroShardSeedExplicit(t *testing.T) {
 	cfg := testConfig(4, 1000)
 	cfg.Dataplane.Seed = shardSeedSalt // XOR with the salt collapses to 0
@@ -53,13 +53,13 @@ func TestZeroShardSeedExplicit(t *testing.T) {
 			t.Fatalf("conn %d: sharding not deterministic (%d vs %d)", i, pa, pb)
 		}
 	}
-	cfg.ShardSeed = 7
+	cfg.Dataplane.Seed = 7
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.seed != 7 {
-		t.Fatalf("explicit ShardSeed ignored: seed = %#x", c.seed)
+	if c.seed != 7^shardSeedSalt {
+		t.Fatalf("derived shard seed = %#x, want the chip seed ^ salt %#x", c.seed, uint64(7^shardSeedSalt))
 	}
 }
 

@@ -417,7 +417,7 @@ func (s *Switch) SLO() *SLOEvaluator { return s.slo }
 // deadlines fire in time order under both Run and AdvanceTo.
 func (s *Switch) attachIntent(tracer telemetry.Tracer) {
 	s.intent = &intentState{
-		rec: intent.New(intentTarget{s}, intent.Config{Tracer: tracer}),
+		rec: intent.New(intentTarget{s: s}, intent.Config{Tracer: tracer}),
 	}
 	s.rt.mu.Lock()
 	s.rt.sched.AddSource(intentSource{s})
@@ -540,39 +540,31 @@ func (s *Switch) AddVIP(now Time, vip VIP, pool []DIP, opts ...VIPOption) error 
 	for _, opt := range opts {
 		opt(&o)
 	}
-	st := s.intent
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.rec.EditAdd(now, vip, pool, o.meterBytesPerSec)
+	return locked(&s.intent.mu, func() error { return s.intent.rec.EditAdd(now, vip, pool, o.meterBytesPerSec) })
 }
 
 // RemoveVIP withdraws a VIP.
 func (s *Switch) RemoveVIP(now Time, vip VIP) error {
-	st := s.intent
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.rec.EditRemove(now, vip)
+	return locked(&s.intent.mu, func() error { return s.intent.rec.EditRemove(now, vip) })
 }
 
 // AddDIP adds a backend to vip's pool with full per-connection
 // consistency (the 3-step update of §4.3 runs under the hood).
 func (s *Switch) AddDIP(now Time, vip VIP, dip DIP) error {
-	defer s.poke()
-	st := s.intent
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.rec.EditPool(now, vip, func(pool []DIP) ([]DIP, error) {
+	return s.editPool(now, vip, func(pool []DIP) ([]DIP, error) {
 		return append(pool, dip), nil
 	})
 }
 
+// editPool edits vip's desired pool through fn and applies it.
+func (s *Switch) editPool(now Time, vip VIP, fn func(pool []DIP) ([]DIP, error)) error {
+	defer s.poke()
+	return locked(&s.intent.mu, func() error { return s.intent.rec.EditPool(now, vip, fn) })
+}
+
 // RemoveDIP removes a backend from vip's pool with PCC.
 func (s *Switch) RemoveDIP(now Time, vip VIP, dip DIP) error {
-	defer s.poke()
-	st := s.intent
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.rec.EditPool(now, vip, func(pool []DIP) ([]DIP, error) {
+	return s.editPool(now, vip, func(pool []DIP) ([]DIP, error) {
 		out := pool[:0]
 		found := false
 		for _, d := range pool {
@@ -594,11 +586,7 @@ func (s *Switch) RemoveDIP(now Time, vip VIP, dip DIP) error {
 // reconcile engine diffs against the newest requested state and issues no
 // hardware write.
 func (s *Switch) UpdatePool(now Time, vip VIP, pool []DIP) error {
-	defer s.poke()
-	st := s.intent
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.rec.EditPool(now, vip, func([]DIP) ([]DIP, error) {
+	return s.editPool(now, vip, func([]DIP) ([]DIP, error) {
 		return append([]DIP(nil), pool...), nil
 	})
 }
