@@ -201,10 +201,10 @@ func TestSwitchFailureRecovery(t *testing.T) {
 	}
 }
 
-// TestDecodeNeverPanics fuzzes the packet decoder with random bytes.
+// TestDecodeNeverPanics fuzzes the frame parser with random bytes.
 func TestDecodeNeverPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	var p netproto.Packet
+	var f Frame
 	for i := 0; i < 20000; i++ {
 		n := rng.Intn(128)
 		buf := make([]byte, n)
@@ -215,7 +215,7 @@ func TestDecodeNeverPanics(t *testing.T) {
 				buf[0] = byte(6 << 4)
 			}
 		}
-		_ = netproto.Decode(buf, &p) // must not panic
+		_ = ParseFrame(buf, &f) // must not panic
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 	"repro/internal/bloom"
 	"repro/internal/cuckoo"
 	"repro/internal/learnfilter"
-	"repro/internal/regarray"
 	"repro/internal/simtime"
 )
 
@@ -160,9 +159,7 @@ type Chip struct {
 	cfg    Config
 	used   Resources
 	tables map[string]*cuckoo.Table
-	arrays map[string]*regarray.Array
 	blooms map[string]*bloom.Filter
-	meters map[string]*regarray.MeterBank
 	learn  *learnfilter.Filter
 }
 
@@ -174,9 +171,7 @@ func NewChip(cfg Config) *Chip {
 	return &Chip{
 		cfg:    cfg,
 		tables: make(map[string]*cuckoo.Table),
-		arrays: make(map[string]*regarray.Array),
 		blooms: make(map[string]*bloom.Filter),
-		meters: make(map[string]*regarray.MeterBank),
 	}
 }
 
@@ -228,20 +223,6 @@ func (c *Chip) AllocExactMatch(name string, tcfg cuckoo.Config, keyBits int) (*c
 	return t, nil
 }
 
-// AllocRegisterArray places a register array (transactional memory).
-func (c *Chip) AllocRegisterArray(name string, n, widthBits int) (*regarray.Array, error) {
-	if _, dup := c.arrays[name]; dup {
-		return nil, fmt.Errorf("asic: array %q already allocated", name)
-	}
-	a := regarray.New(n, widthBits)
-	if a.SizeBytes() > c.SRAMAvailable() {
-		return nil, ErrOutOfSRAM{Want: a.SizeBytes(), Have: c.SRAMAvailable()}
-	}
-	c.used.Add(Resources{SRAMBytes: a.SizeBytes(), StatefulALUs: 1})
-	c.arrays[name] = a
-	return a, nil
-}
-
 // AllocBloom places a bloom filter across k register arrays: one stateful
 // ALU and one hash generator per hash function, in line with how the
 // prototype consumed 44% extra stateful ALUs for the TransitTable.
@@ -260,20 +241,6 @@ func (c *Chip) AllocBloom(name string, sizeBytes, k int, seed uint64) (*bloom.Fi
 	})
 	c.blooms[name] = f
 	return f, nil
-}
-
-// AllocMeters places a bank of n two-rate three-color meters.
-func (c *Chip) AllocMeters(name string, n int, conf func(i int) *regarray.Meter) (*regarray.MeterBank, error) {
-	if _, dup := c.meters[name]; dup {
-		return nil, fmt.Errorf("asic: meters %q already allocated", name)
-	}
-	if need := regarray.BankSRAMBytes(n); need > c.SRAMAvailable() {
-		return nil, ErrOutOfSRAM{Want: need, Have: c.SRAMAvailable()}
-	}
-	b := regarray.NewMeterBank(n, conf)
-	c.used.Add(Resources{SRAMBytes: b.SRAMBytes(), StatefulALUs: 1})
-	c.meters[name] = b
-	return b, nil
 }
 
 // AllocLearnFilter places the (single) learning filter.

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/cuckoo"
-	"repro/internal/regarray"
 	"repro/internal/simtime"
 )
 
@@ -109,30 +108,6 @@ func TestChipBloomAndMeters(t *testing.T) {
 	}
 }
 
-func TestChipMeters(t *testing.T) {
-	c := NewChip(Tofino64())
-	before := c.Used().SRAMBytes
-	mb, err := c.AllocMeters("vipmeters", 40000, func(i int) *regarray.Meter {
-		return regarray.NewMeter(1.25e9, 1.25e6, 1.25e8, 1.25e5)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mb.Len() != 40000 {
-		t.Fatalf("meter bank size = %d", mb.Len())
-	}
-	// Paper §5.2: 40K meters consume ~1% of chip SRAM.
-	frac := float64(c.Used().SRAMBytes-before) / float64(c.Config().SRAMBytes)
-	if frac < 0.005 || frac > 0.05 {
-		t.Fatalf("40K meters = %.3f of SRAM, want ~1%%", frac)
-	}
-	if _, err := c.AllocMeters("vipmeters", 1, func(int) *regarray.Meter {
-		return regarray.NewMeter(1, 1, 1, 1)
-	}); err == nil {
-		t.Fatal("duplicate meters accepted")
-	}
-}
-
 func TestChipLearnFilter(t *testing.T) {
 	c := NewChip(Tofino64())
 	lf, err := c.AllocLearnFilter(2048, simtime.Duration(simtime.Millisecond))
@@ -144,23 +119,6 @@ func TestChipLearnFilter(t *testing.T) {
 	}
 	if _, err := c.AllocLearnFilter(1, 1); err == nil {
 		t.Fatal("second learning filter accepted")
-	}
-}
-
-func TestChipRegisterArray(t *testing.T) {
-	c := NewChip(Tofino64())
-	a, err := c.AllocRegisterArray("counters", 4096, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Len() != 4096 {
-		t.Fatal("array len wrong")
-	}
-	if c.Used().StatefulALUs != 1 {
-		t.Fatalf("ALUs = %d", c.Used().StatefulALUs)
-	}
-	if _, err := c.AllocRegisterArray("counters", 1, 1); err == nil {
-		t.Fatal("duplicate array accepted")
 	}
 }
 
@@ -179,7 +137,9 @@ func TestSRAMAvailable(t *testing.T) {
 	if c.SRAMAvailable() != cfg.SRAMBytes {
 		t.Fatal("fresh chip should have full budget")
 	}
-	c.AllocRegisterArray("a", 8192, 8)
+	if _, err := c.AllocBloom("a", 8192, 2, 1); err != nil {
+		t.Fatal(err)
+	}
 	if c.SRAMAvailable() != cfg.SRAMBytes-8192 {
 		t.Fatalf("SRAMAvailable = %d", c.SRAMAvailable())
 	}

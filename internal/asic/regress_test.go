@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/cuckoo"
-	"repro/internal/regarray"
 	"repro/internal/simtime"
 )
 
@@ -62,11 +61,6 @@ func TestBudgetCheckedBeforeConstruction(t *testing.T) {
 
 	if _, err := chip.AllocBloom("bloom", 1<<20, 4, 1); !errors.As(err, &ErrOutOfSRAM{}) {
 		t.Fatalf("oversized bloom: err = %v, want ErrOutOfSRAM", err)
-	}
-	if _, err := chip.AllocMeters("meters", 1<<20, func(i int) *regarray.Meter {
-		return regarray.NewMeter(1, 1, 1, 1)
-	}); !errors.As(err, &ErrOutOfSRAM{}) {
-		t.Fatalf("oversized meter bank: err = %v, want ErrOutOfSRAM", err)
 	}
 	if _, err := chip.AllocLearnFilter(1<<20, simtime.Duration(simtime.Millisecond)); !errors.As(err, &ErrOutOfSRAM{}) {
 		t.Fatalf("oversized learn filter: err = %v, want ErrOutOfSRAM", err)

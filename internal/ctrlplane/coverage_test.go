@@ -82,9 +82,6 @@ func TestTransitSYNArbitrationDeterministic(t *testing.T) {
 
 func TestAccessorsAndPanics(t *testing.T) {
 	h := defaultHarness(t)
-	if h.cp.Switch() != h.sw {
-		t.Fatal("Switch accessor")
-	}
 	if h.cp.VersionsAllocated(testVIP()) != 1 {
 		t.Fatalf("VersionsAllocated = %d", h.cp.VersionsAllocated(testVIP()))
 	}

@@ -80,26 +80,24 @@ func DefaultConfig() Config {
 
 // Metrics are the control plane's counters.
 type Metrics struct {
-	Inserted            uint64
-	DuplicateLearns     uint64
-	Overflows           uint64 // ConnTable full: connection left unpinned
-	DigestFPsResolved   uint64
-	BloomFPsResolved    uint64
-	RetransmittedSYNs   uint64
-	UpdatesRequested    uint64
-	UpdatesCompleted    uint64
-	UpdatesCoalesced    uint64 // request matched the pool already in force
-	VersionAllocs       uint64
-	VersionReuses       uint64
-	VersionExhaustions  uint64
-	ConnsEnded          uint64
-	AgedOut             uint64
-	ResilientFailovers  uint64
-	ResilientRecoveries uint64
-	InsertRetries       uint64           // full-table insertions re-queued with backoff
-	InsertSheds         uint64           // learn events dropped at the queue bound
-	InsertDelaySum      simtime.Duration // sum over inserts of (install - arrival)
-	MaxInsertQueue      int
+	Inserted           uint64
+	DuplicateLearns    uint64
+	Overflows          uint64 // ConnTable full: connection left unpinned
+	DigestFPsResolved  uint64
+	BloomFPsResolved   uint64
+	RetransmittedSYNs  uint64
+	UpdatesRequested   uint64
+	UpdatesCompleted   uint64
+	UpdatesCoalesced   uint64 // request matched the pool already in force
+	VersionAllocs      uint64
+	VersionReuses      uint64
+	VersionExhaustions uint64
+	ConnsEnded         uint64
+	AgedOut            uint64
+	InsertRetries      uint64           // full-table insertions re-queued with backoff
+	InsertSheds        uint64           // learn events dropped at the queue bound
+	InsertDelaySum     simtime.Duration // sum over inserts of (install - arrival)
+	MaxInsertQueue     int
 }
 
 // Add accumulates o into m — the per-pipe to chip-level aggregation used by
@@ -120,8 +118,6 @@ func (m *Metrics) Add(o Metrics) {
 	m.VersionExhaustions += o.VersionExhaustions
 	m.ConnsEnded += o.ConnsEnded
 	m.AgedOut += o.AgedOut
-	m.ResilientFailovers += o.ResilientFailovers
-	m.ResilientRecoveries += o.ResilientRecoveries
 	m.InsertRetries += o.InsertRetries
 	m.InsertSheds += o.InsertSheds
 	m.InsertDelaySum += o.InsertDelaySum
@@ -179,10 +175,6 @@ type vipCtl struct {
 	// metrics for Figure 15
 	versionsAllocated int
 	maxActive         int
-
-	// resilient is non-nil when the VIP opted into §7's resilient-hashing
-	// failure handling instead of version churn.
-	resilient *resilientState
 }
 
 // ControlPlane drives one SilkRoad switch.
@@ -256,9 +248,6 @@ func New(sw *dataplane.Switch, cfg Config) *ControlPlane {
 	sw.ConnTable().SetRecordHasher(cp.recordKeyHash)
 	return cp
 }
-
-// Switch returns the managed data plane.
-func (cp *ControlPlane) Switch() *dataplane.Switch { return cp.sw }
 
 // Metrics returns a copy of the counters.
 func (cp *ControlPlane) Metrics() Metrics { return cp.metrics }
@@ -433,15 +422,6 @@ func (cp *ControlPlane) TargetPool(vip dataplane.VIP) ([]dataplane.DIP, error) {
 	return clone(vc.targetPool()), nil
 }
 
-// ActiveVersions returns the number of live pool versions for vip.
-func (cp *ControlPlane) ActiveVersions(vip dataplane.VIP) int {
-	vc, ok := cp.vips[vip]
-	if !ok {
-		return 0
-	}
-	return len(vc.pools)
-}
-
 // VersionsAllocated returns how many distinct version numbers vip has
 // consumed so far (Figure 15's quantity when reuse is disabled).
 func (cp *ControlPlane) VersionsAllocated(vip dataplane.VIP) int {
@@ -521,9 +501,6 @@ func (cp *ControlPlane) RequestUpdate(now simtime.Time, vip dataplane.VIP, pool 
 	}
 	if len(pool) == 0 {
 		return errors.New("ctrlplane: update to empty pool")
-	}
-	if vc.resilient != nil {
-		return ErrResilientVIP
 	}
 	cp.metrics.UpdatesRequested++
 	if cp.tracer != nil {

@@ -215,13 +215,13 @@ func TestVersionLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.cp.Advance(ms(20))
-	if got := h.cp.ActiveVersions(vip); got != 2 {
-		t.Fatalf("ActiveVersions = %d, want 2 (v0 pinned by conn)", got)
+	if got := len(h.cp.vips[vip].pools); got != 2 {
+		t.Fatalf("live versions = %d, want 2 (v0 pinned by conn)", got)
 	}
 	// End the connection: v0 retires, pool row deleted.
 	h.cp.EndConnection(ms(21), tup)
-	if got := h.cp.ActiveVersions(vip); got != 1 {
-		t.Fatalf("ActiveVersions after end = %d, want 1", got)
+	if got := len(h.cp.vips[vip].pools); got != 1 {
+		t.Fatalf("live versions after end = %d, want 1", got)
 	}
 	if _, ok := h.sw.LookupConn(tup); ok {
 		t.Fatal("entry survived EndConnection")

@@ -738,19 +738,6 @@ func (t *Table) DeleteAt(h Handle) error {
 	return nil
 }
 
-// UpdateValue rewrites the action data of the entry for keyHash.
-func (t *Table) UpdateValue(keyHash uint64, value uint32) error {
-	if value > t.maxValue {
-		return ErrValueWidth
-	}
-	p, ok := t.find(keyHash, anyDigest)
-	if !ok {
-		return ErrNotFound
-	}
-	t.words[p] = t.entryWord(t.wordDigest(t.words[p]), value)
-	return nil
-}
-
 // Walk calls fn for every installed entry in physical (stage, bucket, way)
 // order until fn returns false. fn may delete the entry it is shown.
 func (t *Table) Walk(fn func(Entry) bool) {

@@ -151,6 +151,19 @@ func (s *storeScript) relocate() uint64 {
 	return k
 }
 
+// UpdateValue rewrites the action data of the entry for keyHash.
+func (t *Table) UpdateValue(keyHash uint64, value uint32) error {
+	if value > t.maxValue {
+		return ErrValueWidth
+	}
+	p, ok := t.find(keyHash, anyDigest)
+	if !ok {
+		return ErrNotFound
+	}
+	t.words[p] = t.entryWord(t.wordDigest(t.words[p]), value)
+	return nil
+}
+
 func (s *storeScript) update() uint64 {
 	k := s.pick()
 	e := s.model[k]

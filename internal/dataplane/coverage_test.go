@@ -38,43 +38,6 @@ func TestAccessors(t *testing.T) {
 	}
 }
 
-func TestWritePoolBuckets(t *testing.T) {
-	s := newTestSwitch(t)
-	vip := testVIP()
-	dips := testPool(4)
-	buckets := make([]DIP, 16)
-	for i := range buckets {
-		buckets[i] = dips[i%len(dips)]
-	}
-	if err := s.WritePoolBuckets(vip, 0, dips, buckets); err != nil {
-		t.Fatal(err)
-	}
-	// Selection goes through the bucket table and stays deterministic.
-	d1, err := s.SelectDIP(vip, 0, clientTuple(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, _ := s.SelectDIP(vip, 0, clientTuple(1))
-	if d1 != d2 || !d1.IsValid() {
-		t.Fatalf("bucket selection unstable: %v vs %v", d1, d2)
-	}
-	// Error paths.
-	if err := s.WritePoolBuckets(vip, 0, dips, nil); err == nil {
-		t.Fatal("empty buckets accepted")
-	}
-	foreign := netip.MustParseAddrPort("9.9.9.9:9")
-	if err := s.WritePoolBuckets(vip, 0, dips, []DIP{foreign}); err == nil {
-		t.Fatal("bucket pointing outside members accepted")
-	}
-	other := VIP{Addr: netip.MustParseAddr("8.8.8.8"), Port: 1, Proto: netproto.ProtoTCP}
-	if err := s.WritePoolBuckets(other, 0, dips, buckets); err != ErrUnknownVIP {
-		t.Fatalf("unknown VIP: %v", err)
-	}
-	if err := s.WritePoolBuckets(vip, 1<<20, dips, buckets); err == nil {
-		t.Fatal("oversized version accepted")
-	}
-}
-
 func TestSetCurrentVersion(t *testing.T) {
 	s := newTestSwitch(t)
 	vip := testVIP()

@@ -209,17 +209,17 @@ type vipState struct {
 	oldVer    uint32
 	inUpdate  bool // step 2: misses consult TransitTable
 	recording bool // step 1: misses are inserted into TransitTable
-	pools     map[uint32]poolRow
+	pools     map[uint32][]DIP
 	meter     *regarray.Meter      // nil = unmetered
 	tel       *telemetry.VIPSeries // nil when untraced
 
 	// rowVer/rowValid/row memoize the last pools[ver] lookup: nearly every
 	// packet resolves the current version, so the packet path pays one
 	// comparison instead of a map access. The DIPPoolTable mutators
-	// (WritePool, WritePoolBuckets, DeletePool) invalidate the cache.
+	// (WritePool, DeletePool) invalidate the cache.
 	rowVer   uint32
 	rowValid bool
-	row      poolRow
+	row      []DIP
 }
 
 // Switch is one SilkRoad data plane instance on a chip.
@@ -633,19 +633,9 @@ func (s *Switch) process(now simtime.Time, tuple *netproto.FiveTuple, tcpFlags u
 	return vs
 }
 
-// poolRow is one DIPPoolTable row. Plain rows select by hash-mod over the
-// DIP list; resilient rows (§7's alternative failure handling) select
-// through a fixed bucket table so that one member's failure only remaps
-// that member's buckets.
-type poolRow struct {
-	dips    []DIP
-	buckets []DIP // nil for plain rows
-}
-
 // selectDIP picks the DIP for a connection within a fixed pool version by
 // hashing the connection key over the pool (the per-version hash the paper
-// relies on: a pool never changes once created, so the choice is stable),
-// or through the row's resilient bucket table when one is installed.
+// relies on: a pool never changes once created, so the choice is stable).
 func (s *Switch) selectDIP(vs *vipState, ver uint32, keyHash uint64) DIP {
 	if !vs.rowValid || vs.rowVer != ver {
 		// A missing version caches the zero row, matching the uncached
@@ -655,13 +645,10 @@ func (s *Switch) selectDIP(vs *vipState, ver uint32, keyHash uint64) DIP {
 		vs.rowVer, vs.rowValid = ver, true
 	}
 	row := vs.row
-	if len(row.buckets) > 0 {
-		return row.buckets[hashing.HashUint64(s.dipSeed, keyHash)%uint64(len(row.buckets))]
-	}
-	if len(row.dips) == 0 {
+	if len(row) == 0 {
 		return DIP{}
 	}
-	return row.dips[hashing.HashUint64(s.dipSeed, keyHash)%uint64(len(row.dips))]
+	return row[hashing.HashUint64(s.dipSeed, keyHash)%uint64(len(row))]
 }
 
 // SelectDIP is the exported form used by the control plane when resolving

@@ -108,8 +108,8 @@ func (s *Switch) Memory() MemoryBreakdown {
 	for _, vs := range s.vips {
 		// VIPTable row: VIP key (19 B IPv6 worst case) + version + flags.
 		m.VIPTableBytes += 24
-		for _, row := range vs.pools {
-			for _, d := range row.dips {
+		for _, pool := range vs.pools {
+			for _, d := range pool {
 				if d.Addr().Is4() {
 					m.DIPPoolBytes += 6
 				} else {

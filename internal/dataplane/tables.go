@@ -37,7 +37,7 @@ func (s *Switch) InstallVIP(vip VIP, ver uint32, pool []DIP, meterBytesPerSec fl
 	vs := &vipState{
 		vip:    vip,
 		curVer: ver,
-		pools:  map[uint32]poolRow{ver: {dips: clonePool(pool)}},
+		pools:  map[uint32][]DIP{ver: clonePool(pool)},
 	}
 	if meterBytesPerSec > 0 {
 		vs.meter = regarray.NewMeter(meterBytesPerSec, meterBytesPerSec/100,
@@ -87,35 +87,7 @@ func (s *Switch) WritePool(vip VIP, ver uint32, pool []DIP) error {
 	if err := s.checkVer(ver); err != nil {
 		return err
 	}
-	vs.pools[ver] = poolRow{dips: clonePool(pool)}
-	vs.rowValid = false
-	return nil
-}
-
-// WritePoolBuckets writes a resilient DIPPoolTable row: selection goes
-// through the fixed bucket table (every bucket must reference a member of
-// dips). Used by the control plane's §7 resilient failover.
-func (s *Switch) WritePoolBuckets(vip VIP, ver uint32, dips, buckets []DIP) error {
-	vs, ok := s.vips[vip]
-	if !ok {
-		return ErrUnknownVIP
-	}
-	if err := s.checkVer(ver); err != nil {
-		return err
-	}
-	if len(buckets) == 0 {
-		return errors.New("dataplane: resilient row needs buckets")
-	}
-	member := make(map[DIP]bool, len(dips))
-	for _, d := range dips {
-		member[d] = true
-	}
-	for _, b := range buckets {
-		if !member[b] {
-			return fmt.Errorf("dataplane: bucket DIP %v not in member list", b)
-		}
-	}
-	vs.pools[ver] = poolRow{dips: clonePool(dips), buckets: clonePool(buckets)}
+	vs.pools[ver] = clonePool(pool)
 	vs.rowValid = false
 	return nil
 }
@@ -147,7 +119,7 @@ func (s *Switch) Pool(vip VIP, ver uint32) ([]DIP, error) {
 	if !ok {
 		return nil, ErrUnknownVersion
 	}
-	return clonePool(p.dips), nil
+	return clonePool(p), nil
 }
 
 // CurrentVersion returns the version new connections of vip map to.

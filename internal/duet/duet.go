@@ -266,18 +266,3 @@ func (b *Balancer) ConnEnd(now simtime.Time, t netproto.FiveTuple) {
 		b.migrate(now, vs)
 	}
 }
-
-// Detoured reports whether vip is currently served by SLBs.
-func (b *Balancer) Detoured(vip dataplane.VIP) bool {
-	vs, ok := b.vips[vip]
-	return ok && vs.detoured
-}
-
-// LiveConns returns the number of tracked connections for vip.
-func (b *Balancer) LiveConns(vip dataplane.VIP) int {
-	vs, ok := b.vips[vip]
-	if !ok {
-		return 0
-	}
-	return len(vs.conns)
-}

@@ -202,3 +202,18 @@ func TestErrors(t *testing.T) {
 		t.Fatal("unknown VIP packet accepted")
 	}
 }
+
+// Detoured reports whether vip is currently served by SLBs.
+func (b *Balancer) Detoured(vip dataplane.VIP) bool {
+	vs, ok := b.vips[vip]
+	return ok && vs.detoured
+}
+
+// LiveConns returns the number of tracked connections for vip.
+func (b *Balancer) LiveConns(vip dataplane.VIP) int {
+	vs, ok := b.vips[vip]
+	if !ok {
+		return 0
+	}
+	return len(vs.conns)
+}

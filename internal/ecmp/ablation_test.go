@@ -15,7 +15,7 @@ func TestMaglevTableSizeAblation(t *testing.T) {
 	for _, m := range []uint64{251, 2039, SmallM} {
 		before := NewMaglev(members, m, 77)
 		after := NewMaglev(members[:9], m, 77)
-		d := Disruption(before, after, 30000, 78)
+		d := disruption(before, after, 30000, 78)
 		if d < minimal-0.02 {
 			t.Fatalf("M=%d disruption %.4f below the minimal bound %.4f", m, d, minimal)
 		}
@@ -41,7 +41,7 @@ func BenchmarkMaglevDisruptionAblation(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				before := NewMaglev(members, m, uint64(i)+1)
 				after := NewMaglev(members[:9], m, uint64(i)+1)
-				d = Disruption(before, after, 10000, uint64(i)+2)
+				d = disruption(before, after, 10000, uint64(i)+2)
 			}
 			b.ReportMetric(d*100, "%remapped")
 		})

@@ -1,152 +1,18 @@
-// Package ecmp implements the hash-based member-selection schemes the
-// paper's baselines use: plain ECMP (hash mod N), resilient hashing (fixed
-// bucket table, Broadcom Smart-Hash-style), and Maglev consistent hashing
-// (the SLB baseline's VIPTable).
+// Package ecmp implements Maglev consistent hashing, the member selection
+// of the SLB baseline's VIPTable (Maglev §3.4). A connection key, already
+// hashed to 64 bits, maps to one member of a pool; what matters is how
+// many existing connections get remapped when the pool changes — the
+// quantity that drives the SLB baseline's PCC violations in Figures 5, 16
+// and 17.
 //
-// All selectors map a connection key (already hashed to 64 bits) to one
-// member of a pool. What distinguishes them is how many existing
-// connections get remapped when the pool changes — the quantity that
-// drives the PCC violations in Figures 5, 16 and 17.
+// SilkRoad itself needs no consistent hash: it pins connections in the
+// ConnTable and versions DIP pools. The fleet's upstream spray is a fixed
+// bucket table (silkroad.Cluster).
 package ecmp
 
 import (
 	"repro/internal/hashing"
 )
-
-// Selector maps a connection key to a pool member index.
-type Selector interface {
-	// Select returns the index (into the member list supplied at
-	// construction or update) chosen for key.
-	Select(key uint64) int
-	// Members returns the current member names.
-	Members() []string
-}
-
-// Plain is modulo-N ECMP over the live member list. A membership change
-// rebuilds the list; hash mod N remaps ~(1 - 1/N) of keys on a size change.
-type Plain struct {
-	members []string
-	seed    uint64
-}
-
-// NewPlain creates a plain ECMP selector.
-func NewPlain(members []string, seed uint64) *Plain {
-	if len(members) == 0 {
-		panic("ecmp: empty member list")
-	}
-	return &Plain{members: append([]string(nil), members...), seed: seed}
-}
-
-// Select implements Selector.
-func (p *Plain) Select(key uint64) int {
-	return int(hashing.HashUint64(p.seed, key) % uint64(len(p.members)))
-}
-
-// Members implements Selector.
-func (p *Plain) Members() []string { return append([]string(nil), p.members...) }
-
-// SetMembers replaces the member list.
-func (p *Plain) SetMembers(members []string) {
-	if len(members) == 0 {
-		panic("ecmp: empty member list")
-	}
-	p.members = append([]string(nil), members...)
-}
-
-// Resilient is resilient hashing: a fixed-size bucket table maps keys to
-// members. Removing a member reassigns only its buckets; adding a member
-// steals an even share of buckets. Keys in untouched buckets keep their
-// member, unlike plain ECMP.
-type Resilient struct {
-	members []string
-	buckets []int // bucket -> member index
-	seed    uint64
-}
-
-// NewResilient creates a resilient selector with bucketsPerMember * cap
-// buckets (a fixed table sized for up to maxMembers members).
-func NewResilient(members []string, maxMembers, bucketsPerMember int, seed uint64) *Resilient {
-	if len(members) == 0 {
-		panic("ecmp: empty member list")
-	}
-	if maxMembers < len(members) {
-		maxMembers = len(members)
-	}
-	n := maxMembers * bucketsPerMember
-	r := &Resilient{
-		members: append([]string(nil), members...),
-		buckets: make([]int, n),
-		seed:    seed,
-	}
-	for i := range r.buckets {
-		r.buckets[i] = i % len(members)
-	}
-	return r
-}
-
-// Select implements Selector.
-func (r *Resilient) Select(key uint64) int {
-	b := int(hashing.HashUint64(r.seed, key) % uint64(len(r.buckets)))
-	return r.buckets[b]
-}
-
-// Members implements Selector.
-func (r *Resilient) Members() []string { return append([]string(nil), r.members...) }
-
-// Remove deletes member i, redistributing only its buckets round-robin over
-// the survivors. Member indices of survivors are preserved.
-func (r *Resilient) Remove(i int) {
-	if i < 0 || i >= len(r.members) || len(r.members) == 1 {
-		panic("ecmp: bad Remove")
-	}
-	alive := make([]int, 0, len(r.members)-1)
-	for j := range r.members {
-		if j != i {
-			alive = append(alive, j)
-		}
-	}
-	k := 0
-	for b := range r.buckets {
-		if r.buckets[b] == i {
-			r.buckets[b] = alive[k%len(alive)]
-			k++
-		}
-	}
-	r.members[i] = "" // tombstone keeps indices stable
-}
-
-// Add registers a new member, stealing an even share of buckets from each
-// existing member. It returns the new member's index.
-func (r *Resilient) Add(name string) int {
-	idx := -1
-	for j, m := range r.members {
-		if m == "" {
-			idx = j
-			break
-		}
-	}
-	if idx == -1 {
-		idx = len(r.members)
-		r.members = append(r.members, "")
-	}
-	r.members[idx] = name
-	live := 0
-	for _, m := range r.members {
-		if m != "" {
-			live++
-		}
-	}
-	want := len(r.buckets) / live // buckets the new member should own
-	// Steal every (live)th bucket owned by others, deterministically.
-	stolen := 0
-	for b := 0; b < len(r.buckets) && stolen < want; b++ {
-		if r.buckets[b] != idx && b%live == idx%live {
-			r.buckets[b] = idx
-			stolen++
-		}
-	}
-	return idx
-}
 
 // Maglev is Google's consistent hash (Maglev §3.4): each member generates a
 // permutation of table slots from (offset, skip) hashes; members take turns
@@ -214,13 +80,10 @@ func (g *Maglev) populate() {
 	g.table = table
 }
 
-// Select implements Selector.
+// Select returns the index, into the current member list, chosen for key.
 func (g *Maglev) Select(key uint64) int {
 	return g.table[hashing.HashUint64(g.seed, key)%g.m]
 }
-
-// Members implements Selector.
-func (g *Maglev) Members() []string { return append([]string(nil), g.members...) }
 
 // SetMembers rebuilds the table for a new member list. Member indices refer
 // to the new list.
@@ -233,25 +96,4 @@ func (g *Maglev) SetMembers(members []string) {
 	}
 	g.members = append([]string(nil), members...)
 	g.populate()
-}
-
-// TableSize returns the lookup-table size M.
-func (g *Maglev) TableSize() uint64 { return g.m }
-
-// Disruption measures the fraction of probe keys whose selected *member
-// name* changes between two selectors — the driver of PCC violations when
-// connection state is lost.
-func Disruption(before, after Selector, probes int, seed uint64) float64 {
-	bm := before.Members()
-	am := after.Members()
-	changed := 0
-	for i := 0; i < probes; i++ {
-		key := hashing.HashUint64(seed, uint64(i))
-		b := bm[before.Select(key)]
-		a := am[after.Select(key)]
-		if a != b {
-			changed++
-		}
-	}
-	return float64(changed) / float64(probes)
 }

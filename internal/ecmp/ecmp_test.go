@@ -2,8 +2,9 @@ package ecmp
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
+
+	"repro/internal/hashing"
 )
 
 func names(n int) []string {
@@ -14,88 +15,18 @@ func names(n int) []string {
 	return out
 }
 
-func TestPlainUniform(t *testing.T) {
-	p := NewPlain(names(8), 1)
-	counts := make([]int, 8)
-	for i := 0; i < 80000; i++ {
-		counts[p.Select(uint64(i)*2654435761)]++
-	}
-	for i, c := range counts {
-		if c < 8000 || c > 12000 {
-			t.Fatalf("member %d got %d of 80000 (expected ~10000)", i, c)
+// disruption measures the fraction of probe keys whose selected *member
+// name* changes between two tables: the share of connections that break
+// when their state is lost.
+func disruption(before, after *Maglev, probes int, seed uint64) float64 {
+	changed := 0
+	for i := 0; i < probes; i++ {
+		key := hashing.HashUint64(seed, uint64(i))
+		if before.members[before.Select(key)] != after.members[after.Select(key)] {
+			changed++
 		}
 	}
-}
-
-func TestPlainDeterministic(t *testing.T) {
-	p := NewPlain(names(5), 7)
-	for i := uint64(0); i < 100; i++ {
-		if p.Select(i) != p.Select(i) {
-			t.Fatal("nondeterministic selection")
-		}
-	}
-}
-
-func TestPlainRemapsOnChange(t *testing.T) {
-	before := NewPlain(names(10), 3)
-	after := NewPlain(names(9), 3)
-	d := Disruption(before, after, 20000, 99)
-	// hash mod N remaps ~90% of keys when N: 10->9.
-	if d < 0.7 {
-		t.Fatalf("plain ECMP disruption = %.3f, expected ~0.9", d)
-	}
-}
-
-func TestResilientMinimalDisruptionOnRemove(t *testing.T) {
-	r1 := NewResilient(names(10), 16, 100, 5)
-	r2 := NewResilient(names(10), 16, 100, 5)
-	r2.Remove(3)
-	d := Disruption(r1, r2, 20000, 100)
-	// Only the removed member's ~10% of keys should move.
-	if d < 0.05 || d > 0.15 {
-		t.Fatalf("resilient remove disruption = %.3f, want ~0.10", d)
-	}
-}
-
-func TestResilientAdd(t *testing.T) {
-	r := NewResilient(names(4), 16, 64, 6)
-	idx := r.Add("10.0.0.99:20")
-	if idx < 0 {
-		t.Fatal("Add returned bad index")
-	}
-	counts := map[int]int{}
-	for i := 0; i < 50000; i++ {
-		counts[r.Select(uint64(i)*11400714819323198485)]++
-	}
-	if counts[idx] == 0 {
-		t.Fatal("new member receives no traffic")
-	}
-	share := float64(counts[idx]) / 50000
-	if share < 0.10 || share > 0.30 {
-		t.Fatalf("new member share = %.3f, want ~0.20", share)
-	}
-}
-
-func TestResilientRemoveThenAddReusesSlot(t *testing.T) {
-	r := NewResilient(names(3), 8, 32, 7)
-	r.Remove(1)
-	idx := r.Add("replacement:1")
-	if idx != 1 {
-		t.Fatalf("Add reused index %d, want tombstoned 1", idx)
-	}
-	if got := r.Members()[1]; got != "replacement:1" {
-		t.Fatalf("member[1] = %q", got)
-	}
-}
-
-func TestResilientPanics(t *testing.T) {
-	r := NewResilient(names(1), 4, 8, 8)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("removing last member did not panic")
-		}
-	}()
-	r.Remove(0)
+	return float64(changed) / float64(probes)
 }
 
 func TestMaglevBalance(t *testing.T) {
@@ -123,8 +54,8 @@ func TestMaglevTableFullyPopulated(t *testing.T) {
 	if len(seen) != 3 {
 		t.Fatal("some member owns no slots")
 	}
-	if g.TableSize() != 2039 {
-		t.Fatal("TableSize wrong")
+	if uint64(len(g.table)) != 2039 {
+		t.Fatal("table size wrong")
 	}
 }
 
@@ -132,9 +63,9 @@ func TestMaglevNearMinimalDisruption(t *testing.T) {
 	members := names(10)
 	g1 := NewMaglev(members, SmallM, 11)
 	g2 := NewMaglev(members[:9], SmallM, 11) // drop the last member
-	d := Disruption(g1, g2, 20000, 101)
+	d := disruption(g1, g2, 20000, 101)
 	// Maglev's disruption on one removal should be close to the minimal
-	// 1/10, far below plain ECMP's ~0.9. Maglev is near-minimal, not
+	// 1/10, far below hash mod N's ~0.9. Maglev is near-minimal, not
 	// minimal: allow up to 3x the lower bound.
 	if d < 0.08 || d > 0.30 {
 		t.Fatalf("maglev disruption = %.3f, want in [0.08,0.30]", d)
@@ -144,7 +75,7 @@ func TestMaglevNearMinimalDisruption(t *testing.T) {
 func TestMaglevSetMembers(t *testing.T) {
 	g := NewMaglev(names(4), 2039, 12)
 	g.SetMembers(names(6))
-	if len(g.Members()) != 6 {
+	if len(g.members) != 6 {
 		t.Fatal("SetMembers did not update")
 	}
 	counts := make([]int, 6)
@@ -171,37 +102,6 @@ func TestMaglevPanics(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestPlainSetMembers(t *testing.T) {
-	p := NewPlain(names(2), 13)
-	p.SetMembers(names(5))
-	if len(p.Members()) != 5 {
-		t.Fatal("SetMembers failed")
-	}
-}
-
-// TestDisruptionComparison is the ablation behind the SLB baseline choice:
-// on a single member removal maglev and resilient must beat plain ECMP by
-// a wide margin.
-func TestDisruptionComparison(t *testing.T) {
-	members := names(20)
-	rng := rand.New(rand.NewSource(14))
-	_ = rng
-	plainBefore := NewPlain(members, 21)
-	plainAfter := NewPlain(members[:19], 21)
-	resBefore := NewResilient(members, 32, 100, 21)
-	resAfter := NewResilient(members, 32, 100, 21)
-	resAfter.Remove(19)
-	magBefore := NewMaglev(members, SmallM, 21)
-	magAfter := NewMaglev(members[:19], SmallM, 21)
-
-	dp := Disruption(plainBefore, plainAfter, 30000, 22)
-	dr := Disruption(resBefore, resAfter, 30000, 22)
-	dm := Disruption(magBefore, magAfter, 30000, 22)
-	if !(dr < dp/3 && dm < dp/3) {
-		t.Fatalf("disruption plain=%.3f resilient=%.3f maglev=%.3f: consistent schemes should be far lower", dp, dr, dm)
 	}
 }
 

@@ -11,7 +11,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -87,14 +86,4 @@ func ByID(id string) (Runner, bool) {
 		}
 	}
 	return Runner{}, false
-}
-
-// IDs returns all experiment ids.
-func IDs() []string {
-	var out []string
-	for _, r := range All() {
-		out = append(out, r.ID)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -33,8 +33,8 @@ func TestAllRegistered(t *testing.T) {
 	if _, ok := ByID("nope"); ok {
 		t.Fatal("ByID accepted unknown id")
 	}
-	if len(IDs()) != 22 {
-		t.Fatal("IDs incomplete")
+	if len(All()) != 22 {
+		t.Fatal("experiment list incomplete")
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -21,7 +22,7 @@ func TestAlertTimelineGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := SLOTimelineString(rep)
+	got := sloTimelineString(rep)
 	if !strings.Contains(got, "-> firing") || !strings.Contains(got, "-> resolved") {
 		t.Fatalf("timeline lacks a full fire/resolve cycle:\n%s", got)
 	}
@@ -42,4 +43,15 @@ func TestAlertTimelineGolden(t *testing.T) {
 	if got != string(want) {
 		t.Fatalf("alert timeline diverged from golden file:\n%s", firstDiff(string(want), got))
 	}
+}
+
+// sloTimelineString renders the phase-A alert timeline, one transition
+// per line — the golden-file format.
+func sloTimelineString(rep *SLOSoakReport) string {
+	var b strings.Builder
+	for _, tr := range rep.Timeline {
+		fmt.Fprintf(&b, "t=%-6dms %-18s %-10s -> %-10s cursor=%d\n",
+			tr.AtMS, tr.Rule, tr.From, tr.To, tr.Cursor)
+	}
+	return b.String()
 }

@@ -26,7 +26,6 @@ import (
 	"math/rand"
 	"net/netip"
 	"slices"
-	"strings"
 
 	silkroad "repro"
 	"repro/internal/netproto"
@@ -339,17 +338,6 @@ func RunSLOSoak(scale float64, seed int64) (*SLOSoakReport, error) {
 		return nil, fmt.Errorf("slo soak: %w", err)
 	}
 	return judge(rep, sloInvariants), nil
-}
-
-// SLOTimelineString renders the phase-A alert timeline, one transition
-// per line — the golden-file format.
-func SLOTimelineString(rep *SLOSoakReport) string {
-	var b strings.Builder
-	for _, tr := range rep.Timeline {
-		fmt.Fprintf(&b, "t=%-6dms %-18s %-10s -> %-10s cursor=%d\n",
-			tr.AtMS, tr.Rule, tr.From, tr.To, tr.Cursor)
-	}
-	return b.String()
 }
 
 // SLO is the registered experiment over RunSLOSoak; it emits SLO_soak.json.

@@ -81,12 +81,6 @@ func HashDigestLanes(seed, seedBits uint64, bits int, lanes []uint64) (uint64, u
 	return mix64(h), uint32(mix64(d) >> (64 - uint(bits)))
 }
 
-// Hash32 hashes data with the given seed, folded to 32 bits.
-func Hash32(seed uint64, data []byte) uint32 {
-	h := Hash64(seed, data)
-	return uint32(h) ^ uint32(h>>32)
-}
-
 // HashUint64 hashes a single 64-bit value with the given seed. It is used on
 // hot paths where the key is already a fixed-width integer (e.g. a packed
 // 5-tuple hash), avoiding byte-slice traffic.

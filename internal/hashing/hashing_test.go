@@ -104,15 +104,6 @@ func TestHashLanesMatchHash64(t *testing.T) {
 	}
 }
 
-func TestHash32Folds(t *testing.T) {
-	data := []byte("fold me")
-	h64 := Hash64(3, data)
-	want := uint32(h64) ^ uint32(h64>>32)
-	if got := Hash32(3, data); got != want {
-		t.Fatalf("Hash32 = %x, want %x", got, want)
-	}
-}
-
 func TestFamilyIndependence(t *testing.T) {
 	f := NewFamily(8, 12345)
 	if f.Size() != 8 {

@@ -418,8 +418,8 @@ func TestWorkqueueBound(t *testing.T) {
 	if q.Add(v(3), 0) {
 		t.Fatal("add over bound accepted")
 	}
-	if q.Dropped() != 1 {
-		t.Fatalf("dropped = %d, want 1", q.Dropped())
+	if q.dropped != 1 {
+		t.Fatalf("dropped = %d, want 1", q.dropped)
 	}
 	// Re-adding a queued key is not a drop.
 	if !q.Add(v(1), 5) {

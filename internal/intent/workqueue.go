@@ -105,9 +105,6 @@ func (q *workqueue) NextDue() (simtime.Time, bool) {
 // Len returns the number of queued keys.
 func (q *workqueue) Len() int { return len(q.items) }
 
-// Dropped returns the number of Adds rejected at the bound.
-func (q *workqueue) Dropped() uint64 { return q.dropped }
-
 func sortItems(items []*wqItem) {
 	// Insertion sort: due sets are small and almost sorted; avoids
 	// importing sort for a two-field comparator. Deterministic order is

@@ -53,8 +53,8 @@ type Frame struct {
 }
 
 // ParseFrame parses a raw IPv4/IPv6 packet into f in one pass: five-tuple,
-// TCP flags, header offsets. It accepts exactly the packets Decode accepts
-// and extracts identical fields; f.Data aliases data (trimmed to the IP
+// TCP flags, header offsets. It accepts exactly the packets the reference
+// decoder in decode_test.go accepts and extracts identical fields; f.Data aliases data (trimmed to the IP
 // framing). Any previous contents of f are discarded.
 func ParseFrame(data []byte, f *Frame) error {
 	*f = Frame{}
@@ -143,9 +143,6 @@ func (f *Frame) Payload() []byte { return f.Data[f.PayloadOff:] }
 
 // IsSYN reports whether this is a bare SYN (connection-opening) segment.
 func (f *Frame) IsSYN() bool { return f.TCPFlags&FlagSYN != 0 && f.TCPFlags&FlagACK == 0 }
-
-// IsFIN reports whether the FIN flag is set.
-func (f *Frame) IsFIN() bool { return f.TCPFlags&FlagFIN != 0 }
 
 // Frame fills f with the packet's synthetic frame — the one Packet -> Frame
 // conversion, applied at the edge so nothing below it handles two

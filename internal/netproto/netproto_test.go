@@ -35,17 +35,6 @@ func TestTupleString(t *testing.T) {
 	}
 }
 
-func TestTupleReverse(t *testing.T) {
-	tt := tcpTuple4()
-	r := tt.Reverse()
-	if r.Src != tt.Dst || r.SrcPort != tt.DstPort || r.Dst != tt.Src || r.DstPort != tt.SrcPort {
-		t.Fatalf("Reverse = %v", r)
-	}
-	if r.Reverse() != tt {
-		t.Fatal("double reverse is not identity")
-	}
-}
-
 func TestTupleValidity(t *testing.T) {
 	if !tcpTuple4().IsValid() || !tcpTuple6().IsValid() {
 		t.Fatal("valid tuples reported invalid")
@@ -63,11 +52,11 @@ func TestTupleValidity(t *testing.T) {
 func TestKeyBytesSizes(t *testing.T) {
 	var buf [37]byte
 	k4 := tcpTuple4().KeyBytes(buf[:])
-	if len(k4) != 13 || tcpTuple4().KeySize() != 13 {
+	if len(k4) != 13 {
 		t.Fatalf("IPv4 key size = %d, want 13 (paper §4.2)", len(k4))
 	}
 	k6 := tcpTuple6().KeyBytes(buf[:])
-	if len(k6) != 37 || tcpTuple6().KeySize() != 37 {
+	if len(k6) != 37 {
 		t.Fatalf("IPv6 key size = %d, want 37 (paper §4.2)", len(k6))
 	}
 }
@@ -220,6 +209,15 @@ func TestMarshalInvalidTuple(t *testing.T) {
 	}
 }
 
+// rewriteRaw parses pkt and rewrites its destination to dip in place.
+func rewriteRaw(pkt []byte, dip netip.AddrPort) error {
+	var f Frame
+	if err := ParseFrame(pkt, &f); err != nil {
+		return err
+	}
+	return f.RewriteDst(dip)
+}
+
 func TestRewriteDstIPv4(t *testing.T) {
 	p := Packet{Tuple: tcpTuple4(), TCPFlags: FlagSYN, Payload: []byte("x")}
 	raw, err := p.Marshal(nil)
@@ -227,7 +225,7 @@ func TestRewriteDstIPv4(t *testing.T) {
 		t.Fatal(err)
 	}
 	dip := netip.MustParseAddrPort("10.0.0.2:20")
-	if err := RewriteDst(raw, dip); err != nil {
+	if err := rewriteRaw(raw, dip); err != nil {
 		t.Fatal(err)
 	}
 	var q Packet
@@ -254,7 +252,7 @@ func TestRewriteDstIPv6(t *testing.T) {
 		t.Fatal(err)
 	}
 	dip := netip.MustParseAddrPort("[2001:db8::d1]:8080")
-	if err := RewriteDst(raw, dip); err != nil {
+	if err := rewriteRaw(raw, dip); err != nil {
 		t.Fatal(err)
 	}
 	var q Packet
@@ -268,7 +266,7 @@ func TestRewriteDstIPv6(t *testing.T) {
 
 func TestRewriteDstFamilyMismatch(t *testing.T) {
 	raw, _ := (&Packet{Tuple: tcpTuple4(), TCPFlags: FlagSYN}).Marshal(nil)
-	if err := RewriteDst(raw, netip.MustParseAddrPort("[::1]:1")); err == nil {
+	if err := rewriteRaw(raw, netip.MustParseAddrPort("[::1]:1")); err == nil {
 		t.Fatal("family mismatch not rejected")
 	}
 }

@@ -100,11 +100,6 @@ func ParseFiveTuple(s string) (FiveTuple, error) {
 	return t, nil
 }
 
-// Reverse returns the tuple of the opposite direction.
-func (t FiveTuple) Reverse() FiveTuple {
-	return FiveTuple{Src: t.Dst, Dst: t.Src, SrcPort: t.DstPort, DstPort: t.SrcPort, Proto: t.Proto}
-}
-
 // KeyBytes serializes the tuple into buf as the canonical ConnTable match
 // key (the "37 bytes for IPv6 / 13 bytes for IPv4" layout the paper sizes
 // SRAM by) and returns the filled prefix. buf must have capacity >= 37.
@@ -181,14 +176,6 @@ func LaneHash(seed uint64, t *FiveTuple) uint64 {
 	h = hashing.HashUint64(h, binary.BigEndian.Uint64(b[:8]))
 	h = hashing.HashUint64(h, binary.BigEndian.Uint64(b[8:]))
 	return hashing.HashUint64(h, aux)
-}
-
-// KeySize returns the match-key width in bytes: 13 for IPv4, 37 for IPv6.
-func (t FiveTuple) KeySize() int {
-	if t.Src.Is4() {
-		return 13
-	}
-	return 37
 }
 
 // VIPKey returns the (destination IP, destination port, proto) triple that

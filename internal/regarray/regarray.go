@@ -42,9 +42,6 @@ func New(n, widthBits int) *Array {
 // Len returns the number of cells.
 func (a *Array) Len() int { return len(a.cells) }
 
-// Width returns the cell width in bits.
-func (a *Array) Width() int { return a.width }
-
 // SizeBytes returns the SRAM footprint in bytes (width*n rounded up).
 func (a *Array) SizeBytes() int { return (a.width*len(a.cells) + 7) / 8 }
 
@@ -162,35 +159,3 @@ func (m *Meter) Mark(now simtime.Time, bytes int) Color {
 	}
 	return Red
 }
-
-// MeterBank is an addressable array of meters, mirroring the "thousands of
-// meters" arrays in ASICs. Creating 40K instances costs ~1% of chip SRAM in
-// the paper's prototype; SRAMBytes exposes the equivalent footprint here.
-type MeterBank struct {
-	meters []Meter
-}
-
-// NewMeterBank creates n meters, each configured by conf.
-func NewMeterBank(n int, conf func(i int) *Meter) *MeterBank {
-	b := &MeterBank{meters: make([]Meter, n)}
-	for i := range b.meters {
-		b.meters[i] = *conf(i)
-	}
-	return b
-}
-
-// Mark meters a packet against meter i.
-func (b *MeterBank) Mark(i int, now simtime.Time, bytes int) Color {
-	return b.meters[i].Mark(now, bytes)
-}
-
-// Len returns the number of meters.
-func (b *MeterBank) Len() int { return len(b.meters) }
-
-// SRAMBytes returns the modeled SRAM cost: each meter holds two buckets and
-// a timestamp plus configuration, ~32 bytes of stateful memory.
-func (b *MeterBank) SRAMBytes() int { return BankSRAMBytes(len(b.meters)) }
-
-// BankSRAMBytes returns the SRAM cost of a bank of n meters without
-// building it, for budget checks ahead of allocation.
-func BankSRAMBytes(n int) int { return n * 32 }

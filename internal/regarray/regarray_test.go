@@ -10,8 +10,8 @@ import (
 
 func TestArrayBasics(t *testing.T) {
 	a := New(16, 8)
-	if a.Len() != 16 || a.Width() != 8 {
-		t.Fatalf("Len/Width = %d/%d", a.Len(), a.Width())
+	if a.Len() != 16 {
+		t.Fatalf("Len = %d", a.Len())
 	}
 	if a.SizeBytes() != 16 {
 		t.Fatalf("SizeBytes = %d, want 16", a.SizeBytes())
@@ -167,20 +167,6 @@ func TestMeterPanicsOnBadConfig(t *testing.T) {
 		}
 	}()
 	NewMeter(-1, 1, 1, 1)
-}
-
-func TestMeterBank(t *testing.T) {
-	b := NewMeterBank(40000, func(i int) *Meter { return NewMeter(1e6, 1e4, 1e5, 1e3) })
-	if b.Len() != 40000 {
-		t.Fatalf("Len = %d", b.Len())
-	}
-	// 40K meters ~ 1.28 MB, about 1% of a 100+MB-class ASIC SRAM (§5.2).
-	if got := b.SRAMBytes(); got != 40000*32 {
-		t.Fatalf("SRAMBytes = %d", got)
-	}
-	if c := b.Mark(7, 0, 100); c != Green {
-		t.Fatalf("first packet color = %v", c)
-	}
 }
 
 func TestColorString(t *testing.T) {

@@ -122,11 +122,6 @@ func (s *Scheduler) At(at simtime.Time, fn func(now simtime.Time)) *Task {
 	return s.push(at, 0, fn)
 }
 
-// After schedules fn to run once d after the scheduler's current time.
-func (s *Scheduler) After(d simtime.Duration, fn func(now simtime.Time)) *Task {
-	return s.push(s.now.Add(d), 0, fn)
-}
-
 // Every schedules fn to run at first and then every period after its
 // previous firing. Stop the returned task to cancel.
 func (s *Scheduler) Every(first simtime.Time, period simtime.Duration, fn func(now simtime.Time)) *Task {

@@ -17,13 +17,6 @@ type CDF struct {
 	sorted  bool
 }
 
-// NewCDF builds a CDF from the given samples (copied).
-func NewCDF(samples []float64) *CDF {
-	c := &CDF{samples: append([]float64(nil), samples...)}
-	c.sort()
-	return c
-}
-
 // Add appends a sample.
 func (c *CDF) Add(v float64) {
 	c.samples = append(c.samples, v)
@@ -87,15 +80,6 @@ func (c *CDF) Max() float64 {
 	return c.samples[len(c.samples)-1]
 }
 
-// Min returns the smallest sample, or 0 for an empty CDF.
-func (c *CDF) Min() float64 {
-	if len(c.samples) == 0 {
-		return 0
-	}
-	c.sort()
-	return c.samples[0]
-}
-
 // FractionAbove returns the fraction of samples strictly greater than x.
 // This is the "Y% of clusters have more than X" reading used by Figure 2.
 func (c *CDF) FractionAbove(x float64) float64 {
@@ -106,26 +90,6 @@ func (c *CDF) FractionAbove(x float64) float64 {
 	// First index with sample > x.
 	i := sort.Search(len(c.samples), func(i int) bool { return c.samples[i] > x })
 	return float64(len(c.samples)-i) / float64(len(c.samples))
-}
-
-// FractionAtOrBelow returns P(X <= x).
-func (c *CDF) FractionAtOrBelow(x float64) float64 {
-	return 1 - c.FractionAbove(x)
-}
-
-// Points returns (x, P(X<=x)) pairs at each distinct sample value, suitable
-// for plotting or table output.
-func (c *CDF) Points() (xs, ps []float64) {
-	c.sort()
-	n := len(c.samples)
-	for i := 0; i < n; i++ {
-		if i+1 < n && c.samples[i+1] == c.samples[i] {
-			continue
-		}
-		xs = append(xs, c.samples[i])
-		ps = append(ps, float64(i+1)/float64(n))
-	}
-	return xs, ps
 }
 
 // Table renders the CDF as a fixed set of quantile rows, in the style used
@@ -192,18 +156,6 @@ func (h *Histogram) Total() int64 { return h.total }
 
 // Bucket returns the count of bucket i (len(bounds) = overflow).
 func (h *Histogram) Bucket(i int) int64 { return h.counts[i] }
-
-// Fractions returns each bucket's share of the total.
-func (h *Histogram) Fractions() []float64 {
-	out := make([]float64, len(h.counts))
-	if h.total == 0 {
-		return out
-	}
-	for i, c := range h.counts {
-		out[i] = float64(c) / float64(h.total)
-	}
-	return out
-}
 
 // Counter accumulates a labeled breakdown (e.g. root causes in Figure 3).
 type Counter struct {

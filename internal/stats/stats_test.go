@@ -7,8 +7,17 @@ import (
 	"testing/quick"
 )
 
+// newCDF builds a CDF from the given samples.
+func newCDF(samples []float64) *CDF {
+	var c CDF
+	for _, v := range samples {
+		c.Add(v)
+	}
+	return &c
+}
+
 func TestCDFQuantiles(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
+	c := newCDF([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	if got := c.Median(); got != 5 {
 		t.Fatalf("Median = %v, want 5", got)
 	}
@@ -28,8 +37,8 @@ func TestCDFAddUnsorted(t *testing.T) {
 	for _, v := range []float64{5, 1, 9, 3} {
 		c.Add(v)
 	}
-	if got := c.Min(); got != 1 {
-		t.Fatalf("Min = %v, want 1", got)
+	if got := c.Quantile(0); got != 1 {
+		t.Fatalf("p0 = %v, want 1", got)
 	}
 	if got := c.Max(); got != 9 {
 		t.Fatalf("Max = %v, want 9", got)
@@ -50,13 +59,13 @@ func TestCDFEmptyPanics(t *testing.T) {
 
 func TestCDFEmptySafeAccessors(t *testing.T) {
 	var c CDF
-	if c.Mean() != 0 || c.Max() != 0 || c.Min() != 0 || c.FractionAbove(1) != 0 {
+	if c.Mean() != 0 || c.Max() != 0 || c.FractionAbove(1) != 0 {
 		t.Fatal("empty CDF accessors should all return 0")
 	}
 }
 
 func TestFractionAbove(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 3, 4})
+	c := newCDF([]float64{1, 2, 3, 4})
 	cases := []struct {
 		x    float64
 		want float64
@@ -68,40 +77,23 @@ func TestFractionAbove(t *testing.T) {
 			t.Errorf("FractionAbove(%v) = %v, want %v", tc.x, got, tc.want)
 		}
 	}
-	if got := c.FractionAtOrBelow(2.5); got != 0.5 {
-		t.Errorf("FractionAtOrBelow(2.5) = %v, want 0.5", got)
-	}
-}
-
-func TestCDFPointsDedup(t *testing.T) {
-	c := NewCDF([]float64{1, 1, 2, 2, 2, 3})
-	xs, ps := c.Points()
-	if len(xs) != 3 {
-		t.Fatalf("Points returned %d xs, want 3", len(xs))
-	}
-	if xs[0] != 1 || xs[1] != 2 || xs[2] != 3 {
-		t.Fatalf("xs = %v", xs)
-	}
-	if ps[2] != 1.0 {
-		t.Fatalf("final p = %v, want 1.0", ps[2])
-	}
 }
 
 func TestCDFMean(t *testing.T) {
-	c := NewCDF([]float64{2, 4, 6})
+	c := newCDF([]float64{2, 4, 6})
 	if got := c.Mean(); got != 4 {
 		t.Fatalf("Mean = %v, want 4", got)
 	}
 }
 
-// Property: Quantile is monotone in p and bounded by [Min, Max].
+// Property: Quantile is monotone in p and bounded by [p0, Max].
 func TestQuantileMonotoneProperty(t *testing.T) {
 	f := func(raw []float64) bool {
 		if len(raw) == 0 {
 			return true
 		}
-		c := NewCDF(raw)
-		prev := c.Min()
+		c := newCDF(raw)
+		prev := c.Quantile(0)
 		for p := 0.0; p <= 1.0; p += 0.05 {
 			q := c.Quantile(p)
 			if q < prev || q > c.Max() {
@@ -117,22 +109,18 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 	}
 }
 
-// Property: FractionAbove is the complement of FractionAtOrBelow and is
-// non-increasing in x.
+// Property: FractionAbove is non-increasing in x.
 func TestFractionAboveProperty(t *testing.T) {
 	f := func(raw []float64) bool {
 		if len(raw) == 0 {
 			return true
 		}
-		c := NewCDF(raw)
+		c := newCDF(raw)
 		sort.Float64s(raw)
 		prev := 1.0
 		for _, x := range raw {
 			fa := c.FractionAbove(x)
 			if fa > prev {
-				return false
-			}
-			if diff := fa + c.FractionAtOrBelow(x) - 1; diff > 1e-12 || diff < -1e-12 {
 				return false
 			}
 			prev = fa
@@ -159,10 +147,6 @@ func TestHistogram(t *testing.T) {
 		if got := h.Bucket(i); got != w {
 			t.Errorf("Bucket(%d) = %d, want %d", i, got, w)
 		}
-	}
-	fr := h.Fractions()
-	if fr[0] != 0.4 {
-		t.Errorf("Fractions[0] = %v, want 0.4", fr[0])
 	}
 }
 
@@ -198,7 +182,7 @@ func TestCounter(t *testing.T) {
 }
 
 func TestCDFTableRenders(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 3})
+	c := newCDF([]float64{1, 2, 3})
 	s := c.Table("test metric", "MB")
 	if s == "" {
 		t.Fatal("empty table")

@@ -272,9 +272,6 @@ var causeWeights = map[Cause]float64{
 	Removing:     0.026,
 }
 
-// CauseWeight returns the fleet-wide share of a cause.
-func CauseWeight(c Cause) float64 { return causeWeights[c] }
-
 // SampleCause draws a root cause for an update in a cluster of type t.
 // Upgrades and testing are Backend phenomena (§3.1); other cluster types
 // only see failure/preempting/provisioning/removing.

@@ -136,7 +136,7 @@ func TestFigure3Shape(t *testing.T) {
 	for i := 0; i < 50000; i++ {
 		counter.Inc(SampleCause(rng, Backend).String(), 1)
 	}
-	if f := counter.Fraction("upgrade"); f < 0.79 || f < CauseWeight(Upgrade)-0.03 || f > CauseWeight(Upgrade)+0.03 {
+	if f := counter.Fraction("upgrade"); f < 0.79 || f < causeWeights[Upgrade]-0.03 || f > causeWeights[Upgrade]+0.03 {
 		t.Fatalf("backend upgrade fraction = %.3f, want ~0.827", f)
 	}
 	// PoPs never see upgrades.
@@ -223,7 +223,7 @@ func TestStringers(t *testing.T) {
 func TestCauseWeightsSumToOne(t *testing.T) {
 	sum := 0.0
 	for c := Upgrade; c <= Removing; c++ {
-		sum += CauseWeight(c)
+		sum += causeWeights[c]
 	}
 	if math.Abs(sum-1.0) > 1e-9 {
 		t.Fatalf("cause weights sum to %.4f", sum)

@@ -230,7 +230,8 @@ const (
 
 // ParseFrame parses a raw IPv4/IPv6 packet into f in one pass. f.Data
 // aliases data; the frame is valid only while those bytes are. It accepts
-// exactly the packets netproto.Decode accepts.
+// IPv4 and IPv6 carrying TCP or UDP; a truncated header, another IP
+// version or another transport is an error.
 func ParseFrame(data []byte, f *Frame) error { return netproto.ParseFrame(data, f) }
 
 // NewVIP builds a VIP from a textual address. It panics on a malformed

@@ -98,14 +98,14 @@ func TestForwardRawPacket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out Packet
-	if err := netproto.Decode(raw, &out); err != nil {
+	var out Frame
+	if err := ParseFrame(raw, &out); err != nil {
 		t.Fatal(err)
 	}
 	if out.Tuple.Dst != dip.Addr() || out.Tuple.DstPort != dip.Port() {
 		t.Fatalf("raw packet not rewritten to %v: %v", dip, out.Tuple)
 	}
-	if string(out.Payload) != "GET /" {
+	if string(out.Payload()) != "GET /" {
 		t.Fatal("payload corrupted")
 	}
 }
@@ -236,8 +236,8 @@ func TestForwardIPIP(t *testing.T) {
 	if outerSrc != self || outerDst != dip.Addr() {
 		t.Fatalf("outer %v->%v, want %v->%v", outerSrc, outerDst, self, dip.Addr())
 	}
-	var q Packet
-	if err := netproto.Decode(inner, &q); err != nil {
+	var q Frame
+	if err := ParseFrame(inner, &q); err != nil {
 		t.Fatal(err)
 	}
 	// DSR: the inner packet still carries the VIP destination.
