@@ -1,16 +1,14 @@
 package silkroad
 
-// Regression tests for the facade batch path against the wall-clock
+// Regression test for the facade batch path against the wall-clock
 // runtime: a learned batch on an otherwise quiet multi-pipe switch must
-// wake the wall driver through the single post-batch poke, and Close must
-// stop the engine workers without disabling the switch.
+// wake the wall driver through the single post-batch poke.
 
 import (
 	"context"
 	"testing"
 	"time"
 
-	"repro/internal/dataplane"
 	"repro/internal/netproto"
 )
 
@@ -29,7 +27,6 @@ func TestLearnedBatchWakesWallDriver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sw.Close()
 	if err := sw.AddVIP(0, testVIP(), Pool("10.0.0.1:20", "10.0.0.2:20")); err != nil {
 		t.Fatal(err)
 	}
@@ -72,39 +69,5 @@ func TestLearnedBatchWakesWallDriver(t *testing.T) {
 	cancel()
 	if err := <-done; err != nil {
 		t.Fatalf("Run returned %v", err)
-	}
-}
-
-// TestCloseStopsWorkers verifies facade Close semantics: idempotent, and
-// the switch keeps forwarding batches afterwards (inline on the caller).
-func TestCloseStopsWorkers(t *testing.T) {
-	sw := newMultiSwitch(t, 4)
-	pkts := make([]*Packet, 64)
-	for i := range pkts {
-		pkts[i] = clientPkt(i, netproto.FlagSYN)
-	}
-	processBatch(sw, 0, pkts)
-	if err := sw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.Close(); err != nil {
-		t.Fatalf("second Close: %v", err)
-	}
-	for i := range pkts {
-		pkts[i] = clientPkt(i, netproto.FlagACK)
-	}
-	res := processBatch(sw, Time(Second), pkts)
-	for i := range res {
-		if res[i].Verdict != dataplane.VerdictForward {
-			t.Fatalf("post-Close packet %d: %v", i, res[i].Verdict)
-		}
-	}
-	// Single-pipe switches have no workers; Close must still be a no-op.
-	single, err := NewSwitch(Defaults(1000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := single.Close(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -334,7 +334,6 @@ func (c *Cluster) RestoreSwitch(i int) error {
 	if err != nil {
 		return err
 	}
-	_ = c.sws[i].Close()
 	c.sws[i], c.down[i] = sw, false
 	return nil
 }
@@ -423,14 +422,4 @@ func (c *Cluster) NextDue() (Time, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.rec.NextDue()
-}
-
-// Close releases every member's background machinery.
-func (c *Cluster) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, sw := range c.sws {
-		_ = sw.Close()
-	}
-	return nil
 }

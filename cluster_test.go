@@ -41,7 +41,6 @@ func newFleet(t *testing.T, n, pipes int) *Cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { c.Close() })
 	if _, err := c.Apply(0, fleetSpec(8)); err != nil {
 		t.Fatal(err)
 	}

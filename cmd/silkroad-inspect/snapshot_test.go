@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/netip"
 	"os"
 	"path/filepath"
@@ -118,4 +119,41 @@ func TestSnapshotBadArgs(t *testing.T) {
 	if err := snapshotCmd(&bytes.Buffer{}, []string{"/nonexistent.json"}); err == nil {
 		t.Fatal("missing file accepted")
 	}
+}
+
+// FuzzSnapshotFile feeds `snapshot` arbitrary bytes, alone (print) and as
+// a pair (diff): a malformed file may be refused with an error, but never
+// panics the inspector.
+func FuzzSnapshotFile(f *testing.F) {
+	// Small seeds keep the fuzzer's minimization of each new input short.
+	valid, err := json.Marshal(&handoff.Snapshot{TakenAt: 50_000_000, Cursor: 42, Pipes: 2, Entries: []handoff.Entry{
+		snapEntry(0, 1, "10.0.0.1:20"),
+	}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	other, err := json.Marshal(&handoff.Snapshot{Pipes: 1, Entries: []handoff.Entry{
+		snapEntry(0, 2, "10.0.0.9:20"),
+	}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid, other)
+	f.Add(valid, valid)
+	f.Add([]byte(`{}`), []byte(`{"entries":[{}]}`))
+	f.Add([]byte(`{"entries":[{"tuple":{},"vip":{},"dip":""}]}`), []byte(`null`))
+	f.Add([]byte(``), []byte(`{"pipes":-1,"taken_at_ns":-9223372036854775808}`))
+	// One pair of files per fuzzing process, rewritten by every input.
+	dir := f.TempDir()
+	pa, pb := filepath.Join(dir, "a.json"), filepath.Join(dir, "b.json")
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		if err := os.WriteFile(pa, a, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(pb, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_ = snapshotCmd(io.Discard, []string{pa})
+		_ = snapshotCmd(io.Discard, []string{pa, pb})
+	})
 }

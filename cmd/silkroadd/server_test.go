@@ -42,7 +42,6 @@ func newTestServer(t *testing.T, mutate func(*silkroad.Config)) *testServer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { sw.Close() })
 	spec := &silkroad.ClusterSpec{Version: silkroad.SpecVersion, VIPs: []silkroad.VIPSpec{
 		{VIP: "20.0.0.1:80", Pool: []string{"10.0.0.1:20", "10.0.0.2:20"}},
 	}}

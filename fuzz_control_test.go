@@ -25,7 +25,6 @@ func fuzzSwitch(t *testing.T) *Switch {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { sw.Close() })
 	return sw
 }
 

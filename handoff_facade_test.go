@@ -58,7 +58,6 @@ func TestClusterMigrateConvergesWithLiveDonor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
 	spec := &ClusterSpec{Version: SpecVersion, VIPs: []VIPSpec{{
 		VIP: "20.0.0.1:80/tcp", Pool: []string{"10.0.0.1:20", "10.0.0.2:20", "10.0.0.3:20"},
 	}}}
@@ -106,7 +105,6 @@ func TestMigrateBadIndexes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
 	if _, err := c.Migrate(0, 0, 0); err == nil {
 		t.Fatal("self-migration accepted")
 	}

@@ -104,7 +104,6 @@ func TestHeapPerConnBudget(t *testing.T) {
 				sw.AdvanceTo(now.Add(50 * Millisecond))
 				return sw
 			})
-			defer sw.Close()
 			if got := sw.Stats().Connections; got != conns || sw.PendingWork() != 0 {
 				t.Fatalf("primed %d connections with %d items pending, want %d and 0", got, sw.PendingWork(), conns)
 			}

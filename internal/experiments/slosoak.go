@@ -124,7 +124,6 @@ func sloSwitch(cfg silkroad.Config, slo silkroad.SLOConfig, pool ...string) (*si
 		return nil, err
 	}
 	if err := sw.AddVIP(0, silkroad.NewVIP("20.0.0.1", 80, netproto.ProtoTCP), silkroad.Pool(pool...)); err != nil {
-		sw.Close()
 		return nil, err
 	}
 	return sw, nil
@@ -150,7 +149,6 @@ func runSLOBurn(rep *SLOSoakReport, seed int64) error {
 	if err != nil {
 		return err
 	}
-	defer sw.Close()
 
 	rng := rand.New(rand.NewSource(seed))
 	var now simtime.Time
@@ -191,7 +189,6 @@ func runSLOForecast(rep *SLOSoakReport) error {
 	if err != nil {
 		return err
 	}
-	defer sw.Close()
 
 	var now simtime.Time
 	predictEval, fullEval := -1, -1
@@ -245,7 +242,6 @@ func runSLOGate(rep *SLOSoakReport) error {
 	if err != nil {
 		return err
 	}
-	defer c.Close()
 
 	spec := func(pool ...string) *silkroad.ClusterSpec {
 		return &silkroad.ClusterSpec{Version: silkroad.SpecVersion, VIPs: []silkroad.VIPSpec{

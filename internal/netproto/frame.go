@@ -24,8 +24,8 @@ import (
 // Ownership/aliasing rules (see DESIGN.md "Wire path"):
 //   - Data aliases the parse input; nothing in the pipeline retains it
 //     past the processing call.
-//   - The pipeline reads a Frame but never writes it, so a batch of
-//     frames can be processed by per-pipe workers concurrently.
+//   - The pipeline reads a Frame but never writes it, so a frame can be
+//     read by several callers at once.
 //   - RewriteDst mutates Data in place (and Tuple to match); it must only
 //     run after processing decided the verdict, on the TX side.
 type Frame struct {

@@ -62,7 +62,7 @@ func TestEngineProcessFrameSingle(t *testing.T) {
 }
 
 // TestFramesBatchSteadyStateAllocs guards the wire path's allocation-free
-// claim through the worker rings: established frames swept with
+// claim on a multi-pipe engine: established frames swept with
 // ProcessFramesInto must allocate nothing.
 func TestFramesBatchSteadyStateAllocs(t *testing.T) {
 	e := newTestEngine(t, 4, 10000)

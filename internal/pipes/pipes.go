@@ -15,16 +15,16 @@
 // configuration is replicated to every pipe, exactly as the control plane
 // programs identical VIPTable/DIPPoolTable contents into each pipeline.
 //
-// ProcessFramesInto drives the pipes through N long-lived worker goroutines —
-// one per pipe, started lazily on the first batch and stopped by Close —
-// fed by bounded SPSC descriptor rings (see ring.go). The batch path is
-// allocation-free in steady state: shard buffers are per-engine and
-// reused, and each result slot is written in place by exactly one executor.
+// ProcessFramesInto shards a batch by connection and runs each pipe's share
+// on the caller's goroutine, in pipe order, under that pipe's lock — the
+// one lock per pipe is all the synchronisation the packet path has, so
+// calls on different pipes (a batch beside a config fanout, a stats read or
+// another caller's single frame) proceed in parallel. The batch path is
+// allocation-free in steady state: shard buffers are per-engine and reused.
 // A chip-level lane hash of the tuple picks the pipe; inside it the pipe
-// hashes the tuple as a one-pipe switch does, under its own seed. This both
-// exercises the sharded path under the race detector and, on multi-core
-// hosts, lets the simulation itself scale. Aggregate Stats, Metrics and SRAM figures are chip-level sums
-// over the pipes.
+// hashes the tuple as a one-pipe switch does, under its own seed.
+// Aggregate Stats, Metrics and SRAM figures are chip-level sums over the
+// pipes.
 package pipes
 
 import (
@@ -49,7 +49,8 @@ type Config struct {
 	// Dataplane is the chip-level data-plane configuration. Its Tracer
 	// receives every pipe's events, each labelled with its pipe index (the
 	// engine sets Pipe per pipe), so it must be safe for concurrent use:
-	// pipes emit in parallel under ProcessFramesInto.
+	// calls that reach different pipes run in parallel, each under its own
+	// pipe's lock.
 	Dataplane dataplane.Config
 	// Controlplane configures each pipe's slice of the switch software.
 	Controlplane ctrlplane.Config
@@ -67,27 +68,16 @@ type pipe struct {
 }
 
 // Engine is a chip of N parallel pipes behind one management interface.
-// Multi-pipe engines own per-pipe worker goroutines for the batch path;
-// callers that batch should Close the engine when done with it (Close is
-// optional for single-pipe engines and engines that never batched).
 type Engine struct {
 	cfg      Config
 	seed     uint64 // shard seed (tuple -> pipe)
 	laneSeed uint64 // chip-level ingress lane hash seed (pipe choice)
 	pipes    []*pipe
 
-	// Batch path state (multi-pipe only). batchMu serializes producers:
-	// it keeps each pipe's ring single-producer and lets the shard buffers
-	// below be reused allocation-free across batches.
-	batchMu  sync.Mutex
-	workers  []*pipeWorker
-	jobs     []*batchJob
-	shards   [][]int32 // per-pipe packet indices, reused
-	batchWG  sync.WaitGroup
-	started  bool // workers launched (lazily, on first batch)
-	closed   bool // Close ran; later batches execute on the caller
-	quit     chan struct{}
-	workerWG sync.WaitGroup
+	// Batch path state (multi-pipe only). batchMu serializes batches so
+	// the shard buffers below are reused allocation-free across them.
+	batchMu sync.Mutex
+	shards  [][]int32 // per-pipe packet indices, reused
 }
 
 // Stats aggregates per-pipe hardware and software counters into chip-level
@@ -130,7 +120,6 @@ func New(cfg Config) (*Engine, error) {
 		seed:     seed,
 		laneSeed: cfg.Dataplane.Seed,
 		pipes:    make([]*pipe, n),
-		quit:     make(chan struct{}),
 	}
 	for i := range e.pipes {
 		dcfg := cfg.Dataplane
@@ -147,38 +136,9 @@ func New(cfg Config) (*Engine, error) {
 		e.pipes[i] = &pipe{dp: dp, cp: ctrlplane.New(dp, cfg.Controlplane)}
 	}
 	if n > 1 {
-		e.workers = make([]*pipeWorker, n)
-		e.jobs = make([]*batchJob, n)
 		e.shards = make([][]int32, n)
-		for i := range e.workers {
-			e.workers[i] = &pipeWorker{notify: make(chan struct{}, 1)}
-			e.jobs[i] = &batchJob{wg: &e.batchWG}
-			e.jobs[i].state.Store(jobClaimed) // nothing published yet
-		}
 	}
 	return e, nil
-}
-
-// Close stops the engine's per-pipe batch workers and waits for them to
-// exit. It is idempotent, safe to call concurrently with ProcessFramesInto —
-// in-flight batches complete first — and does not disable the engine:
-// later batches still work, executing on the caller's goroutine through
-// the same job path. Single-pipe engines have no workers; Close is a
-// no-op.
-func (e *Engine) Close() {
-	if len(e.pipes) == 1 {
-		return
-	}
-	e.batchMu.Lock()
-	defer e.batchMu.Unlock()
-	if e.closed {
-		return
-	}
-	e.closed = true
-	if e.started {
-		close(e.quit)
-		e.workerWG.Wait()
-	}
 }
 
 // NumPipes returns the number of pipes.
@@ -205,8 +165,8 @@ func (e *Engine) Dataplane(i int) *dataplane.Switch { return e.pipes[i].dp }
 func (e *Engine) Controlplane(i int) *ctrlplane.ControlPlane { return e.pipes[i].cp }
 
 // Inspect runs fn against pipe i's planes under the pipe lock, so debug
-// surfaces can read table state safely while ProcessFramesInto workers run on
-// other goroutines. fn must not retain the pointers past its return.
+// surfaces can read table state safely while batches run on other
+// goroutines. fn must not retain the pointers past its return.
 func (e *Engine) Inspect(i int, fn func(dp *dataplane.Switch, cp *ctrlplane.ControlPlane)) {
 	p := e.pipes[i]
 	p.mu.Lock()
@@ -249,8 +209,8 @@ func (e *Engine) inject(pipe int, fn func(dp *dataplane.Switch, cp *ctrlplane.Co
 
 // ProcessFrame runs one frame through its owning pipe's per-packet step
 // (ctrlplane.ControlPlane.ProcessFrameInto). It is the single-frame form of
-// ProcessFramesInto, kept so a caller's one frame never escapes into a
-// multi-pipe job.
+// ProcessFramesInto, kept so a caller's one frame takes neither the batch
+// lock nor the shard buffers.
 func (e *Engine) ProcessFrame(now simtime.Time, f *netproto.Frame) (res dataplane.Result) {
 	p := e.pipes[e.PipeOf(f.Tuple)]
 	p.mu.Lock()
@@ -266,22 +226,22 @@ func (e *Engine) ProcessFrame(now simtime.Time, f *netproto.Frame) (res dataplan
 // input order into the caller-provided slice (len(results) >=
 // len(frames)) — allocation-free for the socket RX loop that reuses frame
 // and result buffers across batches. On a multi-pipe engine the shares run
-// as jobs on the per-pipe workers (see ring.go) and the call returns once
-// every share has completed. Frames are read, never written, by the
-// pipeline — TX rewrites belong to the caller after the verdicts return.
+// on the caller, one pipe after another (runJob). Frames are read, never
+// written, by the pipeline — TX rewrites belong to the caller after the
+// verdicts return.
 func (e *Engine) ProcessFramesInto(now simtime.Time, frames []netproto.Frame, results []dataplane.Result) {
 	if len(frames) == 0 {
 		return
 	}
 	if len(e.pipes) == 1 {
-		// One pipe: nothing to shard and nothing to hand off, so the batch
-		// runs inline under the pipe lock.
+		// One pipe: nothing to shard, so the batch runs under one
+		// acquisition of the pipe lock.
 		p := e.pipes[0]
 		p.mu.Lock()
 		for i := range frames {
 			// The step polls before every frame. A poll per batch plus one
-			// whenever the learn filter fills is exact too
-			// (TestBatchPollMatchesFramePoll); moving to it is ROADMAP item 2.
+			// whenever the learn filter fills is exact too (runJob;
+			// TestBatchPollMatchesFramePoll); moving to it is ROADMAP item 2.
 			p.cp.ProcessFrameInto(now, &frames[i], &results[i])
 		}
 		p.processed += uint64(len(frames))
@@ -290,13 +250,6 @@ func (e *Engine) ProcessFramesInto(now simtime.Time, frames []netproto.Frame, re
 	}
 	e.batchMu.Lock()
 	defer e.batchMu.Unlock()
-	e.shard(frames)
-	e.runShards(now, frames, results)
-}
-
-// shard fills e.shards with per-pipe frame index lists, arrival order
-// preserved within a pipe. Callers hold batchMu.
-func (e *Engine) shard(frames []netproto.Frame) {
 	for pi := range e.shards {
 		e.shards[pi] = e.shards[pi][:0]
 	}
@@ -304,54 +257,33 @@ func (e *Engine) shard(frames []netproto.Frame) {
 		pi := e.PipeOf(frames[i].Tuple)
 		e.shards[pi] = append(e.shards[pi], int32(i))
 	}
+	for pi, idxs := range e.shards {
+		if len(idxs) > 0 {
+			e.pipes[pi].runJob(now, frames, idxs, results)
+		}
+	}
 }
 
-// runShards publishes one descriptor per non-empty shard, wakes the
-// workers, assists, and waits for batch completion. Callers hold batchMu.
-func (e *Engine) runShards(now simtime.Time, frames []netproto.Frame, results []dataplane.Result) {
-	if !e.started && !e.closed {
-		e.started = true
-		for pi := range e.pipes {
-			e.workerWG.Add(1)
-			go e.worker(pi)
+// runJob processes one pipe's share of a batch, idxs in arrival order,
+// under the pipe lock: the one poll site besides
+// ControlPlane.ProcessFrameInto, and exact against it. Every packet of a
+// batch shares its timestamp, so the per-packet step's poll finds work due
+// only once at the start and then only when the previous frame filled the
+// learn filter (its flush is due the instant it fills); runJob polls at
+// exactly those points.
+func (p *pipe) runJob(now simtime.Time, frames []netproto.Frame, idxs []int32, results []dataplane.Result) {
+	p.mu.Lock()
+	p.cp.Advance(now)
+	for _, i := range idxs {
+		if p.dp.LearnFilter().Full() {
+			p.cp.Advance(now)
 		}
+		f := &frames[i]
+		p.dp.ProcessFrameInto(now, f, &results[i])
+		p.cp.HandleTupleResultInto(now, f.Tuple, &results[i])
 	}
-	// Publish one descriptor per non-empty shard and wake its worker. A
-	// full ring or a closed engine just skips the hand-off: the assist
-	// pass below runs the job inline.
-	for pi := range e.pipes {
-		if len(e.shards[pi]) == 0 {
-			continue
-		}
-		j := e.jobs[pi]
-		j.now, j.frames, j.idxs, j.results = now, frames, e.shards[pi], results
-		// Order matters: the completion count and the job fields must be in
-		// place before the state reset publishes the job — a worker can
-		// claim it through a stale ring entry the instant state reads
-		// jobQueued, before the push below.
-		e.batchWG.Add(1)
-		j.state.Store(jobQueued)
-		if e.started && !e.closed && e.workers[pi].ring.push(j) {
-			select {
-			case e.workers[pi].notify <- struct{}{}:
-			default:
-			}
-		}
-	}
-	// Producer assist: claim and run whatever the workers have not picked
-	// up yet, then wait out the jobs they did claim.
-	for pi := range e.pipes {
-		if len(e.shards[pi]) > 0 {
-			e.executeJob(pi, e.jobs[pi])
-		}
-	}
-	e.batchWG.Wait()
-	// Drop the caller's memory from the reusable descriptors so the engine
-	// does not pin the last batch's packets between calls.
-	for pi := range e.pipes {
-		j := e.jobs[pi]
-		j.frames, j.idxs, j.results = nil, nil, nil
-	}
+	p.processed += uint64(len(idxs))
+	p.mu.Unlock()
 }
 
 // AddVIP announces a VIP with an initial pool on every pipe (VIP

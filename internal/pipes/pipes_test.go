@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/netproto"
 	"repro/internal/simtime"
+	"repro/internal/telemetry"
 )
 
 func testConfig(pipes, conns int) Config {
@@ -110,33 +112,129 @@ func TestShardingPinsConnections(t *testing.T) {
 	}
 }
 
-// TestBatchMatchesSequential asserts ProcessFramesInto returns, in input order,
-// exactly the results a sequential per-packet run yields on an identical
-// engine.
-func TestBatchMatchesSequential(t *testing.T) {
-	mk := func() *Engine {
-		e, err := New(testConfig(4, 10000))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := e.AddVIP(0, testVIP(), testPool(8), 0); err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
-	var pkts []*netproto.Packet
-	for i := 0; i < 300; i++ {
-		pkts = append(pkts, &netproto.Packet{Tuple: tupleN(i % 120), TCPFlags: netproto.FlagSYN})
-	}
+// flushLog is a test tracer: it keeps each pipe's learn-filter flushes in
+// order and fails the test on any flush larger than the filter holds.
+type flushLog struct {
+	t        *testing.T
+	name     string
+	capacity int
+	flushes  [][]telemetry.Event // per pipe
+}
 
-	batched := processBatch(mk(), 1000, pkts)
-	seq := mk()
-	for i, pkt := range pkts {
-		want := processPacket(seq, 1000, pkt)
-		got := batched[i]
-		if got.Verdict != want.Verdict || got.DIP != want.DIP || got.Version != want.Version {
-			t.Fatalf("packet %d: batch = %+v, sequential = %+v", i, got, want)
-		}
+func (l *flushLog) RegisterVIP(int, telemetry.VIPKey) *telemetry.VIPSeries { return nil }
+
+func (l *flushLog) Trace(ev telemetry.Event) {
+	if ev.Kind != telemetry.KindLearnFlush {
+		return
+	}
+	if ev.Batch > l.capacity {
+		l.t.Errorf("%s: pipe %d flushed %d learn events at %v, capacity %d", l.name, ev.Pipe, ev.Batch, ev.Now, l.capacity)
+	}
+	l.flushes[ev.Pipe] = append(l.flushes[ev.Pipe], ev)
+}
+
+// TestBatchMatchesSequential asserts ProcessFramesInto returns, in input
+// order, exactly the results the per-frame step (ProcessFrame) yields on an
+// identical engine, leaves the same chip counters and flushes each pipe's
+// learn filter at the same instants with the same batches. The workload:
+// one batch of 300 SYNs over 120 connections (duplicates suppressed by the
+// filter), then six rounds over 300 connections — SYNs, then established
+// traffic, with a DIP leaving the pool under PCC midway. The learn8 cases
+// run an 8-event learn filter, which every shard fills many times within
+// one batch; a batch that polled only once per shard would hand the CPU
+// one oversized flush instead of several full ones.
+func TestBatchMatchesSequential(t *testing.T) {
+	for _, tc := range []struct {
+		name            string
+		pipes, learnCap int
+	}{
+		{"2pipes", 2, 0},
+		{"4pipes", 4, 0},
+		{"2pipes_learn8", 2, 8},
+		{"4pipes_learn8", 4, 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mk := func(side string) (*Engine, *flushLog) {
+				cfg := testConfig(tc.pipes, 10000)
+				if tc.learnCap > 0 {
+					cfg.Dataplane.LearnFilterCapacity = tc.learnCap
+				}
+				log := &flushLog{t: t, name: side, capacity: cfg.Dataplane.LearnFilterCapacity,
+					flushes: make([][]telemetry.Event, tc.pipes)}
+				cfg.Dataplane.Tracer = log
+				e, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := e.AddVIP(0, testVIP(), testPool(8), 0); err != nil {
+					t.Fatal(err)
+				}
+				return e, log
+			}
+			batched, batchedLog := mk("batch")
+			seq, seqLog := mk("per-frame")
+			check := func(what string, now simtime.Time, pkts []*netproto.Packet) {
+				t.Helper()
+				got := processBatch(batched, now, pkts)
+				differ := 0
+				for i, pkt := range pkts {
+					if want := processPacket(seq, now, pkt); got[i] != want {
+						if differ == 0 {
+							t.Errorf("%s packet %d: batch %+v, per-frame %+v", what, i, got[i], want)
+						}
+						differ++
+					}
+				}
+				if differ > 0 {
+					t.Errorf("%s: %d of %d packets differ", what, differ, len(pkts))
+				}
+			}
+
+			var pkts []*netproto.Packet
+			for i := 0; i < 300; i++ {
+				pkts = append(pkts, &netproto.Packet{Tuple: tupleN(i % 120), TCPFlags: netproto.FlagSYN})
+			}
+			check("duplicate SYNs", 1000, pkts)
+			const conns = 300
+			now := simtime.Time(simtime.Second)
+			for round := 0; round < 6; round++ {
+				pkts = pkts[:0]
+				for i := 0; i < conns; i++ {
+					flags := netproto.FlagACK
+					if round == 0 {
+						flags = netproto.FlagSYN
+					}
+					pkts = append(pkts, &netproto.Packet{Tuple: tupleN(i), TCPFlags: flags})
+				}
+				check(fmt.Sprintf("round %d", round), now, pkts)
+				if round == 2 {
+					for _, e := range []*Engine{batched, seq} {
+						if err := e.RemoveDIP(now, testVIP(), testPool(8)[0]); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				now = now.Add(simtime.Duration(simtime.Second))
+				batched.Advance(now)
+				seq.Advance(now)
+			}
+
+			st := batched.Stats()
+			if want := seq.Stats(); !reflect.DeepEqual(st, want) {
+				t.Fatalf("chip stats differ:\nbatch     %+v\nper-frame %+v", st, want)
+			}
+			if !reflect.DeepEqual(batchedLog.flushes, seqLog.flushes) {
+				t.Fatalf("learn flushes differ:\nbatch     %v\nper-frame %v", batchedLog.flushes, seqLog.flushes)
+			}
+			for pi, n := range st.PipePackets {
+				if n == 0 {
+					t.Fatalf("pipe %d processed no packets: %v", pi, st.PipePackets)
+				}
+			}
+			if want := uint64(300 + 6*conns); st.Dataplane.Packets != want {
+				t.Fatalf("chip packets = %d, want %d", st.Dataplane.Packets, want)
+			}
+		})
 	}
 }
 

@@ -141,7 +141,6 @@ func lifeScript(t *testing.T, c lifeCase) lifeRun {
 		packets  = 64 * 1024
 	)
 	sw := lifeSwitch(t, tableN, c.aging, c.learnCap)
-	defer sw.Close()
 	for v := lifeVIPs; v < c.vips; v++ {
 		idle := VIP{Addr: netip.AddrFrom4([4]byte{21, 0, byte(v >> 8), byte(v)}), Port: 80, Proto: TCP}
 		if err := sw.AddVIP(0, idle, lifePool(0, 4)); err != nil {
@@ -375,7 +374,6 @@ func TestAgingMatchesOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sw.Close()
 	if err := sw.AddVIP(0, lifeVIP(0), lifePool(0, 4)); err != nil {
 		t.Fatal(err)
 	}
@@ -490,7 +488,6 @@ func TestConnLifecycleZeroAlloc(t *testing.T) {
 
 func lifecycleZeroAlloc(t *testing.T, aging Duration) {
 	sw := lifeSwitch(t, 20_000, aging, 0)
-	defer sw.Close()
 	syns, acks := make([]Frame, lifeBatch), make([]Frame, lifeBatch)
 	tuples := make([]FiveTuple, lifeBatch)
 	for j := range syns {

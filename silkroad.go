@@ -639,26 +639,20 @@ func (s *Switch) ProcessFrame(now Time, f *Frame) Result {
 // Result per frame into a caller-provided slice (len(results) >=
 // len(frames)); results[i] corresponds to frames[i]. It allocates nothing,
 // so the socket RX loop reuses frame and result buffers across batches. On
-// a multi-pipe switch the batch is sharded by connection onto the engine's
-// persistent per-pipe workers; on a single-pipe switch it runs in order
-// under one lock acquisition. The pipeline reads the frames but never
-// writes them; TX rewrites (Frame.RewriteDst, EncapIPIP) belong to the
-// caller once the verdicts are back.
+// a multi-pipe switch the batch is sharded by connection and each pipe's
+// share runs on the caller under that pipe's lock; on a single-pipe switch
+// it runs in order under one lock acquisition. The pipeline reads the
+// frames but never writes them; TX rewrites (Frame.RewriteDst, EncapIPIP)
+// belong to the caller once the verdicts are back.
 func (s *Switch) ProcessFramesInto(now Time, frames []Frame, results []Result) {
 	s.eng.ProcessFramesInto(now, frames, results)
 	s.pokeForBatch(results[:len(frames)])
 }
 
-// Close releases the switch's background machinery: on a multi-pipe
-// switch it stops the engine's per-pipe batch workers and waits for them
-// to exit (ProcessFramesInto keeps working afterwards — batches then run on
-// the caller's goroutine). It does not stop an active Run; cancel that
-// context first. Close is idempotent and safe to call concurrently with
-// the packet path.
-func (s *Switch) Close() error {
-	s.eng.Close()
-	return nil
-}
+// Close returns nil: a switch holds no goroutine or handle outside Run, and
+// every batch runs on its caller, so there is nothing to release. It does
+// not stop an active Run; cancel that context.
+func (s *Switch) Close() error { return nil }
 
 // verdictError maps a non-forwarding verdict to its wrapped sentinel, so
 // Forward and ForwardIPIP agree on error semantics and callers can test

@@ -289,7 +289,6 @@ func TestRemoveVIPLeavesNoUpdateInFlight(t *testing.T) {
 				t.Fatalf("%d pipes: pipe %d has %d updates in flight", pipes, i, n)
 			}
 		}
-		sw.Close()
 	}
 }
 

@@ -35,7 +35,6 @@ func TestSwitchSLOEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sw.Close()
 	if sw.SLO() == nil {
 		t.Fatal("SLO() = nil with an SLO config attached")
 	}
@@ -98,7 +97,6 @@ func TestClusterSLOPausesRollout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
 
 	spec := &ClusterSpec{Version: SpecVersion, VIPs: []VIPSpec{
 		{VIP: "20.0.0.1:80", Pool: []string{"10.0.0.1:20"}},

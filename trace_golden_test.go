@@ -48,7 +48,6 @@ func traceScript(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
 
 	metered := NewVIP("20.0.0.9", 80, TCP)
 	spec := &ClusterSpec{Version: SpecVersion, VIPs: []VIPSpec{

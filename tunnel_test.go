@@ -159,7 +159,6 @@ func newTunnelHarness(t *testing.T, sw *Switch, mode string, portable bool) *tun
 		cancel()
 		client.Close()
 		tun.Close()
-		sw.Close()
 	})
 	return h
 }
