@@ -67,8 +67,10 @@ type ClusterStats struct {
 
 // Cluster is the fleet (§7): a layer of switches behind a resilient-ECMP
 // spray and one rolling reconciler. Members share hash seeds, so a
-// latest-version connection maps to the same DIP on any of them; each holds
-// state only for the connections sprayed to it. Apply rolls a spec out one
+// latest-version connection maps to the same DIP on any of them while
+// their current rows agree slot for slot — version reuse can leave two
+// members with the same DIPs in different slots (a DIP is picked by slot);
+// each holds state only for the connections sprayed to it. Apply rolls a spec out one
 // switch at a time, gated on each switch's pending-insert drain, rolling
 // back on mid-rollout failure; drive it with Reconcile. FailSwitch loses a
 // member's table, breaking its connections pinned to retired versions;

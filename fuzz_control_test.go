@@ -10,6 +10,7 @@ import (
 	"errors"
 	"net/netip"
 	"os"
+	"slices"
 	"testing"
 
 	"repro/internal/handoff"
@@ -91,7 +92,8 @@ const fuzzEntryBytes = 8
 //	          unknown IPv4 VIP; 3: an unknown IPv6 VIP)
 //	byte 1    the client, one of 32, so tuples repeat
 //	bytes 2-5 the donor's version, any uint32 (most lie past VersionBits)
-//	byte 6    bits 0-2: the pool size, 0 to 7, its DIPs drawn from byte 7
+//	byte 6    bits 0-2: the pool size, 0 to 7; bits 3-5: the pool's stride
+//	          less one, so slot k holds DIP index byte 7 + k*stride (mod 8)
 //	byte 7    the DIP index the entry resolved to, and the pool's offset
 func fuzzEntries(data []byte) []ConnEntry {
 	vips := [4]VIP{testVIP(), testVIP(),
@@ -113,8 +115,8 @@ func fuzzEntries(data []byte) []ConnEntry {
 			Src: netip.AddrFrom4([4]byte{1, 2, 3, data[1] % 32}), Dst: e.VIP.Addr,
 			SrcPort: 1024 + uint16(data[1]%32), DstPort: e.VIP.Port, Proto: e.VIP.Proto,
 		}
-		for k := byte(0); k < data[6]&7; k++ {
-			e.Pool = append(e.Pool, dip(data[7]+k))
+		for k, stride := byte(0), 1+data[6]>>3&7; k < data[6]&7; k++ {
+			e.Pool = append(e.Pool, dip(data[7]+k*stride))
 		}
 		out = append(out, e)
 	}
@@ -124,11 +126,15 @@ func fuzzEntries(data []byte) []ConnEntry {
 // FuzzImport hands Import arbitrary entries: empty pools, versions past
 // VersionBits, duplicate tuples and unknown VIPs among them. Each
 // non-delete entry is imported or skipped, every connection the switch
-// then holds is one it imported, and its pending work drains to zero.
+// then holds is one it imported, pinned to a row equal slot for slot to a
+// pool offered for it (a DIP is picked by slot, so the same DIPs in
+// another order are another mapping), and its pending work drains to zero.
 func FuzzImport(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 0, 0, 0, 3, 0})
 	f.Add([]byte{0, 1, 1, 0, 0, 0, 3, 0, 0, 1, 2, 0, 0, 0, 3, 1})
 	f.Add([]byte{4, 5, 0xff, 0xff, 0xff, 0xff, 0, 2, 6, 6, 9, 0, 0, 0, 1, 0, 1, 7, 1, 0, 0, 0, 2, 0})
+	// The switch's own pool reversed: 10.0.0.3, .2, .1 (stride 7 = -1).
+	f.Add([]byte{0, 1, 1, 0, 0, 0, 6<<3 | 3, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sw := fuzzSwitch(t)
 		if err := sw.AddVIP(0, testVIP(), Pool("10.0.0.1:20", "10.0.0.2:20", "10.0.0.3:20")); err != nil {
@@ -139,11 +145,11 @@ func FuzzImport(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Import: %v", err)
 		}
-		offered := make(map[FiveTuple]bool)
+		offered := make(map[FiveTuple][][]DIP)
 		n := 0
 		for _, e := range entries {
 			if e.Op != handoff.OpDelete {
-				offered[e.Tuple] = true
+				offered[e.Tuple] = append(offered[e.Tuple], e.Pool)
 				n++
 			}
 		}
@@ -163,8 +169,12 @@ func FuzzImport(f *testing.F) {
 			t.Fatalf("switch holds %d connections after importing %d", len(held), imported)
 		}
 		for _, e := range held {
-			if !offered[e.Tuple] {
+			pools, ok := offered[e.Tuple]
+			if !ok {
 				t.Fatalf("switch holds %v, which no entry offered", e.Tuple)
+			}
+			if !slices.ContainsFunc(pools, func(p []DIP) bool { return slices.Equal(p, e.Pool) }) {
+				t.Fatalf("switch holds %v on pool %v, offered only %v", e.Tuple, e.Pool, pools)
 			}
 		}
 	})

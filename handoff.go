@@ -38,7 +38,7 @@ var ErrMigrateStalled = errors.New("silkroad: migration stalled")
 
 // Export freezes a snapshot of every connection the switch has installed,
 // across all pipes, without pausing the packet path. The snapshot is
-// self-contained: each entry carries its pinned pool content and resolved
+// self-contained: each entry carries its pinned pool row and resolved
 // DIP, so it can be imported on any switch sharing the fleet's hash seeds,
 // diffed against another snapshot, or audited offline.
 func (s *Switch) Export(now Time) *ConnSnapshot {
@@ -59,12 +59,12 @@ func (s *Switch) Export(now Time) *ConnSnapshot {
 }
 
 // Import replays a snapshot into the switch: each entry is routed to its
-// owning pipe, remapped onto a local pool version by content, and pinned
-// through the bounded CPU insertion queue — the same rate limit learned
-// connections pay, so an import cannot starve live learning. Backpressure
-// is absorbed by advancing the switch's runtime until the queue drains.
-// Entries the switch cannot host (unknown VIP) are skipped and counted in
-// the second return.
+// owning pipe, mapped onto a local pool version with the same row slot for
+// slot, and pinned through the bounded CPU insertion queue — the same rate
+// limit learned connections pay, so an import cannot starve live
+// learning. Backpressure is absorbed by advancing the switch's runtime
+// until the queue drains. Entries the switch cannot host (unknown VIP) are
+// skipped and counted in the second return.
 func (s *Switch) Import(now Time, snap *ConnSnapshot) (imported, skipped int, err error) {
 	r := newRouteImporter([]*Switch{s}, func(FiveTuple) int { return 0 })
 	t := now
@@ -114,8 +114,7 @@ type pipeTransfer struct {
 
 // routeImporter routes each entry to a member (-1: skip it), then to that
 // member's PipeOf pipe. Each receiving pipe gets its own
-// ctrlplane.Importer, so the donor-version map an Importer keeps is that of
-// one donor pipe.
+// ctrlplane.Importer, which maps and pins into that pipe's control plane.
 type routeImporter struct {
 	sws  []*Switch
 	dest func(FiveTuple) int

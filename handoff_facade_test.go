@@ -1,6 +1,7 @@
 package silkroad
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/netproto"
@@ -110,5 +111,69 @@ func TestMigrateBadIndexes(t *testing.T) {
 	}
 	if _, err := c.Migrate(0, 0, 5); err == nil {
 		t.Fatal("bad receiver accepted")
+	}
+}
+
+// TestClusterMigrateAfterDivergentReuse: two members can hold the same DIPs
+// in different slot orders. Member 0 pins a connection to version 0, so
+// when the fleet drops 10.0.0.4 and then adds 10.0.0.99 it reuses version
+// 0 with .99 in the dead slot; member 1 has nothing pinned and writes .99
+// last in a fresh row. A DIP is picked by slot, so a migrated connection
+// keeps its DIP only if the receiver maps it onto a row equal to the
+// donor's slot for slot, not onto one with merely the same members.
+func TestClusterMigrateAfterDivergentReuse(t *testing.T) {
+	c := newFleet(t, 2, 1)
+	process(c.Switch(0), 0, clientPkt(100000, FlagSYN))
+	now := msAt(10)
+	c.AdvanceTo(now)
+	rollOut := func(pool []DIP) {
+		t.Helper()
+		spec := &ClusterSpec{Version: SpecVersion, VIPs: []VIPSpec{{VIP: testVIP().String()}}}
+		for _, d := range pool {
+			spec.VIPs[0].Pool = append(spec.VIPs[0].Pool, d.String())
+		}
+		if _, err := c.Apply(now, spec); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; !c.Converged(); i++ {
+			if i > 1000 {
+				t.Fatal("rollout never converged")
+			}
+			now = now.Add(Millisecond)
+			c.AdvanceTo(now)
+			c.Reconcile(now)
+		}
+		now = now.Add(50 * Millisecond) // let the last member's update finish
+		c.AdvanceTo(now)
+	}
+	dropped := slices.Delete(fleetPool(8), 3, 4)
+	rollOut(dropped)
+	rollOut(append(dropped, AddrPort("10.0.0.99:20")))
+	rows := [2][]DIP{}
+	for m := range rows {
+		rows[m], _ = c.Switch(m).CurrentPool(testVIP())
+	}
+	if slices.Equal(rows[0], rows[1]) {
+		t.Fatalf("both members hold %v: the scenario needs rows in different slot orders", rows[0])
+	}
+
+	first := map[int]DIP{}
+	for i := 0; i < 300; i++ {
+		first[i] = process(c.Switch(0), now.Add(Duration(i)*Microsecond), clientPkt(i, FlagSYN)).DIP
+	}
+	now = now.Add(50 * Millisecond)
+	c.AdvanceTo(now)
+	if _, err := c.Migrate(now, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	now = now.Add(100 * Millisecond)
+	moved := 0
+	for i := 0; i < 300; i++ {
+		if res := process(c.Switch(1), now, clientPkt(i, FlagACK)); !res.ConnHit || res.DIP != first[i] {
+			moved++
+		}
+	}
+	if moved != 0 {
+		t.Fatalf("%d of 300 migrated connections lost their DIP (member 0 row %v, member 1 row %v)", moved, rows[0], rows[1])
 	}
 }

@@ -177,7 +177,7 @@ func (cp *ControlPlane) install(pi pendingInsert) {
 	if !ok {
 		return // VIP withdrawn while the event sat in the queue
 	}
-	if _, ok := vc.pools[ev.Version]; !ok {
+	if vc.version(ev.Version) == nil {
 		// The version retired while the event was queued (can only happen
 		// for unpinned conns after exhaustion-forced retirement): pin to
 		// the current version instead.
@@ -229,7 +229,7 @@ func (cp *ControlPlane) pin(now simtime.Time, vc *vipCtl, tuple netproto.FiveTup
 		cp.conns.release(rec)
 		return err
 	}
-	vc.connsPerVer[ver]++
+	vc.version(ver).conns++
 	cp.metrics.Inserted++
 	if cp.conns.live == 1 || now.Before(cp.oldestSeen) {
 		cp.oldestSeen = now
@@ -506,7 +506,7 @@ func (cp *ControlPlane) release(now simtime.Time, e cuckoo.Entry) {
 	vc, tuple := cp.conn(e.Record)
 	cp.sw.DeleteConnAt(now, e, tuple)
 	cp.noteConn(vc, tuple, e.Value, handoff.OpDelete)
-	vc.connsPerVer[e.Value]--
+	vc.version(e.Value).conns--
 	cp.retireIfIdle(vc, e.Value)
 	cp.conns.release(e.Record)
 }

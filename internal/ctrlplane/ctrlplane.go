@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/cuckoo"
 	"repro/internal/dataplane"
@@ -163,11 +162,9 @@ type vipCtl struct {
 	curVer  uint32
 	prevVer uint32 // old version of the in-flight update
 	// freeVers is the ring buffer of version numbers available for new
-	// pools (§4.2).
+	// pools (§4.2); vers holds the live ones (versions.go).
 	freeVers      []uint32
-	pools         map[uint32][]dataplane.DIP
-	connsPerVer   map[uint32]int
-	deadSlots     map[uint32]map[int]bool // version -> indices whose DIP left service
+	vers          []poolVersion
 	state         updState
 	treq, texec   simtime.Time
 	pendingNewVer uint32 // version chosen at t_req, swapped in at t_exec
@@ -346,11 +343,8 @@ func (cp *ControlPlane) AddVIP(now simtime.Time, vip dataplane.VIP, pool []datap
 	}
 	vc := &vipCtl{
 		vip:               vip,
-		curVer:            0,
 		freeVers:          free,
-		pools:             map[uint32][]dataplane.DIP{0: clone(pool)},
-		connsPerVer:       map[uint32]int{},
-		deadSlots:         map[uint32]map[int]bool{},
+		vers:              []poolVersion{{ver: 0, row: clone(pool)}},
 		versionsAllocated: 1,
 	}
 	if n := len(cp.freeSlots); n > 0 {
@@ -406,7 +400,7 @@ func (cp *ControlPlane) CurrentPool(vip dataplane.VIP) ([]dataplane.DIP, error) 
 	if !ok {
 		return nil, dataplane.ErrUnknownVIP
 	}
-	return clone(vc.pools[vc.curVer]), nil
+	return clone(vc.row(vc.curVer)), nil
 }
 
 // TargetPool returns the pool vip's newest requested state maps to — the
@@ -451,9 +445,9 @@ func (vc *vipCtl) targetPool() []dataplane.DIP {
 		return vc.queued[n-1].pool
 	}
 	if vc.state == updRecording {
-		return vc.pools[vc.pendingNewVer]
+		return vc.row(vc.pendingNewVer)
 	}
-	return vc.pools[vc.curVer]
+	return vc.row(vc.curVer)
 }
 
 // AddDIP requests adding one DIP to vip's pool.
@@ -511,10 +505,10 @@ func (cp *ControlPlane) RequestUpdate(now simtime.Time, vip dataplane.VIP, pool 
 			UpdateStep:  telemetry.StepRequested,
 			Key:         vip.TelemetryKey(),
 			PrevVersion: vc.curVer, Version: vc.curVer,
-			Before: clone(vc.pools[vc.curVer]), After: clone(pool),
+			Before: clone(vc.row(vc.curVer)), After: clone(pool),
 		})
 	}
-	if samePool(pool, vc.targetPool()) {
+	if sameMembers(pool, vc.targetPool()) {
 		cp.metrics.UpdatesCoalesced++
 		return nil
 	}
@@ -524,32 +518,3 @@ func (cp *ControlPlane) RequestUpdate(now simtime.Time, vip dataplane.VIP, pool 
 }
 
 func clone(p []dataplane.DIP) []dataplane.DIP { return append([]dataplane.DIP(nil), p...) }
-
-// samePool compares pools as multisets.
-func samePool(a, b []dataplane.DIP) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	m := make(map[dataplane.DIP]int, len(a))
-	for _, d := range a {
-		m[d]++
-	}
-	for _, d := range b {
-		m[d]--
-		if m[d] < 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// sortedVersions returns vc's pool versions in ascending order (for
-// deterministic reuse scans).
-func (vc *vipCtl) sortedVersions() []uint32 {
-	out := make([]uint32, 0, len(vc.pools))
-	for v := range vc.pools {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}

@@ -1,8 +1,10 @@
 package ctrlplane
 
 import (
+	"errors"
 	"fmt"
 	"net/netip"
+	"slices"
 	"testing"
 
 	"repro/internal/dataplane"
@@ -215,12 +217,12 @@ func TestVersionLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.cp.Advance(ms(20))
-	if got := len(h.cp.vips[vip].pools); got != 2 {
+	if got := len(h.cp.vips[vip].vers); got != 2 {
 		t.Fatalf("live versions = %d, want 2 (v0 pinned by conn)", got)
 	}
 	// End the connection: v0 retires, pool row deleted.
 	h.cp.EndConnection(ms(21), tup)
-	if got := len(h.cp.vips[vip].pools); got != 1 {
+	if got := len(h.cp.vips[vip].vers); got != 1 {
 		t.Fatalf("live versions after end = %d, want 1", got)
 	}
 	if _, ok := h.sw.LookupConn(tup); ok {
@@ -277,6 +279,34 @@ func TestVersionReuseRollingReboot(t *testing.T) {
 	}
 }
 
+// TestVersionReuseDeterministic: an update that adds two DIPs into a pinned
+// version's two dead slots writes one row on every run — the added DIPs in
+// the target's order, into the dead slots in slot order.
+func TestVersionReuseDeterministic(t *testing.T) {
+	vip := testVIP()
+	dips := poolN(8)
+	a, b := netip.MustParseAddrPort("10.0.0.98:20"), netip.MustParseAddrPort("10.0.0.99:20")
+	want := []dataplane.DIP{dips[0], dips[1], a, dips[3], dips[4], b, dips[6], dips[7]}
+	for run := 0; run < 40; run++ {
+		h := defaultHarness(t)
+		h.send(0, tupleN(1), netproto.FlagSYN) // pins v0
+		h.cp.Advance(ms(5))
+		kept := []dataplane.DIP{dips[0], dips[1], dips[3], dips[4], dips[6], dips[7]}
+		if err := h.cp.RequestUpdate(ms(6), vip, kept); err != nil {
+			t.Fatal(err)
+		}
+		h.cp.Advance(ms(30))
+		if err := h.cp.RequestUpdate(ms(31), vip, append(kept, a, b)); err != nil {
+			t.Fatal(err)
+		}
+		h.cp.Advance(ms(60))
+		cur, _ := h.cp.CurrentPool(vip)
+		if m := h.cp.Metrics(); m.VersionReuses != 1 || !slices.Equal(cur, want) {
+			t.Fatalf("run %d: %d reuses wrote %v, want 1 writing %v", run, m.VersionReuses, cur, want)
+		}
+	}
+}
+
 func TestVersionExhaustionRecovers(t *testing.T) {
 	dcfg := dataplane.DefaultConfig(10000)
 	dcfg.VersionBits = 2 // only 4 versions
@@ -298,6 +328,94 @@ func TestVersionExhaustionRecovers(t *testing.T) {
 	m := h.cp.Metrics()
 	if m.UpdatesCompleted < 10 {
 		t.Fatalf("UpdatesCompleted = %d with 2-bit versions", m.UpdatesCompleted)
+	}
+}
+
+// TestVersionAllocatorBranches drives both callers of the version
+// allocator, MapVersion and pool updates, past the ring on 2-bit versions
+// (v0 and a ring of three). With the ring empty an idle version is retired
+// on the spot and rewritten. With every version pinned — by an installed
+// connection or by an import still waiting in the CPU queue — the
+// allocator counts an exhaustion: the import fails with ErrVersionSpace
+// and the update waits in the queue until a version retires.
+func TestVersionAllocatorBranches(t *testing.T) {
+	dcfg := dataplane.DefaultConfig(10000)
+	dcfg.VersionBits = 2
+	h := newHarness(t, dcfg, DefaultConfig())
+	vip := testVIP()
+	if err := h.cp.AddVIP(0, vip, poolN(4), 0); err != nil {
+		t.Fatal(err)
+	}
+	mapRow := func(now simtime.Time, row []dataplane.DIP, want uint32) {
+		t.Helper()
+		if v, err := h.cp.MapVersion(now, vip, row); err != nil || v != want {
+			t.Fatalf("MapVersion(%v) = %d, %v; want %d", row, v, err, want)
+		}
+		if got, _ := h.sw.Pool(vip, want); !slices.Equal(got, row) {
+			t.Fatalf("v%d holds %v, want %v", want, got, row)
+		}
+	}
+	importOn := func(now simtime.Time, i int, v uint32) {
+		t.Helper()
+		if err := h.cp.ImportEntry(now, tupleN(i), v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	exhausted := func(want uint64) {
+		t.Helper()
+		if got := h.cp.Metrics().VersionExhaustions; got != want {
+			t.Fatalf("VersionExhaustions = %d, want %d", got, want)
+		}
+	}
+
+	// The ring hands out v1..v3. With imports waiting on v1 and v2, the
+	// next import finds the ring empty and retires v3, the idle one.
+	for v := uint32(1); v <= 3; v++ {
+		mapRow(0, poolN(int(v)), v)
+	}
+	importOn(0, 1, 1)
+	importOn(0, 2, 2)
+	mapRow(0, poolN(5), 3)
+	// An update finds the ring empty too and takes v3 back the same way.
+	if err := h.cp.RequestUpdate(0, vip, poolN(6)); err != nil {
+		t.Fatal(err)
+	}
+	h.cp.Advance(ms(10))
+	if v, _ := h.sw.CurrentVersion(vip); v != 3 || h.cp.Metrics().UpdatesCompleted != 1 {
+		t.Fatalf("update swapped to v%d (%d completed), want idle v3 retired and rewritten", v, h.cp.Metrics().UpdatesCompleted)
+	}
+	exhausted(0)
+
+	// v0 retired into the ring when the update finished; an import takes
+	// it and waits. Every version is pinned now: v1 and v2 by installed
+	// connections, v3 as current, v0 by the queued import.
+	mapRow(ms(10), poolN(7), 0)
+	importOn(ms(10), 3, 0)
+	if _, err := h.cp.MapVersion(ms(10), vip, poolN(8)); !errors.Is(err, ErrVersionSpace) {
+		t.Fatalf("MapVersion with every version pinned: %v, want ErrVersionSpace", err)
+	}
+	exhausted(1)
+	if err := h.cp.RequestUpdate(ms(10), vip, poolN(8)); err != nil {
+		t.Fatal(err)
+	}
+	exhausted(2)
+	if h.cp.QueuedUpdates() != 1 || h.cp.ActiveUpdates() != 0 {
+		t.Fatalf("exhausted update: %d queued, %d active; want 1 queued", h.cp.QueuedUpdates(), h.cp.ActiveUpdates())
+	}
+	h.cp.Advance(ms(20))
+	if got, _ := h.sw.Pool(vip, 0); !slices.Equal(got, poolN(7)) {
+		t.Fatalf("v0 holds %v after its import installed, want %v", got, poolN(7))
+	}
+
+	// Ending v1's connection returns v1 to the ring, and the waiting
+	// update takes it.
+	h.cp.EndConnection(ms(20), tupleN(1))
+	h.cp.Advance(ms(40))
+	if cur, _ := h.cp.CurrentPool(vip); !slices.Equal(cur, poolN(8)) || h.cp.QueuedUpdates() != 0 {
+		t.Fatalf("after v1 retired: pool %v, %d queued; want %v", cur, h.cp.QueuedUpdates(), poolN(8))
+	}
+	if v, _ := h.sw.CurrentVersion(vip); v != 1 {
+		t.Fatalf("update swapped to v%d, want v1", v)
 	}
 }
 

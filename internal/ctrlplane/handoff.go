@@ -2,6 +2,7 @@ package ctrlplane
 
 import (
 	"errors"
+	"slices"
 	"sort"
 
 	"repro/internal/cuckoo"
@@ -85,7 +86,7 @@ func (cp *ControlPlane) exportEntry(vc *vipCtl, tuple netproto.FiveTuple, ver ui
 	e := handoff.Entry{Op: op, Tuple: tuple, VIP: vc.vip, Version: ver}
 	e.KeyHash, e.Digest = cp.sw.ConnHashes(tuple)
 	if op == handoff.OpUpsert {
-		e.Pool = clone(vc.pools[ver])
+		e.Pool = clone(vc.row(ver))
 		if dip, err := cp.sw.SelectDIP(vc.vip, ver, tuple); err == nil {
 			e.DIP = dip
 		}
@@ -157,54 +158,32 @@ func (cp *ControlPlane) noteConn(vc *vipCtl, tuple netproto.FiveTuple, ver uint3
 }
 
 // MapVersion resolves a donor's pool to a local version number: an
-// existing version with the same pool content (version numbers are
-// switch-local, pool contents are portable — with shared hash seeds the
-// same pool selects the same DIP on any switch), else a freshly written
-// version row holding the donor's pool so imported connections keep
-// their old mapping. The current version is preferred so latest-version
-// imports collapse onto the receiver's live version.
+// existing version whose row equals the donor's slot for slot, else a
+// freshly written version holding the donor's row, so imported connections
+// keep their mapping. Version numbers are switch-local; a row is portable
+// because, with shared hash seeds, a connection selects the same slot on
+// any switch — so the same DIPs in another order select other DIPs. The
+// current version is preferred so latest-version imports collapse onto the
+// receiver's live version.
 func (cp *ControlPlane) MapVersion(now simtime.Time, vip dataplane.VIP, donorPool []dataplane.DIP) (uint32, error) {
 	vc, ok := cp.vips[vip]
 	if !ok {
 		return 0, dataplane.ErrUnknownVIP
 	}
-	if samePool(vc.pools[vc.curVer], donorPool) {
+	if slices.Equal(vc.row(vc.curVer), donorPool) {
 		return vc.curVer, nil
 	}
-	for _, v := range vc.sortedVersions() {
-		if samePool(vc.pools[v], donorPool) {
-			return v, nil
+	for _, p := range vc.vers {
+		if slices.Equal(p.row, donorPool) {
+			return p.ver, nil
 		}
 	}
-	var newVer uint32
-	switch {
-	case len(vc.freeVers) > 0:
-		newVer = vc.freeVers[0]
-		vc.freeVers = vc.freeVers[1:]
-	default:
-		found := false
-		for _, v := range vc.sortedVersions() {
-			if v != vc.curVer && vc.connsPerVer[v] == 0 && !(vc.state != updIdle && v == vc.prevVer) {
-				cp.dropVersion(vc, v)
-				newVer, found = v, true
-				break
-			}
-		}
-		if !found {
-			cp.metrics.VersionExhaustions++
-			return 0, ErrVersionSpace
-		}
+	v, ok := cp.allocVersion(vc)
+	if !ok {
+		return 0, ErrVersionSpace
 	}
-	vc.pools[newVer] = clone(donorPool)
-	if len(vc.pools) > vc.maxActive {
-		vc.maxActive = len(vc.pools)
-	}
-	if err := cp.sw.WritePool(vip, newVer, donorPool); err != nil {
-		panic("ctrlplane: WritePool (import): " + err.Error())
-	}
-	cp.metrics.VersionAllocs++
-	vc.versionsAllocated++
-	return newVer, nil
+	cp.writeRow(vc, v, donorPool)
+	return v, nil
 }
 
 // ImportEntry accepts one transferred connection, pinning tuple to the
@@ -223,7 +202,7 @@ func (cp *ControlPlane) ImportEntry(now simtime.Time, tuple netproto.FiveTuple, 
 	if !ok {
 		return dataplane.ErrUnknownVIP
 	}
-	if _, ok := vc.pools[ver]; !ok {
+	if vc.version(ver) == nil {
 		return ErrUnknownImportVersion
 	}
 	if bound := cp.cfg.MaxInsertQueue; bound > 0 && cp.queue.len() >= bound {
@@ -252,36 +231,23 @@ func (cp *ControlPlane) ImportEntry(now simtime.Time, tuple netproto.FiveTuple, 
 	return nil
 }
 
-type importVerKey struct {
-	vip dataplane.VIP
-	ver uint32
-}
-
-// Importer adapts a receiving control plane as a handoff.Importer: donor
-// versions are remapped by pool content once per (vip, donor-version)
-// pair and imported entries are recorded so a cancelled transfer can be
-// unwound (and a completed rejoin can release the donor's copies).
+// Importer adapts a receiving control plane as a handoff.Importer: each
+// entry's pool is mapped onto a local version by MapVersion, and imported
+// entries are recorded so a cancelled transfer can be unwound (and a
+// completed rejoin can release the donor's copies).
 type Importer struct {
 	cp   *ControlPlane
-	vers map[importVerKey]uint32
 	took []netproto.FiveTuple
 }
 
 // NewImporter builds an Importer over cp.
-func NewImporter(cp *ControlPlane) *Importer {
-	return &Importer{cp: cp, vers: make(map[importVerKey]uint32)}
-}
+func NewImporter(cp *ControlPlane) *Importer { return &Importer{cp: cp} }
 
 // Import implements handoff.Importer.
 func (im *Importer) Import(now simtime.Time, e handoff.Entry) error {
-	key := importVerKey{e.VIP, e.Version}
-	ver, ok := im.vers[key]
-	if !ok {
-		var err error
-		if ver, err = im.cp.MapVersion(now, e.VIP, e.Pool); err != nil {
-			return err
-		}
-		im.vers[key] = ver
+	ver, err := im.cp.MapVersion(now, e.VIP, e.Pool)
+	if err != nil {
+		return err
 	}
 	if err := im.cp.ImportEntry(now, e.Tuple, ver); err != nil {
 		return err

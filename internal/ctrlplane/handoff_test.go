@@ -10,7 +10,7 @@ import (
 )
 
 // handoffPair builds a donor/receiver pair sharing hash seeds (the
-// cluster invariant that makes pool contents portable).
+// cluster invariant that makes pool rows portable).
 func handoffPair(t *testing.T, ccfg Config) (donor, recv *harness) {
 	t.Helper()
 	dcfg := dataplane.DefaultConfig(100000)

@@ -520,7 +520,7 @@ func TestRecordDropsZone(t *testing.T) {
 	h.cp.EndConnection(now, mapped)
 	h.cp.EndConnection(now, toZoned)
 	h.checkTracked(0)
-	if n := h.cp.vips[vipZoned].connsPerVer[0]; n != 0 {
+	if n := h.cp.vips[vipZoned].version(0).conns; n != 0 {
 		t.Fatalf("the link-local VIP still counts %d connections on its pool after they ended", n)
 	}
 	now = install(now, zoned)

@@ -1,6 +1,8 @@
 package ctrlplane
 
 import (
+	"slices"
+
 	"repro/internal/dataplane"
 	"repro/internal/simtime"
 	"repro/internal/telemetry"
@@ -20,8 +22,8 @@ func (cp *ControlPlane) traceUpdateStep(now simtime.Time, vc *vipCtl,
 		Key:         vc.vip.TelemetryKey(),
 		PrevVersion: prevVer,
 		Version:     newVer,
-		Before:      clone(vc.pools[prevVer]),
-		After:       clone(vc.pools[newVer]),
+		Before:      clone(vc.row(prevVer)),
+		After:       clone(vc.row(newVer)),
 	})
 }
 
@@ -32,49 +34,34 @@ func (cp *ControlPlane) maybeStartUpdate(now simtime.Time, vc *vipCtl) {
 	}
 	req := vc.queued[0]
 	vc.queued = vc.queued[1:]
-	if samePool(req.pool, vc.pools[vc.curVer]) {
+	if sameMembers(req.pool, vc.row(vc.curVer)) {
 		cp.metrics.UpdatesCoalesced++
 		cp.maybeStartUpdate(now, vc)
 		return
 	}
 	// Diff the target against the current pool: DIPs leaving service mark
-	// dead slots in every active version that still references them (their
+	// dead slots in every live version that still references them (their
 	// connections are dying with the DIP, so the slot may be rewritten).
-	removed, added := poolDiff(vc.pools[vc.curVer], req.pool)
-	for _, d := range removed {
-		for v, pool := range vc.pools {
-			for i, pd := range pool {
-				if pd == d {
-					if vc.deadSlots[v] == nil {
-						vc.deadSlots[v] = map[int]bool{}
-					}
-					vc.deadSlots[v][i] = true
+	removed, added := poolDiff(vc.row(vc.curVer), req.pool)
+	for i := range vc.vers {
+		p := &vc.vers[i]
+		for s, d := range p.row {
+			if slices.Contains(removed, d) {
+				if p.dead == nil {
+					p.dead = make([]bool, len(p.row))
 				}
+				p.dead[s] = true
 			}
 		}
 	}
-	newVer, newPool, reused, ok := cp.chooseVersion(vc, req.pool, added)
+	newVer, newPool, ok := cp.chooseVersion(vc, req.pool, added)
 	if !ok {
-		// All version numbers are pinned by live connections: re-queue and
-		// retry as versions retire (the paper's "very rare" exhaustion).
-		cp.metrics.VersionExhaustions++
+		// Every version number is pinned (allocVersion counted the
+		// exhaustion): re-queue and retry as versions retire.
 		vc.queued = append([]updateReq{req}, vc.queued...)
 		return
 	}
-	vc.pools[newVer] = clone(newPool)
-	if len(vc.pools) > vc.maxActive {
-		vc.maxActive = len(vc.pools)
-	}
-	if err := cp.sw.WritePool(vc.vip, newVer, newPool); err != nil {
-		panic("ctrlplane: WritePool: " + err.Error())
-	}
-	if reused {
-		cp.metrics.VersionReuses++
-		delete(vc.deadSlots, newVer)
-	} else {
-		cp.metrics.VersionAllocs++
-		vc.versionsAllocated++
-	}
+	cp.writeRow(vc, newVer, newPool)
 
 	if cp.sw.Config().DisableTransit {
 		// The "SilkRoad without TransitTable" ablation (Figure 16): swap
@@ -108,85 +95,67 @@ func (cp *ControlPlane) maybeStartUpdate(now simtime.Time, vc *vipCtl) {
 	cp.traceUpdateStep(now, vc, telemetry.StepRecording, vc.treq, 0, vc.curVer, newVer)
 }
 
-// chooseVersion picks the version number for a new pool: reuse an active
+// chooseVersion picks the version number for a new pool: reuse a live
 // version whose dead slots can be substituted with the added DIPs to form
-// exactly the target pool (§4.2), else allocate from the ring buffer. The
-// returned pool is the row to write: for reuse it is the *substituted*
-// pool, preserving slot positions so connections pinned to the reused
-// version keep selecting the same (live) DIPs; for a fresh version it is
-// the target as requested.
-func (cp *ControlPlane) chooseVersion(vc *vipCtl, target, added []dataplane.DIP) (ver uint32, pool []dataplane.DIP, reused, ok bool) {
+// exactly the target pool (§4.2), else allocate one. The returned pool is
+// the row to write: for reuse it is the *substituted* pool, preserving slot
+// positions so connections pinned to the reused version keep selecting the
+// same (live) DIPs; for a fresh version it is the target as requested.
+func (cp *ControlPlane) chooseVersion(vc *vipCtl, target, added []dataplane.DIP) (ver uint32, pool []dataplane.DIP, ok bool) {
 	if !cp.cfg.DisableVersionReuse {
-		for _, v := range vc.sortedVersions() {
-			if v == vc.curVer || len(vc.deadSlots[v]) == 0 {
+		for _, p := range vc.vers {
+			if p.dead == nil || p.ver == vc.curVer {
 				continue
 			}
-			if v == vc.prevVer && vc.state != updIdle {
-				continue
-			}
-			if cand, match := substitute(vc.pools[v], vc.deadSlots[v], added, target); match {
-				return v, cand, true, true
+			if cand, match := substitute(p.row, p.dead, added, target); match {
+				return p.ver, cand, true
 			}
 		}
 	}
-	if len(vc.freeVers) > 0 {
-		v := vc.freeVers[0]
-		vc.freeVers = vc.freeVers[1:]
-		return v, target, false, true
-	}
-	// Ring empty: retire any version with zero connections on the spot.
-	for _, v := range vc.sortedVersions() {
-		if v != vc.curVer && vc.connsPerVer[v] == 0 && !(vc.state != updIdle && v == vc.prevVer) {
-			cp.dropVersion(vc, v)
-			return v, target, false, true
-		}
-	}
-	return 0, nil, false, false
+	ver, ok = cp.allocVersion(vc)
+	return ver, target, ok
 }
 
-// substitute checks whether replacing pool's dead slots with the added DIPs
-// yields the target pool as a multiset. It returns the substituted pool.
-func substitute(pool []dataplane.DIP, dead map[int]bool, added, target []dataplane.DIP) ([]dataplane.DIP, bool) {
-	if len(added) == 0 || len(added) > len(dead) || len(pool) != len(target) {
-		return nil, false
-	}
-	out := clone(pool)
-	ai := 0
-	for i := range out {
-		if dead[i] && ai < len(added) {
-			out[i] = added[ai]
-			ai++
+// substitute checks whether writing the added DIPs into row's dead slots,
+// in slot order, yields the target pool as a multiset. Every dead slot must
+// take one: a slot left dead would resurrect a removed DIP. It returns the
+// substituted row.
+func substitute(row []dataplane.DIP, dead []bool, added, target []dataplane.DIP) ([]dataplane.DIP, bool) {
+	out, n := clone(row), 0
+	for i, d := range dead {
+		if !d {
+			continue
 		}
+		if n < len(added) {
+			out[i] = added[n]
+		}
+		n++
 	}
-	if ai != len(added) {
-		return nil, false
-	}
-	// Slots that stay dead (more dead slots than additions) keep their old
-	// DIP, which would resurrect a removed DIP — reject that case.
-	if len(dead) != len(added) {
-		return nil, false
-	}
-	if !samePool(out, target) {
+	if n == 0 || n != len(added) || !sameMembers(out, target) {
 		return nil, false
 	}
 	return out, true
 }
 
-// poolDiff returns (removed, added) between cur and next as multisets.
+// poolDiff returns the multiset difference between cur and next: removed
+// in cur's slot order, added in next's order, so the dead slots a reuse
+// fills take the added DIPs in one order on every run.
 func poolDiff(cur, next []dataplane.DIP) (removed, added []dataplane.DIP) {
-	count := map[dataplane.DIP]int{}
+	count := make(map[dataplane.DIP]int, len(cur))
 	for _, d := range cur {
 		count[d]++
 	}
 	for _, d := range next {
-		count[d]--
-	}
-	for d, c := range count {
-		for i := 0; i < c; i++ {
-			removed = append(removed, d)
-		}
-		for i := 0; i < -c; i++ {
+		if count[d] > 0 {
+			count[d]--
+		} else {
 			added = append(added, d)
+		}
+	}
+	for _, d := range cur {
+		if count[d] > 0 {
+			count[d]--
+			removed = append(removed, d)
 		}
 	}
 	return removed, added
@@ -255,33 +224,6 @@ func (cp *ControlPlane) finishUpdate(now simtime.Time, vc *vipCtl) {
 	cp.metrics.UpdatesCompleted++
 	cp.retireIfIdle(vc, vc.prevVer)
 	cp.maybeStartUpdate(now, vc)
-}
-
-// retireIfIdle frees version v of vc if no connection uses it anymore.
-func (cp *ControlPlane) retireIfIdle(vc *vipCtl, v uint32) {
-	if v == vc.curVer {
-		return
-	}
-	if vc.state != updIdle && v == vc.prevVer {
-		return
-	}
-	if vc.connsPerVer[v] != 0 {
-		return
-	}
-	if _, exists := vc.pools[v]; !exists {
-		return
-	}
-	cp.dropVersion(vc, v)
-	vc.freeVers = append(vc.freeVers, v)
-}
-
-// dropVersion removes version v's pool row without returning it to the
-// ring (callers decide).
-func (cp *ControlPlane) dropVersion(vc *vipCtl, v uint32) {
-	delete(vc.pools, v)
-	delete(vc.deadSlots, v)
-	delete(vc.connsPerVer, v)
-	_ = cp.sw.DeletePool(vc.vip, v)
 }
 
 // noPendingBefore reports whether every connection that arrived before t

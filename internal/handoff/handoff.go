@@ -46,11 +46,13 @@ func (o Op) String() string {
 }
 
 // Entry is one connection's transferable state. Version is the donor's
-// pool-version number — meaningless on the receiver, which remaps it by
-// Pool content (version numbers are switch-local; pool contents plus the
-// shared hash seeds are what make DIP selection portable). DIP is the
-// donor's resolved backend, carried so auditors (and snapshot diffs) can
-// verify PCC without re-deriving the mapping.
+// pool-version number — meaningless on the receiver, which maps Pool onto
+// a local version holding the same row slot for slot (version numbers are
+// switch-local; with shared hash seeds a connection picks the same slot on
+// any switch, so the row's slot order, not its set of DIPs, is what makes
+// DIP selection portable). DIP is the donor's resolved backend, carried so
+// auditors (and snapshot diffs) can verify PCC without re-deriving the
+// mapping.
 type Entry struct {
 	Op      Op                 `json:"op,omitempty"`
 	Tuple   netproto.FiveTuple `json:"tuple"`
