@@ -15,8 +15,8 @@ import (
 // TestLearnedBatchWakesWallDriver parks the wall driver on an idle
 // multi-pipe switch, then submits one SYN batch. ProcessFramesInto issues at
 // most one poke for the whole batch; that single poke must be enough for
-// the driver to re-read NextDue across all pipes and drain every pipe's
-// learn flush promptly. If the poke were lost, the driver would sleep out
+// the driver to re-read NextEventTime across all pipes and drain every
+// pipe's learn flush promptly. If the poke were lost, the driver would sleep out
 // its 250 ms idle poll — the latency bound below catches that.
 func TestLearnedBatchWakesWallDriver(t *testing.T) {
 	clock := NewManualClock(0)

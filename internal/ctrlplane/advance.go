@@ -9,84 +9,68 @@ import (
 	"repro/internal/telemetry"
 )
 
-// filterSource exposes the hardware learning filter's flush schedule to
-// the scheduler: its deadline is the next flush, and advancing it drains
-// every flush due by then.
-type filterSource struct{ cp *ControlPlane }
-
-func (f filterSource) NextEventTime() (simtime.Time, bool) {
-	return f.cp.sw.LearnFilter().NextFlush()
-}
-
-func (f filterSource) Advance(now simtime.Time) {
-	for {
-		at, ok := f.cp.sw.LearnFilter().NextFlush()
-		if !ok || at.After(now) {
-			return
-		}
-		f.cp.drainFilter(at)
-	}
-}
-
-// insertSource exposes the rate-limited CPU insertion queue: its deadline
-// is the head insertion's completion time, and advancing it installs every
-// insertion due by then. The queue is FIFO in completion time (each drain
-// appends behind cpuFreeAt), so head-order execution is time-order
-// execution.
-type insertSource struct{ cp *ControlPlane }
-
-func (q insertSource) NextEventTime() (simtime.Time, bool) {
-	if q.cp.queue.len() == 0 {
-		return 0, false
-	}
-	return q.cp.queue.at(0).completeAt, true
-}
-
-func (q insertSource) Advance(now simtime.Time) {
-	cp := q.cp
-	for cp.queue.len() > 0 && !cp.queue.at(0).completeAt.After(now) {
-		cp.install(cp.queue.pop())
-	}
-}
-
 // Advance runs all control-plane work due at or before now: learning-filter
 // drains, ConnTable insertions at the CPU's bounded rate, update state
-// transitions, and (optionally) connection aging. It is a thin shim over
-// the internal scheduler, which executes drains and insertions in strict
-// time order — each source retiring its whole due backlog per scheduler
-// step, every installation still stamped with its own completion time.
-// Callers must invoke it with non-decreasing times; ProcessFrameInto calls
-// it before each packet, and drivers call it whenever NextEventTime falls
-// due.
+// transitions, and (optionally) connection aging. Drains and insertions run
+// in strict time order (advanceTo), every installation stamped with its own
+// completion time. Callers must invoke it with non-decreasing times;
+// ProcessFrameInto calls it before each packet, and drivers call it whenever
+// NextEventTime falls due.
 //
-// Aging is the one piece of work outside the scheduler that frees ConnTable
+// Aging is the one piece of work outside that merge that frees ConnTable
 // slots, so with aging enabled a long step stops at every aging step due on
 // the way: an expiry due before a queued full-table retry runs before it, as
 // it would if the driver had stepped to each deadline in turn.
 func (cp *ControlPlane) Advance(now simtime.Time) {
 	for {
-		ag, ok := cp.NextAging()
+		ag, ok := cp.nextAging()
 		if !ok || !ag.Before(now) {
 			break
 		}
-		if last := cp.rt.Now(); ag.Before(last) {
-			ag = last // an aging step overdue behind the clock never pulls time back
+		if ag.Before(cp.now) {
+			ag = cp.now // an aging step overdue behind the clock never pulls time back
 		}
 		cp.advanceTo(ag)
 	}
 	cp.advanceTo(now)
 }
 
+// advanceTo merges the two timed queues up to now — the learning filter's
+// flush and the CPU's insertions, head first — then runs the update
+// transitions and the aging step. A flush wins a same-instant tie, as on
+// the hardware: it only queues work the CPU picks up afterwards.
 func (cp *ControlPlane) advanceTo(now simtime.Time) {
-	cp.rt.RunUntil(now)
+	for {
+		flush, fok := cp.sw.LearnFilter().NextFlush()
+		ins, iok := cp.nextInsert()
+		if fok && !flush.After(now) && (!iok || !ins.Before(flush)) {
+			cp.drainFilter(flush)
+		} else if iok && !ins.After(now) {
+			cp.install(cp.queue.pop())
+		} else {
+			break
+		}
+	}
+	if now.After(cp.now) {
+		cp.now = now
+	}
 	// Update states can cascade: finishing one update starts the next
 	// queued one, which may itself be immediately executable when no
 	// pending connections exist. Loop to a fixed point. Transitions need no
 	// timer of their own — they become possible only when an insertion or
-	// drain retires pending work, which the scheduler just ran.
+	// drain retires pending work, which the merge just ran.
 	for cp.checkTransitions(now) {
 	}
 	cp.age(now)
+}
+
+// nextInsert returns the head insertion's completion time. The queue is
+// ordered by completion time (queue.go), so head order is time order.
+func (cp *ControlPlane) nextInsert() (simtime.Time, bool) {
+	if cp.queue.len() == 0 {
+		return 0, false
+	}
+	return cp.queue.at(0).completeAt, true
 }
 
 // drainFilter reads one batch from the learning filter and schedules its
@@ -238,21 +222,29 @@ func (cp *ControlPlane) pin(now simtime.Time, vc *vipCtl, tuple netproto.FiveTup
 	return nil
 }
 
-// NextEventTime returns the earliest time at which Advance would perform
-// work, and whether any work is scheduled. It deliberately excludes aging
-// deadlines — aging is best-effort housekeeping piggybacked on Advance,
-// and surfacing it here would change every simulation's event sequence.
-// Wall-clock drivers combine this with NextAging instead.
+// NextEventTime returns the earliest time at which Advance has work to do,
+// and whether it has any: a learning-filter flush, a queued insertion, an
+// aging step, or an update transition that is already eligible. It is the
+// control plane's one deadline: simulations step to it and the switch
+// runtime sleeps on it.
 func (cp *ControlPlane) NextEventTime() (simtime.Time, bool) {
-	return cp.rt.Next()
+	at, ok := cp.sw.LearnFilter().NextFlush()
+	consider := func(t simtime.Time, due bool) {
+		if due && (!ok || t.Before(at)) {
+			at, ok = t, true
+		}
+	}
+	consider(cp.nextInsert())
+	consider(cp.nextAging())
+	consider(cp.nextTransition())
+	return at, ok
 }
 
-// NextAging returns the next aging step at which a connection may expire —
+// nextAging returns the next aging step at which a connection may expire —
 // the first grid instant at or after the oldest last-seen time plus
 // AgingTimeout, never later than the first expiry — if aging is enabled and
-// any connection is live. The wall-clock runtime uses it to wake up for
-// idle-connection expiry with no packets flowing.
-func (cp *ControlPlane) NextAging() (simtime.Time, bool) {
+// any connection is live.
+func (cp *ControlPlane) nextAging() (simtime.Time, bool) {
 	if cp.agingStep == 0 || cp.conns.live == 0 {
 		return 0, false
 	}
@@ -260,13 +252,11 @@ func (cp *ControlPlane) NextAging() (simtime.Time, bool) {
 	return due - due%simtime.Time(cp.agingStep), true
 }
 
-// NextTransition returns the earliest instant an update state transition
+// nextTransition returns the earliest instant an update state transition
 // is already eligible to run (checkTransitions would make progress). On a
 // quiescent switch an update reaches its watermark with no insertion or
-// drain left to piggyback on, so runtime drivers must wake up for it
-// explicitly — like NextAging, it is merged into the switch runtime's
-// deadline and kept out of NextEventTime's simulation semantics.
-func (cp *ControlPlane) NextTransition() (simtime.Time, bool) {
+// drain left to piggyback on, so drivers must wake up for it explicitly.
+func (cp *ControlPlane) nextTransition() (simtime.Time, bool) {
 	if cp.activeUpdates == 0 {
 		return 0, false // no VIP is recording or in transition
 	}
@@ -516,9 +506,9 @@ func (cp *ControlPlane) release(now simtime.Time, e cuckoo.Entry) {
 // AgingTimeout at that instant is released. The sweep reads the last-seen
 // times in chunk order, reaches an expired connection's entry through its
 // rebuilt tuple's key hash and its record index, and keeps the oldest time
-// it leaves for NextAging.
+// it leaves for nextAging.
 func (cp *ControlPlane) age(now simtime.Time) {
-	if due, ok := cp.NextAging(); !ok || due.After(now) {
+	if due, ok := cp.nextAging(); !ok || due.After(now) {
 		return
 	}
 	step := now - now%simtime.Time(cp.agingStep)

@@ -21,7 +21,7 @@ func (f traceFunc) Trace(e telemetry.Event)                              { f(e) 
 // thousand connections opened and touched at random instants and driven by
 // Advance calls of random length, every connection is released at the first
 // grid instant t with t - lastSeen >= timeout, never earlier and never later;
-// NextAging is never later than the first expiry still to come and reports
+// nextAging is never later than the first expiry still to come and reports
 // nothing once no connection is live. A connection pinned at time 0 beside a
 // vacated record ages like any other: a last-seen time of 0 is a time, not
 // the mark of a free record.
@@ -68,13 +68,13 @@ func agingGridScript(t *testing.T, timeout simtime.Duration) {
 	now := simtime.Time(0)
 	check := func() {
 		t.Helper()
-		due, ok := h.cp.NextAging()
+		due, ok := h.cp.nextAging()
 		if h.cp.TrackedConns() != len(seen) {
 			t.Fatalf("at %v: %d connections tracked, the oracle holds %d", now, h.cp.TrackedConns(), len(seen))
 		}
 		if len(seen) == 0 {
 			if ok {
-				t.Fatalf("at %v: NextAging = %v with no connection live", now, due)
+				t.Fatalf("at %v: nextAging = %v with no connection live", now, due)
 			}
 			return
 		}
@@ -86,7 +86,7 @@ func agingGridScript(t *testing.T, timeout simtime.Duration) {
 			t.Fatalf("at %v: a connection due at %v is still live", now, first)
 		}
 		if !ok || due.After(first) {
-			t.Fatalf("at %v: NextAging = %v, %v; the first expiry is %v", now, due, ok, first)
+			t.Fatalf("at %v: nextAging = %v, %v; the first expiry is %v", now, due, ok, first)
 		}
 	}
 
@@ -117,8 +117,8 @@ func agingGridScript(t *testing.T, timeout simtime.Duration) {
 	if err := h.cp.pin(now, vc, tupleN(0), h.sw.KeyHash(tupleN(0)), h.sw.ConnDigest(tupleN(0)), 0); err != nil {
 		t.Fatal(err)
 	}
-	if due, ok := h.cp.NextAging(); !ok || due != expiry(now) {
-		t.Fatalf("NextAging = %v, %v for one connection pinned at %v, want %v", due, ok, now, expiry(now))
+	if due, ok := h.cp.nextAging(); !ok || due != expiry(now) {
+		t.Fatalf("nextAging = %v, %v for one connection pinned at %v, want %v", due, ok, now, expiry(now))
 	}
 	h.cp.EndConnection(now, tupleN(0))
 
@@ -155,7 +155,7 @@ func agingGridScript(t *testing.T, timeout simtime.Duration) {
 		t.Fatalf("%d aged out (AgedOut %d) of %d with %d touches: the script did not run as intended",
 			released, h.cp.Metrics().AgedOut, conns-1, touched)
 	}
-	if _, ok := h.cp.NextAging(); ok {
-		t.Fatal("NextAging reports a step with no connection live")
+	if _, ok := h.cp.nextAging(); ok {
+		t.Fatal("nextAging reports a step with no connection live")
 	}
 }

@@ -24,7 +24,6 @@ import (
 	"repro/internal/handoff"
 	"repro/internal/learnfilter"
 	"repro/internal/netproto"
-	"repro/internal/sched"
 	"repro/internal/simtime"
 	"repro/internal/telemetry"
 )
@@ -179,11 +178,8 @@ type ControlPlane struct {
 	sw  *dataplane.Switch
 	cfg Config
 
-	// rt sequences the control plane's timed work — learning-filter drains
-	// and rate-limited ConnTable insertions — as scheduler sources, so both
-	// the legacy Advance/NextEventTime shims and the wall-clock runtime
-	// execute it through one event loop.
-	rt *sched.Scheduler
+	// now is the latest instant Advance has run to.
+	now simtime.Time
 
 	cpuFreeAt simtime.Time
 	queue     insertQueue
@@ -228,16 +224,10 @@ func New(sw *dataplane.Switch, cfg Config) *ControlPlane {
 	cp := &ControlPlane{
 		sw:     sw,
 		cfg:    cfg,
-		rt:     sched.New(),
 		vips:   make(map[dataplane.VIP]*vipCtl),
 		tracer: sw.Tracer(),
 		pipe:   sw.PipeIndex(),
 	}
-	// Registration order decides same-instant ties: the filter drains
-	// before due insertions execute, matching the hardware (a flush only
-	// queues work; the CPU picks it up afterwards).
-	cp.rt.AddSource(filterSource{cp})
-	cp.rt.AddSource(insertSource{cp})
 	if cfg.AgingTimeout > 0 {
 		cp.agingStep = max(cfg.AgingTimeout/8, simtime.Duration(100*simtime.Millisecond))
 		cp.conns.aging = true

@@ -608,7 +608,7 @@ func TestRemoveVIPDropsQueuedUpdates(t *testing.T) {
 	if a, q, p := h.cp.ActiveUpdates(), h.cp.QueuedUpdates(), h.cp.PendingWork(); a != 0 || q != 0 || p != 0 {
 		t.Fatalf("after RemoveVIP: %d active, %d queued, %d pending; want none", a, q, p)
 	}
-	if at, ok := h.cp.NextTransition(); ok {
+	if at, ok := h.cp.nextTransition(); ok {
 		t.Fatalf("a transition is still due at %v with no VIP left", at)
 	}
 	if got := h.cp.Metrics().UpdatesCompleted; got != 1 {

@@ -4,7 +4,7 @@ import "sort"
 
 // insertQueue is the CPU insertion queue: pending insertions ordered by
 // completion time in a head-indexed ring, so the steady-state cycle — a
-// drain appends a batch at the tail, insertSource pops from the head —
+// drain appends a batch at the tail, advanceTo pops from the head —
 // moves no elements and allocates nothing once the ring has grown to the
 // backlogs the workload produces. Vacated slots are zeroed: an executed
 // insertion's tuple is unreachable the moment it leaves the queue, and scans

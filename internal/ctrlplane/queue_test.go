@@ -1,11 +1,13 @@
 package ctrlplane
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/dataplane"
 	"repro/internal/netproto"
 	"repro/internal/simtime"
+	"repro/internal/telemetry"
 )
 
 func queued(key uint64, at simtime.Time) pendingInsert {
@@ -199,5 +201,48 @@ func TestRetryOrderAfterWrapAround(t *testing.T) {
 	checkQueue(t, q)
 	if h.violations != 0 {
 		t.Fatalf("PCC violations = %d", h.violations)
+	}
+}
+
+// TestFlushWinsSameInstantTie: when a learning-filter flush and a queued
+// insertion fall due at the same instant, the flush drains first — it only
+// queues work, which the CPU picks up afterwards. At 1 ms per insertion, A
+// (learned at 0, flushed at 1 ms) completes at 2 ms, when B (learned at
+// 1 ms) flushes: A's install must see B already queued behind it.
+func TestFlushWinsSameInstantTie(t *testing.T) {
+	var trace []telemetry.Event
+	dcfg := dataplane.DefaultConfig(1000)
+	dcfg.Tracer = traceFunc(func(e telemetry.Event) {
+		if e.Kind == telemetry.KindLearnFlush || e.Kind == telemetry.KindInsert {
+			trace = append(trace, e)
+		}
+	})
+	ccfg := DefaultConfig()
+	ccfg.InsertRate = 1000
+	h := newHarness(t, dcfg, ccfg)
+	if err := h.cp.AddVIP(0, testVIP(), poolN(4), 0); err != nil {
+		t.Fatal(err)
+	}
+	a, b := tupleN(1), tupleN(2)
+	h.send(0, a, netproto.FlagSYN)
+	h.send(ms(1), b, netproto.FlagSYN) // polls A's flush, then learns B
+	if at, ok := h.cp.NextEventTime(); !ok || at != ms(2) {
+		t.Fatalf("NextEventTime = %v, %v; want A's install and B's flush at 2ms", at, ok)
+	}
+	trace = trace[:0]
+	h.cp.Advance(ms(2))
+	var kinds []telemetry.Kind
+	for _, e := range trace {
+		kinds = append(kinds, e.Kind)
+	}
+	if want := []telemetry.Kind{telemetry.KindLearnFlush, telemetry.KindInsert}; !slices.Equal(kinds, want) {
+		t.Fatalf("event kinds at 2ms = %v, want %v: B's flush, then A's install", kinds, want)
+	}
+	if ins := trace[1]; ins.Tuple != a || ins.Outcome != telemetry.InsertOK || ins.QueueDepth != 1 {
+		t.Fatalf("A installed as %v with %d queued, want %v with B queued behind it",
+			ins.Tuple, ins.QueueDepth, a)
+	}
+	if got := h.cp.Metrics().MaxInsertQueue; got != 2 {
+		t.Fatalf("MaxInsertQueue = %d, want A and B queued together", got)
 	}
 }

@@ -149,17 +149,17 @@ func TestInterleavedBatchesRace(t *testing.T) {
 			}
 			// Exercised for race coverage; emptiness is legitimate once
 			// the concurrent batches' Advance calls drain the updates.
-			_, _ = e.NextDue()
+			_, _ = e.NextEventTime()
 		}
 	}()
 	wg.Wait()
 }
 
-// TestNextDueWhileWorkersParked asserts the engine's deadline surface
-// stays live between batches: a learned batch schedules its filter flush,
-// and NextDue must surface it without any packet or Advance activity to
+// TestNextEventTimeAfterLearnedBatch asserts the engine's deadline stays
+// live between batches: a learned batch schedules its filter flush, and
+// NextEventTime must surface it without any packet or Advance activity to
 // "kick" the pipes.
-func TestNextDueWhileWorkersParked(t *testing.T) {
+func TestNextEventTimeAfterLearnedBatch(t *testing.T) {
 	e := newTestEngine(t, 4, 10000)
 	var pkts []*netproto.Packet
 	for i := 0; i < 64; i++ {
@@ -175,13 +175,13 @@ func TestNextDueWhileWorkersParked(t *testing.T) {
 		t.Fatal("SYN batch learned nothing")
 	}
 	// The learn flush and the pending inserts are due within a few filter
-	// timeouts; NextDue must surface that deadline.
-	at, ok := e.NextDue()
+	// timeouts; NextEventTime must surface that deadline.
+	at, ok := e.NextEventTime()
 	if !ok {
-		t.Fatal("NextDue empty after a learned batch")
+		t.Fatal("NextEventTime empty after a learned batch")
 	}
 	if limit := now.Add(simtime.Duration(10 * simtime.Millisecond)); at.After(limit) {
-		t.Fatalf("NextDue = %v, want a deadline by %v", at, limit)
+		t.Fatalf("NextEventTime = %v, want a deadline by %v", at, limit)
 	}
 	// And it must still drain normally from here.
 	e.Advance(now.Add(simtime.Duration(10 * simtime.Second)))

@@ -432,31 +432,6 @@ func (e *Engine) NextEventTime() (simtime.Time, bool) {
 	return best, have
 }
 
-// NextDue returns the earliest deadline of any kind across the pipes —
-// background work (NextEventTime) or aging steps. The wall-clock
-// runtime sleeps on this value; the simulation path keeps NextEventTime,
-// which excludes aging, so event sequences are unchanged.
-func (e *Engine) NextDue() (simtime.Time, bool) {
-	var best simtime.Time
-	have := false
-	consider := func(at simtime.Time, ok bool) {
-		if ok && (!have || at.Before(best)) {
-			best, have = at, true
-		}
-	}
-	for _, p := range e.pipes {
-		p.mu.Lock()
-		at, ok := p.cp.NextEventTime()
-		ag, agOK := p.cp.NextAging()
-		tr, trOK := p.cp.NextTransition()
-		p.mu.Unlock()
-		consider(at, ok)
-		consider(ag, agOK)
-		consider(tr, trOK)
-	}
-	return best, have
-}
-
 // PipeStats is one pipe's view of the chip: its own hardware counters,
 // software metrics and SRAM consumption. The facade exposes the same type
 // for single-pipe switches, so callers inspect per-pipe state without

@@ -9,9 +9,9 @@
 //     (time, scheduling sequence), so simultaneous events fire in FIFO
 //     order — the property that keeps seeded simulations bit-reproducible.
 //   - Sources: components that already track their own deadlines behind an
-//     Advance(now)/NextEventTime() pair (a control plane, a health
-//     checker, a whole multi-pipe switch). The scheduler interleaves their
-//     background work with timers in strict time order.
+//     Advance(now)/NextEventTime() pair (a whole switch, a health checker,
+//     flowsim's balancer). The scheduler interleaves their background work
+//     with timers in strict time order.
 //
 // One stepping rule orders the two: the earliest-due source is advanced
 // not to its own deadline but to its horizon — the last instant before
@@ -225,10 +225,10 @@ func (s *Scheduler) stepSource(limit simtime.Time) bool {
 // RunUntil executes all work due at or before now — source work and timer
 // callbacks interleaved in strict time order, sources winning ties — and
 // advances the high-water mark to now. It is the "catch up to this
-// instant" primitive: the control plane's legacy Advance method and the
-// wall-clock driver are both built on it. Each source step covers every
-// deadline up to the source's horizon (stepSource), so a backlog of N
-// deadlines with nothing else due between them costs one Advance call.
+// instant" primitive: Switch.AdvanceTo and the wall-clock driver are both
+// built on it. Each source step covers every deadline up to the source's
+// horizon (stepSource), so a backlog of N deadlines with nothing else due
+// between them costs one Advance call.
 func (s *Scheduler) RunUntil(now simtime.Time) {
 	for {
 		switch {

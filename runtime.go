@@ -29,10 +29,10 @@ func NewManualClock(start Time) *sched.ManualClock { return sched.NewManualClock
 var ErrRunning = errors.New("runtime already running")
 
 // eventRuntime is the switch's event runtime: one scheduler carrying the
-// switch's own due work (learning-filter drains, CPU insertions, update
-// transitions, aging) as a source, plus any periodic tasks (Every) and
-// health checkers registered later. The wall-clock driver created by Run
-// executes it against Config.Clock.
+// switch itself as a source (learning-filter drains, CPU insertions, update
+// transitions and aging, all behind Switch.NextEventTime), plus any
+// periodic tasks (Every) and health checkers registered later. The
+// wall-clock driver created by Run executes it against Config.Clock.
 type eventRuntime struct {
 	clock  Clock
 	mu     sync.Mutex // guards sched; the driver lock
@@ -45,24 +45,9 @@ func newRuntime(clock Clock, s *Switch) *eventRuntime {
 		clock = sched.NewWallClock()
 	}
 	rt := &eventRuntime{clock: clock, sched: sched.New()}
-	rt.sched.AddSource(switchSource{s})
+	rt.sched.AddSource(s)
 	return rt
 }
-
-// switchSource adapts the whole switch — every pipe's control plane plus
-// its aging steps — as one scheduler source. Deadlines come from nextDue
-// (which, unlike the simulation-facing NextEventTime, includes aging);
-// advancing runs the legacy Advance path, which takes the pipe locks
-// itself.
-type switchSource struct{ s *Switch }
-
-func (ss switchSource) NextEventTime() (Time, bool) { return ss.s.nextDue() }
-func (ss switchSource) Advance(now Time)            { ss.s.Advance(now) }
-
-// nextDue returns the earliest deadline of any kind the switch has:
-// background work or aging steps. The wall-clock driver sleeps on
-// this; NextEventTime keeps its narrower simulation semantics.
-func (s *Switch) nextDue() (Time, bool) { return s.eng.NextDue() }
 
 // Now returns the current instant of the switch's clock (Config.Clock, or
 // the wall clock installed at construction).

@@ -2,6 +2,7 @@ package silkroad
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
@@ -123,7 +124,9 @@ func TestEveryTask(t *testing.T) {
 // TestMultiPipeNextEventTime is the regression test for the multi-pipe
 // deadline merge: Switch.NextEventTime must return the earliest due time
 // across pipes, and advancing past one pipe's deadline must not starve
-// work queued on another pipe.
+// work queued on another pipe. It is also the switch's only deadline: a
+// pool update on an idle switch is reported as due, so a caller stepping
+// to NextEventTime alone completes it.
 func TestMultiPipeNextEventTime(t *testing.T) {
 	cfg := Defaults(100000)
 	cfg.Pipes = 4
@@ -181,5 +184,35 @@ func TestMultiPipeNextEventTime(t *testing.T) {
 	}
 	if _, ok := sw.NextEventTime(); ok {
 		t.Fatal("drained switch still reports due work")
+	}
+
+	// A pool update on the drained switch has no pending connection to wait
+	// for: its transition is due at once, and stepping only to
+	// NextEventTime finishes it on the new pool.
+	now := Time(5 * Millisecond)
+	want := Pool("10.0.0.1:20", "10.0.0.2:20", "10.0.0.3:20")
+	if err := sw.UpdatePool(now, testVIP(), want); err != nil {
+		t.Fatal(err)
+	}
+	if at, ok := sw.NextEventTime(); !ok || at != now {
+		t.Fatalf("NextEventTime after UpdatePool = %v,%v, want the transition at %v", at, ok, now)
+	}
+	for steps := 0; ; steps++ {
+		at, ok := sw.NextEventTime()
+		if !ok {
+			break
+		}
+		if steps == 10 {
+			t.Fatalf("work still due at %v after %d steps", at, steps)
+		}
+		sw.AdvanceTo(at)
+	}
+	for _, ps := range sw.PerPipe() {
+		if got := ps.Controlplane.UpdatesCompleted; got != 1 {
+			t.Fatalf("pipe %d: UpdatesCompleted = %d, want 1", ps.Pipe, got)
+		}
+	}
+	if got, err := sw.CurrentPool(testVIP()); err != nil || !slices.Equal(got, want) {
+		t.Fatalf("CurrentPool = %v, %v; want %v", got, err, want)
 	}
 }

@@ -608,9 +608,9 @@ func resultSchedulesWork(res Result) bool {
 // scheduled work. One poke covers the whole batch, even when several pipes
 // queued new deadlines: the engine returns only after every pipe's share
 // has completed, so all that work is already scheduled when the scan below
-// runs, and Poke merely makes the wall driver re-read NextDue — the minimum
-// deadline across every pipe — rather than waking it for a specific pipe.
-// Breaking on the first hit is therefore wake-loss-free.
+// runs, and Poke merely makes the wall driver re-read NextEventTime — the
+// minimum deadline across every pipe — rather than waking it for a
+// specific pipe. Breaking on the first hit is therefore wake-loss-free.
 func (s *Switch) pokeForBatch(results []Result) {
 	for i := range results {
 		if resultSchedulesWork(results[i]) {
@@ -727,7 +727,10 @@ func (s *Switch) EndConnection(now Time, t FiveTuple) {
 // update state transitions, aging) due at or before now.
 func (s *Switch) Advance(now Time) { s.eng.Advance(now) }
 
-// NextEventTime returns when the switch next has background work due.
+// NextEventTime returns when the switch next has background work due on
+// any pipe: a learning-filter flush, a CPU insertion, an aging step or an
+// update transition that is already eligible. A caller driving virtual
+// time by hand steps Advance to it; the switch runtime sleeps on it.
 func (s *Switch) NextEventTime() (Time, bool) { return s.eng.NextEventTime() }
 
 // lockedManager adapts the switch's locked facade as a health.PoolManager.
