@@ -38,7 +38,7 @@ func benchRuntimeOverhead(b *testing.B, schedDriven bool) {
 	for base := 0; base < conns; base += batchSize {
 		sw.ProcessFramesInto(0, clientFrames(base, batchSize, netproto.FlagSYN), results)
 	}
-	sw.Advance(Time(5 * Millisecond))
+	sw.eng.Advance(Time(5 * Millisecond))
 	acks := clientFrames(0, conns, netproto.FlagACK)
 
 	now := Time(10 * Millisecond)
@@ -67,7 +67,7 @@ func benchRuntimeOverhead(b *testing.B, schedDriven bool) {
 			sw.ProcessFramesInto(now, batch, results)
 		} else {
 			sw.ProcessFramesInto(now, batch, results)
-			sw.Advance(now)
+			sw.eng.Advance(now)
 		}
 		now = now.Add(Microsecond)
 	}

@@ -50,7 +50,7 @@ func sloBenchPrime(sw *Switch) {
 	for base := 0; base < sloBenchConns; base += sloBenchBatch {
 		sw.ProcessFramesInto(0, clientFrames(base, sloBenchBatch, netproto.FlagSYN), results)
 	}
-	sw.Advance(Time(10 * Millisecond))
+	sw.AdvanceTo(Time(10 * Millisecond))
 }
 
 // sloBenchMeasure runs established-traffic passes of acks, one frame per

@@ -13,7 +13,9 @@ package silkroad_test
 // into an import cycle.
 
 import (
+	"fmt"
 	"net/netip"
+	"sync/atomic"
 	"testing"
 
 	. "repro"
@@ -82,7 +84,7 @@ func BenchmarkPipelineHit(b *testing.B) {
 	var f Frame
 	pkt.Frame(&f)
 	sw.ProcessFrame(0, &f)
-	sw.Advance(Time(5 * Millisecond))
+	sw.AdvanceTo(Time(5 * Millisecond))
 	pkt.TCPFlags = netproto.FlagACK
 	pkt.Frame(&f)
 	b.ReportAllocs()
@@ -118,7 +120,7 @@ func BenchmarkPipelineNewConnections(b *testing.B) {
 		now = now.Add(5 * Microsecond)
 		if i%4096 == 0 {
 			// Keep the table from filling: end the oldest connections.
-			sw.Advance(now)
+			sw.AdvanceTo(now)
 		}
 		if i%8192 == 8191 {
 			for j := i - 8191; j <= i; j++ {
@@ -202,7 +204,7 @@ func frameBenchSwitch(tb testing.TB, conns int, arm func(*Config)) (*Switch, []F
 	// Open every connection and let the insertions land, so the measured
 	// region is pure ConnTable hits.
 	sw.ProcessFramesInto(0, frames, make([]Result, len(frames)))
-	sw.Advance(Time(5 * Millisecond))
+	sw.AdvanceTo(Time(5 * Millisecond))
 	for i := range frames {
 		p := &Packet{
 			Tuple:    frames[i].Tuple,
@@ -241,22 +243,62 @@ func BenchmarkProcessFrames(b *testing.B) {
 	}
 }
 
+// BenchmarkProcessFrame measures single frames through ProcessFrame at
+// steady state (established connections, ConnTable hits) on 1, 2 and 4
+// pipes, from one caller ("serial") and from GOMAXPROCS callers at once
+// ("parallel"), each walking the frames from its own offset.
+func BenchmarkProcessFrame(b *testing.B) {
+	const conns = 2048
+	for _, pipes := range []int{1, 2, 4} {
+		sw, frames := frameBenchSwitch(b, conns, func(c *Config) { c.Pipes = pipes })
+		b.Run(fmt.Sprintf("pipes=%d/serial", pipes), func(b *testing.B) {
+			b.ReportAllocs()
+			now := Time(10 * Millisecond)
+			for i := 0; i < b.N; i++ {
+				if i%conns == 0 {
+					now = now.Add(Microsecond)
+				}
+				sw.ProcessFrame(now, &frames[i%conns])
+			}
+		})
+		b.Run(fmt.Sprintf("pipes=%d/parallel", pipes), func(b *testing.B) {
+			b.ReportAllocs()
+			var callers atomic.Int32
+			b.RunParallel(func(pb *testing.PB) {
+				i := int(callers.Add(1)) * 521
+				now := Time(10 * Millisecond)
+				for pb.Next() {
+					if i%conns == 0 {
+						now = now.Add(Microsecond)
+					}
+					sw.ProcessFrame(now, &frames[i%conns])
+					i++
+				}
+			})
+		})
+	}
+}
+
 // TestProcessFramesZeroAlloc enforces the acceptance criterion directly:
 // the steady-state frames batch path performs zero allocations per batch,
 // untraced and with armed tracers — a metrics registry, and a flight
 // recorder wrapping one with no flow armed and sampling off — since every
-// event travels by value.
+// event travels by value. Frames sent alone through ProcessFrame, each a
+// one-frame batch, allocate nothing either, on one pipe and on four.
 func TestProcessFramesZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		arm  func(*Config)
+		name   string
+		arm    func(*Config)
+		single bool // each frame alone through ProcessFrame, a one-frame batch
 	}{
-		{"untraced", nil},
-		{"telemetry", func(c *Config) { c.Telemetry = NewTelemetry() }},
+		{"untraced", nil, false},
+		{"telemetry", func(c *Config) { c.Telemetry = NewTelemetry() }, false},
 		{"recorder", func(c *Config) {
 			c.Telemetry = NewTelemetry()
 			c.FlightRecorder = NewFlightRecorder(FlightRecorderConfig{})
-		}},
+		}, false},
+		{"frame_1pipe", nil, true},
+		{"frame_4pipes", func(c *Config) { c.Pipes = 4 }, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const conns = 512
@@ -266,10 +308,16 @@ func TestProcessFramesZeroAlloc(t *testing.T) {
 			sw.ProcessFramesInto(now, frames, results) // warm any lazy state
 			allocs := testing.AllocsPerRun(50, func() {
 				now = now.Add(Microsecond)
-				sw.ProcessFramesInto(now, frames, results)
+				if !tc.single {
+					sw.ProcessFramesInto(now, frames, results)
+					return
+				}
+				for i := range frames {
+					results[i] = sw.ProcessFrame(now, &frames[i])
+				}
 			})
 			if allocs != 0 {
-				t.Fatalf("ProcessFramesInto allocated %.1f times per batch, want 0", allocs)
+				t.Fatalf("allocated %.1f times per %d frames, want 0", allocs, conns)
 			}
 			for i := range results {
 				if results[i].Verdict != VerdictForward || !results[i].ConnHit {

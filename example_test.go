@@ -31,7 +31,7 @@ func Example() {
 	first := sw.ProcessFrame(0, &syn)
 
 	// Let the CPU install the ConnTable entry, then update the pool.
-	sw.Advance(silkroad.Time(5 * silkroad.Millisecond))
+	sw.AdvanceTo(silkroad.Time(5 * silkroad.Millisecond))
 	sw.AddDIP(silkroad.Time(5*silkroad.Millisecond), vip, silkroad.AddrPort("10.0.0.3:20"))
 
 	later := sw.ProcessFrame(silkroad.Time(20*silkroad.Millisecond), &ack)
@@ -71,7 +71,7 @@ func ExampleSwitch_UpdatePool() {
 	sw.AddVIP(0, vip, silkroad.Pool("10.0.0.1:20"))
 
 	sw.UpdatePool(0, vip, silkroad.Pool("10.0.1.1:20", "10.0.1.2:20"))
-	sw.Advance(silkroad.Time(50 * silkroad.Millisecond))
+	sw.AdvanceTo(silkroad.Time(50 * silkroad.Millisecond))
 
 	pool, _ := sw.CurrentPool(vip)
 	fmt.Println(len(pool), "backends")

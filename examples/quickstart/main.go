@@ -3,7 +3,7 @@
 //
 // The switch runs on its wall-clock event runtime: Switch.Run drives the
 // learning-filter drains, CPU insertions and PCC update steps autonomously
-// while this program just sends packets and sleeps — no manual Advance
+// while this program just sends packets and sleeps — no manual AdvanceTo
 // calls anywhere.
 //
 // Run with: go run ./examples/quickstart

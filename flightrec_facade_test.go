@@ -48,7 +48,7 @@ func TestTraceFacade(t *testing.T) {
 	}
 	process(sw, 0, target)
 	process(sw, 0, clientPkt(2, netproto.FlagSYN)) // unarmed flow: must not appear
-	sw.Advance(Time(5 * Millisecond))              // learning filter drains, CPU installs
+	sw.AdvanceTo(Time(5 * Millisecond))            // learning filter drains, CPU installs
 	res := process(sw, Time(10*Millisecond), clientPkt(1, netproto.FlagACK))
 	if !res.ConnHit {
 		t.Fatalf("established packet missed ConnTable: %+v", res)
@@ -133,7 +133,7 @@ func TestDebugEndpoints(t *testing.T) {
 		t.Fatalf("arm: status %d", resp.StatusCode)
 	}
 	process(sw, 0, target)
-	sw.Advance(Time(5 * Millisecond))
+	sw.AdvanceTo(Time(5 * Millisecond))
 	process(sw, Time(10*Millisecond), clientPkt(3, netproto.FlagACK))
 
 	var trace struct {
@@ -322,7 +322,7 @@ func TestFlightRecorderChurnRace(t *testing.T) {
 			}
 			now := Time(nowNS.Add(int64(10 * Microsecond)))
 			processBatch(sw, now, batch)
-			sw.Advance(now)
+			sw.AdvanceTo(now)
 		}
 	}()
 
@@ -380,7 +380,7 @@ func TestFlightRecorderChurnRace(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	sw.Advance(Time(nowNS.Load()).Add(Duration(Second)))
+	sw.AdvanceTo(Time(nowNS.Load()).Add(Duration(Second)))
 
 	j := rec.Journal()
 	total := rec.JournalSeq()

@@ -61,14 +61,10 @@ func FuzzParseSpec(f *testing.F) {
 		}
 		for i := 0; !sw.Converged(); i++ {
 			if i == 200 {
-				t.Fatalf("applied spec never converged: %d keys still queued, statuses %+v",
-					sw.Reconcile(now), sw.VIPStatuses())
+				t.Fatalf("applied spec never converged: statuses %+v", sw.VIPStatuses())
 			}
 			now = now.Add(100 * Millisecond)
 			sw.AdvanceTo(now)
-		}
-		if n := sw.Reconcile(now); n != 0 {
-			t.Fatalf("converged with %d keys still queued", n)
 		}
 	})
 }

@@ -107,13 +107,13 @@ func TestChurnInvariants(t *testing.T) {
 	}
 	// Drain everything; the aging sweeps reclaim zombies.
 	now = now.Add(Duration(Second))
-	sw.Advance(now)
+	sw.AdvanceTo(now)
 	for i := range live {
 		sw.EndConnection(now, tuple(i))
 	}
 	for k := 0; k < 8; k++ {
 		now = now.Add(Duration(15 * Second))
-		sw.Advance(now)
+		sw.AdvanceTo(now)
 	}
 
 	st := sw.Stats()
@@ -243,7 +243,7 @@ func TestOverflowDegradesGracefully(t *testing.T) {
 		}
 		now = now.Add(20 * Microsecond)
 	}
-	sw.Advance(now.Add(Duration(Second)))
+	sw.AdvanceTo(now.Add(Duration(Second)))
 	st := sw.Stats()
 	if st.Controlplane.Overflows == 0 {
 		t.Fatal("3000 conns into a 256-entry table produced no overflows")
@@ -269,8 +269,7 @@ func TestFacadeHealthChecker(t *testing.T) {
 	alive[pool[1]] = false
 	for s := 0; s <= 60; s += 10 {
 		now := Time(s) * Time(Second)
-		hc.Advance(now)
-		sw.Advance(now)
+		sw.AdvanceTo(now)
 	}
 	cur, _ := sw.CurrentPool(vip)
 	if len(cur) != 2 {
@@ -282,8 +281,7 @@ func TestFacadeHealthChecker(t *testing.T) {
 	alive[pool[1]] = true
 	for s := 70; s <= 120; s += 10 {
 		now := Time(s) * Time(Second)
-		hc.Advance(now)
-		sw.Advance(now)
+		sw.AdvanceTo(now)
 	}
 	cur, _ = sw.CurrentPool(vip)
 	if len(cur) != 3 {
@@ -367,7 +365,7 @@ func TestConcurrentFacade(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
 			sw.RemoveDIP(Time(i)*100_000, vip, AddrPort("10.0.0.3:20"))
-			sw.Advance(Time(i)*100_000 + 50_000)
+			sw.AdvanceTo(Time(i)*100_000 + 50_000)
 			sw.AddDIP(Time(i)*100_000+60_000, vip, AddrPort("10.0.0.3:20"))
 		}
 	}()
@@ -390,7 +388,7 @@ func TestStatsAccounting(t *testing.T) {
 		}
 		process(sw, Time(i)*1000, &Packet{Tuple: tup, TCPFlags: netproto.FlagSYN})
 	}
-	sw.Advance(Time(Second))
+	sw.AdvanceTo(Time(Second))
 	st := sw.Stats()
 	if st.Dataplane.LearnOffers != 100 {
 		t.Fatalf("LearnOffers = %d", st.Dataplane.LearnOffers)

@@ -18,7 +18,7 @@ import (
 type (
 	// ClusterSpec is the versioned desired state of a switch or fleet.
 	ClusterSpec = intent.ClusterSpec
-	// VIPSpec declares one VIP's desired pool, meter and demands.
+	// VIPSpec declares one VIP's desired pool and meter.
 	VIPSpec = intent.VIPSpec
 	// VIPStatus is one VIP's reconcile status condition.
 	VIPStatus = intent.VIPStatus
@@ -32,7 +32,7 @@ type (
 	// retry/backoff budget).
 	ReconcilerConfig = intent.Config
 	// FleetConfig tunes a Cluster's rolling reconciler: the per-member
-	// ReconcilerConfig, netwide placement admission and the rollout backoff.
+	// ReconcilerConfig and the rollout backoff.
 	FleetConfig = intent.FleetConfig
 )
 
@@ -148,32 +148,21 @@ func locked[T any](mu *sync.Mutex, f func() T) T {
 	return f()
 }
 
-// intentSource runs the reconciler's retry/backoff work on the switch
-// runtime, so failed applies re-fire in time order with all other
-// scheduled work under both Run and AdvanceTo.
-type intentSource struct{ s *Switch }
+// intentSource runs the reconciler on the switch runtime under the intent
+// lock, so failed applies re-fire in time order with all other scheduled
+// work under both Run and AdvanceTo.
+type intentSource struct{ st *intentState }
 
 func (is intentSource) NextEventTime() (Time, bool) {
-	st := is.s.intent
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.rec.NextDue()
+	is.st.mu.Lock()
+	defer is.st.mu.Unlock()
+	return is.st.rec.NextEventTime()
 }
 
-// Advance runs every reconcile round due at or before now, each at its own
-// deadline: a retry's backoff is measured from when it was due, not from
-// how far the scheduler's step horizon reached.
 func (is intentSource) Advance(now Time) {
-	st := is.s.intent
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for {
-		due, ok := st.rec.NextDue()
-		if !ok || now.Before(due) {
-			return
-		}
-		st.rec.Reconcile(due)
-	}
+	is.st.mu.Lock()
+	defer is.st.mu.Unlock()
+	is.st.rec.Advance(now)
 }
 
 // Apply converges the switch onto spec and returns the per-VIP statuses.
@@ -229,17 +218,9 @@ func (s *Switch) AppliedSpec() *ClusterSpec {
 func (s *Switch) Converged() bool { return locked(&s.intent.mu, s.intent.rec.Converged) }
 
 // DetectDrift scans observed against desired state and queues every
-// divergence for re-convergence (picked up by the runtime, or the next
-// Reconcile). Returns the number of drifted VIPs.
+// divergence for re-convergence, which the runtime picks up (under Run, or
+// at the next AdvanceTo). Returns the number of drifted VIPs.
 func (s *Switch) DetectDrift(now Time) int {
 	defer s.poke()
 	return locked(&s.intent.mu, func() int { return s.intent.rec.DetectDrift(now) })
-}
-
-// Reconcile runs one reconcile round immediately (due retries and drift
-// repairs); under Run this also happens autonomously. Returns the number
-// of keys still queued.
-func (s *Switch) Reconcile(now Time) int {
-	defer s.poke()
-	return locked(&s.intent.mu, func() int { return s.intent.rec.Reconcile(now) })
 }

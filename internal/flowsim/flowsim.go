@@ -266,18 +266,16 @@ func (s *Sim) expInterval(ratePerSec float64) simtime.Duration {
 }
 
 // Run executes the simulation and returns its results. The scheduler's
-// virtual-time driver interleaves balancer background work with simulation
-// timers in strict time order; the sequence of balancer calls is
-// bit-identical to the simulator's former private event heap.
+// RunUntil interleaves balancer background work with simulation timers in
+// strict time order and runs the balancer up to the end of the run.
 func (s *Sim) Run() Results {
 	end := simtime.Time(0).Add(s.cfg.Duration)
 	s.rt.At(simtime.Time(0).Add(s.expInterval(s.cfg.ArrivalRate)), s.arrivalEvent)
 	if s.cfg.UpdatesPerMin > 0 {
 		s.rt.At(simtime.Time(0).Add(s.expInterval(s.cfg.UpdatesPerMin/60)), s.updateEvent)
 	}
-	s.rt.Run(end)
+	s.rt.RunUntil(end)
 	// Flush: end all live connections so accounting completes.
-	s.bal.Advance(end)
 	for _, c := range s.conns {
 		if c.alive {
 			s.bal.ConnEnd(end, c.tuple)

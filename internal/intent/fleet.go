@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/dataplane"
-	"repro/internal/netwide"
 	"repro/internal/simtime"
 	"repro/internal/telemetry"
 )
@@ -14,10 +13,6 @@ type FleetConfig struct {
 	// Config is the per-member reconciler configuration (Member is set
 	// per member automatically).
 	Config
-	// Topology, when non-nil, gates SetSpec on netwide placement
-	// admission: a spec whose declared VIP demands don't fit any layer
-	// assignment is rejected before any switch is touched.
-	Topology *netwide.Topology
 	// RolloutBackoff is the delay before re-attempting a rollout after a
 	// rollback (default 10ms virtual, doubling per attempt up to
 	// MaxBackoff).
@@ -89,18 +84,12 @@ func NewCluster(fleet []Target, cfg FleetConfig) *ClusterReconciler {
 	return c
 }
 
-// SetSpec validates, admission-checks and stages a new spec for rollout.
-// The returned error is a *ValidationError for schema problems or a
-// placement error when the declared demands don't fit the topology.
+// SetSpec validates and stages a new spec for rollout. The returned error
+// is a *ValidationError.
 func (c *ClusterReconciler) SetSpec(now simtime.Time, spec *ClusterSpec) error {
 	d, err := spec.Normalize(c.lastGen)
 	if err != nil {
 		return err
-	}
-	if c.cfg.Topology != nil {
-		if err := checkPlacement(*c.cfg.Topology, spec); err != nil {
-			return err
-		}
 	}
 	if d.Generation == c.lastGen {
 		// Same generation: accept only if content is identical (an
@@ -122,25 +111,6 @@ func (c *ClusterReconciler) SetSpec(now simtime.Time, spec *ClusterSpec) error {
 	c.phase = phaseRolling
 	c.frontier = 0
 	c.attempt = 0
-	return nil
-}
-
-// checkPlacement runs netwide admission over the spec's declared demands.
-func checkPlacement(topo netwide.Topology, spec *ClusterSpec) error {
-	var demands []netwide.VIPDemand
-	for _, vs := range spec.VIPs {
-		if vs.SRAMBytes > 0 || vs.TrafficBps > 0 {
-			demands = append(demands, netwide.VIPDemand{
-				Name: vs.VIP, SRAMBytes: vs.SRAMBytes, TrafficBps: vs.TrafficBps,
-			})
-		}
-	}
-	if len(demands) == 0 {
-		return nil
-	}
-	if _, err := netwide.Assign(topo, demands); err != nil {
-		return fmt.Errorf("intent: placement admission failed: %w", err)
-	}
 	return nil
 }
 
@@ -319,7 +289,7 @@ func (c *ClusterReconciler) NextDue() (simtime.Time, bool) {
 		consider(c.retryAt)
 	}
 	for _, rec := range c.recs {
-		if t, ok := rec.NextDue(); ok {
+		if t, ok := rec.NextEventTime(); ok {
 			consider(t)
 		}
 	}

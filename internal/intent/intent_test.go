@@ -10,6 +10,7 @@ import (
 	"repro/internal/cuckoo"
 	"repro/internal/dataplane"
 	"repro/internal/simtime"
+	"repro/internal/telemetry"
 )
 
 func mustVIP(t *testing.T, s string) dataplane.VIP {
@@ -136,8 +137,8 @@ func TestSpecValidation(t *testing.T) {
 		{"negative meter", specOf(VIPSpec{VIP: "10.0.0.1:80", Pool: []string{"1.1.1.1:8080"},
 			MeterBytesPerSec: -1}), []string{"meter_bytes_per_sec"}},
 		{"all errors reported", specOf(
-			VIPSpec{VIP: "nope", Pool: nil, SRAMBytes: -2}),
-			[]string{"vips[0].vip", "vips[0].pool", "demand_sram_bytes"}},
+			VIPSpec{VIP: "nope", Pool: nil, MeterBytesPerSec: -2}),
+			[]string{"vips[0].vip", "vips[0].pool", "meter_bytes_per_sec"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -304,9 +305,9 @@ func TestReconcileRetryAfterTableFull(t *testing.T) {
 	if st.Condition != CondDegraded || st.Reason != "Retrying" {
 		t.Fatalf("status %+v, want Degraded/Retrying", st)
 	}
-	due, ok := r.NextDue()
+	due, ok := r.NextEventTime()
 	if !ok || due != simtime.Time(simtime.Millisecond) {
-		t.Fatalf("NextDue = %v,%v, want 1ms backoff", due, ok)
+		t.Fatalf("NextEventTime = %v,%v, want 1ms backoff", due, ok)
 	}
 
 	// Before the backoff deadline the key must not re-fire.
@@ -317,6 +318,43 @@ func TestReconcileRetryAfterTableFull(t *testing.T) {
 	r.Reconcile(due)
 	if !r.Converged() {
 		t.Fatalf("not converged after retry: %+v", r.Statuses())
+	}
+}
+
+// roundLog is a tracer that keeps the instant of every reconcile round.
+type roundLog []simtime.Time
+
+func (l *roundLog) RegisterVIP(int, telemetry.VIPKey) *telemetry.VIPSeries { return nil }
+
+func (l *roundLog) Trace(e telemetry.Event) {
+	if e.ReconcileStep == telemetry.ReconcileRound {
+		*l = append(*l, e.Now)
+	}
+}
+
+// TestReconcilerAdvanceRunsEachDeadline: one Advance across several retry
+// deadlines runs a round at each, so every backoff counts from the deadline
+// its retry was due at, not from the Advance target.
+func TestReconcilerAdvanceRunsEachDeadline(t *testing.T) {
+	ft := newFakeTarget()
+	ft.failNext["add"] = 3
+	var rounds roundLog
+	r := New(ft, Config{BaseBackoff: simtime.Millisecond, Tracer: &rounds})
+	d, _ := specOf(VIPSpec{VIP: "10.0.0.1:80", Pool: []string{"1.1.1.1:8080"}}).Normalize(0)
+	r.SetDesired(0, d)
+	r.Advance(simtime.Time(simtime.Second))
+
+	ms := func(n int64) simtime.Time { return simtime.Time(n * int64(simtime.Millisecond)) }
+	// Fails at 0, 1ms and 3ms (backoffs 1, 2 and 4ms), applies at 7ms.
+	want := roundLog{0, ms(1), ms(3), ms(7)}
+	if fmt.Sprint(rounds) != fmt.Sprint(want) {
+		t.Fatalf("rounds at %v, want %v", rounds, want)
+	}
+	if !r.Converged() {
+		t.Fatalf("not converged: %+v", r.Statuses())
+	}
+	if at, ok := r.NextEventTime(); ok {
+		t.Fatalf("NextEventTime = %v after converging, want none", at)
 	}
 }
 
@@ -339,7 +377,7 @@ func TestReconcileRetriesExhausted(t *testing.T) {
 	if st.Condition != CondError || st.Reason != "RetriesExhausted" {
 		t.Fatalf("status %+v, want Error/RetriesExhausted", st)
 	}
-	if _, ok := r.NextDue(); !ok {
+	if _, ok := r.NextEventTime(); !ok {
 		t.Fatal("errored key abandoned: no retry queued")
 	}
 

@@ -210,6 +210,20 @@ func (r *Reconciler) Reconcile(now simtime.Time) int {
 	return r.q.Len()
 }
 
+// Advance runs every reconcile round due at or before now, each at its own
+// deadline: a retry's backoff is measured from when it was due, not from
+// how far a driver's step reached. With NextEventTime it makes the
+// reconciler a sched.Source.
+func (r *Reconciler) Advance(now simtime.Time) {
+	for {
+		due, ok := r.NextEventTime()
+		if !ok || now.Before(due) {
+			return
+		}
+		r.Reconcile(due)
+	}
+}
+
 // backoff returns the capped exponential delay for the given attempt.
 func (r *Reconciler) backoff(retries int) simtime.Duration {
 	d := r.cfg.BaseBackoff
@@ -345,8 +359,8 @@ func (r *Reconciler) DetectDrift(now simtime.Time) int {
 	return drifted
 }
 
-// NextDue returns the earliest time queued work becomes ready.
-func (r *Reconciler) NextDue() (simtime.Time, bool) { return r.q.NextDue() }
+// NextEventTime returns the earliest time queued work becomes ready.
+func (r *Reconciler) NextEventTime() (simtime.Time, bool) { return r.q.NextDue() }
 
 // Converged reports whether the queue is empty and every desired key is
 // Applied at the current generation.

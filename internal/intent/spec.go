@@ -42,11 +42,6 @@ type VIPSpec struct {
 	// MeterBytesPerSec > 0 attaches a hardware meter (§4 SYN-flood
 	// isolation); 0 leaves the VIP unmetered.
 	MeterBytesPerSec float64 `json:"meter_bytes_per_sec,omitempty"`
-	// SRAMBytes and TrafficBps optionally declare the VIP's demands for
-	// network-wide placement admission (internal/netwide). Zero means
-	// "not declared" and skips the placement check for this VIP.
-	SRAMBytes  int     `json:"demand_sram_bytes,omitempty"`
-	TrafficBps float64 `json:"demand_bps,omitempty"`
 }
 
 // ClusterSpec is the versioned desired state of a switch or fleet.
@@ -189,12 +184,6 @@ func (s *ClusterSpec) Validate() error {
 		}
 		if vs.MeterBytesPerSec < 0 {
 			add(field+".meter_bytes_per_sec", "must be >= 0")
-		}
-		if vs.SRAMBytes < 0 {
-			add(field+".demand_sram_bytes", "must be >= 0")
-		}
-		if vs.TrafficBps < 0 {
-			add(field+".demand_bps", "must be >= 0")
 		}
 	}
 	if len(errs) > 0 {

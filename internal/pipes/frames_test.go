@@ -1,7 +1,7 @@
 package pipes
 
-// Tests for the batch path on parsed wire frames: the single-frame entry
-// must shard like the batch, and the steady-state sweep must not allocate.
+// Tests for the batch path on parsed wire frames: a one-frame batch must
+// shard like a full one, and the steady-state sweep must not allocate.
 
 import (
 	"testing"
@@ -36,22 +36,25 @@ func framesN(t *testing.T, n int, flags uint8) []netproto.Frame {
 	return frames
 }
 
-// TestEngineProcessFrameSingle covers the one-at-a-time frame entry point:
-// it must pin connections to the same pipe as the batch path.
+// TestEngineProcessFrameSingle covers frames sent one at a time, as
+// one-frame batches: they must pin connections to the same pipe as full
+// batches, whose ACKs then hit the connections the SYNs installed.
 func TestEngineProcessFrameSingle(t *testing.T) {
 	e := newTestEngine(t, 4, 10000)
 	now := simtime.Time(0)
 	syn := framesN(t, 64, netproto.FlagSYN)
+	var res [1]dataplane.Result
 	for i := range syn {
-		if res := e.ProcessFrame(now, &syn[i]); res.Verdict != dataplane.VerdictForward {
-			t.Fatalf("SYN %d: %v", i, res.Verdict)
+		if e.ProcessFramesInto(now, syn[i:i+1], res[:]); res[0].Verdict != dataplane.VerdictForward {
+			t.Fatalf("SYN %d: %v", i, res[0].Verdict)
 		}
 	}
 	now = now.Add(simtime.Duration(10 * simtime.Second))
 	e.Advance(now)
 	ack := framesN(t, 64, netproto.FlagACK)
-	for i := range ack {
-		res := e.ProcessFrame(now, &ack[i])
+	results := make([]dataplane.Result, len(ack))
+	e.ProcessFramesInto(now, ack, results)
+	for i, res := range results {
 		if res.Verdict != dataplane.VerdictForward || !res.ConnHit {
 			t.Fatalf("ACK %d not a ConnTable hit: %+v", i, res)
 		}

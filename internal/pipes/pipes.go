@@ -15,11 +15,13 @@
 // configuration is replicated to every pipe, exactly as the control plane
 // programs identical VIPTable/DIPPoolTable contents into each pipeline.
 //
-// ProcessFramesInto shards a batch by connection and runs each pipe's share
-// on the caller's goroutine, in pipe order, under that pipe's lock — the
-// one lock per pipe is all the synchronisation the packet path has, so
-// calls on different pipes (a batch beside a config fanout, a stats read or
-// another caller's single frame) proceed in parallel. The batch path is
+// ProcessFramesInto is the one packet entry point; a single frame is a
+// batch of one. It shards a batch by connection and runs each pipe's share
+// on the caller's goroutine, in pipe order, under that pipe's lock. A
+// multi-frame batch on many pipes also holds the batch lock, which guards
+// the shard buffers, so such batches take turns; a lone frame takes only
+// its pipe's lock, and runs, like a config fanout or a stats read, beside
+// work on other pipes. The batch path is
 // allocation-free in steady state: shard buffers are per-engine and reused.
 // A chip-level lane hash of the tuple picks the pipe; inside it the pipe
 // hashes the tuple as a one-pipe switch does, under its own seed.
@@ -147,8 +149,8 @@ func (e *Engine) NumPipes() int { return len(e.pipes) }
 // PipeOf returns the index of the pipe that carries connection t. The
 // shard hashes the full 5-tuple through the chip-level lane hash, so
 // sharding stays stable for a connection's lifetime and per-pipe ConnTables
-// never see each other's flows. Every tuple-addressed entry point (ProcessFrame,
-// ProcessFramesInto, EndConnection) uses this one mapping.
+// never see each other's flows. Every tuple-addressed entry point
+// (ProcessFramesInto, EndConnection) uses this one mapping.
 func (e *Engine) PipeOf(t netproto.FiveTuple) int {
 	if len(e.pipes) == 1 {
 		return 0
@@ -207,28 +209,15 @@ func (e *Engine) inject(pipe int, fn func(dp *dataplane.Switch, cp *ctrlplane.Co
 	}
 }
 
-// ProcessFrame runs one frame through its owning pipe's per-packet step
-// (ctrlplane.ControlPlane.ProcessFrameInto). It is the single-frame form of
-// ProcessFramesInto, kept so a caller's one frame takes neither the batch
-// lock nor the shard buffers.
-func (e *Engine) ProcessFrame(now simtime.Time, f *netproto.Frame) (res dataplane.Result) {
-	p := e.pipes[e.PipeOf(f.Tuple)]
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.cp.ProcessFrameInto(now, f, &res)
-	p.processed++
-	return res
-}
-
-// ProcessFramesInto is the one batch path: frames are scattered to their
-// owning pipes (PipeOf), each pipe processes its share in arrival order
-// with zero re-decode, and results are gathered back in
-// input order into the caller-provided slice (len(results) >=
-// len(frames)) — allocation-free for the socket RX loop that reuses frame
-// and result buffers across batches. On a multi-pipe engine the shares run
-// on the caller, one pipe after another (runJob). Frames are read, never
-// written, by the pipeline — TX rewrites belong to the caller after the
-// verdicts return.
+// ProcessFramesInto is the engine's one packet entry point; a single frame
+// is a batch of one. Frames are scattered to their owning pipes (PipeOf),
+// each pipe processes its share in arrival order with zero re-decode, and
+// results are gathered back in input order into the caller-provided slice
+// (len(results) >= len(frames)) — allocation-free for the socket RX loop
+// that reuses frame and result buffers across batches. On a multi-pipe
+// engine the shares run on the caller, one pipe after another (runJob).
+// Frames are read, never written, by the pipeline — TX rewrites belong to
+// the caller after the verdicts return.
 func (e *Engine) ProcessFramesInto(now simtime.Time, frames []netproto.Frame, results []dataplane.Result) {
 	if len(frames) == 0 {
 		return
@@ -246,6 +235,13 @@ func (e *Engine) ProcessFramesInto(now simtime.Time, frames []netproto.Frame, re
 		}
 		p.processed += uint64(len(frames))
 		p.mu.Unlock()
+		return
+	}
+	if len(frames) == 1 {
+		// A lone frame needs no shard buffers, so it skips the batch lock
+		// and runs beside other callers' work on other pipes.
+		idx := [1]int32{0}
+		e.pipes[e.PipeOf(frames[0].Tuple)].runJob(now, frames, idx[:], results)
 		return
 	}
 	e.batchMu.Lock()

@@ -44,13 +44,20 @@ func tupleN(i int) netproto.FiveTuple {
 	}
 }
 
-// processPacket runs pkt through e's single-frame entry point as its
-// synthetic frame (Packet.Frame): the tests build packets and convert them
-// at their own edge.
-func processPacket(e *Engine, now simtime.Time, pkt *netproto.Packet) dataplane.Result {
+// processPacket is the reference per-packet step the batch path is checked
+// against: it runs pkt's synthetic frame (Packet.Frame) through its owning
+// pipe's ControlPlane.ProcessFrameInto under that pipe's lock, with neither
+// the batch lock nor runJob. The tests build packets and convert them at
+// their own edge.
+func processPacket(e *Engine, now simtime.Time, pkt *netproto.Packet) (res dataplane.Result) {
 	var f netproto.Frame
 	pkt.Frame(&f)
-	return e.ProcessFrame(now, &f)
+	p := e.pipes[e.PipeOf(f.Tuple)]
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.cp.ProcessFrameInto(now, &f, &res)
+	p.processed++
+	return res
 }
 
 // processBatch runs pkts through e as one batch of synthetic frames.
@@ -134,9 +141,10 @@ func (l *flushLog) Trace(ev telemetry.Event) {
 }
 
 // TestBatchMatchesSequential asserts ProcessFramesInto returns, in input
-// order, exactly the results the per-frame step (ProcessFrame) yields on an
-// identical engine, leaves the same chip counters and flushes each pipe's
-// learn filter at the same instants with the same batches. The workload:
+// order, exactly the results the per-frame step (processPacket) yields on
+// an identical engine, leaves the same chip counters and flushes each
+// pipe's learn filter at the same instants with the same batches. The
+// workload:
 // one batch of 300 SYNs over 120 connections (duplicates suppressed by the
 // filter), then six rounds over 300 connections — SYNs, then established
 // traffic, with a DIP leaving the pool under PCC midway. The learn8 cases

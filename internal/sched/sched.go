@@ -9,9 +9,9 @@
 //     (time, scheduling sequence), so simultaneous events fire in FIFO
 //     order — the property that keeps seeded simulations bit-reproducible.
 //   - Sources: components that already track their own deadlines behind an
-//     Advance(now)/NextEventTime() pair (a whole switch, a health checker,
-//     flowsim's balancer). The scheduler interleaves their background work
-//     with timers in strict time order.
+//     Advance(now)/NextEventTime() pair (a switch's pipes, its reconciler,
+//     a health checker, flowsim's balancer). The scheduler interleaves
+//     their background work with timers in strict time order.
 //
 // One stepping rule orders the two: the earliest-due source is advanced
 // not to its own deadline but to its horizon — the last instant before
@@ -21,15 +21,15 @@
 // span, so the global order is the one per-deadline stepping would give at
 // a fraction of the polling (see stepSource).
 //
-// Two drivers execute a scheduler's work:
+// Two drivers execute a scheduler's work, both through RunUntil:
 //
-//   - The virtual-time driver (Run/RunUntil) is the discrete-event loop the
-//     flow simulator and the examples run on: time jumps instantly from
-//     event to event and nothing reads the wall clock, so every run
-//     replays identically.
+//   - The virtual-time driver is RunUntil itself, the discrete-event loop
+//     the flow simulator, Switch.AdvanceTo and the examples run on: time
+//     jumps instantly from event to event and nothing reads the wall clock,
+//     so every run replays identically.
 //   - The wall-clock driver (WallDriver) maps simtime onto monotonic real
 //     time so a live process (cmd/silkroadd) executes the same work
-//     autonomously, with no manual Advance calls.
+//     autonomously, calling RunUntil with the clock's reading.
 //
 // The scheduler itself is not safe for concurrent use; the wall-clock
 // driver serializes access through the locker it is built with.
@@ -83,27 +83,11 @@ type Scheduler struct {
 	timers  []timer
 	seq     uint64
 	sources []Source
-	now     simtime.Time
 }
 
 // New creates an empty scheduler anchored at the simulation epoch.
 func New() *Scheduler {
 	return &Scheduler{}
-}
-
-// Now returns the scheduler's high-water mark: the latest instant work has
-// been executed at.
-func (s *Scheduler) Now() simtime.Time { return s.now }
-
-// Len returns the number of live (non-stopped) pending timers.
-func (s *Scheduler) Len() int {
-	n := 0
-	for i := range s.timers {
-		if !s.timers[i].task.stopped {
-			n++
-		}
-	}
-	return n
 }
 
 // AddSource registers a due-work source. Sources registered earlier win
@@ -115,9 +99,9 @@ func (s *Scheduler) AddSource(src Source) {
 	s.sources = append(s.sources, src)
 }
 
-// At schedules fn to run once at the given instant. Instants at or before
-// the current high-water mark fire on the next driver step. The returned
-// task cancels the timer when stopped.
+// At schedules fn to run once at the given instant. An instant already
+// passed fires on the next driver step. The returned task cancels the timer
+// when stopped.
 func (s *Scheduler) At(at simtime.Time, fn func(now simtime.Time)) *Task {
 	return s.push(at, 0, fn)
 }
@@ -223,12 +207,13 @@ func (s *Scheduler) stepSource(limit simtime.Time) bool {
 }
 
 // RunUntil executes all work due at or before now — source work and timer
-// callbacks interleaved in strict time order, sources winning ties — and
-// advances the high-water mark to now. It is the "catch up to this
-// instant" primitive: Switch.AdvanceTo and the wall-clock driver are both
-// built on it. Each source step covers every deadline up to the source's
-// horizon (stepSource), so a backlog of N deadlines with nothing else due
-// between them costs one Advance call.
+// callbacks interleaved in strict time order, sources winning ties. It is
+// the one way time moves: the flow simulator, Switch.AdvanceTo and the
+// wall-clock driver are all built on it. Each source step covers every
+// deadline up to the source's horizon (stepSource), so a backlog of N
+// deadlines with nothing else due between them costs one Advance call. Two
+// runs that schedule the same work and call RunUntil with the same instants
+// execute it in the same order.
 func (s *Scheduler) RunUntil(now simtime.Time) {
 	for {
 		switch {
@@ -236,40 +221,8 @@ func (s *Scheduler) RunUntil(now simtime.Time) {
 		case len(s.timers) > 0 && !s.timers[0].at.After(now):
 			s.fire(s.popTimer())
 		default:
-			if now.After(s.now) {
-				s.now = now
-			}
 			return
 		}
-	}
-}
-
-// Run is the virtual-time driver: it executes timer events in (time, seq)
-// order until the heap empties or the next timer lies beyond until,
-// interleaving source background work exactly as a discrete-event
-// simulation demands — all source work scheduled before the next timer
-// runs first (by the same horizon steps RunUntil takes, capped at that
-// timer), and every source is advanced to the timer's instant before its
-// callback executes. A timer beyond until is left unexecuted and the loop
-// stops (flush work due exactly at the horizon by scheduling it at until).
-func (s *Scheduler) Run(until simtime.Time) {
-	for {
-		s.pruneStopped()
-		if len(s.timers) == 0 {
-			return
-		}
-		// Retire source work scheduled before the next timer fires.
-		if s.stepSource(s.timers[0].at) {
-			continue
-		}
-		tm := s.popTimer()
-		if tm.at.After(until) {
-			return
-		}
-		for _, src := range s.sources {
-			src.Advance(tm.at)
-		}
-		s.fire(tm)
 	}
 }
 
@@ -277,9 +230,6 @@ func (s *Scheduler) Run(until simtime.Time) {
 func (s *Scheduler) fire(tm timer) {
 	if tm.task.stopped {
 		return
-	}
-	if tm.at.After(s.now) {
-		s.now = tm.at
 	}
 	tm.fn(tm.at)
 	if tm.period > 0 && !tm.task.stopped {

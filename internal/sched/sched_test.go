@@ -33,13 +33,10 @@ func TestTimerFIFOOrder(t *testing.T) {
 			t.Fatalf("order %v, want %v", got, want)
 		}
 	}
-	if s.Now() != ms(5) {
-		t.Fatalf("Now=%v, want %v", s.Now(), ms(5))
-	}
 }
 
 // TestEveryAndStop covers periodic firing, cancellation from outside and
-// from inside the callback, and that Len ignores stopped timers.
+// from inside the callback, and that Next ignores stopped timers.
 func TestEveryAndStop(t *testing.T) {
 	s := New()
 	var ticks []simtime.Time
@@ -55,8 +52,8 @@ func TestEveryAndStop(t *testing.T) {
 	if len(ticks) != 3 {
 		t.Fatalf("stopped task fired again: %v", ticks)
 	}
-	if s.Len() != 0 {
-		t.Fatalf("Len=%d after stop, want 0", s.Len())
+	if next, ok := s.Next(); ok {
+		t.Fatalf("Next=%v after stop, want no work", next)
 	}
 
 	// Self-stop: a periodic task that cancels itself does not reschedule.
@@ -102,24 +99,22 @@ func wantSeq[T comparable](t *testing.T, what string, got []T, want ...T) {
 	}
 }
 
-// TestRunInterleavesSources: before a timer fires, the source's earlier
-// deadlines are retired — in one step to the timer's instant, its horizon —
-// and the source is advanced to that instant again for the callback.
+// TestRunInterleavesSources: a source's backlog before a timer is retired
+// in one step to the timer's instant, its horizon, and then the timer
+// fires; the source's later deadline runs after it, up to the target.
 func TestRunInterleavesSources(t *testing.T) {
 	s := New()
 	src := &recordingSource{deadlines: []simtime.Time{ms(3), ms(7), ms(12)}}
 	s.AddSource(src)
-	var fired []simtime.Time
-	s.At(ms(10), func(now simtime.Time) { fired = append(fired, now) })
-	s.Run(ms(100))
+	var atFire []simtime.Time
+	s.At(ms(10), func(simtime.Time) { atFire = slices.Clone(src.advances) })
+	s.RunUntil(ms(100))
 
-	wantSeq(t, "fired", fired, ms(10))
 	// The 3ms and 7ms deadlines fall under one horizon, the timer at 10ms.
-	// The 12ms deadline is beyond the last timer: the loop ends when the
-	// heap empties, leaving it pending.
-	wantSeq(t, "advances", src.advances, ms(10), ms(10))
-	if next, ok := s.Next(); !ok || next != ms(12) {
-		t.Fatalf("Next=%v,%v, want 12ms pending from source", next, ok)
+	wantSeq(t, "advances when the timer fired", atFire, ms(10))
+	wantSeq(t, "advances", src.advances, ms(10), ms(100))
+	if next, ok := s.Next(); ok {
+		t.Fatalf("Next=%v, want no work left", next)
 	}
 }
 
@@ -226,27 +221,33 @@ func TestSourceSchedulesEarlierWorkElsewhere(t *testing.T) {
 	wantSeq(t, "order", log, "a@1ms", "a@5ms", "b@2ms", "b@3ms", "timer@6ms")
 }
 
-// TestRunHorizon verifies a timer beyond the horizon is not executed and
-// that RunUntil ties go to the source.
+// TestRunHorizon verifies a timer beyond RunUntil's target is not
+// executed, that one due exactly at the target is, and that RunUntil ties
+// go to the source.
 func TestRunHorizon(t *testing.T) {
 	s := New()
 	fired := false
 	s.At(ms(10), func(simtime.Time) { fired = true })
-	s.Run(ms(9))
+	s.RunUntil(ms(9))
 	if fired {
 		t.Fatal("timer beyond horizon fired")
+	}
+	if next, ok := s.Next(); !ok || next != ms(10) {
+		t.Fatalf("Next=%v,%v, want the timer pending at 10ms", next, ok)
+	}
+	s.RunUntil(ms(10))
+	if !fired {
+		t.Fatal("timer due at the target did not fire")
 	}
 
 	// Tie at 5ms: RunUntil runs the source before the timer.
 	s2 := New()
 	var order []string
-	src := &recordingSource{deadlines: []simtime.Time{ms(5)}}
+	src := &logSource{name: "src", deadlines: []simtime.Time{ms(5)}, log: &order}
 	s2.AddSource(src)
 	s2.At(ms(5), func(simtime.Time) { order = append(order, "timer") })
 	s2.RunUntil(ms(5))
-	if len(src.advances) != 1 || len(order) != 1 {
-		t.Fatalf("advances=%v order=%v", src.advances, order)
-	}
+	wantSeq(t, "order", order, "src@5ms", "timer")
 }
 
 // TestNextMergesTimersAndSources checks Next over both kinds of work.

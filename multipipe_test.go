@@ -5,6 +5,7 @@ package silkroad
 
 import (
 	"net/netip"
+	"sync"
 	"testing"
 
 	"repro/internal/dataplane"
@@ -104,13 +105,13 @@ func TestMultiPipeEndToEnd(t *testing.T) {
 	}
 
 	now := Time(Second)
-	sw.Advance(now)
+	sw.AdvanceTo(now)
 	removed := Pool("10.0.0.1:20")[0]
 	if err := sw.RemoveDIP(now, testVIP(), removed); err != nil {
 		t.Fatal(err)
 	}
 	now = now.Add(Duration(Second))
-	sw.Advance(now)
+	sw.AdvanceTo(now)
 
 	for i := 0; i < conns; i++ {
 		if first[i] == removed {
@@ -133,7 +134,7 @@ func TestMultiPipeEndToEnd(t *testing.T) {
 	tup := clientPkt(3, 0).Tuple
 	sw.EndConnection(now, tup)
 	now = now.Add(Duration(Second))
-	sw.Advance(now)
+	sw.AdvanceTo(now)
 	res := process(sw, now, clientPkt(3, netproto.FlagSYN))
 	if res.Verdict != dataplane.VerdictForward {
 		t.Fatalf("reconnect after EndConnection: %+v", res)
@@ -229,5 +230,55 @@ func TestEmptyPoolNoBackendFacade(t *testing.T) {
 		if _, err := sw.Forward(0, raw); err == nil {
 			t.Fatalf("pipes=%d: Forward on empty pool should error", pipes)
 		}
+	}
+}
+
+// TestConcurrentProcessFrameRace sends single frames from several
+// goroutines into a 4-pipe switch beside pool updates and AdvanceTo calls,
+// under the race detector. Each frame is a one-frame batch, which skips the
+// engine's batch lock and takes only its pipe's lock, the lock the updates
+// fan out under. The pool never empties, so every frame is forwarded, and each is
+// counted once.
+func TestConcurrentProcessFrameRace(t *testing.T) {
+	sw := newMultiSwitch(t, 4)
+	const callers, conns, rounds = 4, 64, 20
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				flags := uint8(FlagACK)
+				if r == 0 {
+					flags = FlagSYN
+				}
+				for i := 0; i < conns; i++ {
+					if res := process(sw, Time(r)*Time(Millisecond), clientPkt(g*conns+i, flags)); res.Verdict != dataplane.VerdictForward {
+						t.Errorf("caller %d round %d conn %d: verdict %v", g, r, i, res.Verdict)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		pools := [][]DIP{
+			Pool("10.0.0.1:20", "10.0.0.2:20", "10.0.0.3:20", "10.0.0.4:20"),
+			Pool("10.0.0.1:20", "10.0.0.2:20", "10.0.0.3:20"),
+		}
+		for r := 0; r < rounds; r++ {
+			now := Time(r) * Time(Millisecond)
+			if err := sw.UpdatePool(now, testVIP(), pools[r%2]); err != nil {
+				t.Errorf("round %d: UpdatePool: %v", r, err)
+				return
+			}
+			sw.AdvanceTo(now)
+		}
+	}()
+	wg.Wait()
+	if got, want := sw.Stats().Dataplane.Packets, uint64(callers*conns*rounds); got != want {
+		t.Fatalf("switch counted %d packets, want %d", got, want)
 	}
 }

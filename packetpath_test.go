@@ -28,8 +28,8 @@ func TestPacketEntryPoints(t *testing.T) {
 	}{
 		// ProcessFrame stays as a wrapper for the benchmark's ledger.
 		{reflect.TypeOf((*dataplane.Switch)(nil)), []string{"ProcessFrame", "ProcessFrameInto"}},
-		// ProcessFrame keeps a single frame out of the multi-pipe job path.
-		{reflect.TypeOf((*pipes.Engine)(nil)), []string{"ProcessFrame", "ProcessFramesInto"}},
+		// One packet entry: a single frame is a one-frame batch.
+		{reflect.TypeOf((*pipes.Engine)(nil)), []string{"ProcessFramesInto"}},
 		// The per-packet step: poll, pipeline, CPU verdict.
 		{reflect.TypeOf((*ctrlplane.ControlPlane)(nil)), []string{"ProcessFrameInto"}},
 		{reflect.TypeOf((*Switch)(nil)), []string{"Forward", "ForwardIPIP", "ProcessFrame", "ProcessFramesInto"}},
@@ -66,7 +66,7 @@ func TestForwardIPIPRejectsIPv6(t *testing.T) {
 	if _, _, err := sw.ForwardIPIP(0, raw, netip.MustParseAddr("192.0.2.1")); !errors.Is(err, ErrUndecodable) {
 		t.Fatalf("IPv6 SYN through ForwardIPIP: err = %v, want ErrUndecodable", err)
 	}
-	sw.Advance(Time(10 * Millisecond)) // past the flush and insertion a learn would have queued
+	sw.AdvanceTo(Time(10 * Millisecond)) // past the flush and insertion a learn would have queued
 	after := sw.Stats()
 	if after.Dataplane.Packets != before.Dataplane.Packets ||
 		after.Dataplane.LearnOffers != before.Dataplane.LearnOffers ||

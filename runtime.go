@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/health"
+	"repro/internal/pipes"
 	"repro/internal/sched"
 )
 
@@ -29,10 +30,11 @@ func NewManualClock(start Time) *sched.ManualClock { return sched.NewManualClock
 var ErrRunning = errors.New("runtime already running")
 
 // eventRuntime is the switch's event runtime: one scheduler carrying the
-// switch itself as a source (learning-filter drains, CPU insertions, update
-// transitions and aging, all behind Switch.NextEventTime), plus any
-// periodic tasks (Every) and health checkers registered later. The
-// wall-clock driver created by Run executes it against Config.Clock.
+// switch's engine as a source (learning-filter drains, CPU insertions,
+// update transitions and aging on every pipe), the reconciler, any fault
+// injector, SLO evaluator and health checkers, and the periodic tasks
+// (Every). Its Next is Switch.NextEventTime. The wall-clock driver created
+// by Run executes it against Config.Clock; AdvanceTo runs it inline.
 type eventRuntime struct {
 	clock  Clock
 	mu     sync.Mutex // guards sched; the driver lock
@@ -40,12 +42,12 @@ type eventRuntime struct {
 	driver atomic.Pointer[sched.WallDriver]
 }
 
-func newRuntime(clock Clock, s *Switch) *eventRuntime {
+func newRuntime(clock Clock, eng *pipes.Engine) *eventRuntime {
 	if clock == nil {
 		clock = sched.NewWallClock()
 	}
 	rt := &eventRuntime{clock: clock, sched: sched.New()}
-	rt.sched.AddSource(s)
+	rt.sched.AddSource(eng)
 	return rt
 }
 
@@ -57,7 +59,7 @@ func (s *Switch) Now() Time { return s.rt.clock.Now() }
 // cancelled, then returns nil. While Run is active the switch drives
 // itself: learning-filter drains, rate-limited CPU insertions, PCC update
 // transitions, connection aging, registered health checkers and Every
-// tasks all execute autonomously, with no Advance calls from the caller.
+// tasks all execute autonomously, with no AdvanceTo calls from the caller.
 //
 // Packet-path methods remain safe to call concurrently; they nudge the
 // runtime whenever they may have created earlier work. Only one Run may be
@@ -89,11 +91,13 @@ func (s *Switch) Every(period Duration, fn func(now Time)) (stop func()) {
 
 // AdvanceTo runs the switch's event runtime synchronously up to now in
 // virtual time — the same work Run performs against a clock, executed
-// inline and deterministically: the switch's background work, Every tasks
-// and registered health checkers all fire in time order. When Config.Clock
-// is a ManualClock it is stepped to now first, so Switch.Now keeps
-// agreeing with the caller's timeline. AdvanceTo and Run are two drivers
-// of the same scheduler; do not mix them concurrently.
+// inline and deterministically: the pipes' background work, reconcile
+// retries, faults, SLO evaluations, Every tasks and registered health
+// checkers all fire in time order. It is the one way a caller moves a
+// switch's virtual time; NextEventTime says when it next needs to. When
+// Config.Clock is a ManualClock it is stepped to now first, so Switch.Now
+// keeps agreeing with the caller's timeline. AdvanceTo and Run are two
+// drivers of the same scheduler; do not mix them concurrently.
 func (s *Switch) AdvanceTo(now Time) {
 	if mc, ok := s.rt.clock.(*sched.ManualClock); ok {
 		mc.Set(now)
@@ -114,12 +118,12 @@ func (s *Switch) poke() {
 // NewHealthChecker builds a §7-style DIP health checker bound to this
 // switch: failed probes drive PCC-preserving RemoveDIP updates, recoveries
 // drive AddDIP. The checker is registered with the switch runtime, so
-// under Switch.Run it probes autonomously; callers driving virtual time by
-// hand advance it alongside the switch instead:
+// under Switch.Run it probes autonomously, and a caller driving virtual
+// time by hand gets its rounds from AdvanceTo:
 //
 //	hc := sw.NewHealthChecker(health.DefaultConfig(), probe)
 //	hc.Watch(vip, dip)
-//	... hc.Advance(now); sw.Advance(now) ...
+//	... sw.AdvanceTo(now) ...
 func (s *Switch) NewHealthChecker(cfg health.Config, probe health.ProbeFunc) *health.Checker {
 	hc := health.New(cfg, lockedManager{s}, probe)
 	s.rt.mu.Lock()

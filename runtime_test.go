@@ -24,7 +24,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 // TestRunDrivesControlPlane verifies the wall-clock runtime end to end with
 // a hand-stepped clock: a SYN's learn event is drained and its ConnTable
-// insertion executed by Switch.Run alone — the test never calls Advance.
+// insertion executed by Switch.Run alone — the test never calls AdvanceTo.
 func TestRunDrivesControlPlane(t *testing.T) {
 	clock := NewManualClock(0)
 	cfg := Defaults(100000)
@@ -126,7 +126,8 @@ func TestEveryTask(t *testing.T) {
 // across pipes, and advancing past one pipe's deadline must not starve
 // work queued on another pipe. It is also the switch's only deadline: a
 // pool update on an idle switch is reported as due, so a caller stepping
-// to NextEventTime alone completes it.
+// to NextEventTime alone completes it, and the runtime's own work (an SLO
+// evaluation, an Every task) is reported on a switch with no packet work.
 func TestMultiPipeNextEventTime(t *testing.T) {
 	cfg := Defaults(100000)
 	cfg.Pipes = 4
@@ -168,7 +169,7 @@ func TestMultiPipeNextEventTime(t *testing.T) {
 
 	// Advance through pipe A's deadline only: pipe B's work must survive
 	// and still be reported, not be silently dropped or executed early.
-	sw.Advance(Time(Millisecond) + Time(Millisecond)/4)
+	sw.AdvanceTo(Time(Millisecond) + Time(Millisecond)/4)
 	at, ok = sw.NextEventTime()
 	if !ok {
 		t.Fatal("pipe B's pending work vanished after advancing pipe A")
@@ -178,7 +179,7 @@ func TestMultiPipeNextEventTime(t *testing.T) {
 	}
 
 	// Advancing past every deadline installs both connections.
-	sw.Advance(Time(5 * Millisecond))
+	sw.AdvanceTo(Time(5 * Millisecond))
 	if got := sw.Stats().Controlplane.Inserted; got != 2 {
 		t.Fatalf("Inserted = %d after draining both pipes, want 2", got)
 	}
@@ -214,5 +215,29 @@ func TestMultiPipeNextEventTime(t *testing.T) {
 	}
 	if got, err := sw.CurrentPool(testVIP()); err != nil || !slices.Equal(got, want) {
 		t.Fatalf("CurrentPool = %v, %v; want %v", got, err, want)
+	}
+
+	idle := func(slo *SLOConfig) *Switch {
+		cfg := Defaults(1000)
+		cfg.Pipes = 4
+		cfg.Clock = NewManualClock(0)
+		if slo != nil {
+			cfg.Telemetry, cfg.SLO = NewTelemetry(), slo
+		}
+		sw, err := NewSwitch(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sw
+	}
+	sw = idle(&SLOConfig{Interval: 10 * Millisecond})
+	if at, ok := sw.NextEventTime(); !ok || at != Time(10*Millisecond) {
+		t.Fatalf("idle switch with an SLO evaluator: NextEventTime = %v,%v, want the evaluation at 10ms", at, ok)
+	}
+	sw = idle(nil)
+	stop := sw.Every(5*Millisecond, func(Time) {})
+	defer stop()
+	if at, ok := sw.NextEventTime(); !ok || at != Time(5*Millisecond) {
+		t.Fatalf("idle switch with an Every task: NextEventTime = %v,%v, want the task at 5ms", at, ok)
 	}
 }

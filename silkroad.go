@@ -17,12 +17,12 @@
 //
 // The switch is driven through one event runtime (internal/sched) with two
 // interchangeable drivers. Under virtual time, callers pass simtime-style
-// timestamps (nanoseconds) and call Advance explicitly, which makes
+// timestamps (nanoseconds) and call AdvanceTo explicitly, which makes
 // behaviour reproducible down to the event sequence — the flow-level
 // simulator and the benchmark harness run this way. Under the wall-clock
 // driver, Switch.Run(ctx) maps the same timeline onto monotonic real time
 // and executes all timed work autonomously — the real-socket demo in
-// cmd/silkroadd runs this way, with no Advance calls at all.
+// cmd/silkroadd runs this way, with no AdvanceTo calls at all.
 package silkroad
 
 import (
@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
+	"unsafe"
 
 	"repro/internal/ctrlplane"
 	"repro/internal/dataplane"
@@ -380,7 +381,7 @@ func NewSwitch(cfg Config) (*Switch, error) {
 		return nil, err
 	}
 	s := &Switch{eng: eng, tel: cfg.Telemetry, rec: cfg.FlightRecorder}
-	s.rt = newRuntime(cfg.Clock, s)
+	s.rt = newRuntime(cfg.Clock, eng)
 	s.attachIntent(tracer)
 	s.attachFaults(cfg, tracer)
 	s.attachSLO(cfg)
@@ -421,7 +422,7 @@ func (s *Switch) attachIntent(tracer telemetry.Tracer) {
 		rec: intent.New(intentTarget{s: s}, intent.Config{Tracer: tracer}),
 	}
 	s.rt.mu.Lock()
-	s.rt.sched.AddSource(intentSource{s})
+	s.rt.sched.AddSource(intentSource{s.intent})
 	s.rt.mu.Unlock()
 }
 
@@ -595,17 +596,12 @@ func (s *Switch) UpdatePool(now Time, vip VIP, pool []DIP) error {
 // CurrentPool returns the pool new connections map to.
 func (s *Switch) CurrentPool(vip VIP) ([]DIP, error) { return s.eng.CurrentPool(vip) }
 
-// resultSchedulesWork reports whether a packet outcome may have queued new
-// timed work with an earlier deadline than the runtime planned to wake for
-// (a learn event's flush, a redirected SYN's CPU insertion). Pure
-// ConnTable hits only push aging deadlines later, so they never need a
-// driver wakeup — which keeps the steady-state packet path poke-free.
-func resultSchedulesWork(res Result) bool {
-	return res.Learned || !res.ConnHit
-}
-
 // pokeForBatch wakes the runtime once if any result of a finished batch
-// scheduled work. One poke covers the whole batch, even when several pipes
+// may have queued timed work with an earlier deadline than the runtime
+// planned to wake for (a learn event's flush, a redirected SYN's CPU
+// insertion). Pure ConnTable hits only push aging deadlines later, so they
+// never need a driver wakeup — which keeps the steady-state packet path
+// poke-free. One poke covers the whole batch, even when several pipes
 // queued new deadlines: the engine returns only after every pipe's share
 // has completed, so all that work is already scheduled when the scan below
 // runs, and Poke merely makes the wall driver re-read NextEventTime — the
@@ -613,26 +609,24 @@ func resultSchedulesWork(res Result) bool {
 // specific pipe. Breaking on the first hit is therefore wake-loss-free.
 func (s *Switch) pokeForBatch(results []Result) {
 	for i := range results {
-		if resultSchedulesWork(results[i]) {
+		if results[i].Learned || !results[i].ConnHit {
 			s.poke()
 			break
 		}
 	}
 }
 
-// ProcessFrame runs one frame through the switch: background CPU work due
-// by now executes first, then the ASIC pipeline, then any CPU arbitration
-// the pipeline requested (redirected SYNs). The frame is routed to its
-// connection's pipe. The verdict's DIP plus the frame's cached offsets are
+// ProcessFrame runs one frame through the switch as a batch of one
+// (ProcessFramesInto): background CPU work due by now executes first, then
+// the ASIC pipeline, then any CPU arbitration the pipeline requested
+// (redirected SYNs). The verdict's DIP plus the frame's cached offsets are
 // everything TX needs for an in-place rewrite or encap with zero re-decode.
 // A caller holding a decoded Packet converts it at its edge with
 // Packet.Frame.
 func (s *Switch) ProcessFrame(now Time, f *Frame) Result {
-	res := s.eng.ProcessFrame(now, f)
-	if resultSchedulesWork(res) {
-		s.poke()
-	}
-	return res
+	var res [1]Result
+	s.ProcessFramesInto(now, unsafe.Slice(f, 1), res[:])
+	return res[0]
 }
 
 // ProcessFramesInto runs a batch of frames through the switch, writing one
@@ -723,15 +717,16 @@ func (s *Switch) EndConnection(now Time, t FiveTuple) {
 	s.eng.EndConnection(now, t)
 }
 
-// Advance runs background work (learning-filter drains, CPU insertions,
-// update state transitions, aging) due at or before now.
-func (s *Switch) Advance(now Time) { s.eng.Advance(now) }
-
-// NextEventTime returns when the switch next has background work due on
-// any pipe: a learning-filter flush, a CPU insertion, an aging step or an
-// update transition that is already eligible. A caller driving virtual
-// time by hand steps Advance to it; the switch runtime sleeps on it.
-func (s *Switch) NextEventTime() (Time, bool) { return s.eng.NextEventTime() }
+// NextEventTime returns when the switch's runtime next has work due: a
+// pipe's learning-filter flush, CPU insertion, aging step or eligible
+// update transition, a reconcile retry, a fault, an SLO evaluation, a
+// health round or an Every task. A caller driving virtual time by hand
+// steps AdvanceTo to it; the wall-clock driver sleeps on it.
+func (s *Switch) NextEventTime() (Time, bool) {
+	s.rt.mu.Lock()
+	defer s.rt.mu.Unlock()
+	return s.rt.sched.Next()
+}
 
 // lockedManager adapts the switch's locked facade as a health.PoolManager.
 type lockedManager struct{ s *Switch }

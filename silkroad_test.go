@@ -149,7 +149,7 @@ func TestPCCDuringRollingUpgrade(t *testing.T) {
 		}
 		now = now.Add(5 * Millisecond)
 	}
-	sw.Advance(now.Add(50 * Millisecond))
+	sw.AdvanceTo(now.Add(50 * Millisecond))
 	pool, err := sw.CurrentPool(vip)
 	if err != nil || len(pool) != 3 {
 		t.Fatalf("pool after upgrade: %v, %v", pool, err)
@@ -160,7 +160,7 @@ func TestEndConnectionFreesState(t *testing.T) {
 	sw := newSwitch(t)
 	pkt := clientPkt(5, netproto.FlagSYN)
 	process(sw, 0, pkt)
-	sw.Advance(Time(3 * Millisecond))
+	sw.AdvanceTo(Time(3 * Millisecond))
 	if sw.Stats().Connections != 1 {
 		t.Fatal("conn not tracked")
 	}
@@ -280,7 +280,7 @@ func TestRemoveVIPLeavesNoUpdateInFlight(t *testing.T) {
 		if err := sw.RemoveVIP(2000, testVIP()); err != nil {
 			t.Fatal(err)
 		}
-		sw.Advance(Time(500 * Millisecond))
+		sw.AdvanceTo(Time(500 * Millisecond))
 		if n := sw.PendingWork(); n != 0 {
 			t.Fatalf("%d pipes: PendingWork = %d after RemoveVIP and a 500 ms drain", pipes, n)
 		}
@@ -297,7 +297,7 @@ func TestUpdatePoolWholesale(t *testing.T) {
 	if err := sw.UpdatePool(0, testVIP(), Pool("10.0.9.1:20", "10.0.9.2:20")); err != nil {
 		t.Fatal(err)
 	}
-	sw.Advance(Time(10 * Millisecond))
+	sw.AdvanceTo(Time(10 * Millisecond))
 	pool, _ := sw.CurrentPool(testVIP())
 	if len(pool) != 2 || pool[0].Addr() != netip.MustParseAddr("10.0.9.1") {
 		t.Fatalf("pool = %v", pool)

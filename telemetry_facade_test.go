@@ -105,7 +105,7 @@ func TestPerPipeSymmetric(t *testing.T) {
 			pkts = append(pkts, clientPkt(i, netproto.FlagSYN))
 		}
 		processBatch(sw, 0, pkts)
-		sw.Advance(Time(Second))
+		sw.AdvanceTo(Time(Second))
 
 		pp := sw.PerPipe()
 		if len(pp) != pipes {
@@ -178,7 +178,7 @@ func TestTelemetryConcurrentMultiPipe(t *testing.T) {
 			}
 			now := Time(nowNS.Add(int64(10 * Microsecond)))
 			processBatch(sw, now, batch)
-			sw.Advance(now)
+			sw.AdvanceTo(now)
 		}
 	}()
 
@@ -243,7 +243,7 @@ func TestTelemetryConcurrentMultiPipe(t *testing.T) {
 		return
 	}
 	end := Time(nowNS.Load()).Add(Duration(Second))
-	sw.Advance(end)
+	sw.AdvanceTo(end)
 	snap := tel.Snapshot(end)
 	st := sw.Stats()
 
@@ -316,7 +316,7 @@ func benchTracerBatch(b *testing.B, mode string) {
 	const batchSize = 256
 	results := make([]Result, batchSize)
 	sw.ProcessFramesInto(0, clientFrames(0, batchSize, netproto.FlagSYN), results)
-	sw.Advance(Time(5 * Millisecond))
+	sw.AdvanceTo(Time(5 * Millisecond))
 	acks := clientFrames(0, conns, netproto.FlagACK)
 	now := Time(10 * Millisecond)
 	b.ReportAllocs()

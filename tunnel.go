@@ -54,10 +54,6 @@ type TunnelConfig struct {
 	// syscalls and pipe hand-off under load; the loop only ever blocks on
 	// an empty socket, so an idle tunnel adds no latency at any size.
 	BatchSize int
-	// MaxPacket bounds one datagram's payload (default 9216, a jumbo
-	// frame). A longer datagram counts as Undecodable and is logged; it is
-	// never parsed truncated.
-	MaxPacket int
 	// Logf receives operational log lines (nil discards them).
 	Logf func(format string, args ...any)
 }
@@ -70,12 +66,16 @@ type TunnelStats struct {
 	RxPackets   uint64 // datagrams received
 	RxBytes     uint64 // payload bytes received
 	RxBatches   uint64 // read passes that returned datagrams
-	Undecodable uint64 // payloads longer than MaxPacket or not parseable IP packets
+	Undecodable uint64 // payloads over maxPacket bytes, not parseable, or IPv6 in ipip mode
 	Forwarded   uint64 // packets transmitted to a DIP
 	Dropped     uint64 // verdict drops (no VIP, meter, empty pool)
 	TxErrors    uint64 // packets that could not be encoded or sent
 	TxBatches   uint64 // batched sends handed to the egress socket
 }
+
+// maxPacket bounds one datagram's payload: a jumbo frame. A longer datagram
+// counts as Undecodable and is logged; it is never parsed truncated.
+const maxPacket = 9216
 
 // Tunnel is a running UDP-encap forwarding loop over one Switch. Create
 // with NewTunnel, drive with Run, stop by cancelling Run's context (or
@@ -140,7 +140,7 @@ func NewTunnel(cfg TunnelConfig) (*Tunnel, error) {
 		mode:   cfg.Mode,
 		self:   cfg.Self,
 		batch:  cfg.BatchSize,
-		maxPkt: cfg.MaxPacket,
+		maxPkt: maxPacket,
 		logf:   cfg.Logf,
 	}
 	if t.mode == "" {
@@ -148,9 +148,6 @@ func NewTunnel(cfg TunnelConfig) (*Tunnel, error) {
 	}
 	if t.batch <= 0 {
 		t.batch = 64
-	}
-	if t.maxPkt <= 0 {
-		t.maxPkt = 9216
 	}
 	if t.logf == nil {
 		t.logf = func(string, ...any) {}
@@ -232,7 +229,7 @@ func (t *Tunnel) Run(ctx context.Context) error {
 
 // tunnelBatch is the loop's working set, sized once for BatchSize packets.
 type tunnelBatch struct {
-	bufs    [][]byte         // RX slots, one datagram each, MaxPacket+1 bytes of one arena
+	bufs    [][]byte         // RX slots, one datagram each, maxPkt+1 bytes of one arena
 	sizes   []int            // datagram lengths of the last read pass
 	frames  []netproto.Frame // parsed views into bufs, dense
 	results []Result
@@ -259,7 +256,7 @@ func (t *Tunnel) newBatch() *tunnelBatch {
 		grpDsts: make([]netip.AddrPort, 0, t.batch),
 		taken:   make([]bool, t.batch),
 	}
-	// One byte past MaxPacket is how a longer datagram shows: it fills its
+	// One byte past maxPkt is how a longer datagram shows: it fills its
 	// slot. With the default 9 217-byte slots the packet heads also fall on
 	// different L1 sets, where page-aligned buffers put them all on the same
 	// few.
@@ -277,8 +274,9 @@ func (t *Tunnel) newBatch() *tunnelBatch {
 // step is one turn of the loop: park until the socket has datagrams, take
 // all that are queued, and carry that batch through the switch and out
 // before looking at the socket again. Payloads that fill their slot (longer
-// than MaxPacket, so truncated) or do not parse are counted and skipped, so
-// frames[:n] is dense. Counters are published once per batch
+// than maxPkt, so truncated), do not parse, or are IPv6 in TunnelIPIP mode
+// (IP-in-IP carries IPv4 only, so such a packet is neither metered nor
+// learned) are counted and skipped, so frames[:n] is dense. Counters are published once per batch
 // on each side, the RX ones before the batch is processed.
 func (t *Tunnel) step(b *tunnelBatch) error {
 	got, err := t.io.recv(b.bufs, b.sizes)
@@ -289,11 +287,15 @@ func (t *Tunnel) step(b *tunnelBatch) error {
 	for i, sz := range b.sizes[:got] {
 		rxBytes += sz
 		if sz > t.maxPkt {
-			t.logf("silkroad: tunnel: datagram over MaxPacket (%d B) dropped", t.maxPkt)
+			t.logf("silkroad: tunnel: datagram over %d B dropped", t.maxPkt)
 			continue
 		}
 		if perr := netproto.ParseFrame(b.bufs[i][:sz], &b.frames[n]); perr != nil {
 			t.logf("silkroad: tunnel: undecodable payload (%d B): %v", sz, perr)
+			continue
+		}
+		if t.mode == TunnelIPIP && !b.frames[n].Tuple.Dst.Is4() {
+			t.logf("silkroad: tunnel: IPv6 payload dropped: IP-in-IP carries IPv4 only")
 			continue
 		}
 		n++

@@ -43,8 +43,8 @@ func (f *fakeBatchIO) send(pkts [][]byte, _ []netip.AddrPort) (int, error) {
 	return sent, err
 }
 
-// tunnelFuzzMaxPacket is the fuzzed tunnel's MaxPacket, small so that
-// oversize datagrams stay cheap.
+// tunnelFuzzMaxPacket is the fuzzed tunnel's datagram bound (maxPkt),
+// small so that oversize datagrams stay cheap.
 const tunnelFuzzMaxPacket = 256
 
 // tunnelFuzzPacket marshals one TCP packet from client port src to vip.
@@ -73,12 +73,14 @@ func tunnelFuzzPacket(vip VIP, src uint16, flags uint8, payload int) []byte {
 //
 //	k%6 == 0  an IPv4 TCP packet to the switch's IPv4 VIP from client port p,
 //	          its flags picked by k>>3&3 (SYN, ACK, FIN|ACK, RST)
-//	k%6 == 1  the same to the IPv6 VIP (IP-in-IP cannot carry it); with k
-//	          bit 5 set, its next header names a hop-by-hop extension
-//	          header
+//	k%6 == 1  the same to the IPv6 VIP; with k bit 5 set, its next header
+//	          names a hop-by-hop extension header
+//	          (IP-in-IP carries IPv4 only: in that mode the datagram is
+//	          first also stepped alone, and must be undecodable and leave
+//	          the switch's Packets and LearnOffers unchanged)
 //	k%6 == 2  an IPv4 packet to a VIP the switch does not announce
 //	k%6 == 3  an IPv4 packet cut to p bytes (mod its length)
-//	k%6 == 4  an IPv4 packet longer than MaxPacket by p+1 bytes
+//	k%6 == 4  an IPv4 packet longer than the tunnel's bound by p+1 bytes
 //	k%6 == 5  the next p%48 bytes of the input, raw
 //
 // After every step each datagram received is forwarded, dropped, failed
@@ -91,6 +93,7 @@ func FuzzTunnelStep(f *testing.F) {
 	f.Add([]byte{0, 0x15, 0, 1, 0, 2, 2, 3, 1, 4, 3, 9})    // a short send among drops and a truncated packet
 	f.Add([]byte{0, 0xf2, 4, 0, 5, 4, 0xde, 0xad, 0x45, 0}) // oversize, raw bytes, a garbled header
 	f.Add([]byte{0, 0xf0, 0x21, 5})                         // IPv6 with an extension header
+	f.Add([]byte{1, 0xf0, 1, 2})                            // an IPv6 SYN alone through IP-in-IP
 	f.Add([]byte{0, 0x03, 0, 7, 8, 7, 16, 7, 24, 7})        // one connection SYN, ACK, FIN, RST; the first send fails
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -133,6 +136,21 @@ func FuzzTunnelStep(f *testing.F) {
 			}
 			clock.Advance(100 * Microsecond)
 		}
+		// ipipV6 steps d, an IPv6 datagram, alone through the IP-in-IP
+		// tunnel, apart from the batch being queued.
+		ipipV6 := func(d []byte) {
+			t.Helper()
+			queued := fio.queue
+			fio.queue = [][]byte{d}
+			before, undecodable := sw.Stats().Dataplane, tun.Stats().Undecodable
+			step()
+			after := sw.Stats().Dataplane
+			if tun.Stats().Undecodable != undecodable+1 || after.Packets != before.Packets || after.LearnOffers != before.LearnOffers {
+				t.Fatalf("IPv6 datagram through IP-in-IP: undecodable %d -> %d, packets %d -> %d, learn offers %d -> %d; want it undecodable and unseen by the pipeline",
+					undecodable, tun.Stats().Undecodable, before.Packets, after.Packets, before.LearnOffers, after.LearnOffers)
+			}
+			fio.queue = queued
+		}
 
 		for in := data[1:]; len(in) > 0; {
 			h := in[0]
@@ -153,6 +171,9 @@ func FuzzTunnelStep(f *testing.F) {
 					d = tunnelFuzzPacket(vip6, uint16(p), flags, 0)
 					if k&0x20 != 0 {
 						d[6] = 0
+					}
+					if tun.mode == TunnelIPIP {
+						ipipV6(d)
 					}
 				case 2:
 					d = tunnelFuzzPacket(NewVIP("20.0.0.9", 80, TCP), uint16(p), flags, 0)

@@ -851,11 +851,11 @@ func testTunnelMixedFamilies(t *testing.T, portable bool) {
 	}
 }
 
-// TestTunnelOversizeDatagram: a datagram longer than MaxPacket (default
-// 9216) fills its MaxPacket+1-byte RX slot and is counted Undecodable, never
-// parsed truncated — though its first 9 217 bytes are a well-formed packet —
-// while the datagrams beside it in the batch, one of exactly MaxPacket
-// bytes among them, are forwarded whole.
+// TestTunnelOversizeDatagram: a datagram longer than maxPacket (9216 bytes)
+// fills its 9 217-byte RX slot and is counted Undecodable, never parsed
+// truncated — though its first 9 217 bytes are a well-formed packet — while
+// the datagrams beside it in the batch, one of exactly 9216 bytes among
+// them, are forwarded whole.
 func TestTunnelOversizeDatagram(t *testing.T) { eachTunnelIO(t, testTunnelOversizeDatagram) }
 
 func testTunnelOversizeDatagram(t *testing.T, portable bool) {
@@ -887,6 +887,51 @@ func testTunnelOversizeDatagram(t *testing.T, portable bool) {
 	h.waitForwarded(t, 4) // the last datagram's batch published its RX counters before it was sent
 	if st := h.reconciled(t); st.Forwarded != 4 || st.Undecodable != 2 || st.TxErrors != 0 || st.Dropped != 0 {
 		t.Errorf("two oversize datagrams among four: %+v, want 4 forwarded and 2 undecodable", st)
+	}
+}
+
+// TestTunnelIPIPRejectsIPv6 is the tunnel's twin of
+// TestForwardIPIPRejectsIPv6: IP-in-IP carries IPv4 only, so an IPv6 SYN to
+// a VIP is counted Undecodable at parse — not metered, not learned, not
+// pinned — while the IPv4 SYN beside it is forwarded.
+func TestTunnelIPIPRejectsIPv6(t *testing.T) {
+	cfg := Defaults(100000)
+	cfg.Clock = NewManualClock(0)
+	sw, err := NewSwitch(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vip6 := NewVIP("2001:db8::20", 80, TCP)
+	for _, v := range []struct {
+		vip  VIP
+		pool []DIP
+	}{{testVIP(), Pool("10.0.0.1:20", "10.0.0.2:20")}, {vip6, Pool("[2001:db8::a]:20", "[2001:db8::b]:20")}} {
+		if err := sw.AddVIP(0, v.vip, v.pool); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fio := &fakeBatchIO{failAt: -1, queue: [][]byte{
+		tcpPacket(t, vip6, 40000, FlagSYN),
+		tcpPacket(t, testVIP(), 40001, FlagSYN),
+	}}
+	tun := &Tunnel{sw: sw, mode: TunnelIPIP, self: netip.MustParseAddr("192.0.2.1"),
+		batch: 4, maxPkt: maxPacket, logf: func(string, ...any) {}, io: fio}
+	before := sw.Stats()
+	if err := tun.step(tun.newBatch()); err != nil {
+		t.Fatal(err)
+	}
+	if st := tun.Stats(); st.Undecodable != 1 || st.Forwarded != 1 || st.TxErrors != 0 {
+		t.Fatalf("IPv6 and IPv4 SYN through an ipip tunnel: %+v, want 1 undecodable, 1 forwarded, no tx errors", st)
+	}
+	sw.AdvanceTo(Time(10 * Millisecond)) // past the flush and insertion a learn would have queued
+	after := sw.Stats()
+	if after.Dataplane.Packets != before.Dataplane.Packets+1 ||
+		after.Dataplane.LearnOffers != before.Dataplane.LearnOffers+1 ||
+		after.Connections != before.Connections+1 {
+		t.Fatalf("the IPv6 packet reached the pipeline: packets %d -> %d, learn offers %d -> %d, connections %d -> %d; want +1 each, the IPv4 SYN's",
+			before.Dataplane.Packets, after.Dataplane.Packets,
+			before.Dataplane.LearnOffers, after.Dataplane.LearnOffers,
+			before.Connections, after.Connections)
 	}
 }
 
