@@ -30,7 +30,7 @@ func TestFailoverAblation(t *testing.T) {
 		if syn {
 			flags = netproto.FlagSYN
 		}
-		cp.ProcessFrameInto(now, frameOf(&netproto.Packet{Tuple: tupleN(i), TCPFlags: flags}), &res)
+		processFrame(cp, now, frameOf(&netproto.Packet{Tuple: tupleN(i), TCPFlags: flags}), &res)
 		return res
 	}
 	// Establish a base population.

@@ -13,9 +13,9 @@ import (
 // drains, ConnTable insertions at the CPU's bounded rate, update state
 // transitions, and (optionally) connection aging. Drains and insertions run
 // in strict time order (advanceTo), every installation stamped with its own
-// completion time. Callers must invoke it with non-decreasing times;
-// ProcessFrameInto calls it before each packet, and drivers call it whenever
-// NextEventTime falls due.
+// completion time. Callers must invoke it with non-decreasing times; the
+// engine (internal/pipes) calls it before a packet it runs through the data
+// plane, and drivers call it whenever NextEventTime falls due.
 //
 // Aging is the one piece of work outside that merge that frees ConnTable
 // slots, so with aging enabled a long step stops at every aging step due on
@@ -285,18 +285,6 @@ func (cp *ControlPlane) nextTransition() (simtime.Time, bool) {
 		}
 	}
 	return best, found
-}
-
-// ProcessFrameInto is the per-packet step of a switch, the one place it is
-// written: background CPU work due by now runs first (Advance), then the
-// ASIC pipeline (Figure 10), then the CPU side of the packet's outcome
-// (HandleTupleResultInto). The authoritative decision lands in *res. The
-// multi-pipe engine's batch job is the one other caller of the three: it
-// polls once per job, since every frame of a job shares its instant.
-func (cp *ControlPlane) ProcessFrameInto(now simtime.Time, f *netproto.Frame, res *dataplane.Result) {
-	cp.Advance(now)
-	cp.sw.ProcessFrameInto(now, f, res)
-	cp.HandleTupleResultInto(now, f.Tuple, res)
 }
 
 // HandleTupleResultInto performs the CPU side of a packet's outcome:

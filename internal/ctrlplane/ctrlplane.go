@@ -6,10 +6,11 @@
 // arbitrate the SYN packets the ASIC redirects on suspected digest or
 // bloom false positives.
 //
-// The control plane is a deterministic state machine over virtual time:
-// callers run each packet through ProcessFrameInto, which advances it to the
-// packet's instant, runs the data plane and handles the outcome, and advance
-// it between packets with Advance(now). No goroutines, no wall clock — every
+// The control plane is a deterministic state machine over virtual time. It
+// has no packet entry: the engine (internal/pipes) composes the per-packet
+// step — Advance to the packet's instant, the data plane's pipeline, then
+// HandleTupleResultInto for the outcome — and drivers advance it between
+// packets with Advance(now). No goroutines, no wall clock — every
 // experiment replays identically.
 package ctrlplane
 

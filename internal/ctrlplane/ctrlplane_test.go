@@ -70,12 +70,20 @@ func frameOf(pkt *netproto.Packet) *netproto.Frame {
 	return f
 }
 
+// processFrame is the per-packet step as the engine (internal/pipes)
+// composes it: poll, pipeline, CPU verdict.
+func processFrame(cp *ControlPlane, now simtime.Time, f *netproto.Frame, res *dataplane.Result) {
+	cp.Advance(now)
+	cp.sw.ProcessFrameInto(now, f, res)
+	cp.HandleTupleResultInto(now, f.Tuple, res)
+}
+
 // send processes one packet at now, resolving CPU redirects, and tracks
 // PCC: a forwarded packet whose DIP differs from the connection's first
 // DIP is a violation.
 func (h *harness) send(now simtime.Time, tup netproto.FiveTuple, flags uint8) dataplane.Result {
 	var res dataplane.Result
-	h.cp.ProcessFrameInto(now, frameOf(&netproto.Packet{Tuple: tup, TCPFlags: flags}), &res)
+	processFrame(h.cp, now, frameOf(&netproto.Packet{Tuple: tup, TCPFlags: flags}), &res)
 	if res.Verdict == dataplane.VerdictForward {
 		if first, seen := h.firstDIP[res.KeyHash]; seen {
 			if first != res.DIP {
@@ -665,7 +673,7 @@ func BenchmarkInsertionPipeline(b *testing.B) {
 	now := simtime.Time(0)
 	for i := 0; i < b.N; i++ {
 		var res dataplane.Result
-		cp.ProcessFrameInto(now, frameOf(&netproto.Packet{Tuple: tupleN(i), TCPFlags: netproto.FlagSYN}), &res)
+		processFrame(cp, now, frameOf(&netproto.Packet{Tuple: tupleN(i), TCPFlags: netproto.FlagSYN}), &res)
 		now = now.Add(simtime.Duration(10 * simtime.Microsecond))
 	}
 }

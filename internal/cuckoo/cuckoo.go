@@ -529,7 +529,9 @@ func (t *Table) InsertRecord(keyHash uint64, digest, value, rec uint32) (moves i
 	if _, dup := t.findIn(cand, keyHash, digest); dup {
 		return 0, ErrDuplicate
 	}
-	if t.limit > 0 && t.len >= t.limit {
+	if t.len >= t.EffectiveCapacity() {
+		// No free slot anywhere (or none under the occupancy limit): the
+		// displacement search could only exhaust its budget.
 		t.FailedInserts++
 		return 0, ErrTableFull
 	}

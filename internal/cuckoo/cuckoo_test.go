@@ -423,3 +423,41 @@ func TestOccupancyLimit(t *testing.T) {
 		t.Fatalf("oversized limit EffectiveCapacity = %d", got)
 	}
 }
+
+// TestFullTableRefusesWithoutSearch: an insert into a table with no free
+// slot fails at once with ErrTableFull. The displacement search could only
+// exhaust its node budget, and on a record-hashed table each node it visits
+// costs a rehash of the occupant's record, so the insert may rehash no more
+// than the duplicate probe of its own candidate buckets does.
+func TestFullTableRefusesWithoutSearch(t *testing.T) {
+	cfg := testConfig(64) // capacity 1024
+	tab := New(cfg)
+	byRec := []uint64{0}
+	rehashes := 0
+	tab.SetRecordHasher(func(rec uint32) uint64 {
+		rehashes++
+		return byRec[rec]
+	})
+	rng := rand.New(rand.NewSource(7))
+	for tries := 0; tab.Len() < tab.Capacity(); tries++ {
+		if tries == 100_000 {
+			t.Fatalf("table stuck at %d of %d entries", tab.Len(), tab.Capacity())
+		}
+		key := rng.Uint64()
+		if _, err := tab.InsertRecord(key, digestOf(key), 0, uint32(len(byRec))); err == nil {
+			byRec = append(byRec, key)
+		}
+	}
+	failed := tab.FailedInserts
+	rehashes = 0
+	key := rng.Uint64()
+	if _, err := tab.InsertRecord(key, digestOf(key), 0, uint32(len(byRec))); err != ErrTableFull {
+		t.Fatalf("insert into full table: %v, want ErrTableFull", err)
+	}
+	if tab.FailedInserts != failed+1 {
+		t.Fatalf("FailedInserts = %d, want %d", tab.FailedInserts, failed+1)
+	}
+	if limit := cfg.Stages * cfg.Ways; rehashes > limit {
+		t.Fatalf("refused insert rehashed %d records, want at most %d (the duplicate probe)", rehashes, limit)
+	}
+}

@@ -454,8 +454,8 @@ func (s *Switch) ProcessFrame(now simtime.Time, f *netproto.Frame) Result {
 // value-returning call chain costs a measurable fraction of the per-packet
 // budget — and emits the telemetry event. It never blocks and performs no
 // CPU-side work; it may enqueue a learn event or redirect a SYN to the CPU,
-// whose handling is the control plane's (ctrlplane.ControlPlane's
-// ProcessFrameInto wraps both). The meter charges f.WireLen(): the bytes that
+// whose handling is the control plane's (the engine, internal/pipes, runs
+// both). The meter charges f.WireLen(): the bytes that
 // arrived for a parsed frame, the canonical framing for a synthetic one,
 // which the event's Wire flag tells apart.
 func (s *Switch) ProcessFrameInto(now simtime.Time, f *netproto.Frame, res *Result) {

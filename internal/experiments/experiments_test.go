@@ -120,11 +120,11 @@ func TestFig13And14Render(t *testing.T) {
 // concurrent demand stays within a 6-bit field even at 330 updates per
 // 10 minutes.
 func TestFig15ShapeHolds(t *testing.T) {
-	noMint, noActive, err := fig15Run(330, testSeed, true)
+	noMint, noActive, err := fig15Run(330, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reMint, reActive, err := fig15Run(330, testSeed, false)
+	reMint, reActive, err := fig15Run(330, false)
 	if err != nil {
 		t.Fatal(err)
 	}

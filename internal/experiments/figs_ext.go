@@ -100,7 +100,8 @@ func Hybrid(scale float64, seed int64) (*Report, error) {
 			b.Packet(now, &netproto.Packet{Tuple: expTuple(i), TCPFlags: netproto.FlagSYN})
 			now = now.Add(simtime.Duration(20 * simtime.Microsecond))
 		}
-		b.Advance(now.Add(simtime.Duration(simtime.Second)))
+		now = now.Add(simtime.Duration(simtime.Second))
+		b.Advance(now)
 		// Steady traffic on every connection.
 		for round := 0; round < 3; round++ {
 			for i := 0; i < connCount; i++ {

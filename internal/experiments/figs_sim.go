@@ -8,6 +8,7 @@ import (
 	"repro/internal/duet"
 	"repro/internal/flowsim"
 	"repro/internal/netproto"
+	"repro/internal/pipes"
 	"repro/internal/simtime"
 	"repro/internal/workload"
 )
@@ -226,7 +227,7 @@ func Fig18(scale float64, seed int64) (*Report, error) {
 					return flowsim.Results{}, err
 				}
 				res := sim.Run()
-				fpFixed = bal.CP.Metrics().BloomFPsResolved
+				fpFixed = bal.Eng.Stats().Controlplane.BloomFPsResolved
 				return res, nil
 			}()
 			if err != nil {
@@ -250,11 +251,11 @@ func Fig15(scale float64, seed int64) (*Report, error) {
 	r.Printf("%-16s %24s %24s", "updates/10min", "no reuse (minted/active)", "with reuse (minted/active)")
 	rates := []int{10, 50, 120, 330}
 	for _, updates := range rates {
-		nm, na, err := fig15Run(updates, seed, true)
+		nm, na, err := fig15Run(updates, true)
 		if err != nil {
 			return nil, err
 		}
-		rm, ra, err := fig15Run(updates, seed, false)
+		rm, ra, err := fig15Run(updates, false)
 		if err != nil {
 			return nil, err
 		}
@@ -269,22 +270,21 @@ func Fig15(scale float64, seed int64) (*Report, error) {
 // a ten-minute window with connections arriving before every update and
 // living 2.5 minutes. It returns the number of versions minted and the
 // maximum held concurrently.
-func fig15Run(n int, seed int64, disableReuse bool) (minted, maxActive int, err error) {
+func fig15Run(n int, disableReuse bool) (minted, maxActive int, err error) {
 	dcfg := dataplane.DefaultConfig(100000)
 	// Headroom so demand, not wrap-around, is measured: 15 bits beside the
 	// 16-bit digest fill the 32-bit entry word, 32 767 versions against a
 	// demand of at most 331.
 	dcfg.VersionBits = 15
-	sw, err := dataplane.New(dcfg)
+	ccfg := ctrlplane.DefaultConfig()
+	ccfg.DisableVersionReuse = disableReuse
+	eng, err := pipes.New(pipes.Config{Pipes: 1, Dataplane: dcfg, Controlplane: ccfg})
 	if err != nil {
 		return 0, 0, err
 	}
-	ccfg := ctrlplane.DefaultConfig()
-	ccfg.DisableVersionReuse = disableReuse
-	cp := ctrlplane.New(sw, ccfg)
 	vip := expVIP()
 	pool := expPool(64)
-	if err := cp.AddVIP(0, vip, pool, 0); err != nil {
+	if err := eng.AddVIP(0, vip, pool, 0); err != nil {
 		return 0, 0, err
 	}
 	window := simtime.Duration(10 * simtime.Minute)
@@ -300,33 +300,34 @@ func fig15Run(n int, seed int64, disableReuse bool) (minted, maxActive int, err 
 	nextTuple := 0
 	for i := 0; i < n; i++ {
 		now = now.Add(step)
-		cp.Advance(now)
+		eng.Advance(now)
 		// Terminate connections whose lifetime elapsed.
 		for len(endings) > 0 && !endings[0].at.After(now) {
-			cp.EndConnection(now, expTuple(endings[0].tuple))
+			eng.EndConnection(now, expTuple(endings[0].tuple))
 			endings = endings[1:]
 		}
 		// A connection arrives and pins the current version.
-		var f netproto.Frame
-		synPacket(nextTuple).Frame(&f)
-		var res dataplane.Result
-		cp.ProcessFrameInto(now, &f, &res)
+		var f [1]netproto.Frame
+		synPacket(nextTuple).Frame(&f[0])
+		var res [1]dataplane.Result
+		eng.ProcessFramesInto(now, f[:], res[:])
 		endings = append(endings, ending{at: now.Add(life), tuple: nextTuple})
 		nextTuple++
 		// Rolling reboot step.
 		if i%2 == 0 || len(down) == 0 {
 			victim := pool[(i/2)%len(pool)]
-			if e := cp.RemoveDIP(now, vip, victim); e == nil {
+			if e := eng.RemoveDIP(now, vip, victim); e == nil {
 				down = append(down, victim)
 			}
 		} else {
 			d := down[0]
 			down = down[1:]
-			if e := cp.AddDIP(now, vip, d); e != nil {
+			if e := eng.AddDIP(now, vip, d); e != nil {
 				return 0, 0, e
 			}
 		}
 	}
-	cp.Advance(now.Add(simtime.Minute))
+	eng.Advance(now.Add(simtime.Minute))
+	cp := eng.Controlplane(0)
 	return cp.VersionsAllocated(vip), cp.MaxActiveVersions(vip), nil
 }

@@ -5,25 +5,28 @@ import (
 	"repro/internal/dataplane"
 	"repro/internal/duet"
 	"repro/internal/netproto"
+	"repro/internal/pipes"
 	"repro/internal/simtime"
 	"repro/internal/slb"
 )
 
-// SilkRoadAdapter drives a real SilkRoad switch (dataplane + ctrlplane)
-// packet by packet.
+// SilkRoadAdapter drives a SilkRoad switch packet by packet: a one-pipe
+// pipes.Engine, the assembly silkroadd runs.
 type SilkRoadAdapter struct {
 	label string
-	SW    *dataplane.Switch
-	CP    *ctrlplane.ControlPlane
+	Eng   *pipes.Engine
+	// One-frame batch buffers, reused so Packet does not allocate.
+	frame [1]netproto.Frame
+	res   [1]dataplane.Result
 }
 
 // NewSilkRoad builds a SilkRoad balancer for simulation.
 func NewSilkRoad(label string, dcfg dataplane.Config, ccfg ctrlplane.Config) (*SilkRoadAdapter, error) {
-	sw, err := dataplane.New(dcfg)
+	eng, err := pipes.New(pipes.Config{Pipes: 1, Dataplane: dcfg, Controlplane: ccfg})
 	if err != nil {
 		return nil, err
 	}
-	return &SilkRoadAdapter{label: label, SW: sw, CP: ctrlplane.New(sw, ccfg)}, nil
+	return &SilkRoadAdapter{label: label, Eng: eng}, nil
 }
 
 // Name implements Balancer.
@@ -31,7 +34,7 @@ func (a *SilkRoadAdapter) Name() string { return a.label }
 
 // AddVIP announces a VIP.
 func (a *SilkRoadAdapter) AddVIP(vip dataplane.VIP, pool []dataplane.DIP) error {
-	return a.CP.AddVIP(0, vip, pool, 0)
+	return a.Eng.AddVIP(0, vip, pool, 0)
 }
 
 // Packet implements Balancer.
@@ -40,35 +43,33 @@ func (a *SilkRoadAdapter) Packet(now simtime.Time, t netproto.FiveTuple, syn boo
 	if syn {
 		pkt.TCPFlags = netproto.FlagSYN
 	}
-	var f netproto.Frame
-	pkt.Frame(&f)
-	var res dataplane.Result
-	a.CP.ProcessFrameInto(now, &f, &res)
-	return res.DIP, res.Verdict == dataplane.VerdictForward
+	pkt.Frame(&a.frame[0])
+	a.Eng.ProcessFramesInto(now, a.frame[:], a.res[:])
+	return a.res[0].DIP, a.res[0].Verdict == dataplane.VerdictForward
 }
 
 // Pinned implements Balancer: a connection is pinned once its ConnTable
 // entry is installed.
 func (a *SilkRoadAdapter) Pinned(t netproto.FiveTuple) bool {
-	_, ok := a.SW.LookupConn(t)
+	_, ok := a.Eng.Dataplane(a.Eng.PipeOf(t)).LookupConn(t)
 	return ok
 }
 
 // ConnEnd implements Balancer.
 func (a *SilkRoadAdapter) ConnEnd(now simtime.Time, t netproto.FiveTuple) {
-	a.CP.EndConnection(now, t)
+	a.Eng.EndConnection(now, t)
 }
 
 // Update implements Balancer.
 func (a *SilkRoadAdapter) Update(now simtime.Time, vip dataplane.VIP, pool []dataplane.DIP) error {
-	return a.CP.RequestUpdate(now, vip, pool)
+	return a.Eng.RequestUpdate(now, vip, pool)
 }
 
 // Advance implements Balancer.
-func (a *SilkRoadAdapter) Advance(now simtime.Time) { a.CP.Advance(now) }
+func (a *SilkRoadAdapter) Advance(now simtime.Time) { a.Eng.Advance(now) }
 
 // NextEventTime implements Balancer.
-func (a *SilkRoadAdapter) NextEventTime() (simtime.Time, bool) { return a.CP.NextEventTime() }
+func (a *SilkRoadAdapter) NextEventTime() (simtime.Time, bool) { return a.Eng.NextEventTime() }
 
 // ExtraBroken implements Balancer (SilkRoad violations are all observable
 // as packet-level inconsistencies, which the simulator counts itself).

@@ -1,11 +1,13 @@
 package flowsim
 
 import (
+	"net/netip"
 	"testing"
 
 	"repro/internal/ctrlplane"
 	"repro/internal/dataplane"
 	"repro/internal/duet"
+	"repro/internal/netproto"
 	"repro/internal/simtime"
 	"repro/internal/workload"
 )
@@ -229,5 +231,33 @@ func TestCacheTrafficLongerFlows(t *testing.T) {
 	res := runSilkRoad(t, cfg, nil)
 	if res.BrokenConns != 0 {
 		t.Fatalf("cache traffic broke %d conns under SilkRoad", res.BrokenConns)
+	}
+}
+
+// TestEstablishedPacketZeroAlloc: a packet of an installed connection runs
+// through the adapter's one-frame batch without allocating.
+func TestEstablishedPacketZeroAlloc(t *testing.T) {
+	bal, err := NewSilkRoad("SilkRoad", dataplane.DefaultConfig(1000), ctrlplane.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	vip := dataplane.VIP{Addr: netip.MustParseAddr("20.0.0.1"), Port: 80, Proto: netproto.ProtoTCP}
+	if err := bal.AddVIP(vip, []dataplane.DIP{netip.MustParseAddrPort("10.0.0.1:20"), netip.MustParseAddrPort("10.0.0.2:20")}); err != nil {
+		t.Fatal(err)
+	}
+	tup := netproto.FiveTuple{
+		Src: netip.MustParseAddr("1.0.0.1"), Dst: vip.Addr,
+		SrcPort: 1024, DstPort: 80, Proto: netproto.ProtoTCP,
+	}
+	if _, ok := bal.Packet(0, tup, true); !ok {
+		t.Fatal("SYN not forwarded")
+	}
+	now := simtime.Time(0).Add(simtime.Duration(simtime.Second))
+	bal.Advance(now)
+	if !bal.Pinned(tup) {
+		t.Fatal("connection not installed")
+	}
+	if n := testing.AllocsPerRun(100, func() { bal.Packet(now, tup, false) }); n != 0 {
+		t.Fatalf("established packet: %v allocs, want 0", n)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/ctrlplane"
 	"repro/internal/dataplane"
 	"repro/internal/netproto"
+	"repro/internal/pipes"
 	"repro/internal/simtime"
 	"repro/internal/slb"
 )
@@ -21,22 +22,21 @@ type Stats struct {
 	OverflowConns uint64 // connections pinned at the SLB
 }
 
-// Balancer combines a SilkRoad switch with an SLB tier.
+// Balancer combines a SilkRoad switch (a one-pipe pipes.Engine, the
+// assembly silkroadd runs) with an SLB tier.
 type Balancer struct {
-	sw    *dataplane.Switch
-	cp    *ctrlplane.ControlPlane
+	eng   *pipes.Engine
 	soft  *slb.Balancer
 	stats Stats
+	// One-frame batch buffers, reused so Packet does not allocate.
+	frame [1]netproto.Frame
+	res   [1]dataplane.Result
 }
 
 // New builds a hybrid balancer. The control-plane config's OnOverflow hook
 // is installed by New; any caller-provided hook is chained after pinning.
 func New(dcfg dataplane.Config, ccfg ctrlplane.Config, scfg slb.Config) (*Balancer, error) {
-	sw, err := dataplane.New(dcfg)
-	if err != nil {
-		return nil, err
-	}
-	b := &Balancer{sw: sw, soft: slb.New(scfg)}
+	b := &Balancer{soft: slb.New(scfg)}
 	userHook := ccfg.OnOverflow
 	ccfg.OnOverflow = func(now simtime.Time, tuple netproto.FiveTuple, dip dataplane.DIP) {
 		if b.soft.PinConnection(tuple, dip) {
@@ -46,25 +46,20 @@ func New(dcfg dataplane.Config, ccfg ctrlplane.Config, scfg slb.Config) (*Balanc
 			}
 		}
 	}
-	b.cp = ctrlplane.New(sw, ccfg)
+	eng, err := pipes.New(pipes.Config{Pipes: 1, Dataplane: dcfg, Controlplane: ccfg})
+	if err != nil {
+		return nil, err
+	}
+	b.eng = eng
 	return b, nil
 }
-
-// Switch exposes the hardware half.
-func (b *Balancer) Switch() *dataplane.Switch { return b.sw }
-
-// Controlplane exposes the switch software.
-func (b *Balancer) Controlplane() *ctrlplane.ControlPlane { return b.cp }
-
-// SLB exposes the software half.
-func (b *Balancer) SLB() *slb.Balancer { return b.soft }
 
 // Stats returns a copy of the counters.
 func (b *Balancer) Stats() Stats { return b.stats }
 
 // AddVIP announces a VIP on both tiers.
 func (b *Balancer) AddVIP(now simtime.Time, vip dataplane.VIP, pool []dataplane.DIP) error {
-	if err := b.cp.AddVIP(now, vip, pool, 0); err != nil {
+	if err := b.eng.AddVIP(now, vip, pool, 0); err != nil {
 		return err
 	}
 	return b.soft.AddVIP(vip, pool)
@@ -72,7 +67,7 @@ func (b *Balancer) AddVIP(now simtime.Time, vip dataplane.VIP, pool []dataplane.
 
 // Update applies a PCC-preserving pool update to both tiers.
 func (b *Balancer) Update(now simtime.Time, vip dataplane.VIP, pool []dataplane.DIP) error {
-	if err := b.cp.RequestUpdate(now, vip, pool); err != nil {
+	if err := b.eng.RequestUpdate(now, vip, pool); err != nil {
 		return err
 	}
 	return b.soft.Update(vip, pool)
@@ -82,10 +77,9 @@ func (b *Balancer) Update(now simtime.Time, vip dataplane.VIP, pool []dataplane.
 // cached in hardware but pinned at the SLB tier, software serves it.
 func (b *Balancer) Packet(now simtime.Time, pkt *netproto.Packet) (dataplane.DIP, bool) {
 	b.stats.Packets++
-	var f netproto.Frame
-	pkt.Frame(&f)
-	var res dataplane.Result
-	b.cp.ProcessFrameInto(now, &f, &res)
+	pkt.Frame(&b.frame[0])
+	b.eng.ProcessFramesInto(now, b.frame[:], b.res[:])
+	res := &b.res[0]
 	if res.Verdict != dataplane.VerdictForward {
 		return dataplane.DIP{}, false
 	}
@@ -103,17 +97,17 @@ func (b *Balancer) Packet(now simtime.Time, pkt *netproto.Packet) (dataplane.DIP
 
 // ConnEnd releases a connection on both tiers.
 func (b *Balancer) ConnEnd(now simtime.Time, t netproto.FiveTuple) {
-	b.cp.EndConnection(now, t)
+	b.eng.EndConnection(now, t)
 	b.soft.ConnEnd(t)
 }
 
 // Advance runs switch-software background work.
-func (b *Balancer) Advance(now simtime.Time) { b.cp.Advance(now) }
+func (b *Balancer) Advance(now simtime.Time) { b.eng.Advance(now) }
 
 // NextEventTime reports the control plane's earliest pending deadline.
 // Together with Advance it lets the balancer ride a sched.Scheduler as a
 // due-work source.
-func (b *Balancer) NextEventTime() (simtime.Time, bool) { return b.cp.NextEventTime() }
+func (b *Balancer) NextEventTime() (simtime.Time, bool) { return b.eng.NextEventTime() }
 
 // SoftwareShare returns the fraction of packets served in software.
 func (b *Balancer) SoftwareShare() float64 {

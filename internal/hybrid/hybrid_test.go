@@ -87,7 +87,8 @@ func TestOverflowPinnedWithPCC(t *testing.T) {
 		first[i] = dip
 		now = now.Add(simtime.Duration(20 * simtime.Microsecond))
 	}
-	b.Advance(now.Add(simtime.Duration(simtime.Second)))
+	now = now.Add(simtime.Duration(simtime.Second))
+	b.Advance(now)
 	if b.Stats().OverflowConns == 0 {
 		t.Fatal("no overflow with 2000 conns into 256-entry table")
 	}
@@ -136,19 +137,19 @@ func TestConnEndReleasesBothTiers(t *testing.T) {
 		b.Packet(now, &netproto.Packet{Tuple: tup(i), TCPFlags: netproto.FlagSYN})
 		now = now.Add(simtime.Duration(20 * simtime.Microsecond))
 	}
-	b.Advance(now.Add(simtime.Duration(simtime.Second)))
-	slbBefore := b.SLB().Conns()
-	if slbBefore == 0 {
+	now = now.Add(simtime.Duration(simtime.Second))
+	b.Advance(now)
+	if b.soft.Conns() == 0 {
 		t.Fatal("no SLB pins")
 	}
 	for i := 0; i < 1000; i++ {
 		b.ConnEnd(now, tup(i))
 	}
-	if b.SLB().Conns() != 0 {
-		t.Fatalf("SLB still holds %d conns", b.SLB().Conns())
+	if b.soft.Conns() != 0 {
+		t.Fatalf("SLB still holds %d conns", b.soft.Conns())
 	}
-	if b.Controlplane().TrackedConns() != 0 {
-		t.Fatal("switch software still tracks conns")
+	if n := b.eng.Stats().Connections; n != 0 {
+		t.Fatalf("switch software still tracks %d conns", n)
 	}
 }
 
@@ -173,5 +174,25 @@ func TestOverflowHookChaining(t *testing.T) {
 	}
 	if uint64(called) != b.Stats().OverflowConns {
 		t.Fatalf("hook calls %d != overflow conns %d", called, b.Stats().OverflowConns)
+	}
+}
+
+// TestEstablishedPacketZeroAlloc: a packet of a connection cached in the
+// hardware ConnTable runs through the balancer's one-frame batch without
+// allocating.
+func TestEstablishedPacketZeroAlloc(t *testing.T) {
+	b := newHybrid(t, 1000)
+	pkt := &netproto.Packet{Tuple: tup(1), TCPFlags: netproto.FlagSYN}
+	if _, ok := b.Packet(0, pkt); !ok {
+		t.Fatal("SYN not forwarded")
+	}
+	b.Advance(ms(10))
+	pkt.TCPFlags = netproto.FlagACK
+	b.Packet(ms(10), pkt)
+	if !b.res[0].ConnHit {
+		t.Fatal("connection not installed")
+	}
+	if n := testing.AllocsPerRun(100, func() { b.Packet(ms(10), pkt) }); n != 0 {
+		t.Fatalf("established packet: %v allocs, want 0", n)
 	}
 }

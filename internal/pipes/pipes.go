@@ -228,10 +228,14 @@ func (e *Engine) ProcessFramesInto(now simtime.Time, frames []netproto.Frame, re
 		p := e.pipes[0]
 		p.mu.Lock()
 		for i := range frames {
-			// The step polls before every frame. A poll per batch plus one
-			// whenever the learn filter fills is exact too (runJob;
-			// TestBatchPollMatchesFramePoll); moving to it is ROADMAP item 2.
-			p.cp.ProcessFrameInto(now, &frames[i], &results[i])
+			// The per-packet step, polling before every frame. A poll per
+			// batch plus one whenever the learn filter fills is exact too
+			// (runJob; TestBatchPollMatchesFramePoll); moving to it is
+			// ROADMAP item 2.
+			f := &frames[i]
+			p.cp.Advance(now)
+			p.dp.ProcessFrameInto(now, f, &results[i])
+			p.cp.HandleTupleResultInto(now, f.Tuple, &results[i])
 		}
 		p.processed += uint64(len(frames))
 		p.mu.Unlock()
@@ -261,12 +265,11 @@ func (e *Engine) ProcessFramesInto(now simtime.Time, frames []netproto.Frame, re
 }
 
 // runJob processes one pipe's share of a batch, idxs in arrival order,
-// under the pipe lock: the one poll site besides
-// ControlPlane.ProcessFrameInto, and exact against it. Every packet of a
-// batch shares its timestamp, so the per-packet step's poll finds work due
-// only once at the start and then only when the previous frame filled the
-// learn filter (its flush is due the instant it fills); runJob polls at
-// exactly those points.
+// under the pipe lock. It runs the per-packet step of the one-pipe loop
+// above but polls less, exactly: every packet of a batch shares its
+// timestamp, so a per-frame poll finds work due only once at the start and
+// then only when the previous frame filled the learn filter (its flush is
+// due the instant it fills); runJob polls at exactly those points.
 func (p *pipe) runJob(now simtime.Time, frames []netproto.Frame, idxs []int32, results []dataplane.Result) {
 	p.mu.Lock()
 	p.cp.Advance(now)

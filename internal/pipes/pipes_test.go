@@ -45,17 +45,20 @@ func tupleN(i int) netproto.FiveTuple {
 }
 
 // processPacket is the reference per-packet step the batch path is checked
-// against: it runs pkt's synthetic frame (Packet.Frame) through its owning
-// pipe's ControlPlane.ProcessFrameInto under that pipe's lock, with neither
-// the batch lock nor runJob. The tests build packets and convert them at
-// their own edge.
+// against: under the owning pipe's lock it polls the pipe's control plane,
+// runs pkt's synthetic frame (Packet.Frame) through the data plane and hands
+// the result to the CPU, with neither the batch lock nor either of the
+// engine's loops. The tests build packets and convert them at their own
+// edge.
 func processPacket(e *Engine, now simtime.Time, pkt *netproto.Packet) (res dataplane.Result) {
 	var f netproto.Frame
 	pkt.Frame(&f)
 	p := e.pipes[e.PipeOf(f.Tuple)]
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.cp.ProcessFrameInto(now, &f, &res)
+	p.cp.Advance(now)
+	p.dp.ProcessFrameInto(now, &f, &res)
+	p.cp.HandleTupleResultInto(now, f.Tuple, &res)
 	p.processed++
 	return res
 }

@@ -30,8 +30,9 @@ func TestPacketEntryPoints(t *testing.T) {
 		{reflect.TypeOf((*dataplane.Switch)(nil)), []string{"ProcessFrame", "ProcessFrameInto"}},
 		// One packet entry: a single frame is a one-frame batch.
 		{reflect.TypeOf((*pipes.Engine)(nil)), []string{"ProcessFramesInto"}},
-		// The per-packet step: poll, pipeline, CPU verdict.
-		{reflect.TypeOf((*ctrlplane.ControlPlane)(nil)), []string{"ProcessFrameInto"}},
+		// No packet entry: the engine composes the per-packet step (poll,
+		// pipeline, CPU verdict) from the two planes.
+		{reflect.TypeOf((*ctrlplane.ControlPlane)(nil)), nil},
 		{reflect.TypeOf((*Switch)(nil)), []string{"Forward", "ForwardIPIP", "ProcessFrame", "ProcessFramesInto"}},
 	} {
 		var got []string

@@ -80,9 +80,6 @@ repro/internal/learnfilter.Filter.Timeout        configuration accessor the lear
 repro/internal/handoff.Transfer.Done             completion check the handoff tests use
 repro/internal/flowsim.DefaultConfig             defaults the flow-simulator tests start from
 repro/internal/hybrid.Balancer.ConnEnd           flowsim.Balancer method the hybrid tests call
-repro/internal/hybrid.Balancer.Controlplane      component accessor the hybrid tests inspect
-repro/internal/hybrid.Balancer.SLB               component accessor the hybrid tests inspect
-repro/internal/hybrid.Balancer.Switch            component accessor the hybrid tests inspect
 repro/internal/slb.Balancer.Conns                connection count the SLB tests assert
 repro/internal/slb.Balancer.Pool                 pool accessor the SLB tests assert
 repro/internal/slb.Balancer.RemoveVIP            VIP removal the SLB tests exercise
