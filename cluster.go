@@ -10,6 +10,7 @@ import (
 	"repro/internal/dataplane"
 	"repro/internal/intent"
 	"repro/internal/netproto"
+	"repro/internal/sched"
 	"repro/internal/slo"
 )
 
@@ -19,12 +20,15 @@ var (
 	// out-of-service member: the reconciler retries it with backoff until
 	// the member is restored or the rollout rolls back.
 	ErrSwitchDown = errors.New("silkroad: switch out of service")
-	// ErrTransferActive rejects a drain or rejoin while another is in
-	// flight, and an upgrade of a member one involves.
+	// ErrTransferActive rejects a drain, rejoin or Migrate while another
+	// is in flight, and an upgrade of a member one involves.
 	ErrTransferActive = errors.New("silkroad: a drain or rejoin is already active")
-	// ErrNoTransfer is returned by step and cancel calls with nothing of
-	// their kind active.
+	// ErrNoTransfer is returned by cancel calls with nothing of their kind
+	// active.
 	ErrNoTransfer = errors.New("silkroad: no active drain or rejoin")
+	// ErrUpgradeActive rejects StartUpgrade while an attached upgrade is
+	// not done.
+	ErrUpgradeActive = errors.New("silkroad: a rolling upgrade is already active")
 	// ErrNotDrained rejects UpgradeSwitch while spray buckets still point
 	// at the member: taking it down before migration would drop its flows.
 	ErrNotDrained = errors.New("silkroad: switch still owns spray buckets")
@@ -36,10 +40,14 @@ var (
 )
 
 // The spray: bucketsPerSwitch resilient-ECMP buckets per member, each
-// tuple hashed onto one with spraySeed.
+// tuple hashed onto one with spraySeed. The transfer pace: every donor pipe
+// of a drain, rejoin or Migrate hands over up to transferBatch records each
+// transferPace of virtual time.
 const (
 	bucketsPerSwitch = 128
 	spraySeed        = 0x5b4a7
+	transferBatch    = 64
+	transferPace     = 3 * Millisecond
 )
 
 // ClusterConfig parameterizes NewCluster.
@@ -70,11 +78,16 @@ type ClusterStats struct {
 // latest-version connection maps to the same DIP on any of them while
 // their current rows agree slot for slot — version reuse can leave two
 // members with the same DIPs in different slots (a DIP is picked by slot);
-// each holds state only for the connections sprayed to it. Apply rolls a spec out one
-// switch at a time, gated on each switch's pending-insert drain, rolling
-// back on mid-rollout failure; drive it with Reconcile. FailSwitch loses a
-// member's table, breaking its connections pinned to retired versions;
-// DrainSwitch, UpgradeSwitch and RejoinSwitch move that state warm instead.
+// each holds state only for the connections sprayed to it. Apply rolls a
+// spec out one switch at a time, gated on each switch's pending-insert
+// drain, rolling back on mid-rollout failure. FailSwitch loses a member's
+// table, breaking its connections pinned to retired versions; DrainSwitch,
+// UpgradeSwitch and RejoinSwitch move that state warm instead, and
+// StartUpgrade rolls the whole fleet through them.
+//
+// The fleet has one timeline: AdvanceTo runs the members, the rollout, the
+// active transfer and an attached upgrade in time order, and NextEventTime
+// is the fleet's one deadline. Calls stage work; AdvanceTo runs it.
 //
 // Methods are safe for concurrent use: each takes the cluster lock, then
 // member pipe locks.
@@ -87,12 +100,27 @@ type Cluster struct {
 	// never points at an out-of-service member. origin is each bucket's
 	// first owner, which a rejoin reclaims.
 	spray, origin []int
-	xfer          *transfer // the in-flight drain or rejoin (handoff.go)
-	stats         ClusterStats
-	rec           *intent.ClusterReconciler
+	// sched holds the fleet's sources, in tie-winning order: one per member
+	// slot, the rollout, the active transfer, then each upgrade as it is
+	// attached. now is the fleet's current instant: the latest one
+	// AdvanceTo reached or a call was made at. A source whose gate holds is
+	// due then.
+	sched *sched.Scheduler
+	now   Time
+	xfer  *transfer        // the in-flight drain, rejoin or Migrate (handoff.go)
+	up    *intent.Upgrader // the last upgrade attached
+	stats ClusterStats
+	rec   *intent.ClusterReconciler
 }
 
-var _ intent.UpgradeOps = (*Cluster)(nil)
+// fleetSource is a sched.Source made of two functions.
+type fleetSource struct {
+	next    func() (Time, bool)
+	advance func(Time)
+}
+
+func (s fleetSource) NextEventTime() (Time, bool) { return s.next() }
+func (s fleetSource) Advance(now Time)            { s.advance(now) }
 
 // NewCluster builds a fleet of identically configured switches, every
 // bucket sprayed round-robin over them, behind one rolling reconciler.
@@ -101,7 +129,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Switch.SLO != nil && cfg.Switch.Telemetry == nil {
 		cfg.Switch.Telemetry = NewTelemetry()
 	}
-	c := &Cluster{cfg: cfg.Switch, down: make([]bool, n),
+	c := &Cluster{cfg: cfg.Switch, down: make([]bool, n), sched: sched.New(),
 		spray: make([]int, n*bucketsPerSwitch), origin: make([]int, n*bucketsPerSwitch)}
 	for i := 0; i < n; i++ {
 		sw, err := c.newMember(i)
@@ -124,20 +152,31 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	fleet := make([]intent.Target, n)
 	for i := range fleet {
 		fleet[i] = intentTarget{c: c, m: i}
+		// Member slot i, re-read at call time (RestoreSwitch replaces the
+		// switch); idle while the member is down.
+		c.sched.AddSource(fleetSource{
+			next: func() (Time, bool) {
+				if c.down[i] {
+					return 0, false
+				}
+				return c.sws[i].NextEventTime()
+			},
+			advance: func(now Time) { c.sws[i].AdvanceTo(now) },
+		})
 	}
-	c.rec = intent.NewCluster(fleet, fcfg)
+	c.rec = intent.NewCluster(fleet, func() Time { return c.now }, fcfg)
+	c.sched.AddSource(c.rec)
+	c.sched.AddSource(fleetSource{next: c.nextPump, advance: c.pump})
 	if c.cfg.SLO != nil {
 		// A page-severity alert firing anywhere in the fleet holds the
 		// rolling frontier: don't push a new generation onto a burning
 		// fleet. The gate runs under c.mu and reads only evaluator state
 		// (its report mutex), never a pipe lock.
-		c.rec.SetRolloutGate(func() (bool, string) {
-			for i, sw := range c.sws {
-				if ev := sw.SLO(); ev != nil && ev.PageFiring() {
-					return true, fmt.Sprintf("member %d page firing", i)
-				}
-			}
-			return false, ""
+		c.rec.SetRolloutGate(func() bool {
+			return slices.ContainsFunc(c.sws, func(sw *Switch) bool {
+				ev := sw.SLO()
+				return ev != nil && ev.PageFiring()
+			})
 		})
 	}
 	return c, nil
@@ -172,12 +211,16 @@ func (c *Cluster) bucketOf(t FiveTuple) int {
 	return int(netproto.TupleHash(spraySeed, &t) % uint64(len(c.spray)))
 }
 
+// stamp moves the fleet's current instant to a call made at now.
+func (c *Cluster) stamp(now Time) { c.now = max(c.now, now) }
+
 // ProcessFrame routes one frame through the fleet: the spray picks the
 // member from the tuple's bucket, and that member's pipeline processes it.
 // It returns the member and the member's result.
 func (c *Cluster) ProcessFrame(now Time, f *Frame) (member int, res Result) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.stamp(now)
 	member = c.spray[c.bucketOf(f.Tuple)]
 	return member, c.sws[member].ProcessFrame(now, f)
 }
@@ -186,6 +229,7 @@ func (c *Cluster) ProcessFrame(now Time, f *Frame) (member int, res Result) {
 func (c *Cluster) EndConnection(now Time, t FiveTuple) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.stamp(now)
 	c.sws[c.spray[c.bucketOf(t)]].EndConnection(now, t)
 }
 
@@ -208,17 +252,39 @@ func (c *Cluster) Shadow(t FiveTuple) (member int, version uint32, dip DIP, ok b
 	return member, version, dip, ok
 }
 
-// AdvanceTo advances every in-service member's event runtime to now
-// (virtual-time drivers). Fleet reconcile rounds are separate: call
-// Reconcile.
+// AdvanceTo runs all fleet work due at or before now in time order: every
+// in-service member's runtime, the rollout, the active transfer and an
+// attached upgrade, members first at a shared instant. It steps from one
+// fleet deadline to the next, so a source waiting on member state (the
+// rollout's drain gate, a transfer's cutover, the upgrade's waits) acts at
+// the member event that satisfies it, however far one call reaches. It is
+// the one way a caller moves the fleet's virtual time; NextEventTime says
+// when it next needs to. A ManualClock in the member configuration is
+// stepped to now.
 func (c *Cluster) AdvanceTo(now Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for i, sw := range c.sws {
-		if !c.down[i] {
-			sw.AdvanceTo(now)
+	for {
+		next, ok := c.sched.Next()
+		if !ok || next.After(now) {
+			break
 		}
+		c.stamp(next)
+		c.sched.RunUntil(next)
 	}
+	c.stamp(now)
+	if mc, ok := c.cfg.Clock.(*sched.ManualClock); ok {
+		mc.Set(now)
+	}
+}
+
+// NextEventTime returns the fleet's one deadline: the earliest instant a
+// member, the rollout, the active transfer or an attached upgrade has work
+// due. A converged idle fleet reports none at or before its clock.
+func (c *Cluster) NextEventTime() (Time, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.sched.Next()
 }
 
 // member checks that i names a member.
@@ -269,6 +335,7 @@ func (c *Cluster) redistribute(i int) (dest, survivors []int) {
 func (c *Cluster) FailSwitch(now Time, i int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.stamp(now)
 	if err := c.inService(i); err != nil {
 		return err
 	}
@@ -302,8 +369,10 @@ func (c *Cluster) flip(dest []int) int {
 // it refuses while any spray bucket still points at it, or a transfer
 // involves it, so an upgrade never drops flows that were not migrated.
 func (c *Cluster) UpgradeSwitch(i int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	return locked(&c.mu, func() error { return c.upgradeSwitch(i) })
+}
+
+func (c *Cluster) upgradeSwitch(i int) error {
 	if err := c.inService(i); err != nil {
 		return err
 	}
@@ -324,8 +393,10 @@ func (c *Cluster) UpgradeSwitch(i int) error {
 // survivors keep serving until RejoinSwitch has passed the warm gate and
 // migrated the member's shard back.
 func (c *Cluster) RestoreSwitch(i int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	return locked(&c.mu, func() error { return c.restoreSwitch(i) })
+}
+
+func (c *Cluster) restoreSwitch(i int) error {
 	if err := c.member(i); err != nil {
 		return err
 	}
@@ -340,13 +411,24 @@ func (c *Cluster) RestoreSwitch(i int) error {
 	return nil
 }
 
-// ReannounceTo installs VIP state on member i (the re-announce after a
-// reboot), typically the latest pools from a healthy member.
-func (c *Cluster) ReannounceTo(now Time, i int, vips map[VIP][]DIP) error {
+// ReannounceTo installs on member i every VIP its first in-service peer
+// serves, with the pool that peer last requested: the re-announce after a
+// reboot, which a rolling upgrade makes too.
+func (c *Cluster) ReannounceTo(now Time, i int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.stamp(now)
+	return c.reannounce(now, i)
+}
+
+func (c *Cluster) reannounce(now Time, i int) error {
+	peer, ok := c.peer(i)
+	if !ok {
+		return ErrNoPeer
+	}
 	t := intentTarget{c: c, m: i}
-	for vip, pool := range vips {
+	for _, vip := range peer.ObservedVIPs() {
+		pool, _ := peer.ObservedPool(vip)
 		if err := t.AddVIP(now, vip, pool, 0); err != nil {
 			return err
 		}
@@ -385,22 +467,15 @@ func (c *Cluster) SLO() FleetSLOReport {
 // held by a firing fleet alert.
 func (c *Cluster) RolloutPaused() bool { return locked(&c.mu, c.rec.RolloutPaused) }
 
-// Apply validates and stages spec for a rolling fleet update, running the
-// first reconcile round immediately. The rollout continues via Reconcile.
+// Apply validates and stages spec for a rolling fleet update, and returns
+// the statuses as staged. The rollout runs under AdvanceTo, from the
+// fleet's current instant.
 func (c *Cluster) Apply(now Time, spec *ClusterSpec) ([]VIPStatus, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.rec.SetSpec(now, spec); err != nil {
-		return c.rec.Statuses(), err
-	}
-	c.rec.Step(now)
-	return c.rec.Statuses(), nil
-}
-
-// Reconcile runs one fleet reconcile round; returns true once the fleet
-// is converged at the staged generation.
-func (c *Cluster) Reconcile(now Time) bool {
-	return locked(&c.mu, func() bool { return c.rec.Step(now) })
+	c.stamp(now)
+	err := c.rec.SetSpec(now, spec)
+	return c.rec.Statuses(), err
 }
 
 // Converged reports fleet-wide convergence at the staged generation.
@@ -414,14 +489,11 @@ func (c *Cluster) Generation() uint64 { return locked(&c.mu, c.rec.Generation) }
 func (c *Cluster) Statuses() []VIPStatus { return locked(&c.mu, c.rec.Statuses) }
 
 // DetectDrift scans every member when the fleet is idle and re-enters the
-// rolling phase on any divergence. Returns drifted key count.
+// rolling phase on any divergence, which AdvanceTo then runs. Returns
+// drifted key count.
 func (c *Cluster) DetectDrift(now Time) int {
-	return locked(&c.mu, func() int { return c.rec.DetectDrift(now) })
-}
-
-// NextDue returns the earliest time queued fleet work becomes ready.
-func (c *Cluster) NextDue() (Time, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.rec.NextDue()
+	c.stamp(now)
+	return c.rec.DetectDrift(now)
 }

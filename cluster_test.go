@@ -3,6 +3,7 @@ package silkroad
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -31,7 +32,8 @@ func fleetSpec(n int) *ClusterSpec {
 
 // newFleet builds an n-member fleet of switches with the given pipe count,
 // each provisioned for 50 000 connections, converged on testVIP over
-// fleetPool(8).
+// fleetPool(8). When the test ends, no member's control plane may have been
+// driven behind its clock.
 func newFleet(t *testing.T, n, pipes int) *Cluster {
 	t.Helper()
 	cfg := Defaults(50000)
@@ -44,12 +46,23 @@ func newFleet(t *testing.T, n, pipes int) *Cluster {
 	if _, err := c.Apply(0, fleetSpec(8)); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; !c.Reconcile(0); i++ {
-		if i > 4*n {
-			t.Fatal("bootstrap never converged")
+	c.AdvanceTo(0)
+	if !c.Converged() {
+		t.Fatal("bootstrap never converged")
+	}
+	t.Cleanup(func() { checkClocks(t, c) })
+	return c
+}
+
+// checkClocks fails t if any member's control plane was advanced behind
+// its clock.
+func checkClocks(t *testing.T, c *Cluster) {
+	t.Helper()
+	for i := 0; i < c.Switches(); i++ {
+		if n := c.Switch(i).Stats().Controlplane.ClockRegressions; n != 0 {
+			t.Errorf("member %d: %d control-plane advances behind its clock", i, n)
 		}
 	}
-	return c
 }
 
 // send routes flow i's packet through the fleet's spray.
@@ -73,23 +86,27 @@ func requestAll(t *testing.T, c *Cluster, now Time, pool []DIP) {
 	}
 }
 
-// pumpFleet drives the active drain (or rejoin) to cutover, advancing the
-// fleet a millisecond between steps, and returns the cutover time.
-func pumpFleet(t *testing.T, c *Cluster, from Time, step func(Time, int) (int, bool, error)) Time {
+// xferProgress reads the fleet's transfer progress the way its upgrader does.
+func xferProgress(c *Cluster) (active bool, moved uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return upgradeOps{c}.Transfer()
+}
+
+// pumpFleet steps the fleet from deadline to deadline until the active
+// transfer completes, and returns the instant it did.
+func pumpFleet(t *testing.T, c *Cluster) Time {
 	t.Helper()
-	now := from
+	var now Time
 	for i := 0; ; i++ {
-		if i > 20000 {
-			t.Fatal("transfer did not converge")
-		}
-		_, done, err := step(now, 256)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if done {
+		if active, _ := xferProgress(c); !active {
 			return now
 		}
-		now = now.Add(Millisecond)
+		next, ok := c.NextEventTime()
+		if !ok || i > 20000 {
+			t.Fatal("transfer did not converge")
+		}
+		now = next
 		c.AdvanceTo(now)
 	}
 }
@@ -164,8 +181,8 @@ func TestClusterFailLatestVersionSurvives(t *testing.T) {
 	c := newFleet(t, 4, 1)
 	const n = 1200
 	first, members := establish(t, c, 0, n, 0)
-	now := msAt(12)
-	c.AdvanceTo(now.Add(Second))
+	now := msAt(12).Add(Second)
+	c.AdvanceTo(now)
 	if err := c.FailSwitch(now, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -206,8 +223,8 @@ func TestClusterFailStaleVersionBreaks(t *testing.T) {
 	c := newFleet(t, 4, 1)
 	const n = 1200
 	first, members := establish(t, c, 0, n, 0)
-	now := msAt(12)
-	c.AdvanceTo(now.Add(Second))
+	now := msAt(12).Add(Second)
+	c.AdvanceTo(now)
 	requestAll(t, c, now, fleetPool(7))
 	now = now.Add(200 * Millisecond)
 	c.AdvanceTo(now)
@@ -259,8 +276,7 @@ func TestRejoinAfterRestore(t *testing.T) {
 	if err := c.RejoinSwitch(msAt(2), 0); !errors.Is(err, ErrNotWarm) {
 		t.Fatalf("rejoin before re-announce: %v, want ErrNotWarm", err)
 	}
-	latest, _ := c.Switch(1).CurrentPool(testVIP())
-	if err := c.ReannounceTo(msAt(2), 0, map[VIP][]DIP{testVIP(): latest}); err != nil {
+	if err := c.ReannounceTo(msAt(2), 0); err != nil {
 		t.Fatal(err)
 	}
 	c.AdvanceTo(msAt(3))
@@ -270,10 +286,10 @@ func TestRejoinAfterRestore(t *testing.T) {
 	if err := c.RejoinSwitch(msAt(3), 1); !errors.Is(err, ErrTransferActive) {
 		t.Fatalf("overlapping rejoin: %v, want ErrTransferActive", err)
 	}
-	if _, _, err := c.DrainStep(msAt(3), 1); !errors.Is(err, ErrNoTransfer) {
-		t.Fatalf("DrainStep during a rejoin: %v, want ErrNoTransfer", err)
+	if err := c.CancelDrain(msAt(3)); !errors.Is(err, ErrNoTransfer) {
+		t.Fatalf("CancelDrain during a rejoin: %v, want ErrNoTransfer", err)
 	}
-	end := pumpFleet(t, c, msAt(4), c.RejoinStep)
+	end := pumpFleet(t, c)
 	served := false
 	for i := 5000; i < 5400; i++ {
 		m, res := send(c, end, i, FlagACK)
@@ -315,8 +331,8 @@ func TestClusterFailureErrors(t *testing.T) {
 	if err := c.UpgradeSwitch(0); !errors.Is(err, ErrSwitchDown) {
 		t.Fatalf("upgrading a failed switch: %v, want ErrSwitchDown", err)
 	}
-	if _, _, err := c.RejoinStep(0, 1); !errors.Is(err, ErrNoTransfer) {
-		t.Fatalf("RejoinStep with nothing active: %v, want ErrNoTransfer", err)
+	if err := c.CancelRejoin(0); !errors.Is(err, ErrNoTransfer) {
+		t.Fatalf("CancelRejoin with nothing active: %v, want ErrNoTransfer", err)
 	}
 	if err := c.CancelDrain(0); !errors.Is(err, ErrNoTransfer) {
 		t.Fatalf("CancelDrain with nothing active: %v, want ErrNoTransfer", err)
@@ -341,7 +357,6 @@ func TestClusterWideUpdateKeepsPCC(t *testing.T) {
 		}
 		now = now.Add(Millisecond)
 		c.AdvanceTo(now)
-		c.Reconcile(now)
 	}
 	for i := 0; i < n; i++ {
 		if _, res := send(c, now, i, FlagACK); res.Verdict == VerdictForward && res.DIP != first[i] {
@@ -361,10 +376,11 @@ func midUpdateFlows(t *testing.T) (*Cluster, map[int]DIP, map[int]int, Time) {
 	dips, members := establish(t, c, 0, 400, 0)
 	c.AdvanceTo(msAt(50))
 	// Queue fresh learns so the update's recording window stays open,
-	// then land more flows inside it: they pin to the old version.
+	// then land more flows inside it: they pin to the old version. The
+	// late flows take 100–100.39 ms, so the update and the mid flows follow.
 	late, lateM := establish(t, c, 400, 440, msAt(100))
-	requestAll(t, c, msAt(100), fleetPool(7))
-	mid, midM := establish(t, c, 440, 480, msAt(100).Add(100*Microsecond))
+	requestAll(t, c, msAt(100).Add(400*Microsecond), fleetPool(7))
+	mid, midM := establish(t, c, 440, 480, msAt(100).Add(500*Microsecond))
 	for _, set := range []struct {
 		d map[int]DIP
 		m map[int]int
@@ -406,7 +422,7 @@ func TestClusterMidUpdateFlowBreaksOnFailButSurvivesDrain(t *testing.T) {
 	if err := warm.DrainSwitch(now, donor); err != nil {
 		t.Fatal(err)
 	}
-	end := pumpFleet(t, warm, now, warm.DrainStep)
+	end := pumpFleet(t, warm)
 	if err := warm.UpgradeSwitch(donor); err != nil {
 		t.Fatal(err)
 	}
@@ -445,8 +461,9 @@ func TestDrainDonorNeverPauses(t *testing.T) {
 	if err := c.DrainSwitch(msAt(50), donor); err != nil {
 		t.Fatal(err)
 	}
-	if _, done, err := c.DrainStep(msAt(51), 64); err != nil || done {
-		t.Fatalf("drain finished in one bounded step (done=%v err=%v)", done, err)
+	c.AdvanceTo(msAt(51))
+	if active, moved := xferProgress(c); !active || moved == 0 {
+		t.Fatalf("drain finished in one paced pump, or never pumped (active=%v moved=%d)", active, moved)
 	}
 	late, lateM := establish(t, c, 600, 700, msAt(52))
 	donorSawLate := false
@@ -457,7 +474,7 @@ func TestDrainDonorNeverPauses(t *testing.T) {
 	if !donorSawLate {
 		t.Fatal("no mid-drain flow landed on the donor — packet path paused?")
 	}
-	end := pumpFleet(t, c, msAt(53), c.DrainStep)
+	end := pumpFleet(t, c)
 	if c.Stats().LastHandoff.Deltas == 0 {
 		t.Fatal("mid-drain flows did not ride the delta stream")
 	}
@@ -487,14 +504,14 @@ func TestDrainCancelRollsBack(t *testing.T) {
 	if err := c.DrainSwitch(msAt(50), 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, done, err := c.DrainStep(msAt(51), 64); err != nil || done {
-		t.Fatalf("drain finished early (done=%v err=%v)", done, err)
+	c.AdvanceTo(msAt(51))
+	if active, moved := xferProgress(c); !active || moved == 0 {
+		t.Fatalf("drain finished early, or never pumped (active=%v moved=%d)", active, moved)
 	}
-	c.AdvanceTo(msAt(60))
-	if err := c.CancelRejoin(msAt(60)); !errors.Is(err, ErrNoTransfer) {
+	if err := c.CancelRejoin(msAt(51)); !errors.Is(err, ErrNoTransfer) {
 		t.Fatalf("CancelRejoin during a drain: %v, want ErrNoTransfer", err)
 	}
-	if err := c.CancelDrain(msAt(60)); err != nil {
+	if err := c.CancelDrain(msAt(51)); err != nil {
 		t.Fatal(err)
 	}
 	c.AdvanceTo(msAt(70))
@@ -515,7 +532,7 @@ func TestDrainCancelRollsBack(t *testing.T) {
 	if err := c.DrainSwitch(msAt(71), 1); err != nil {
 		t.Fatal(err)
 	}
-	pumpFleet(t, c, msAt(71), c.DrainStep)
+	pumpFleet(t, c)
 }
 
 // TestDrainFailedReceiverCancels: failing a receiver mid-drain cancels the
@@ -529,19 +546,20 @@ func TestDrainFailedReceiverCancels(t *testing.T) {
 	if err := c.DrainSwitch(msAt(50), 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, done, err := c.DrainStep(msAt(51), 64); err != nil || done {
-		t.Fatalf("drain finished early (done=%v err=%v)", done, err)
+	c.AdvanceTo(msAt(51))
+	if active, moved := xferProgress(c); !active || moved == 0 {
+		t.Fatalf("drain finished early, or never pumped (active=%v moved=%d)", active, moved)
 	}
 	if err := c.FailSwitch(msAt(51), 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.DrainStep(msAt(52), 64); !errors.Is(err, ErrNoTransfer) {
-		t.Fatalf("DrainStep after the receiver failed: %v, want ErrNoTransfer", err)
+	if err := c.CancelDrain(msAt(52)); !errors.Is(err, ErrNoTransfer) {
+		t.Fatalf("CancelDrain after the receiver failed: %v, want ErrNoTransfer", err)
 	}
 	if err := c.DrainSwitch(msAt(52), 0); err != nil {
 		t.Fatal(err)
 	}
-	end := pumpFleet(t, c, msAt(52), c.DrainStep)
+	end := pumpFleet(t, c)
 	if slices.Contains(c.spray, 2) || slices.Contains(c.spray, 0) {
 		t.Fatal("a bucket still points at the failed or the drained member")
 	}
@@ -565,7 +583,7 @@ func TestClusterUpgradeRequiresDrain(t *testing.T) {
 	if err := c.DrainSwitch(0, 1); !errors.Is(err, ErrTransferActive) {
 		t.Fatalf("overlapping drain: %v, want ErrTransferActive", err)
 	}
-	pumpFleet(t, c, 0, c.DrainStep)
+	pumpFleet(t, c)
 	if err := c.UpgradeSwitch(0); err != nil {
 		t.Fatal(err)
 	}
@@ -592,7 +610,7 @@ func TestClusterShadow(t *testing.T) {
 	if err := c.DrainSwitch(msAt(50), 2); err != nil {
 		t.Fatal(err)
 	}
-	pumpFleet(t, c, msAt(50), c.DrainStep)
+	pumpFleet(t, c)
 	for i, first := range dips {
 		m, _, d, ok := c.Shadow(clientPkt(i, 0).Tuple)
 		if !ok {
@@ -620,14 +638,7 @@ func TestClusterMultiPipeRollingUpgrade(t *testing.T) {
 		members = 3
 	)
 	c := newFleet(t, members, 2)
-	cur := fleetPool(8)
-	u := intent.NewUpgrader(c, nil, intent.UpgradeConfig{
-		Budget: 64, StallTimeout: 20 * Millisecond, BaseBackoff: Millisecond,
-		MaxBackoff: 10 * Millisecond, MaxRetries: 6, WarmTimeout: 5 * Millisecond,
-		Reannounce: func(now Time, m int) error {
-			return c.ReannounceTo(now, m, map[VIP][]DIP{testVIP(): cur})
-		},
-	})
+	var u *Upgrader
 	type flow struct {
 		born   int
 		dip    DIP
@@ -636,14 +647,14 @@ func TestClusterMultiPipeRollingUpgrade(t *testing.T) {
 	}
 	var flows []flow
 	drops, pcc, moved := 0, 0, 0
-	for tk := 0; tk < load+life || !u.Done(); tk++ {
+	for tk := 0; tk < load+life || u == nil || !u.Done(); tk++ {
 		if tk > 40*load {
 			t.Fatalf("rollout never finished: phases %v", []intent.UpgradePhase{u.Phase(0), u.Phase(1), u.Phase(2)})
 		}
 		now := Time(tk) * Time(tick)
 		c.AdvanceTo(now)
 		if tk%200 == 100 && tk < load {
-			cur = fleetPool(6 + tk/200%3)
+			cur := fleetPool(6 + tk/200%3)
 			for m := 0; m < members; m++ {
 				if c.Alive(m) && c.Switch(m).Engine().Dataplane(0).HasVIP(testVIP()) {
 					if err := c.Switch(m).Engine().RequestUpdate(now, testVIP(), cur); err != nil {
@@ -652,8 +663,12 @@ func TestClusterMultiPipeRollingUpgrade(t *testing.T) {
 				}
 			}
 		}
-		if tk >= 150 && tk%30 == 0 && !u.Done() {
-			if _, err := u.Step(now); err != nil {
+		if tk == 150 {
+			var err error
+			if u, err = c.StartUpgrade(now, nil, UpgradeConfig{
+				StallTimeout: 20 * Millisecond, BaseBackoff: Millisecond,
+				MaxBackoff: 10 * Millisecond, MaxRetries: 6, WarmTimeout: 5 * Millisecond,
+			}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -705,5 +720,124 @@ func TestClusterMultiPipeRollingUpgrade(t *testing.T) {
 				t.Fatalf("member %d pipe %d holds no connections after the rollout", m, ps.Pipe)
 			}
 		}
+	}
+}
+
+// TestClusterTimeline drives a 3-member fleet by its one deadline alone —
+// NextEventTime, then AdvanceTo to it — with ops at fixed instants: a spec
+// rollout, a drain and rejoin of one member, a Migrate, and a rolling
+// upgrade of all three, under traffic. Driving the same ops with AdvanceTo
+// called only at each op's instant must end in the same fleet: AdvanceTo
+// steps from deadline to deadline itself, so no gate waits on how far a
+// caller reaches. Once idle, the converged fleet has no deadline at or
+// before its clock, and every established flow kept its DIP.
+func TestClusterTimeline(t *testing.T) {
+	const flows = 500
+	var u *Upgrader
+	dips := map[int]DIP{}
+	syns := func(lo, hi int) func(*Cluster, Time) error {
+		return func(c *Cluster, now Time) error {
+			for i := lo; i < hi; i++ {
+				_, res := send(c, now, i, FlagSYN)
+				if res.Verdict != VerdictForward {
+					return fmt.Errorf("flow %d dropped at establishment", i)
+				}
+				dips[i] = res.DIP
+			}
+			return nil
+		}
+	}
+	ops := []struct {
+		at Time
+		do func(*Cluster, Time) error
+	}{
+		{msAt(1), syns(0, 300)},
+		{msAt(10), func(c *Cluster, now Time) error { _, err := c.Apply(now, fleetSpec(7)); return err }},
+		{msAt(11), syns(300, 400)},
+		{msAt(60), func(c *Cluster, now Time) error { return c.DrainSwitch(now, 1) }},
+		{msAt(61), syns(400, 450)},
+		{msAt(100), func(c *Cluster, now Time) error {
+			if err := c.UpgradeSwitch(1); err != nil {
+				return err
+			}
+			if err := c.RestoreSwitch(1); err != nil {
+				return err
+			}
+			return c.ReannounceTo(now, 1)
+		}},
+		{msAt(110), func(c *Cluster, now Time) error { return c.RejoinSwitch(now, 1) }},
+		{msAt(200), func(c *Cluster, now Time) error { return c.Migrate(now, 0, 2) }},
+		{msAt(300), func(c *Cluster, now Time) (err error) {
+			u, err = c.StartUpgrade(now, nil, UpgradeConfig{StallTimeout: 20 * Millisecond,
+				BaseBackoff: Millisecond, MaxBackoff: 10 * Millisecond, WarmTimeout: 5 * Millisecond})
+			return err
+		}},
+		{msAt(301), syns(450, flows)},
+	}
+	const end = Time(2 * Second)
+
+	type outcome struct {
+		spray  []int
+		gen    uint64
+		stats  ClusterStats
+		conns  [3]int
+		phases [3]intent.UpgradePhase
+	}
+	run := func(stepped bool) (*Cluster, outcome) {
+		c := newFleet(t, 3, 1)
+		// Each op runs at its instant; between ops the fleet moves by its
+		// own deadlines (stepped) or by one AdvanceTo to the next op.
+		advance := func(to Time) {
+			for stepped {
+				next, ok := c.NextEventTime()
+				if !ok || !next.Before(to) {
+					break
+				}
+				c.AdvanceTo(next)
+			}
+			c.AdvanceTo(to)
+		}
+		for _, o := range ops {
+			advance(o.at)
+			if err := o.do(c, o.at); err != nil {
+				t.Fatalf("op at %v: %v", o.at, err)
+			}
+		}
+		advance(end)
+		if next, ok := c.NextEventTime(); ok && !next.After(end) {
+			t.Fatalf("idle fleet still due at %v, clock %v", next, end)
+		}
+		out := outcome{spray: slices.Clone(c.spray), gen: c.Generation(), stats: c.Stats()}
+		for m := range out.conns {
+			out.conns[m] = c.Switch(m).Stats().Connections
+			out.phases[m] = u.Phase(m)
+		}
+		for i := 0; i < flows; i++ {
+			if _, res := send(c, end, i, FlagACK); res.Verdict != VerdictForward || res.DIP != dips[i] {
+				t.Fatalf("flow %d: %v to %v, established on %v", i, res.Verdict, res.DIP, dips[i])
+			}
+		}
+		return c, out
+	}
+
+	c, stepped := run(true)
+	if !c.Converged() || stepped.gen != 2 {
+		t.Fatalf("rollout did not converge at generation 2 (gen %d)", stepped.gen)
+	}
+	if !u.Done() || len(u.Failed()) != 0 || u.Rollbacks != 0 {
+		t.Fatalf("upgrade: done=%v failed=%v rollbacks=%d, phases %v", u.Done(), u.Failed(), u.Rollbacks, stepped.phases)
+	}
+	// Buckets moved warm: member 1's shard out and back, then every
+	// member's out and back in the upgrade.
+	if want := uint64(2*bucketsPerSwitch + 3*2*bucketsPerSwitch); stepped.stats.Migrated != want {
+		t.Fatalf("Migrated = %d, want %d", stepped.stats.Migrated, want)
+	}
+	for b, m := range stepped.spray {
+		if m != c.origin[b] {
+			t.Fatalf("bucket %d on member %d after the rejoins, origin %d", b, m, c.origin[b])
+		}
+	}
+	if _, once := run(false); !reflect.DeepEqual(stepped, once) {
+		t.Fatalf("fleet differs with AdvanceTo only at op instants:\nstepped %+v\nonce    %+v", stepped, once)
 	}
 }

@@ -2,7 +2,8 @@ package silkroad
 
 // Connection-state handoff facade: point-in-time conn-table snapshots
 // (Export/Import on a Switch) and live warm migration between fleet
-// members (Cluster.Migrate, and the drain and rejoin around an upgrade).
+// members (Cluster.Migrate, the drain and rejoin around an upgrade, and
+// the rolling upgrade that strings them together).
 // The heavy lifting lives in internal/handoff (wire types, transfer pump)
 // and internal/ctrlplane (export sessions, rate-bounded imports); this file
 // routes them across pipes and members under the facade's locking
@@ -16,6 +17,7 @@ import (
 	"repro/internal/ctrlplane"
 	"repro/internal/dataplane"
 	"repro/internal/handoff"
+	"repro/internal/intent"
 	"repro/internal/pipes"
 	"repro/internal/simtime"
 )
@@ -32,8 +34,8 @@ type (
 	HandoffStats = handoff.Stats
 )
 
-// ErrMigrateStalled aborts a Migrate whose transfer stops making
-// progress (receiver wedged, donor mutating faster than the pump).
+// ErrMigrateStalled aborts an Import whose receiver never drains its
+// insertion queue.
 var ErrMigrateStalled = errors.New("silkroad: migration stalled")
 
 // Export freezes a snapshot of every connection the switch has installed,
@@ -93,15 +95,30 @@ func (s *Switch) Import(now Time, snap *ConnSnapshot) (imported, skipped int, er
 	return imported, skipped, nil
 }
 
+// transferKind is what a transfer does once it has converged.
+type transferKind uint8
+
+const (
+	drainTransfer  transferKind = iota // cut the donor's buckets over
+	rejoinTransfer                     // cut the member's buckets back
+	copyTransfer                       // Migrate: copy only
+)
+
 // transfer is one in-flight move of connection state between members: a
-// handoff.Transfer per donor pipe, each feeding its own routeImporter. A
-// drain or rejoin cuts over at a quiescent instant by pointing the moved
-// buckets at their receivers; Migrate only copies.
+// handoff.Transfer per donor pipe, each feeding its own routeImporter,
+// pumped on the fleet's timeline every transferPace. It completes at the
+// first instant it has converged and every member it involves is
+// quiescent (no pending learns, inserts or updates, so no straggler can
+// install after cutover). A drain or rejoin then points the moved buckets
+// at their receivers; Migrate only copies.
 type transfer struct {
-	rejoin  bool
-	dest    []int // bucket -> receiving member, -1 for a bucket not moving
-	members []int // donors and receivers, all quiet at cutover
-	parts   []*pipeTransfer
+	kind      transferKind
+	dest      []int // bucket -> receiving member, -1 for a bucket not moving
+	members   []int // donors and receivers, all quiet at cutover
+	parts     []*pipeTransfer
+	pumpAt    Time   // the next paced pump
+	moved     uint64 // records pumped so far: the stall check's progress
+	converged bool   // the last pump found every part converged
 }
 
 // pipeTransfer pumps one donor pipe's export session.
@@ -153,10 +170,11 @@ func (r *routeImporter) on(k int, fn func(*ctrlplane.Importer)) {
 }
 
 // newTransfer opens an export session on every pipe of each donor, pumped
-// in chunks of chunk entries (0: the handoff default) into a routeImporter
-// onto dest. Its events name the receiver when there is one, else -1.
-func (c *Cluster) newTransfer(now Time, donors, receivers, dest []int, chunk int) *transfer {
-	x := &transfer{dest: dest, members: slices.Concat(donors, receivers)}
+// in chunks of transferBatch entries into a routeImporter onto dest, and
+// makes it the cluster's transfer, first pumped at now. Its events name the
+// receiver when there is one, else -1.
+func (c *Cluster) newTransfer(now Time, kind transferKind, donors, receivers, dest []int) {
+	x := &transfer{kind: kind, dest: dest, members: slices.Concat(donors, receivers), pumpAt: now}
 	label := -1
 	if len(receivers) == 1 {
 		label = receivers[0]
@@ -168,27 +186,67 @@ func (c *Cluster) newTransfer(now Time, donors, receivers, dest []int, chunk int
 			pt := &pipeTransfer{eng: eng, pipe: p, im: newRouteImporter(c.sws, route)}
 			eng.Inspect(p, func(dp *dataplane.Switch, cp *ctrlplane.ControlPlane) {
 				pt.tr = handoff.NewTransfer(cp.BeginExport(now), pt.im, handoff.Config{
-					ChunkSize: chunk, Tracer: dp.Tracer(), Donor: d, Receiver: label,
+					ChunkSize: transferBatch, Tracer: dp.Tracer(), Donor: d, Receiver: label,
 				})
 			})
 			x.parts = append(x.parts, pt)
 		}
 	}
-	return x
+	c.xfer = x
 }
 
-// step pumps up to budget records out of every donor pipe and reports
-// whether every part has converged.
-func (x *transfer) step(now Time, budget int) (moved int, done bool) {
-	done = true
-	for _, pt := range x.parts {
-		pt.eng.Inspect(pt.pipe, func(*dataplane.Switch, *ctrlplane.ControlPlane) {
-			mv, d := pt.tr.Step(now, budget)
-			moved += mv
-			done = done && d
-		})
+// nextPump returns when the active transfer is next due: at the fleet's
+// current instant once it has converged and its members are quiescent
+// (level-triggered), else at its next paced pump.
+func (c *Cluster) nextPump() (Time, bool) {
+	x := c.xfer
+	switch {
+	case x == nil:
+		return 0, false
+	case x.converged && c.quiet(x.members):
+		return c.now, true
 	}
-	return moved, done
+	return x.pumpAt, true
+}
+
+// pump runs the active transfer's pumps due at or before now, each at its
+// own deadline: up to transferBatch records out of every donor pipe,
+// pausing on receiver backpressure, then the cutover once converged and
+// quiescent.
+func (c *Cluster) pump(now Time) {
+	for x := c.xfer; x != nil; x = c.xfer {
+		due, _ := c.nextPump()
+		if now.Before(due) {
+			return
+		}
+		x.converged = true
+		for _, pt := range x.parts {
+			pt.eng.Inspect(pt.pipe, func(*dataplane.Switch, *ctrlplane.ControlPlane) {
+				moved, done := pt.tr.Step(due, transferBatch)
+				x.moved += uint64(moved)
+				x.converged = x.converged && done
+			})
+		}
+		x.pumpAt = due.Add(transferPace)
+		if x.converged && c.quiet(x.members) {
+			release := x.kind != copyTransfer
+			if release {
+				c.stats.Migrated += uint64(c.flip(x.dest))
+			}
+			c.stats.LastHandoff = x.finish(due, release)
+			c.xfer = nil
+		}
+	}
+}
+
+// quiet reports whether none of members has pending work.
+func (c *Cluster) quiet(members []int) bool {
+	for _, m := range members {
+		if c.sws[m].PendingWork() > 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // finish closes every part and returns their summed stats. With release
@@ -230,52 +288,44 @@ func (x *transfer) cancel(now Time) {
 	}
 }
 
-// Migrate warm-copies member from's entire connection table into member
-// to while from keeps forwarding: per-pipe export sessions stream the
-// snapshot, then the delta feed replays whatever landed mid-flight, until
-// the receiver has converged to the donor's exact table. Returns the
-// aggregate transfer stats. The donor's state is left intact — Migrate
+// Migrate starts warm-copying in-service member from's entire connection
+// table into in-service member to while from keeps forwarding: per-pipe
+// export sessions stream the snapshot, then the delta feed replays
+// whatever landed mid-flight. AdvanceTo pumps it on the fleet's pace until
+// the receiver has converged to the donor's exact table, and leaves its
+// stats in Stats().LastHandoff. The donor's state is left intact — Migrate
 // pre-warms a standby and moves no traffic; a drain also moves the spray.
-func (c *Cluster) Migrate(now Time, from, to int) (HandoffStats, error) {
+func (c *Cluster) Migrate(now Time, from, to int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.member(from) != nil || c.member(to) != nil || from == to {
-		return HandoffStats{}, fmt.Errorf("silkroad: bad migration %d -> %d", from, to)
+	c.stamp(now)
+	if c.inService(from) != nil || c.inService(to) != nil || from == to {
+		return fmt.Errorf("silkroad: bad migration %d -> %d", from, to)
+	}
+	if c.xfer != nil {
+		return ErrTransferActive
 	}
 	dest := make([]int, len(c.spray))
 	for b := range dest {
 		dest[b] = to
 	}
-	x := c.newTransfer(now, []int{from}, []int{to}, dest, 0)
-	donor, recv := c.sws[from], c.sws[to]
-	t := now
-	for attempt := 0; ; attempt++ {
-		if _, done := x.step(t, 1024); done {
-			break
-		}
-		if attempt > 10000 {
-			x.cancel(t)
-			return HandoffStats{}, ErrMigrateStalled
-		}
-		t = t.Add(simtime.Millisecond)
-		donor.AdvanceTo(t)
-		recv.AdvanceTo(t)
-	}
-	end := t.Add(simtime.Millisecond)
-	agg := x.finish(end, false)
-	donor.AdvanceTo(end)
-	recv.AdvanceTo(end)
-	return agg, nil
+	c.newTransfer(now, copyTransfer, []int{from}, []int{to}, dest)
+	return nil
 }
 
 // DrainSwitch begins warm-migrating member i's shard to the other
 // in-service members: an export session opens on every donor pipe and the
 // post-drain spray is planned (the redistribution FailSwitch would apply)
 // without touching the live spray, so the donor keeps forwarding at full
-// rate while DrainStep pumps its state out.
+// rate while AdvanceTo pumps its state out. Once the transfer has
+// converged and the donor and every receiver are quiescent, the planned
+// buckets flip to their receivers and the drain completes.
 func (c *Cluster) DrainSwitch(now Time, i int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	return locked(&c.mu, func() error { return c.drainSwitch(now, i) })
+}
+
+func (c *Cluster) drainSwitch(now Time, i int) error {
+	c.stamp(now)
 	if c.xfer != nil {
 		return ErrTransferActive
 	}
@@ -286,33 +336,29 @@ func (c *Cluster) DrainSwitch(now Time, i int) error {
 	if dest == nil {
 		return ErrNoPeer
 	}
-	c.xfer = c.newTransfer(now, []int{i}, survivors, dest, 128)
+	c.newTransfer(now, drainTransfer, []int{i}, survivors, dest)
 	return nil
-}
-
-// DrainStep pumps the active drain: up to budget records per donor pipe
-// (budget <= 0 means unbounded), pausing on receiver backpressure. Once
-// the transfer has converged and the donor and every receiver are
-// quiescent (no pending learns, inserts or updates, so no straggler can
-// install after cutover), the planned buckets flip to their receivers and
-// the drain completes. moved is the progress signal stall detection
-// watches.
-func (c *Cluster) DrainStep(now Time, budget int) (moved int, done bool, err error) {
-	return c.pump(now, budget, false)
 }
 
 // CancelDrain abandons the active drain (stall rollback): the receivers
 // unwind every imported entry, and the donor keeps its table and traffic.
-func (c *Cluster) CancelDrain(now Time) error { return c.abort(now, false) }
+func (c *Cluster) CancelDrain(now Time) error {
+	return locked(&c.mu, func() error { return c.abort(now, drainTransfer) })
+}
 
 // RejoinSwitch begins migrating member i's original spray buckets back
 // from the members now holding them, after a restore and re-announce. It
 // is gated on warmth (ErrNotWarm until the member is in service, announces
 // every VIP a healthy peer announces and has no pending work; callers
-// retry as it converges). Traffic moves only at RejoinStep's cutover.
+// retry as it converges). Traffic moves only at the cutover, where the
+// reclaimed buckets flip back and each donor releases its copies of the
+// connections it handed over.
 func (c *Cluster) RejoinSwitch(now Time, i int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	return locked(&c.mu, func() error { return c.rejoinSwitch(now, i) })
+}
+
+func (c *Cluster) rejoinSwitch(now Time, i int) error {
+	c.stamp(now)
 	if c.xfer != nil {
 		return ErrTransferActive
 	}
@@ -334,8 +380,7 @@ func (c *Cluster) RejoinSwitch(now Time, i int) error {
 		}
 	}
 	slices.Sort(donors)
-	c.xfer = c.newTransfer(now, donors, []int{i}, dest, 128)
-	c.xfer.rejoin = true
+	c.newTransfer(now, rejoinTransfer, donors, []int{i}, dest)
 	return nil
 }
 
@@ -346,60 +391,83 @@ func (c *Cluster) warm(i int) bool {
 		return false
 	}
 	have := intentTarget{c: c, m: i}.ObservedVIPs()
-	for j := range c.sws {
-		if j != i && !c.down[j] {
-			for _, vip := range (intentTarget{c: c, m: j}).ObservedVIPs() {
-				if !slices.Contains(have, vip) {
-					return false
-				}
+	if peer, ok := c.peer(i); ok {
+		for _, vip := range peer.ObservedVIPs() {
+			if !slices.Contains(have, vip) {
+				return false
 			}
-			break
 		}
 	}
 	return c.sws[i].PendingWork() == 0
 }
 
-// RejoinStep pumps the active rejoin like DrainStep; at its cutover the
-// reclaimed buckets flip back and each donor releases its copies of the
-// connections it handed over.
-func (c *Cluster) RejoinStep(now Time, budget int) (moved int, done bool, err error) {
-	return c.pump(now, budget, true)
+// peer returns the first in-service member other than i.
+func (c *Cluster) peer(i int) (intentTarget, bool) {
+	for j := range c.sws {
+		if j != i && !c.down[j] {
+			return intentTarget{c: c, m: j}, true
+		}
+	}
+	return intentTarget{}, false
 }
 
 // CancelRejoin abandons the active rejoin: the member unwinds every
 // imported entry and the donors keep serving its buckets.
-func (c *Cluster) CancelRejoin(now Time) error { return c.abort(now, true) }
-
-// pump steps the active drain (or rejoin) and cuts it over once converged
-// and quiescent.
-func (c *Cluster) pump(now Time, budget int, rejoin bool) (moved int, done bool, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	x := c.xfer
-	if x == nil || x.rejoin != rejoin {
-		return 0, false, ErrNoTransfer
-	}
-	moved, done = x.step(now, budget)
-	for _, m := range x.members {
-		done = done && c.sws[m].PendingWork() == 0
-	}
-	if !done {
-		return moved, false, nil
-	}
-	c.stats.Migrated += uint64(c.flip(x.dest))
-	c.stats.LastHandoff = x.finish(now, true)
-	c.xfer = nil
-	return moved, true, nil
+func (c *Cluster) CancelRejoin(now Time) error {
+	return locked(&c.mu, func() error { return c.abort(now, rejoinTransfer) })
 }
 
-// abort cancels the active drain (or rejoin).
-func (c *Cluster) abort(now Time, rejoin bool) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.xfer == nil || c.xfer.rejoin != rejoin {
+// abort cancels the active transfer if it is of the given kind.
+func (c *Cluster) abort(now Time, kind transferKind) error {
+	c.stamp(now)
+	if c.xfer == nil || c.xfer.kind != kind {
 		return ErrNoTransfer
 	}
 	c.xfer.cancel(now)
 	c.xfer = nil
 	return nil
+}
+
+// StartUpgrade attaches a rolling upgrade of the members in order (nil:
+// every member, ascending): drain, take down, restore, re-announce the
+// pools the first in-service peer serves, rejoin, one member at a time,
+// the first drain beginning at now. AdvanceTo runs it; read the returned
+// Upgrader between AdvanceTo calls. It refuses while an earlier upgrade is
+// not done.
+func (c *Cluster) StartUpgrade(now Time, order []int, cfg UpgradeConfig) (*Upgrader, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.stamp(now)
+	if c.up != nil && !c.up.Done() {
+		return nil, ErrUpgradeActive
+	}
+	c.up = intent.NewUpgrader(upgradeOps{c}, func() Time { return c.now }, now, order, cfg)
+	c.sched.AddSource(c.up)
+	return c.up, nil
+}
+
+// upgradeOps is the upgrader's view of the fleet: the cluster's operations
+// without the lock, which AdvanceTo holds while the upgrader runs.
+type upgradeOps struct{ c *Cluster }
+
+func (o upgradeOps) Switches() int                      { return len(o.c.sws) }
+func (o upgradeOps) DrainSwitch(now Time, i int) error  { return o.c.drainSwitch(now, i) }
+func (o upgradeOps) UpgradeSwitch(i int) error          { return o.c.upgradeSwitch(i) }
+func (o upgradeOps) RestoreSwitch(i int) error          { return o.c.restoreSwitch(i) }
+func (o upgradeOps) Reannounce(now Time, i int) error   { return o.c.reannounce(now, i) }
+func (o upgradeOps) RejoinSwitch(now Time, i int) error { return o.c.rejoinSwitch(now, i) }
+func (o upgradeOps) Warm(i int) bool                    { return o.c.warm(i) }
+
+func (o upgradeOps) CancelTransfer(now Time) error {
+	if o.c.xfer == nil {
+		return ErrNoTransfer
+	}
+	return o.c.abort(now, o.c.xfer.kind)
+}
+
+func (o upgradeOps) Transfer() (active bool, moved uint64) {
+	if o.c.xfer == nil {
+		return false, 0
+	}
+	return true, o.c.xfer.moved
 }

@@ -1,6 +1,7 @@
 package silkroad
 
 import (
+	"errors"
 	"slices"
 	"testing"
 
@@ -59,18 +60,16 @@ func TestClusterMigrateConvergesWithLiveDonor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { checkClocks(t, c) })
 	spec := &ClusterSpec{Version: SpecVersion, VIPs: []VIPSpec{{
 		VIP: "20.0.0.1:80/tcp", Pool: []string{"10.0.0.1:20", "10.0.0.2:20", "10.0.0.3:20"},
 	}}}
 	if _, err := c.Apply(0, spec); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; !c.Converged(); i++ {
-		if i > 100 {
-			t.Fatal("fleet never converged")
-		}
-		c.Reconcile(Time(i) * Time(Millisecond))
-		c.AdvanceTo(Time(i) * Time(Millisecond))
+	c.AdvanceTo(0)
+	if !c.Converged() {
+		t.Fatal("fleet never converged")
 	}
 
 	donor := c.Switch(0)
@@ -78,13 +77,16 @@ func TestClusterMigrateConvergesWithLiveDonor(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		first[i] = process(donor, Time(200*Millisecond)+Time(i)*1000, clientPkt(i, netproto.FlagSYN)).DIP
 	}
-	donor.AdvanceTo(Time(250 * Millisecond))
+	c.AdvanceTo(Time(250 * Millisecond))
 
-	st, err := c.Migrate(Time(250*Millisecond), 0, 1)
-	if err != nil {
+	if err := c.Migrate(Time(250*Millisecond), 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if st.Imported < 300 {
+	if err := c.Migrate(Time(250*Millisecond), 1, 0); !errors.Is(err, ErrTransferActive) {
+		t.Fatalf("overlapping Migrate: %v, want ErrTransferActive", err)
+	}
+	pumpFleet(t, c)
+	if st := c.Stats().LastHandoff; st.Imported < 300 {
 		t.Fatalf("migrated %d entries, want >= 300 (%+v)", st.Imported, st)
 	}
 	// The standby serves every connection with the donor's mapping.
@@ -106,11 +108,17 @@ func TestMigrateBadIndexes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Migrate(0, 0, 0); err == nil {
+	if err := c.Migrate(0, 0, 0); err == nil {
 		t.Fatal("self-migration accepted")
 	}
-	if _, err := c.Migrate(0, 0, 5); err == nil {
+	if err := c.Migrate(0, 0, 5); err == nil {
 		t.Fatal("bad receiver accepted")
+	}
+	if err := c.FailSwitch(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Migrate(0, 0, 1); err == nil {
+		t.Fatal("migration into an out-of-service member accepted")
 	}
 }
 
@@ -141,7 +149,6 @@ func TestClusterMigrateAfterDivergentReuse(t *testing.T) {
 			}
 			now = now.Add(Millisecond)
 			c.AdvanceTo(now)
-			c.Reconcile(now)
 		}
 		now = now.Add(50 * Millisecond) // let the last member's update finish
 		c.AdvanceTo(now)
@@ -163,9 +170,10 @@ func TestClusterMigrateAfterDivergentReuse(t *testing.T) {
 	}
 	now = now.Add(50 * Millisecond)
 	c.AdvanceTo(now)
-	if _, err := c.Migrate(now, 0, 1); err != nil {
+	if err := c.Migrate(now, 0, 1); err != nil {
 		t.Fatal(err)
 	}
+	pumpFleet(t, c)
 	now = now.Add(100 * Millisecond)
 	moved := 0
 	for i := 0; i < 300; i++ {

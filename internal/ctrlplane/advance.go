@@ -13,7 +13,8 @@ import (
 // drains, ConnTable insertions at the CPU's bounded rate, update state
 // transitions, and (optionally) connection aging. Drains and insertions run
 // in strict time order (advanceTo), every installation stamped with its own
-// completion time. Callers must invoke it with non-decreasing times; the
+// completion time. Callers must invoke it with non-decreasing times (a call
+// behind the clock counts in Metrics.ClockRegressions); the
 // engine (internal/pipes) calls it before a packet it runs through the data
 // plane, and drivers call it whenever NextEventTime falls due.
 //
@@ -53,6 +54,8 @@ func (cp *ControlPlane) advanceTo(now simtime.Time) {
 	}
 	if now.After(cp.now) {
 		cp.now = now
+	} else if now.Before(cp.now) {
+		cp.metrics.ClockRegressions++
 	}
 	// Update states can cascade: finishing one update starts the next
 	// queued one, which may itself be immediately executable when no

@@ -97,6 +97,9 @@ type Metrics struct {
 	InsertSheds        uint64           // learn events dropped at the queue bound
 	InsertDelaySum     simtime.Duration // sum over inserts of (install - arrival)
 	MaxInsertQueue     int
+	// ClockRegressions counts Advance calls behind the control plane's
+	// clock: a caller breaking the non-decreasing-times contract.
+	ClockRegressions uint64
 }
 
 // Add accumulates o into m — the per-pipe to chip-level aggregation used by
@@ -120,6 +123,7 @@ func (m *Metrics) Add(o Metrics) {
 	m.InsertRetries += o.InsertRetries
 	m.InsertSheds += o.InsertSheds
 	m.InsertDelaySum += o.InsertDelaySum
+	m.ClockRegressions += o.ClockRegressions
 	if o.MaxInsertQueue > m.MaxInsertQueue {
 		m.MaxInsertQueue = o.MaxInsertQueue
 	}

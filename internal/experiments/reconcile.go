@@ -41,7 +41,7 @@ const (
 	recFailAt    = 350 // switch 1 fails at 35 ms (mid-churn)
 	recRestoreAt = 850 // and reboots empty at 85 ms
 	recDriftAt   = 1300
-	recConverge  = 400 // round budget for the final convergence loop
+	recConverge  = 400 // fleet-step budget for the final convergence loop
 )
 
 // ReconcileReport is the machine-readable outcome written to
@@ -97,11 +97,12 @@ func recSpecFor(g int) *intent.ClusterSpec {
 	}
 }
 
-// reconcileSoak builds the declarative-churn soak: the fleet, converged on
-// generation 1 before traffic starts, its controller, and the script.
-// Arrivals come in bursts of recPerTick SYNs while the burst window is
-// open, then quiet until the next period. After the last tick the run
-// settles and is read into the report.
+// reconcileSoak builds the declarative-churn soak: the fleet, with
+// generation 1 staged to converge at tick 0 before traffic starts, and the
+// script. Arrivals come in bursts of recPerTick SYNs while the burst window
+// is open, then quiet until the next period. The rollout runs on the
+// fleet's timeline, which the loop advances every tick. After the last
+// tick the run settles and is read into the report.
 func reconcileSoak(scale float64, seed int64) (*soak, *ReconcileReport, error) {
 	tr := newSoakTracer()
 	clu, err := silkroad.NewCluster(silkroad.ClusterConfig{
@@ -123,15 +124,9 @@ func reconcileSoak(scale float64, seed int64) (*soak, *ReconcileReport, error) {
 	rep := &ReconcileReport{Scale: scale, Seed: seed, Members: recMembers}
 	vip := expVIP()
 
-	// Generation 1 converges before traffic starts (the bootstrap apply,
-	// which runs the first round).
+	// Generation 1 converges at tick 0, before traffic starts.
 	if _, err := clu.Apply(0, recSpecFor(1)); err != nil {
 		return nil, nil, err
-	}
-	for i := 1; i < 4*recMembers && !clu.Reconcile(0); i++ {
-	}
-	if !clu.Converged() {
-		return nil, nil, fmt.Errorf("reconcile: bootstrap never converged")
 	}
 
 	// Control-plane faults from internal/faults, landing inside the churn
@@ -149,25 +144,29 @@ func reconcileSoak(scale float64, seed int64) (*soak, *ReconcileReport, error) {
 		DigestLossWindows: 1, DigestLossRate: 0.2, DigestLossFor: ms(10),
 	})
 	last := recLoadTicks + recLifeTicks - 1
-	s := newSoak(&fleetTarget{Cluster: clu}, tr, plan, recTick, last+1, recLifeTicks, recStride)
+	tg := &fleetTarget{Cluster: clu}
+	s := newSoak(tg, tr, plan, recTick, last+1, recLifeTicks, recStride)
 	s.excuse = true
 
-	// The controller: one reconcile round a tick, which on every
-	// recGenEvery-th tick is the first round of a new spec generation's
-	// Apply, and a drift scan every 100 ticks.
-	rounds := every(0, last+1, 1, func(now simtime.Time) error {
-		t := int(int64(now) / int64(recTick))
-		if g := 1 + t/recGenEvery; t%recGenEvery == 0 && g >= 2 && g <= 1+recGens {
+	// The controller: a new spec generation every recGenEvery ticks, and a
+	// drift scan every 100 ticks.
+	gens := []soakOp{{at: 0, do: func(simtime.Time) error {
+		if !clu.Converged() {
+			return fmt.Errorf("reconcile: bootstrap never converged")
+		}
+		return nil
+	}}}
+	for g := 2; g <= 1+recGens; g++ {
+		gens = append(gens, soakOp{at: (g - 1) * recGenEvery, do: func(now simtime.Time) error {
 			if _, err := clu.Apply(now, recSpecFor(g)); err != nil {
 				return fmt.Errorf("reconcile: gen %d rejected: %w", g, err)
 			}
 			return nil
-		}
-		clu.Reconcile(now)
-		return nil
-	})
+		}})
+	}
 	s.ops = script(
 		pulses(recLoadTicks, recPerTick, recBurstLen, recBurstGap),
+		gens,
 		[]soakOp{
 			// The mid-rollout switch fault: writes against member 1 fail
 			// with ErrSwitchDown until it reboots (empty).
@@ -182,7 +181,6 @@ func reconcileSoak(scale float64, seed int64) (*soak, *ReconcileReport, error) {
 				return clu.Switch(2).Engine().RequestUpdate(now, vip, drifted)
 			}},
 		},
-		rounds,
 		every(0, last+1, 100, func(now simtime.Time) error { clu.DetectDrift(now); return nil }),
 	)
 	s.finish = func() error {
@@ -201,30 +199,32 @@ func reconcileSoak(scale float64, seed int64) (*soak, *ReconcileReport, error) {
 		rep.DriftDetected = n[telemetry.ReconcileDrift]
 		rep.FaultsInjected, rep.FaultsByKind, rep.FaultsRemaining = s.faultTally()
 		rep.BucketsRedirected = clu.Stats().Redirected
+		tg.checkClocks(&rep.verdict)
 		return nil
 	}
 	return s, rep, nil
 }
 
-// reconcileSettle closes the run once the churn is over: the fleet must
-// reach the final generation — and a clean drift scan — within recConverge
-// rounds, every member must serve exactly its pool, and re-submitting it
-// with identical content must issue zero writes.
+// reconcileSettle closes the run once the churn is over: stepping from one
+// fleet deadline to the next, the fleet must reach the final generation —
+// and a clean drift scan — within recConverge steps, every member must
+// serve exactly its pool, and re-submitting it with identical content must
+// issue zero writes.
 func reconcileSettle(rep *ReconcileReport, clu *silkroad.Cluster, now simtime.Time) error {
-	rounds := 0
-	for ; rounds < recConverge; rounds++ {
+	steps := 0
+	for ; steps < recConverge; steps++ {
 		clu.AdvanceTo(now)
-		if clu.Reconcile(now) && clu.DetectDrift(now) == 0 && clu.Converged() {
+		if clu.Converged() && clu.DetectDrift(now) == 0 {
 			rep.ConvergedAtEnd = true
 			break
 		}
-		if due, ok := clu.NextDue(); ok && due.After(now) {
-			now = due
-		} else {
-			now = now.Add(recTick)
+		next, ok := clu.NextEventTime()
+		if !ok {
+			break
 		}
+		now = max(now, next)
 	}
-	rep.RoundsToConverge = rounds
+	rep.RoundsToConverge = steps
 	rep.FinalGeneration = clu.Generation()
 
 	final := 1 + recGens

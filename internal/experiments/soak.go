@@ -10,8 +10,8 @@ package experiments
 // script, built from (scale, seed) and played by one tick loop, soak.run.
 // The script is a value: a tick length, a flow life and revisit stride, a
 // fault plan, and a sorted list of timed operations (traffic pulses, pool
-// updates, spec generations, failures, out-of-band edits, reconcile and
-// rollout steps, drain probes). The flow book schedules the connections,
+// updates, spec generations, failures, out-of-band edits, drift scans, an
+// upgrade's start, drain probes). The flow book schedules the connections,
 // pins each to what the target's exact-tuple shadow says once it is
 // established, and audits it against the shadow when its life is over.
 
@@ -418,6 +418,9 @@ type fleetTarget struct {
 	// midUntil ends the recording window of the last pool update: a SYN
 	// sent before it is marked mid-update.
 	midUntil simtime.Time
+	// regressions is the most control-plane advances behind a member's
+	// clock the fleet has summed after any tick.
+	regressions uint64
 }
 
 // fleetMember is a soak fleet's member configuration: sized for the soak,
@@ -430,7 +433,26 @@ func fleetMember(scale float64, seed int64, tr telemetry.Tracer) silkroad.Config
 	return cfg
 }
 
-func (ft *fleetTarget) advance(now simtime.Time) { ft.AdvanceTo(now) }
+func (ft *fleetTarget) advance(now simtime.Time) {
+	ft.AdvanceTo(now)
+	ft.regressions = max(ft.regressions, clockRegressions(ft.Cluster))
+}
+
+// clockRegressions sums the members' control-plane advances behind their
+// clocks: work the fleet ran out of time order.
+func clockRegressions(c *silkroad.Cluster) uint64 {
+	var n uint64
+	for i := 0; i < c.Switches(); i++ {
+		n += c.Switch(i).Stats().Controlplane.ClockRegressions
+	}
+	return n
+}
+
+// checkClocks is every fleet soak's time-order invariant.
+func (ft *fleetTarget) checkClocks(v *verdict) {
+	n := max(ft.regressions, clockRegressions(ft.Cluster))
+	v.check(n == 0, "%d control-plane advances ran behind a member's clock", n)
+}
 
 // deliver sends the packets one at a time. A flow is established once the
 // shadow pins it; a warm fleet holds each later answer to the pin.

@@ -77,9 +77,10 @@ var soaks = []soakCase{
 // twice and fails unless its invariants hold and the two reports are the
 // same bytes; applies the soak's own sanity asserts to that report; and
 // insists seed 43 gives different bytes. Only chaos and slo move a count
-// with every seed: upgrade's counts are the same at every seed (its seed
-// moves hashes, not counts) and reconcile's take 11 values over seeds 1–32
-// and 42, so for those two seed 43 may change only the seed field. Then it
+// with every seed: upgrade's counts take 3 values over seeds 1–32 and 42
+// (its seed moves hashes, and so a transfer's timing a little) and
+// reconcile's take 4, so for those two seed 43 may change only the seed
+// field. Then it
 // asserts every soak's invariants at seeds 1–32, except under the race
 // detector: that pass exists for data races, which seed 42 already
 // exercises.

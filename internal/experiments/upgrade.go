@@ -16,9 +16,7 @@ import (
 	"fmt"
 
 	silkroad "repro"
-	"repro/internal/dataplane"
 	"repro/internal/faults"
-	"repro/internal/intent"
 	"repro/internal/simtime"
 	"repro/internal/telemetry"
 )
@@ -26,21 +24,21 @@ import (
 // Soak shape, in ticks of upTick virtual time. Traffic arrives in bursts
 // with real quiet windows between them — the drain/rejoin cutovers only
 // flip at a quiescent instant (transfer converged, donor and receivers
-// with zero pending work), so the gaps are where handoffs complete.
+// with zero pending work), so the gaps are where handoffs complete. The
+// fleet paces each transfer (a few records per donor pipe every few
+// milliseconds), so a member's cycle spans several bursts and pool updates,
+// and its out-of-service window is long enough for every live flow to be
+// served by a survivor meanwhile.
 const (
-	upTick      = 100 * simtime.Microsecond
-	upLoadTicks = 2800 // arrivals for 280 ms — the whole rollout under load
-	upLifeTicks = 600  // each flow lives 60 ms
-	upStride    = 16   // live flows revisit the data path every 16 ticks
-	upMembers   = 3
-	upPerTick   = 2   // SYNs per burst tick
-	upBurstLen  = 20  // ticks of arrivals per burst
-	upBurstGap  = 80  // burst period (quiet for upBurstGap-upBurstLen)
-	upStartTick = 160 // the rollout begins mid-load
-	upPaceTicks = 30  // one rollout step every 3 ms: a member's cycle
-	//                       spans several bursts and pool updates, so its
-	//                       out-of-service window is long enough for every
-	//                       live flow to be served by a survivor meanwhile
+	upTick         = 100 * simtime.Microsecond
+	upLoadTicks    = 2800 // arrivals for 280 ms — the whole rollout under load
+	upLifeTicks    = 600  // each flow lives 60 ms
+	upStride       = 16   // live flows revisit the data path every 16 ticks
+	upMembers      = 3
+	upPerTick      = 2    // SYNs per burst tick
+	upBurstLen     = 20   // ticks of arrivals per burst
+	upBurstGap     = 80   // burst period (quiet for upBurstGap-upBurstLen)
+	upStartTick    = 1400 // the rollout begins mid-load
 	upUpdateEvery  = 200  // a PCC-preserving pool swap every 20 ms
 	upUpdateWindow = 40   // arrivals this soon after a swap are mid-update
 	upTailTicks    = 8000 // rollout budget after the load is over
@@ -81,12 +79,12 @@ type UpgradeReport struct {
 	verdict
 }
 
-// upgradeSoak builds the rolling-upgrade soak: the fleet, the Upgrader
-// rolling it, and the script. The Upgrader drives the cluster's
-// drain/rejoin surface directly; every member announces the VIP through
-// ReannounceTo, and Reannounce restores the freshly rebooted
-// member's VIP state with the pool of the moment. The loop lasts until the
-// load is over and the rollout done, or upTailTicks past the load.
+// upgradeSoak builds the rolling-upgrade soak: the fleet, every member
+// announcing the VIP, and the script, which attaches the rolling upgrade at
+// upStartTick. The upgrade runs on the fleet's timeline and re-announces
+// each freshly rebooted member with the pool its peers serve at that
+// moment. The loop lasts until the load is over and the rollout done, or
+// upTailTicks past the load.
 func upgradeSoak(scale float64, seed int64) (*soak, *UpgradeReport, error) {
 	tr := newSoakTracer()
 	clu, err := silkroad.NewCluster(silkroad.ClusterConfig{Switches: upMembers, Switch: fleetMember(scale, seed, tr)})
@@ -95,30 +93,18 @@ func upgradeSoak(scale float64, seed int64) (*soak, *UpgradeReport, error) {
 	}
 	rep := &UpgradeReport{Scale: scale, Seed: seed, Members: upMembers}
 	vip := expVIP()
-	curPool := swapPool(8, 1)
 	for i := 0; i < upMembers; i++ {
-		if err := clu.ReannounceTo(0, i, map[dataplane.VIP][]dataplane.DIP{vip: curPool}); err != nil {
+		if err := clu.Switch(i).AddVIP(0, vip, swapPool(8, 1)); err != nil {
 			return nil, nil, err
 		}
 	}
-	u := intent.NewUpgrader(clu, nil, intent.UpgradeConfig{
-		Budget:       64,
-		StallTimeout: 20 * simtime.Millisecond,
-		BaseBackoff:  simtime.Millisecond,
-		MaxBackoff:   10 * simtime.Millisecond,
-		MaxRetries:   6,
-		WarmTimeout:  5 * simtime.Millisecond,
-		Reannounce: func(now simtime.Time, m int) error {
-			return clu.ReannounceTo(now, m, map[dataplane.VIP][]dataplane.DIP{vip: curPool})
-		},
-		Tracer: tr,
-	})
+	var u *silkroad.Upgrader
 
 	tg := &fleetTarget{Cluster: clu, warm: true}
 	horizon := upLoadTicks + upLifeTicks + upTailTicks
 	s := newSoak(tg, tr, faults.Plan{}, upTick, horizon+1, upLifeTicks, upStride)
 	s.until = func(t int) bool {
-		if !u.Done() {
+		if u == nil || !u.Done() {
 			return false
 		}
 		if rep.RolloutTicks == 0 {
@@ -129,14 +115,14 @@ func upgradeSoak(scale float64, seed int64) (*soak, *UpgradeReport, error) {
 
 	// Pool churn: one slot swapped every upUpdateEvery ticks while traffic
 	// still arrives, on every in-service member that has the VIP announced
-	// (one down or cold mid-rollout catches up through the Reannounce
-	// above). SYNs landing in the recording window are pinned to the OLD
-	// version — state that exists only in their switch's table, which the
-	// handoff must carry.
+	// (one down mid-rollout catches up through its re-announce). SYNs
+	// landing in the recording window are pinned to the OLD version — state
+	// that exists only in their switch's table, which the handoff must
+	// carry.
 	var churn []soakOp
 	for g := 2; (g-1)*upUpdateEvery < upLoadTicks; g++ {
 		churn = append(churn, soakOp{at: (g - 1) * upUpdateEvery, do: func(now simtime.Time) error {
-			curPool = swapPool(8, g)
+			curPool := swapPool(8, g)
 			for i := 0; i < clu.Switches(); i++ {
 				eng := clu.Switch(i).Engine()
 				if !clu.Alive(i) || !eng.Dataplane(0).HasVIP(vip) {
@@ -154,16 +140,17 @@ func upgradeSoak(scale float64, seed int64) (*soak, *UpgradeReport, error) {
 	s.ops = script(
 		pulses(upLoadTicks, upPerTick, upBurstLen, upBurstGap),
 		churn,
-		// The rollout, one paced Step once it begins.
-		every(upStartTick, horizon+1, upPaceTicks, func(now simtime.Time) error {
-			if u.Done() {
-				return nil
-			}
-			if _, err := u.Step(now); err != nil {
-				return fmt.Errorf("upgrade: rollout step at tick %d: %w", int64(now)/int64(upTick), err)
-			}
-			return nil
-		}),
+		[]soakOp{{at: upStartTick, do: func(now simtime.Time) (err error) {
+			u, err = clu.StartUpgrade(now, nil, silkroad.UpgradeConfig{
+				StallTimeout: 20 * simtime.Millisecond,
+				BaseBackoff:  simtime.Millisecond,
+				MaxBackoff:   10 * simtime.Millisecond,
+				MaxRetries:   6,
+				WarmTimeout:  5 * simtime.Millisecond,
+				Tracer:       tr,
+			})
+			return err
+		}}},
 	)
 	s.finish = func() error {
 		b := &s.book
@@ -183,6 +170,7 @@ func upgradeSoak(scale float64, seed int64) (*soak, *UpgradeReport, error) {
 		rep.HandoffDeltas = tr.deltas
 		rep.HandoffRetries = n[telemetry.HandoffRetry]
 		rep.HandoffCancels = n[telemetry.HandoffCancel]
+		tg.checkClocks(&rep.verdict)
 		return nil
 	}
 	return s, rep, nil

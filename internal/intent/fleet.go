@@ -36,9 +36,15 @@ const (
 // mid-rollout (retry budget exhausted), every already-updated member is
 // rolled back to the previous generation and the rollout retries after a
 // backoff.
+//
+// It is a sched.Source on the fleet's timeline. Its timers are the members'
+// queued retries and the rollout backoff; its gates (the drain gate and the
+// rollout gate) are level-triggered: while they let the frontier move, the
+// rollout is due at the fleet's current instant, which now reads.
 type ClusterReconciler struct {
 	cfg  FleetConfig
 	recs []*Reconciler
+	now  func() simtime.Time
 
 	prev Desired // last fleet-wide converged state (rollback point)
 	cur  Desired // state being rolled out
@@ -49,33 +55,32 @@ type ClusterReconciler struct {
 	attempt  int          // rollout attempts for cur
 	lastGen  uint64
 
-	gate   func() (bool, string) // optional rollout gate (SLO page firing)
-	paused bool                  // last gate verdict while rolling
+	gate func() bool // optional rollout gate (SLO page firing)
 }
 
 // SetRolloutGate installs a predicate consulted before the frontier
-// advances during a rollout. When it returns pause=true (e.g. a
-// page-severity SLO alert is firing somewhere in the fleet), the rollout
-// holds: already-updated members keep servicing their queued retries, but
-// no further switch receives the new generation until the gate clears.
-func (c *ClusterReconciler) SetRolloutGate(gate func() (pause bool, reason string)) {
+// advances during a rollout. While it returns true (e.g. a page-severity
+// SLO alert is firing somewhere in the fleet), the rollout holds:
+// already-updated members keep servicing their queued retries, but no
+// further switch receives the new generation until the gate clears.
+func (c *ClusterReconciler) SetRolloutGate(gate func() (pause bool)) {
 	c.gate = gate
 }
 
-// RolloutPaused reports whether an in-flight rollout is currently held by
-// the gate.
+// RolloutPaused reports whether the gate currently holds an in-flight
+// rollout.
 func (c *ClusterReconciler) RolloutPaused() bool {
-	return c.paused && c.phase == phaseRolling
+	return c.phase == phaseRolling && c.gate != nil && c.gate()
 }
 
 // NewCluster builds a ClusterReconciler over a fleet, one target per
-// switch.
-func NewCluster(fleet []Target, cfg FleetConfig) *ClusterReconciler {
+// switch; now reads the fleet's current instant.
+func NewCluster(fleet []Target, now func() simtime.Time, cfg FleetConfig) *ClusterReconciler {
 	if cfg.RolloutBackoff <= 0 {
 		cfg.RolloutBackoff = 10 * simtime.Millisecond
 	}
 	cfg.Config = cfg.Config.withDefaults()
-	c := &ClusterReconciler{cfg: cfg}
+	c := &ClusterReconciler{cfg: cfg, now: now}
 	for i, t := range fleet {
 		mc := cfg.Config
 		mc.Member = i
@@ -129,76 +134,101 @@ func SameDesired(a, b Desired) bool {
 	return true
 }
 
-// Step runs one fleet reconcile round at now. Returns true when the fleet
-// is converged at the staged generation.
-func (c *ClusterReconciler) Step(now simtime.Time) bool {
+// NextEventTime returns when the rollout next has work: the backoff
+// deadline, a queued retry of a member it has reached, or the fleet's
+// current instant while the frontier can move — its gates are open and the
+// frontier member has a generation to take or has converged on it.
+func (c *ClusterReconciler) NextEventTime() (simtime.Time, bool) {
 	switch c.phase {
 	case phaseIdle:
-		return true
-
+		return 0, false
 	case phaseBackoff:
-		if now.Before(c.retryAt) {
-			return false
+		return c.retryAt, true
+	}
+	if c.frontier == len(c.recs) {
+		return c.now(), true
+	}
+	var next simtime.Time
+	found := false
+	consider := func(t simtime.Time, ok bool) {
+		if ok && (!found || t.Before(next)) {
+			next, found = t, true
 		}
+	}
+	for _, rec := range c.recs[:c.frontier] {
+		consider(rec.NextEventTime())
+	}
+	if rec := c.recs[c.frontier]; c.gateOpen() {
+		if rec.Generation() != c.cur.Generation || rec.Converged() {
+			return c.now(), true
+		}
+		consider(rec.NextEventTime())
+	}
+	return next, found
+}
+
+// Advance runs every rollout round due at or before now, each at its own
+// deadline, until nothing is due at now. With NextEventTime it makes the
+// rollout a sched.Source.
+func (c *ClusterReconciler) Advance(now simtime.Time) {
+	for {
+		due, ok := c.NextEventTime()
+		if !ok || now.Before(due) {
+			return
+		}
+		c.round(due)
+	}
+}
+
+// round runs one rollout round at now: members already at the generation
+// run their due retries, then the frontier member, if its gates are open,
+// takes the generation, rolls the fleet back on failure, or hands the
+// frontier on once converged.
+func (c *ClusterReconciler) round(now simtime.Time) {
+	if c.phase == phaseBackoff {
 		c.phase = phaseRolling
 		c.frontier = 0
-
-	case phaseRolling:
 	}
-
-	// Rolling: work the frontier member; previously-updated members only
-	// run retries/drift they already have queued.
-	for i := 0; i < c.frontier; i++ {
-		if c.recs[i].QueueLen() > 0 {
-			c.recs[i].Reconcile(now)
-		}
+	for _, rec := range c.recs[:c.frontier] {
+		rec.Advance(now)
 	}
-	if c.frontier >= len(c.recs) {
+	if c.frontier == len(c.recs) {
 		c.phase = phaseIdle
-		c.paused = false
 		c.prev = c.cur
-		return true
+		return
 	}
-
-	// The rollout gate: while a page-severity alert burns, hold the
-	// frontier — don't push a new generation onto a fleet that is already
-	// unhealthy (queued retries above still drain).
-	if c.gate != nil {
-		pause, _ := c.gate()
-		c.paused = pause
-		if pause {
-			return false
-		}
+	if !c.gateOpen() {
+		return
 	}
-
-	// The drain gate: the previous member must have applied its writes
-	// AND drained its pending inserts before the next switch moves.
-	if c.frontier > 0 {
-		prev := c.frontier - 1
-		if !c.recs[prev].Converged() || c.recs[prev].target.PendingWork() > 0 {
-			return false
-		}
-	}
-
 	rec := c.recs[c.frontier]
 	if rec.Generation() != c.cur.Generation {
 		rec.SetDesired(now, c.cur)
 	}
-	rec.Reconcile(now)
-
-	if c.memberFailed(rec) {
+	rec.Advance(now)
+	switch {
+	case c.memberFailed(rec):
 		c.rollback(now)
-		return false
-	}
-	if rec.Converged() {
+	case rec.Converged():
 		c.frontier++
 		if c.frontier == len(c.recs) {
 			c.phase = phaseIdle
 			c.prev = c.cur
-			return true
 		}
 	}
-	return false
+}
+
+// gateOpen reports whether the frontier may move: the rollout gate does not
+// hold it, and the member before it has applied its writes AND drained its
+// pending inserts.
+func (c *ClusterReconciler) gateOpen() bool {
+	if c.gate != nil && c.gate() {
+		return false
+	}
+	if c.frontier == 0 {
+		return true
+	}
+	prev := c.recs[c.frontier-1]
+	return prev.Converged() && prev.target.PendingWork() == 0
 }
 
 // memberFailed reports whether the member's retry budget ran out on any
@@ -225,14 +255,7 @@ func (c *ClusterReconciler) rollback(now simtime.Time) {
 		rec.Reconcile(now)
 	}
 	c.attempt++
-	backoff := c.cfg.RolloutBackoff
-	for i := 1; i < c.attempt && backoff < c.cfg.MaxBackoff; i++ {
-		backoff *= 2
-	}
-	if backoff > c.cfg.MaxBackoff {
-		backoff = c.cfg.MaxBackoff
-	}
-	c.retryAt = now.Add(backoff)
+	c.retryAt = now.Add(backoff(c.cfg.RolloutBackoff, c.cfg.MaxBackoff, c.attempt))
 	c.phase = phaseBackoff
 }
 
@@ -272,28 +295,6 @@ func (c *ClusterReconciler) DetectDrift(now simtime.Time) int {
 		c.frontier = 0
 	}
 	return total
-}
-
-// NextDue returns the earliest time fleet work becomes ready: member
-// retries or the rollout backoff deadline.
-func (c *ClusterReconciler) NextDue() (simtime.Time, bool) {
-	var best simtime.Time
-	found := false
-	consider := func(t simtime.Time) {
-		if !found || t.Before(best) {
-			best = t
-			found = true
-		}
-	}
-	if c.phase == phaseBackoff {
-		consider(c.retryAt)
-	}
-	for _, rec := range c.recs {
-		if t, ok := rec.NextEventTime(); ok {
-			consider(t)
-		}
-	}
-	return best, found
 }
 
 // Statuses aggregates per-VIP status across members: the worst condition

@@ -213,16 +213,25 @@ func TestSamePool(t *testing.T) {
 	}
 }
 
+// TestBackoffCapped pins the one capped exponential backoff that member
+// retries, rollout retries and upgrade retries share, over attempts 1–8.
 func TestBackoffCapped(t *testing.T) {
-	r := New(newFakeTarget(), Config{BaseBackoff: simtime.Millisecond,
-		MaxBackoff: 8 * simtime.Millisecond})
-	want := []simtime.Duration{
-		simtime.Millisecond, 2 * simtime.Millisecond, 4 * simtime.Millisecond,
-		8 * simtime.Millisecond, 8 * simtime.Millisecond,
+	ms := func(n int) simtime.Duration { return simtime.Duration(n) * simtime.Millisecond }
+	cases := []struct {
+		name      string
+		base, max simtime.Duration
+		want      [8]simtime.Duration
+	}{
+		{"doubling", ms(1), ms(8), [8]simtime.Duration{ms(1), ms(2), ms(4), ms(8), ms(8), ms(8), ms(8), ms(8)}},
+		{"uncapped", ms(1), simtime.Second, [8]simtime.Duration{ms(1), ms(2), ms(4), ms(8), ms(16), ms(32), ms(64), ms(128)}},
+		{"cap between doublings", ms(3), ms(10), [8]simtime.Duration{ms(3), ms(6), ms(10), ms(10), ms(10), ms(10), ms(10), ms(10)}},
+		{"base is max", ms(5), ms(5), [8]simtime.Duration{ms(5), ms(5), ms(5), ms(5), ms(5), ms(5), ms(5), ms(5)}},
 	}
-	for i, w := range want {
-		if got := r.backoff(i + 1); got != w {
-			t.Errorf("backoff(%d) = %v, want %v", i+1, got, w)
+	for _, tc := range cases {
+		for n, want := range tc.want {
+			if got := backoff(tc.base, tc.max, n+1); got != want {
+				t.Errorf("%s: backoff(attempt %d) = %v, want %v", tc.name, n+1, got, want)
+			}
 		}
 	}
 }
@@ -531,37 +540,56 @@ func newFakeFleet(n int) fakeFleet {
 	return f
 }
 
-// driveFleet steps the fleet until convergence or the round budget runs
-// out, advancing virtual time past every backoff deadline.
-func driveFleet(t *testing.T, c *ClusterReconciler, start simtime.Time, rounds int) simtime.Time {
+// testFleet is a rollout over a fake fleet whose current instant the test
+// moves by hand.
+type testFleet struct {
+	fakeFleet
+	c   *ClusterReconciler
+	now simtime.Time
+}
+
+func newTestFleet(n int, cfg FleetConfig) *testFleet {
+	f := &testFleet{fakeFleet: newFakeFleet(n)}
+	f.c = NewCluster(f.all(), func() simtime.Time { return f.now }, cfg)
+	return f
+}
+
+// step moves the clock to the rollout's next deadline (never back) and
+// advances the rollout there. It reports false when nothing is scheduled.
+func (f *testFleet) step() bool {
+	due, ok := f.c.NextEventTime()
+	if ok {
+		f.now = max(f.now, due)
+		f.c.Advance(f.now)
+	}
+	return ok
+}
+
+// drive steps the rollout until it converges or the step budget runs out.
+func (f *testFleet) drive(t *testing.T, steps int) {
 	t.Helper()
-	now := start
-	for i := 0; i < rounds; i++ {
-		if c.Step(now) && c.Converged() {
-			return now
-		}
-		if due, ok := c.NextDue(); ok && due.After(now) {
-			now = due
-		} else {
-			now = now.Add(simtime.Millisecond)
+	for i := 0; i < steps && !f.c.Converged(); i++ {
+		if !f.step() {
+			break
 		}
 	}
-	t.Fatalf("fleet not converged after %d rounds", rounds)
-	return now
+	if !f.c.Converged() {
+		t.Fatalf("fleet not converged after %d steps: %+v", steps, f.c.Statuses())
+	}
 }
 
 // TestFleetRollingUpdate checks a two-generation rollout converges member
 // by member and that the second apply of the same content is a no-op.
 func TestFleetRollingUpdate(t *testing.T) {
-	fleet := newFakeFleet(3)
-	c := NewCluster(fleet.all(), FleetConfig{})
+	f := newTestFleet(3, FleetConfig{})
+	c := f.c
 
 	specV1 := specOf(VIPSpec{VIP: "10.0.0.1:80", Pool: []string{"1.1.1.1:8080", "1.1.1.2:8080"}})
 	if err := c.SetSpec(0, specV1); err != nil {
 		t.Fatal(err)
 	}
-	now := driveFleet(t, c, 0, 100)
-	for i, ft := range fleet.targets {
+	f.drive(t, 100)
+	for i, ft := range f.targets {
 		if !SamePool(ft.pools[mustVIP(t, "10.0.0.1:80")],
 			[]dataplane.DIP{dip("1.1.1.1:8080"), dip("1.1.1.2:8080")}) {
 			t.Fatalf("member %d pool wrong: %v", i, ft.pools)
@@ -570,11 +598,11 @@ func TestFleetRollingUpdate(t *testing.T) {
 
 	// Generation 2: rolling pool change.
 	specV2 := specOf(VIPSpec{VIP: "10.0.0.1:80", Pool: []string{"1.1.1.1:8080", "1.1.1.3:8080"}})
-	if err := c.SetSpec(now, specV2); err != nil {
+	if err := c.SetSpec(f.now, specV2); err != nil {
 		t.Fatal(err)
 	}
-	now = driveFleet(t, c, now, 100)
-	for i, ft := range fleet.targets {
+	f.drive(t, 100)
+	for i, ft := range f.targets {
 		if !SamePool(ft.pools[mustVIP(t, "10.0.0.1:80")],
 			[]dataplane.DIP{dip("1.1.1.1:8080"), dip("1.1.1.3:8080")}) {
 			t.Fatalf("member %d pool not rolled: %v", i, ft.pools)
@@ -585,21 +613,24 @@ func TestFleetRollingUpdate(t *testing.T) {
 			t.Errorf("fleet status %+v, want Applied@2", st)
 		}
 	}
+	if at, ok := c.NextEventTime(); ok {
+		t.Fatalf("converged rollout still due at %v", at)
+	}
 
 	// Idempotency: re-submitting generation 2 with identical content is
 	// accepted as a no-op and writes nothing.
 	var writes uint64
-	for i := range fleet.targets {
+	for i := range f.targets {
 		writes += c.Member(i).Writes()
 	}
 	specV2b := specV2.Clone()
 	specV2b.Generation = 2
-	if err := c.SetSpec(now, specV2b); err != nil {
+	if err := c.SetSpec(f.now, specV2b); err != nil {
 		t.Fatalf("idempotent re-apply rejected: %v", err)
 	}
-	c.Step(now)
+	c.Advance(f.now)
 	var writes2 uint64
-	for i := range fleet.targets {
+	for i := range f.targets {
 		writes2 += c.Member(i).Writes()
 	}
 	if writes2 != writes {
@@ -608,31 +639,40 @@ func TestFleetRollingUpdate(t *testing.T) {
 	// Same generation, different content: rejected.
 	specV2c := specOf(VIPSpec{VIP: "10.0.0.1:80", Pool: []string{"9.9.9.9:9:"}})
 	specV2c.Generation = 2
-	if err := c.SetSpec(now, specV2c); err == nil {
+	if err := c.SetSpec(f.now, specV2c); err == nil {
 		t.Fatal("conflicting re-apply of same generation accepted")
 	}
 }
 
 // TestFleetDrainGate checks member i+1 is not touched until member i has
-// drained its pending work.
+// drained its pending work, and that the drained gate is level-triggered:
+// the rollout has no deadline while it waits, and is due at the fleet's
+// current instant once the gate opens.
 func TestFleetDrainGate(t *testing.T) {
-	fleet := newFakeFleet(2)
-	c := NewCluster(fleet.all(), FleetConfig{})
-	fleet.targets[0].pending = 3 // member 0 busy absorbing inserts
+	f := newTestFleet(2, FleetConfig{})
+	f.targets[0].pending = 3 // member 0 busy absorbing inserts
 
-	if err := c.SetSpec(0, specOf(VIPSpec{VIP: "10.0.0.1:80",
+	if err := f.c.SetSpec(0, specOf(VIPSpec{VIP: "10.0.0.1:80",
 		Pool: []string{"1.1.1.1:8080"}})); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		c.Step(simtime.Time(i) * simtime.Time(simtime.Millisecond))
+		f.now = simtime.Time(i) * simtime.Time(simtime.Millisecond)
+		f.c.Advance(f.now)
 	}
-	if len(fleet.targets[1].calls) != 0 {
-		t.Fatalf("member 1 touched before member 0 drained: %v", fleet.targets[1].calls)
+	if len(f.targets[1].calls) != 0 {
+		t.Fatalf("member 1 touched before member 0 drained: %v", f.targets[1].calls)
 	}
-	fleet.targets[0].pending = 0
-	driveFleet(t, c, simtime.Time(20*simtime.Millisecond), 100)
-	if len(fleet.targets[1].calls) == 0 {
+	if at, ok := f.c.NextEventTime(); ok {
+		t.Fatalf("rollout due at %v while the drain gate is shut", at)
+	}
+	f.targets[0].pending = 0
+	f.now = simtime.Time(20 * simtime.Millisecond)
+	if at, ok := f.c.NextEventTime(); !ok || at != f.now {
+		t.Fatalf("open drain gate: due at %v (%v), want the current instant %v", at, ok, f.now)
+	}
+	f.drive(t, 100)
+	if len(f.targets[1].calls) == 0 {
 		t.Fatal("member 1 never updated after drain")
 	}
 }
@@ -642,35 +682,36 @@ func TestFleetDrainGate(t *testing.T) {
 // new generation while the gate pauses, statuses report the hold, and the
 // rollout completes once the gate clears.
 func TestFleetRolloutGate(t *testing.T) {
-	fleet := newFakeFleet(3)
-	c := NewCluster(fleet.all(), FleetConfig{})
+	f := newTestFleet(3, FleetConfig{})
+	c := f.c
 	paused := false
-	c.SetRolloutGate(func() (bool, string) { return paused, "page firing" })
+	c.SetRolloutGate(func() bool { return paused })
 
 	if err := c.SetSpec(0, specOf(VIPSpec{VIP: "10.0.0.1:80",
 		Pool: []string{"1.1.1.1:8080"}})); err != nil {
 		t.Fatal(err)
 	}
-	now := driveFleet(t, c, 0, 100)
+	f.drive(t, 100)
 	if c.RolloutPaused() {
 		t.Fatal("RolloutPaused true with no gate trip")
 	}
 
 	paused = true
-	if err := c.SetSpec(now, specOf(VIPSpec{VIP: "10.0.0.1:80",
+	if err := c.SetSpec(f.now, specOf(VIPSpec{VIP: "10.0.0.1:80",
 		Pool: []string{"1.1.1.1:8080", "1.1.1.2:8080"}})); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		now = now.Add(simtime.Millisecond)
-		if c.Step(now) {
+		f.now = f.now.Add(simtime.Millisecond)
+		c.Advance(f.now)
+		if c.Converged() {
 			t.Fatal("fleet converged through a closed gate")
 		}
 	}
 	if !c.RolloutPaused() {
 		t.Fatal("RolloutPaused false while gate trips mid-rollout")
 	}
-	for i := range fleet.targets {
+	for i := range f.targets {
 		if g := c.Member(i).Generation(); g >= 2 {
 			t.Fatalf("member %d received generation %d through a closed gate", i, g)
 		}
@@ -682,7 +723,7 @@ func TestFleetRolloutGate(t *testing.T) {
 	}
 
 	paused = false
-	driveFleet(t, c, now, 100)
+	f.drive(t, 100)
 	if c.RolloutPaused() {
 		t.Fatal("RolloutPaused true after gate cleared and rollout finished")
 	}
@@ -697,38 +738,32 @@ func TestFleetRolloutGate(t *testing.T) {
 // exhausted), checks member 0 is rolled back to the previous generation,
 // and converges once the fault clears.
 func TestFleetRollback(t *testing.T) {
-	fleet := newFakeFleet(3)
-	c := NewCluster(fleet.all(), FleetConfig{Config: Config{
+	f := newTestFleet(3, FleetConfig{Config: Config{
 		BaseBackoff: simtime.Millisecond, MaxBackoff: simtime.Millisecond, MaxRetries: 1,
 	}, RolloutBackoff: simtime.Millisecond})
+	c := f.c
 
 	// Generation 1 lands everywhere.
 	if err := c.SetSpec(0, specOf(VIPSpec{VIP: "10.0.0.1:80",
 		Pool: []string{"1.1.1.1:8080"}})); err != nil {
 		t.Fatal(err)
 	}
-	now := driveFleet(t, c, 0, 100)
+	f.drive(t, 100)
 
 	// Generation 2: member 1 rejects updates until the fault clears.
-	fleet.targets[1].failNext["update"] = 4
-	if err := c.SetSpec(now, specOf(VIPSpec{VIP: "10.0.0.1:80",
+	f.targets[1].failNext["update"] = 4
+	if err := c.SetSpec(f.now, specOf(VIPSpec{VIP: "10.0.0.1:80",
 		Pool: []string{"1.1.1.1:8080", "1.1.1.2:8080"}})); err != nil {
 		t.Fatal(err)
 	}
 	v1Pool := []dataplane.DIP{dip("1.1.1.1:8080")}
 	sawRollback := false
-	for i := 0; i < 200 && !sawRollback; i++ {
-		c.Step(now)
+	for i := 0; i < 200 && !sawRollback && f.step(); i++ {
 		// After a rollback, member 0 must be back at the v1 pool while the
 		// fleet waits out the rollout backoff.
-		if !c.Converged() && SamePool(fleet.targets[0].pools[mustVIP(t, "10.0.0.1:80")], v1Pool) &&
-			len(fleet.targets[0].calls) > 2 {
+		if !c.Converged() && SamePool(f.targets[0].pools[mustVIP(t, "10.0.0.1:80")], v1Pool) &&
+			len(f.targets[0].calls) > 2 {
 			sawRollback = true
-		}
-		if due, ok := c.NextDue(); ok && due.After(now) {
-			now = due
-		} else {
-			now = now.Add(simtime.Millisecond)
 		}
 	}
 	if !sawRollback {
@@ -736,8 +771,8 @@ func TestFleetRollback(t *testing.T) {
 	}
 
 	// Fault injection exhausts; the retried rollout converges fleet-wide.
-	now = driveFleet(t, c, now, 200)
-	for i, ft := range fleet.targets {
+	f.drive(t, 200)
+	for i, ft := range f.targets {
 		if !SamePool(ft.pools[mustVIP(t, "10.0.0.1:80")],
 			[]dataplane.DIP{dip("1.1.1.1:8080"), dip("1.1.1.2:8080")}) {
 			t.Fatalf("member %d not at generation 2 after retry: %v", i, ft.pools)

@@ -136,9 +136,6 @@ func (r *Reconciler) Generation() uint64 { return r.desired.Generation }
 // unchanged spec must not move it.
 func (r *Reconciler) Writes() uint64 { return r.writes }
 
-// QueueLen returns the number of keys awaiting work.
-func (r *Reconciler) QueueLen() int { return r.q.Len() }
-
 // SetDesired replaces the desired state and enqueues every key whose
 // desired state changed (including removals). Unchanged applied keys jump
 // straight to the new generation without touching hardware.
@@ -194,8 +191,7 @@ func (r *Reconciler) Reconcile(now simtime.Time) int {
 		retries := r.q.Retries(key)
 		if err := r.applyKey(now, key); err != nil {
 			retries++
-			backoff := r.backoff(retries)
-			r.q.Requeue(key, now.Add(backoff), retries)
+			r.q.Requeue(key, now.Add(backoff(r.cfg.BaseBackoff, r.cfg.MaxBackoff, retries)), retries)
 			if retries > r.cfg.MaxRetries {
 				r.setStatus(now, key, CondError, "RetriesExhausted", err.Error(), retries)
 				r.event(now, key, telemetry.ReconcileError, "", retries, 0, err)
@@ -224,19 +220,15 @@ func (r *Reconciler) Advance(now simtime.Time) {
 	}
 }
 
-// backoff returns the capped exponential delay for the given attempt.
-func (r *Reconciler) backoff(retries int) simtime.Duration {
-	d := r.cfg.BaseBackoff
-	for i := 1; i < retries; i++ {
+// backoff returns the capped exponential delay before retry attempt n
+// (n >= 1): base·2^(n−1), at most limit. Member retries, rollout retries
+// and upgrade retries all wait by it.
+func backoff(base, limit simtime.Duration, n int) simtime.Duration {
+	d := base
+	for i := 1; i < n && d < limit; i++ {
 		d *= 2
-		if d >= r.cfg.MaxBackoff {
-			return r.cfg.MaxBackoff
-		}
 	}
-	if d > r.cfg.MaxBackoff {
-		d = r.cfg.MaxBackoff
-	}
-	return d
+	return min(d, limit)
 }
 
 // applyKey diffs one key and issues the single write that converges it:

@@ -10,23 +10,31 @@ import (
 
 // ErrNotWarm is what RejoinSwitch returns while a restored member does not
 // yet announce every VIP a healthy peer announces or has pending work; the
-// Upgrader waits on it, re-announcing after WarmTimeout.
+// Upgrader waits for UpgradeOps.Warm instead, re-announcing after
+// WarmTimeout.
 var ErrNotWarm = errors.New("intent: member not warm (VIPs missing or work pending)")
 
 // UpgradeOps is the fleet surface the rolling-upgrade orchestrator
-// drives: warm drains, take-down/restore, and drain-gated rejoin.
-// silkroad.Cluster satisfies it; defining the interface here keeps the
-// dependency arrow pointing the right way (the facade imports intent).
+// drives: warm drains, take-down/restore and re-announce, and warm-gated
+// rejoin. The fleet pumps the transfers itself; the orchestrator only
+// starts, watches and cancels them. silkroad.Cluster provides it; defining
+// the interface here keeps the dependency arrow pointing the right way
+// (the facade imports intent).
 type UpgradeOps interface {
 	Switches() int
 	DrainSwitch(now simtime.Time, i int) error
-	DrainStep(now simtime.Time, budget int) (moved int, done bool, err error)
-	CancelDrain(now simtime.Time) error
 	UpgradeSwitch(i int) error
 	RestoreSwitch(i int) error
+	// Reannounce restores VIP state on freshly rebooted member i.
+	Reannounce(now simtime.Time, i int) error
 	RejoinSwitch(now simtime.Time, i int) error
-	RejoinStep(now simtime.Time, budget int) (moved int, done bool, err error)
-	CancelRejoin(now simtime.Time) error
+	// CancelTransfer abandons the drain or rejoin in flight.
+	CancelTransfer(now simtime.Time) error
+	// Transfer reports whether a drain or rejoin is in flight and how many
+	// records it has moved: its completion and the stall check's progress.
+	Transfer() (active bool, moved uint64)
+	// Warm reports whether member i would pass RejoinSwitch's warm gate.
+	Warm(i int) bool
 }
 
 // UpgradePhase is one member's position in the rollout.
@@ -54,8 +62,6 @@ func (p UpgradePhase) String() string {
 
 // UpgradeConfig parameterizes an Upgrader.
 type UpgradeConfig struct {
-	// Budget bounds records pumped per Step (default 256).
-	Budget int
 	// StallTimeout rolls the in-flight transfer back after this long with
 	// zero progress (default 2s virtual).
 	StallTimeout simtime.Duration
@@ -70,20 +76,12 @@ type UpgradeConfig struct {
 	// WarmTimeout bounds how long the rejoin waits on the warm gate
 	// before re-announcing and counting a retry (default 2s virtual).
 	WarmTimeout simtime.Duration
-	// Reannounce restores VIP state on a freshly rebooted member —
-	// typically the member's reconciler re-applying the spec, or
-	// Cluster.ReannounceTo. Called after RestoreSwitch and again on warm
-	// timeouts.
-	Reannounce func(now simtime.Time, member int) error
 	// Tracer receives KindReconcile events with Op "upgrade-*" (nil =
 	// untraced).
 	Tracer telemetry.Tracer
 }
 
 func (c UpgradeConfig) withDefaults() UpgradeConfig {
-	if c.Budget <= 0 {
-		c.Budget = 256
-	}
 	if c.StallTimeout <= 0 {
 		c.StallTimeout = 2 * simtime.Second
 	}
@@ -109,18 +107,25 @@ func (c UpgradeConfig) withDefaults() UpgradeConfig {
 // gate. Stalled transfers roll back (the drain cancels, the member keeps
 // serving) and retry with exponential backoff; a member that exhausts
 // its retries is skipped, never wedged half-out of service.
+//
+// It is a sched.Source on the fleet's timeline. Its timers are the start
+// or retry of a drain, the stall check and the warm timeout; its waits are
+// level-triggered: once the transfer it watches has finished, or the
+// member it rejoins is warm, it is due at the fleet's current instant,
+// which now reads.
 type Upgrader struct {
 	cfg   UpgradeConfig
 	ops   UpgradeOps
+	now   func() simtime.Time
 	order []int
 	idx   int
 	phase UpgradePhase
 
-	retries      int
-	lastProgress simtime.Time
-	notBefore    simtime.Time
-	warmSince    simtime.Time
-	rejoinBegun  bool
+	retries     int
+	notBefore   simtime.Time // no step before: the start, or a retry's backoff
+	at          simtime.Time // the stall check, or the warm timeout
+	lastMoved   uint64       // the transfer's progress at the last stall check
+	rejoinBegun bool
 
 	phases map[int]UpgradePhase
 
@@ -129,15 +134,16 @@ type Upgrader struct {
 }
 
 // NewUpgrader builds a rollout over ops covering members in order (nil =
-// every member ascending).
-func NewUpgrader(ops UpgradeOps, order []int, cfg UpgradeConfig) *Upgrader {
+// every member ascending), starting at now; clock reads the fleet's
+// current instant.
+func NewUpgrader(ops UpgradeOps, clock func() simtime.Time, now simtime.Time, order []int, cfg UpgradeConfig) *Upgrader {
 	if order == nil {
 		for i := 0; i < ops.Switches(); i++ {
 			order = append(order, i)
 		}
 	}
-	u := &Upgrader{cfg: cfg.withDefaults(), ops: ops, order: order,
-		phases: make(map[int]UpgradePhase)}
+	u := &Upgrader{cfg: cfg.withDefaults(), ops: ops, now: clock, order: order,
+		notBefore: now, phases: make(map[int]UpgradePhase)}
 	for _, m := range order {
 		u.phases[m] = UpgradePending
 	}
@@ -150,7 +156,8 @@ func (u *Upgrader) Done() bool { return u.idx >= len(u.order) }
 // Phase returns member m's rollout phase.
 func (u *Upgrader) Phase(m int) UpgradePhase { return u.phases[m] }
 
-// Failed returns the members skipped after exhausting their retries.
+// Failed returns the members skipped after exhausting their retries or
+// on an error from the ops surface.
 func (u *Upgrader) Failed() []int {
 	var out []int
 	for _, m := range u.order {
@@ -161,107 +168,120 @@ func (u *Upgrader) Failed() []int {
 	return out
 }
 
-// Step advances the rollout by one pump. The caller drives it under
-// virtual time, advancing the fleet between calls; done reports rollout
-// completion. Errors from the ops surface that are not part of the
-// protocol (bad index, dead switch) abort the current member.
-func (u *Upgrader) Step(now simtime.Time) (done bool, err error) {
-	if u.Done() {
-		return true, nil
+// NextEventTime returns when the rollout next has work: a drain's start,
+// the fleet's current instant once the watched transfer has finished or
+// the rejoining member is warm, or else the stall check or warm timeout.
+// Nothing happens before a retry's backoff ends.
+func (u *Upgrader) NextEventTime() (simtime.Time, bool) {
+	switch {
+	case u.Done():
+		return 0, false
+	case u.phase == UpgradePending:
+		return u.notBefore, true
+	case u.ready():
+		return max(u.now(), u.notBefore), true
 	}
-	if now.Before(u.notBefore) {
-		return false, nil
+	return max(u.at, u.notBefore), true
+}
+
+// ready reports whether the member's level-triggered wait is over: it is
+// warm (a rejoin not yet begun), or its transfer is no longer active.
+func (u *Upgrader) ready() bool {
+	if u.phase == UpgradeRejoining && !u.rejoinBegun {
+		return u.ops.Warm(u.order[u.idx])
 	}
+	active, _ := u.ops.Transfer()
+	return !active
+}
+
+// Advance runs every step due at or before now, each at its own deadline.
+// Errors from the ops surface that are not part of the protocol (bad
+// index, dead switch) fail the current member and move on.
+func (u *Upgrader) Advance(now simtime.Time) {
+	for {
+		due, ok := u.NextEventTime()
+		if !ok || now.Before(due) {
+			return
+		}
+		u.step(due)
+	}
+}
+
+// step moves the current member one transition at now.
+func (u *Upgrader) step(now simtime.Time) {
 	m := u.order[u.idx]
-	switch u.phase {
-	case UpgradePending:
+	switch {
+	case u.phase == UpgradePending:
 		if err := u.ops.DrainSwitch(now, m); err != nil {
-			return false, err
+			u.fail(now, m, "upgrade-drain", err)
+			return
 		}
 		u.setPhase(m, UpgradeDraining)
-		u.lastProgress = now
+		u.watch(now)
 
-	case UpgradeDraining:
-		moved, ddone, err := u.ops.DrainStep(now, u.cfg.Budget)
-		if err != nil {
-			return false, err
-		}
-		if moved > 0 {
-			u.lastProgress = now
-		}
-		if ddone {
-			if err := u.swap(now, m); err != nil {
-				return false, err
+	case u.phase == UpgradeRejoining && !u.rejoinBegun:
+		if u.ops.Warm(m) {
+			if err := u.ops.RejoinSwitch(now, m); err != nil {
+				u.fail(now, m, "upgrade-rejoin", err)
+				return
 			}
-			break
+			u.rejoinBegun = true
+			u.watch(now)
+			return
 		}
-		if now.Sub(u.lastProgress) > u.cfg.StallTimeout {
-			u.rollback(now, m, "upgrade-drain", u.ops.CancelDrain, UpgradePending)
+		if !now.Before(u.at) {
+			// The member never warmed: re-announce and retry.
+			u.reannounce(now, m)
+			u.at = now.Add(u.cfg.WarmTimeout)
+			u.countRetry(now, m, "upgrade-warm")
 		}
 
-	case UpgradeRejoining:
-		if !u.rejoinBegun {
-			switch err := u.ops.RejoinSwitch(now, m); {
-			case err == nil:
-				u.rejoinBegun = true
-				u.lastProgress = now
-			case errors.Is(err, ErrNotWarm):
-				if now.Sub(u.warmSince) > u.cfg.WarmTimeout {
-					// The member never warmed: re-announce and retry.
-					u.reannounce(now, m)
-					u.warmSince = now
-					u.countRetry(now, m, "upgrade-warm")
-				}
-			default:
-				return false, err
-			}
-			break
-		}
-		moved, rdone, err := u.ops.RejoinStep(now, u.cfg.Budget)
-		if err != nil {
-			return false, err
-		}
-		if moved > 0 {
-			u.lastProgress = now
-		}
-		if rdone {
+	default: // a drain or rejoin in flight
+		active, moved := u.ops.Transfer()
+		switch {
+		case !active && u.phase == UpgradeDraining:
+			u.swap(now, m)
+		case !active:
 			u.setPhase(m, UpgradeDone)
 			u.event(now, m, telemetry.ReconcileApply, "upgrade-done", nil)
-			u.advance()
-			break
-		}
-		if now.Sub(u.lastProgress) > u.cfg.StallTimeout {
+			u.advance(now)
+		case moved != u.lastMoved:
+			u.lastMoved, u.at = moved, now.Add(u.cfg.StallTimeout)
+		case u.phase == UpgradeDraining:
+			u.rollback(now, m, "upgrade-drain", UpgradePending)
+		default:
 			u.rejoinBegun = false
-			u.rollback(now, m, "upgrade-rejoin", u.ops.CancelRejoin, UpgradeRejoining)
+			u.rollback(now, m, "upgrade-rejoin", UpgradeRejoining)
 		}
 	}
-	return u.Done(), nil
+}
+
+// watch starts the stall check on a transfer begun at now.
+func (u *Upgrader) watch(now simtime.Time) {
+	u.lastMoved, u.at = 0, now.Add(u.cfg.StallTimeout)
 }
 
 // swap is the take-down/bring-up between the two migrations: the drained
 // member goes down, comes back fresh, and gets its VIP state
 // re-announced before the warm gate is probed.
-func (u *Upgrader) swap(now simtime.Time, m int) error {
-	if err := u.ops.UpgradeSwitch(m); err != nil {
-		return err
+func (u *Upgrader) swap(now simtime.Time, m int) {
+	err := u.ops.UpgradeSwitch(m)
+	if err == nil {
+		err = u.ops.RestoreSwitch(m)
 	}
-	if err := u.ops.RestoreSwitch(m); err != nil {
-		return err
+	if err != nil {
+		u.fail(now, m, "upgrade-swap", err)
+		return
 	}
 	u.reannounce(now, m)
 	u.setPhase(m, UpgradeRejoining)
 	u.rejoinBegun = false
-	u.warmSince = now
-	u.lastProgress = now
+	u.at = now.Add(u.cfg.WarmTimeout)
 	u.event(now, m, telemetry.ReconcileApply, "upgrade-swap", nil)
-	return nil
 }
 
 func (u *Upgrader) reannounce(now simtime.Time, m int) {
-	if u.cfg.Reannounce == nil {
-		return
-	}
-	if err := u.cfg.Reannounce(now, m); err != nil {
+	if err := u.ops.Reannounce(now, m); err != nil {
 		u.event(now, m, telemetry.ReconcileRetry, "upgrade-reannounce", err)
 	}
 }
@@ -271,8 +291,8 @@ func (u *Upgrader) reannounce(now simtime.Time, m int) {
 // the member: a cancelled drain leaves it fully in service; an abandoned
 // rejoin leaves its buckets with the survivors — forwarding continues
 // either way.
-func (u *Upgrader) rollback(now simtime.Time, m int, op string, cancel func(simtime.Time) error, back UpgradePhase) {
-	_ = cancel(now)
+func (u *Upgrader) rollback(now simtime.Time, m int, op string, back UpgradePhase) {
+	_ = u.ops.CancelTransfer(now)
 	u.Rollbacks++
 	u.setPhase(m, back)
 	u.event(now, m, telemetry.ReconcileRollback, op, nil)
@@ -282,20 +302,18 @@ func (u *Upgrader) rollback(now simtime.Time, m int, op string, cancel func(simt
 func (u *Upgrader) countRetry(now simtime.Time, m int, op string) {
 	u.retries++
 	if u.retries > u.cfg.MaxRetries {
-		u.setPhase(m, UpgradeFailed)
-		u.event(now, m, telemetry.ReconcileError, op, nil)
-		u.advance()
+		u.fail(now, m, op, nil)
 		return
 	}
-	d := u.cfg.BaseBackoff
-	for i := 1; i < u.retries; i++ {
-		d *= 2
-		if d >= u.cfg.MaxBackoff {
-			d = u.cfg.MaxBackoff
-			break
-		}
-	}
-	u.notBefore = now.Add(d)
+	u.notBefore = now.Add(backoff(u.cfg.BaseBackoff, u.cfg.MaxBackoff, u.retries))
+}
+
+// fail skips member m: its retries ran out, or the ops surface returned
+// err.
+func (u *Upgrader) fail(now simtime.Time, m int, op string, err error) {
+	u.setPhase(m, UpgradeFailed)
+	u.event(now, m, telemetry.ReconcileError, op, err)
+	u.advance(now)
 }
 
 func (u *Upgrader) setPhase(m int, p UpgradePhase) {
@@ -303,10 +321,11 @@ func (u *Upgrader) setPhase(m int, p UpgradePhase) {
 	u.phases[m] = p
 }
 
-func (u *Upgrader) advance() {
+// advance moves on to the next member, whose drain starts at now.
+func (u *Upgrader) advance(now simtime.Time) {
 	u.idx++
 	u.retries = 0
-	u.notBefore = 0
+	u.notBefore = now
 	u.rejoinBegun = false
 	if !u.Done() {
 		u.phase = UpgradePending

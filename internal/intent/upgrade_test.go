@@ -3,21 +3,26 @@ package intent
 import (
 	"testing"
 
+	"repro/internal/sched"
 	"repro/internal/simtime"
 )
 
 // upFleet scripts the UpgradeOps surface: each member's drain and
-// rejoin take a fixed number of pumps; drains can be wedged (zero
-// progress) and the warm gate can demand re-announces.
+// rejoin take a fixed number of pumps, one every 100 ms of the fleet's
+// timeline; a member's transfers can be wedged (zero progress) and the warm
+// gate can demand re-announces.
 type upFleet struct {
 	n          int
-	drainLeft  map[int]int // pumps until drain completes
+	now        simtime.Time // the fleet's current instant
+	drainLeft  map[int]int  // pumps until drain completes
 	rejoinLeft map[int]int
-	wedged     map[int]bool // drain never progresses
+	wedged     map[int]bool // transfers never progress
 	needWarm   map[int]int  // re-announces required before warm
 
-	draining  int // active donor, -1 none
-	rejoining int
+	xfer      int         // the transferring member, -1 none
+	left      map[int]int // drainLeft or rejoinLeft
+	moved     uint64
+	pumpAt    simtime.Time
 	upgraded  []int
 	cancels   int
 	announces map[int]int
@@ -25,7 +30,7 @@ type upFleet struct {
 
 func newUpFleet(n int) *upFleet {
 	f := &upFleet{
-		n: n, draining: -1, rejoining: -1,
+		n: n, xfer: -1,
 		drainLeft:  map[int]int{},
 		rejoinLeft: map[int]int{},
 		wedged:     map[int]bool{},
@@ -41,27 +46,12 @@ func newUpFleet(n int) *upFleet {
 
 func (f *upFleet) Switches() int { return f.n }
 
+func (f *upFleet) begin(now simtime.Time, i int, left map[int]int) {
+	f.xfer, f.left, f.moved, f.pumpAt = i, left, 0, now
+}
+
 func (f *upFleet) DrainSwitch(now simtime.Time, i int) error {
-	f.draining = i
-	return nil
-}
-
-func (f *upFleet) DrainStep(now simtime.Time, budget int) (int, bool, error) {
-	i := f.draining
-	if f.wedged[i] {
-		return 0, false, nil
-	}
-	f.drainLeft[i]--
-	if f.drainLeft[i] <= 0 {
-		f.draining = -1
-		return budget, true, nil
-	}
-	return budget, false, nil
-}
-
-func (f *upFleet) CancelDrain(now simtime.Time) error {
-	f.cancels++
-	f.draining = -1
+	f.begin(now, i, f.drainLeft)
 	return nil
 }
 
@@ -72,53 +62,68 @@ func (f *upFleet) UpgradeSwitch(i int) error {
 
 func (f *upFleet) RestoreSwitch(i int) error { return nil }
 
+func (f *upFleet) Reannounce(now simtime.Time, i int) error {
+	f.announces[i]++
+	return nil
+}
+
 func (f *upFleet) RejoinSwitch(now simtime.Time, i int) error {
-	if f.needWarm[i] > f.announces[i] {
+	if !f.Warm(i) {
 		return ErrNotWarm
 	}
-	f.rejoining = i
+	f.begin(now, i, f.rejoinLeft)
 	return nil
 }
 
-func (f *upFleet) RejoinStep(now simtime.Time, budget int) (int, bool, error) {
-	i := f.rejoining
-	f.rejoinLeft[i]--
-	if f.rejoinLeft[i] <= 0 {
-		f.rejoining = -1
-		return budget, true, nil
-	}
-	return budget, false, nil
-}
-
-func (f *upFleet) CancelRejoin(now simtime.Time) error {
+func (f *upFleet) CancelTransfer(simtime.Time) error {
 	f.cancels++
-	f.rejoining = -1
+	f.xfer = -1
 	return nil
 }
 
-// drive pumps the upgrader to completion under virtual time.
-func drive(t *testing.T, u *Upgrader, fleet *upFleet) simtime.Time {
-	t.Helper()
-	now := simtime.Time(0)
-	for i := 0; ; i++ {
-		if i > 10000 {
-			t.Fatalf("rollout did not finish; member/phase: %v", fleet)
+func (f *upFleet) Transfer() (bool, uint64) { return f.xfer >= 0, f.moved }
+
+func (f *upFleet) Warm(i int) bool { return f.needWarm[i] <= f.announces[i] }
+
+// The fake's transfer pump, the fleet's own source.
+
+func (f *upFleet) NextEventTime() (simtime.Time, bool) { return f.pumpAt, f.xfer >= 0 }
+
+func (f *upFleet) Advance(now simtime.Time) {
+	for f.xfer >= 0 && !now.Before(f.pumpAt) {
+		f.pumpAt = f.pumpAt.Add(100 * simtime.Millisecond)
+		if f.wedged[f.xfer] {
+			continue
 		}
-		done, err := u.Step(now)
-		if err != nil {
-			t.Fatal(err)
+		f.moved++
+		if f.left[f.xfer]--; f.left[f.xfer] <= 0 {
+			f.xfer = -1
 		}
-		if done {
-			return now
-		}
-		now = now.Add(100 * simtime.Millisecond)
 	}
+}
+
+// drive runs the upgrader to completion on the fleet's timeline: the pump
+// first, then the upgrader, stepped from deadline to deadline.
+func drive(t *testing.T, fleet *upFleet, cfg UpgradeConfig) *Upgrader {
+	t.Helper()
+	u := NewUpgrader(fleet, func() simtime.Time { return fleet.now }, 0, nil, cfg)
+	s := sched.New()
+	s.AddSource(fleet)
+	s.AddSource(u)
+	for i := 0; !u.Done(); i++ {
+		next, ok := s.Next()
+		if !ok || i > 10000 {
+			t.Fatalf("rollout did not finish; phases %v", fleet)
+		}
+		fleet.now = max(fleet.now, next)
+		s.RunUntil(fleet.now)
+	}
+	return u
 }
 
 func TestUpgraderRollsWholeFleet(t *testing.T) {
 	fleet := newUpFleet(3)
-	u := NewUpgrader(fleet, nil, UpgradeConfig{})
-	drive(t, u, fleet)
+	u := drive(t, fleet, UpgradeConfig{})
 	if got := len(fleet.upgraded); got != 3 {
 		t.Fatalf("upgraded %d members, want 3 (%v)", got, fleet.upgraded)
 	}
@@ -141,11 +146,10 @@ func TestUpgraderRollsWholeFleet(t *testing.T) {
 func TestUpgraderRollsBackStalledDrain(t *testing.T) {
 	fleet := newUpFleet(2)
 	fleet.wedged[0] = true
-	u := NewUpgrader(fleet, nil, UpgradeConfig{
+	u := drive(t, fleet, UpgradeConfig{
 		StallTimeout: 300 * simtime.Millisecond,
 		MaxRetries:   2,
 	})
-	drive(t, u, fleet)
 	// Member 0 wedged: its drain was cancelled (rolled back) on every
 	// attempt and it was finally skipped — still in service, never taken
 	// down. Member 1 rolled normally.
@@ -171,16 +175,8 @@ func TestUpgraderRollsBackStalledDrain(t *testing.T) {
 func TestUpgraderWaitsForWarmGate(t *testing.T) {
 	fleet := newUpFleet(2)
 	fleet.needWarm[1] = 2 // member 1 warms only after a second re-announce
-	announced := map[int]int{}
-	u := NewUpgrader(fleet, nil, UpgradeConfig{
-		WarmTimeout: 200 * simtime.Millisecond,
-		Reannounce: func(now simtime.Time, m int) error {
-			announced[m]++
-			fleet.announces[m]++
-			return nil
-		},
-	})
-	drive(t, u, fleet)
+	u := drive(t, fleet, UpgradeConfig{WarmTimeout: 200 * simtime.Millisecond})
+	announced := fleet.announces
 	if announced[1] < 2 {
 		t.Fatalf("member 1 re-announced %d times, want >= 2", announced[1])
 	}
