@@ -22,10 +22,9 @@ var (
 	ErrSwitchDown = errors.New("silkroad: switch out of service")
 	// ErrTransferActive rejects a drain, rejoin or Migrate while another
 	// is in flight, and an upgrade of a member one involves.
-	ErrTransferActive = errors.New("silkroad: a drain or rejoin is already active")
-	// ErrNoTransfer is returned by cancel calls with nothing of their kind
-	// active.
-	ErrNoTransfer = errors.New("silkroad: no active drain or rejoin")
+	ErrTransferActive = errors.New("silkroad: a drain, rejoin or Migrate is already active")
+	// ErrNoTransfer is returned by CancelTransfer with no transfer active.
+	ErrNoTransfer = errors.New("silkroad: no active drain, rejoin or Migrate")
 	// ErrUpgradeActive rejects StartUpgrade while an attached upgrade is
 	// not done.
 	ErrUpgradeActive = errors.New("silkroad: a rolling upgrade is already active")
@@ -34,7 +33,7 @@ var (
 	ErrNotDrained = errors.New("silkroad: switch still owns spray buckets")
 	// ErrNotWarm rejects RejoinSwitch until the member announces every VIP
 	// a healthy peer does and has no pending work: no cold table serves.
-	ErrNotWarm = intent.ErrNotWarm
+	ErrNotWarm = errors.New("silkroad: member not warm (VIPs missing or work pending)")
 	// ErrNoPeer rejects failing or draining the last in-service member.
 	ErrNoPeer = errors.New("silkroad: no other switch in service")
 )
@@ -70,7 +69,7 @@ type ClusterConfig struct {
 type ClusterStats struct {
 	Redirected  uint64       // spray buckets moved cold by switch failures
 	Migrated    uint64       // spray buckets moved warm by drains and rejoins
-	LastHandoff HandoffStats // the last completed drain or rejoin, summed over its transfers
+	LastHandoff HandoffStats // the last completed drain, rejoin or Migrate, summed over its donor pipes
 }
 
 // Cluster is the fleet (§7): a layer of switches behind a resilient-ECMP
@@ -107,8 +106,8 @@ type Cluster struct {
 	// due then.
 	sched *sched.Scheduler
 	now   Time
-	xfer  *transfer        // the in-flight drain, rejoin or Migrate (handoff.go)
-	up    *intent.Upgrader // the last upgrade attached
+	xfer  *transfer // the in-flight drain, rejoin or Migrate (handoff.go)
+	up    *Upgrader // the last upgrade attached (upgrade.go)
 	stats ClusterStats
 	rec   *intent.ClusterReconciler
 }
@@ -344,8 +343,7 @@ func (c *Cluster) FailSwitch(now Time, i int) error {
 		return ErrNoPeer
 	}
 	if c.xfer != nil && slices.Contains(c.xfer.members, i) {
-		c.xfer.cancel(now)
-		c.xfer = nil
+		c.cancelTransfer(now)
 	}
 	c.stats.Redirected += uint64(c.flip(dest))
 	c.down[i] = true
@@ -368,6 +366,8 @@ func (c *Cluster) flip(dest []int) int {
 // UpgradeSwitch takes a drained member out of service: unlike FailSwitch
 // it refuses while any spray bucket still points at it, or a transfer
 // involves it, so an upgrade never drops flows that were not migrated.
+// Public: an upgrade run by hand takes a member down between DrainSwitch
+// and RejoinSwitch with it.
 func (c *Cluster) UpgradeSwitch(i int) error {
 	return locked(&c.mu, func() error { return c.upgradeSwitch(i) })
 }
@@ -391,7 +391,8 @@ func (c *Cluster) upgradeSwitch(i int) error {
 // the member's buckets: a cold table must not take traffic, since
 // connections pinned to retired pool versions would break on it. The
 // survivors keep serving until RejoinSwitch has passed the warm gate and
-// migrated the member's shard back.
+// migrated the member's shard back. Public: the reconcile soak restores a
+// failed member with it.
 func (c *Cluster) RestoreSwitch(i int) error {
 	return locked(&c.mu, func() error { return c.restoreSwitch(i) })
 }
@@ -412,16 +413,15 @@ func (c *Cluster) restoreSwitch(i int) error {
 }
 
 // ReannounceTo installs on member i every VIP its first in-service peer
-// serves, with the pool that peer last requested: the re-announce after a
-// reboot, which a rolling upgrade makes too.
+// serves that i lacks, with the pool that peer last requested: the
+// re-announce after a reboot, which a rolling upgrade makes too. Public: a
+// member restored by hand needs it to pass RejoinSwitch's warm gate.
 func (c *Cluster) ReannounceTo(now Time, i int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.stamp(now)
-	return c.reannounce(now, i)
+	return locked(&c.mu, func() error { return c.reannounce(now, i) })
 }
 
 func (c *Cluster) reannounce(now Time, i int) error {
+	c.stamp(now)
 	peer, ok := c.peer(i)
 	if !ok {
 		return ErrNoPeer
@@ -429,7 +429,7 @@ func (c *Cluster) reannounce(now Time, i int) error {
 	t := intentTarget{c: c, m: i}
 	for _, vip := range peer.ObservedVIPs() {
 		pool, _ := peer.ObservedPool(vip)
-		if err := t.AddVIP(now, vip, pool, 0); err != nil {
+		if err := t.AddVIP(now, vip, pool, 0); err != nil && !errors.Is(err, dataplane.ErrVIPExists) {
 			return err
 		}
 	}

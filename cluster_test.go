@@ -6,8 +6,6 @@ import (
 	"reflect"
 	"slices"
 	"testing"
-
-	"repro/internal/intent"
 )
 
 func msAt(n int) Time { return Time(n) * Time(Millisecond) }
@@ -86,11 +84,15 @@ func requestAll(t *testing.T, c *Cluster, now Time, pool []DIP) {
 	}
 }
 
-// xferProgress reads the fleet's transfer progress the way its upgrader does.
+// xferProgress reports whether a transfer is active and how many records
+// it has moved.
 func xferProgress(c *Cluster) (active bool, moved uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return upgradeOps{c}.Transfer()
+	if c.xfer == nil {
+		return false, 0
+	}
+	return true, c.xfer.moved
 }
 
 // pumpFleet steps the fleet from deadline to deadline until the active
@@ -286,9 +288,6 @@ func TestRejoinAfterRestore(t *testing.T) {
 	if err := c.RejoinSwitch(msAt(3), 1); !errors.Is(err, ErrTransferActive) {
 		t.Fatalf("overlapping rejoin: %v, want ErrTransferActive", err)
 	}
-	if err := c.CancelDrain(msAt(3)); !errors.Is(err, ErrNoTransfer) {
-		t.Fatalf("CancelDrain during a rejoin: %v, want ErrNoTransfer", err)
-	}
 	end := pumpFleet(t, c)
 	served := false
 	for i := 5000; i < 5400; i++ {
@@ -331,11 +330,8 @@ func TestClusterFailureErrors(t *testing.T) {
 	if err := c.UpgradeSwitch(0); !errors.Is(err, ErrSwitchDown) {
 		t.Fatalf("upgrading a failed switch: %v, want ErrSwitchDown", err)
 	}
-	if err := c.CancelRejoin(0); !errors.Is(err, ErrNoTransfer) {
-		t.Fatalf("CancelRejoin with nothing active: %v, want ErrNoTransfer", err)
-	}
-	if err := c.CancelDrain(0); !errors.Is(err, ErrNoTransfer) {
-		t.Fatalf("CancelDrain with nothing active: %v, want ErrNoTransfer", err)
+	if err := c.CancelTransfer(0); !errors.Is(err, ErrNoTransfer) {
+		t.Fatalf("CancelTransfer with nothing active: %v, want ErrNoTransfer", err)
 	}
 }
 
@@ -508,10 +504,7 @@ func TestDrainCancelRollsBack(t *testing.T) {
 	if active, moved := xferProgress(c); !active || moved == 0 {
 		t.Fatalf("drain finished early, or never pumped (active=%v moved=%d)", active, moved)
 	}
-	if err := c.CancelRejoin(msAt(51)); !errors.Is(err, ErrNoTransfer) {
-		t.Fatalf("CancelRejoin during a drain: %v, want ErrNoTransfer", err)
-	}
-	if err := c.CancelDrain(msAt(51)); err != nil {
+	if err := c.CancelTransfer(msAt(51)); err != nil {
 		t.Fatal(err)
 	}
 	c.AdvanceTo(msAt(70))
@@ -553,8 +546,8 @@ func TestDrainFailedReceiverCancels(t *testing.T) {
 	if err := c.FailSwitch(msAt(51), 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.CancelDrain(msAt(52)); !errors.Is(err, ErrNoTransfer) {
-		t.Fatalf("CancelDrain after the receiver failed: %v, want ErrNoTransfer", err)
+	if err := c.CancelTransfer(msAt(52)); !errors.Is(err, ErrNoTransfer) {
+		t.Fatalf("CancelTransfer after the receiver failed: %v, want ErrNoTransfer", err)
 	}
 	if err := c.DrainSwitch(msAt(52), 0); err != nil {
 		t.Fatal(err)
@@ -649,7 +642,7 @@ func TestClusterMultiPipeRollingUpgrade(t *testing.T) {
 	drops, pcc, moved := 0, 0, 0
 	for tk := 0; tk < load+life || u == nil || !u.Done(); tk++ {
 		if tk > 40*load {
-			t.Fatalf("rollout never finished: phases %v", []intent.UpgradePhase{u.Phase(0), u.Phase(1), u.Phase(2)})
+			t.Fatalf("rollout never finished: phases %v", []UpgradePhase{u.Phase(0), u.Phase(1), u.Phase(2)})
 		}
 		now := Time(tk) * Time(tick)
 		c.AdvanceTo(now)
@@ -706,7 +699,7 @@ func TestClusterMultiPipeRollingUpgrade(t *testing.T) {
 		t.Fatalf("members %v failed their upgrade", failed)
 	}
 	for m := 0; m < members; m++ {
-		if p := u.Phase(m); p != intent.UpgradeDone {
+		if p := u.Phase(m); p != UpgradeDone {
 			t.Fatalf("member %d finished in phase %v", m, p)
 		}
 	}
@@ -781,7 +774,7 @@ func TestClusterTimeline(t *testing.T) {
 		gen    uint64
 		stats  ClusterStats
 		conns  [3]int
-		phases [3]intent.UpgradePhase
+		phases [3]UpgradePhase
 	}
 	run := func(stepped bool) (*Cluster, outcome) {
 		c := newFleet(t, 3, 1)

@@ -17,7 +17,6 @@ import (
 	"repro/internal/ctrlplane"
 	"repro/internal/dataplane"
 	"repro/internal/handoff"
-	"repro/internal/intent"
 	"repro/internal/pipes"
 	"repro/internal/simtime"
 )
@@ -95,30 +94,22 @@ func (s *Switch) Import(now Time, snap *ConnSnapshot) (imported, skipped int, er
 	return imported, skipped, nil
 }
 
-// transferKind is what a transfer does once it has converged.
-type transferKind uint8
-
-const (
-	drainTransfer  transferKind = iota // cut the donor's buckets over
-	rejoinTransfer                     // cut the member's buckets back
-	copyTransfer                       // Migrate: copy only
-)
-
 // transfer is one in-flight move of connection state between members: a
 // handoff.Transfer per donor pipe, each feeding its own routeImporter,
 // pumped on the fleet's timeline every transferPace. It completes at the
 // first instant it has converged and every member it involves is
 // quiescent (no pending learns, inserts or updates, so no straggler can
-// install after cutover). A drain or rejoin then points the moved buckets
-// at their receivers; Migrate only copies.
+// install after cutover). A drain or rejoin (release) then points the
+// moved buckets at their receivers; Migrate only copies.
 type transfer struct {
-	kind      transferKind
+	release   bool  // cut the moved buckets over and release the donors' copies
 	dest      []int // bucket -> receiving member, -1 for a bucket not moving
 	members   []int // donors and receivers, all quiet at cutover
 	parts     []*pipeTransfer
 	pumpAt    Time   // the next paced pump
 	moved     uint64 // records pumped so far: the stall check's progress
 	converged bool   // the last pump found every part converged
+	done      bool   // cut over (or copied): set once, at completion
 }
 
 // pipeTransfer pumps one donor pipe's export session.
@@ -171,10 +162,11 @@ func (r *routeImporter) on(k int, fn func(*ctrlplane.Importer)) {
 
 // newTransfer opens an export session on every pipe of each donor, pumped
 // in chunks of transferBatch entries into a routeImporter onto dest, and
-// makes it the cluster's transfer, first pumped at now. Its events name the
-// receiver when there is one, else -1.
-func (c *Cluster) newTransfer(now Time, kind transferKind, donors, receivers, dest []int) {
-	x := &transfer{kind: kind, dest: dest, members: slices.Concat(donors, receivers), pumpAt: now}
+// makes it the cluster's transfer, first pumped at now: a cutover (release,
+// a drain or rejoin) or a copy (Migrate). Its events name the receiver when
+// there is one, else -1.
+func (c *Cluster) newTransfer(now Time, release bool, donors, receivers, dest []int) {
+	x := &transfer{release: release, dest: dest, members: slices.Concat(donors, receivers), pumpAt: now}
 	label := -1
 	if len(receivers) == 1 {
 		label = receivers[0]
@@ -229,12 +221,11 @@ func (c *Cluster) pump(now Time) {
 		}
 		x.pumpAt = due.Add(transferPace)
 		if x.converged && c.quiet(x.members) {
-			release := x.kind != copyTransfer
-			if release {
+			if x.release {
 				c.stats.Migrated += uint64(c.flip(x.dest))
 			}
-			c.stats.LastHandoff = x.finish(due, release)
-			c.xfer = nil
+			c.stats.LastHandoff = x.finish(due)
+			x.done, c.xfer = true, nil
 		}
 	}
 }
@@ -249,15 +240,15 @@ func (c *Cluster) quiet(members []int) bool {
 	return true
 }
 
-// finish closes every part and returns their summed stats. With release
-// (a cutover), each donor pipe first ends its copies of the connections it
+// finish closes every part and returns their summed stats. At a cutover
+// (release), each donor pipe first ends its copies of the connections it
 // handed over: state ownership moves with the traffic.
-func (x *transfer) finish(now Time, release bool) HandoffStats {
+func (x *transfer) finish(now Time) HandoffStats {
 	var agg HandoffStats
 	for _, pt := range x.parts {
 		pt.eng.Inspect(pt.pipe, func(_ *dataplane.Switch, cp *ctrlplane.ControlPlane) {
 			for _, im := range pt.im.ims {
-				if im != nil && release {
+				if im != nil && x.release {
 					for _, t := range im.Imported() {
 						cp.EndImported(now, t)
 					}
@@ -309,7 +300,7 @@ func (c *Cluster) Migrate(now Time, from, to int) error {
 	for b := range dest {
 		dest[b] = to
 	}
-	c.newTransfer(now, copyTransfer, []int{from}, []int{to}, dest)
+	c.newTransfer(now, false, []int{from}, []int{to}, dest)
 	return nil
 }
 
@@ -319,7 +310,8 @@ func (c *Cluster) Migrate(now Time, from, to int) error {
 // without touching the live spray, so the donor keeps forwarding at full
 // rate while AdvanceTo pumps its state out. Once the transfer has
 // converged and the donor and every receiver are quiescent, the planned
-// buckets flip to their receivers and the drain completes.
+// buckets flip to their receivers and the drain completes. Public: the
+// README's warm-drain API.
 func (c *Cluster) DrainSwitch(now Time, i int) error {
 	return locked(&c.mu, func() error { return c.drainSwitch(now, i) })
 }
@@ -336,14 +328,8 @@ func (c *Cluster) drainSwitch(now Time, i int) error {
 	if dest == nil {
 		return ErrNoPeer
 	}
-	c.newTransfer(now, drainTransfer, []int{i}, survivors, dest)
+	c.newTransfer(now, true, []int{i}, survivors, dest)
 	return nil
-}
-
-// CancelDrain abandons the active drain (stall rollback): the receivers
-// unwind every imported entry, and the donor keeps its table and traffic.
-func (c *Cluster) CancelDrain(now Time) error {
-	return locked(&c.mu, func() error { return c.abort(now, drainTransfer) })
 }
 
 // RejoinSwitch begins migrating member i's original spray buckets back
@@ -352,7 +338,7 @@ func (c *Cluster) CancelDrain(now Time) error {
 // every VIP a healthy peer announces and has no pending work; callers
 // retry as it converges). Traffic moves only at the cutover, where the
 // reclaimed buckets flip back and each donor releases its copies of the
-// connections it handed over.
+// connections it handed over. Public: the README's rejoin API.
 func (c *Cluster) RejoinSwitch(now Time, i int) error {
 	return locked(&c.mu, func() error { return c.rejoinSwitch(now, i) })
 }
@@ -380,7 +366,7 @@ func (c *Cluster) rejoinSwitch(now Time, i int) error {
 		}
 	}
 	slices.Sort(donors)
-	c.newTransfer(now, rejoinTransfer, donors, []int{i}, dest)
+	c.newTransfer(now, true, donors, []int{i}, dest)
 	return nil
 }
 
@@ -411,16 +397,17 @@ func (c *Cluster) peer(i int) (intentTarget, bool) {
 	return intentTarget{}, false
 }
 
-// CancelRejoin abandons the active rejoin: the member unwinds every
-// imported entry and the donors keep serving its buckets.
-func (c *Cluster) CancelRejoin(now Time) error {
-	return locked(&c.mu, func() error { return c.abort(now, rejoinTransfer) })
+// CancelTransfer abandons the active drain, rejoin or Migrate: every
+// session closes and the receivers unwind whatever they imported; the
+// donors and the spray are untouched. Public: a caller may abandon what it
+// started.
+func (c *Cluster) CancelTransfer(now Time) error {
+	return locked(&c.mu, func() error { return c.cancelTransfer(now) })
 }
 
-// abort cancels the active transfer if it is of the given kind.
-func (c *Cluster) abort(now Time, kind transferKind) error {
+func (c *Cluster) cancelTransfer(now Time) error {
 	c.stamp(now)
-	if c.xfer == nil || c.xfer.kind != kind {
+	if c.xfer == nil {
 		return ErrNoTransfer
 	}
 	c.xfer.cancel(now)
@@ -441,33 +428,7 @@ func (c *Cluster) StartUpgrade(now Time, order []int, cfg UpgradeConfig) (*Upgra
 	if c.up != nil && !c.up.Done() {
 		return nil, ErrUpgradeActive
 	}
-	c.up = intent.NewUpgrader(upgradeOps{c}, func() Time { return c.now }, now, order, cfg)
-	c.sched.AddSource(c.up)
+	c.up = newUpgrader(c, now, order, cfg)
+	c.sched.AddSource(fleetSource{next: c.up.nextEventTime, advance: c.up.advance})
 	return c.up, nil
-}
-
-// upgradeOps is the upgrader's view of the fleet: the cluster's operations
-// without the lock, which AdvanceTo holds while the upgrader runs.
-type upgradeOps struct{ c *Cluster }
-
-func (o upgradeOps) Switches() int                      { return len(o.c.sws) }
-func (o upgradeOps) DrainSwitch(now Time, i int) error  { return o.c.drainSwitch(now, i) }
-func (o upgradeOps) UpgradeSwitch(i int) error          { return o.c.upgradeSwitch(i) }
-func (o upgradeOps) RestoreSwitch(i int) error          { return o.c.restoreSwitch(i) }
-func (o upgradeOps) Reannounce(now Time, i int) error   { return o.c.reannounce(now, i) }
-func (o upgradeOps) RejoinSwitch(now Time, i int) error { return o.c.rejoinSwitch(now, i) }
-func (o upgradeOps) Warm(i int) bool                    { return o.c.warm(i) }
-
-func (o upgradeOps) CancelTransfer(now Time) error {
-	if o.c.xfer == nil {
-		return ErrNoTransfer
-	}
-	return o.c.abort(now, o.c.xfer.kind)
-}
-
-func (o upgradeOps) Transfer() (active bool, moved uint64) {
-	if o.c.xfer == nil {
-		return false, 0
-	}
-	return true, o.c.xfer.moved
 }

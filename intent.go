@@ -34,12 +34,6 @@ type (
 	// FleetConfig tunes a Cluster's rolling reconciler: the per-member
 	// ReconcilerConfig and the rollout backoff.
 	FleetConfig = intent.FleetConfig
-	// UpgradeConfig tunes a rolling upgrade (Cluster.StartUpgrade): stall
-	// timeout, retry backoff and budget, warm timeout, re-announce.
-	UpgradeConfig = intent.UpgradeConfig
-	// Upgrader is a rolling upgrade attached to a Cluster; it reports each
-	// member's phase.
-	Upgrader = intent.Upgrader
 )
 
 // Status conditions.

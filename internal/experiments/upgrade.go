@@ -1,6 +1,6 @@
 package experiments
 
-// Rolling-upgrade soak: an intent.Upgrader rolls a 3-switch cluster
+// Rolling-upgrade soak: a silkroad.Upgrader rolls a 3-switch cluster
 // through drain -> warm migrate -> upgrade -> rejoin, one member at a
 // time, while pulsed traffic keeps arriving — including connections
 // learned mid-pool-update, whose version pinning exists only in their

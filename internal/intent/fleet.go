@@ -255,7 +255,7 @@ func (c *ClusterReconciler) rollback(now simtime.Time) {
 		rec.Reconcile(now)
 	}
 	c.attempt++
-	c.retryAt = now.Add(backoff(c.cfg.RolloutBackoff, c.cfg.MaxBackoff, c.attempt))
+	c.retryAt = now.Add(Backoff(c.cfg.RolloutBackoff, c.cfg.MaxBackoff, c.attempt))
 	c.phase = phaseBackoff
 }
 

@@ -229,7 +229,7 @@ func TestBackoffCapped(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for n, want := range tc.want {
-			if got := backoff(tc.base, tc.max, n+1); got != want {
+			if got := Backoff(tc.base, tc.max, n+1); got != want {
 				t.Errorf("%s: backoff(attempt %d) = %v, want %v", tc.name, n+1, got, want)
 			}
 		}

@@ -191,7 +191,7 @@ func (r *Reconciler) Reconcile(now simtime.Time) int {
 		retries := r.q.Retries(key)
 		if err := r.applyKey(now, key); err != nil {
 			retries++
-			r.q.Requeue(key, now.Add(backoff(r.cfg.BaseBackoff, r.cfg.MaxBackoff, retries)), retries)
+			r.q.Requeue(key, now.Add(Backoff(r.cfg.BaseBackoff, r.cfg.MaxBackoff, retries)), retries)
 			if retries > r.cfg.MaxRetries {
 				r.setStatus(now, key, CondError, "RetriesExhausted", err.Error(), retries)
 				r.event(now, key, telemetry.ReconcileError, "", retries, 0, err)
@@ -220,10 +220,10 @@ func (r *Reconciler) Advance(now simtime.Time) {
 	}
 }
 
-// backoff returns the capped exponential delay before retry attempt n
+// Backoff returns the capped exponential delay before retry attempt n
 // (n >= 1): base·2^(n−1), at most limit. Member retries, rollout retries
-// and upgrade retries all wait by it.
-func backoff(base, limit simtime.Duration, n int) simtime.Duration {
+// and the facade's upgrade retries all wait by it.
+func Backoff(base, limit simtime.Duration, n int) simtime.Duration {
 	d := base
 	for i := 1; i < n && d < limit; i++ {
 		d *= 2
