@@ -1,6 +1,7 @@
 package ctrlplane
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/dataplane"
@@ -9,7 +10,8 @@ import (
 )
 
 // TestFailoverAblation runs ten fail/recover cycles through the
-// version-based path (RemoveDIP, then AddDIP), with fresh connections
+// version-based path (a pool update dropping the DIP, then one re-adding
+// it), with fresh connections
 // arriving during each failure window: every cycle consumes versions, and
 // no connection moves, not even one whose DIP later left the pool: its
 // ConnTable entry keeps the version it was learned under.
@@ -43,7 +45,8 @@ func TestFailoverAblation(t *testing.T) {
 	for cycle := 0; cycle < 10; cycle++ {
 		victim := dips[cycle%len(dips)]
 		cp.Advance(now)
-		if err := cp.RemoveDIP(now, vip, victim); err != nil {
+		pool, _ := cp.TargetPool(vip)
+		if err := cp.RequestUpdate(now, vip, slices.DeleteFunc(pool, func(d dataplane.DIP) bool { return d == victim })); err != nil {
 			t.Fatal(err)
 		}
 		now = now.Add(simtime.Duration(20 * simtime.Millisecond))
@@ -53,7 +56,8 @@ func TestFailoverAblation(t *testing.T) {
 		}
 		now = now.Add(simtime.Duration(20 * simtime.Millisecond))
 		cp.Advance(now)
-		if err := cp.AddDIP(now, vip, victim); err != nil {
+		pool, _ = cp.TargetPool(vip)
+		if err := cp.RequestUpdate(now, vip, append(pool, victim)); err != nil {
 			t.Fatal(err)
 		}
 		now = now.Add(simtime.Duration(20 * simtime.Millisecond))

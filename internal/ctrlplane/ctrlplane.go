@@ -17,7 +17,6 @@ package ctrlplane
 import (
 	"cmp"
 	"errors"
-	"fmt"
 	"slices"
 
 	"repro/internal/cuckoo"
@@ -443,41 +442,6 @@ func (vc *vipCtl) targetPool() []dataplane.DIP {
 		return vc.row(vc.pendingNewVer)
 	}
 	return vc.row(vc.curVer)
-}
-
-// AddDIP requests adding one DIP to vip's pool.
-func (cp *ControlPlane) AddDIP(now simtime.Time, vip dataplane.VIP, dip dataplane.DIP) error {
-	vc, ok := cp.vips[vip]
-	if !ok {
-		return dataplane.ErrUnknownVIP
-	}
-	pool := clone(vc.targetPool())
-	pool = append(pool, dip)
-	return cp.RequestUpdate(now, vip, pool)
-}
-
-// RemoveDIP requests removing one DIP from vip's pool. The DIP is treated
-// as leaving service (its connections are dying anyway), which is what
-// permits later version reuse.
-func (cp *ControlPlane) RemoveDIP(now simtime.Time, vip dataplane.VIP, dip dataplane.DIP) error {
-	vc, ok := cp.vips[vip]
-	if !ok {
-		return dataplane.ErrUnknownVIP
-	}
-	pool := clone(vc.targetPool())
-	out := pool[:0]
-	found := false
-	for _, d := range pool {
-		if !found && d == dip {
-			found = true
-			continue
-		}
-		out = append(out, d)
-	}
-	if !found {
-		return fmt.Errorf("ctrlplane: DIP %v not in pool of %v", dip, vip)
-	}
-	return cp.RequestUpdate(now, vip, out)
 }
 
 // RequestUpdate queues a DIP pool update for vip to the given target pool.

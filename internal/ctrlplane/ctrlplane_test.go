@@ -150,7 +150,7 @@ func TestPCCAcrossUpdateWithPendingConns(t *testing.T) {
 		h.send(simtime.Time(i)*1000, tup, netproto.FlagSYN)
 	}
 	// t=0.1ms: update requested while all 50 conns are pending.
-	if err := h.cp.RemoveDIP(simtime.Time(100_000), vip, poolN(8)[7]); err != nil {
+	if err := h.cp.RequestUpdate(simtime.Time(100_000), vip, poolN(8)[:7]); err != nil {
 		t.Fatal(err)
 	}
 	// Pending conns keep sending through the window where the VIPTable
@@ -251,12 +251,13 @@ func TestVersionReuseRollingReboot(t *testing.T) {
 	h.send(0, tup, netproto.FlagSYN)
 	h.cp.Advance(ms(5))
 	// Rolling reboot: remove DIP 3 (creates v1), then add a replacement.
-	if err := h.cp.RemoveDIP(ms(6), vip, dips[3]); err != nil {
+	without := slices.Delete(slices.Clone(dips), 3, 4)
+	if err := h.cp.RequestUpdate(ms(6), vip, without); err != nil {
 		t.Fatal(err)
 	}
 	h.cp.Advance(ms(30))
 	replacement := netip.MustParseAddrPort("10.0.0.99:20")
-	if err := h.cp.AddDIP(ms(31), vip, replacement); err != nil {
+	if err := h.cp.RequestUpdate(ms(31), vip, append(without, replacement)); err != nil {
 		t.Fatal(err)
 	}
 	h.cp.Advance(ms(60))
@@ -644,12 +645,6 @@ func TestErrorPaths(t *testing.T) {
 	other := dataplane.VIP{Addr: netip.MustParseAddr("9.9.9.9"), Port: 1, Proto: netproto.ProtoTCP}
 	if err := h.cp.RequestUpdate(0, other, poolN(2)); err != dataplane.ErrUnknownVIP {
 		t.Fatalf("unknown vip update: %v", err)
-	}
-	if err := h.cp.AddDIP(0, other, poolN(1)[0]); err != dataplane.ErrUnknownVIP {
-		t.Fatalf("unknown vip adddip: %v", err)
-	}
-	if err := h.cp.RemoveDIP(0, testVIP(), netip.MustParseAddrPort("1.1.1.1:1")); err == nil {
-		t.Fatal("removing absent DIP succeeded")
 	}
 	if err := h.cp.RequestUpdate(0, testVIP(), nil); err == nil {
 		t.Fatal("empty pool accepted")

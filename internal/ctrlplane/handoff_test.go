@@ -54,7 +54,7 @@ func TestExportImportPreservesMapping(t *testing.T) {
 		donor.send(simtime.Time(i)*1000, tupleN(i), netproto.FlagSYN)
 	}
 	donor.cp.Advance(ms(50))
-	if err := donor.cp.RemoveDIP(ms(50), vip, poolN(8)[7]); err != nil {
+	if err := donor.cp.RequestUpdate(ms(50), vip, poolN(8)[:7]); err != nil {
 		t.Fatal(err)
 	}
 	donor.cp.Advance(ms(100))

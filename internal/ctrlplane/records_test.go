@@ -414,7 +414,7 @@ func tupleOther(i int) netproto.FiveTuple {
 func TestExportSnapshotGolden(t *testing.T) {
 	h := defaultHarness(t)
 	now := h.learn(0, 0, 300)
-	if err := h.cp.RemoveDIP(now, testVIP(), poolN(8)[7]); err != nil {
+	if err := h.cp.RequestUpdate(now, testVIP(), poolN(8)[:7]); err != nil {
 		t.Fatal(err)
 	}
 	now = h.learn(now, 300, 600)

@@ -10,6 +10,7 @@ package experiments
 // reproduce the report byte for byte.
 
 import (
+	"fmt"
 	"slices"
 
 	"repro/internal/ctrlplane"
@@ -137,6 +138,11 @@ func (c *chaosTarget) shadow(i int) (p pin, ok bool) {
 
 func (c *chaosTarget) end(now simtime.Time, i int) { c.EndConnection(now, expTuple(i)) }
 
+// apply refuses every op: a chaos script only brings arrivals.
+func (c *chaosTarget) apply(_ simtime.Time, op soakOp) error {
+	return fmt.Errorf("no chaos op %v", op.kind)
+}
+
 // degraded reports whether any pipe is in degraded mode.
 func (c *chaosTarget) degraded() bool {
 	d := false
@@ -229,7 +235,7 @@ func chaosSoak(scale float64, seed int64) (*soak, *ChaosReport, error) {
 		FailThreshold:    3,
 		RecoverThreshold: 2,
 		ProbeBytes:       100,
-	}, eng, s.inj.WrapProbe(nil))
+	}, poolEdits{eng}, s.inj.WrapProbe(nil))
 	for _, dip := range pool {
 		tg.hc.Watch(expVIP(), dip)
 	}

@@ -316,13 +316,13 @@ func fig15Run(n int, disableReuse bool) (minted, maxActive int, err error) {
 		// Rolling reboot step.
 		if i%2 == 0 || len(down) == 0 {
 			victim := pool[(i/2)%len(pool)]
-			if e := eng.RemoveDIP(now, vip, victim); e == nil {
+			if e := (poolEdits{eng}).RemoveDIP(now, vip, victim); e == nil {
 				down = append(down, victim)
 			}
 		} else {
 			d := down[0]
 			down = down[1:]
-			if e := eng.AddDIP(now, vip, d); e != nil {
+			if e := (poolEdits{eng}).AddDIP(now, vip, d); e != nil {
 				return 0, 0, e
 			}
 		}

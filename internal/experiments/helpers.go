@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"fmt"
 	"net/netip"
+	"slices"
 
 	"repro/internal/ctrlplane"
 	"repro/internal/dataplane"
@@ -84,4 +86,23 @@ func insertionThroughput(scale float64) (ratePerSec float64, meanDelay simtime.D
 	m := eng.Stats().Controlplane
 	busySeconds := simtime.Duration(now.Sub(0)).Seconds()
 	return float64(m.Inserted) / busySeconds, m.MeanInsertDelay()
+}
+
+// poolEdits is an engine as the chaos soak's health.PoolManager and Fig 15's
+// rolling reboot: an edit is a RequestUpdate of the pool the last update
+// asked for, with the DIP appended or its first match dropped.
+type poolEdits struct{ *pipes.Engine }
+
+func (e poolEdits) AddDIP(now simtime.Time, vip dataplane.VIP, dip dataplane.DIP) error {
+	pool, _ := e.Controlplane(0).TargetPool(vip)
+	return e.RequestUpdate(now, vip, append(pool, dip))
+}
+
+func (e poolEdits) RemoveDIP(now simtime.Time, vip dataplane.VIP, dip dataplane.DIP) error {
+	pool, _ := e.Controlplane(0).TargetPool(vip)
+	j := slices.Index(pool, dip)
+	if j < 0 {
+		return fmt.Errorf("experiments: DIP %v not in pool of %v", dip, vip)
+	}
+	return e.RequestUpdate(now, vip, slices.Delete(pool, j, j+1))
 }

@@ -13,7 +13,6 @@ package experiments
 
 import (
 	"fmt"
-	"net/netip"
 
 	silkroad "repro"
 	"repro/internal/faults"
@@ -122,7 +121,6 @@ func reconcileSoak(scale float64, seed int64) (*soak, *ReconcileReport, error) {
 		return nil, nil, err
 	}
 	rep := &ReconcileReport{Scale: scale, Seed: seed, Members: recMembers}
-	vip := expVIP()
 
 	// Generation 1 converges at tick 0, before traffic starts.
 	if _, err := clu.Apply(0, recSpecFor(1)); err != nil {
@@ -149,39 +147,21 @@ func reconcileSoak(scale float64, seed int64) (*soak, *ReconcileReport, error) {
 	s.excuse = true
 
 	// The controller: a new spec generation every recGenEvery ticks, and a
-	// drift scan every 100 ticks.
-	gens := []soakOp{{at: 0, do: func(simtime.Time) error {
-		if !clu.Converged() {
-			return fmt.Errorf("reconcile: bootstrap never converged")
-		}
-		return nil
-	}}}
+	// drift scan every 100 ticks. Member 1 fails mid-rollout and reboots
+	// empty; member 2's pool is edited out of band.
+	gens := []soakOp{{at: 0, kind: opBootstrap}}
 	for g := 2; g <= 1+recGens; g++ {
-		gens = append(gens, soakOp{at: (g - 1) * recGenEvery, do: func(now simtime.Time) error {
-			if _, err := clu.Apply(now, recSpecFor(g)); err != nil {
-				return fmt.Errorf("reconcile: gen %d rejected: %w", g, err)
-			}
-			return nil
-		}})
+		gens = append(gens, soakOp{at: (g - 1) * recGenEvery, kind: opApply, gen: g})
 	}
 	s.ops = script(
-		pulses(recLoadTicks, recPerTick, recBurstLen, recBurstGap),
+		jitter(seed, pulses(recLoadTicks, recPerTick, recBurstLen, recBurstGap)),
 		gens,
 		[]soakOp{
-			// The mid-rollout switch fault: writes against member 1 fail
-			// with ErrSwitchDown until it reboots (empty).
-			{at: recFailAt, do: func(now simtime.Time) error { return clu.FailSwitch(now, 1) }},
-			{at: recRestoreAt, do: func(simtime.Time) error { return clu.RestoreSwitch(1) }},
-			// Out-of-band pool mutation on member 2 (an operator bypassing
-			// the spec): PCC-preserving at the switch, caught and reverted
-			// by a drift scan.
-			{at: recDriftAt, do: func(now simtime.Time) error {
-				drifted := append(expPool(6), netip.AddrPortFrom(
-					netip.AddrFrom4([4]byte{10, 9, 9, 9}), 20))
-				return clu.Switch(2).Engine().RequestUpdate(now, vip, drifted)
-			}},
+			{at: recFailAt, kind: opFail, member: 1},
+			{at: recRestoreAt, kind: opRestore, member: 1},
+			{at: recDriftAt, kind: opEdit, member: 2},
 		},
-		every(0, last+1, 100, func(now simtime.Time) error { clu.DetectDrift(now); return nil }),
+		every(0, last+1, 100, soakOp{kind: opScan}),
 	)
 	s.finish = func() error {
 		if err := reconcileSettle(rep, clu, simtime.Time(int64(last)*int64(recTick))); err != nil {
@@ -189,14 +169,13 @@ func reconcileSoak(scale float64, seed int64) (*soak, *ReconcileReport, error) {
 		}
 		rep.FlowsStarted, rep.FlowsEstablished, rep.Packets, rep.Forwarded = s.book.counts()
 		rep.PCCViolations, rep.RedirectedFlows = s.book.pccViolations, s.book.moved
-		n := tr.reconcile
-		rep.Rounds = n[telemetry.ReconcileRound]
-		rep.Applies = n[telemetry.ReconcileApply]
-		rep.Noops = n[telemetry.ReconcileNoop]
-		rep.Retries = n[telemetry.ReconcileRetry]
-		rep.Rollbacks = n[telemetry.ReconcileRollback]
-		rep.Errors = n[telemetry.ReconcileError]
-		rep.DriftDetected = n[telemetry.ReconcileDrift]
+		rep.Rounds = tr.Counter(telemetry.MetricReconcileRounds).Load()
+		rep.Applies = tr.Counter(telemetry.MetricReconcileApplies).Load()
+		rep.Noops = tr.Counter(telemetry.MetricReconcileNoops).Load()
+		rep.Retries = tr.Counter(telemetry.MetricReconcileRetries).Load()
+		rep.Rollbacks = tr.Counter(telemetry.MetricReconcileRollbacks).Load()
+		rep.Errors = tr.Counter(telemetry.MetricReconcileErrors).Load()
+		rep.DriftDetected = tr.Counter(telemetry.MetricReconcileDrift).Load()
 		rep.FaultsInjected, rep.FaultsByKind, rep.FaultsRemaining = s.faultTally()
 		rep.BucketsRedirected = clu.Stats().Redirected
 		tg.checkClocks(&rep.verdict)

@@ -9,17 +9,20 @@ package experiments
 // The chaos, reconcile and upgrade soaks are each a target adapter and a
 // script, built from (scale, seed) and played by one tick loop, soak.run.
 // The script is a value: a tick length, a flow life and revisit stride, a
-// fault plan, and a sorted list of timed operations (traffic pulses, pool
-// updates, spec generations, failures, out-of-band edits, drift scans, an
-// upgrade's start, drain probes). The flow book schedules the connections,
-// pins each to what the target's exact-tuple shadow says once it is
-// established, and audits it against the shadow when its life is over.
+// fault plan, and a sorted list of soakOps, which print as Go literals that
+// replay. An op brings arrivals and a kind for the target to apply: advance
+// only (the zero kind), bootstrap check, spec generation, member failure and
+// restore, out-of-band pool edit, drift scan, churn update, upgrade start.
+// The flow book schedules the connections, pins each to what the target's
+// exact-tuple shadow says once it is established, and audits it against
+// the shadow when its life is over.
 
 import (
 	"bytes"
 	"cmp"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/netip"
 	"slices"
 
@@ -39,6 +42,7 @@ func soakConnTarget(scale float64) int { return max(int(2048*scale), 1024) }
 type verdict struct {
 	Violations   []string `json:"invariant_violations"`
 	InvariantsOK bool     `json:"invariants_ok"`
+	replay       []soakOp // a scripted soak's ops, printed on a failure
 }
 
 // check records a failed invariant unless ok.
@@ -109,7 +113,11 @@ func runSoak[R soakReport](id, title, artifact string, scale float64, seed int64
 		rep.Printf("DETERMINISM VIOLATED: same seed produced a different report")
 	}
 	if !v.InvariantsOK || !deterministic {
-		return nil, fmt.Errorf("%s soak failed: %v (deterministic=%v)", id, v.Violations, deterministic)
+		err := fmt.Errorf("%s soak failed: %v (deterministic=%v)", id, v.Violations, deterministic)
+		if v.replay != nil {
+			err = fmt.Errorf("%w\n%s", err, formatScript(seed, v.replay))
+		}
+		return nil, err
 	}
 	rep.ArtifactName = artifact
 	rep.Artifact = append(b1, '\n')
@@ -129,15 +137,59 @@ type soakTarget interface {
 	shadow(i int) (pin, bool)
 	// end closes flow i's connection.
 	end(now simtime.Time, i int)
+	// apply performs op's kind, which is not opAdvance.
+	apply(now simtime.Time, op soakOp) error
 }
 
+// opKind is what a soak op does on its tick besides bringing arrivals,
+// named as the Go constant it is.
+type opKind string
+
+const (
+	opAdvance   opKind = ""            // nothing: the target only advances to the tick
+	opBootstrap opKind = "opBootstrap" // fail the run unless the fleet converged
+	opApply     opKind = "opApply"     // Apply generation gen's spec (recSpecFor)
+	opFail      opKind = "opFail"      // FailSwitch(member)
+	opRestore   opKind = "opRestore"   // RestoreSwitch(member)
+	opEdit      opKind = "opEdit"      // an out-of-band pool edit on member
+	opScan      opKind = "opScan"      // a drift scan
+	opChurn     opKind = "opChurn"     // swapPool(8, gen) on every in-service member holding the VIP
+	opUpgrade   opKind = "opUpgrade"   // StartUpgrade with the target's upgrade config
+)
+
 // soakOp is one timed operation of a script. On tick at, after the target
-// has advanced there, it brings arrive new flows (a traffic pulse) and runs
-// do. An op with neither only advances the target to its tick.
+// has advanced there, it brings arrive new flows (a traffic pulse) and the
+// target applies its kind, with member and gen as operands.
 type soakOp struct {
-	at     int
-	arrive int
-	do     func(now simtime.Time) error
+	at, arrive  int
+	kind        opKind
+	member, gen int
+}
+
+// String prints op as the Go composite literal that builds it: at, then
+// every field that is not zero.
+func (op soakOp) String() string {
+	s := fmt.Sprintf("{at: %d", op.at)
+	field := func(name string, v any, set bool) {
+		if set {
+			s += fmt.Sprintf(", %s: %v", name, v)
+		}
+	}
+	field("arrive", op.arrive, op.arrive != 0)
+	field("kind", op.kind, op.kind != opAdvance)
+	field("member", op.member, op.member != 0)
+	field("gen", op.gen, op.gen != 0)
+	return s + "}"
+}
+
+// formatScript prints a soak's seed and its ops as a []soakOp literal, one
+// op a line, which pastes back into a test and replays.
+func formatScript(seed int64, ops []soakOp) string {
+	s := fmt.Sprintf("seed %d, script []soakOp{\n", seed)
+	for _, op := range ops {
+		s += fmt.Sprintf("\t%v,\n", op)
+	}
+	return s + "}"
 }
 
 // pulses is a script's arrivals: n flows on each of the first burst ticks
@@ -152,12 +204,23 @@ func pulses(load, n, burst, period int) []soakOp {
 	return ops
 }
 
-// every runs do on each tick of [from, to) that step divides.
-func every(from, to, step int, do func(now simtime.Time) error) []soakOp {
+// jitter delays each of ops by a seeded draw from [0, 10) ticks: a fleet
+// soak's arrivals, half a burst at most.
+func jitter(seed int64, ops []soakOp) []soakOp {
+	rng := rand.New(rand.NewSource(seed))
+	for i := range ops {
+		ops[i].at += rng.Intn(10)
+	}
+	return ops
+}
+
+// every places op on each tick of [from, to) that step divides.
+func every(from, to, step int, op soakOp) []soakOp {
 	var ops []soakOp
 	for t := from; t < to; t++ {
 		if t%step == 0 {
-			ops = append(ops, soakOp{at: t, do: do})
+			op.at = t
+			ops = append(ops, op)
 		}
 	}
 	return ops
@@ -221,9 +284,9 @@ func (s *soak) run() error {
 		arrive := 0
 		for ; len(ops) > 0 && ops[0].at == t; ops = ops[1:] {
 			arrive += ops[0].arrive
-			if ops[0].do != nil {
-				if err := ops[0].do(now); err != nil {
-					return err
+			if ops[0].kind != opAdvance {
+				if err := s.tg.apply(now, ops[0]); err != nil {
+					return fmt.Errorf("%v: %w", ops[0], err)
 				}
 			}
 		}
@@ -234,23 +297,21 @@ func (s *soak) run() error {
 		pkts = b.traffic(t, arrive, t < s.ticks, pkts[:0])
 		s.tg.deliver(b, now, pkts)
 	}
-	if s.finish == nil {
-		return nil
-	}
 	return s.finish()
 }
 
 // runScripted builds a scripted soak, runs it and judges its report.
 func runScripted[R soakReport](build func(scale float64, seed int64) (*soak, R, error),
 	scale float64, seed int64, invariants func(R)) (R, error) {
+	var zero R
 	s, rep, err := build(scale, seed)
-	if err == nil {
-		err = s.run()
-	}
 	if err != nil {
-		var zero R
 		return zero, err
 	}
+	if err := s.run(); err != nil {
+		return zero, fmt.Errorf("%w\n%s", err, formatScript(seed, s.ops))
+	}
+	rep.soakVerdict().replay = s.ops
 	return judge(rep, invariants), nil
 }
 
@@ -266,31 +327,19 @@ func (s *soak) faultTally() (injected uint64, byKind map[string]uint64, remainin
 }
 
 // soakTracer is the telemetry every scripted soak attaches: a registry,
-// plus the reconcile and handoff event counts the reports read. The counts
-// are plain integers: the soaks that read them trace from one goroutine.
+// whose counters the reports read, plus the handoff events by step, since
+// the registry counts no finished or cancelled transfers. The counts are
+// plain integers: the soaks that read them trace from one goroutine.
 type soakTracer struct {
 	*telemetry.Registry
-	reconcile [8]uint64 // by telemetry.ReconcileStep
-	handoff   [8]uint64 // by telemetry.HandoffStep
-	// imported and deltas sum the entries of finished transfers and the
-	// records of replayed delta rounds.
-	imported, deltas uint64
+	handoff [8]uint64 // by telemetry.HandoffStep
 }
 
 func newSoakTracer() *soakTracer { return &soakTracer{Registry: telemetry.NewRegistry()} }
 
 func (t *soakTracer) Trace(e telemetry.Event) {
-	switch {
-	case e.Kind == telemetry.KindReconcile && int(e.ReconcileStep) < len(t.reconcile):
-		t.reconcile[e.ReconcileStep]++
-	case e.Kind == telemetry.KindHandoff && int(e.HandoffStep) < len(t.handoff):
+	if e.Kind == telemetry.KindHandoff && int(e.HandoffStep) < len(t.handoff) {
 		t.handoff[e.HandoffStep]++
-		switch e.HandoffStep {
-		case telemetry.HandoffDelta:
-			t.deltas += uint64(e.Deltas)
-		case telemetry.HandoffDone:
-			t.imported += uint64(e.Entries)
-		}
 	}
 	t.Registry.Trace(e)
 }
@@ -414,8 +463,11 @@ func swapPool(net byte, g int) []dataplane.DIP {
 // holds every answer to the pin; a cold one pins versions.
 type fleetTarget struct {
 	*silkroad.Cluster
-	warm bool
-	// midUntil ends the recording window of the last pool update: a SYN
+	warm        bool
+	upgrade     silkroad.UpgradeConfig // what opUpgrade starts
+	upgrader    *silkroad.Upgrader     // the upgrade it started
+	poolUpdates int                    // opChurn updates applied
+	// midUntil ends the recording window of the last churn update: a SYN
 	// sent before it is marked mid-update.
 	midUntil simtime.Time
 	// regressions is the most control-plane advances behind a member's
@@ -497,6 +549,43 @@ func (ft *fleetTarget) shadow(i int) (pin, bool) {
 }
 
 func (ft *fleetTarget) end(now simtime.Time, i int) { ft.EndConnection(now, expTuple(i)) }
+
+func (ft *fleetTarget) apply(now simtime.Time, op soakOp) (err error) {
+	switch op.kind {
+	case opBootstrap:
+		if !ft.Converged() {
+			err = fmt.Errorf("bootstrap never converged")
+		}
+	case opApply:
+		_, err = ft.Apply(now, recSpecFor(op.gen))
+	case opFail:
+		err = ft.FailSwitch(now, op.member)
+	case opRestore:
+		err = ft.RestoreSwitch(op.member)
+	case opEdit:
+		// An operator bypassing the spec: drift for the next scan to revert.
+		drifted := append(expPool(6), netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 9, 9, 9}), 20))
+		err = ft.Switch(op.member).Engine().RequestUpdate(now, expVIP(), drifted)
+	case opScan:
+		ft.DetectDrift(now)
+	case opChurn:
+		// A member down mid-rollout catches up through its re-announce.
+		for i := 0; i < ft.Switches(); i++ {
+			if eng := ft.Switch(i).Engine(); ft.Alive(i) && eng.Dataplane(0).HasVIP(expVIP()) {
+				if err := eng.RequestUpdate(now, expVIP(), swapPool(8, op.gen)); err != nil {
+					return fmt.Errorf("switch %d: %w", i, err)
+				}
+			}
+		}
+		ft.poolUpdates++
+		ft.midUntil = now.Add(upUpdateWindow * upTick)
+	case opUpgrade:
+		ft.upgrader, err = ft.StartUpgrade(now, nil, ft.upgrade)
+	default:
+		err = fmt.Errorf("no fleet op %v", op.kind)
+	}
+	return err
+}
 
 // The fault target: "pipe" indices are cluster members, whose pipe 0 each
 // fault hits; the member is re-read per call so faults land on the fresh

@@ -13,8 +13,6 @@ package experiments
 // for byte.
 
 import (
-	"fmt"
-
 	silkroad "repro"
 	"repro/internal/faults"
 	"repro/internal/simtime"
@@ -92,19 +90,23 @@ func upgradeSoak(scale float64, seed int64) (*soak, *UpgradeReport, error) {
 		return nil, nil, err
 	}
 	rep := &UpgradeReport{Scale: scale, Seed: seed, Members: upMembers}
-	vip := expVIP()
 	for i := 0; i < upMembers; i++ {
-		if err := clu.Switch(i).AddVIP(0, vip, swapPool(8, 1)); err != nil {
+		if err := clu.Switch(i).AddVIP(0, expVIP(), swapPool(8, 1)); err != nil {
 			return nil, nil, err
 		}
 	}
-	var u *silkroad.Upgrader
-
-	tg := &fleetTarget{Cluster: clu, warm: true}
+	tg := &fleetTarget{Cluster: clu, warm: true, upgrade: silkroad.UpgradeConfig{
+		StallTimeout: 20 * simtime.Millisecond,
+		BaseBackoff:  simtime.Millisecond,
+		MaxBackoff:   10 * simtime.Millisecond,
+		MaxRetries:   6,
+		WarmTimeout:  5 * simtime.Millisecond,
+		Tracer:       tr,
+	}}
 	horizon := upLoadTicks + upLifeTicks + upTailTicks
 	s := newSoak(tg, tr, faults.Plan{}, upTick, horizon+1, upLifeTicks, upStride)
 	s.until = func(t int) bool {
-		if u == nil || !u.Done() {
+		if tg.upgrader == nil || !tg.upgrader.Done() {
 			return false
 		}
 		if rep.RolloutTicks == 0 {
@@ -114,62 +116,37 @@ func upgradeSoak(scale float64, seed int64) (*soak, *UpgradeReport, error) {
 	}
 
 	// Pool churn: one slot swapped every upUpdateEvery ticks while traffic
-	// still arrives, on every in-service member that has the VIP announced
-	// (one down mid-rollout catches up through its re-announce). SYNs
-	// landing in the recording window are pinned to the OLD version — state
-	// that exists only in their switch's table, which the handoff must
-	// carry.
+	// still arrives. SYNs landing in the recording window are pinned to the
+	// OLD version — state that exists only in their switch's table, which
+	// the handoff must carry.
 	var churn []soakOp
 	for g := 2; (g-1)*upUpdateEvery < upLoadTicks; g++ {
-		churn = append(churn, soakOp{at: (g - 1) * upUpdateEvery, do: func(now simtime.Time) error {
-			curPool := swapPool(8, g)
-			for i := 0; i < clu.Switches(); i++ {
-				eng := clu.Switch(i).Engine()
-				if !clu.Alive(i) || !eng.Dataplane(0).HasVIP(vip) {
-					continue
-				}
-				if err := eng.RequestUpdate(now, vip, curPool); err != nil {
-					return fmt.Errorf("upgrade: switch %d: %w", i, err)
-				}
-			}
-			rep.PoolUpdates++
-			tg.midUntil = now.Add(upUpdateWindow * upTick)
-			return nil
-		}})
+		churn = append(churn, soakOp{at: (g - 1) * upUpdateEvery, kind: opChurn, gen: g})
 	}
 	s.ops = script(
-		pulses(upLoadTicks, upPerTick, upBurstLen, upBurstGap),
+		jitter(seed, pulses(upLoadTicks, upPerTick, upBurstLen, upBurstGap)),
 		churn,
-		[]soakOp{{at: upStartTick, do: func(now simtime.Time) (err error) {
-			u, err = clu.StartUpgrade(now, nil, silkroad.UpgradeConfig{
-				StallTimeout: 20 * simtime.Millisecond,
-				BaseBackoff:  simtime.Millisecond,
-				MaxBackoff:   10 * simtime.Millisecond,
-				MaxRetries:   6,
-				WarmTimeout:  5 * simtime.Millisecond,
-				Tracer:       tr,
-			})
-			return err
-		}}},
+		[]soakOp{{at: upStartTick, kind: opUpgrade}},
 	)
 	s.finish = func() error {
 		b := &s.book
 		rep.FlowsStarted, rep.FlowsEstablished, rep.Packets, rep.Forwarded = b.counts()
 		rep.MidUpdateEstablished, rep.Drops = b.midUpdate, b.drops
 		rep.PCCViolations, rep.MovedFlows = b.pccViolations, b.moved
+		u := tg.upgrader
 		rep.RolloutDone = u.Done() && len(u.Failed()) == 0
 		rep.Rollbacks = u.Rollbacks
+		rep.PoolUpdates = tg.poolUpdates
 		for i := 0; i < upMembers; i++ {
 			rep.FinalPhases = append(rep.FinalPhases, u.Phase(i).String())
 		}
 		rep.BucketsMigrated = clu.Stats().Migrated
-		n := tr.handoff
-		rep.HandoffTransfers = n[telemetry.HandoffDone]
-		rep.HandoffImported = tr.imported
-		rep.HandoffChunks = n[telemetry.HandoffChunk]
-		rep.HandoffDeltas = tr.deltas
-		rep.HandoffRetries = n[telemetry.HandoffRetry]
-		rep.HandoffCancels = n[telemetry.HandoffCancel]
+		rep.HandoffTransfers = tr.handoff[telemetry.HandoffDone]
+		rep.HandoffImported = tr.Counter(telemetry.MetricHandoffImported).Load()
+		rep.HandoffChunks = tr.Counter(telemetry.MetricHandoffChunks).Load()
+		rep.HandoffDeltas = tr.Counter(telemetry.MetricHandoffDeltas).Load()
+		rep.HandoffRetries = tr.Counter(telemetry.MetricHandoffRetries).Load()
+		rep.HandoffCancels = tr.handoff[telemetry.HandoffCancel]
 		tg.checkClocks(&rep.verdict)
 		return nil
 	}

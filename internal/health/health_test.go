@@ -2,6 +2,7 @@ package health
 
 import (
 	"net/netip"
+	"slices"
 	"testing"
 
 	"repro/internal/ctrlplane"
@@ -12,6 +13,26 @@ import (
 
 func ctrlplaneNew(sw *dataplane.Switch) *ctrlplane.ControlPlane {
 	return ctrlplane.New(sw, ctrlplane.DefaultConfig())
+}
+
+// cpPool drives a control plane's pool the way a switch's AddDIP and
+// RemoveDIP do: one update of the target pool, the DIP appended or dropped.
+type cpPool struct{ *ctrlplane.ControlPlane }
+
+func (p cpPool) AddDIP(now simtime.Time, v dataplane.VIP, d dataplane.DIP) error {
+	pool, err := p.TargetPool(v)
+	if err != nil {
+		return err
+	}
+	return p.RequestUpdate(now, v, append(pool, d))
+}
+
+func (p cpPool) RemoveDIP(now simtime.Time, v dataplane.VIP, d dataplane.DIP) error {
+	pool, err := p.TargetPool(v)
+	if err != nil {
+		return err
+	}
+	return p.RequestUpdate(now, v, slices.DeleteFunc(pool, func(x dataplane.DIP) bool { return x == d }))
 }
 
 type fakeMgr struct {
@@ -209,7 +230,7 @@ func TestEndToEndWithControlPlane(t *testing.T) {
 		t.Fatal(err)
 	}
 	alive := map[dataplane.DIP]bool{dip(1): true, dip(2): true, dip(3): true}
-	c := New(DefaultConfig(), cp, func(now simtime.Time, d dataplane.DIP) bool { return alive[d] })
+	c := New(DefaultConfig(), cpPool{cp}, func(now simtime.Time, d dataplane.DIP) bool { return alive[d] })
 	for _, d := range pool {
 		c.Watch(vip(), d)
 	}

@@ -4,6 +4,7 @@ package pipes
 // multi-pipe batches beside concurrent callers and between batches.
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -68,16 +69,17 @@ func TestZeroShardSeedExplicit(t *testing.T) {
 func TestFanoutRollsBackOnPipeFailure(t *testing.T) {
 	e := newTestEngine(t, 4, 10000)
 	victim := testPool(8)[3]
-	// Diverge pipe 2 behind the engine's back: its pool no longer holds
-	// the victim DIP, so the engine-level RemoveDIP will fail there after
+	// Diverge pipe 2 behind the engine's back: it no longer has the VIP,
+	// so the engine-level update removing the victim fails there after
 	// succeeding on pipes 0 and 1.
-	if err := e.Controlplane(2).RemoveDIP(0, testVIP(), victim); err != nil {
+	if err := e.Controlplane(2).RemoveVIP(0, testVIP()); err != nil {
 		t.Fatal(err)
 	}
 	now := simtime.Time(simtime.Second)
 	e.Advance(now)
-	if err := e.RemoveDIP(now, testVIP(), victim); err == nil {
-		t.Fatal("RemoveDIP should fail: pipe 2 does not hold the DIP")
+	without := slices.Delete(testPool(8), 3, 4)
+	if err := e.RequestUpdate(now, testVIP(), without); err == nil {
+		t.Fatal("RequestUpdate should fail: pipe 2 does not have the VIP")
 	}
 	// Let the rollback updates settle.
 	now = now.Add(simtime.Duration(10 * simtime.Second))
@@ -138,14 +140,13 @@ func TestInterleavedBatchesRace(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		extra := testPool(9)[8]
 		for r := 0; r < rounds; r++ {
-			if err := e.AddDIP(now, testVIP(), extra); err != nil {
-				t.Errorf("AddDIP: %v", err)
+			if err := e.RequestUpdate(now, testVIP(), testPool(9)); err != nil {
+				t.Errorf("adding a DIP: %v", err)
 			}
 			_ = e.Stats()
-			if err := e.RemoveDIP(now, testVIP(), extra); err != nil {
-				t.Errorf("RemoveDIP: %v", err)
+			if err := e.RequestUpdate(now, testVIP(), testPool(8)); err != nil {
+				t.Errorf("removing it: %v", err)
 			}
 			// Exercised for race coverage; emptiness is legitimate once
 			// the concurrent batches' Advance calls drain the updates.

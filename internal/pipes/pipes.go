@@ -313,24 +313,6 @@ func (e *Engine) RemoveVIP(now simtime.Time, vip dataplane.VIP) error {
 	return first
 }
 
-// AddDIP adds a backend to vip's pool on every pipe with PCC. A mid-fanout
-// failure removes the backend again from the pipes already updated.
-func (e *Engine) AddDIP(now simtime.Time, vip dataplane.VIP, dip dataplane.DIP) error {
-	return e.fanout(
-		func(p *pipe) error { return p.cp.AddDIP(now, vip, dip) },
-		func(p *pipe) { _ = p.cp.RemoveDIP(now, vip, dip) },
-	)
-}
-
-// RemoveDIP removes a backend from vip's pool on every pipe with PCC. A
-// mid-fanout failure re-adds the backend on the pipes already updated.
-func (e *Engine) RemoveDIP(now simtime.Time, vip dataplane.VIP, dip dataplane.DIP) error {
-	return e.fanout(
-		func(p *pipe) error { return p.cp.RemoveDIP(now, vip, dip) },
-		func(p *pipe) { _ = p.cp.AddDIP(now, vip, dip) },
-	)
-}
-
 // RequestUpdate replaces vip's pool wholesale on every pipe with PCC. A
 // mid-fanout failure re-requests, on the pipes already updated, the target
 // pool each was heading for before the call.

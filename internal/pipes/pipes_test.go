@@ -220,7 +220,7 @@ func TestBatchMatchesSequential(t *testing.T) {
 				check(fmt.Sprintf("round %d", round), now, pkts)
 				if round == 2 {
 					for _, e := range []*Engine{batched, seq} {
-						if err := e.RemoveDIP(now, testVIP(), testPool(8)[0]); err != nil {
+						if err := e.RequestUpdate(now, testVIP(), testPool(8)[1:]); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -279,7 +279,7 @@ func TestPerConnectionConsistencyAcrossBatches(t *testing.T) {
 	now = now.Add(simtime.Duration(simtime.Second))
 	e.Advance(now)
 	removed := pool[0]
-	if err := e.RemoveDIP(now, vip, removed); err != nil {
+	if err := e.RequestUpdate(now, vip, pool[1:]); err != nil {
 		t.Fatal(err)
 	}
 	now = now.Add(simtime.Duration(simtime.Second))
@@ -495,14 +495,14 @@ func TestConcurrentTrafficAndUpdates(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		extra := netip.MustParseAddrPort("10.0.9.9:80")
+		withExtra := append(testPool(8), netip.MustParseAddrPort("10.0.9.9:80"))
 		for i := 0; i < 20; i++ {
-			if err := e.AddDIP(now, vip, extra); err != nil {
-				t.Errorf("AddDIP: %v", err)
+			if err := e.RequestUpdate(now, vip, withExtra); err != nil {
+				t.Errorf("adding a DIP: %v", err)
 				return
 			}
-			if err := e.RemoveDIP(now, vip, extra); err != nil {
-				t.Errorf("RemoveDIP: %v", err)
+			if err := e.RequestUpdate(now, vip, testPool(8)); err != nil {
+				t.Errorf("removing it: %v", err)
 				return
 			}
 			_ = e.Stats()

@@ -125,7 +125,7 @@ func (s *Switch) poke() {
 //	hc.Watch(vip, dip)
 //	... sw.AdvanceTo(now) ...
 func (s *Switch) NewHealthChecker(cfg health.Config, probe health.ProbeFunc) *health.Checker {
-	hc := health.New(cfg, lockedManager{s}, probe)
+	hc := health.New(cfg, s, probe)
 	s.rt.mu.Lock()
 	s.rt.sched.AddSource(hc)
 	s.rt.mu.Unlock()

@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
+	"slices"
 	"unsafe"
 
 	"repro/internal/ctrlplane"
@@ -567,19 +568,11 @@ func (s *Switch) editPool(now Time, vip VIP, fn func(pool []DIP) ([]DIP, error))
 // RemoveDIP removes a backend from vip's pool with PCC.
 func (s *Switch) RemoveDIP(now Time, vip VIP, dip DIP) error {
 	return s.editPool(now, vip, func(pool []DIP) ([]DIP, error) {
-		out := pool[:0]
-		found := false
-		for _, d := range pool {
-			if !found && d == dip {
-				found = true
-				continue
-			}
-			out = append(out, d)
-		}
-		if !found {
+		j := slices.Index(pool, dip)
+		if j < 0 {
 			return nil, fmt.Errorf("silkroad: DIP %v not in pool of %v", dip, vip)
 		}
-		return out, nil
+		return slices.Delete(pool, j, j+1), nil
 	})
 }
 
@@ -726,17 +719,6 @@ func (s *Switch) NextEventTime() (Time, bool) {
 	s.rt.mu.Lock()
 	defer s.rt.mu.Unlock()
 	return s.rt.sched.Next()
-}
-
-// lockedManager adapts the switch's locked facade as a health.PoolManager.
-type lockedManager struct{ s *Switch }
-
-func (m lockedManager) AddDIP(now Time, vip VIP, dip DIP) error {
-	return m.s.AddDIP(now, vip, dip)
-}
-
-func (m lockedManager) RemoveDIP(now Time, vip VIP, dip DIP) error {
-	return m.s.RemoveDIP(now, vip, dip)
 }
 
 // Stats returns combined counters: every field is the chip-level aggregate
