@@ -12,6 +12,7 @@ import (
 	"repro/internal/netproto"
 	"repro/internal/sched"
 	"repro/internal/slo"
+	"repro/internal/telemetry"
 )
 
 // Fleet errors.
@@ -110,6 +111,8 @@ type Cluster struct {
 	up    *Upgrader // the last upgrade attached (upgrade.go)
 	stats ClusterStats
 	rec   *intent.ClusterReconciler
+	// tracer receives the rolling reconciler's and the upgrader's events.
+	tracer telemetry.Tracer
 }
 
 // fleetSource is a sched.Source made of two functions.
@@ -163,6 +166,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			advance: func(now Time) { c.sws[i].AdvanceTo(now) },
 		})
 	}
+	c.tracer = fcfg.Tracer
 	c.rec = intent.NewCluster(fleet, func() Time { return c.now }, fcfg)
 	c.sched.AddSource(c.rec)
 	c.sched.AddSource(fleetSource{next: c.nextPump, advance: c.pump})

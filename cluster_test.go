@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+
+	"repro/internal/telemetry"
 )
 
 func msAt(n int) Time { return Time(n) * Time(Millisecond) }
@@ -34,10 +36,17 @@ func fleetSpec(n int) *ClusterSpec {
 // driven behind its clock.
 func newFleet(t *testing.T, n, pipes int) *Cluster {
 	t.Helper()
+	return newTracedFleet(t, n, pipes, nil)
+}
+
+// newTracedFleet is newFleet with the fleet's rolling reconciler, and so
+// any upgrade attached to it, tracing into tr.
+func newTracedFleet(t *testing.T, n, pipes int, tr telemetry.Tracer) *Cluster {
+	t.Helper()
 	cfg := Defaults(50000)
 	cfg.Pipes = pipes
 	cfg.Clock = NewManualClock(0)
-	c, err := NewCluster(ClusterConfig{Switches: n, Switch: cfg})
+	c, err := NewCluster(ClusterConfig{Switches: n, Switch: cfg, Fleet: FleetConfig{Config: ReconcilerConfig{Tracer: tr}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -832,5 +841,36 @@ func TestClusterTimeline(t *testing.T) {
 	}
 	if _, once := run(false); !reflect.DeepEqual(stepped, once) {
 		t.Fatalf("fleet differs with AdvanceTo only at op instants:\nstepped %+v\nonce    %+v", stepped, once)
+	}
+}
+
+// TestClusterTracesIntoMemberDataplaneTracer: a fleet whose members set only
+// Dataplane.Tracer, with no Telemetry, FlightRecorder or Fleet.Tracer, traces
+// its rollout there: every member's apply of the staged generation shows up
+// as a KindReconcile event.
+func TestClusterTracesIntoMemberDataplaneTracer(t *testing.T) {
+	log := &upgradeLog{}
+	cfg := Defaults(1000)
+	cfg.Clock = NewManualClock(0)
+	cfg.Dataplane.Tracer = log
+	c, err := NewCluster(ClusterConfig{Switches: 3, Switch: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Apply(0, fleetSpec(4)); err != nil {
+		t.Fatal(err)
+	}
+	c.AdvanceTo(msAt(10))
+	if !c.Converged() {
+		t.Fatal("rollout never converged")
+	}
+	applied := map[int]bool{}
+	for _, e := range log.events {
+		if e.Kind == telemetry.KindReconcile && e.ReconcileStep == telemetry.ReconcileApply && e.Generation == 1 {
+			applied[e.Member] = true
+		}
+	}
+	if len(applied) != 3 {
+		t.Fatalf("rollout traced applies on members %v, want all 3", applied)
 	}
 }

@@ -1,7 +1,6 @@
 package silkroad
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/ctrlplane"
@@ -180,16 +179,9 @@ func (s *Switch) Apply(now Time, spec *ClusterSpec) ([]VIPStatus, error) {
 	st := s.intent
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	lastGen := st.rec.Generation()
-	d, err := spec.Normalize(lastGen)
+	d, err := spec.Stage(st.rec.Desired())
 	if err != nil {
 		return st.rec.Statuses(), err
-	}
-	if d.Generation == lastGen && !intent.SameDesired(d, st.rec.Desired()) {
-		return st.rec.Statuses(), &SpecValidationError{Errors: []FieldError{{
-			Field: "generation",
-			Msg:   fmt.Sprintf("generation %d already applied with different content", d.Generation),
-		}}}
 	}
 	st.rec.SetDesired(now, d)
 	st.rec.Reconcile(now)

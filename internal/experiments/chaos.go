@@ -1,24 +1,21 @@
 package experiments
 
-// Chaos soak: connection churn under a seeded schedule of injected faults
-// — correlated DIP failure bursts, switch-CPU stalls and brownouts, an
-// SRAM squeeze that forces ErrTableFull, and learning-channel digest loss
-// — with the graceful-degradation machinery (bounded insert queue,
-// retry-with-backoff, occupancy-watermark degraded mode, BFD failover)
-// absorbing the abuse. The run asserts the robustness invariants the
-// design promises and emits them as CHAOS_soak.json; the same seed must
-// reproduce the report byte for byte.
+// Chaos soak: connection churn on a two-pipe silkroad.Switch, built by
+// NewSwitch as silkroadd builds its own, under a seeded schedule of
+// injected faults — correlated DIP failure bursts, switch-CPU stalls and
+// brownouts, an SRAM squeeze that forces ErrTableFull, and learning-channel
+// digest loss — with the graceful-degradation machinery (bounded insert
+// queue, retry-with-backoff, occupancy-watermark degraded mode, BFD
+// failover through the switch's own health checker) absorbing the abuse.
+// It is a script on the soak driver against a switchTarget. The run
+// asserts the robustness invariants the design promises and emits them as
+// CHAOS_soak.json; the same seed must reproduce the report byte for byte.
 
 import (
-	"fmt"
-	"slices"
-
+	silkroad "repro"
 	"repro/internal/ctrlplane"
 	"repro/internal/dataplane"
 	"repro/internal/faults"
-	"repro/internal/health"
-	"repro/internal/netproto"
-	"repro/internal/pipes"
 	"repro/internal/simtime"
 )
 
@@ -75,119 +72,38 @@ type ChaosReport struct {
 	verdict
 }
 
-// chaosTarget adapts a two-pipe engine with BFD-style health checking
-// over its pool. A tick's packets go out as one batch.
-type chaosTarget struct {
-	*pipes.Engine
-	hc *health.Checker
-
-	frames []netproto.Frame
-	// fwdDegraded counts packets forwarded in batches that ended with a
-	// pipe degraded.
-	fwdDegraded uint64
-}
-
-func (c *chaosTarget) advance(now simtime.Time) {
-	c.hc.Advance(now)
-	c.Engine.Advance(now)
-}
-
-// deliver runs the tick's batch. A flow is established by its first
-// ConnTable hit and pinned once the shadow holds it; a later hit answering
-// another DIP came from an aliased entry, a digest false positive.
-func (c *chaosTarget) deliver(b *flowBook, now simtime.Time, pkts []packet) {
-	c.frames = slices.Grow(c.frames[:0], len(pkts))[:len(pkts)]
-	for j, p := range pkts {
-		p.netPacket().Frame(&c.frames[j])
-	}
-	forwarded := b.forwarded
-	results := make([]dataplane.Result, len(pkts))
-	c.ProcessFramesInto(now, c.frames, results)
-	for j, r := range results {
-		b.sent(r.Verdict == dataplane.VerdictForward)
-		if !r.ConnHit {
-			continue
-		}
-		i := pkts[j].i
-		f := &b.flows[i]
-		switch {
-		case !f.hit:
-			f.hit, f.hitDIP = true, r.DIP
-			b.established++
-		case r.DIP != f.hitDIP:
-			f.moved = true
-		}
-		if !f.pinned {
-			f.pin, f.pinned = c.shadow(i)
-		}
-	}
-	if c.degraded() {
-		c.fwdDegraded += b.forwarded - forwarded
-	}
-}
-
-// shadow reads flow i's pool version through the CPU's exact-tuple shadow,
-// the digest-FP-proof view of the ConnTable.
-func (c *chaosTarget) shadow(i int) (p pin, ok bool) {
-	tup := expTuple(i)
-	c.Inspect(c.PipeOf(tup), func(dp *dataplane.Switch, _ *ctrlplane.ControlPlane) {
-		p.version, ok = dp.LookupConn(tup)
-	})
-	return p, ok
-}
-
-func (c *chaosTarget) end(now simtime.Time, i int) { c.EndConnection(now, expTuple(i)) }
-
-// apply refuses every op: a chaos script only brings arrivals.
-func (c *chaosTarget) apply(_ simtime.Time, op soakOp) error {
-	return fmt.Errorf("no chaos op %v", op.kind)
-}
-
-// degraded reports whether any pipe is in degraded mode.
-func (c *chaosTarget) degraded() bool {
-	d := false
-	for p := 0; p < c.NumPipes(); p++ {
-		c.Inspect(p, func(dp *dataplane.Switch, _ *ctrlplane.ControlPlane) {
-			d = d || dp.Degraded()
-		})
-	}
-	return d
-}
-
-// chaosSoak builds the churn-under-faults soak: the engine, its report's
-// sizing, and the script. Flows arrive on every tick of the load phase at
-// a rate that sizes the steady-state population to the chip's ConnTable
-// capacity, so occupancy climbs through the high watermark on its own.
+// chaosSoak builds the churn-under-faults soak: a two-pipe switch, its
+// report's sizing, and the script. Flows arrive on every tick of the load
+// phase at a rate that sizes the steady-state population to the chip's
+// ConnTable capacity, so occupancy climbs through the high watermark on its
+// own.
 func chaosSoak(scale float64, seed int64) (*soak, *ChaosReport, error) {
 	tr := newSoakTracer()
-	dcfg := dataplane.DefaultConfig(soakConnTarget(scale))
-	dcfg.Seed = uint64(seed)
-	dcfg.DegradedHighWatermark = 0.85
-	dcfg.DegradedLowWatermark = 0.60
-	dcfg.Tracer = tr
-	ccfg := ctrlplane.DefaultConfig()
-	ccfg.MaxInsertQueue = chaosQueueMax
-	ccfg.MaxInsertRetries = 3
-	eng, err := pipes.New(pipes.Config{Pipes: 2, Dataplane: dcfg, Controlplane: ccfg})
+	cfg := silkroad.Defaults(soakConnTarget(scale))
+	cfg.Pipes = 2
+	cfg.Clock = silkroad.NewManualClock(0)
+	cfg.Dataplane.Seed = uint64(seed)
+	cfg.Dataplane.DegradedHighWatermark = 0.85
+	cfg.Dataplane.DegradedLowWatermark = 0.60
+	cfg.Dataplane.Tracer = tr
+	cfg.Controlplane.MaxInsertQueue = chaosQueueMax
+	cfg.Controlplane.MaxInsertRetries = 3
+	sw, err := silkroad.NewSwitch(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
 	pool := expPool(8)
-	if err := eng.AddVIP(0, expVIP(), pool, 0); err != nil {
+	if err := sw.AddVIP(0, expVIP(), pool); err != nil {
 		return nil, nil, err
 	}
 
 	rep := &ChaosReport{
-		Scale: scale, Seed: seed, Pipes: eng.NumPipes(), QueueBound: chaosQueueMax,
+		Scale: scale, Seed: seed, Pipes: sw.Pipes(), QueueBound: chaosQueueMax,
 	}
-	perPipeCap := 0
-	for p := 0; p < eng.NumPipes(); p++ {
-		eng.Inspect(p, func(dp *dataplane.Switch, _ *ctrlplane.ControlPlane) {
-			_, capa := dp.OccupancyInfo()
-			rep.Capacity += capa
-			perPipeCap = max(perPipeCap, capa)
-		})
+	for _, p := range sw.DegradedState().Pipes {
+		rep.Capacity += p.Capacity
 	}
+	perPipeCap := rep.Capacity / sw.Pipes() // the pipes split the chip's ConnTable evenly
 
 	// The fault schedule: everything lands in [20 ms, 120 ms], inside the
 	// loaded phase. The table squeeze caps each pipe well below its live
@@ -198,7 +114,7 @@ func chaosSoak(scale float64, seed int64) (*soak, *ChaosReport, error) {
 		Seed:  uint64(seed),
 		Start: simtime.Time(0).Add(ms(20)),
 		End:   simtime.Time(0).Add(ms(120)),
-		Pipes: eng.NumPipes(),
+		Pipes: sw.Pipes(),
 
 		DIPs: pool, DIPBursts: 2, BurstSize: 3, DIPDownFor: ms(30),
 		CPUStalls: 2, StallFor: ms(6),
@@ -224,20 +140,22 @@ func chaosSoak(scale float64, seed int64) (*soak, *ChaosReport, error) {
 			Duration: ms(10), Scale: 0.3,
 		},
 	)
-	tg := &chaosTarget{Engine: eng}
+	tg := &switchTarget{Switch: sw, Target: sw.Engine()}
 	s := newSoak(tg, tr, plan, chaosTick, chaosLoadTicks+chaosLifeTicks, chaosLifeTicks, chaosStride)
 
 	// BFD-style health checking rides the injected DIP outages: 5 ms
 	// probes with a fail threshold of 3 detect a 30 ms outage mid-way and
-	// re-add the DIP two clean probes after it recovers.
-	tg.hc = health.New(health.Config{
+	// re-add the DIP two clean probes after it recovers. The switch is the
+	// checker's pool manager, and its runtime runs the probe rounds in time
+	// order with the engine's work.
+	hc := sw.NewHealthChecker(silkroad.HealthConfig{
 		Interval:         ms(5),
 		FailThreshold:    3,
 		RecoverThreshold: 2,
 		ProbeBytes:       100,
-	}, poolEdits{eng}, s.inj.WrapProbe(nil))
+	}, s.inj.WrapProbe(nil))
 	for _, dip := range pool {
-		tg.hc.Watch(expVIP(), dip)
+		hc.Watch(expVIP(), dip)
 	}
 
 	// Drain: 150 ms after the last flow ends every transient fault has
@@ -255,7 +173,7 @@ func chaosSoak(scale float64, seed int64) (*soak, *ChaosReport, error) {
 		rep.FlowsStarted, rep.FlowsEstablished, rep.Packets, rep.Forwarded = s.book.counts()
 		rep.PCCViolations, rep.MisforwardedFlows = s.book.pccViolations, s.book.moved
 		rep.ForwardedWhileDegraded = tg.fwdDegraded
-		st := tg.Stats()
+		st := sw.Stats()
 		rep.DegradedPackets = st.Dataplane.DegradedPackets
 		rep.DegradedTransitions = st.Dataplane.DegradedTransitions
 		rep.Inserted = st.Controlplane.Inserted
@@ -264,16 +182,16 @@ func chaosSoak(scale float64, seed int64) (*soak, *ChaosReport, error) {
 		rep.Overflows = st.Controlplane.Overflows
 		rep.MaxInsertQueue = st.Controlplane.MaxInsertQueue
 		rep.FaultsInjected, rep.FaultsByKind, rep.FaultsRemaining = s.faultTally()
-		hm := tg.hc.Metrics()
+		hm := hc.Metrics()
 		rep.Failovers, rep.Recoveries = hm.Failovers, hm.Recoveries
-		for p := 0; p < tg.NumPipes(); p++ {
-			tg.Inspect(p, func(dp *dataplane.Switch, cp *ctrlplane.ControlPlane) {
+		for p := 0; p < sw.Pipes(); p++ {
+			sw.Engine().Inspect(p, func(dp *dataplane.Switch, cp *ctrlplane.ControlPlane) {
 				rep.QueueAfterDrain += cp.QueueDepth()
 				rep.LearnAfterDrain += dp.LearnFilter().Len()
 				rep.DigestsLost += dp.LearnFilter().Lost
-				rep.DegradedAtEnd = rep.DegradedAtEnd || dp.Degraded()
 			})
 		}
+		rep.DegradedAtEnd = sw.DegradedState().Degraded
 		return nil
 	}
 	return s, rep, nil

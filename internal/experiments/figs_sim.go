@@ -3,12 +3,12 @@ package experiments
 import (
 	"fmt"
 
+	silkroad "repro"
 	"repro/internal/ctrlplane"
 	"repro/internal/dataplane"
 	"repro/internal/duet"
 	"repro/internal/flowsim"
 	"repro/internal/netproto"
-	"repro/internal/pipes"
 	"repro/internal/simtime"
 	"repro/internal/workload"
 )
@@ -271,20 +271,20 @@ func Fig15(scale float64, seed int64) (*Report, error) {
 // living 2.5 minutes. It returns the number of versions minted and the
 // maximum held concurrently.
 func fig15Run(n int, disableReuse bool) (minted, maxActive int, err error) {
-	dcfg := dataplane.DefaultConfig(100000)
+	cfg := silkroad.Defaults(100000)
 	// Headroom so demand, not wrap-around, is measured: 15 bits beside the
 	// 16-bit digest fill the 32-bit entry word, 32 767 versions against a
 	// demand of at most 331.
-	dcfg.VersionBits = 15
-	ccfg := ctrlplane.DefaultConfig()
-	ccfg.DisableVersionReuse = disableReuse
-	eng, err := pipes.New(pipes.Config{Pipes: 1, Dataplane: dcfg, Controlplane: ccfg})
+	cfg.Dataplane.VersionBits = 15
+	cfg.Controlplane.DisableVersionReuse = disableReuse
+	cfg.Clock = silkroad.NewManualClock(0)
+	sw, err := silkroad.NewSwitch(cfg)
 	if err != nil {
 		return 0, 0, err
 	}
 	vip := expVIP()
 	pool := expPool(64)
-	if err := eng.AddVIP(0, vip, pool, 0); err != nil {
+	if err := sw.AddVIP(0, vip, pool); err != nil {
 		return 0, 0, err
 	}
 	window := simtime.Duration(10 * simtime.Minute)
@@ -300,34 +300,33 @@ func fig15Run(n int, disableReuse bool) (minted, maxActive int, err error) {
 	nextTuple := 0
 	for i := 0; i < n; i++ {
 		now = now.Add(step)
-		eng.Advance(now)
+		sw.AdvanceTo(now)
 		// Terminate connections whose lifetime elapsed.
 		for len(endings) > 0 && !endings[0].at.After(now) {
-			eng.EndConnection(now, expTuple(endings[0].tuple))
+			sw.EndConnection(now, expTuple(endings[0].tuple))
 			endings = endings[1:]
 		}
 		// A connection arrives and pins the current version.
-		var f [1]netproto.Frame
-		synPacket(nextTuple).Frame(&f[0])
-		var res [1]dataplane.Result
-		eng.ProcessFramesInto(now, f[:], res[:])
+		var f netproto.Frame
+		synPacket(nextTuple).Frame(&f)
+		sw.ProcessFrame(now, &f)
 		endings = append(endings, ending{at: now.Add(life), tuple: nextTuple})
 		nextTuple++
 		// Rolling reboot step.
 		if i%2 == 0 || len(down) == 0 {
 			victim := pool[(i/2)%len(pool)]
-			if e := (poolEdits{eng}).RemoveDIP(now, vip, victim); e == nil {
+			if e := sw.RemoveDIP(now, vip, victim); e == nil {
 				down = append(down, victim)
 			}
 		} else {
 			d := down[0]
 			down = down[1:]
-			if e := (poolEdits{eng}).AddDIP(now, vip, d); e != nil {
+			if e := sw.AddDIP(now, vip, d); e != nil {
 				return 0, 0, e
 			}
 		}
 	}
-	eng.Advance(now.Add(simtime.Minute))
-	cp := eng.Controlplane(0)
+	sw.AdvanceTo(now.Add(simtime.Minute))
+	cp := sw.Controlplane()
 	return cp.VersionsAllocated(vip), cp.MaxActiveVersions(vip), nil
 }

@@ -1,14 +1,11 @@
 package experiments
 
 import (
-	"fmt"
 	"net/netip"
-	"slices"
 
-	"repro/internal/ctrlplane"
+	silkroad "repro"
 	"repro/internal/dataplane"
 	"repro/internal/netproto"
-	"repro/internal/pipes"
 	"repro/internal/regarray"
 	"repro/internal/simtime"
 )
@@ -63,46 +60,26 @@ func insertionThroughput(scale float64) (ratePerSec float64, meanDelay simtime.D
 	if dur < simtime.Duration(100*simtime.Millisecond) {
 		dur = simtime.Duration(100 * simtime.Millisecond)
 	}
-	eng, err := pipes.New(pipes.Config{Pipes: 1, Dataplane: dataplane.DefaultConfig(1_000_000), Controlplane: ctrlplane.DefaultConfig()})
+	sw, err := silkroad.NewSwitch(silkroad.Defaults(1_000_000))
 	if err != nil {
 		panic(err)
 	}
-	if err := eng.AddVIP(0, expVIP(), expPool(32), 0); err != nil {
+	if err := sw.AddVIP(0, expVIP(), expPool(32)); err != nil {
 		panic(err)
 	}
 	// Offer at 2x the CPU rate so the pipeline saturates.
 	offered := 400_000.0
 	interval := simtime.Duration(float64(simtime.Second) / offered)
 	now := simtime.Time(0)
-	var f [1]netproto.Frame
-	var res [1]dataplane.Result
+	var f netproto.Frame
 	for i := 0; now.Before(simtime.Time(0).Add(dur)); i++ {
-		synPacket(i).Frame(&f[0])
-		eng.ProcessFramesInto(now, f[:], res[:])
+		synPacket(i).Frame(&f)
+		sw.ProcessFrame(now, &f)
 		now = now.Add(interval)
 	}
 	// The rate is what the saturated CPU installed over the offered span;
 	// the backlog still queued at the end is neither drained nor counted.
-	m := eng.Stats().Controlplane
+	m := sw.Stats().Controlplane
 	busySeconds := simtime.Duration(now.Sub(0)).Seconds()
 	return float64(m.Inserted) / busySeconds, m.MeanInsertDelay()
-}
-
-// poolEdits is an engine as the chaos soak's health.PoolManager and Fig 15's
-// rolling reboot: an edit is a RequestUpdate of the pool the last update
-// asked for, with the DIP appended or its first match dropped.
-type poolEdits struct{ *pipes.Engine }
-
-func (e poolEdits) AddDIP(now simtime.Time, vip dataplane.VIP, dip dataplane.DIP) error {
-	pool, _ := e.Controlplane(0).TargetPool(vip)
-	return e.RequestUpdate(now, vip, append(pool, dip))
-}
-
-func (e poolEdits) RemoveDIP(now simtime.Time, vip dataplane.VIP, dip dataplane.DIP) error {
-	pool, _ := e.Controlplane(0).TargetPool(vip)
-	j := slices.Index(pool, dip)
-	if j < 0 {
-		return fmt.Errorf("experiments: DIP %v not in pool of %v", dip, vip)
-	}
-	return e.RequestUpdate(now, vip, slices.Delete(pool, j, j+1))
 }

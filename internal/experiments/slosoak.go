@@ -1,14 +1,18 @@
 package experiments
 
 // SLO soak: the telemetry -> SLO -> alerting -> fleet-gate loop end to
-// end, in three seeded phases.
+// end, in three seeded phases. Phases A and B send traffic, so each is a
+// script on the soak driver against a switchTarget; phase C sends none and
+// is a function on the fleet.
 //
 // Phase A (burn): a two-pipe switch under steady connection churn takes a
-// CPU brownout plus learning-channel digest loss from a fault plan. The
-// insert path backs up, the burn-rate rules trip Pending -> Firing, the
-// fault clears, and the alerts walk back to Resolved — each transition
-// stamped with a flight-recorder journal cursor. The full alert timeline
-// is the golden-tested artifact.
+// CPU brownout plus learning-channel digest loss from the driver's fault
+// plan. The insert path backs up, the burn-rate rules trip Pending ->
+// Firing, the fault clears, and the alerts walk back to Resolved — each
+// transition stamped with a flight-recorder journal cursor. No rule may go
+// Pending before the faults land, and no retired flow may have left its
+// pool version in the exact-tuple shadow. The full alert timeline is the
+// golden-tested artifact.
 //
 // Phase B (forecast): a small-table switch fills at a steady flow rate;
 // the occupancy forecaster must predict time-to-exhaustion while the
@@ -23,22 +27,23 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
-	"net/netip"
 	"slices"
 
 	silkroad "repro"
-	"repro/internal/netproto"
+	"repro/internal/faults"
 	"repro/internal/simtime"
 	"repro/internal/telemetry"
 )
 
 const (
-	sloTick      = simtime.Millisecond // workload step
-	sloInterval  = 10 * simtime.Millisecond
-	sloBurnStart = 100 // tick the faults land on
-	sloBurnEnd   = 250 // tick the brownout lifts
-	sloBurnTicks = 500 // phase A length
+	sloTick       = simtime.Millisecond // workload step
+	sloInterval   = 10 * simtime.Millisecond
+	sloBurnStart  = 100  // tick the faults land on
+	sloBurnEnd    = 250  // tick the brownout lifts
+	sloBurnTicks  = 500  // phase A length
+	sloBurnLife   = 50   // ticks a phase A flow lives
+	sloBurnStride = 150  // a third of phase A's flows are revisited once
+	sloFillTicks  = 1500 // phase B's bound on the time to fill
 )
 
 // SLOTimelineEntry is one alert transition in the soak's golden timeline.
@@ -79,43 +84,9 @@ type SLOSoakReport struct {
 	verdict
 }
 
-// sloBurnRules is phase A/C's alert policy, tuned so the seeded brownout
-// deterministically walks both rules through a full fire/resolve cycle.
-func sloBurnRules() []silkroad.SLORule {
-	return []silkroad.SLORule{
-		{
-			Name: "insert-pressure", Severity: silkroad.SeverityPage,
-			Threshold: 50, FireAfter: 2, ClearAfter: 3,
-			Value: func(s silkroad.SLOSignals) float64 { return s.InsertPressure },
-		},
-		{
-			Name: "pending-p99", Severity: silkroad.SeverityTicket,
-			Threshold: 0.002, FireAfter: 2, ClearAfter: 3,
-			Value: func(s silkroad.SLOSignals) float64 { return s.PendingP99 },
-		},
-	}
-}
-
-// sloSend sends sw a packet of distinct flow i, aimed at the soak VIP.
-func sloSend(sw *silkroad.Switch, now simtime.Time, i int, flags uint8) {
-	p := netproto.Packet{
-		Tuple: netproto.FiveTuple{
-			Src:     netip.AddrFrom4([4]byte{10, 99, byte(i >> 8), byte(i)}),
-			Dst:     netip.MustParseAddr("20.0.0.1"),
-			SrcPort: uint16(1024 + i%60000),
-			DstPort: 80,
-			Proto:   netproto.ProtoTCP,
-		},
-		TCPFlags: flags,
-	}
-	var f netproto.Frame
-	p.Frame(&f)
-	sw.ProcessFrame(now, &f)
-}
-
 // sloSwitch builds cfg's switch on a manual clock with telemetry and slo
-// armed, serving the soak VIP from pool.
-func sloSwitch(cfg silkroad.Config, slo silkroad.SLOConfig, pool ...string) (*silkroad.Switch, error) {
+// armed, serving the soak VIP from pool, as a soak target.
+func sloSwitch(cfg silkroad.Config, slo silkroad.SLOConfig, pool ...string) (*switchTarget, error) {
 	cfg.Clock = silkroad.NewManualClock(0)
 	cfg.Telemetry = silkroad.NewTelemetry()
 	cfg.SLO = &slo
@@ -123,90 +94,98 @@ func sloSwitch(cfg silkroad.Config, slo silkroad.SLOConfig, pool ...string) (*si
 	if err != nil {
 		return nil, err
 	}
-	if err := sw.AddVIP(0, silkroad.NewVIP("20.0.0.1", 80, netproto.ProtoTCP), silkroad.Pool(pool...)); err != nil {
+	if err := sw.AddVIP(0, expVIP(), silkroad.Pool(pool...)); err != nil {
 		return nil, err
 	}
-	return sw, nil
+	return &switchTarget{Switch: sw, Target: sw.Engine()}, nil
 }
 
-// runSLOBurn is phase A.
-func runSLOBurn(rep *SLOSoakReport, seed int64) error {
+// sloBurn builds phase A: 30 new flows a millisecond, each living
+// sloBurnLife ticks, a third of them revisited once, and a brownout with
+// digest loss from sloBurnStart to sloBurnEnd, traced into the switch's
+// flight recorder. The run lasts to sloBurnTicks so the alerts can
+// resolve; until tracks the fast window's peaks after every advance, and
+// finish reads the alert timeline.
+func sloBurn(rep *SLOSoakReport, seed int64) (*soak, error) {
 	cfg := silkroad.Defaults(200000)
 	cfg.Pipes = 2
 	cfg.FlightRecorder = silkroad.NewFlightRecorder(silkroad.FlightRecorderConfig{})
 	cfg.Controlplane.MaxInsertQueue = 64
-	burn := simtime.Duration(sloBurnEnd-sloBurnStart) * sloTick
-	cfg.Faults = &silkroad.FaultPlan{
-		Seed: uint64(seed),
-		Events: []silkroad.FaultEvent{
-			{At: simtime.Time(sloBurnStart * sloTick), Kind: silkroad.FaultCPUSlow, Pipe: -1, Scale: 0.02, Duration: burn},
-			{At: simtime.Time(sloBurnStart * sloTick), Kind: silkroad.FaultDigestLoss, Pipe: -1, Scale: 0.3, Duration: burn},
+	// The alert policy is tuned so the seeded brownout deterministically
+	// walks both rules through a full fire/resolve cycle.
+	tg, err := sloSwitch(cfg, silkroad.SLOConfig{
+		Interval: sloInterval, WindowSamples: 32, FastWindow: 2, SlowWindow: 5, Rules: []silkroad.SLORule{
+			{
+				Name: "insert-pressure", Severity: silkroad.SeverityPage,
+				Threshold: 50, FireAfter: 2, ClearAfter: 3,
+				Value: func(s silkroad.SLOSignals) float64 { return s.InsertPressure },
+			},
+			{
+				// Above the 3 ms bucket that a p99 just over the 1 ms learn
+				// timeout reads on baseline load.
+				Name: "pending-p99", Severity: silkroad.SeverityTicket,
+				Threshold: 0.005, FireAfter: 2, ClearAfter: 3,
+				Value: func(s silkroad.SLOSignals) float64 { return s.PendingP99 },
+			},
 		},
-	}
-	sw, err := sloSwitch(cfg, silkroad.SLOConfig{
-		Interval: sloInterval, WindowSamples: 32, FastWindow: 2, SlowWindow: 5, Rules: sloBurnRules(),
 	}, "10.0.0.1:20", "10.0.0.2:20")
 	if err != nil {
-		return err
+		return nil, err
 	}
-
-	rng := rand.New(rand.NewSource(seed))
-	var now simtime.Time
-	for tick := 0; tick < sloBurnTicks; tick++ {
-		// 30 new flows per millisecond, with a seeded jitter of repeat
-		// packets from recent flows to keep the pipes busy.
-		for end := rep.BurnFlows + 30; rep.BurnFlows < end; rep.BurnFlows++ {
-			sloSend(sw, now, rep.BurnFlows, netproto.FlagSYN)
-		}
-		for i := 0; i < 10 && rep.BurnFlows > 100; i++ {
-			sloSend(sw, now, rep.BurnFlows-1-rng.Intn(100), netproto.FlagACK)
-		}
-		now = now.Add(sloTick)
-		sw.AdvanceTo(now)
-		fast := sw.SLO().Report().Fast
+	at, burn := simtime.Time(sloBurnStart*sloTick), simtime.Duration(sloBurnEnd-sloBurnStart)*sloTick
+	plan := faults.Plan{Seed: uint64(seed), Events: []faults.Event{
+		{At: at, Kind: faults.CPUSlow, Pipe: -1, Scale: 0.02, Duration: burn},
+		{At: at, Kind: faults.DigestLoss, Pipe: -1, Scale: 0.3, Duration: burn},
+	}}
+	s := newSoak(tg, tg.FlightRecorder(), plan, sloTick, sloBurnTicks, sloBurnLife, sloBurnStride)
+	s.ops = script(pulses(sloBurnTicks, 30, 1, 1), []soakOp{{at: sloBurnTicks}})
+	ev := tg.SLO()
+	s.until = func(int) bool {
+		fast := ev.Report().Fast
 		rep.BurnMaxPending = max(rep.BurnMaxPending, fast.PendingP99)
 		rep.BurnMaxPressure = max(rep.BurnMaxPressure, fast.InsertPressure)
+		return false
 	}
-	rep.BurnEvals = sw.SLO().Report().Evals
-
-	for _, tr := range sw.SLO().History() {
-		rep.Timeline = append(rep.Timeline, SLOTimelineEntry{
-			AtMS: int64(tr.Time) / int64(simtime.Millisecond),
-			Rule: tr.Rule, From: tr.From, To: tr.To, Cursor: tr.Cursor,
-		})
-		if tr.To == "resolved" {
-			rep.BurnFireCycles++
+	s.finish = func() error {
+		rep.BurnFlows = len(s.book.flows)
+		rep.check(s.book.pccViolations == 0, "phase A: %d PCC violations against the exact-tuple shadow", s.book.pccViolations)
+		rep.BurnEvals = ev.Report().Evals
+		for _, tr := range ev.History() {
+			rep.Timeline = append(rep.Timeline, SLOTimelineEntry{
+				AtMS: int64(tr.Time) / int64(simtime.Millisecond),
+				Rule: tr.Rule, From: tr.From, To: tr.To, Cursor: tr.Cursor,
+			})
+			if tr.To == "resolved" {
+				rep.BurnFireCycles++
+			}
 		}
+		return nil
 	}
-	return nil
+	return s, nil
 }
 
-// runSLOForecast is phase B.
-func runSLOForecast(rep *SLOSoakReport) error {
-	sw, err := sloSwitch(silkroad.Defaults(2000), silkroad.SLOConfig{
+// sloForecast builds phase B: 5 new flows a millisecond fill a small table.
+// The script is arrivals alone (a span of 0 ticks: no revisits), and no
+// flow ends within sloFillTicks. until reads the forecast after every
+// advance and ends the run once the table is full.
+func sloForecast(rep *SLOSoakReport, _ int64) (*soak, error) {
+	tg, err := sloSwitch(silkroad.Defaults(2000), silkroad.SLOConfig{
 		Interval: sloInterval, WindowSamples: 32, FastWindow: 2, SlowWindow: 5, ForecastWindow: 8,
 	}, "10.0.0.1:20")
 	if err != nil {
-		return err
+		return nil, err
 	}
-
-	var now simtime.Time
+	s := newSoak(tg, nil, faults.Plan{}, sloTick, 0, sloFillTicks, 1)
+	s.ops = pulses(sloFillTicks, 5, 1, 1)
+	ev := tg.SLO()
 	predictEval, fullEval := -1, -1
-	for tick, flow := 0, 0; tick < 1500 && fullEval < 0; tick++ {
-		for end := flow + 5; flow < end; flow++ {
-			sloSend(sw, now, flow, netproto.FlagSYN)
-		}
-		now = now.Add(sloTick)
-		sw.AdvanceTo(now)
-
-		r := sw.SLO().Report()
+	s.until = func(int) bool {
+		r := ev.Report()
 		if len(r.Pipes) == 0 {
-			continue
+			return false
 		}
 		p := r.Pipes[0]
-		if rep.ForecastCapacity == 0 {
-			rep.ForecastCapacity = p.Capacity
-		}
+		rep.ForecastCapacity = p.Capacity // fixed: phase B injects no faults
 		if predictEval < 0 && p.TTESeconds >= 0 {
 			predictEval = int(r.Evals)
 			rep.ForecastPredictedAt = p.FillFrac
@@ -215,21 +194,24 @@ func runSLOForecast(rep *SLOSoakReport) error {
 		if p.FillFrac >= 0.99 {
 			fullEval = int(r.Evals)
 		}
+		return fullEval >= 0
 	}
-	if predictEval >= 0 && fullEval > predictEval {
-		rep.ForecastLeadEvals = fullEval - predictEval
+	s.finish = func() error {
+		if predictEval >= 0 && fullEval > predictEval {
+			rep.ForecastLeadEvals = fullEval - predictEval
+		}
+		rep.ForecastAlertFired = slices.ContainsFunc(ev.Alerts(), func(a silkroad.AlertStatus) bool {
+			return a.Rule == "conntable-exhaustion" && (a.State == "firing" || a.State == "resolved")
+		})
+		return nil
 	}
-	rep.ForecastAlertFired = slices.ContainsFunc(sw.SLO().Alerts(), func(a silkroad.AlertStatus) bool {
-		return a.Rule == "conntable-exhaustion" && (a.State == "firing" || a.State == "resolved")
-	})
-	return nil
+	return s, nil
 }
 
 // runSLOGate is phase C.
 func runSLOGate(rep *SLOSoakReport) error {
 	cfg := silkroad.Defaults(10000)
 	cfg.Clock = silkroad.NewManualClock(0)
-	cfg.Telemetry = silkroad.NewTelemetry()
 	cfg.SLO = &silkroad.SLOConfig{
 		Interval: sloInterval, WindowSamples: 16, FastWindow: 1, SlowWindow: 2,
 		Rules: []silkroad.SLORule{{
@@ -311,6 +293,18 @@ func runSLOGate(rep *SLOSoakReport) error {
 // sloInvariants is the soak's promises, checked against a finished run.
 func sloInvariants(r *SLOSoakReport) {
 	r.check(r.BurnFireCycles >= 1, "phase A: no firing->resolved cycle (timeline %d entries)", len(r.Timeline))
+	// A rule that fired went Pending only once the faults landed, and had
+	// resolved by the end of the phase: its last transition is to resolved.
+	for i, tr := range r.Timeline {
+		rule := func(e SLOTimelineEntry) bool { return e.Rule == tr.Rule }
+		if !slices.ContainsFunc(r.Timeline, func(e SLOTimelineEntry) bool { return rule(e) && e.To == "firing" }) {
+			continue
+		}
+		r.check(tr.To != "pending" || simtime.Duration(tr.AtMS)*simtime.Millisecond >= sloBurnStart*sloTick,
+			"phase A: %s went pending at %d ms, before the faults at %d ms", tr.Rule, tr.AtMS, sloBurnStart*sloTick/simtime.Millisecond)
+		r.check(slices.ContainsFunc(r.Timeline[i+1:], rule) || tr.To == "resolved",
+			"phase A: %s fired and ended the phase %s", tr.Rule, tr.To)
+	}
 	r.check(slices.ContainsFunc(r.Timeline, func(tr SLOTimelineEntry) bool { return tr.To == "firing" && tr.Cursor > 0 }),
 		"phase A: no firing transition carries a journal cursor exemplar")
 	r.check(r.ForecastPredictedAt > 0 && r.ForecastPredictedAt < 1,
@@ -322,14 +316,19 @@ func sloInvariants(r *SLOSoakReport) {
 		"phase C: rollout did not converge at generation 2 (converged=%v gen=%d)", r.GateConverged, r.GateFinalGen)
 }
 
-// RunSLOSoak drives the three phases once.
+// RunSLOSoak drives the three phases once. A failing run prints the
+// scripts of phases A and B, in that order.
 func RunSLOSoak(scale float64, seed int64) (*SLOSoakReport, error) {
 	rep := &SLOSoakReport{Scale: scale, Seed: seed}
-	if err := runSLOBurn(rep, seed); err != nil {
-		return nil, fmt.Errorf("slo soak: %w", err)
-	}
-	if err := runSLOForecast(rep); err != nil {
-		return nil, fmt.Errorf("slo soak: %w", err)
+	for _, phase := range []func(*SLOSoakReport, int64) (*soak, error){sloBurn, sloForecast} {
+		s, err := phase(rep, seed)
+		if err == nil {
+			err = s.play(seed)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("slo soak: %w", err)
+		}
+		rep.replay = append(rep.replay, s.ops)
 	}
 	if err := runSLOGate(rep); err != nil {
 		return nil, fmt.Errorf("slo soak: %w", err)

@@ -6,13 +6,15 @@ package experiments
 // for byte. runSoak makes a soak an experiment that insists on that; the
 // verdict collects a report's failed invariants.
 //
-// The chaos, reconcile and upgrade soaks are each a target adapter and a
-// script, built from (scale, seed) and played by one tick loop, soak.run.
-// The script is a value: a tick length, a flow life and revisit stride, a
-// fault plan, and a sorted list of soakOps, which print as Go literals that
-// replay. An op brings arrivals and a kind for the target to apply: advance
-// only (the zero kind), bootstrap check, spec generation, member failure and
-// restore, out-of-band pool edit, drift scan, churn update, upgrade start.
+// The chaos, reconcile and upgrade soaks and the SLO soak's traffic phases
+// are each a script, built from (scale, seed) and played by one tick loop,
+// soak.run, against one of two target adapters: a switch (switchTarget) or
+// a fleet (fleetTarget). The script is a value: a tick length, a flow life
+// and revisit stride, a fault plan, and a sorted list of soakOps, which
+// print as Go literals that replay. An op brings arrivals and a kind for
+// the target to apply: advance only (the zero kind), bootstrap check, spec
+// generation, member failure and restore, out-of-band pool edit, drift
+// scan, churn update, upgrade start.
 // The flow book schedules the connections, pins each to what the target's
 // exact-tuple shadow says once it is established, and audits it against
 // the shadow when its life is over.
@@ -27,6 +29,7 @@ import (
 	"slices"
 
 	silkroad "repro"
+	"repro/internal/ctrlplane"
 	"repro/internal/dataplane"
 	"repro/internal/faults"
 	"repro/internal/netproto"
@@ -40,9 +43,9 @@ func soakConnTarget(scale float64) int { return max(int(2048*scale), 1024) }
 // verdict is the last two fields of every soak report: each failed
 // invariant, in the order its soak checks them, and whether none failed.
 type verdict struct {
-	Violations   []string `json:"invariant_violations"`
-	InvariantsOK bool     `json:"invariants_ok"`
-	replay       []soakOp // a scripted soak's ops, printed on a failure
+	Violations   []string   `json:"invariant_violations"`
+	InvariantsOK bool       `json:"invariants_ok"`
+	replay       [][]soakOp // a scripted soak's scripts, printed on a failure
 }
 
 // check records a failed invariant unless ok.
@@ -113,9 +116,9 @@ func runSoak[R soakReport](id, title, artifact string, scale float64, seed int64
 		rep.Printf("DETERMINISM VIOLATED: same seed produced a different report")
 	}
 	if !v.InvariantsOK || !deterministic {
-		err := fmt.Errorf("%s soak failed: %v (deterministic=%v)", id, v.Violations, deterministic)
-		if v.replay != nil {
-			err = fmt.Errorf("%w\n%s", err, formatScript(seed, v.replay))
+		err := fmt.Errorf("%s soak failed: %q (deterministic=%v)", id, v.Violations, deterministic)
+		for _, ops := range v.replay {
+			err = fmt.Errorf("%w\n%s", err, formatScript(seed, ops))
 		}
 		return nil, err
 	}
@@ -257,7 +260,7 @@ type soak struct {
 
 // newSoak starts a soak of tg that plays plan through an injector tracing
 // into tr.
-func newSoak(tg soakTarget, tr *soakTracer, plan faults.Plan, tick simtime.Duration, ticks, life, stride int) *soak {
+func newSoak(tg soakTarget, tr telemetry.Tracer, plan faults.Plan, tick simtime.Duration, ticks, life, stride int) *soak {
 	s := &soak{tg: tg, tick: tick, ticks: ticks, book: flowBook{life: life, stride: stride},
 		inj: faults.NewInjector(plan, tg)}
 	s.inj.SetTracer(tr)
@@ -300,6 +303,15 @@ func (s *soak) run() error {
 	return s.finish()
 }
 
+// play runs the soak, which seed built; an error carries the seed and the
+// script, printed for a replay.
+func (s *soak) play(seed int64) error {
+	if err := s.run(); err != nil {
+		return fmt.Errorf("%w\n%s", err, formatScript(seed, s.ops))
+	}
+	return nil
+}
+
 // runScripted builds a scripted soak, runs it and judges its report.
 func runScripted[R soakReport](build func(scale float64, seed int64) (*soak, R, error),
 	scale float64, seed int64, invariants func(R)) (R, error) {
@@ -308,10 +320,10 @@ func runScripted[R soakReport](build func(scale float64, seed int64) (*soak, R, 
 	if err != nil {
 		return zero, err
 	}
-	if err := s.run(); err != nil {
-		return zero, fmt.Errorf("%w\n%s", err, formatScript(seed, s.ops))
+	if err := s.play(seed); err != nil {
+		return zero, err
 	}
-	rep.soakVerdict().replay = s.ops
+	rep.soakVerdict().replay = [][]soakOp{s.ops}
 	return judge(rep, invariants), nil
 }
 
@@ -372,10 +384,10 @@ type flow struct {
 	pinned bool
 	pin    pin
 	// moved marks a flow later answered otherwise than when pinned: by
-	// another member (fleets), from an aliased ConnTable entry (chaos).
+	// another member (fleets), from an aliased ConnTable entry (switches).
 	moved     bool
-	hit       bool          // chaos: the ConnTable has answered
-	hitDIP    dataplane.DIP // chaos: the first ConnTable answer's DIP
+	hit       bool          // switches: the ConnTable has answered
+	hitDIP    dataplane.DIP // switches: the first ConnTable answer's DIP
 	midUpdate bool          // its SYN landed in a pool update's recording window
 }
 
@@ -411,12 +423,11 @@ type packet struct {
 }
 
 // traffic appends tick t's packets to pkts: with revisit, the 1/stride
-// sample of the live flows; then the SYNs of n flows born at t.
+// sample of the live flows, each i congruent to t modulo stride; then the
+// SYNs of n flows born at t.
 func (b *flowBook) traffic(t, n int, revisit bool, pkts []packet) []packet {
-	for i := b.first; revisit && i < len(b.flows); i++ {
-		if i%b.stride == t%b.stride {
-			pkts = append(pkts, packet{i: i})
-		}
+	for i := b.first + ((t-b.first)%b.stride+b.stride)%b.stride; revisit && i < len(b.flows); i += b.stride {
+		pkts = append(pkts, packet{i: i})
 	}
 	for k := 0; k < n; k++ {
 		b.flows = append(b.flows, flow{born: t})
@@ -454,6 +465,75 @@ func swapPool(net byte, g int) []dataplane.DIP {
 	pool := expPool(6)
 	pool[g%len(pool)] = netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, net, 0, byte(g)}), 20)
 	return pool
+}
+
+// switchTarget adapts a silkroad.Switch, as NewSwitch builds it for
+// silkroadd: a tick's packets go out as one ProcessFramesInto batch, and the
+// shadow is the exact-tuple table of the pipe a tuple shards to, which pins
+// versions. The switch's engine is the injector's fault target.
+type switchTarget struct {
+	*silkroad.Switch
+	faults.Target // the switch's engine
+
+	frames  []netproto.Frame
+	results []dataplane.Result
+	// fwdDegraded counts packets forwarded in batches that ended with a
+	// pipe degraded.
+	fwdDegraded uint64
+}
+
+func (st *switchTarget) advance(now simtime.Time) { st.AdvanceTo(now) }
+
+// deliver runs the tick's batch. A flow is established by its first
+// ConnTable hit and pinned once the shadow holds it; a later hit answering
+// another DIP came from an aliased entry, a digest false positive.
+func (st *switchTarget) deliver(b *flowBook, now simtime.Time, pkts []packet) {
+	n := len(pkts)
+	st.frames = slices.Grow(st.frames[:0], n)[:n]
+	st.results = slices.Grow(st.results[:0], n)[:n]
+	for j, p := range pkts {
+		p.netPacket().Frame(&st.frames[j])
+	}
+	forwarded := b.forwarded
+	st.ProcessFramesInto(now, st.frames, st.results)
+	for j, r := range st.results {
+		b.sent(r.Verdict == dataplane.VerdictForward)
+		if !r.ConnHit {
+			continue
+		}
+		i := pkts[j].i
+		f := &b.flows[i]
+		switch {
+		case !f.hit:
+			f.hit, f.hitDIP = true, r.DIP
+			b.established++
+		case r.DIP != f.hitDIP:
+			f.moved = true
+		}
+		if !f.pinned {
+			f.pin, f.pinned = st.shadow(i)
+		}
+	}
+	if st.DegradedState().Degraded {
+		st.fwdDegraded += b.forwarded - forwarded
+	}
+}
+
+// shadow reads flow i's pool version through the CPU's exact-tuple shadow,
+// the digest-FP-proof view of the ConnTable.
+func (st *switchTarget) shadow(i int) (p pin, ok bool) {
+	tup, eng := expTuple(i), st.Engine()
+	eng.Inspect(eng.PipeOf(tup), func(dp *dataplane.Switch, _ *ctrlplane.ControlPlane) {
+		p.version, ok = dp.LookupConn(tup)
+	})
+	return p, ok
+}
+
+func (st *switchTarget) end(now simtime.Time, i int) { st.EndConnection(now, expTuple(i)) }
+
+// apply refuses every op: a switch script only brings arrivals.
+func (st *switchTarget) apply(_ simtime.Time, op soakOp) error {
+	return fmt.Errorf("no switch op %v", op.kind)
 }
 
 // fleetTarget adapts a cluster: packets go one at a time through the ECMP

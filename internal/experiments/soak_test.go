@@ -128,8 +128,10 @@ func TestSoaks(t *testing.T) {
 				for _, s := range v.Violations {
 					t.Errorf("seed %d: invariant violated: %s", seed, s)
 				}
-				if len(v.Violations) > 0 && v.replay != nil {
-					t.Errorf("seed %d replays as\n%s", seed, formatScript(seed, v.replay))
+				if len(v.Violations) > 0 {
+					for _, ops := range v.replay {
+						t.Errorf("seed %d replays as\n%s", seed, formatScript(seed, ops))
+					}
 				}
 			}
 		})

@@ -101,7 +101,6 @@ func upgradeSoak(scale float64, seed int64) (*soak, *UpgradeReport, error) {
 		MaxBackoff:   10 * simtime.Millisecond,
 		MaxRetries:   6,
 		WarmTimeout:  5 * simtime.Millisecond,
-		Tracer:       tr,
 	}}
 	horizon := upLoadTicks + upLifeTicks + upTailTicks
 	s := newSoak(tg, tr, faults.Plan{}, upTick, horizon+1, upLifeTicks, upStride)

@@ -1,8 +1,6 @@
 package intent
 
 import (
-	"fmt"
-
 	"repro/internal/dataplane"
 	"repro/internal/simtime"
 	"repro/internal/telemetry"
@@ -53,7 +51,6 @@ type ClusterReconciler struct {
 	frontier int          // next member to bring to cur
 	retryAt  simtime.Time // phaseBackoff: when to retry the rollout
 	attempt  int          // rollout attempts for cur
-	lastGen  uint64
 
 	gate func() bool // optional rollout gate (SLO page firing)
 }
@@ -92,36 +89,24 @@ func NewCluster(fleet []Target, now func() simtime.Time, cfg FleetConfig) *Clust
 // SetSpec validates and stages a new spec for rollout. The returned error
 // is a *ValidationError.
 func (c *ClusterReconciler) SetSpec(now simtime.Time, spec *ClusterSpec) error {
-	d, err := spec.Normalize(c.lastGen)
-	if err != nil {
-		return err
-	}
-	if d.Generation == c.lastGen {
-		// Same generation: accept only if content is identical (an
-		// idempotent re-apply); otherwise the operator forgot to bump.
-		if !SameDesired(d, c.cur) {
-			return &ValidationError{Errors: []FieldError{{
-				Field: "generation",
-				Msg:   fmt.Sprintf("generation %d already applied with different content", d.Generation),
-			}}}
-		}
-		return nil
+	d, err := spec.Stage(c.cur)
+	if err != nil || d.Generation == c.cur.Generation {
+		return err // an idempotent re-apply stages nothing
 	}
 	c.prev = c.cur
 	if c.prev.VIPs == nil {
 		c.prev = Desired{VIPs: map[dataplane.VIP]VIPDesired{}}
 	}
 	c.cur = d
-	c.lastGen = d.Generation
 	c.phase = phaseRolling
 	c.frontier = 0
 	c.attempt = 0
 	return nil
 }
 
-// SameDesired reports whether two desired states declare the same VIPs
+// sameDesired reports whether two desired states declare the same VIPs
 // with the same pools and meters (generation excluded).
-func SameDesired(a, b Desired) bool {
+func sameDesired(a, b Desired) bool {
 	if len(a.VIPs) != len(b.VIPs) {
 		return false
 	}
@@ -274,7 +259,7 @@ func (c *ClusterReconciler) Converged() bool {
 }
 
 // Generation returns the staged (latest accepted) generation.
-func (c *ClusterReconciler) Generation() uint64 { return c.lastGen }
+func (c *ClusterReconciler) Generation() uint64 { return c.cur.Generation }
 
 // Member returns member i's reconciler (tests and debug surfaces).
 func (c *ClusterReconciler) Member(i int) *Reconciler { return c.recs[i] }
@@ -325,7 +310,7 @@ func (c *ClusterReconciler) Statuses() []VIPStatus {
 	}
 	out := make([]VIPStatus, 0, len(agg))
 	for _, st := range agg {
-		if c.RolloutPaused() && st.ObservedGeneration < c.lastGen &&
+		if c.RolloutPaused() && st.ObservedGeneration < c.cur.Generation &&
 			condRank(st.Condition) < condRank(CondDegraded) {
 			st.Condition = CondDegraded
 			st.Reason = "RolloutPaused"

@@ -221,6 +221,23 @@ func (s *ClusterSpec) Normalize(lastGen uint64) (Desired, error) {
 	return d, nil
 }
 
+// Stage normalizes the spec against last, the desired state it would
+// replace (Normalize with last's generation), and holds a re-apply of that
+// generation to last's content: the same content is an idempotent re-apply,
+// different content means the operator forgot to bump. Switch.Apply and
+// ClusterReconciler.SetSpec stage a spec this way. The returned error is a
+// *ValidationError.
+func (s *ClusterSpec) Stage(last Desired) (Desired, error) {
+	d, err := s.Normalize(last.Generation)
+	if err == nil && d.Generation == last.Generation && !sameDesired(d, last) {
+		err = &ValidationError{Errors: []FieldError{{
+			Field: "generation",
+			Msg:   fmt.Sprintf("generation %d already applied with different content", d.Generation),
+		}}}
+	}
+	return d, err
+}
+
 // SamePool reports whether two pools hold the same DIPs as multisets
 // (order-insensitive — the reconciler must not churn hardware when only
 // the spec's listing order changed).

@@ -18,10 +18,9 @@
 // ProcessFramesInto is the one packet entry point; a single frame is a
 // batch of one. It shards a batch by connection and runs each pipe's share
 // on the caller's goroutine, in pipe order, under that pipe's lock. A
-// multi-frame batch on many pipes also holds the batch lock, which guards
-// the shard buffers, so such batches take turns; a lone frame takes only
-// its pipe's lock, and runs, like a config fanout or a stats read, beside
-// work on other pipes. The batch path is
+// batch on many pipes, a lone frame included, also holds the batch lock,
+// which guards the shard buffers, so batches take turns; a config fanout or
+// a stats read takes only the pipes' locks. The batch path is
 // allocation-free in steady state: shard buffers are per-engine and reused.
 // A chip-level lane hash of the tuple picks the pipe; inside it the pipe
 // hashes the tuple as a one-pipe switch does, under its own seed.
@@ -239,13 +238,6 @@ func (e *Engine) ProcessFramesInto(now simtime.Time, frames []netproto.Frame, re
 		}
 		p.processed += uint64(len(frames))
 		p.mu.Unlock()
-		return
-	}
-	if len(frames) == 1 {
-		// A lone frame needs no shard buffers, so it skips the batch lock
-		// and runs beside other callers' work on other pipes.
-		idx := [1]int32{0}
-		e.pipes[e.PipeOf(frames[0].Tuple)].runJob(now, frames, idx[:], results)
 		return
 	}
 	e.batchMu.Lock()

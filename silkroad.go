@@ -346,9 +346,11 @@ type Switch struct {
 }
 
 // tracerFor composes the configured observability sinks into the single
-// Tracer the data plane sees: the flight recorder wraps the registry when
-// both are present. The nil return keeps the tracer==nil fast path — a nil
-// *Telemetry boxed into the Tracer interface would defeat it.
+// Tracer the switch traces into, data plane, control plane, reconciler and
+// fault injector alike: the flight recorder wraps the registry when both are
+// present, and with neither it is Dataplane.Tracer. The nil return keeps the
+// tracer==nil fast path — a nil *Telemetry boxed into the Tracer interface
+// would defeat it.
 func tracerFor(cfg Config) telemetry.Tracer {
 	switch {
 	case cfg.FlightRecorder != nil:
@@ -359,7 +361,7 @@ func tracerFor(cfg Config) telemetry.Tracer {
 	case cfg.Telemetry != nil:
 		return cfg.Telemetry
 	default:
-		return nil
+		return cfg.Dataplane.Tracer
 	}
 }
 
@@ -370,9 +372,7 @@ func NewSwitch(cfg Config) (*Switch, error) {
 	}
 	tracer := tracerFor(cfg)
 	dcfg := cfg.Dataplane
-	if tracer != nil {
-		dcfg.Tracer = tracer
-	}
+	dcfg.Tracer = tracer
 	eng, err := pipes.New(pipes.Config{
 		Pipes:        cfg.Pipes,
 		Dataplane:    dcfg,
@@ -435,9 +435,7 @@ func (s *Switch) attachFaults(cfg Config, tracer telemetry.Tracer) {
 		return
 	}
 	inj := faults.NewInjector(*cfg.Faults, s.eng)
-	if tracer != nil {
-		inj.SetTracer(tracer)
-	}
+	inj.SetTracer(tracer)
 	s.inj = inj
 	s.rt.mu.Lock()
 	s.rt.sched.AddSource(inj)

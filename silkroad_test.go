@@ -1,6 +1,7 @@
 package silkroad
 
 import (
+	"errors"
 	"net/netip"
 	"testing"
 
@@ -301,5 +302,41 @@ func TestUpdatePoolWholesale(t *testing.T) {
 	pool, _ := sw.CurrentPool(testVIP())
 	if len(pool) != 2 || pool[0].Addr() != netip.MustParseAddr("10.0.9.1") {
 		t.Fatalf("pool = %v", pool)
+	}
+}
+
+// TestSwitchApplyGenerations: Switch.Apply stages a spec by the rule the
+// fleet's rolling reconciler uses. Generation 0 takes the next one, a
+// re-apply of the last generation with the same content is accepted, and
+// the same generation with different content or a stale generation is a
+// *SpecValidationError that leaves the switch alone.
+func TestSwitchApplyGenerations(t *testing.T) {
+	sw, err := NewSwitch(Defaults(1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := func(gen uint64, dip string) *ClusterSpec {
+		return &ClusterSpec{Version: SpecVersion, Generation: gen,
+			VIPs: []VIPSpec{{VIP: testVIP().String(), Pool: []string{dip}}}}
+	}
+	steps := []struct {
+		spec *ClusterSpec
+		ok   bool
+	}{
+		{spec(0, "10.0.0.1:20"), true},  // generation 1
+		{spec(1, "10.0.0.1:20"), true},  // idempotent re-apply
+		{spec(1, "10.0.0.2:20"), false}, // same generation, different content
+		{spec(2, "10.0.0.3:20"), true},
+		{spec(1, "10.0.0.1:20"), false}, // stale
+	}
+	for i, st := range steps {
+		_, err := sw.Apply(0, st.spec)
+		var verr *SpecValidationError
+		if st.ok != (err == nil) || !st.ok && !errors.As(err, &verr) {
+			t.Fatalf("step %d (generation %d): err %v, want ok=%v or a *SpecValidationError", i, st.spec.Generation, err, st.ok)
+		}
+	}
+	if got := sw.AppliedSpec(); sw.SpecGeneration() != 2 || got.Generation != 2 || got.VIPs[0].Pool[0] != "10.0.0.3:20" {
+		t.Fatalf("rejected applies moved the switch: staged generation %d, applied spec %+v", sw.SpecGeneration(), got)
 	}
 }

@@ -31,8 +31,8 @@ func (p UpgradePhase) String() string {
 }
 
 // UpgradeConfig tunes a rolling upgrade (Cluster.StartUpgrade): the stall
-// timeout, the retry backoff and retry limit, the warm timeout and the
-// tracer.
+// timeout, the retry backoff and retry limit, and the warm timeout. The
+// upgrade traces where the fleet's rolling reconciler does.
 type UpgradeConfig struct {
 	// StallTimeout rolls the in-flight transfer back after this long with
 	// zero progress (default 2s virtual).
@@ -48,9 +48,6 @@ type UpgradeConfig struct {
 	// WarmTimeout bounds how long the rejoin waits on the warm gate
 	// before re-announcing and counting a retry (default 2s virtual).
 	WarmTimeout Duration
-	// Tracer receives KindReconcile events with Op "upgrade-*" (nil =
-	// untraced).
-	Tracer telemetry.Tracer
 }
 
 func (c UpgradeConfig) withDefaults() UpgradeConfig {
@@ -295,13 +292,15 @@ func (u *Upgrader) nextMember(now Time) {
 	u.x = nil
 }
 
+// event traces one upgrade step into the fleet's tracer as a KindReconcile
+// event with Op "upgrade-*".
 func (u *Upgrader) event(now Time, m int, step telemetry.ReconcileStep, op string, err error) {
-	if u.cfg.Tracer == nil {
+	if u.c.tracer == nil {
 		return
 	}
 	e := telemetry.Event{Kind: telemetry.KindReconcile, Now: now, Member: m, ReconcileStep: step, Op: op}
 	if err != nil {
 		e.Err = err.Error()
 	}
-	u.cfg.Tracer.Trace(e)
+	u.c.tracer.Trace(e)
 }

@@ -7,8 +7,9 @@ import (
 	"repro/internal/telemetry"
 )
 
-// upgradeLog is an upgrade's tracer: it records every event and calls hook,
-// if set, on each one as the upgrader emits it, under the cluster lock.
+// upgradeLog is an upgrade fleet's tracer: it records every event the
+// rolling reconciler and the upgrader emit and calls hook, if set, on each
+// one as it is emitted, under the cluster lock.
 type upgradeLog struct {
 	events []telemetry.Event
 	hook   func(telemetry.Event)
@@ -36,20 +37,20 @@ func (l *upgradeLog) members(op string, step telemetry.ReconcileStep) []int {
 }
 
 // upgradeFleet builds an n-member fleet with flows [0,flows) established
-// from time 0 and installed by 50 ms, when its tests attach an upgrade.
-func upgradeFleet(t *testing.T, n, flows int) *Cluster {
+// from time 0 and installed by 50 ms, when its tests attach an upgrade. The
+// fleet traces into the returned log, and so does the upgrade.
+func upgradeFleet(t *testing.T, n, flows int) (*Cluster, *upgradeLog) {
 	t.Helper()
-	c := newFleet(t, n, 1)
+	log := &upgradeLog{}
+	c := newTracedFleet(t, n, 1, log)
 	establish(t, c, 0, flows, 0)
 	c.AdvanceTo(msAt(50))
-	return c
+	return c, log
 }
 
-// startUpgrade attaches a rolling upgrade of every member at 50 ms, traced
-// into log.
-func startUpgrade(t *testing.T, c *Cluster, log *upgradeLog, cfg UpgradeConfig) *Upgrader {
+// startUpgrade attaches a rolling upgrade of every member at 50 ms.
+func startUpgrade(t *testing.T, c *Cluster, cfg UpgradeConfig) *Upgrader {
 	t.Helper()
-	cfg.Tracer = log
 	u, err := c.StartUpgrade(msAt(50), nil, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -90,8 +91,8 @@ func phases(c *Cluster, u *Upgrader) []UpgradePhase {
 // TestClusterUpgradeRollsWholeFleet: a clean rollout upgrades every member,
 // one at a time in ascending order, with no rollback.
 func TestClusterUpgradeRollsWholeFleet(t *testing.T) {
-	c, log := upgradeFleet(t, 3, 300), &upgradeLog{}
-	u := startUpgrade(t, c, log, UpgradeConfig{})
+	c, log := upgradeFleet(t, 3, 300)
+	u := startUpgrade(t, c, UpgradeConfig{})
 	finishUpgrade(t, c, u)
 	if got := log.members("upgrade-swap", telemetry.ReconcileApply); !slices.Equal(got, []int{0, 1, 2}) {
 		t.Fatalf("members taken down in order %v, want [0 1 2]", got)
@@ -117,9 +118,9 @@ func TestClusterUpgradeRollsWholeFleet(t *testing.T) {
 // taken down. Member 1, a donor whose CPU a drain does not need, rolls
 // normally.
 func TestClusterUpgradeRollsBackStalledDrain(t *testing.T) {
-	c, log := upgradeFleet(t, 2, 300), &upgradeLog{}
+	c, log := upgradeFleet(t, 2, 300)
 	c.Switch(1).Engine().StallCPU(msAt(50), 0, 5*Second)
-	u := startUpgrade(t, c, log, UpgradeConfig{StallTimeout: 300 * Millisecond, MaxRetries: 2})
+	u := startUpgrade(t, c, UpgradeConfig{StallTimeout: 300 * Millisecond, MaxRetries: 2})
 	finishUpgrade(t, c, u)
 	if got := log.members("upgrade-drain", telemetry.ReconcileRollback); !slices.Equal(got, []int{0, 0, 0}) {
 		t.Fatalf("drain rollbacks by member %v, want member 0's three attempts", got)
@@ -147,7 +148,7 @@ func TestClusterUpgradeRollsBackStalledDrain(t *testing.T) {
 // VIP beside the one it kept, and only then does it pass the warm gate and
 // rejoin.
 func TestClusterUpgradeWaitsForWarmGate(t *testing.T) {
-	c := upgradeFleet(t, 2, 300)
+	c, log := upgradeFleet(t, 2, 300)
 	second := NewVIP("20.0.0.2", 80, TCP)
 	spec := fleetSpec(8)
 	spec.VIPs = append(spec.VIPs, VIPSpec{VIP: second.String(), Pool: spec.VIPs[0].Pool})
@@ -159,7 +160,7 @@ func TestClusterUpgradeWaitsForWarmGate(t *testing.T) {
 		t.Fatal("the two-VIP spec did not converge")
 	}
 	var swappedAt, rejoinedAt Time
-	log := &upgradeLog{hook: func(e telemetry.Event) {
+	log.hook = func(e telemetry.Event) {
 		if e.Member != 1 {
 			return
 		}
@@ -174,9 +175,9 @@ func TestClusterUpgradeWaitsForWarmGate(t *testing.T) {
 		case "upgrade-done":
 			rejoinedAt = e.Now
 		}
-	}}
+	}
 	cfg := UpgradeConfig{WarmTimeout: 200 * Millisecond}
-	u := startUpgrade(t, c, log, cfg)
+	u := startUpgrade(t, c, cfg)
 	finishUpgrade(t, c, u)
 	if u.Phase(0) != UpgradeDone || u.Phase(1) != UpgradeDone {
 		t.Fatalf("phases %v, want both done", phases(c, u))
@@ -200,8 +201,8 @@ func TestClusterUpgradeWaitsForWarmGate(t *testing.T) {
 // rollback, not a finished drain: it retries after a backoff and drains
 // member 0 to the one survivor, which it then upgrades.
 func TestClusterUpgradeRetriesCancelledDrain(t *testing.T) {
-	c, log := upgradeFleet(t, 3, 1200), &upgradeLog{}
-	u := startUpgrade(t, c, log, UpgradeConfig{})
+	c, log := upgradeFleet(t, 3, 1200)
+	u := startUpgrade(t, c, UpgradeConfig{})
 	for {
 		now := stepUpgrade(t, c, u)
 		if active, moved := xferProgress(c); u.Phase(0) == UpgradeDraining && active && moved > 0 {
@@ -231,8 +232,8 @@ func TestClusterUpgradeRetriesCancelledDrain(t *testing.T) {
 // rejoins again, so member 0 is done only once a rejoin has cut over: every
 // bucket it first owned points at it again.
 func TestClusterUpgradeRetriesCancelledRejoin(t *testing.T) {
-	c, log := upgradeFleet(t, 3, 1200), &upgradeLog{}
-	u := startUpgrade(t, c, log, UpgradeConfig{})
+	c, log := upgradeFleet(t, 3, 1200)
+	u := startUpgrade(t, c, UpgradeConfig{})
 	log.hook = func(e telemetry.Event) {
 		if e.Member != 0 || e.Op != "upgrade-done" {
 			return
